@@ -21,8 +21,8 @@ from .diffop import (DegenerateLeadingMatrix, DegenerateShape, Incomplete,
                      majorant_preserving_reduce, row_echelon,
                      selfadjoint_product_space, skewadjoint_decompose,
                      solve_rational)
-from .field import (CoefficientField, FieldElem, UndecidableResidue,
-                    rational_antiderivative)
+from .field import (CoefficientField, FieldElem, InvariantViolation,
+                    UndecidableResidue, rational_antiderivative)
 from .lambdapoly import LambdaPoly
 from .complexes import (CohomologyResult, LeadingCoeffNotIdentity,
                         LeadingCoeffSingular, NotClosed, NotQuasiconstant,

@@ -3,16 +3,13 @@ DSL.
 
 Subcommands: check-jacobi, check-compat, cohomology, reduce, lenard, echelon,
 det, sigma, solve-skew.  Exit code 0 when every result is ok, 1 when any
-check fails, 2 on errors.  The VARPOIS_THREADS environment variable caps
-internal parallelism (evaluation is currently sequential, which honors any
-cap).
+check fails, 2 on errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -354,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    threads = os.environ.get("VARPOIS_THREADS")
-    if threads is not None:
-        try:
-            int(threads)
-        except ValueError:
-            print("VARPOIS_THREADS must be an integer", file=sys.stderr)
-            return None, 2
     if args.command is None:
         ap.print_help()
         return None, 2

@@ -24,7 +24,7 @@ from .lambdapoly import (LambdaPoly, affine_apply_once, affine_pow_apply,
                          affine_pow_on, subst_slot_neg)
 from .linform import LinForm
 from .linsolve import matrix_inverse
-from .pva import LambdaBracketStruct, check_jacobi
+from .pva import LambdaBracketStruct, NotPoisson, check_jacobi
 
 
 class NotClosed(Exception):
@@ -32,10 +32,6 @@ class NotClosed(Exception):
 
 
 class NotQuasiconstant(Exception):
-    pass
-
-
-class NotPoisson(Exception):
     pass
 
 

@@ -237,7 +237,7 @@ class DiffPoly:
                 else:
                     rest[idx] = ((n, i), e - 1)
                 bumped = _mono_mul(tuple(rest), (((n + 1, i), 1),))
-                _acc(bumped, c * e)
+                _acc(bumped, c if e == 1 else c * e)
         return DiffPoly(self.alg, out)
 
     def jet_partial(self, i: int, n: int) -> "DiffPoly":
@@ -254,7 +254,7 @@ class DiffPoly:
             else:
                 d[key] = e - 1
             mono = tuple(sorted(d.items()))
-            w = c * e
+            w = c if e == 1 else c * e
             s = out.get(mono)
             w = w if s is None else s + w
             if w.is_zero():
@@ -410,37 +410,42 @@ def partial_antiderivative(f: DiffPoly, i: int, m: int,
         d = dict(mono)
         e = d.get(v, 0)
         d[v] = e + 1
-        out = out + DiffPoly(f.alg, {tuple(sorted(d.items())): c * Fraction(1, e + 1)})
+        out = out + DiffPoly(f.alg, {tuple(sorted(d.items())):
+                                     c if e == 0 else c * Fraction(1, e + 1)})
     return out
 
 
 def antiderivative_in_v(f: DiffPoly) -> DiffPoly:
     """Find g in V with g' = f, assuming f is a total derivative.
 
-    Repeatedly strips the lexicographically top jet variable by one
-    integration by parts; the quasiconstant remainder is integrated in x.
+    Repeatedly strips the lexicographically top jet variable u_i^(n) by one
+    integration by parts; the quasiconstant remainder, which is always
+    eps(f), is integrated in x.  If f = G' + c, G's top jet is u_i^(n-1) and
+    df/du_i^(n) = dG/du_i^(n-1) involves only jets up to (n-1, i), so a
+    coefficient reaching beyond that proves f is not in dV.  Each step
+    lowers the top jet strictly, so the loop ends.
+
     Raises NotExact if f is not in dV, and UndecidableResidue when the
     quasiconstant residue test branches on parameters.
     """
     alg = f.alg
     g = alg.zero
     rem = f
-    guard = 0
     while not rem.is_quasiconstant():
-        guard += 1
-        if guard > 10000:
-            raise NotExact("integration by parts did not terminate")
         n, i = rem.max_jet()
         if n == 0:
             raise NotExact(f"not a total derivative: top jet has order 0 "
                            f"(u{i} appears underived)")
         a = rem.jet_partial(i, n)
-        if not all(j < (n, i) for j in a.jet_support()):
-            raise NotExact("not a total derivative: nonlinear in the top jet")
+        if any(j > (n - 1, i) for j in a.jet_support()):
+            raise NotExact("not a total derivative: the coefficient of the "
+                           "top jet involves jets beyond its antiderivative")
         block = partial_antiderivative(a, i, n - 1, check=False)
         g = g + block
         rem = rem - block.derive()
     r = rem.quasiconstant_part()
+    if not isinstance(r, FieldElem):
+        raise TypeError("the quasiconstant residue needs field coefficients")
     anti = rational_antiderivative(r)
     if anti is None:
         raise NotExact("quasiconstant residue has no rational antiderivative")
@@ -449,8 +454,6 @@ def antiderivative_in_v(f: DiffPoly) -> DiffPoly:
 
 def is_total_derivative(f: DiffPoly) -> bool:
     """Membership test f in dV (exact, including the quasiconstant residue)."""
-    if any(not g.is_zero() for g in variational_derivative(f)):
-        return False
     try:
         antiderivative_in_v(f)
         return True
@@ -461,8 +464,9 @@ def is_total_derivative(f: DiffPoly) -> bool:
 class LocalFunctional:
     """Class of a differential polynomial in V/dV (an integral ``int h``).
 
-    Equality holds iff the difference has zero variational derivative and its
-    quasiconstant residue is a total x-derivative in F.
+    Equality holds iff the difference lies in dV (see antiderivative_in_v):
+    it integrates by parts down to a quasiconstant residue, and that residue
+    is a total x-derivative in F.
     """
 
     __slots__ = ("representative",)
@@ -502,15 +506,9 @@ class LocalFunctional:
 
 
 def functional_eq(a: LocalFunctional, b: LocalFunctional) -> bool:
-    """Equality in V/dV.  May raise UndecidableResidue."""
-    w = a.representative - b.representative
-    if any(not g.is_zero() for g in variational_derivative(w)):
-        return False
-    # w is in dV + F; w - eps(w) is always in dV, so only the residue matters
-    residue = w.quasiconstant_part()
-    if not isinstance(residue, FieldElem):
-        raise TypeError("functional equality needs field coefficients")
-    return rational_antiderivative(residue) is not None
+    """Equality in V/dV: a - b is a total derivative, decided by
+    integration by parts.  May raise UndecidableResidue."""
+    return is_total_derivative(a.representative - b.representative)
 
 
 # -- exactness of 1-forms --------------------------------------------------------

@@ -19,6 +19,10 @@ class UndecidableResidue(Exception):
     """The rational-antiderivative test branches on parameter values."""
 
 
+class InvariantViolation(ArithmeticError):
+    """An identity that exact arithmetic guarantees failed to hold."""
+
+
 class CoefficientField:
     """The field F = Q(p_1,...,p_r)(x) with derivation d/dx.
 
@@ -352,10 +356,12 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     r = [c / lc for c in r]
     d2 = _xp_gcd(den, _xp_diff(den))
     d1, rem = _xp_divmod(den, d2)
-    assert _xp_is_zero(rem)
+    if not _xp_is_zero(rem):
+        raise InvariantViolation("gcd(den, den') does not divide den")
     # H = d2' * d1 / d2 is a polynomial
     h, rem = _xp_divmod(_xp_mul(_xp_diff(d2), d1), d2)
-    assert _xp_is_zero(rem)
+    if not _xp_is_zero(rem):
+        raise InvariantViolation("d2' * d1 is not divisible by d2")
     na, nb = len(d2) - 1, len(d1) - 1
     # unknowns: a_0..a_{na-1}, b_0..b_{nb-1};  r = a'*d1 - a*H + b*d2
     ncols = na + nb
@@ -419,5 +425,5 @@ def _solve_square(rows, rhs, f) -> list:
         row += 1
     for i in range(row, m):
         if not rhs[i].is_zero():
-            raise ArithmeticError("inconsistent Horowitz system")
+            raise InvariantViolation("inconsistent Horowitz system")
     return [rhs[piv_of_col[c]] if c in piv_of_col else f.zero for c in range(n)]

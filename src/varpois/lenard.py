@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
                       antiderivative_in_v, is_exact_1form, reconstruct_density,
                       variational_derivative)
+from .diffop import NotSkewadjoint
 from .linsolve import matrix_inverse
 from .pva import (LambdaBracketStruct, check_compatible, check_jacobi,
-                  ev_commutator, hamiltonian_vf, poisson_bracket)
+                  check_skewadjoint, ev_commutator, hamiltonian_vf)
 
 
 class NoPreimage(Exception):
@@ -171,16 +172,30 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
 
 def verify_involution(state: HierarchyState) -> list:
     """Pairwise {int h_m, int h_n} = 0 under both brackets; returns the
-    matrix of booleans (True = vanishes under both)."""
-    n = len(state.densities)
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            pb_h = poisson_bracket(state.densities[a], state.densities[b],
-                                   state.H)
-            pb_k = poisson_bracket(state.densities[a], state.densities[b],
-                                   state.K)
-            out[a][b] = pb_h.is_zero() and pb_k.is_zero()
+    matrix of booleans (True = vanishes under both).
+
+    Both brackets must be skewadjoint (else NotSkewadjoint): then
+    {int g, int f} = -{int f, int g}, so only the pairs a < b are tested, the
+    diagonal is True and the lower triangle mirrors the upper one.  Each
+    density's gradient is taken once.
+    """
+    for name, S in (("H", state.H), ("K", state.K)):
+        if not check_skewadjoint(S):
+            raise NotSkewadjoint(f"bracket operator {name} is not "
+                                 f"skewadjoint")
+    alg = state.alg
+    grads = [list(variational_derivative(h.representative))
+             for h in state.densities]
+    n = len(grads)
+    out = [[True] * n for _ in range(n)]
+    for a in range(n - 1):
+        images = (state.H.op.apply(grads[a]), state.K.op.apply(grads[a]))
+        for b in range(a + 1, n):
+            # {int h_a, int h_b} = int (delta h_b) . S(d) (delta h_a)
+            brackets = (LocalFunctional(sum((x * y for x, y in
+                                             zip(grads[b], image)), alg.zero))
+                        for image in images)
+            out[a][b] = out[b][a] = all(br.is_zero() for br in brackets)
     return out
 
 

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
-from varpois import (DiffAlgebra, LambdaPoly, MatDiffOp, ScalarDiffOp,
-                     SkewArray)
+from hypothesis import strategies as st
+
+from varpois import (DiffAlgebra, FieldElem, LambdaPoly, LocalFunctional,
+                     MatDiffOp, ScalarDiffOp, SkewArray, poisson_bracket,
+                     rational_antiderivative, variational_derivative)
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -81,3 +84,54 @@ def skewadjoint_op(rng: random.Random, alg: DiffAlgebra, max_order=3,
     """A random skewadjoint scalar operator, via S - S*."""
     S = rnd_scalar_op(rng, alg, max_order, quasiconstant)
     return S - S.adjoint()
+
+
+def functional_eq_reference(a: LocalFunctional, b: LocalFunctional) -> bool:
+    """Equality in V/dV the slow way: w = a - b must have zero variational
+    derivative, and then its quasiconstant residue eps(w) must have a
+    rational antiderivative.  May raise UndecidableResidue."""
+    w = a.representative - b.representative
+    if any(not g.is_zero() for g in variational_derivative(w)):
+        return False
+    residue = w.quasiconstant_part()
+    if not isinstance(residue, FieldElem):
+        raise TypeError("functional equality needs field coefficients")
+    return rational_antiderivative(residue) is not None
+
+
+def involution_matrix_reference(state) -> list:
+    """All n^2 pairs under both brackets, each bracket zero-tested by
+    functional_eq_reference."""
+    zero = LocalFunctional(state.alg.zero)
+    return [[all(functional_eq_reference(poisson_bracket(f, g, S), zero)
+                 for S in (state.H, state.K))
+             for g in state.densities] for f in state.densities]
+
+
+@st.composite
+def field_elems(draw, field, with_x=True):
+    """A small element of F: a rational, times a power of x and times a
+    parameter when the field has one."""
+    v = field.rational(Fraction(draw(st.integers(-3, 3)),
+                                draw(st.sampled_from([1, 2, 3]))))
+    if with_x:
+        v = v * field.x ** draw(st.integers(0, 1))
+    for name in field.params:
+        if draw(st.booleans()):
+            v = v * field.param(name)
+    return v
+
+
+@st.composite
+def diffpolys(draw, alg: DiffAlgebra, max_order=2, max_degree=2, max_terms=3,
+              with_x=False):
+    """A sparse differential polynomial: a few monomials of bounded degree
+    and jet order, each with a small coefficient from field_elems."""
+    out = alg.zero
+    for _ in range(draw(st.integers(0, max_terms))):
+        t = alg.from_scalar(draw(field_elems(alg.field, with_x)))
+        for _ in range(draw(st.integers(0, max_degree))):
+            t = t * alg.jet(draw(st.integers(1, alg.nvars)),
+                            draw(st.integers(0, max_order)))
+        out = out + t
+    return out

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import varpois
 from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
                      MatDiffOp, NotClosed, NotQuasiconstant, OutOfFiltration,
                      QuotientArray, ScalarDiffOp, SkewArray, alpha_k,
@@ -306,6 +307,15 @@ def test_d_k_rejects_bad_operator():
         ALG, {0: U})]]))
     with pytest.raises(NotQuasiconstant):
         d_k(QuotientArray(SkewArray.from_function(ALG, U)), bad)
+
+
+def test_d_k_not_poisson_is_the_exported_class():
+    """S - S* with S = u d^3 is skewadjoint but fails Jacobi; d_K's error
+    is caught as varpois.NotPoisson."""
+    S = ScalarDiffOp(ALG, {3: U})
+    K = LambdaBracketStruct.from_scalar_op(S - S.adjoint())
+    with pytest.raises(varpois.NotPoisson):
+        d_k(QuotientArray(SkewArray.from_function(ALG, U)), K)
 
 
 def test_d_k_matches_adjoint_action_on_one_forms():

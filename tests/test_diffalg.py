@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
                      antiderivative_in_v, frechet, functional_eq, higher_euler,
@@ -11,7 +13,12 @@ from varpois.complexes import SkewArray, de_rham_delta, reduce_closed
 from varpois.diffalg import format_diff_poly
 from varpois.diffop import MatDiffOp
 
-from helpers import rnd_diffpoly
+from helpers import diffpolys, functional_eq_reference, rnd_diffpoly
+
+ALG1 = DiffAlgebra(1)
+ALG1C = DiffAlgebra(1, ["c"])
+ALG2 = DiffAlgebra(2)
+ALG2C = DiffAlgebra(2, ["c"])
 
 
 @pytest.fixture
@@ -171,3 +178,65 @@ def test_printing_terms_sorted(alg):
     u = alg.jet(1)
     s = format_diff_poly(u ** 2 + u.derive() + alg.one)
     assert s.index("u'") < s.index("1")
+
+
+def test_antiderivative_in_v_two_components():
+    """Non-exact products of two components raise NotExact as soon as the
+    top jet's coefficient reaches past the antiderivative's top jet;
+    integrating u1'u2' by parts regardless cycles u1'u2' -> -u1''u2 ->
+    u1'u2'."""
+    u1p, u2p = ALG2.jet(1, 1), ALG2.jet(2, 1)
+    for f in (u1p * u2p, ALG2.jet(1, 2) * u2p, ALG2.jet(2, 2) * u1p,
+              ALG2.jet(1, 2) * ALG2.jet(2, 2)):
+        with pytest.raises(NotExact, match="beyond its antiderivative"):
+            antiderivative_in_v(f)
+        assert not is_total_derivative(f)
+    rng = random.Random(11)
+    for _ in range(10):
+        f = rnd_diffpoly(rng, ALG2, with_x=True).derive()
+        assert (antiderivative_in_v(f).derive() - f).is_zero()
+
+
+def _residues(field):
+    """Quasiconstant residues: integrable, not integrable, and (with the
+    parameter c) integrable only for some values of c."""
+    x, one = field.x, field.one
+    out = [field.zero, one, x, one / x, one / (x * x), one / (x * x + 1)]
+    if field.params:
+        c = field.param("c")
+        out += [c * x, c / x, c / (x * x + 1), (c - 1) / x]
+    return out
+
+
+def _outcome(eq, a, b):
+    try:
+        return eq(a, b)
+    except UndecidableResidue:
+        return "undecidable"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG1, ALG1C, ALG2, ALG2C]))
+def test_functional_eq_matches_reference(data, alg):
+    """Integration by parts decides V/dV exactly as the variational
+    derivative followed by the residue test, UndecidableResidue included."""
+    a = data.draw(diffpolys(alg, with_x=True))
+    exact = data.draw(diffpolys(alg, with_x=True)).derive()
+    noise = data.draw(st.one_of(st.just(alg.zero),
+                                diffpolys(alg, max_terms=1)))
+    residue = alg.from_scalar(data.draw(st.sampled_from(
+        _residues(alg.field))))
+    A, B = LocalFunctional(a), LocalFunctional(a + exact + noise + residue)
+    got = _outcome(functional_eq, A, B)
+    assert got == _outcome(functional_eq_reference, A, B)
+    if got is True:
+        w = B.representative - A.representative
+        assert (antiderivative_in_v(w).derive() - w).is_zero()
+
+
+def test_undecidable_residue_in_both_paths():
+    c, x = ALG2C.field.param("c"), ALG2C.field.x
+    w = ALG2C.from_scalar(c / x) + (ALG2C.jet(1) * ALG2C.jet(2, 1)).derive()
+    for eq in (functional_eq, functional_eq_reference):
+        with pytest.raises(UndecidableResidue):
+            eq(LocalFunctional(w), LocalFunctional(ALG2C.zero))

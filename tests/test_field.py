@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from varpois import CoefficientField, UndecidableResidue, rational_antiderivative
+from varpois import (CoefficientField, InvariantViolation, UndecidableResidue,
+                     rational_antiderivative)
+from varpois import field as field_module
 from varpois.field import format_field_elem
 
 from helpers import rnd_field_elem
@@ -89,3 +91,12 @@ def test_printing_roundtrip(F):
     v = (3 * x ** 2 - c * x + Fraction(1, 2)) / (x + c)
     s = format_field_elem(v)
     assert "x" in s and "c" in s
+
+
+def test_horowitz_invariant_is_a_named_error(F, monkeypatch):
+    """A broken invariant raises InvariantViolation, which python -O keeps:
+    here a gcd of x^2 and 2x that does not divide x^2."""
+    monkeypatch.setattr(field_module, "_xp_gcd",
+                        lambda a, b: [F.one, F.one])
+    with pytest.raises(InvariantViolation, match="does not divide"):
+        rational_antiderivative(F.one / (F.x * F.x))

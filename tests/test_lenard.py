@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, HierarchyState, LambdaBracketStruct,
-                     LocalFunctional, NoPreimage, ScalarDiffOp, UnsupportedK,
-                     functional_eq, gfz_structure, hamiltonian_vf,
-                     magri_structure, run_hierarchy, variational_derivative,
-                     verify_involution)
+                     LocalFunctional, MatDiffOp, NoPreimage, NotSkewadjoint,
+                     ScalarDiffOp, UnsupportedK, functional_eq, gfz_structure,
+                     hamiltonian_vf, magri_structure, run_hierarchy,
+                     variational_derivative, verify_involution)
 from varpois.lenard import commuting_flows, lenard_step
+
+from helpers import diffpolys, involution_matrix_reference
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -82,18 +86,17 @@ def test_unsupported_k_rejected():
         lenard_step(state)
 
 
+ALG2 = DiffAlgebra(2)
+_D1, _D3, _Z = (ScalarDiffOp.d(ALG2), ScalarDiffOp.d(ALG2, 3),
+                ScalarDiffOp.zero(ALG2))
+K2 = LambdaBracketStruct(MatDiffOp(ALG2, [[_D1.scale(2), _D1], [_D1, _D1]]))
+H2 = LambdaBracketStruct(MatDiffOp(ALG2, [[_D3, _Z], [_Z, _D3]]))
+
+
 def test_two_component_constant_pair():
     """A constant symmetric pair on two components: the K-inversion runs
     through the constant diagonalization and every step certifies."""
-    from varpois import DiffAlgebra, MatDiffOp
-    alg2 = DiffAlgebra(2)
-    d1 = ScalarDiffOp.d(alg2)
-    d3 = ScalarDiffOp.d(alg2, 3)
-    z = ScalarDiffOp.zero(alg2)
-    K2 = LambdaBracketStruct(MatDiffOp(alg2, [
-        [d1.scale(2), d1], [d1, d1]]))
-    H2 = LambdaBracketStruct(MatDiffOp(alg2, [[d3, z], [z, d3]]))
-    u1, u2 = alg2.jet(1), alg2.jet(2)
+    u1, u2 = ALG2.jet(1), ALG2.jet(2)
     seed = LocalFunctional((u1 * u1 + u2 * u2) / 2)
     st = run_hierarchy(H2, K2, seed, 2)
     assert len(st.densities) == 3
@@ -112,3 +115,49 @@ def test_incompatible_pair_rejected():
                            0: ALG.jet(1, 2).scale(ALG.field.rational(1, 2))}))
     with pytest.raises(ValueError):
         run_hierarchy(bad, K, LocalFunctional(U * U / 2), 1)
+
+
+def test_involution_matches_all_pairs(kdv_state):
+    """The a < b pairs filled out by skewsymmetry give the matrix of all n^2
+    brackets under both structures."""
+    assert verify_involution(kdv_state) == \
+        involution_matrix_reference(kdv_state)
+    u1, u2 = ALG2.jet(1), ALG2.jet(2)
+    st2 = run_hierarchy(H2, K2, LocalFunctional((u1 * u1 + u2 * u2) / 2), 2,
+                        verify_pair=False)
+    assert verify_involution(st2) == involution_matrix_reference(st2)
+    loose = HierarchyState(H, K, [LocalFunctional(U * U / 2),
+                                  LocalFunctional(ALG.jet(1, 1) ** 2),
+                                  LocalFunctional(U ** 3)])
+    expected = [[True, False, False], [False, True, False],
+                [False, False, True]]
+    assert verify_involution(loose) == expected
+    assert involution_matrix_reference(loose) == expected
+
+
+@st.composite
+def densities(draw, alg):
+    """A quadratic jet monomial plus a few random terms, so that most
+    pairs of densities are not in involution."""
+    jets = [alg.jet(draw(st.integers(1, alg.nvars)), draw(st.integers(0, 1)))
+            for _ in range(2)]
+    return LocalFunctional(jets[0] * jets[1] + draw(
+        diffpolys(alg, max_order=1, max_degree=3, max_terms=2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), pair=st.sampled_from([(H, K), (H2, K2)]))
+def test_involution_matches_all_pairs_random(data, pair):
+    """Densities outside a hierarchy, so that some pairs fail."""
+    Hs, Ks = pair
+    dens = data.draw(st.lists(densities(Hs.alg), min_size=2, max_size=3))
+    state = HierarchyState(Hs, Ks, dens)
+    assert verify_involution(state) == involution_matrix_reference(state)
+
+
+def test_involution_needs_skewadjoint_brackets(kdv_state):
+    not_skew = LambdaBracketStruct.from_scalar_op(ScalarDiffOp.d(ALG, 2))
+    for Hs, Ks in ((H, not_skew), (not_skew, K)):
+        state = HierarchyState(Hs, Ks, kdv_state.densities)
+        with pytest.raises(NotSkewadjoint):
+            verify_involution(state)
