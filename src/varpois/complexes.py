@@ -20,6 +20,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
 from .diffop import MatDiffOp, ScalarDiffOp, NotSkewadjoint
+from .field import InvariantViolation
 from .lambdapoly import (LambdaPoly, affine_apply_once, affine_pow_apply,
                          affine_pow_on, subst_slot_neg)
 from .linform import LinForm
@@ -710,7 +711,8 @@ def dim_omega00(N: int, nvars: int, k: int,
             if not arr.is_zero():
                 basis.append(arr)
     count = math.comb(N * nvars, k)
-    assert len(basis) == count, (len(basis), count)
+    if len(basis) != count:
+        raise InvariantViolation(f"{len(basis)} basis arrays, expected {count}")
     return count, basis
 
 

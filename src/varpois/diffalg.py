@@ -91,9 +91,10 @@ def mono_degree(m: Mono) -> int:
 
 
 def _mono_sort_key(m: Mono):
-    """Degrevlex on jet variables ordered by (n, i): higher degree first,
-    ties broken by reverse lexicographic comparison from the largest
-    variable down."""
+    """Display order of monomials: higher degree first, ties broken by
+    comparing (variable, exponent) pairs from the largest variable (n, i)
+    down, a larger variable counting as smaller.  Not a monomial order
+    (u'' < u' but u''^2 > u' u''); division uses _grlex_key."""
     return (mono_degree(m), tuple(sorted(((-n, -i), e) for (n, i), e in m)))
 
 
@@ -665,8 +666,24 @@ class DiffRat:
         return f"({format_diff_poly(self.num)})/({format_diff_poly(self.den)})"
 
 
+def _grlex_key(m: Mono):
+    """Graded lex order, jet variables ranked by (n, i): total degree first,
+    then the exponents compared from the largest variable down.  Unlike the
+    display order of _mono_sort_key this is a monomial order: multiplying by
+    a monomial preserves it, and it is a well-order."""
+    return (mono_degree(m), m[::-1])
+
+
 def _exact_div(num: DiffPoly, den: DiffPoly) -> Optional[DiffPoly]:
-    """num / den when den divides num exactly, else None."""
+    """num / den when den divides num exactly, else None.
+
+    Division by leading terms in a monomial order: if den divides num then
+    every remainder is a multiple q*den, whose leading monomial is
+    LM(q)*LM(den), so a leading monomial not divisible by LM(den) proves
+    that den does not divide num.  Each step cancels the leading term of the
+    remainder and adds only terms below it, so the leading monomial strictly
+    decreases in a well-order and the loop ends.
+    """
     alg = num.alg
     if den.is_zero():
         return None
@@ -676,15 +693,11 @@ def _exact_div(num: DiffPoly, den: DiffPoly) -> Optional[DiffPoly]:
         return None
     quot = alg.zero
     rem = num
-    dlead = max(den.terms, key=_mono_sort_key)
+    dlead = max(den.terms, key=_grlex_key)
     dcoef = den.terms[dlead]
     dset = dict(dlead)
-    guard = 0
     while not rem.is_zero():
-        guard += 1
-        if guard > 2000:
-            return None
-        rlead = max(rem.terms, key=_mono_sort_key)
+        rlead = max(rem.terms, key=_grlex_key)
         rset = dict(rlead)
         q = {}
         for v, e in dset.items():

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
-from .field import FieldElem, format_field_elem
+from .field import (FieldElem, InvariantViolation, clear_denominators,
+                    format_field_elem, x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import gauss_solve
@@ -258,7 +259,8 @@ class ScalarDiffOp:
                     res.pop(key, None)
                 else:
                     res[key] = w
-        assert all(v.is_zero() for v in res.values())
+        if not all(v.is_zero() for v in res.values()):
+            raise InvariantViolation("right coefficient form leaves a rest")
         return b
 
     def split_form(self) -> tuple:
@@ -1170,16 +1172,7 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
     x = field.x
     homogeneous_rhs = all(v.is_zero() for v in b)
     # denominator from b (x-part only)
-    den = field.one
-    if not homogeneous_rhs:
-        den_ring = None
-        for v in b:
-            if v.is_zero():
-                continue
-            d = v.f.denom
-            den_ring = d if den_ring is None else _poly_lcm(den_ring, d)
-        if den_ring is not None:
-            den = FieldElem(field, field._field.field_new(den_ring))
+    den = field.one if homogeneous_rhs else clear_denominators(b)[0]
     ncols_basis = degree_bound + 1
     unknowns = [(j, t) for j in range(M.n) for t in range(ncols_basis)]
     col_index = {u: i for i, u in enumerate(unknowns)}
@@ -1221,57 +1214,18 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
     return SolutionSet(particular, basis, degree_bound)
 
 
-def _poly_lcm(p, q):
-    g = p.gcd(q)
-    quot, rem = p.div(g)
-    assert not rem
-    return quot * q
-
-
 def _match_x_coefficients(field, entries, rhs):
     """Turn sum_c gamma_c * entries[c] = rhs (FieldElem identity in x) into
     scalar rows over C by clearing denominators and matching powers of x."""
-    den = None
-    for v in list(entries) + [rhs]:
-        if v.is_zero():
-            continue
-        d = v.f.denom
-        den = d if den is None else _poly_lcm(den, d)
-    if den is None:
-        return [], []
-    cleared = []
-    for v in entries + [rhs]:
-        if v.is_zero():
-            cleared.append(None)
-            continue
-        mult, rem = den.div(v.f.denom)
-        assert not rem
-        cleared.append(v.f.numer * mult)
-    # collect x-degrees present
-    degrees = set()
-    for p in cleared:
-        if p is not None:
-            degrees.update(m[0] for m in p.monoms())
-    degrees = sorted(degrees)
+    _, cleared = clear_denominators(list(entries) + [rhs])
+    cleared = [x_coefficients(p) for p in cleared]
+    degrees = sorted(set().union(*cleared))
     rows = {d: {} for d in degrees}
     rhs_rows = {d: field.zero for d in degrees}
-    for c, p in enumerate(cleared):
-        if p is None:
-            continue
-        target_rhs = (c == len(entries))
-        buckets: dict = {}
-        for mono, coeff in p.terms():
-            key = mono[0]
-            rest = p.ring.term_new((0,) + mono[1:], coeff)
-            buckets[key] = buckets.get(key, p.ring.zero) + rest
-        for dkey, poly in buckets.items():
-            val = FieldElem(field, field._field.field_new(poly))
-            if val.is_zero():
-                continue
-            if target_rhs:
-                rhs_rows[dkey] = val
-            else:
-                rows[dkey][c] = val
+    for c, coeffs in enumerate(cleared[:-1]):
+        for dkey, val in coeffs.items():
+            rows[dkey][c] = val
+    rhs_rows.update(cleared[-1])
     out_rows = [rows[d] for d in degrees]
     out_rhs = [rhs_rows[d] for d in degrees]
     return out_rows, out_rhs

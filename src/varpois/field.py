@@ -1,18 +1,37 @@
 """Exact arithmetic in the quasiconstant coefficient field Q(p_1,...,p_r)(x).
 
-Elements are reduced fractions of sparse polynomials over Q in x and the
-declared parameter symbols.  The derivation is d/dx; parameters are constants
-(their derivative is zero).  The heavy lifting (sparse polynomial fractions,
-gcd cancellation) is delegated to sympy's polynomial fraction fields.
+The derivation is d/dx; parameters are constants (their derivative is zero).
+Every element is stored in the lowest of three tiers that can hold it:
+
+- RAT: a plain rational, a sympy ``QQ`` number;
+- POLY: a polynomial over Q in x and the parameters that is not a plain
+  rational, a bare sympy ``PolyElement``;
+- FRAC: a fraction whose denominator is not a plain rational, a sympy
+  ``FracElement`` in the canonical form of ``PolyElement.cancel`` (integral
+  numerator and denominator without common factor, positive leading
+  coefficient below).
+
+Each value has exactly one stored form, so equality and hashing compare the
+tier and the stored value.  Arithmetic dispatches on the operand tiers: rat
+with rat is rational arithmetic, rat with poly scales or shifts the
+polynomial, poly with poly stays in the ring, and a gcd cancellation runs
+only where a common factor can appear (a quotient of polynomials, a product
+with a fraction, a sum of fractions, the derivative of a fraction).  A sum
+of a fraction and a polynomial, or a fraction scaled by a rational, only
+needs its integer contents normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from sympy import QQ
 from sympy.polys.fields import field as _sympy_field
+
+_Q = QQ.dtype
+RAT, POLY, FRAC = range(3)
 
 
 class UndecidableResidue(Exception):
@@ -35,11 +54,13 @@ class CoefficientField:
             if p in ("x", "d") or not p.isidentifier():
                 raise ValueError(f"bad parameter name {p!r}")
         names = ",".join(("x",) + self.params) if self.params else "x"
-        self._field, *gens = _sympy_field(names, QQ)
-        self._gens = gens
-        self.zero = FieldElem(self, self._field.zero)
-        self.one = FieldElem(self, self._field.one)
-        self.x = FieldElem(self, gens[0])
+        self._field = _sympy_field(names, QQ)[0]
+        self._ring = self._field.ring
+        self._gens = self._ring.gens
+        self._zm = self._ring.zero_monom
+        self.zero = FieldElem(self, RAT, _Q(0))
+        self.one = FieldElem(self, RAT, _Q(1))
+        self.x = FieldElem(self, POLY, self._gens[0])
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.params == other.params
@@ -52,12 +73,11 @@ class CoefficientField:
         return f"CoefficientField(x{',' if ps else ''}{ps})"
 
     def param(self, name: str) -> "FieldElem":
-        return FieldElem(self, self._gens[1 + self.params.index(name)])
+        return FieldElem(self, POLY, self._gens[1 + self.params.index(name)])
 
     def rational(self, num, den=1) -> "FieldElem":
         q = Fraction(num, den) if den != 1 else Fraction(num)
-        val = self._field.ground_new(QQ(q.numerator, q.denominator))
-        return FieldElem(self, val)
+        return FieldElem(self, RAT, _Q(q.numerator, q.denominator))
 
     def coerce(self, v) -> "FieldElem":
         if isinstance(v, FieldElem):
@@ -69,125 +89,313 @@ class CoefficientField:
         raise TypeError(f"cannot coerce {type(v).__name__} into {self!r}")
 
 
+# -- tier constructors and arithmetic on (tier, value) pairs -------------------
+#
+# These take (tier, value) pairs and return elements.  The FieldElem methods
+# call them and never each other, so each public operation is one call
+# whatever the operand tiers.
+
+def _from_poly(field: CoefficientField, p) -> "FieldElem":
+    """The polynomial p in its lowest tier."""
+    if len(p) != 1:
+        return FieldElem(field, POLY, p) if p else field.zero
+    c = p.get(field._zm)
+    return FieldElem(field, POLY, p) if c is None else FieldElem(field, RAT, c)
+
+
+def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
+    """num/den, already in canonical form, in its lowest tier."""
+    if len(den) == 1:
+        c = den.get(field._zm)
+        if c is not None:
+            return _from_poly(field, num if c == 1 else num.quo_ground(c))
+    return FieldElem(field, FRAC, field._field.raw_new(num, den))
+
+
+def _from_frac(field: CoefficientField, r) -> "FieldElem":
+    """A FracElement produced by sympy arithmetic (hence cancelled)."""
+    return _from_cancelled(field, r.numer, r.denom)
+
+
+def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
+    """num/den for polynomials num, den over Q with no common polynomial
+    factor: only the integer contents need normalizing, no gcd of
+    polynomials."""
+    if len(den) == 1 and field._zm in den:
+        return _from_poly(field, num.quo_ground(den[field._zm]))
+    m = 1
+    for c in num.values():
+        m = lcm(m, c.denominator)
+    for c in den.values():
+        m = lcm(m, c.denominator)
+    if m != 1:
+        num, den = num.mul_ground(m), den.mul_ground(m)
+    g = 0
+    for c in num.values():
+        g = gcd(g, c.numerator)
+    if g != 1:
+        for c in den.values():
+            g = gcd(g, c.numerator)
+            if g == 1:
+                break
+        else:
+            num, den = num.quo_ground(g), den.quo_ground(g)
+    if den.LC < 0:
+        num, den = -num, -den
+    return FieldElem(field, FRAC, field._field.raw_new(num, den))
+
+
+def _poly_plus_rat(p, q, zm):
+    """p + q for a polynomial p and a rational q; never a plain rational
+    when p is not one."""
+    out = p.copy()
+    c = out.get(zm)
+    if c is None:
+        if q:
+            out[zm] = q
+        return out
+    c = c + q
+    if c:
+        out[zm] = c
+    else:
+        del out[zm]
+    return out
+
+
+def _frac_plus(field, f, kb, b) -> "FieldElem":
+    """f + b for a fraction f and a rational or polynomial b: the sum
+    (numer + denom*b)/denom has no new common factor."""
+    if kb == RAT:
+        if not b:
+            return FieldElem(field, FRAC, f)
+        num = f.numer + f.denom.mul_ground(b)
+    else:
+        num = f.numer + f.denom * b
+    return _from_coprime(field, num, f.denom)
+
+
+def _add(field, ka, a, kb, b) -> "FieldElem":
+    if ka > kb:
+        ka, a, kb, b = kb, b, ka, a
+    if kb == RAT:
+        return FieldElem(field, RAT, a + b)
+    if kb == POLY:
+        if ka == RAT:
+            return FieldElem(field, POLY, _poly_plus_rat(b, a, field._zm))
+        return _from_poly(field, a + b)
+    if ka == FRAC:
+        return _from_frac(field, a + b)
+    return _frac_plus(field, b, ka, a)
+
+
+def _mul(field, ka, a, kb, b) -> "FieldElem":
+    if ka > kb:
+        ka, a, kb, b = kb, b, ka, a
+    if ka == RAT:
+        if kb == RAT:
+            return FieldElem(field, RAT, a * b)
+        if not a:
+            return field.zero
+        if a == 1:
+            return FieldElem(field, kb, b)
+        if kb == POLY:
+            return FieldElem(field, POLY, b.mul_ground(a))
+        return _from_coprime(field, b.numer.mul_ground(a), b.denom)
+    if kb == POLY:
+        return FieldElem(field, POLY, a * b)
+    return _from_frac(field, b * a)
+
+
+def _div(field, ka, a, kb, b) -> "FieldElem":
+    if kb == RAT:
+        if not b:
+            raise ZeroDivisionError("division by zero field element")
+        if ka == RAT:
+            return FieldElem(field, RAT, a / b)
+        return _mul(field, RAT, 1 / b, ka, a)
+    if ka == RAT:
+        if not a:
+            return field.zero
+        if kb == POLY:
+            return _from_coprime(field, field._ring.ground_new(a), b)
+        return _from_coprime(field, b.denom.mul_ground(a), b.numer)
+    if ka == POLY and kb == POLY:
+        return _from_cancelled(field, *a.cancel(b))
+    if ka == POLY:
+        return _from_frac(field, b.__rtruediv__(a))
+    return _from_frac(field, a / b)
+
+
+def _pow(field, k, v, n: int) -> "FieldElem":
+    """v**n for n >= 0; a power of a canonical fraction is canonical."""
+    if n == 0:
+        return field.one
+    return FieldElem(field, k, v ** n)
+
+
+def _numer_denom(v: "FieldElem"):
+    """Numerator and denominator polynomials of v in the canonical form of
+    ``PolyElement.cancel``."""
+    ring = v.field._ring
+    if v._k == RAT:
+        return ring.ground_new(v._v.numerator), ring.ground_new(v._v.denominator)
+    if v._k == POLY:
+        m, num = v._v.clear_denoms()
+        return num, ring.ground_new(m)
+    return v._v.numer, v._v.denom
+
+
 class FieldElem:
-    """One element of a CoefficientField; immutable."""
+    """One element of a CoefficientField; immutable.
 
-    __slots__ = ("field", "f")
+    ``_k`` is the tier (RAT, POLY or FRAC) and ``_v`` the stored value; see
+    the module docstring.
+    """
 
-    def __init__(self, field: CoefficientField, f):
+    __slots__ = ("field", "_k", "_v")
+
+    def __init__(self, field: CoefficientField, kind: int, value):
         self.field = field
-        self.f = f
+        self._k = kind
+        self._v = value
+
+    @property
+    def f(self):
+        """The value as a sympy FracElement of the field's fraction field."""
+        return self.field._field.raw_new(*_numer_denom(self))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _rhs(self, other):
+    def _operand(self, other):
+        """(tier, value) of another operand, or None if unsupported."""
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed coefficient fields")
-            return other.f
+            return other._k, other._v
         if isinstance(other, int):
-            return self.field._field.ground_new(QQ(other))
+            return RAT, _Q(other)
         if isinstance(other, Fraction):
-            return self.field._field.ground_new(QQ(other.numerator, other.denominator))
+            return RAT, _Q(other.numerator, other.denominator)
         return None
 
     def __add__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return FieldElem(self.field, self.f + g)
+        return _add(self.field, self._k, self._v, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return FieldElem(self.field, self.f - g)
+        return _add(self.field, self._k, self._v, o[0], -o[1])
 
     def __rsub__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return FieldElem(self.field, g - self.f)
+        return _add(self.field, o[0], o[1], self._k, -self._v)
 
     def __mul__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return FieldElem(self.field, self.f * g)
+        return _mul(self.field, self._k, self._v, *o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        if g == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return FieldElem(self.field, self.f / g)
+        return _div(self.field, self._k, self._v, *o)
 
     def __rtruediv__(self, other):
-        g = self._rhs(other)
-        if g is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        return FieldElem(self.field, g / self.f)
+        return _div(self.field, o[0], o[1], self._k, self._v)
 
     def __pow__(self, n: int):
-        return FieldElem(self.field, self.f ** n)
+        if n >= 0:
+            return _pow(self.field, self._k, self._v, n)
+        if self.is_zero():
+            raise ZeroDivisionError("negative power of zero")
+        p = _pow(self.field, self._k, self._v, -n)
+        return _div(self.field, RAT, _Q(1), p._k, p._v)
 
     def __neg__(self):
-        return FieldElem(self.field, -self.f)
+        return FieldElem(self.field, self._k, -self._v)
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
-            return self.field == other.field and self.f == other.f
+            return (self._k == other._k and self._v == other._v
+                    and self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            return self.f == self._rhs(other)
+            return self._k == RAT and self._v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.f))
+        # sympy caches a polynomial's hash and some of its in-place
+        # operations change the polynomial after hashing it, so the hash is
+        # taken from the terms.
+        if self._k == RAT:
+            return hash((self.field, self._v))
+        if self._k == POLY:
+            return hash((self.field, frozenset(self._v.items())))
+        return hash((self.field, frozenset(self._v.numer.items()),
+                     frozenset(self._v.denom.items())))
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.f
+        return self._k == RAT and not self._v
 
     def is_one(self) -> bool:
-        return self.f == self.field._field.one
+        return self._k == RAT and self._v == 1
 
     def derive(self) -> "FieldElem":
         """d/dx; parameters are killed."""
-        return FieldElem(self.field, self.f.diff(self.field._gens[0]))
+        field, v = self.field, self._v
+        if self._k == RAT:
+            return field.zero
+        x = field._gens[0]
+        if self._k == POLY:
+            return _from_poly(field, v.diff(x))
+        num, den = v.numer, v.denom
+        return _from_cancelled(field, *(num.diff(x) * den - num * den.diff(x))
+                               .cancel(den ** 2))
 
     def is_constant(self) -> bool:
         """True iff free of x, i.e. in the constant subfield C = Q(params)."""
-        return all(m[0] == 0 for m in self.f.numer.monoms()) and \
-            all(m[0] == 0 for m in self.f.denom.monoms())
+        if self._k == RAT:
+            return True
+        if self._k == POLY:
+            return all(m[0] == 0 for m in self._v)
+        return all(m[0] == 0 for m in self._v.numer) and \
+            all(m[0] == 0 for m in self._v.denom)
 
     def is_rational_number(self) -> bool:
         """True iff a plain rational (free of x and of all parameters)."""
-        return all(all(e == 0 for e in m) for m in self.f.numer.monoms()) and \
-            all(all(e == 0 for e in m) for m in self.f.denom.monoms())
+        return self._k == RAT
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational_number():
+        if self._k != RAT:
             raise ValueError(f"{self} is not a plain rational number")
-        if self.is_zero():
-            return Fraction(0)
-        nc = list(self.f.numer.terms())[0][1]
-        dc = list(self.f.denom.terms())[0][1]
-        q = QQ(nc) / QQ(dc)
-        return Fraction(int(q.numerator), int(q.denominator))
+        return Fraction(int(self._v.numerator), int(self._v.denominator))
 
     def x_degree(self) -> int:
         """Degree in x of the numerator minus that of the denominator."""
-        nd = max((m[0] for m in self.f.numer.monoms()), default=0)
-        dd = max((m[0] for m in self.f.denom.monoms()), default=0)
-        return nd - dd
+        if self._k == RAT:
+            return 0
+        if self._k == POLY:
+            return max(m[0] for m in self._v)
+        return max(m[0] for m in self._v.numer) - \
+            max(m[0] for m in self._v.denom)
 
     def __repr__(self):
         return f"FieldElem({format_field_elem(self)})"
@@ -225,7 +433,7 @@ def _format_poly(field: CoefficientField, p) -> str:
 
 
 def format_field_elem(v: FieldElem) -> str:
-    num, den = v.f.numer, v.f.denom
+    num, den = _numer_denom(v)
     ns = _format_poly(v.field, num)
     if den == den.ring.one:
         return ns
@@ -237,25 +445,72 @@ def format_field_elem(v: FieldElem) -> str:
     return f"{ns}/{ds}"
 
 
-# -- univariate (in x) machinery for the antiderivative test ------------------
+# -- polynomials in x over C ---------------------------------------------------
 
-def _x_poly(v: FieldElem, p) -> list:
-    """PolyElement -> dense coefficient list in x over C (FieldElem values)."""
-    field = v.field
-    ring = p.ring
-    buckets: dict[int, object] = {}
-    for mono, coeff in p.terms():
-        key = mono[0]
-        rest = ring.term_new((0,) + mono[1:], coeff)
-        buckets[key] = buckets.get(key, ring.zero) + rest
-    deg = max(buckets, default=0)
-    out = []
-    for k in range(deg + 1):
-        q = buckets.get(k, ring.zero)
-        out.append(FieldElem(field, field._field.field_new(q)))
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
+def x_coefficients(v: FieldElem) -> dict:
+    """{k: c_k} with v = sum c_k x^k, each c_k a nonzero constant (free of
+    x), for v a polynomial: a rational or a POLY-tier element."""
+    if v._k == RAT:
+        return {0: v} if v._v else {}
+    if v._k != POLY:
+        raise ValueError(f"{v} is not a polynomial")
+    buckets: dict = {}
+    for mono, coeff in v._v.items():
+        buckets.setdefault(mono[0], {})[(0,) + mono[1:]] = coeff
+    return {k: _from_poly(v.field, v._v.new(terms))
+            for k, terms in buckets.items()}
+
+
+def _poly_lcm(p, q):
+    """lcm of two polynomials, as p / gcd(p, q) * q."""
+    g = p.gcd(q)
+    quot, rem = p.div(g)
+    if rem:
+        raise InvariantViolation("a gcd does not divide its argument")
+    return quot * q
+
+
+def clear_denominators(values) -> tuple:
+    """(D, [v*D for v in values]) for a nonempty sequence of elements, with
+    D the lcm of the denominators of the nonzero values (one when there are
+    none); each v*D is a polynomial, found by exact division rather than
+    gcd cancellation."""
+    values = list(values)
+    field = values[0].field
+    if all(v._k != FRAC for v in values):
+        # integer denominators only: their lcm, without polynomial gcds
+        m = 1
+        for v in values:
+            if v._k == RAT:
+                m = lcm(m, v._v.denominator)
+            else:
+                for c in v._v.values():
+                    m = lcm(m, c.denominator)
+        q = _Q(m)
+        return (FieldElem(field, RAT, q),
+                [_mul(field, RAT, q, v._k, v._v) for v in values])
+    # some value is a fraction, so some denominator is a real polynomial
+    parts = [None if v.is_zero() else _numer_denom(v) for v in values]
+    den = None
+    for part in parts:
+        if part is not None:
+            den = part[1] if den is None else _poly_lcm(den, part[1])
+    cleared = []
+    for v, part in zip(values, parts):
+        if part is None:
+            cleared.append(v)
+            continue
+        mult, rem = den.div(part[1])
+        if rem:
+            raise InvariantViolation("an lcm is not divisible by a factor")
+        cleared.append(_from_poly(field, part[0] * mult))
+    return _from_poly(field, den), cleared
+
+
+def _x_poly(p: FieldElem) -> list:
+    """Polynomial -> dense coefficient list in x over C (FieldElem values)."""
+    cs = x_coefficients(p)
+    return [cs.get(k, p.field.zero) for k in range(max(cs, default=0) + 1)]
 
 
 def _xp_is_zero(a: list) -> bool:
@@ -341,8 +596,7 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     if v.is_zero():
         return v.field.zero
     f = v.field
-    num = _x_poly(v, v.f.numer)
-    den = _x_poly(v, v.f.denom)
+    num, den = (_x_poly(_from_poly(f, p)) for p in _numer_denom(v))
     q, r = _xp_divmod(num, den)
     x = f.x
     result = f.zero

@@ -9,6 +9,7 @@ expand binomially with d acting on the coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Optional
 
 from .diffalg import DiffAlgebra, DiffPoly, format_diff_poly
@@ -45,7 +46,8 @@ class LambdaPoly:
             p = alg.from_scalar(alg.field.coerce(p))
         if p.is_zero():
             return cls.zero(alg, k)
-        assert len(exp) == k
+        if len(exp) != k:
+            raise ValueError(f"exponent {exp!r} does not have {k} slots")
         return cls(alg, k, {tuple(exp): p})
 
     @classmethod
@@ -215,20 +217,67 @@ def format_lambda_poly(P: LambdaPoly, names: Optional[list] = None) -> str:
 def affine_apply_once(lin: dict, dsign: int, X: LambdaPoly) -> LambdaPoly:
     """(sum_s lin[s] lam_s + dsign*d) X, with d the total derivative acting
     on the coefficients of X.  dsign may be 0 (pure commutative shift)."""
-    out = LambdaPoly.zero(X.alg, X.k)
-    for s, c in lin.items():
-        if c:
-            out = out + X.shift_exp(s).scale(Fraction(c))
-    if dsign:
-        out = out + (X.dcoeff() if dsign > 0 else -X.dcoeff())
-    return out
+    return affine_pow_on(lin, dsign, 1, X)
+
+
+def _derivative_chain(X: LambdaPoly, n: int) -> list:
+    """[X, dX, ..., d^n X] with d acting on the coefficients."""
+    chain = [X]
+    for _ in range(n):
+        chain.append(chain[-1].dcoeff())
+    return chain
+
+
+def _linear_powers(lin: dict, k: int, n: int) -> list:
+    """[L^0, ..., L^n] for L = sum_s lin[s] lam_s, each a dict from
+    exponent tuples (length k) to rational coefficients."""
+    parts = [(s, c) for s, c in sorted(lin.items()) if c]
+    powers = [{(0,) * k: 1}]
+    for _ in range(n):
+        nxt: dict = {}
+        for e, a in powers[-1].items():
+            for s, c in parts:
+                ee = list(e)
+                ee[s] += 1
+                ee = tuple(ee)
+                v = nxt.get(ee, 0) + a * c
+                if v:
+                    nxt[ee] = v
+                else:
+                    nxt.pop(ee, None)
+        powers.append(nxt)
+    return powers
+
+
+def _binomial_sum(dsign: int, m: int, chain: list,
+                  powers: list) -> LambdaPoly:
+    """(L + dsign*d)^m X = sum_j C(m,j) dsign^j L^(m-j) d^j X, given the
+    chain d^j X (j <= m when dsign != 0) and the powers L^i (i <= m).  The
+    expansion is valid because the lambda variables commute with d acting
+    on the coefficients."""
+    X = chain[0]
+    out: dict = {}
+    for j in range(m + 1 if dsign else 1):
+        w = comb(m, j) * dsign ** j
+        for e, a in powers[m - j].items():
+            c = w * a
+            for f, p in chain[j].terms.items():
+                key = tuple(x + y for x, y in zip(e, f))
+                q = p if c == 1 else (-p if c == -1 else p.scale(c))
+                s = out.get(key)
+                q = q if s is None else s + q
+                if q.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = q
+    return LambdaPoly(X.alg, X.k, out)
 
 
 def affine_pow_on(lin: dict, dsign: int, m: int, X: LambdaPoly) -> LambdaPoly:
-    """(sum_s lin[s] lam_s + dsign*d)^m X."""
-    for _ in range(m):
-        X = affine_apply_once(lin, dsign, X)
-    return X
+    """(sum_s lin[s] lam_s + dsign*d)^m X, expanded binomially over one
+    chain of derivatives of X."""
+    return _binomial_sum(dsign, m, _derivative_chain(X, m if dsign else 0),
+                         _linear_powers(lin, X.k, m))
 
 
 def affine_pow_apply(alg: DiffAlgebra, lin: dict, dsign: int, m: int,
@@ -247,9 +296,12 @@ def symbol_act(P: LambdaPoly, lin: dict, dsign: int, X: LambdaPoly) -> LambdaPol
     to the left of the derivative action."""
     if P.k != 1:
         raise ValueError("symbol_act expects an arity-1 symbol")
+    top = P.degree_in(0)
+    chain = _derivative_chain(X, top if dsign else 0)
+    powers = _linear_powers(lin, X.k, top)
     out = LambdaPoly.zero(X.alg, X.k)
     for (m,), c in P.terms.items():
-        out = out + affine_pow_on(lin, dsign, m, X).scale(c)
+        out = out + _binomial_sum(dsign, m, chain, powers).scale(c)
     return out
 
 
@@ -261,13 +313,13 @@ def subst_slot_neg(X: LambdaPoly, slot: int, into: tuple,
     drop=True the slot is removed from the arity."""
     alg, k = X.alg, X.k
     lin = {s: -1 for s in into}
-    out = LambdaPoly.zero(alg, k)
+    by_power: dict = {}
     for e, p in X.terms.items():
-        m = e[slot]
-        rest = list(e)
-        rest[slot] = 0
-        base = LambdaPoly(alg, k, {tuple(rest): p})
-        out = out + affine_pow_on(lin, -1, m, base)
+        by_power.setdefault(e[slot], {})[e[:slot] + (0,) + e[slot + 1:]] = p
+    out = LambdaPoly.zero(alg, k)
+    for m, terms in sorted(by_power.items()):
+        base = LambdaPoly(alg, k, terms)
+        out = out + (affine_pow_on(lin, -1, m, base) if m else base)
     if drop:
         return out.drop_slot(slot)
     return out

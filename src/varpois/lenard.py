@@ -16,6 +16,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
                       antiderivative_in_v, is_exact_1form, reconstruct_density,
                       variational_derivative)
 from .diffop import NotSkewadjoint
+from .field import InvariantViolation
 from .linsolve import matrix_inverse
 from .pva import (LambdaBracketStruct, check_compatible, check_jacobi,
                   check_skewadjoint, ev_commutator, hamiltonian_vf)
@@ -50,7 +51,8 @@ class StepCertificate:
 
 
 class HierarchyState:
-    """Densities produced so far, with their certificates."""
+    """Densities produced so far, with their certificates and their
+    variational gradients (gradients[n] = delta h_n / delta u)."""
 
     def __init__(self, H: LambdaBracketStruct, K: LambdaBracketStruct,
                  densities: Sequence[LocalFunctional],
@@ -58,6 +60,8 @@ class HierarchyState:
         self.H = H
         self.K = K
         self.densities = list(densities)
+        self.gradients = [list(variational_derivative(h.representative))
+                          for h in self.densities]
         self.certificates = list(certificates or [])
 
     @property
@@ -144,12 +148,12 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
 
     Raises NoPreimage when H delta h_n is not in the image of K, and
     NotExact when the preimage fails the selfadjointness criterion; both
-    carry the residual witness.
+    carry the residual witness.  A reconstructed density that fails the
+    recursion raises InvariantViolation and is not added to the state.
+    The gradient of h_(n+1), computed for the certificate, is kept on the
+    state for the next step and for verify_involution.
     """
-    alg = state.alg
-    h_n = state.densities[-1]
-    grad = list(variational_derivative(h_n.representative))
-    F = state.H.op.apply(grad)
+    F = state.H.op.apply(state.gradients[-1])
     G, kernel_note = _invert_k_on(state.K, F)
     if not is_exact_1form(G):
         from .diffalg import frechet
@@ -161,12 +165,13 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
     # certify K delta h_(n+1) = H delta h_n exactly
     new_grad = list(variational_derivative(h_next.representative))
     lhs = state.K.op.apply(new_grad)
-    ok = all((a - b).is_zero() for a, b in zip(lhs, F))
+    if not all((a - b).is_zero() for a, b in zip(lhs, F)):
+        raise InvariantViolation(
+            "recursion identity failed after reconstruction")
     state.densities.append(h_next)
-    state.certificates.append(StepCertificate(len(state.densities) - 1, ok,
+    state.gradients.append(new_grad)
+    state.certificates.append(StepCertificate(len(state.densities) - 1, True,
                                               kernel_note))
-    if not ok:
-        raise AssertionError("recursion identity failed after reconstruction")
     return h_next
 
 
@@ -184,8 +189,7 @@ def verify_involution(state: HierarchyState) -> list:
             raise NotSkewadjoint(f"bracket operator {name} is not "
                                  f"skewadjoint")
     alg = state.alg
-    grads = [list(variational_derivative(h.representative))
-             for h in state.densities]
+    grads = state.gradients
     n = len(grads)
     out = [[True] * n for _ in range(n)]
     for a in range(n - 1):

@@ -99,6 +99,27 @@ def functional_eq_reference(a: LocalFunctional, b: LocalFunctional) -> bool:
     return rational_antiderivative(residue) is not None
 
 
+def affine_apply_once_reference(lin: dict, dsign: int,
+                                X: LambdaPoly) -> LambdaPoly:
+    """(sum_s lin[s] lam_s + dsign*d) X term by term: one shifted copy of X
+    per slot, plus the coefficientwise derivative."""
+    out = LambdaPoly.zero(X.alg, X.k)
+    for s, c in lin.items():
+        if c:
+            out = out + X.shift_exp(s).scale(Fraction(c))
+    if dsign:
+        out = out + (X.dcoeff() if dsign > 0 else -X.dcoeff())
+    return out
+
+
+def affine_pow_on_reference(lin: dict, dsign: int, m: int,
+                            X: LambdaPoly) -> LambdaPoly:
+    """(sum_s lin[s] lam_s + dsign*d)^m X as m single applications."""
+    for _ in range(m):
+        X = affine_apply_once_reference(lin, dsign, X)
+    return X
+
+
 def involution_matrix_reference(state) -> list:
     """All n^2 pairs under both brackets, each bracket zero-tested by
     functional_eq_reference."""

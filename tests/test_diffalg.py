@@ -10,7 +10,7 @@ from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
                      is_exact_1form, is_total_derivative, reconstruct_density,
                      variational_derivative)
 from varpois.complexes import SkewArray, de_rham_delta, reduce_closed
-from varpois.diffalg import format_diff_poly
+from varpois.diffalg import DiffRat, _exact_div, format_diff_poly
 from varpois.diffop import MatDiffOp
 
 from helpers import diffpolys, functional_eq_reference, rnd_diffpoly
@@ -240,3 +240,29 @@ def test_undecidable_residue_in_both_paths():
     for eq in (functional_eq, functional_eq_reference):
         with pytest.raises(UndecidableResidue):
             eq(LocalFunctional(w), LocalFunctional(ALG2C.zero))
+
+
+def test_exact_division_needs_a_monomial_order():
+    """(u' + u'') u'' / (u' + u''): under the display order u'' ranks below
+    u' but u''^2 above u' u'', so leading terms stopped matching and the
+    division reported 'does not divide'.  Graded lex finds the quotient."""
+    u = ALG1.jet
+    den = u(1, 1) + u(1, 2)
+    assert _exact_div(den * u(1, 2), den) == u(1, 2)
+    assert _exact_div(den * u(1, 2) + u(1, 3), den) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG1, ALG1C, ALG2]))
+def test_exact_division_multi_step(data, alg):
+    """den * q / den gives q back, one quotient term per pass of the
+    division loop, with field coefficients in x and c."""
+    den = data.draw(diffpolys(alg, max_order=2, max_degree=2, max_terms=3,
+                              with_x=True))
+    q = data.draw(diffpolys(alg, max_order=2, max_degree=2, max_terms=3,
+                            with_x=True))
+    if den.is_zero():
+        return
+    assert _exact_div(den * q, den) == q
+    rat = DiffRat(den * q * den, den * den)
+    assert rat.den == alg.one and rat.num == q

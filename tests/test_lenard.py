@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, HierarchyState, LambdaBracketStruct,
-                     LocalFunctional, MatDiffOp, NoPreimage, NotSkewadjoint,
-                     ScalarDiffOp, UnsupportedK, functional_eq, gfz_structure,
-                     hamiltonian_vf, magri_structure, run_hierarchy,
-                     variational_derivative, verify_involution)
+from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
+                     LambdaBracketStruct, LocalFunctional, MatDiffOp,
+                     NoPreimage, NotSkewadjoint, ScalarDiffOp, UnsupportedK,
+                     functional_eq, gfz_structure, hamiltonian_vf,
+                     magri_structure, run_hierarchy, variational_derivative,
+                     verify_involution)
 from varpois.lenard import commuting_flows, lenard_step
 
 from helpers import diffpolys, involution_matrix_reference
@@ -161,3 +162,25 @@ def test_involution_needs_skewadjoint_brackets(kdv_state):
         state = HierarchyState(Hs, Ks, kdv_state.densities)
         with pytest.raises(NotSkewadjoint):
             verify_involution(state)
+
+
+def test_state_keeps_each_density_gradient(kdv_state):
+    """gradients[n] is delta h_n / delta u, for the seed and for every
+    density a step added."""
+    assert len(kdv_state.gradients) == len(kdv_state.densities) == 4
+    for h, grad in zip(kdv_state.densities, kdv_state.gradients):
+        assert grad == list(variational_derivative(h.representative))
+
+
+def test_failed_recursion_is_a_named_error(monkeypatch):
+    """A reconstructed density that breaks K delta h_(n+1) = H delta h_n
+    raises InvariantViolation, which python -O keeps, and the state stays
+    as it was."""
+    import varpois.lenard as lenard_module
+    monkeypatch.setattr(lenard_module, "reconstruct_density",
+                        lambda G: U * U * U)
+    state = HierarchyState(H, K, [LocalFunctional(U * U / 2)])
+    with pytest.raises(InvariantViolation, match="recursion identity"):
+        lenard_step(state)
+    assert len(state.densities) == len(state.gradients) == 1
+    assert state.certificates == []
