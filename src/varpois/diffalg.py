@@ -618,12 +618,16 @@ class DiffRat:
 
     def __add__(self, other):
         o = DiffRat.of(other, self.alg)
+        if self.den == o.den:
+            return DiffRat(self.num + o.num, self.den)
         return DiffRat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = DiffRat.of(other, self.alg)
+        if self.den == o.den:
+            return DiffRat(self.num - o.num, self.den)
         return DiffRat(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):

@@ -7,27 +7,35 @@ Every element is stored in the lowest of three tiers that can hold it:
 - POLY: a polynomial over Q in x and the parameters that is not a plain
   rational, a bare sympy ``PolyElement``;
 - FRAC: a fraction whose denominator is not a plain rational, a sympy
-  ``FracElement`` in the canonical form of ``PolyElement.cancel`` (integral
-  numerator and denominator without common factor, positive leading
-  coefficient below).
+  ``FracElement`` of a fraction field over Z on the same generators, in the
+  canonical form of ``PolyElement.cancel``: numerator and denominator in
+  Z[x, params], coprime, of joint content 1, with a positive leading
+  coefficient below.
 
 Each value has exactly one stored form, so equality and hashing compare the
 tier and the stored value.  Arithmetic dispatches on the operand tiers: rat
 with rat is rational arithmetic, rat with poly scales or shifts the
 polynomial, poly with poly stays in the ring, and a gcd cancellation runs
 only where a common factor can appear (a quotient of polynomials, a product
-with a fraction, a sum of fractions, the derivative of a fraction).  A sum
-of a fraction and a polynomial, or a fraction scaled by a rational, only
-needs its integer contents normalized.
+with a fraction, a sum of fractions, the derivative of a fraction).  Those
+gcds run in Z[x, params]: a polynomial operand enters as P/m with P
+integral, so sympy never converts between its rings over Q and over Z.  A
+sum of a fraction and a polynomial, or a fraction scaled by a rational, only
+needs its integer content normalized.  Values are read over Q:
+``FieldElem.f`` is an element of sympy's Q(x, params), and printing,
+``clear_denominators`` and ``rational_antiderivative`` take numerators and
+denominators over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field as _sympy_field
 
 _Q = QQ.dtype
@@ -42,6 +50,13 @@ class InvariantViolation(ArithmeticError):
     """An identity that exact arithmetic guarantees failed to hold."""
 
 
+@lru_cache(maxsize=None)
+def _sympy_fields(names: tuple) -> tuple:
+    """sympy's fraction fields over Q and over Z on the generators names."""
+    names = ",".join(names)
+    return _sympy_field(names, QQ)[0], _sympy_field(names, ZZ)[0]
+
+
 class CoefficientField:
     """The field F = Q(p_1,...,p_r)(x) with derivation d/dx.
 
@@ -53,9 +68,9 @@ class CoefficientField:
         for p in self.params:
             if p in ("x", "d") or not p.isidentifier():
                 raise ValueError(f"bad parameter name {p!r}")
-        names = ",".join(("x",) + self.params) if self.params else "x"
-        self._field = _sympy_field(names, QQ)[0]
+        self._field, self._zfield = _sympy_fields(("x",) + self.params)
         self._ring = self._field.ring
+        self._zring = self._zfield.ring
         self._gens = self._ring.gens
         self._zm = self._ring.zero_monom
         self.zero = FieldElem(self, RAT, _Q(0))
@@ -96,53 +111,68 @@ class CoefficientField:
 # whatever the operand tiers.
 
 def _from_poly(field: CoefficientField, p) -> "FieldElem":
-    """The polynomial p in its lowest tier."""
+    """The polynomial p over Q in its lowest tier."""
     if len(p) != 1:
         return FieldElem(field, POLY, p) if p else field.zero
     c = p.get(field._zm)
     return FieldElem(field, POLY, p) if c is None else FieldElem(field, RAT, c)
 
 
+def _integral(field: CoefficientField, p) -> tuple:
+    """(m, P) with p = P/m for a polynomial p over Q: P in Z[x, params] and
+    m the least common denominator of the coefficients of p."""
+    m = 1
+    for c in p.values():
+        m = lcm(m, c.denominator)
+    if m == 1:
+        return 1, field._zring.dtype({k: c.numerator for k, c in p.items()})
+    return m, field._zring.dtype({k: c.numerator * (m // c.denominator)
+                                  for k, c in p.items()})
+
+
+def _over(field: CoefficientField, p, m=1):
+    """P/m as a polynomial over Q, for P in Z[x, params] and an integer m."""
+    return field._ring.dtype({k: _Q(c, m) for k, c in p.items()})
+
+
+def _zz_parts(field: CoefficientField, k, v) -> tuple:
+    """Numerator and denominator in Z[x, params] of a POLY or FRAC value."""
+    if k == FRAC:
+        return v.numer, v.denom
+    m, p = _integral(field, v)
+    return p, field._zring.ground_new(m)
+
+
 def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
-    """num/den, already in canonical form, in its lowest tier."""
+    """num/den, already in canonical form over Z, in its lowest tier."""
     if len(den) == 1:
         c = den.get(field._zm)
         if c is not None:
-            return _from_poly(field, num if c == 1 else num.quo_ground(c))
-    return FieldElem(field, FRAC, field._field.raw_new(num, den))
+            return _from_poly(field, _over(field, num, c))
+    return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
 
 
 def _from_frac(field: CoefficientField, r) -> "FieldElem":
-    """A FracElement produced by sympy arithmetic (hence cancelled)."""
+    """A fraction produced by sympy arithmetic over Z (hence cancelled)."""
     return _from_cancelled(field, r.numer, r.denom)
 
 
 def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
-    """num/den for polynomials num, den over Q with no common polynomial
-    factor: only the integer contents need normalizing, no gcd of
-    polynomials."""
+    """num/den for num, den in Z[x, params] with no common polynomial
+    factor: only the integer content and the sign need normalizing, no gcd
+    of polynomials."""
     if len(den) == 1 and field._zm in den:
-        return _from_poly(field, num.quo_ground(den[field._zm]))
-    m = 1
-    for c in num.values():
-        m = lcm(m, c.denominator)
-    for c in den.values():
-        m = lcm(m, c.denominator)
-    if m != 1:
-        num, den = num.mul_ground(m), den.mul_ground(m)
+        return _from_poly(field, _over(field, num, den[field._zm]))
     g = 0
-    for c in num.values():
-        g = gcd(g, c.numerator)
-    if g != 1:
-        for c in den.values():
-            g = gcd(g, c.numerator)
-            if g == 1:
-                break
-        else:
-            num, den = num.quo_ground(g), den.quo_ground(g)
+    for c in chain(num.values(), den.values()):
+        g = gcd(g, c)
+        if g == 1:
+            break
+    else:
+        num, den = num.quo_ground(g), den.quo_ground(g)
     if den.LC < 0:
         num, den = -num, -den
-    return FieldElem(field, FRAC, field._field.raw_new(num, den))
+    return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
 
 
 def _poly_plus_rat(p, q, zm):
@@ -163,15 +193,19 @@ def _poly_plus_rat(p, q, zm):
 
 
 def _frac_plus(field, f, kb, b) -> "FieldElem":
-    """f + b for a fraction f and a rational or polynomial b: the sum
-    (numer + denom*b)/denom has no new common factor."""
+    """f + b for a fraction f and a rational or polynomial b = B/m: the sum
+    (m*numer + B*denom)/(m*denom) has no new common polynomial factor."""
     if kb == RAT:
         if not b:
             return FieldElem(field, FRAC, f)
-        num = f.numer + f.denom.mul_ground(b)
+        m, added = b.denominator, f.denom.mul_ground(b.numerator)
     else:
-        num = f.numer + f.denom * b
-    return _from_coprime(field, num, f.denom)
+        m, bz = _integral(field, b)
+        added = f.denom * bz
+    num, den = f.numer, f.denom
+    if m != 1:
+        num, den = num.mul_ground(m), den.mul_ground(m)
+    return _from_coprime(field, num + added, den)
 
 
 def _add(field, ka, a, kb, b) -> "FieldElem":
@@ -200,10 +234,14 @@ def _mul(field, ka, a, kb, b) -> "FieldElem":
             return FieldElem(field, kb, b)
         if kb == POLY:
             return FieldElem(field, POLY, b.mul_ground(a))
-        return _from_coprime(field, b.numer.mul_ground(a), b.denom)
+        return _from_coprime(field, b.numer.mul_ground(a.numerator),
+                             b.denom.mul_ground(a.denominator))
     if kb == POLY:
         return FieldElem(field, POLY, a * b)
-    return _from_frac(field, b * a)
+    if ka == FRAC:
+        return _from_frac(field, a * b)
+    na, da = _zz_parts(field, ka, a)
+    return _from_cancelled(field, *(na * b.numer).cancel(da * b.denom))
 
 
 def _div(field, ka, a, kb, b) -> "FieldElem":
@@ -216,14 +254,14 @@ def _div(field, ka, a, kb, b) -> "FieldElem":
     if ka == RAT:
         if not a:
             return field.zero
-        if kb == POLY:
-            return _from_coprime(field, field._ring.ground_new(a), b)
-        return _from_coprime(field, b.denom.mul_ground(a), b.numer)
-    if ka == POLY and kb == POLY:
-        return _from_cancelled(field, *a.cancel(b))
-    if ka == POLY:
-        return _from_frac(field, b.__rtruediv__(a))
-    return _from_frac(field, a / b)
+        nb, db = _zz_parts(field, kb, b)
+        return _from_coprime(field, db.mul_ground(a.numerator),
+                             nb.mul_ground(a.denominator))
+    if ka == FRAC and kb == FRAC:
+        return _from_frac(field, a / b)
+    na, da = _zz_parts(field, ka, a)
+    nb, db = _zz_parts(field, kb, b)
+    return _from_cancelled(field, *(na * db).cancel(da * nb))
 
 
 def _pow(field, k, v, n: int) -> "FieldElem":
@@ -234,15 +272,16 @@ def _pow(field, k, v, n: int) -> "FieldElem":
 
 
 def _numer_denom(v: "FieldElem"):
-    """Numerator and denominator polynomials of v in the canonical form of
-    ``PolyElement.cancel``."""
-    ring = v.field._ring
+    """Numerator and denominator polynomials of v over Q in the canonical
+    form of ``PolyElement.cancel``."""
+    field = v.field
+    ring = field._ring
     if v._k == RAT:
         return ring.ground_new(v._v.numerator), ring.ground_new(v._v.denominator)
     if v._k == POLY:
         m, num = v._v.clear_denoms()
         return num, ring.ground_new(m)
-    return v._v.numer, v._v.denom
+    return _over(field, v._v.numer), _over(field, v._v.denom)
 
 
 class FieldElem:
@@ -261,7 +300,8 @@ class FieldElem:
 
     @property
     def f(self):
-        """The value as a sympy FracElement of the field's fraction field."""
+        """The value as a sympy FracElement of the field's fraction field
+        over Q."""
         return self.field._field.raw_new(*_numer_denom(self))
 
     # -- arithmetic ---------------------------------------------------------
@@ -363,11 +403,10 @@ class FieldElem:
         field, v = self.field, self._v
         if self._k == RAT:
             return field.zero
-        x = field._gens[0]
         if self._k == POLY:
-            return _from_poly(field, v.diff(x))
+            return _from_poly(field, v.diff(0))
         num, den = v.numer, v.denom
-        return _from_cancelled(field, *(num.diff(x) * den - num * den.diff(x))
+        return _from_cancelled(field, *(num.diff(0) * den - num * den.diff(0))
                                .cancel(den ** 2))
 
     def is_constant(self) -> bool:
@@ -440,7 +479,9 @@ def format_field_elem(v: FieldElem) -> str:
     ds = _format_poly(v.field, den)
     if len(num.terms()) > 1 or ns.startswith("-"):
         ns = f"({ns})"
-    if len(den.terms()) > 1:
+    # only a bare power or an integer may follow "/" unparenthesized:
+    # 1/3*x reads as x/3
+    if len(den.terms()) > 1 or "*" in ds:
         ds = f"({ds})"
     return f"{ns}/{ds}"
 

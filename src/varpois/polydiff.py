@@ -17,6 +17,7 @@ import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .complexes import SkewArray, _perm_sign
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
 from .diffop import (Incomplete, MatDiffOp, ScalarDiffOp, solve_rational)
 from .field import FieldElem
@@ -187,17 +188,6 @@ def sigma_action(P: KDiffOp, sigma: Sequence[int]) -> KDiffOp:
     tau[0], tau[beta] = beta, 0
     sigma_rest = tuple(tau[sigma[a]] for a in range(P.k + 1))
     return _tau_action(sigma_action(P, sigma_rest), beta)
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 def is_skewsymmetric(P: KDiffOp) -> bool:
@@ -647,7 +637,6 @@ def chi_representative(P: KDiffOp, K: Optional[MatDiffOp] = None,
                        check: bool = True):
     """The array (sum_j P_{j,i1..ik}(lam) u_j): a closed representative of
     the cohomology class attached to P in Sigma_k(K*)."""
-    from .complexes import SkewArray
     alg = P.alg
     if check and K is not None:
         if not total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero():

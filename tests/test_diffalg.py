@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
@@ -266,3 +266,23 @@ def test_exact_division_multi_step(data, alg):
     assert _exact_div(den * q, den) == q
     rat = DiffRat(den * q * den, den * den)
     assert rat.den == alg.one and rat.num == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG1, ALG1C, ALG2]),
+       shared=st.booleans())
+def test_diffrat_sums_match_cross_multiplication(data, alg, shared):
+    """a + b and a - b equal (a.num*b.den +- b.num*a.den)/(a.den*b.den);
+    over a shared denominator the sum keeps it instead of squaring it."""
+    def draw():
+        return data.draw(diffpolys(alg, max_order=2, max_degree=2,
+                                   max_terms=3, with_x=True))
+    den = draw()
+    other = den if shared else draw()
+    assume(not den.is_quasiconstant() and not other.is_zero())
+    a, b = DiffRat(draw(), den), DiffRat(draw(), other)
+    for got, ref_num in ((a + b, a.num * b.den + b.num * a.den),
+                         (a - b, a.num * b.den - b.num * a.den)):
+        assert got == DiffRat(ref_num, a.den * b.den)
+        if a.den == b.den:
+            assert got.den in (a.den, alg.one)

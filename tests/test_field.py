@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field as sympy_field
 
 from varpois import (CoefficientField, InvariantViolation, UndecidableResidue,
-                     rational_antiderivative)
+                     parse_session, rational_antiderivative)
 from varpois import field as field_module
 from varpois.field import (FRAC, POLY, RAT, _format_poly, _poly_lcm,
                           clear_denominators, format_field_elem,
@@ -110,8 +113,22 @@ def test_horowitz_invariant_is_a_named_error(F, monkeypatch):
 
 # -- the tiers against plain sympy FracField arithmetic -----------------------
 
-REF, RX, RC = sympy_field("x,c", QQ)
-TIERED = CoefficientField(["c"])
+class Twin:
+    """A CoefficientField beside plain sympy FracField arithmetic over Q on
+    the same generators (x first), and a session over the same field."""
+
+    def __init__(self, *params):
+        self.field = CoefficientField(params)
+        self.ref, *self.gens = sympy_field(",".join(("x",) + params), QQ)
+        self.session = parse_session(f"vars 1\nparams {' '.join(params)}\n")
+
+    def elem_gens(self):
+        return (self.field.x,) + tuple(map(self.field.param, self.field.params))
+
+
+C1 = Twin("c")
+C2 = Twin("a", "b")
+TWINS = {T.field.params: T for T in (C1, C2)}
 TIER_NAMES = {RAT: "rat", POLY: "poly", FRAC: "frac"}
 
 
@@ -122,91 +139,116 @@ def ref_tier(r) -> int:
     return RAT if r.numer.is_ground else POLY
 
 
-def ref_format(r) -> str:
-    """The printed form of a canonical sympy fraction, as format_field_elem
-    printed it when every element was a sympy FracElement."""
-    ns = _format_poly(TIERED, r.numer)
+def ref_format(r, T) -> str:
+    """The printed form of a canonical sympy fraction: numerator over
+    denominator, the numerator parenthesized unless it is one term with no
+    sign, the denominator unless it is an integer or a bare power."""
+    ns = _format_poly(T.field, r.numer)
     if r.denom == r.denom.ring.one:
         return ns
-    ds = _format_poly(TIERED, r.denom)
+    ds = _format_poly(T.field, r.denom)
     if len(r.numer.terms()) > 1 or ns.startswith("-"):
         ns = f"({ns})"
-    if len(r.denom.terms()) > 1:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
+    (mono, coeff), *rest = r.denom.terms()
+    bare = not rest and (not any(mono) or
+                         coeff == 1 and sum(e > 0 for e in mono) == 1)
+    return f"{ns}/{ds if bare else f'({ds})'}"
 
 
-def from_ref(r):
-    """Rebuild r term by term from x, c and rationals: a second route to
-    the same value."""
-    x, c = TIERED.x, TIERED.param("c")
+def from_ref(r, T):
+    """Rebuild r term by term from the generators and rationals: a second
+    route to the same value."""
+    F = T.field
 
     def poly(p):
-        out = TIERED.zero
-        for (i, j), q in p.terms():
-            out = out + TIERED.rational(int(q.numerator),
-                                        int(q.denominator)) * x ** i * c ** j
+        out = F.zero
+        for mono, q in p.terms():
+            t = F.rational(int(q.numerator), int(q.denominator))
+            for g, e in zip(T.elem_gens(), mono):
+                t = t * g ** e
+            out = out + t
         return out
     return poly(r.numer) / poly(r.denom)
 
 
 @st.composite
-def small_polys(draw, nonconstant=False):
-    """(FieldElem, sympy) pairs for a polynomial in x and c with a few
-    small rational coefficients."""
-    v, r = TIERED.zero, REF.zero
-    for _ in range(draw(st.integers(1, 3))):
-        q = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
-        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 1))
-        v = v + TIERED.rational(q) * TIERED.x ** i * TIERED.param("c") ** j
-        r = r + QQ(q.numerator, q.denominator) * RX ** i * RC ** j
-    if nonconstant and r.numer.is_ground:
-        v, r = v + TIERED.x, r + RX
+def monomials(draw, T, nonzero=False):
+    """(FieldElem, sympy) pairs for q*x^i*p_1^j_1*... with a small rational
+    q; the exponent of x is at most 2, of each parameter at most 1."""
+    q = Fraction(draw(st.integers(1, 3) if nonzero else st.integers(-3, 3)),
+                 draw(st.sampled_from([1, 2, 3])))
+    v, r = T.field.rational(q), T.ref(QQ(q.numerator, q.denominator))
+    for k, (g, rg) in enumerate(zip(T.elem_gens(), T.gens)):
+        e = draw(st.integers(0, 2 if k == 0 else 1))
+        v, r = v * g ** e, r * rg ** e
     return v, r
 
 
 @st.composite
-def tiered(draw, tier):
+def small_polys(draw, T, nonconstant=False):
+    """(FieldElem, sympy) pairs for a polynomial in x and the parameters
+    with a few small rational coefficients."""
+    v, r = T.field.zero, T.ref.zero
+    for _ in range(draw(st.integers(1, 3))):
+        tv, tr = draw(monomials(T))
+        v, r = v + tv, r + tr
+    if nonconstant and r.numer.is_ground:
+        v, r = v + T.field.x, r + T.gens[0]
+    return v, r
+
+
+@st.composite
+def tiered(draw, T, tier):
     """An operand of the given tier, with its sympy twin."""
     if tier == RAT:
         q = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
-        return TIERED.rational(q), REF(QQ(q.numerator, q.denominator))
-    num = draw(small_polys(nonconstant=(tier == POLY)))
+        return T.field.rational(q), T.ref(QQ(q.numerator, q.denominator))
+    num = draw(small_polys(T, nonconstant=(tier == POLY)))
     if tier == POLY:
         return num
-    den = draw(small_polys(nonconstant=True))
+    den = draw(small_polys(T, nonconstant=True))
     if num[1] == 0:
-        num = TIERED.one, REF.one
+        num = T.field.one, T.ref.one
     return num[0] / den[0], num[1] / den[1]
+
+
+def check_stored_over_zz(v):
+    """A fraction is stored over Z: numerator and denominator integral,
+    coprime, of joint content 1, with a positive leading coefficient
+    below."""
+    num, den = v._v.numer, v._v.denom
+    assert all(ZZ.of_type(c) for c in chain(num.values(), den.values()))
+    assert reduce(gcd, chain(num.values(), den.values())) == 1, (num, den)
+    assert num.gcd(den) == den.ring.one, (num, den)
+    assert den.LC > 0, (num, den)
 
 
 def check_same(v, r):
     """v is the value r, stored in its lowest tier and printed as before."""
+    T = TWINS[v.field.params]
+    if v._k == FRAC:
+        check_stored_over_zz(v)
     assert v.f == r and v.f.numer == r.numer and v.f.denom == r.denom
     assert v._k == ref_tier(r), (TIER_NAMES[v._k], r)
-    assert format_field_elem(v) == ref_format(r)
+    assert format_field_elem(v) == ref_format(r, T)
     assert v.is_zero() == (not r)
-    assert v.is_one() == (r == REF.one)
+    assert v.is_one() == (r == T.ref.one)
     assert v.is_rational_number() == (ref_tier(r) == RAT)
-    assert v.is_constant() == (r.diff(RX) == 0 or
+    assert v.is_constant() == (r.diff(T.gens[0]) == 0 or
                                all(m[0] == 0 for m in r.numer.monoms()) and
                                all(m[0] == 0 for m in r.denom.monoms()))
     if r:
         assert v.x_degree() == (r.numer.degree(0) - r.denom.degree(0))
-    w = from_ref(r)
+    w = from_ref(r, T)
     assert w == v and hash(w) == hash(v) and w._k == v._k
 
 
 tiers = st.sampled_from([RAT, POLY, FRAC])
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), ta=tiers, tb=tiers)
-def test_tiers_match_sympy_fracfield(data, ta, tb):
-    """Every op on every tier pair agrees with sympy FracField arithmetic,
-    and lands in the lowest tier that can hold its value."""
-    a, ra = data.draw(tiered(ta))
-    b, rb = data.draw(tiered(tb))
+def check_tier_pair(data, T, ta, tb):
+    a, ra = data.draw(tiered(T, ta))
+    b, rb = data.draw(tiered(T, tb))
     check_same(a, ra)
     check_same(b, rb)
     check_same(a + b, ra + rb)
@@ -214,7 +256,7 @@ def test_tiers_match_sympy_fracfield(data, ta, tb):
     check_same(b - a, rb - ra)
     check_same(a * b, ra * rb)
     check_same(-a, -ra)
-    check_same(a.derive(), ra.diff(RX))
+    check_same(a.derive(), ra.diff(T.gens[0]))
     if rb:
         check_same(a / b, ra / rb)
     else:
@@ -222,26 +264,43 @@ def test_tiers_match_sympy_fracfield(data, ta, tb):
             a / b
     n = data.draw(st.integers(-2, 3))
     if n == 0:
-        check_same(a ** n, REF.one)
+        check_same(a ** n, T.ref.one)
     elif n > 0:
         check_same(a ** n, ra ** n)
     elif ra:
-        check_same(a ** n, REF.one / ra ** -n)
+        check_same(a ** n, T.ref.one / ra ** -n)
     else:
         with pytest.raises(ZeroDivisionError):
             a ** n
     assert (a == b) == (ra == rb)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ta=tiers, tb=tiers)
+def test_tiers_match_sympy_fracfield(data, ta, tb):
+    """Every op on every tier pair agrees with sympy FracField arithmetic,
+    and lands in the lowest tier that can hold its value."""
+    check_tier_pair(data, C1, ta, tb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ta=tiers, tb=tiers)
+def test_tiers_match_sympy_fracfield_two_params(data, ta, tb):
+    """The same over Q(a, b)(x)."""
+    check_tier_pair(data, C2, ta, tb)
+
+
+python_numbers = st.one_of(st.integers(-3, 3),
+                           st.builds(Fraction, st.integers(-3, 3),
+                                     st.integers(1, 3)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), ta=tiers,
-       k=st.one_of(st.integers(-3, 3),
-                   st.builds(Fraction, st.integers(-3, 3),
-                             st.integers(1, 3))))
-def test_tiers_with_python_numbers(data, ta, k):
+@given(data=st.data(), T=st.sampled_from([C1, C2]), ta=tiers, k=python_numbers)
+def test_tiers_with_python_numbers(data, T, ta, k):
     """int and Fraction operands on either side, and equality with them."""
-    a, ra = data.draw(tiered(ta))
-    rk = REF(QQ(Fraction(k).numerator, Fraction(k).denominator))
+    a, ra = data.draw(tiered(T, ta))
+    rk = T.ref(QQ(Fraction(k).numerator, Fraction(k).denominator))
     check_same(a + k, ra + rk)
     check_same(k + a, ra + rk)
     check_same(a - k, ra - rk)
@@ -257,29 +316,51 @@ def test_tiers_with_python_numbers(data, ta, k):
         assert a.as_fraction() == k
 
 
+def test_one_term_denominators_are_parenthesized(F):
+    x, c = F.x, F.param("c")
+    assert format_field_elem(1 / (3 * x)) == "1/(3*x)"
+    assert format_field_elem((x + 1) / (c * x)) == "(x + 1)/(x*c)"
+    assert format_field_elem((x + 1) / (2 * c)) == "(x + 1)/(2*c)"
+    assert format_field_elem(c / x ** 2) == "c/x^2"
+    assert format_field_elem((x + 1) / 2) == "(x + 1)/2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), T=st.sampled_from([C1, C2]), ta=tiers)
+def test_printed_values_read_back(data, T, ta):
+    """The session parser reads a printed value back as the same value,
+    also over a one-term denominator such as 3*x or x*c."""
+    v, _ = data.draw(tiered(T, ta))
+    if data.draw(st.booleans()):
+        v = v / data.draw(monomials(T, nonzero=True))[0]
+    s = format_field_elem(v)
+    assert T.session.evaluate(s) == T.session.alg.from_scalar(v), s
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), tiers_=st.lists(tiers, min_size=1, max_size=4))
 def test_clear_denominators_matches_lcm_reference(data, tiers_):
     """The lcm of the sympy denominators, folded left to right as the
     ansatz solver did before the tiers; each v*D split by powers of x sums
     back to v*D."""
-    pairs = [data.draw(tiered(t)) for t in tiers_]
+    F = C1.field
+    pairs = [data.draw(tiered(C1, t)) for t in tiers_]
     values = [v for v, _ in pairs]
     den = None
     for _, r in pairs:
         if r:
             den = r.denom if den is None else _poly_lcm(den, r.denom)
     D, cleared = clear_denominators(values)
-    check_same(D, REF.one if den is None else REF(den))
+    check_same(D, C1.ref.one if den is None else C1.ref(den))
     for (v, r), p in zip(pairs, cleared):
         check_same(p, r * D.f)
-        total = TIERED.zero
+        total = F.zero
         for k, c in x_coefficients(p).items():
             assert c.is_constant() and not c.is_zero()
-            total = total + c * TIERED.x ** k
+            total = total + c * F.x ** k
         assert total == p
     with pytest.raises(ValueError):
-        x_coefficients(TIERED.one / (TIERED.x + 1))
+        x_coefficients(F.one / (F.x + 1))
 
 
 def test_rationals_use_only_the_ground_type_constructor(monkeypatch):
