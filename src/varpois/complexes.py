@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
-from .diffop import MatDiffOp, ScalarDiffOp, NotSkewadjoint
-from .field import InvariantViolation
+from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
+                     linform_equations, solve_linform_system)
+from .field import InvariantViolation, accumulate
 from .lambdapoly import (LambdaPoly, affine_apply_once, affine_pow_apply,
                          affine_pow_on, subst_slot_neg)
 from .linform import LinForm
@@ -88,12 +89,7 @@ class SkewArray:
         if sign < 0:
             canon = -canon
         canon = self._stabilizer_project(key, canon) if project else canon
-        if key in self.entries:
-            canon = self.entries[key] + canon
-        if canon.is_zero():
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = canon
+        accumulate(self.entries, key, canon)
 
     def _stabilizer_project(self, key: tuple, L: LambdaPoly) -> LambdaPoly:
         groups = []
@@ -541,37 +537,41 @@ def homotopy(P: SkewArray, m: int, i: int, N: int) -> SkewArray:
     return out
 
 
-def _leading_coeff_matrix(K: MatDiffOp) -> list:
+def invertible_leading(K: MatDiffOp) -> tuple:
+    """(K_N, K_N^-1): the leading coefficient of a square operator K of
+    order N as a matrix over F, and its inverse.  Raises ShapeMismatch when K
+    is not square, NotQuasiconstant when K_N is not in F, and
+    LeadingCoeffSingular when K is zero or K_N is singular."""
+    if not K.is_square():
+        raise ShapeMismatch(f"leading coefficient of a {K.m}x{K.n} operator")
     N = K.order()
-    return [[e.coeff(N) if not e.is_zero() else K.alg.zero for e in row]
-            for row in K.rows]
-
-
-def _as_field_matrix(K: MatDiffOp, mat) -> list:
+    if N is None:
+        raise LeadingCoeffSingular("zero operator")
     field = K.alg.field
-    out = []
-    for row in mat:
+    lead = []
+    for row in K.rows:
         r = []
-        for c in row:
+        for e in row:
+            c = e.coeff(N)
             if isinstance(c, DiffPoly):
                 if not c.is_quasiconstant():
                     raise NotQuasiconstant("leading coefficient not in F")
-                r.append(c.quasiconstant_part())
-            else:
-                r.append(field.coerce(c))
-        out.append(r)
-    return out
+                c = c.quasiconstant_part()
+            r.append(field.coerce(c))
+        lead.append(r)
+    inv = lead if _is_identity(lead) else matrix_inverse(lead, field)
+    if inv is None:
+        raise LeadingCoeffSingular("leading coefficient is singular")
+    return lead, inv
+
+
+def _is_identity(mat: list) -> bool:
+    return all(c.is_one() if i == j else c.is_zero()
+               for i, row in enumerate(mat) for j, c in enumerate(row))
 
 
 def leading_is_identity(K: MatDiffOp) -> bool:
-    mat = _as_field_matrix(K, _leading_coeff_matrix(K))
-    field = K.alg.field
-    for i, row in enumerate(mat):
-        for j, c in enumerate(row):
-            want = field.one if i == j else field.zero
-            if not (c - want).is_zero():
-                return False
-    return True
+    return _is_identity(invertible_leading(K)[0])
 
 
 def phi_s(P: SkewArray, S: list) -> SkewArray:
@@ -617,20 +617,12 @@ def reduce_closed(P: SkewArray, K: MatDiffOp):
     K o K_N^{-1} (leading coefficient identity) and transports back."""
     if not K.is_quasiconstant():
         raise NotQuasiconstant("reduction needs a quasiconstant operator")
-    alg = P.alg
-    field = alg.field
-    N = K.order()
-    if N is None:
-        raise LeadingCoeffSingular("zero operator")
-    if not leading_is_identity(K):
-        lead = _as_field_matrix(K, _leading_coeff_matrix(K))
-        inv = matrix_inverse(lead, field)
-        if inv is None:
-            raise LeadingCoeffSingular("leading coefficient is singular")
-        Kn = _compose_constant(K, inv)
-        Pn = phi_s(P, inv)
-        Q1, R1 = reduce_closed(Pn, Kn)
+    lead, inv = invertible_leading(K)
+    if not _is_identity(lead):
+        Q1, R1 = reduce_closed(phi_s(P, inv), _compose_constant(K, inv))
         return phi_s(Q1, lead), phi_s(R1, lead)
+    alg = P.alg
+    N = K.order()
     if not delta_k(P, K).is_zero():
         raise NotClosed("array is not delta_K closed")
     Q = SkewArray(alg, P.k - 1) if P.k > 0 else None
@@ -646,7 +638,7 @@ def reduce_closed(P: SkewArray, K: MatDiffOp):
         cur = cur - delta_k(h, K)
         new_key = level_key(*filtration_level(cur, N), nvars)
         if new_key >= key:
-            raise AssertionError("homotopy sweep failed to lower the level")
+            raise InvariantViolation("homotopy sweep failed to lower the level")
         key = new_key
     if cur.k == 0 and not cur.is_zero():
         ent = cur.entries.get(())
@@ -747,17 +739,13 @@ def cohomology_dim(K: MatDiffOp, k: int,
     the induced linear differential system by rational ansatz.  Equals
     C(N*nvars, k+1) over a linearly closed field; the rational count is
     flagged as a lower bound when it falls short."""
-    from .diffop import solve_rational
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
         raise NotQuasiconstant("cohomology_dim needs quasiconstant K")
+    lead, inv = invertible_leading(K)
+    Kn = K if _is_identity(lead) else _compose_constant(K, inv)
     N = K.order()
-    lead = _as_field_matrix(K, _leading_coeff_matrix(K))
-    inv = matrix_inverse(lead, field)
-    if inv is None:
-        raise LeadingCoeffSingular("leading coefficient is singular")
-    Kn = K if leading_is_identity(K) else _compose_constant(K, inv)
     expected = math.comb(N * alg.nvars, k + 1)
     if expected == 0:
         return CohomologyResult(0, 0, False, [])
@@ -768,42 +756,15 @@ def cohomology_dim(K: MatDiffOp, k: int,
     for b, arr in enumerate(basis):
         unknown = unknown + arr.scale(LinForm.atom(field, b))
     image = alpha_k(unknown, Kn)
-    eqs = _collect_linforms(image)
-    atoms = list(range(len(basis)))
-    rows = _linform_rows(alg, eqs, atoms)
-    M = MatDiffOp(alg, rows) if rows else None
-    if M is None:
-        kern = [[field.one if t == b else field.zero for t in atoms]
-                for b in atoms]
-    else:
-        sols = solve_rational(M, None, degree_bound)
-        kern = sols.homogeneous
+    eqs = linform_equations(
+        ((key, e, mono), c) for key in image.canonical_keys()
+        for e, p in image.entries[key].sorted_terms()
+        for mono, c in sorted(p.terms.items()))
+    kern = solve_linform_system(alg, list(eqs.values()),
+                                list(range(len(basis))),
+                                degree_bound=degree_bound).homogeneous
     dim = len(kern)
     return CohomologyResult(dim, expected, dim < expected, kern)
-
-
-def _collect_linforms(P: SkewArray) -> list:
-    eqs = []
-    for key in P.canonical_keys():
-        for e, p in P.entries[key].sorted_terms():
-            for mono, c in sorted(p.terms.items()):
-                if isinstance(c, LinForm):
-                    eqs.append(c)
-                elif not c.is_zero():
-                    raise ArithmeticError("nonlinear term in unknowns")
-    return eqs
-
-
-def _linform_rows(alg: DiffAlgebra, eqs: list, atoms: list) -> list:
-    index = {a: j for j, a in enumerate(atoms)}
-    rows = []
-    for lf in eqs:
-        row = [ScalarDiffOp.zero(alg) for _ in atoms]
-        for a, ders in lf.by_atom().items():
-            row[index[a]] = ScalarDiffOp(
-                alg, {r: alg.from_scalar(c) for r, c in ders.items()})
-        rows.append(row)
-    return rows
 
 
 def phi_k1(S: MatDiffOp, K: MatDiffOp) -> MatDiffOp:

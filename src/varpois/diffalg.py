@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .field import (CoefficientField, FieldElem, UndecidableResidue,
-                    format_field_elem, rational_antiderivative)
+                    accumulate, format_field_elem, rational_antiderivative)
 
 Mono = tuple  # tuple of ((n, i), exp), sorted ascending by (n, i)
 
@@ -131,12 +131,7 @@ class DiffPoly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
-            s = out.get(m)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = c
+            accumulate(out, m, c)
         return DiffPoly(self.alg, out)
 
     __radd__ = __add__
@@ -163,14 +158,7 @@ class DiffPoly:
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
-                m = _mono_mul(ma, mb)
-                c = ca * cb
-                s = out.get(m)
-                c = c if s is None else s + c
-                if c.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = c
+                accumulate(out, _mono_mul(ma, mb), ca * cb)
         return DiffPoly(self.alg, out)
 
     __rmul__ = __mul__
@@ -218,19 +206,10 @@ class DiffPoly:
     def derive(self) -> "DiffPoly":
         """Total derivative d = d/dx + sum u_i^(n+1) d/du_i^(n)."""
         out: dict = {}
-
-        def _acc(m, c):
-            if c.is_zero():
-                return
-            s = out.get(m)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = c
-
         for m, c in self.terms.items():
-            _acc(m, c.derive())
+            dc = c.derive()
+            if not dc.is_zero():
+                accumulate(out, m, dc)
             for idx, ((n, i), e) in enumerate(m):
                 rest = list(m)
                 if e == 1:
@@ -238,7 +217,7 @@ class DiffPoly:
                 else:
                     rest[idx] = ((n, i), e - 1)
                 bumped = _mono_mul(tuple(rest), (((n + 1, i), 1),))
-                _acc(bumped, c if e == 1 else c * e)
+                accumulate(out, bumped, c if e == 1 else c * e)
         return DiffPoly(self.alg, out)
 
     def jet_partial(self, i: int, n: int) -> "DiffPoly":
@@ -254,14 +233,7 @@ class DiffPoly:
                 del d[key]
             else:
                 d[key] = e - 1
-            mono = tuple(sorted(d.items()))
-            w = c if e == 1 else c * e
-            s = out.get(mono)
-            w = w if s is None else s + w
-            if w.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = w
+            accumulate(out, tuple(sorted(d.items())), c if e == 1 else c * e)
         return DiffPoly(self.alg, out)
 
     def jet_support(self) -> set:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
-from .field import (FieldElem, InvariantViolation, clear_denominators,
-                    format_field_elem, x_coefficients)
+from .field import (FieldElem, InvariantViolation, accumulate,
+                    clear_denominators, format_field_elem, x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import gauss_solve
@@ -55,10 +55,6 @@ class Incomplete(Exception):
 
 
 INFINITE = math.inf
-
-
-def _is_scalar_kind(c) -> bool:
-    return isinstance(c, (FieldElem, DiffPoly, DiffRat, LinForm))
 
 
 class ScalarDiffOp:
@@ -127,12 +123,7 @@ class ScalarDiffOp:
     def __add__(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            s = out.get(n)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = c
+            accumulate(out, n, c)
         return ScalarDiffOp(self.alg, out)
 
     def __sub__(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
@@ -153,13 +144,7 @@ class ScalarDiffOp:
                 for j in range(m + 1):
                     coef = math.comb(m, j)
                     term = a * bded if coef == 1 else a * bded * Fraction(coef)
-                    key = m + n - j
-                    s = out.get(key)
-                    term = term if s is None else s + term
-                    if term.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = term
+                    accumulate(out, m + n - j, term)
                     if j < m:
                         bded = bded.derive()
         return ScalarDiffOp(self.alg, out)
@@ -177,14 +162,7 @@ class ScalarDiffOp:
             cd = c
             for j in range(n + 1):
                 coef = math.comb(n, j) * (-1) ** n
-                term = cd * Fraction(coef)
-                key = n - j
-                s = out.get(key)
-                term = term if s is None else s + term
-                if term.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = term
+                accumulate(out, n - j, cd * Fraction(coef))
                 if j < n:
                     cd = cd.derive()
         return ScalarDiffOp(self.alg, out)
@@ -253,12 +231,7 @@ class ScalarDiffOp:
             expanded = ScalarDiffOp.d(self.alg, m).compose(
                 ScalarDiffOp(self.alg, {0: c}))
             for key, v in expanded.coeffs.items():
-                s = res.get(key, None)
-                w = (-v) if s is None else s - v
-                if w.is_zero():
-                    res.pop(key, None)
-                else:
-                    res[key] = w
+                accumulate(res, key, -v)
         if not all(v.is_zero() for v in res.values()):
             raise InvariantViolation("right coefficient form leaves a rest")
         return b
@@ -429,13 +402,6 @@ class MatDiffOp:
         orders = [e.order() for r in self.rows for e in r if not e.is_zero()]
         return max(orders) if orders else None
 
-    def leading_coefficient_matrix(self) -> list:
-        """Coefficient matrix of d^N where N is the overall order."""
-        N = self.order()
-        if N is None:
-            raise DegenerateShape("zero matrix has no leading coefficient")
-        return [[e.coeff(N) for e in r] for r in self.rows]
-
     def map_entries(self, fn) -> "MatDiffOp":
         return MatDiffOp(self.alg, [[fn(e) for e in r] for r in self.rows])
 
@@ -504,12 +470,7 @@ class PseudoDiffOp:
         floor = _floor_max(self.floor, other.floor)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            s = out.get(n)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = c
+            accumulate(out, n, c)
         return PseudoDiffOp(self.field, out, floor)
 
     def __sub__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
@@ -554,13 +515,7 @@ class PseudoDiffOp:
                         break
                     coef = math.comb(m, j) if m >= 0 else _neg_binom(m, j)
                     if coef:
-                        term = a * bded * Fraction(coef)
-                        s = out.get(key)
-                        term = term if s is None else s + term
-                        if term.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = term
+                        accumulate(out, key, a * bded * Fraction(coef))
                     j += 1
                     if m >= 0 and j > m:
                         break
@@ -835,21 +790,6 @@ def row_echelon(M: MatDiffOp):
         if touched:
             r += 1
     return MatDiffOp(alg, rows), ops
-
-
-def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
-    """Replay recorded elementary row operations on (a field-entry copy of) M."""
-    W = _to_field_entries(M)
-    rows = [list(r) for r in W.rows]
-    for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            _, i, j, P = op
-            rows[j] = [rows[j][t] - P.compose(rows[i][t])
-                       for t in range(len(rows[j]))]
-    return MatDiffOp(W.alg, rows)
 
 
 # -- majorant preserving reduction ------------------------------------------------
@@ -1312,12 +1252,15 @@ def selfadjoint_product_space(K: MatDiffOp,
     # LinForm coefficients live inside DiffPoly constant terms
     T = K.compose(P)
     R = T - T.adjoint()
-    Mrows, order_atoms = _linform_system(alg, _matrix_op_linforms(R), atoms)
-    M = MatDiffOp(alg, Mrows)
-    sols = solve_rational(M, None, degree_bound)
+    eqs = linform_equations(
+        ((i, j, n), e.coeffs[n].quasiconstant_part())
+        for i, row in enumerate(R.rows) for j, e in enumerate(row)
+        for n in sorted(e.coeffs))
+    sols = solve_linform_system(alg, list(eqs.values()), atoms,
+                                degree_bound=degree_bound)
     out = []
     for vec in sols.homogeneous:
-        by_atom = dict(zip(order_atoms, vec))
+        by_atom = dict(zip(atoms, vec))
         out.append(MatDiffOp(alg, [[
             ScalarDiffOp(alg, {q: alg.from_scalar(by_atom[(q, i, j)])
                                for q in range(N)})
@@ -1325,31 +1268,40 @@ def selfadjoint_product_space(K: MatDiffOp,
     return out
 
 
-def _matrix_op_linforms(R: MatDiffOp) -> list:
-    """All LinForm-valued scalar equations encoded by a matrix operator with
-    LinForm-in-DiffPoly coefficients (each operator-order coefficient of each
-    entry must vanish)."""
-    eqs = []
-    for row in R.rows:
-        for e in row:
-            for n in sorted(e.coeffs):
-                c = e.coeffs[n]
-                lf = c.quasiconstant_part() if isinstance(c, DiffPoly) else c
-                if isinstance(lf, LinForm):
-                    eqs.append(lf)
-                elif not lf.is_zero():
-                    raise ArithmeticError("inhomogeneous term in a linear system")
+def linform_equations(pairs) -> dict:
+    """{key: c} for the (key, c) pairs of a homogeneous linear system in
+    unknowns whose c is a LinForm, in order.  A zero c is dropped; any other
+    c is a term free of the unknowns and raises InvariantViolation."""
+    eqs = {}
+    for key, c in pairs:
+        if isinstance(c, LinForm):
+            eqs[key] = c
+        elif not c.is_zero():
+            raise InvariantViolation(
+                "a term free of the unknowns in a homogeneous linear system")
     return eqs
 
 
-def _linform_system(alg: DiffAlgebra, eqs: list, atoms: list):
-    """Rows of a MatDiffOp expressing LinForm equations = 0 in the unknowns."""
+def solve_linform_system(alg: DiffAlgebra, eqs: list, atoms: list,
+                         rhs: Optional[Sequence[FieldElem]] = None,
+                         degree_bound: Optional[int] = None) -> SolutionSet:
+    """Rational solutions of the equations eqs = rhs in the unknown functions
+    atoms, by solve_rational.  Each equation is a LinForm in the atoms and
+    their derivatives; None or a zero LinForm is an empty row.  rhs is zero
+    when omitted.  Without equations every atom is free, and the basis is
+    the identity."""
+    field = alg.field
+    if not eqs:
+        basis = [[field.one if t == b else field.zero
+                  for t in range(len(atoms))] for b in range(len(atoms))]
+        return SolutionSet([field.zero] * len(atoms), basis, 0)
     index = {a: j for j, a in enumerate(atoms)}
     rows = []
     for lf in eqs:
         row = [ScalarDiffOp.zero(alg) for _ in atoms]
-        for a, ders in lf.by_atom().items():
-            row[index[a]] = ScalarDiffOp(
-                alg, {r: alg.from_scalar(c) for r, c in ders.items()})
+        if lf is not None:
+            for a, ders in lf.by_atom().items():
+                row[index[a]] = ScalarDiffOp(
+                    alg, {r: alg.from_scalar(c) for r, c in ders.items()})
         rows.append(row)
-    return rows, atoms
+    return solve_rational(MatDiffOp(alg, rows), rhs, degree_bound)

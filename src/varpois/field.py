@@ -38,6 +38,8 @@ from typing import Iterable, Optional
 from sympy import QQ, ZZ
 from sympy.polys.fields import field as _sympy_field
 
+from .linsolve import gauss_solve
+
 _Q = QQ.dtype
 RAT, POLY, FRAC = range(3)
 
@@ -48,6 +50,18 @@ class UndecidableResidue(Exception):
 
 class InvariantViolation(ArithmeticError):
     """An identity that exact arithmetic guarantees failed to hold."""
+
+
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value in a sparse dict whose absent keys stand for zero;
+    a key whose sum is zero is deleted."""
+    old = out.get(key)
+    if old is not None:
+        value = old + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
 
 
 @lru_cache(maxsize=None)
@@ -661,23 +675,23 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     # unknowns: a_0..a_{na-1}, b_0..b_{nb-1};  r = a'*d1 - a*H + b*d2
     ncols = na + nb
     nrows = len(den) - 1
-    rows = [[f.zero] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     rhs = [r[i] if i < len(r) else f.zero for i in range(nrows)]
     for j in range(na):
         basis = [f.zero] * (j + 1)
         basis[j] = f.one
         contrib = _xp_sub(_xp_mul(_xp_diff(basis), d1), _xp_mul(basis, h))
-        for i, c in enumerate(contrib):
-            if i < nrows:
-                rows[i][j] = rows[i][j] + c
+        for i, c in enumerate(contrib[:nrows]):
+            rows[i][j] = c
     for j in range(nb):
         basis = [f.zero] * (j + 1)
         basis[j] = f.one
         contrib = _xp_mul(basis, d2)
-        for i, c in enumerate(contrib):
-            if i < nrows:
-                rows[i][na + j] = rows[i][na + j] + c
-    sol = _solve_square(rows, rhs, f)
+        for i, c in enumerate(contrib[:nrows]):
+            rows[i][na + j] = c
+    sol, _ = gauss_solve(rows, rhs, ncols, f)
+    if sol is None:
+        raise InvariantViolation("inconsistent Horowitz system")
     a, b = sol[:na], sol[na:]
     if all(c.is_zero() for c in b):
         if na > 0:
@@ -694,31 +708,3 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     raise UndecidableResidue(
         "antiderivative existence depends on parameter values")
 
-
-def _solve_square(rows, rhs, f) -> list:
-    """Gaussian elimination; the Horowitz system is uniquely solvable."""
-    m, n = len(rows), (len(rows[0]) if rows else 0)
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    piv_of_col = {}
-    row = 0
-    for col in range(n):
-        p = next((i for i in range(row, m) if not rows[i][col].is_zero()), None)
-        if p is None:
-            continue
-        rows[row], rows[p] = rows[p], rows[row]
-        rhs[row], rhs[p] = rhs[p], rhs[row]
-        inv = f.one / rows[row][col]
-        rows[row] = [c * inv for c in rows[row]]
-        rhs[row] = rhs[row] * inv
-        for i in range(m):
-            if i != row and not rows[i][col].is_zero():
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[row])]
-                rhs[i] = rhs[i] - c * rhs[row]
-        piv_of_col[col] = row
-        row += 1
-    for i in range(row, m):
-        if not rhs[i].is_zero():
-            raise InvariantViolation("inconsistent Horowitz system")
-    return [rhs[piv_of_col[c]] if c in piv_of_col else f.zero for c in range(n)]

@@ -13,7 +13,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .diffalg import DiffAlgebra, DiffPoly, format_diff_poly
-from .field import FieldElem
+from .field import FieldElem, accumulate
 
 
 class LambdaPoly:
@@ -66,12 +66,7 @@ class LambdaPoly:
         self._check(other)
         out = dict(self.terms)
         for e, p in other.terms.items():
-            s = out.get(e)
-            q = p if s is None else s + p
-            if q.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = q
+            accumulate(out, e, p)
         return LambdaPoly(self.alg, self.k, out)
 
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
@@ -86,14 +81,8 @@ class LambdaPoly:
             out: dict = {}
             for ea, pa in self.terms.items():
                 for eb, pb in other.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    p = pa * pb
-                    s = out.get(e)
-                    p = p if s is None else s + p
-                    if p.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = p
+                    accumulate(out, tuple(x + y for x, y in zip(ea, eb)),
+                               pa * pb)
             return LambdaPoly(self.alg, self.k, out)
         return self.scale(other)
 
@@ -150,13 +139,7 @@ class LambdaPoly:
             ee = [0] * self.k
             for j, exp in enumerate(e):
                 ee[sigma[j]] += exp
-            key = tuple(ee)
-            s = out.get(key)
-            q = p if s is None else s + p
-            if q.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = q
+            accumulate(out, tuple(ee), p)
         return LambdaPoly(self.alg, self.k, out)
 
     def insert_slot(self, pos: int) -> "LambdaPoly":
@@ -262,14 +245,8 @@ def _binomial_sum(dsign: int, m: int, chain: list,
         for e, a in powers[m - j].items():
             c = w * a
             for f, p in chain[j].terms.items():
-                key = tuple(x + y for x, y in zip(e, f))
                 q = p if c == 1 else (-p if c == -1 else p.scale(c))
-                s = out.get(key)
-                q = q if s is None else s + q
-                if q.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = q
+                accumulate(out, tuple(x + y for x, y in zip(e, f)), q)
     return LambdaPoly(X.alg, X.k, out)
 
 

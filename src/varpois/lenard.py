@@ -19,7 +19,7 @@ from .diffop import NotSkewadjoint
 from .field import InvariantViolation
 from .linsolve import matrix_inverse
 from .pva import (LambdaBracketStruct, check_compatible, check_jacobi,
-                  check_skewadjoint, ev_commutator, hamiltonian_vf)
+                  check_skewadjoint)
 
 
 class NoPreimage(Exception):
@@ -201,17 +201,6 @@ def verify_involution(state: HierarchyState) -> list:
                         for image in images)
             out[a][b] = out[b][a] = all(br.is_zero() for br in brackets)
     return out
-
-
-def commuting_flows(state: HierarchyState) -> bool:
-    """Hamiltonian vector fields of the stored densities pairwise commute."""
-    fields = [hamiltonian_vf(h, state.H) for h in state.densities]
-    n = len(fields)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not ev_commutator(fields[a], fields[b]).is_zero():
-                return False
-    return True
 
 
 def run_hierarchy(H: LambdaBracketStruct, K: LambdaBracketStruct,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import CoefficientField, FieldElem
+from .field import CoefficientField, FieldElem, accumulate
 
 
 class LinForm:
@@ -44,12 +44,7 @@ class LinForm:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = c
+            accumulate(out, k, c)
         return LinForm(self.field, out)
 
     __radd__ = __add__
@@ -73,20 +68,11 @@ class LinForm:
 
     def derive(self) -> "LinForm":
         out: dict = {}
-
-        def acc(k, c):
-            if c.is_zero():
-                return
-            s = out.get(k)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = c
-
         for (a, r), c in self.terms.items():
-            acc((a, r), c.derive())
-            acc((a, r + 1), c)
+            dc = c.derive()
+            if not dc.is_zero():
+                accumulate(out, (a, r), dc)
+            accumulate(out, (a, r + 1), c)
         return LinForm(self.field, out)
 
     def is_zero(self) -> bool:

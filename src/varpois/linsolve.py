@@ -1,13 +1,54 @@
 """Exact Gaussian elimination over a coefficient field.
 
-Rows are sparse dicts {column index: FieldElem}.  Used by the rational-ansatz
-differential solver and the Horowitz reduction; column order is fixed by the
+One sparse Gauss-Jordan kernel serves the linear systems of the rational
+ansatz and the Horowitz reduction, matrix inverses and determinants.  Rows
+are sparse dicts {column index: FieldElem}; column order is fixed by the
 caller, which keeps results deterministic.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+
+def _eliminate(rows: list, ncols: int, field) -> tuple:
+    """Bring sparse rows, free of zero entries, to reduced row echelon form
+    on the columns below ncols, in place.  Entries in columns ncols and
+    beyond are carried along as extra columns.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row.  Returns (pivots, sign): pivots[r] is (column, value before
+    normalization) of the pivot in row r, and sign is -1 to the number of
+    row swaps.
+    """
+    m = len(rows)
+    zero = field.zero
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, m) if col in rows[i]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        piv = rows[r][col]
+        inv = field.one / piv
+        prow = rows[r] = {c: v * inv for c, v in rows[r].items()}
+        for i in range(m):
+            row = rows[i]
+            f = row.get(col)
+            if f is None or i == r:
+                continue
+            for c, v in prow.items():
+                w = row.get(c, zero) - f * v
+                if w.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = w
+        pivots.append((col, piv))
+    return pivots, sign
 
 
 def gauss_solve(rows: list, rhs: list, ncols: int, field):
@@ -17,96 +58,61 @@ def gauss_solve(rows: list, rhs: list, ncols: int, field):
     ncols or None when the system is inconsistent; nullspace is a list of
     dense basis vectors of the homogeneous solution space.
     """
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
-    m = len(rows)
-    pivot_row_of_col: dict = {}
-    row = 0
-    order = []
-    for col in range(ncols):
-        p = None
-        for i in range(row, m):
-            if col in rows[i] and not rows[i][col].is_zero():
-                p = i
-                break
-        if p is None:
-            continue
-        rows[row], rows[p] = rows[p], rows[row]
-        rhs[row], rhs[p] = rhs[p], rhs[row]
-        inv = field.one / rows[row][col]
-        rows[row] = {c: v * inv for c, v in rows[row].items() if not v.is_zero()}
-        rhs[row] = rhs[row] * inv
-        for i in range(m):
-            if i != row and col in rows[i] and not rows[i][col].is_zero():
-                f = rows[i][col]
-                for c, v in rows[row].items():
-                    w = rows[i].get(c, field.zero) - f * v
-                    if w.is_zero():
-                        rows[i].pop(c, None)
-                    else:
-                        rows[i][c] = w
-                rhs[i] = rhs[i] - f * rhs[row]
-        pivot_row_of_col[col] = row
-        order.append(col)
-        row += 1
-    consistent = all(rhs[i].is_zero() for i in range(row, m))
-    free_cols = [c for c in range(ncols) if c not in pivot_row_of_col]
-    particular: Optional[list]
-    if consistent:
+    work = [{c: v for c, v in r.items() if not v.is_zero()} for r in rows]
+    for r, b in zip(work, rhs):
+        if not b.is_zero():
+            r[ncols] = b
+    pivots, _ = _eliminate(work, ncols, field)
+    rank = len(pivots)
+    particular: Optional[list] = None
+    if all(ncols not in r for r in work[rank:]):
         particular = [field.zero] * ncols
-        for c, r in pivot_row_of_col.items():
-            particular[c] = rhs[r]
-    else:
-        particular = None
+        for r, (c, _) in enumerate(pivots):
+            particular[c] = work[r].get(ncols, field.zero)
+    pivot_cols = {c for c, _ in pivots}
     nullspace = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         vec = [field.zero] * ncols
         vec[fc] = field.one
-        for c, r in pivot_row_of_col.items():
-            coeff = rows[r].get(fc)
-            if coeff is not None and not coeff.is_zero():
+        for r, (c, _) in enumerate(pivots):
+            coeff = work[r].get(fc)
+            if coeff is not None:
                 vec[c] = -coeff
         nullspace.append(vec)
     return particular, nullspace
 
 
+def _square_rows(mat: list) -> list:
+    """The sparse rows of a dense square matrix; ValueError otherwise."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError(f"matrix with {n} rows of lengths "
+                         f"{[len(row) for row in mat]} is not square")
+    return [{j: v for j, v in enumerate(row) if not v.is_zero()}
+            for row in mat]
+
+
 def matrix_inverse(mat: list, field) -> Optional[list]:
     """Inverse of a dense square matrix of field elements, or None."""
     n = len(mat)
-    aug = [list(row) + [field.one if i == j else field.zero
-                        for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        p = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if p is None:
-            return None
-        aug[col], aug[p] = aug[p], aug[col]
-        inv = field.one / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    rows = _square_rows(mat)
+    for i, row in enumerate(rows):
+        row[n + i] = field.one
+    pivots, _ = _eliminate(rows, n, field)
+    if len(pivots) < n:
+        return None
+    return [[row.get(n + j, field.zero) for j in range(n)] for row in rows]
 
 
 def det(mat: list, field):
     """Determinant of a dense square matrix over the field."""
-    n = len(mat)
-    m = [list(r) for r in mat]
-    sign = 1
+    rows = _square_rows(mat)
+    pivots, sign = _eliminate(rows, len(rows), field)
+    if len(pivots) < len(rows):
+        return field.zero
     out = field.one
-    for col in range(n):
-        p = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
-        if p is None:
-            return field.zero
-        if p != col:
-            m[col], m[p] = m[p], m[col]
-            sign = -sign
-        piv = m[col][col]
+    for _, piv in pivots:
         out = out * piv
-        inv = field.one / piv
-        for i in range(col + 1, n):
-            if not m[i][col].is_zero():
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
     return out if sign == 1 else -out

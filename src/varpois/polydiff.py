@@ -17,13 +17,12 @@ import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import SkewArray, _perm_sign
+from .complexes import SkewArray, _perm_sign, invertible_leading
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
-from .diffop import (Incomplete, MatDiffOp, ScalarDiffOp, solve_rational)
-from .field import FieldElem
+from .diffop import (Incomplete, MatDiffOp, ScalarDiffOp, linform_equations,
+                     solve_linform_system)
 from .lambdapoly import LambdaPoly, subst_slot_neg, symbol_act
 from .linform import LinForm
-from .linsolve import matrix_inverse
 
 
 class BadSupport(Exception):
@@ -217,14 +216,6 @@ def total_skewsymmetrize(P: KDiffOp) -> KDiffOp:
         t = sigma_action(P, sigma)
         out = out + (t if _perm_sign(sigma) > 0 else -t)
     return out.scale(Fraction(1, math.factorial(k + 1)))
-
-
-def total_skewsymmetrize_shortcut(P: KDiffOp) -> KDiffOp:
-    """For P already skewsymmetric: <P>^- = (P - sum_alpha P^tau_alpha)/(k+1)."""
-    out = P
-    for alpha in range(1, P.k + 1):
-        out = out - _tau_action(P, alpha)
-    return out.scale(Fraction(1, P.k + 1))
 
 
 def module_action(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
@@ -470,8 +461,8 @@ def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int, atoms: list) -> KDiffOp:
 
 
 def _collect_equations(E: KDiffOp):
-    """(linform, inhomogeneous FieldElem) rows from the vanishing of all
-    lambda-coefficients of all entries."""
+    """((idx, e, mono), c) for every coefficient c of every
+    lambda-coefficient of every entry, in sorted order."""
     eqs = []
     for idx in sorted(E.entries):
         L = E.entries[idx]
@@ -481,41 +472,14 @@ def _collect_equations(E: KDiffOp):
     return eqs
 
 
-def _solve_linform_system(alg: DiffAlgebra, lhs_rows: list, rhs_map: dict,
-                          atoms: list, degree_bound: Optional[int]):
-    from .diffop import SolutionSet
-    field = alg.field
-    index = {a: j for j, a in enumerate(atoms)}
-    keys = sorted(set(k for k, _ in lhs_rows) | set(rhs_map),
-                  key=repr)
-    if not keys:
-        basis = [[field.one if t == b else field.zero
-                  for t in range(len(atoms))] for b in range(len(atoms))]
-        return SolutionSet([field.zero] * len(atoms), basis, 0)
-    lhs_by_key = {k: lf for k, lf in lhs_rows}
-    rows, rhs = [], []
-    for key in keys:
-        lf = lhs_by_key.get(key)
-        row = [ScalarDiffOp.zero(alg) for _ in atoms]
-        if lf is not None:
-            for a, ders in lf.by_atom().items():
-                row[index[a]] = ScalarDiffOp(
-                    alg, {r: alg.from_scalar(c) for r, c in ders.items()})
-        rows.append(row)
-        rhs.append(rhs_map.get(key, field.zero))
-    M = MatDiffOp(alg, rows)
-    return solve_rational(M, rhs, degree_bound)
-
-
 def sigma_space(K: MatDiffOp, k: int,
                 degree_bound: Optional[int] = None):
     """Basis over C of the skewsymmetric k-differential operators P of degree
     at most ord(K)-1 per variable with the total skewsymmetrization of
     K* o P vanishing.  Returns (basis, expected_dim, flagged)."""
     alg = K.alg
-    field = alg.field
+    invertible_leading(K)
     N = K.order()
-    _require_invertible_leading(K)
     expected = math.comb(N * alg.nvars, k + 1)
     atoms = _skew_atoms(alg, k, N)
     if not atoms:
@@ -524,13 +488,9 @@ def sigma_space(K: MatDiffOp, k: int,
         degree_bound = N * (k + 2) * alg.nvars + 4
     P = _unknown_kdiffop(alg, k, N, atoms)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
-    eqs = []
-    for key, c in _collect_equations(E):
-        if isinstance(c, LinForm):
-            eqs.append((key, c))
-        elif not c.is_zero():
-            raise ArithmeticError("unexpected inhomogeneous term")
-    sols = _solve_linform_system(alg, eqs, {}, atoms, degree_bound)
+    eqs = linform_equations(_collect_equations(E))
+    sols = solve_linform_system(alg, list(eqs.values()), atoms,
+                                degree_bound=degree_bound)
     basis = [_substitute_atoms(alg, k, N, atoms, vec)
              for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
@@ -563,24 +523,6 @@ def _substitute_atoms(alg: DiffAlgebra, k: int, N: int, atoms: list,
     return P
 
 
-def _require_invertible_leading(K: MatDiffOp):
-    field = K.alg.field
-    N = K.order()
-    lead = []
-    for row in K.rows:
-        r = []
-        for e in row:
-            c = e.coeff(N)
-            if isinstance(c, DiffPoly):
-                if not c.is_quasiconstant():
-                    raise ValueError("leading coefficient must be quasiconstant")
-                c = c.quasiconstant_part()
-            r.append(c)
-        lead.append(r)
-    if matrix_inverse(lead, field) is None:
-        raise ValueError("leading coefficient is singular")
-
-
 def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
                         degree_bound: Optional[int] = None) -> KDiffOp:
     """Skewsymmetric P with sum_{sigma in S_{k+1}} sign(sigma) (K o P)^sigma
@@ -590,8 +532,8 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
     alg = K.alg
     field = alg.field
     k = S.k
+    invertible_leading(K)
     N = K.order()
-    _require_invertible_leading(K)
     if not is_totally_skewsymmetric(S):
         raise ValueError("right-hand side must be totally skewsymmetric")
     if S.is_zero():
@@ -605,20 +547,13 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
         atoms = _skew_atoms(alg, k, ndeg)
         P = _unknown_kdiffop(alg, k, ndeg, atoms)
         E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
-        lhs = []
-        for key, c in _collect_equations(E):
-            if isinstance(c, LinForm):
-                lhs.append((key, c))
-            elif not c.is_zero():
-                raise ArithmeticError("unexpected inhomogeneous term")
-        rhs_map = {}
-        for key, c in _collect_equations(S):
-            if isinstance(c, DiffPoly):
-                c = c.quasiconstant_part()
-            rhs_map[key] = field.coerce(c) if not isinstance(c, FieldElem) else c
+        lhs = linform_equations(_collect_equations(E))
+        rhs = {key: field.coerce(c) for key, c in _collect_equations(S)}
+        keys = sorted(set(lhs) | set(rhs), key=repr)
         try:
-            sols = _solve_linform_system(alg, lhs, rhs_map, atoms,
-                                         degree_bound)
+            sols = solve_linform_system(
+                alg, [lhs.get(key) for key in keys], atoms,
+                [rhs.get(key, field.zero) for key in keys], degree_bound)
         except Incomplete as err:
             last_err = err
             continue

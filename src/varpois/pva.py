@@ -19,7 +19,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, frechet,
                       variational_derivative)
 from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp
 from .lambdapoly import (LambdaPoly, affine_pow_apply, affine_pow_on,
-                         subst_slot_neg, symbol_act)
+                         symbol_act)
 
 
 class NotPoisson(Exception):
@@ -179,14 +179,6 @@ def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
                 if not res.is_zero():
                     return False, ((a, b, c), res)
     return True, None
-
-
-def skewsymmetry_residual(H: LambdaBracketStruct, f: DiffPoly,
-                          g: DiffPoly) -> LambdaPoly:
-    """{g_lam f} + {f_(-lam-d) g}; vanishes when H* = -H."""
-    lhs = lambda_bracket(g, f, H)
-    rhs = subst_slot_neg(lambda_bracket(f, g, H), 0, (0,), drop=False)
-    return lhs + rhs
 
 
 # -- evolutionary vector fields -----------------------------------------------

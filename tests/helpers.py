@@ -6,8 +6,12 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, FieldElem, LambdaPoly, LocalFunctional,
-                     MatDiffOp, ScalarDiffOp, SkewArray, poisson_bracket,
+                     MatDiffOp, ScalarDiffOp, SkewArray, ev_commutator,
+                     hamiltonian_vf, lambda_bracket, poisson_bracket,
                      rational_antiderivative, variational_derivative)
+from varpois.diffop import _to_field_entries
+from varpois.lambdapoly import subst_slot_neg
+from varpois.polydiff import _tau_action
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -127,6 +131,47 @@ def involution_matrix_reference(state) -> list:
     return [[all(functional_eq_reference(poisson_bracket(f, g, S), zero)
                  for S in (state.H, state.K))
              for g in state.densities] for f in state.densities]
+
+
+def skewsymmetry_residual(H, f, g) -> LambdaPoly:
+    """{g_lam f} + {f_(-lam-d) g}; vanishes when H* = -H."""
+    lhs = lambda_bracket(g, f, H)
+    rhs = subst_slot_neg(lambda_bracket(f, g, H), 0, (0,), drop=False)
+    return lhs + rhs
+
+
+def total_skewsymmetrize_shortcut(P):
+    """For P already skewsymmetric: <P>^- = (P - sum_alpha P^tau_alpha)/(k+1)."""
+    out = P
+    for alpha in range(1, P.k + 1):
+        out = out - _tau_action(P, alpha)
+    return out.scale(Fraction(1, P.k + 1))
+
+
+def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
+    """Replay recorded elementary row operations on (a field-entry copy of) M."""
+    W = _to_field_entries(M)
+    rows = [list(r) for r in W.rows]
+    for op in ops:
+        if op[0] == "swap":
+            _, i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            _, i, j, P = op
+            rows[j] = [rows[j][t] - P.compose(rows[i][t])
+                       for t in range(len(rows[j]))]
+    return MatDiffOp(W.alg, rows)
+
+
+def commuting_flows(state) -> bool:
+    """Hamiltonian vector fields of the stored densities pairwise commute."""
+    fields = [hamiltonian_vf(h, state.H) for h in state.densities]
+    n = len(fields)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not ev_commutator(fields[a], fields[b]).is_zero():
+                return False
+    return True
 
 
 @st.composite

@@ -81,6 +81,18 @@ def test_sigma(session_file):
     assert val["dim"] == 1 == val["expected"]
 
 
+@pytest.mark.parametrize("command", ["sigma", "cohomology"])
+def test_singular_leading_coefficient_error(tmp_path, command):
+    """sigma and cohomology name the same error for a singular K_N."""
+    session = tmp_path / "two.vp"
+    session.write_text("vars 2\n")
+    body, code = _run(["--session", str(session), command,
+                       "--K", "[[d, d],[d, d]]", "--k", "0"])
+    assert code == 2
+    assert body["results"][0]["value"] == \
+        "LeadingCoeffSingular: leading coefficient is singular"
+
+
 def test_solve_skew(session_file, tmp_path):
     doc = {"arity": 1, "entries": {"1,1": [[[1], "2"]]}}
     sfile = tmp_path / "S.json"

@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
-                     Majorant, MatDiffOp, MatPseudoOp, NoRationalSolution,
-                     NotAMajorant, NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
+                     InvariantViolation, LinForm, Majorant, MatDiffOp,
+                     MatPseudoOp, NoRationalSolution, NotAMajorant,
+                     NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
                      canonical_forms, dieudonne_det, kernel_dim_bound,
                      leading_matrix, majorant, majorant_preserving_reduce,
                      row_echelon, selfadjoint_product_space,
                      skewadjoint_decompose, solve_rational)
-from varpois.diffop import (DET_ZERO, INFINITE, apply_row_ops,
-                            default_degree_bound)
+from varpois.diffop import (DET_ZERO, INFINITE, default_degree_bound,
+                            linform_equations, solve_linform_system)
 
-from helpers import rnd_diffpoly, rnd_mat_op, rnd_scalar_op, skewadjoint_op
+from helpers import (apply_row_ops, rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
+                     skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -356,6 +358,24 @@ def test_solve_rational_selfadjoint_system():
     assert len(basis) == 1
     P = basis[0].rows[0][0]
     assert P.order() == 0 and P.coeff(0).is_quasiconstant()
+
+
+def test_linform_equations_and_system():
+    """The LinForm split keeps LinForms, drops zeros and names a term free
+    of the unknowns; a system without equations leaves every atom free."""
+    F = ALG.field
+    a = LinForm.atom(F, "a")
+    assert linform_equations([(0, a), (1, F.zero), (2, LinForm.zero(F))]) \
+        == {0: a, 2: LinForm.zero(F)}
+    with pytest.raises(InvariantViolation):
+        linform_equations([(0, a), (1, F.one)])
+    sols = solve_linform_system(ALG, [], ["a", "b"])
+    assert sols.homogeneous == [[F.one, F.zero], [F.zero, F.one]]
+    # a' = 0 and b = x: a is a constant, b is x
+    sols = solve_linform_system(ALG, [a.derive(), LinForm.atom(F, "b")],
+                                ["a", "b"], [F.zero, F.x], 2)
+    assert sols.particular == [F.zero, F.x]
+    assert sols.homogeneous == [[F.one, F.zero]]
 
 
 def test_selfadjoint_space_dimensions():

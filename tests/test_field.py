@@ -17,7 +17,7 @@ from varpois.field import (FRAC, POLY, RAT, _format_poly, _poly_lcm,
                           clear_denominators, format_field_elem,
                           x_coefficients)
 
-from helpers import rnd_field_elem
+from helpers import field_elems, rnd_field_elem
 
 
 @pytest.fixture
@@ -76,6 +76,27 @@ def test_log_term_rejected(F):
 def test_parameter_branching_raises(F):
     with pytest.raises(UndecidableResidue):
         rational_antiderivative(F.param("c") / F.x)
+
+
+HF = CoefficientField(["c"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elems(HF), field_elems(HF),
+       st.sampled_from([HF.one, HF.rational(-2), HF.param("c")]),
+       st.integers(1, 2))
+def test_horowitz_solve_over_parameters(p, r, s, k):
+    """g' for g = p/(x + s)^k + r/(x^2 + 1) has a repeated factor in its
+    denominator, so the Horowitz system is solved over Q(c); adding
+    1/(x + 2) leaves a logarithm."""
+    x = HF.x
+    g = p / (x + s) ** k + r / (x ** 2 + 1)
+    v = g.derive()
+    if v.is_zero():
+        return
+    a = rational_antiderivative(v)
+    assert a is not None and a.derive() == v
+    assert rational_antiderivative(v + 1 / (x + 2)) is None
 
 
 def test_antiderivative_roundtrip_random(F):

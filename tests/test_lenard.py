@@ -8,9 +8,9 @@ from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      functional_eq, gfz_structure, hamiltonian_vf,
                      magri_structure, run_hierarchy, variational_derivative,
                      verify_involution)
-from varpois.lenard import commuting_flows, lenard_step
+from varpois.lenard import lenard_step
 
-from helpers import diffpolys, involution_matrix_reference
+from helpers import commuting_flows, diffpolys, involution_matrix_reference
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)

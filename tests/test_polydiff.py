@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly, MatDiffOp,
-                     NotInSigma, ScalarDiffOp, chi_representative, coeff_b,
-                     coeff_c, expand_monomial, frechet, functional_eq,
+from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
+                     LeadingCoeffSingular, MatDiffOp, NotInSigma,
+                     NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
+                     chi_representative, coeff_b, coeff_c, cohomology_dim,
+                     expand_monomial, frechet, functional_eq,
                      is_skewsymmetric, is_totally_skewsymmetric,
                      module_action, pairing, sigma_action, sigma_space,
                      skew_product, solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois.diffalg import LocalFunctional
-from varpois.polydiff import (_B_TABLE, _C_TABLE,
-                              total_skewsymmetrize_shortcut)
+from varpois.polydiff import _B_TABLE, _C_TABLE
 
-from helpers import rnd_diffpoly
+from helpers import rnd_diffpoly, total_skewsymmetrize_shortcut
 
 ALG = DiffAlgebra(1, [])
 ALG2 = DiffAlgebra(2)
@@ -282,6 +283,35 @@ def test_sigma_space_flagged_nonrational():
     K = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one})]])
     basis, expected, flagged = sigma_space(K, 0)
     assert len(basis) == 0 and expected == 1 and flagged
+
+
+def _leading_error_cases():
+    d, u = ScalarDiffOp.d(ALG2), ALG2.jet(1)
+    zero = ScalarDiffOp.zero(ALG2)
+    return {
+        "wide": ([[d, d]], ShapeMismatch),
+        "singular": ([[d, d], [d, d]], LeadingCoeffSingular),
+        "jet_leading": ([[ScalarDiffOp(ALG2, {1: u}), zero], [zero, d]],
+                        NotQuasiconstant),
+    }
+
+
+SOLVERS = {
+    "sigma_space": lambda K: sigma_space(K, 0),
+    "solve_skew_equation": lambda K: solve_skew_equation(K, KDiffOp(ALG2, 1)),
+    "cohomology_dim": lambda K: cohomology_dim(K, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_leading_error_cases()))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_leading_coefficient_errors_are_named(solver, case):
+    """Every solver reads K's leading coefficient through one reader: a
+    non-square K is a ShapeMismatch, a singular leading coefficient a
+    LeadingCoeffSingular and one outside F a NotQuasiconstant."""
+    rows, error = _leading_error_cases()[case]
+    with pytest.raises(error):
+        SOLVERS[solver](MatDiffOp(ALG2, rows))
 
 
 def test_chi_representatives():

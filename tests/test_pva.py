@@ -11,9 +11,8 @@ from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
                      jacobi_residual, lambda_bracket, magri_structure,
                      poisson_bracket)
 from varpois.lambdapoly import LambdaPoly
-from varpois.pva import skewsymmetry_residual
 
-from helpers import rnd_diffpoly
+from helpers import rnd_diffpoly, skewsymmetry_residual
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)

@@ -12,24 +12,35 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "varpois"
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_package():
-    """Invariants raise named exceptions: python -O strips assert."""
+    """Invariants raise named exceptions (field.InvariantViolation): python
+    -O strips assert, and a bare AssertionError names nothing."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Raise) and node.exc is not None
+                      and _raises_assertion_error(node))]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
 
 
-@pytest.mark.parametrize("workload",
-                         ["lenard", "jacobi-cohomology", "difflinalg"])
-def test_benchmark_smoke_verdicts(workload):
-    """One smoke round of each benchmark workload: every verdict checks."""
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(w, t, id=w if t == "0" else f"{w}-traced")
+    for t in ("0", "1") for w in ("lenard", "jacobi-cohomology", "difflinalg")])
+def test_benchmark_smoke_verdicts(workload, trace):
+    """One smoke round of each benchmark workload: every verdict checks.
+    The traced run also fails when a function the benchmark traces is
+    gone (TraceTargetMissing)."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
-         workload, "--size", "smoke", "--seconds", "1", "--trace", "0"],
+         workload, "--size", "smoke", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
