@@ -348,11 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    return _run_args(_PARSER.parse_args(argv))
+
+
+def _run_args(args):
     if args.command is None:
-        ap.print_help()
+        _PARSER.print_help()
         return None, 2
     if args.command not in COMMANDS:
         raise UnknownCommand(args.command)
@@ -374,23 +379,12 @@ def run(argv=None):
 
 
 def main(argv=None) -> int:
-    report, code = run(argv)
+    args = _PARSER.parse_args(argv)
+    report, code = _run_args(args)
     if report is not None:
-        if report and _wants_json(argv):
-            print(report.to_json())
-        else:
-            print(report.to_text())
+        print(report.to_json() if args.format == "json"
+              else report.to_text())
     return code
-
-
-def _wants_json(argv) -> bool:
-    args = argv if argv is not None else sys.argv[1:]
-    for i, a in enumerate(args):
-        if a == "--format" and i + 1 < len(args):
-            return args[i + 1] == "json"
-        if a.startswith("--format="):
-            return a.split("=", 1)[1] == "json"
-    return False
 
 
 if __name__ == "__main__":

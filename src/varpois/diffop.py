@@ -1,7 +1,9 @@
 """Scalar, matrix, and pseudodifferential operators, and differential linear
 algebra over the coefficient field: majorants, leading matrices, row echelon
 form, majorant-preserving reduction, Dieudonne determinants, and a
-rational-ansatz solver for linear differential systems.
+rational-ansatz solver for linear differential systems.  Row reduction over
+F[d] and over the skew field of pseudodifferential operators is one kernel,
+_Elimination.
 
 Operators are sums a_n d^n with coefficients in V (differential polynomials),
 F (quasiconstants), the fraction field of V, or linear forms in unknown
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
@@ -447,13 +450,16 @@ class PseudoDiffOp:
         return cls(field, {0: field.one}, None)
 
     def order(self) -> Optional[int]:
-        if self.coeffs:
-            return max(self.coeffs)
-        if self.floor is not None:
-            return None  # zero up to truncation
-        return None
+        """Largest tracked order; None when no coefficient is left."""
+        return max(self.coeffs) if self.coeffs else None
 
     def is_zero(self) -> bool:
+        """True for the exact zero.  An operator with no coefficient left
+        above its floor is zero only up to truncation: it is neither zero
+        nor usable as a pivot, and raises TruncationExceeded."""
+        if not self.coeffs and self.floor is not None:
+            raise TruncationExceeded(f"operator vanishes only down to order "
+                                     f"{self.floor}")
         return not self.coeffs
 
     def leading_coefficient(self) -> FieldElem:
@@ -648,12 +654,7 @@ class LeadingMatrix:
         return [[c for (c, _) in row] for row in self.entries]
 
     def is_nondegenerate(self, alg_or_field) -> bool:
-        mat = self.coefficient_matrix()
-        if len(mat) != len(mat[0]):
-            raise ShapeMismatch("nondegeneracy is for square matrices")
-        fld = _field_adapter_for(mat, alg_or_field)
-        mat = [[fld.coerce(c) for c in row] for row in mat]
-        return not _dense_det(mat, fld).is_zero()
+        return not _leading_det(self, alg_or_field).is_zero()
 
     def __repr__(self):
         body = ",".join(
@@ -683,65 +684,121 @@ def leading_matrix(M, maj: Majorant) -> LeadingMatrix:
     return LeadingMatrix(rows, maj)
 
 
-# -- coefficient-field adapters ---------------------------------------------------
+def _leading_det(lm: LeadingMatrix, alg_or_field):
+    """Determinant of the coefficient matrix of a square leading matrix."""
+    mat = lm.coefficient_matrix()
+    if len(mat) != len(mat[0]):
+        raise ShapeMismatch("nondegeneracy is for square matrices")
+    field, convert = _coefficient_field([c for row in mat for c in row],
+                                        alg_or_field)
+    return _dense_det([[convert(c) for c in row] for row in mat], field)
 
 
-class _DiffRatField:
-    def __init__(self, alg: DiffAlgebra):
-        self.alg = alg
-        self.one = DiffRat(alg.one)
-        self.zero = DiffRat(alg.zero)
-
-    def coerce(self, v):
-        return DiffRat.of(v, self.alg)
+# -- elimination over operators ----------------------------------------------
 
 
-class _FieldElemField:
-    def __init__(self, field):
-        self.field = field
-        self.one = field.one
-        self.zero = field.zero
-
-    def coerce(self, v):
-        if isinstance(v, FieldElem):
-            return v
-        if isinstance(v, DiffPoly):
-            if not v.is_quasiconstant():
-                raise ValueError("not quasiconstant")
-            return v.quasiconstant_part()
-        return self.field.coerce(v)
-
-
-def _field_adapter_for(mat_entries, alg_or_field):
-    if isinstance(alg_or_field, DiffAlgebra):
-        alg = alg_or_field
-        quasi = True
-        for row in mat_entries:
-            for c in row:
-                if isinstance(c, DiffPoly) and not c.is_quasiconstant():
-                    quasi = False
-                elif isinstance(c, DiffRat):
-                    quasi = False
-        return _FieldElemField(alg.field) if quasi else _DiffRatField(alg)
-    return _FieldElemField(alg_or_field)
+def _coefficient_field(values, alg_or_field):
+    """The field that elimination runs over, by one rule: F when every value
+    is quasiconstant, the fraction field of V (DiffRat) otherwise.  The
+    second argument is the DiffAlgebra, or F itself for pseudodifferential
+    operators.  Returns (field, convert): the one and zero that linsolve
+    needs, and the map of a value into the field."""
+    if all(isinstance(c, FieldElem)
+           or (isinstance(c, DiffPoly) and c.is_quasiconstant())
+           for c in values):
+        field = alg_or_field.field if isinstance(alg_or_field, DiffAlgebra) \
+            else alg_or_field
+        return field, lambda c: c if isinstance(c, FieldElem) \
+            else c.quasiconstant_part()
+    alg = alg_or_field
+    fractions = SimpleNamespace(one=DiffRat(alg.one), zero=DiffRat(alg.zero))
+    return fractions, lambda c: DiffRat.of(c, alg)
 
 
-# -- row echelon form ----------------------------------------------------------------
+def _monomial(like, c, k: int):
+    """c d^k, in the ring of the operator `like`."""
+    if isinstance(like, PseudoDiffOp):
+        return PseudoDiffOp(like.field, {k: c})
+    return ScalarDiffOp(like.alg, {k: c})
 
 
-def _to_field_entries(M: MatDiffOp):
-    """Rewrite entries over a coefficient *field*: FieldElem when the matrix
-    is quasiconstant, the fraction field of V otherwise."""
-    alg = M.alg
-    if M.is_quasiconstant():
-        conv = _FieldElemField(alg.field).coerce
-    else:
-        conv = lambda c: DiffRat.of(c, alg)  # noqa: E731
-    return M.map_entries(lambda e: e.map_coeffs(conv))
+class _Elimination:
+    """Row reduction of an operator matrix over its coefficient field: the
+    Ore ring F[d] (or V's fraction field in place of F) for a MatDiffOp,
+    the skew field of pseudodifferential operators for a MatPseudoOp.
 
+    ``ops`` records each row operation as ("swap", i, j) or ("sub", i, j, P),
+    meaning row_j -= P o row_i, and ``sign`` is -1 to the number of swaps.
+    """
 
-def _op_monomial(alg: DiffAlgebra, c, n: int) -> ScalarDiffOp:
-    return ScalarDiffOp(alg, {n: c})
+    def __init__(self, M):
+        if isinstance(M, MatPseudoOp):
+            self.rows = [list(r) for r in M.rows]
+        else:
+            _, convert = _coefficient_field(
+                [c for r in M.rows for e in r for c in e.coeffs.values()],
+                M.alg)
+            self.rows = [[e.map_coeffs(convert) for e in r] for r in M.rows]
+        self.ops: list = []
+        self.sign = 1
+
+    def swap(self, i: int, j: int):
+        rows = self.rows
+        rows[i], rows[j] = rows[j], rows[i]
+        self.ops.append(("swap", i, j))
+        self.sign = -self.sign
+
+    def sub(self, i: int, j: int, P):
+        rows = self.rows
+        rows[j] = [a - P.compose(b) for a, b in zip(rows[j], rows[i])]
+        self.ops.append(("sub", i, j, P))
+
+    def echelon(self):
+        """Row echelon form in place; zero rows sink to the bottom.
+
+        Over F[d] the pivot is an entry of least order and P is the quotient
+        of leading monomials, (lc_e / lc_p) d^(ord e - ord p), so a column
+        is cleared by repeated steps.  In the skew field every nonzero entry
+        is a unit: the pivot is the first one (keeping the diagonal pivots
+        that majorant_preserving_reduce sets up) and P = e o p^-1 clears an
+        entry in one step.
+        """
+        rows = self.rows
+        m = len(rows)
+        if not m or not rows[0]:
+            return
+        skew = isinstance(rows[0][0], PseudoDiffOp)
+        r = 0
+        for col in range(len(rows[0])):
+            if r >= m:
+                break
+            live = [i for i in range(r, m) if not rows[i][col].is_zero()]
+            if not live:
+                continue
+            while True:
+                piv = live[0] if skew else \
+                    min(live, key=lambda i: rows[i][col].order())
+                if piv != r:
+                    self.swap(r, piv)
+                p = rows[r][col]
+                rest = [i for i in range(r + 1, m)
+                        if not rows[i][col].is_zero()]
+                if not rest:
+                    break
+                if skew:
+                    inv = p.inverse()
+                    for i in rest:
+                        self.sub(r, i, rows[i][col].compose(inv))
+                        # exact e o p^-1 clears e; drop the truncation tail
+                        rows[i][col] = PseudoDiffOp.zero(p.field)
+                else:
+                    q, lc = p.order(), p.leading_coefficient()
+                    for i in rest:
+                        e = rows[i][col]
+                        self.sub(r, i, _monomial(
+                            e, e.leading_coefficient() / lc, e.order() - q))
+                live = [i for i in range(r, m) if not rows[i][col].is_zero()]
+            r += 1
 
 
 def row_echelon(M: MatDiffOp):
@@ -751,45 +808,9 @@ def row_echelon(M: MatDiffOp):
     Zero rows sink to the bottom.  Entries are moved into the coefficient
     field (fraction field of V if entries are not quasiconstant).
     """
-    W = _to_field_entries(M)
-    alg = W.alg
-    rows = [list(r) for r in W.rows]
-    m, n = W.m, W.n
-    ops: list = []
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        ops.append(("swap", i, j))
-
-    def sub(i, j, P: ScalarDiffOp):
-        rows[j] = [rows[j][t] - P.compose(rows[i][t]) for t in range(n)]
-        ops.append(("sub", i, j, P))
-
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        touched = False
-        while True:
-            live = [i for i in range(r, m) if not rows[i][col].is_zero()]
-            if not live:
-                break
-            touched = True
-            piv = min(live, key=lambda i: rows[i][col].order())
-            if piv != r:
-                swap(r, piv)
-            rest = [i for i in range(r + 1, m) if not rows[i][col].is_zero()]
-            if not rest:
-                break
-            for i in rest:
-                entry = rows[i][col]
-                p, q = entry.order(), rows[r][col].order()
-                c = entry.leading_coefficient()
-                lc = rows[r][col].leading_coefficient()
-                sub(r, i, _op_monomial(alg, c / lc, p - q))
-        if touched:
-            r += 1
-    return MatDiffOp(alg, rows), ops
+    elim = _Elimination(M)
+    elim.echelon()
+    return MatDiffOp(M.alg, elim.rows), elim.ops
 
 
 # -- majorant preserving reduction ------------------------------------------------
@@ -805,37 +826,19 @@ def majorant_preserving_reduce(M, maj: Majorant):
     row permutation).
     """
     pseudo = isinstance(M, MatPseudoOp)
-    if pseudo:
-        size = M.m
-        rows = [list(r) for r in M.rows]
-        fld = _FieldElemField(M.field)
-        alg = None
-    else:
-        if not M.is_square():
-            raise ShapeMismatch("reduction is defined for square matrices")
-        size = M.m
-        W = _to_field_entries(M)
-        alg = W.alg
-        rows = [list(r) for r in W.rows]
-        fld = _field_adapter_for([[e.leading_coefficient() for e in r]
-                                  for r in rows], alg)
+    if M.m != M.n:
+        raise ShapeMismatch("reduction is defined for square matrices")
+    size = M.m
     if not leading_matrix(M, maj).is_nondegenerate(
-            M.alg if not pseudo else M.field):
+            M.field if pseudo else M.alg):
         raise DegenerateLeadingMatrix("leading matrix is degenerate")
 
+    elim = _Elimination(M)
     rowperm = sorted(range(size), key=lambda i: -maj.h[i])
-    rows = [rows[i] for i in rowperm]
+    rows = elim.rows = [elim.rows[i] for i in rowperm]
     h = [maj.h[i] for i in rowperm]
     N = list(maj.N)
     colperm = list(range(size))
-
-    def op_mono(c, k):
-        if pseudo:
-            return PseudoDiffOp(M.field, {k: c})
-        return _op_monomial(alg, c, k)
-
-    def subtract(t, i, P):
-        rows[i] = [rows[i][s] - P.compose(rows[t][s]) for s in range(size)]
 
     for m in range(size):
         # clear row m below the pivots of rows 0..m-1, in rounds of
@@ -852,7 +855,7 @@ def majorant_preserving_reduce(M, maj: Majorant):
                     if c.is_zero():
                         continue
                     lc = rows[t][t].coeff(N[t] - h[t])
-                    subtract(t, m, op_mono(c / lc, d))
+                    elim.sub(t, m, _monomial(rows[t][t], c / lc, d))
         # establish the pivot of row m (column swap if needed)
         want = None
         for k in range(m, size):
@@ -869,19 +872,10 @@ def majorant_preserving_reduce(M, maj: Majorant):
             N[m], N[want] = N[want], N[m]
             colperm[m], colperm[want] = colperm[want], colperm[m]
     if pseudo:
-        # kill below-diagonal entries entirely with negative-order operations
-        for j in range(size):
-            for i in range(j + 1, size):
-                e = rows[i][j]
-                if e.is_zero():
-                    continue
-                P = e.compose(rows[j][j].inverse())
-                subtract(j, i, P)
-                rows[i][j] = PseudoDiffOp(M.field, {}, rows[i][j].floor)
-        reduced = MatPseudoOp(M.field, rows)
-    else:
-        reduced = MatDiffOp(alg, rows)
-    return reduced, colperm, rowperm
+        # kill below-diagonal entries entirely; the diagonal pivots stay
+        elim.echelon()
+        return MatPseudoOp(M.field, elim.rows), colperm, rowperm
+    return MatDiffOp(M.alg, rows), colperm, rowperm
 
 
 # -- Dieudonne determinant ---------------------------------------------------------
@@ -930,91 +924,39 @@ def dieudonne_det(M) -> DetValue:
     When a nondegenerate leading matrix exists the value is read off from it;
     otherwise echelon reduction (Dieudonne-invariant) is used.
     """
-    if isinstance(M, MatPseudoOp):
-        size = M.m
-        if size != M.n:
-            raise ShapeMismatch("determinant of a non-square matrix")
-        try:
-            maj = majorant(M)
-            lm = leading_matrix(M, maj)
-            fld = _FieldElemField(M.field)
-            mat = [[fld.coerce(c) for c, _ in row] for row in lm.entries]
-            c = _dense_det(mat, fld)
-            if not c.is_zero():
-                return DetValue(c, sum(maj.N) - sum(maj.h))
-        except DegenerateShape:
-            return DET_ZERO
-        return _pseudo_det_by_elimination(M)
-    if not M.is_square():
+    if M.m != M.n:
         raise ShapeMismatch("determinant of a non-square matrix")
-    if M.is_zero():
-        return DET_ZERO
     try:
         maj = majorant(M)
-        lm = leading_matrix(M, maj)
-        fld = _field_adapter_for(lm.coefficient_matrix(), M.alg)
-        mat = [[fld.coerce(c) for c, _ in row] for row in lm.entries]
-        c = _dense_det(mat, fld)
-        if not c.is_zero():
-            return DetValue(_simplify_coeff(c), sum(maj.N) - sum(maj.h))
     except DegenerateShape:
-        pass
-    # echelon fallback (works whenever the determinant is defined)
-    ech, ops = row_echelon(M)
-    sign = 1
-    for op in ops:
-        if op[0] == "swap":
-            sign = -sign
-    fld = _field_adapter_for([[e.leading_coefficient() for e in r]
-                              for r in ech.rows], M.alg)
-    c = fld.one if sign == 1 else -fld.one
-    d = 0
-    for i in range(ech.m):
-        e = ech.rows[i][i]
-        if e.is_zero():
-            return DET_ZERO
-        c = c * fld.coerce(e.leading_coefficient())
-        d += e.order()
-    return DetValue(_simplify_coeff(c), d)
+        return DET_ZERO
+    c = _leading_det(leading_matrix(M, maj),
+                     M.field if isinstance(M, MatPseudoOp) else M.alg)
+    if not c.is_zero():
+        return DetValue(_simplify_coeff(c), sum(maj.N) - sum(maj.h))
+    return _echelon_det(M)
+
+
+def _echelon_det(M) -> DetValue:
+    """The determinant from elimination: the swap sign times the product of
+    the diagonal leading terms."""
+    elim = _Elimination(M)
+    elim.echelon()
+    diag = [elim.rows[i][i] for i in range(M.m)]
+    if any(e.is_zero() for e in diag):
+        return DET_ZERO
+    c = diag[0].leading_coefficient()
+    if elim.sign < 0:
+        c = -c
+    for e in diag[1:]:
+        c = c * e.leading_coefficient()
+    return DetValue(_simplify_coeff(c), sum(e.order() for e in diag))
 
 
 def _simplify_coeff(c):
     if isinstance(c, DiffRat) and c.den == c.alg.one and c.num.is_quasiconstant():
         return c.num.quasiconstant_part()
     return c
-
-
-def _pseudo_det_by_elimination(M: MatPseudoOp) -> DetValue:
-    """Gauss elimination in the pseudodifferential skewfield; exact kills via
-    truncated inverses keep the diagonal leading data exact."""
-    size = M.m
-    rows = [list(r) for r in M.rows]
-    sign = 1
-    for col in range(size):
-        piv = next((i for i in range(col, size)
-                    if rows[i][col].order() is not None), None)
-        if piv is None:
-            return DET_ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        inv = rows[col][col].inverse()
-        for i in range(col + 1, size):
-            if rows[i][col].order() is None:
-                continue
-            P = rows[i][col].compose(inv)
-            rows[i] = [rows[i][t] - P.compose(rows[col][t])
-                       for t in range(size)]
-            rows[i][col] = PseudoDiffOp(M.field, {}, rows[i][col].floor)
-    c = M.field.one if sign == 1 else -M.field.one
-    d = 0
-    for i in range(size):
-        e = rows[i][i]
-        if e.order() is None:
-            return DET_ZERO
-        c = c * e.leading_coefficient()
-        d += e.order()
-    return DetValue(c, d)
 
 
 def kernel_dim_bound(M: MatDiffOp):

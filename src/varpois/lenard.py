@@ -18,8 +18,8 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
 from .diffop import NotSkewadjoint
 from .field import InvariantViolation
 from .linsolve import matrix_inverse
-from .pva import (LambdaBracketStruct, check_compatible, check_jacobi,
-                  check_skewadjoint)
+from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
+                  check_jacobi, check_skewadjoint)
 
 
 class NoPreimage(Exception):
@@ -209,19 +209,20 @@ def run_hierarchy(H: LambdaBracketStruct, K: LambdaBracketStruct,
     """Run the recursion for `steps` new densities from the seed.
 
     With verify_pair the Hamiltonian/compatibility preconditions are checked
-    first.  Obstructions propagate as NoPreimage / NotExact with the residual
-    witness attached; densities accepted so far stay in the state.
+    first; a failure raises NotPoisson carrying the witness.  Obstructions
+    propagate as NoPreimage / NotExact with the residual witness attached;
+    densities accepted so far stay in the state.
     """
     if verify_pair:
         ok_h, wit = check_jacobi(H)
         if not ok_h:
-            raise ValueError(f"H is not Poisson; witness triple {wit[0]}")
+            raise NotPoisson(f"H is not Poisson; witness triple {wit[0]}", wit)
         ok_k, wit = check_jacobi(K)
         if not ok_k:
-            raise ValueError(f"K is not Poisson; witness triple {wit[0]}")
+            raise NotPoisson(f"K is not Poisson; witness triple {wit[0]}", wit)
         ok_c, wit = check_compatible(H, K)
         if not ok_c:
-            raise ValueError(f"pair is not compatible; witness {wit[0]}")
+            raise NotPoisson(f"pair is not compatible; witness {wit[0]}", wit)
     state = HierarchyState(H, K, [seed])
     for _ in range(steps):
         lenard_step(state)

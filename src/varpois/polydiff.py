@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -280,14 +279,11 @@ def _sorted_desc(t: Sequence[int]) -> tuple:
 class CCoeffTable:
     """Coefficients rewriting lam_0^{n_0}..lam_k^{n_k} over monomials whose
     two largest exponents differ by exactly one (times powers of d,
-    possibly negative), under lam_0 = -lam_1 - ... - lam_k - d.
-
-    The memo is a shared cache; a reentrant lock keeps it safe to query
-    from several threads."""
+    possibly negative), under lam_0 = -lam_1 - ... - lam_k - d.  Values are
+    memoized per table, with no lock: the package starts no threads."""
 
     def __init__(self):
         self.memo: dict = {}
-        self._lock = threading.RLock()
 
     def get(self, n: tuple, m: tuple) -> int:
         n, m = tuple(n), tuple(m)
@@ -295,8 +291,7 @@ class CCoeffTable:
         if len(mu) < 2 or mu[0] - mu[1] != 1:
             raise BadSupport("target tuple must have top exponents "
                              "differing by one")
-        with self._lock:
-            return self._c(n, m)
+        return self._c(n, m)
 
     def _c(self, n: tuple, m: tuple) -> int:
         key = (n, m)
@@ -329,25 +324,23 @@ class CCoeffTable:
         k1 = len(n)
         nu0 = max(n)
         out = []
-        with self._lock:
-            for m in itertools.product(range(nu0 + 2), repeat=k1):
-                mu = _sorted_desc(m)
-                if mu[0] - mu[1] != 1:
-                    continue
-                c = self._c(tuple(n), tuple(m))
-                if c:
-                    out.append((c, m, sum(n) - sum(m)))
+        for m in itertools.product(range(nu0 + 2), repeat=k1):
+            mu = _sorted_desc(m)
+            if mu[0] - mu[1] != 1:
+                continue
+            c = self._c(tuple(n), tuple(m))
+            if c:
+                out.append((c, m, sum(n) - sum(m)))
         return out
 
 
 class BCoeffTable:
     """Coefficients rewriting lam^n over monomials whose top exponents differ
-    by zero or one, with nonnegative powers of d.  Shares the locking
-    discipline of the c-table."""
+    by zero or one, with nonnegative powers of d.  Values are memoized per
+    table, with no lock, as in the c-table."""
 
     def __init__(self):
         self.memo: dict = {}
-        self._lock = threading.RLock()
 
     def get(self, n: tuple, m: tuple) -> int:
         n, m = tuple(n), tuple(m)
@@ -355,8 +348,7 @@ class BCoeffTable:
         if len(mu) < 2 or mu[0] - mu[1] not in (0, 1):
             raise BadSupport("target tuple must have top exponents "
                              "differing by zero or one")
-        with self._lock:
-            return self._b(n, m)
+        return self._b(n, m)
 
     def _b(self, n: tuple, m: tuple) -> int:
         key = (n, m)
@@ -382,16 +374,15 @@ class BCoeffTable:
         k1 = len(n)
         nu0 = max(n)
         out = []
-        with self._lock:
-            for m in itertools.product(range(nu0 + 1), repeat=k1):
-                mu = _sorted_desc(m)
-                if mu[0] - mu[1] not in (0, 1):
-                    continue
-                if sum(n) - sum(m) < 0:
-                    continue
-                c = self._b(tuple(n), tuple(m))
-                if c:
-                    out.append((c, m, sum(n) - sum(m)))
+        for m in itertools.product(range(nu0 + 1), repeat=k1):
+            mu = _sorted_desc(m)
+            if mu[0] - mu[1] not in (0, 1):
+                continue
+            if sum(n) - sum(m) < 0:
+                continue
+            c = self._b(tuple(n), tuple(m))
+            if c:
+                out.append((c, m, sum(n) - sum(m)))
         return out
 
 

@@ -23,7 +23,12 @@ from .lambdapoly import (LambdaPoly, affine_pow_apply, affine_pow_on,
 
 
 class NotPoisson(Exception):
-    pass
+    """A structure fails the Jacobi identity, or a pair is not compatible;
+    ``witness`` is the failing (triple, residual) when one is known."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class LambdaBracketStruct:

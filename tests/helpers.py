@@ -9,7 +9,7 @@ from varpois import (DiffAlgebra, FieldElem, LambdaPoly, LocalFunctional,
                      MatDiffOp, ScalarDiffOp, SkewArray, ev_commutator,
                      hamiltonian_vf, lambda_bracket, poisson_bracket,
                      rational_antiderivative, variational_derivative)
-from varpois.diffop import _to_field_entries
+from varpois.diffop import _Elimination
 from varpois.lambdapoly import subst_slot_neg
 from varpois.polydiff import _tau_action
 
@@ -150,8 +150,7 @@ def total_skewsymmetrize_shortcut(P):
 
 def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
     """Replay recorded elementary row operations on (a field-entry copy of) M."""
-    W = _to_field_entries(M)
-    rows = [list(r) for r in W.rows]
+    rows = _Elimination(M).rows
     for op in ops:
         if op[0] == "swap":
             _, i, j = op
@@ -160,7 +159,7 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
             _, i, j, P = op
             rows[j] = [rows[j][t] - P.compose(rows[i][t])
                        for t in range(len(rows[j]))]
-    return MatDiffOp(W.alg, rows)
+    return MatDiffOp(M.alg, rows)
 
 
 def commuting_flows(state) -> bool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from varpois.cli import run
+from varpois.cli import main, run
 
 SESSION = """\
 vars 1
@@ -140,3 +140,58 @@ def test_seed_file(session_file, tmp_path):
     body, code = _run(["--session", session_file, "--seed-file", str(seed),
                        "lenard", "--H", "H", "--K", "K", "--steps", "1"])
     assert code == 0
+
+
+# Exact report text (without the timing line) of det and echelon: the
+# determinant is a Dieudonne invariant, and the echelon pivot rule (least
+# order, first row among ties) fixes the matrix and the operation count.
+PINNED_REPORTS = [
+    ("det", "[[1, a],[d, a*d]]", "[[1, u],[d, u*d]]",
+     'det: ok  {"c": "-u\'", "degree": 0}'),
+    ("echelon", "[[1, a],[d, a*d]]", "[[1, u],[d, u*d]]",
+     'echelon: ok  {"matrix": "[[1, u],[0, -u\']]", "operations": 1}'),
+    ("det", "[[d, 1],[1, d]]", "[[d, 1],[1, d]]",
+     'det: ok  {"c": "1", "degree": 2}'),
+    ("echelon", "[[d, 1],[1, d]]", "[[d, 1],[1, d]]",
+     'echelon: ok  {"matrix": "[[1, d],[0, -d^2 + 1]]", "operations": 2}'),
+    ("det", "[[x*d^2 + 1, u],[d, d^2 + c]]", "[[x*d^2 + 1, u],[d, d^2 + c]]",
+     'det: ok  {"c": "x", "degree": 4}'),
+    ("echelon", "[[x*d^2 + 1, u],[d, d^2 + c]]",
+     "[[x*d^2 + 1, u],[d, d^2 + c]]",
+     'echelon: ok  {"matrix": "[[1, -x*d^3 + -x*c*d + u],[0, x*d^4 + d^3 + '
+     '((x*c + 1))*d^2 + (-u + c)*d + (-u\' + c)]]", "operations": 4}'),
+    ("det", "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
+     "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
+     'det: ok  {"c": "1", "degree": 6}'),
+    ("echelon", "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
+     "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
+     'echelon: ok  {"matrix": "[[1, d, c],[0, 1, ((-1)/x)*d^5 + '
+     '(1/x^2)*d^4 + d^3 + (c/x)*d + ((-x^3*c + x^2 - c)/x^2)],[0, 0, -d^6 '
+     '+ (3/x)*d^5 + ((x^3 - 3)/x^2)*d^4 + c*d^2 + ((-x^3*c + x^2 - 3*c)/x)'
+     '*d + ((-x^3*c - x^2 + 3*c)/x^2)]]", "operations": 10}'),
+]
+
+
+@pytest.mark.parametrize("command, M, shown, line", PINNED_REPORTS)
+def test_det_and_echelon_reports_pinned(session_file, command, M, shown,
+                                        line):
+    report, code = run(["--session", session_file, command, "--M", M])
+    assert code == 0
+    assert report.to_text().splitlines()[:-1] == \
+        [f"command: {command}", f"input M: {shown}", line]
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format=json"],
+                                 []])
+def test_main_output_format(session_file, capsys, fmt):
+    """main prints JSON for either spelling of --format json, text by
+    default."""
+    code = main(["--session", session_file, *fmt, "det",
+                 "--M", "[[1, a],[d, a*d]]"])
+    out = capsys.readouterr().out
+    assert code == 0
+    if fmt:
+        doc = json.loads(out)
+        assert doc["command"] == "det" and "timing_ms" in doc
+    else:
+        assert out.startswith("command: det\ninput M: [[1, u],[d, u*d]]\n")

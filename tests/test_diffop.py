@@ -3,25 +3,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      InvariantViolation, LinForm, Majorant, MatDiffOp,
                      MatPseudoOp, NoRationalSolution, NotAMajorant,
                      NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
-                     canonical_forms, dieudonne_det, kernel_dim_bound,
-                     leading_matrix, majorant, majorant_preserving_reduce,
-                     row_echelon, selfadjoint_product_space,
-                     skewadjoint_decompose, solve_rational)
-from varpois.diffop import (DET_ZERO, INFINITE, default_degree_bound,
-                            linform_equations, solve_linform_system)
+                     TruncationExceeded, canonical_forms, dieudonne_det,
+                     kernel_dim_bound, leading_matrix, majorant,
+                     majorant_preserving_reduce, row_echelon,
+                     selfadjoint_product_space, skewadjoint_decompose,
+                     solve_rational)
+from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _echelon_det,
+                            default_degree_bound, linform_equations,
+                            solve_linform_system)
 
-from helpers import (apply_row_ops, rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
-                     skewadjoint_op)
+from helpers import (apply_row_ops, field_elems, rnd_diffpoly, rnd_mat_op,
+                     rnd_scalar_op, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
 ONE = ScalarDiffOp.identity(ALG)
 ZERO = ScalarDiffOp.zero(ALG)
+U = ALG.jet(1)
 
 
 def u_op():
@@ -413,3 +418,74 @@ def test_pseudo_ops():
 def test_default_degree_bound():
     M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2)]])
     assert default_degree_bound(M) == 2 * 2 + 4
+
+
+@st.composite
+def op_matrices(draw, with_x=False, jets=False):
+    """A 2x2 MatDiffOp of order <= 2 over ALG with coefficients in F
+    (constants in c unless with_x).  With jets the order-0 coefficients
+    may also carry u; richer jets make elimination over V's fraction field
+    swell to minutes."""
+    def coeff(n):
+        c = ALG.from_scalar(draw(field_elems(ALG.field, with_x)))
+        if jets and n == 0 and draw(st.booleans()):
+            c = c + ALG.from_scalar(draw(field_elems(ALG.field, False))) * U
+        return c
+    return MatDiffOp(ALG, [[ScalarDiffOp(ALG, {n: coeff(n) for n in range(3)
+                                               if draw(st.booleans())})
+                            for _ in range(2)] for _ in range(2)])
+
+
+def pseudo(F, coeffs: dict) -> PseudoDiffOp:
+    return PseudoDiffOp(F, {n: F.rational(v) for n, v in coeffs.items()})
+
+
+def test_pseudo_det_zero_only_up_to_truncation():
+    """det [[d^10, 1], [1, d^-10 + d^-30]] = d^-20, but d^-30 lies below
+    the tracked depth of the inverse of d^10, so the Schur complement
+    vanishes only up to truncation: elimination gives up instead of
+    reporting a zero determinant.  The same shape at depth 3 is exact."""
+    F = ALG.field
+    M = MatPseudoOp(F, [[pseudo(F, {10: 1}), pseudo(F, {0: 1})],
+                        [pseudo(F, {0: 1}), pseudo(F, {-10: 1, -30: 1})]])
+    with pytest.raises(TruncationExceeded):
+        dieudonne_det(M)
+    M = MatPseudoOp(F, [[pseudo(F, {1: 1}), pseudo(F, {0: 1})],
+                        [pseudo(F, {0: 1}), pseudo(F, {-1: 1, -3: 1})]])
+    assert dieudonne_det(M) == DetValue(F.one, -2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(op_matrices(), st.dictionaries(st.integers(1, 2),
+                                      field_elems(ALG.field, False),
+                                      min_size=1))
+def test_dieudonne_det_differential_equals_pseudo(M, shear):
+    """The determinant of M in F[d] and in the skew field agree, for M and
+    for M with row 1 += P o row 0 (P of order 1 or 2, so that the leading
+    matrix is most often degenerate and elimination runs).  The skew path
+    tracks finitely many coefficients, so it may give up
+    (TruncationExceeded), but only where the determinant is zero: a
+    nonzero Schur complement here has order >= -2, far above the depth."""
+    P = ScalarDiffOp(ALG, {n: ALG.from_scalar(c) for n, c in shear.items()})
+    S = MatDiffOp(ALG, [M.rows[0], [a + P.compose(b)
+                                    for a, b in zip(M.rows[1], M.rows[0])]])
+    assert dieudonne_det(S) == dieudonne_det(M)
+    for A in (M, S):
+        det = dieudonne_det(A)
+        try:
+            assert dieudonne_det(MatPseudoOp.from_mat_diff_op(A)) == det
+        except TruncationExceeded:
+            assert det.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(op_matrices(with_x=True), op_matrices(jets=True)))
+def test_echelon_det_equals_leading_matrix_det(M):
+    """With a nondegenerate leading matrix, the sign and diagonal of the
+    elimination give the determinant read off the leading matrix."""
+    try:
+        maj = majorant(M)
+    except DegenerateShape:
+        assume(False)
+    assume(leading_matrix(M, maj).is_nondegenerate(ALG))
+    assert _echelon_det(M) == dieudonne_det(M)

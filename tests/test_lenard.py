@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      LambdaBracketStruct, LocalFunctional, MatDiffOp,
-                     NoPreimage, NotSkewadjoint, ScalarDiffOp, UnsupportedK,
-                     functional_eq, gfz_structure, hamiltonian_vf,
-                     magri_structure, run_hierarchy, variational_derivative,
-                     verify_involution)
+                     NoPreimage, NotPoisson, NotSkewadjoint, ScalarDiffOp,
+                     UnsupportedK, functional_eq, gfz_structure,
+                     hamiltonian_vf, magri_structure, run_hierarchy,
+                     variational_derivative, verify_involution)
 from varpois.lenard import lenard_step
 
 from helpers import commuting_flows, diffpolys, involution_matrix_reference
@@ -114,8 +114,10 @@ def test_incompatible_pair_rejected():
     bad = LambdaBracketStruct.from_scalar_op(
         ScalarDiffOp(ALG, {1: U.derive(),
                            0: ALG.jet(1, 2).scale(ALG.field.rational(1, 2))}))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPoisson) as err:
         run_hierarchy(bad, K, LocalFunctional(U * U / 2), 1)
+    triple, residual = err.value.witness
+    assert triple == (1, 1, 1) and not residual.is_zero()
 
 
 def test_involution_matches_all_pairs(kdv_state):
