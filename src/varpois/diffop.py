@@ -535,8 +535,12 @@ class PseudoDiffOp:
         N = self.order()
         if N is None:
             raise ZeroDivisionError("inverse of (truncation of) zero")
-        depth = max(depth, _DEFAULT_PSEUDO_DEPTH)
         lead = self.coeffs[N]
+        if (self.floor is None and len(self.coeffs) == 1
+                and lead.derive().is_zero()):
+            # c d^N with c' = 0: d^N o c^-1 = c^-1 d^N, so c^-1 d^-N is exact
+            return PseudoDiffOp(self.field, {-N: self.field.one / lead})
+        depth = max(depth, _DEFAULT_PSEUDO_DEPTH)
         inv = PseudoDiffOp(self.field, {-N: self.field.one / lead},
                            -N - depth)
         one = PseudoDiffOp.identity(self.field)

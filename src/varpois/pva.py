@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, frechet,
                       variational_derivative)
-from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp
+from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch
 from .lambdapoly import (LambdaPoly, affine_pow_apply, affine_pow_on,
                          symbol_act)
 
@@ -37,8 +37,10 @@ class LambdaBracketStruct:
     __slots__ = ("op",)
 
     def __init__(self, op: MatDiffOp):
-        if not op.is_square():
-            raise ValueError("bracket operators are square")
+        size = op.alg.nvars
+        if (op.m, op.n) != (size, size):
+            raise ShapeMismatch(f"a bracket on {size} variables needs a "
+                                f"{size}x{size} operator, got {op.m}x{op.n}")
         self.op = op
 
     @property
@@ -130,41 +132,63 @@ def jacobi_residual(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly,
     return t1 - t2 - t3
 
 
+def _compatibility_terms(first: LambdaBracketStruct,
+                         second: LambdaBracketStruct, f: DiffPoly,
+                         g: DiffPoly, h: DiffPoly) -> LambdaPoly:
+    """The three mixed Jacobi terms with `first` inside and `second` outside:
+    {{f_lam g}_(lam+mu) h} - {f_lam {g_mu h}} + {g_mu {f_lam h}}."""
+    t1 = _bracket_into_poly(lambda_bracket(g, h, first), second, f)
+    t2 = _bracket_into_poly(lambda_bracket(f, h, first), second,
+                            g).compose_vars((1, 0))
+    q = lambda_bracket(f, g, first)
+    t3 = LambdaPoly.zero(first.alg, 2)
+    for (t,), coeff in q.terms.items():
+        r = lambda_bracket(coeff, h, second)
+        t3 = t3 + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
+    return t3 - t1 + t2
+
+
 def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,
                            f: DiffPoly, g: DiffPoly,
                            h: DiffPoly) -> LambdaPoly:
     """The six-term mixed Jacobi expression whose vanishing on generators
     makes H + K a Poisson structure when H and K are."""
-    alg = H.alg
-    out = LambdaPoly.zero(alg, 2)
-    for first, second in ((H, K), (K, H)):
-        inner_gh = lambda_bracket(g, h, first)
-        t1 = _bracket_into_poly(inner_gh, second, f)
-        inner_fh = lambda_bracket(f, h, first)
-        t2 = _bracket_into_poly(inner_fh, second, g).compose_vars((1, 0))
-        q = lambda_bracket(f, g, first)
-        t3 = LambdaPoly.zero(alg, 2)
-        for (t,), coeff in q.terms.items():
-            r = lambda_bracket(coeff, h, second)
-            t3 = t3 + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
-        out = out + t3 - t1 + t2
-    return out
+    return (_compatibility_terms(H, K, f, g, h)
+            + _compatibility_terms(K, H, f, g, h))
 
 
 def check_skewadjoint(H: LambdaBracketStruct) -> bool:
     return (H.op.adjoint() + H.op).is_zero()
 
 
+# The master formula differentiates only by the u_j^(n), so a bracket with an
+# element of F on either side is zero.  A quasiconstant operator has its
+# generator brackets in F[lam]: every generator term in which it is the inner
+# bracket vanishes.  The checks below skip those terms.
+
+
 def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
     """True iff the Jacobi identity holds on all generator triples.
 
-    Returns (ok, witness); witness is None or (triple, residual).
+    Returns (ok, witness); witness is None or (triple, residual).  A
+    quasiconstant H is Poisson without a residual, skewadjoint or not.
     """
     if require_skew and not check_skewadjoint(H):
         raise NotSkewadjoint("bracket operator is not skewadjoint")
+    if H.op.is_quasiconstant():
+        return True, None
+    # With H* = -H the bracket is skewsymmetric, {b_mu a} = -{a_(-mu-d) b}.
+    # Write J(a,b,c)(lam,mu) = {a_lam {b_mu c}} - {b_mu {a_lam c}}
+    # - {{a_lam b}_(lam+mu) c} and {a_nu b} = sum_t q_t nu^t.  Then
+    # {b_mu a} = -sum_t (-mu-d)^t q_t, and d acts as -(lam+mu) in the outer
+    # bracket, so {{b_mu a}_(lam+mu) c} = -sum_t lam^t {q_t_(lam+mu) c}
+    # = -{{a_lam b}_(lam+mu) c}.  The other two terms swap, hence
+    # J(b,a,c)(mu,lam) = -J(a,b,c)(lam,mu): (b,a,c) fails iff (a,b,c) does,
+    # and the full loop meets (a,b,c) first, so the triples with a <= b give
+    # the same verdict and the same first witness.
     alg = H.alg
     for a in range(1, H.nvars + 1):
-        for b in range(1, H.nvars + 1):
+        for b in range(a if require_skew else 1, H.nvars + 1):
             for c in range(1, H.nvars + 1):
                 res = jacobi_residual(H, alg.jet(a), alg.jet(b), alg.jet(c))
                 if not res.is_zero():
@@ -174,13 +198,19 @@ def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
 
 def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
     """True iff the mixed triple expression vanishes on all generator
-    triples; returns (ok, witness)."""
+    triples; returns (ok, witness).  Only the terms whose inner operator is
+    not quasiconstant are computed: two quasiconstant operators are
+    compatible outright."""
+    orders = [(first, second) for first, second in ((H, K), (K, H))
+              if not first.op.is_quasiconstant()]
     alg = H.alg
     for a in range(1, H.nvars + 1):
         for b in range(1, H.nvars + 1):
             for c in range(1, H.nvars + 1):
-                res = compatibility_residual(H, K, alg.jet(a), alg.jet(b),
-                                             alg.jet(c))
+                f, g, h = alg.jet(a), alg.jet(b), alg.jet(c)
+                res = sum((_compatibility_terms(first, second, f, g, h)
+                           for first, second in orders),
+                          LambdaPoly.zero(alg, 2))
                 if not res.is_zero():
                     return False, ((a, b, c), res)
     return True, None

@@ -1,5 +1,6 @@
 """Shared builders and seeded random generators for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, FieldElem, LambdaPoly, LocalFunctional,
                      MatDiffOp, ScalarDiffOp, SkewArray, ev_commutator,
-                     hamiltonian_vf, lambda_bracket, poisson_bracket,
-                     rational_antiderivative, variational_derivative)
+                     hamiltonian_vf, jacobi_residual, lambda_bracket,
+                     poisson_bracket, rational_antiderivative,
+                     variational_derivative)
 from varpois.diffop import _Elimination
 from varpois.lambdapoly import subst_slot_neg
 from varpois.polydiff import _tau_action
+from varpois.pva import compatibility_residual
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -62,7 +65,6 @@ def rnd_mat_op(rng: random.Random, alg: DiffAlgebra, size=2, max_order=2,
 
 def rnd_lambda_poly(rng: random.Random, alg: DiffAlgebra, k: int,
                     max_deg=2, max_order=2):
-    import itertools
     L = LambdaPoly.zero(alg, k)
     for e in itertools.product(range(max_deg + 1), repeat=k):
         if rng.random() < 0.4:
@@ -74,7 +76,6 @@ def rnd_lambda_poly(rng: random.Random, alg: DiffAlgebra, k: int,
 
 def rnd_skew_array(rng: random.Random, alg: DiffAlgebra, k: int,
                    max_deg=2, max_order=2) -> SkewArray:
-    import itertools
     out = SkewArray(alg, k)
     for idx in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), k):
@@ -138,6 +139,30 @@ def skewsymmetry_residual(H, f, g) -> LambdaPoly:
     lhs = lambda_bracket(g, f, H)
     rhs = subst_slot_neg(lambda_bracket(f, g, H), 0, (0,), drop=False)
     return lhs + rhs
+
+
+def _first_failing_triple(nvars, residual):
+    for triple in itertools.product(range(1, nvars + 1), repeat=3):
+        res = residual(triple)
+        if not res.is_zero():
+            return False, (triple, res)
+    return True, None
+
+
+def jacobi_all_triples(H):
+    """check_jacobi without its shortcuts: the Jacobi residual of every
+    generator triple in order; (ok, witness) as check_jacobi returns it."""
+    jet = H.alg.jet
+    return _first_failing_triple(H.nvars, lambda t: jacobi_residual(
+        H, jet(t[0]), jet(t[1]), jet(t[2])))
+
+
+def compatible_all_terms(H, K):
+    """check_compatible without its shortcuts: the six-term residual of
+    every generator triple in order."""
+    jet = H.alg.jet
+    return _first_failing_triple(H.nvars, lambda t: compatibility_residual(
+        H, K, jet(t[0]), jet(t[1]), jet(t[2])))
 
 
 def total_skewsymmetrize_shortcut(P):

@@ -441,18 +441,46 @@ def pseudo(F, coeffs: dict) -> PseudoDiffOp:
 
 
 def test_pseudo_det_zero_only_up_to_truncation():
-    """det [[d^10, 1], [1, d^-10 + d^-30]] = d^-20, but d^-30 lies below
-    the tracked depth of the inverse of d^10, so the Schur complement
-    vanishes only up to truncation: elimination gives up instead of
-    reporting a zero determinant.  The same shape at depth 3 is exact."""
+    """det [[x d^10, 1], [1, q]] with q = (x d^10)^-1 + d^-30 is x d^-20,
+    but the inverse of x d^10 is a series tracked only down to d^-23, so
+    the Schur complement vanishes only up to truncation: elimination gives
+    up instead of reporting a zero determinant.  The inverse of the
+    constant d^10 is exact, so the same shape with pivot d^10 gives d^-20,
+    and so does the shape at depth 3."""
     F = ALG.field
-    M = MatPseudoOp(F, [[pseudo(F, {10: 1}), pseudo(F, {0: 1})],
-                        [pseudo(F, {0: 1}), pseudo(F, {-10: 1, -30: 1})]])
+    pivot = PseudoDiffOp(F, {10: F.x})
+    q = PseudoDiffOp(F, dict(pivot.inverse().coeffs)) + pseudo(F, {-30: 1})
+    M = MatPseudoOp(F, [[pivot, pseudo(F, {0: 1})], [pseudo(F, {0: 1}), q]])
     with pytest.raises(TruncationExceeded):
         dieudonne_det(M)
+    M = MatPseudoOp(F, [[pseudo(F, {10: 1}), pseudo(F, {0: 1})],
+                        [pseudo(F, {0: 1}), pseudo(F, {-10: 1, -30: 1})]])
+    assert dieudonne_det(M) == DetValue(F.one, -20)
     M = MatPseudoOp(F, [[pseudo(F, {1: 1}), pseudo(F, {0: 1})],
                         [pseudo(F, {0: 1}), pseudo(F, {-1: 1, -3: 1})]])
     assert dieudonne_det(M) == DetValue(F.one, -2)
+
+
+def test_inverse_of_constant_monomial_is_exact():
+    """c d^N with c' = 0 inverts to c^-1 d^-N with no truncation floor;
+    x d still inverts to a truncated series."""
+    F = ALG.field
+    c = F.param("c")
+    for op, inv in ((pseudo(F, {2: 3}), {-2: F.rational(Fraction(1, 3))}),
+                    (PseudoDiffOp(F, {-1: c}), {1: F.one / c})):
+        assert op.inverse().floor is None and op.inverse().coeffs == inv
+        one = op.compose(op.inverse())
+        assert one.floor is None and one.coeffs == {0: F.one}
+    assert PseudoDiffOp(F, {1: F.x}).inverse().floor is not None
+    assert pseudo(F, {1: 1, 0: 1}).inverse().floor is not None
+
+
+def test_pseudo_det_of_singular_constant_matrix_is_zero():
+    """[[d, d], [d, d]] is singular: its Schur complement d - d o d^-1 o d
+    is exactly zero, so the skew-field determinant is 0 as in F[d]."""
+    M = MatDiffOp(ALG, [[D, D], [D, D]])
+    assert dieudonne_det(M) == DET_ZERO
+    assert dieudonne_det(MatPseudoOp.from_mat_diff_op(M)) == DET_ZERO
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,22 +2,63 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
                      LocalFunctional, MatDiffOp, NotSkewadjoint, ScalarDiffOp,
-                     ad_field_on_operator, check_compatible, check_jacobi,
-                     check_skewadjoint, ev_apply, ev_commutator, frechet,
-                     functional_eq, gfz_structure, hamiltonian_vf,
+                     ShapeMismatch, ad_field_on_operator, check_compatible,
+                     check_jacobi, check_skewadjoint, ev_apply, ev_commutator,
+                     frechet, functional_eq, gfz_structure, hamiltonian_vf,
                      jacobi_residual, lambda_bracket, magri_structure,
                      poisson_bracket)
 from varpois.lambdapoly import LambdaPoly
 
-from helpers import rnd_diffpoly, skewsymmetry_residual
+from helpers import (compatible_all_terms, jacobi_all_triples, rnd_diffpoly,
+                     rnd_mat_op, rnd_scalar_op, skewsymmetry_residual)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
 GFZ = gfz_structure(ALG)
 MAGRI = magri_structure(ALG)
+ALG2 = DiffAlgebra(2)
+U1, U2 = ALG2.jet(1), ALG2.jet(2)
+
+
+def _vir_heis_op(alg):
+    """{u1_lam u1} = (d + 2 lam) u1 + lam^3, {u1_lam u2} = (d + lam) u2,
+    {u2_lam u2} = 3 lam: Virasoro acting on a current, a u-dependent
+    Poisson structure on two variables."""
+    u1, u2 = alg.jet(1), alg.jet(2)
+    three = alg.from_scalar(alg.field.rational(3))
+    return MatDiffOp(alg, [
+        [ScalarDiffOp(alg, {0: u1.derive(), 1: u1 * 2, 3: alg.one}),
+         ScalarDiffOp(alg, {1: u2})],
+        [ScalarDiffOp(alg, {0: u2.derive(), 1: u2}),
+         ScalarDiffOp(alg, {1: three})]])
+
+
+VIR_HEIS = LambdaBracketStruct(_vir_heis_op(ALG2))
+
+
+@st.composite
+def skew_brackets(draw, alg):
+    """M - M* for a random M of order <= 2: quasiconstant, u-dependent, or
+    (two variables) the Virasoro-current structure plus such a term in one
+    entry, so that the first failing triple varies."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(
+        ["quasiconstant", "jets"] + (["perturbed"] if alg.nvars > 1 else [])))
+    order = draw(st.integers(1, 2))
+    if kind != "perturbed":
+        M = rnd_mat_op(rng, alg, alg.nvars, order,
+                       quasiconstant=kind == "quasiconstant")
+        return LambdaBracketStruct(M - M.adjoint())
+    rows = [[ScalarDiffOp.zero(alg)] * alg.nvars for _ in range(alg.nvars)]
+    i, j = rng.randrange(alg.nvars), rng.randrange(alg.nvars)
+    rows[i][j] = rnd_scalar_op(rng, alg, order, quasiconstant=False)
+    N = MatDiffOp(alg, rows)
+    return LambdaBracketStruct(_vir_heis_op(alg) + N - N.adjoint())
 
 
 def test_bracket_on_generators():
@@ -110,6 +151,91 @@ def test_compatibility():
     d3 = LambdaBracketStruct.from_scalar_op(ScalarDiffOp.d(ALG, 3))
     ok, _ = check_compatible(GFZ, d3)
     assert ok
+    assert compatible_all_terms(GFZ, d3) == (True, None)
+
+
+def test_jacobi_antisymmetric_in_first_two_generators():
+    """For skewadjoint H, J(b, a, c)(mu, lam) = -J(a, b, c)(lam, mu), so
+    check_jacobi visits only the triples with a <= b."""
+    rng = random.Random(17)
+    perturb = rnd_mat_op(rng, ALG2, 2, 2, quasiconstant=False)
+    for op in (_vir_heis_op(ALG2), perturb - perturb.adjoint(),
+               _vir_heis_op(ALG2) + perturb - perturb.adjoint()):
+        H = LambdaBracketStruct(op)
+        for c in (1, 2):
+            forward = jacobi_residual(H, U1, U2, ALG2.jet(c))
+            swapped = jacobi_residual(H, U2, U1, ALG2.jet(c))
+            assert swapped.compose_vars((1, 0)) == -forward
+
+
+def test_jacobi_failure_witness_two_components():
+    """The Virasoro-current structure with u1 u2 d + d u1 u2 added to its
+    (2, 2) entry fails first on (1, 2, 2): the shortcut reports the triple
+    and residual of the all-triples loop."""
+    assert check_jacobi(VIR_HEIS) == (True, None)
+    rows = [[ScalarDiffOp.zero(ALG2)] * 2 for _ in range(2)]
+    rows[1][1] = ScalarDiffOp(ALG2, {1: U1 * U2})
+    N = MatDiffOp(ALG2, rows)
+    bad = LambdaBracketStruct(_vir_heis_op(ALG2) + N - N.adjoint())
+    ok, wit = check_jacobi(bad)
+    assert not ok and wit[0] == (1, 2, 2)
+    assert (ok, wit) == jacobi_all_triples(bad)
+
+
+def test_jacobi_without_skew_visits_all_triples():
+    """Without skewadjointness J(b, a, c) is not tied to J(a, b, c): the
+    Virasoro-current operator with its (1, 2) entry dropped first fails on
+    (2, 1, 2), which require_skew=False (d_K's call) must still reach."""
+    rows = _vir_heis_op(ALG2).rows
+    rows[0][1] = ScalarDiffOp.zero(ALG2)
+    H = LambdaBracketStruct(MatDiffOp(ALG2, rows))
+    with pytest.raises(NotSkewadjoint):
+        check_jacobi(H)
+    ok, wit = check_jacobi(H, require_skew=False)
+    assert not ok and wit[0] == (2, 1, 2)
+    assert (ok, wit) == jacobi_all_triples(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_check_jacobi_equals_all_triples(data, alg):
+    """The quasiconstant rule and the a <= b triples give the verdict and
+    the first witness of the all-triples loop."""
+    H = data.draw(skew_brackets(alg))
+    assert check_jacobi(H) == jacobi_all_triples(H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_check_jacobi_without_skew_equals_all_triples(data, alg):
+    """With require_skew=False (d_K's call) H need not be skewadjoint, so
+    every triple is visited: skew plus a quasiconstant non-skew part."""
+    H = data.draw(skew_brackets(alg))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    C = rnd_mat_op(rng, alg, alg.nvars, 2, quasiconstant=True)
+    K = LambdaBracketStruct(H.op + C)
+    assert check_jacobi(K, require_skew=False) == jacobi_all_triples(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_check_compatible_equals_all_terms(data, alg):
+    """Skipping the terms with a quasiconstant inner operator leaves the
+    verdict and the witness residual of the six-term loop."""
+    H = data.draw(skew_brackets(alg))
+    K = data.draw(skew_brackets(alg))
+    assert check_compatible(H, K) == compatible_all_terms(H, K)
+
+
+def test_bracket_size_must_match_algebra():
+    """A bracket on l variables is an l x l operator."""
+    d2 = ScalarDiffOp.d(ALG2)
+    with pytest.raises(ShapeMismatch):
+        LambdaBracketStruct(MatDiffOp(ALG2, [[d2]]))
+    with pytest.raises(ShapeMismatch):
+        LambdaBracketStruct(MatDiffOp(ALG2, [[d2, d2]]))
+    with pytest.raises(ShapeMismatch):
+        LambdaBracketStruct.from_scalar_op(d2)
 
 
 def test_ev_apply():

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import varpois
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "varpois"
 
@@ -29,6 +31,29 @@ def test_no_assert_statements_in_the_package():
                       and _raises_assertion_error(node))]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def _raised_names(node) -> set:
+    """Names a raise statement can raise: `raise E`, `raise E(...)`, and
+    `raise (A if cond else B)(...)`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+
+
+def test_every_exported_exception_is_raised():
+    """Every exception class that varpois exports is raised somewhere in
+    the package, so catching the exported class catches a real error."""
+    exported = {name for name in dir(varpois)
+                if isinstance(getattr(varpois, name), type)
+                and issubclass(getattr(varpois, name), BaseException)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _raised_names(node)
+    assert exported, "varpois exports no exception class"
+    assert sorted(exported - raised) == []
 
 
 @pytest.mark.parametrize("workload, trace", [
