@@ -178,9 +178,13 @@ def cmd_check_compat(args, session: Session, report: Report):
     B = _eval_bracket(session, args.B)
     report.inputs["A"] = _fmt_value(A.op)
     report.inputs["B"] = _fmt_value(B.op)
-    for name, S in (("A-poisson", A), ("B-poisson", B)):
-        ok, wit = check_jacobi(S)
-        report.add(name, "ok" if ok else "fail", ok,
+    for name, S in (("A", A), ("B", B)):
+        try:
+            ok, wit = check_jacobi(S)
+        except NotSkewadjoint:
+            report.add(f"{name}-skewadjoint", "fail", False)
+            return
+        report.add(f"{name}-poisson", "ok" if ok else "fail", ok,
                    None if ok else _witness_json(wit))
         if not ok:
             return

@@ -189,6 +189,9 @@ class DiffPoly:
         return DiffPoly(self.alg, out)
 
     def __eq__(self, other):
+        if isinstance(other, DiffRat):
+            # a fraction is not a coefficient: DiffRat compares the values
+            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -2,8 +2,8 @@
 algebra over the coefficient field: majorants, leading matrices, row echelon
 form, majorant-preserving reduction, Dieudonne determinants, and a
 rational-ansatz solver for linear differential systems.  Row reduction over
-F[d] and over the skew field of pseudodifferential operators is one kernel,
-_Elimination.
+F[d] (fraction-free, on rows without denominators) and over the skew field
+of pseudodifferential operators is one kernel, _Elimination.
 
 Operators are sums a_n d^n with coefficients in V (differential polynomials),
 F (quasiconstants), the fraction field of V, or linear forms in unknown
@@ -18,8 +18,9 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
-from .field import (FieldElem, InvariantViolation, accumulate,
-                    clear_denominators, format_field_elem, x_coefficients)
+from .field import (FieldElem, InvariantViolation, _primitive_parts,
+                    accumulate, clear_denominators, format_field_elem,
+                    x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import gauss_solve
@@ -688,35 +689,33 @@ def leading_matrix(M, maj: Majorant) -> LeadingMatrix:
     return LeadingMatrix(rows, maj)
 
 
+def _field_value(c) -> FieldElem:
+    """A quasiconstant coefficient as an element of F."""
+    return c if isinstance(c, FieldElem) else c.quasiconstant_part()
+
+
 def _leading_det(lm: LeadingMatrix, alg_or_field):
-    """Determinant of the coefficient matrix of a square leading matrix."""
+    """Determinant of the coefficient matrix of a square leading matrix:
+    over F when every entry is quasiconstant, over the fraction field of V
+    (DiffRat) otherwise.  The second argument is the DiffAlgebra, or F
+    itself for pseudodifferential operators."""
     mat = lm.coefficient_matrix()
     if len(mat) != len(mat[0]):
         raise ShapeMismatch("nondegeneracy is for square matrices")
-    field, convert = _coefficient_field([c for row in mat for c in row],
-                                        alg_or_field)
-    return _dense_det([[convert(c) for c in row] for row in mat], field)
+    if all(isinstance(c, FieldElem)
+           or (isinstance(c, DiffPoly) and c.is_quasiconstant())
+           for row in mat for c in row):
+        field = alg_or_field.field if isinstance(alg_or_field, DiffAlgebra) \
+            else alg_or_field
+        return _dense_det([[_field_value(c) for c in row] for row in mat],
+                          field)
+    alg = alg_or_field
+    fractions = SimpleNamespace(one=DiffRat(alg.one), zero=DiffRat(alg.zero))
+    return _dense_det([[DiffRat.of(c, alg) for c in row] for row in mat],
+                      fractions)
 
 
 # -- elimination over operators ----------------------------------------------
-
-
-def _coefficient_field(values, alg_or_field):
-    """The field that elimination runs over, by one rule: F when every value
-    is quasiconstant, the fraction field of V (DiffRat) otherwise.  The
-    second argument is the DiffAlgebra, or F itself for pseudodifferential
-    operators.  Returns (field, convert): the one and zero that linsolve
-    needs, and the map of a value into the field."""
-    if all(isinstance(c, FieldElem)
-           or (isinstance(c, DiffPoly) and c.is_quasiconstant())
-           for c in values):
-        field = alg_or_field.field if isinstance(alg_or_field, DiffAlgebra) \
-            else alg_or_field
-        return field, lambda c: c if isinstance(c, FieldElem) \
-            else c.quasiconstant_part()
-    alg = alg_or_field
-    fractions = SimpleNamespace(one=DiffRat(alg.one), zero=DiffRat(alg.zero))
-    return fractions, lambda c: DiffRat.of(c, alg)
 
 
 def _monomial(like, c, k: int):
@@ -726,25 +725,80 @@ def _monomial(like, c, k: int):
     return ScalarDiffOp(like.alg, {k: c})
 
 
-class _Elimination:
-    """Row reduction of an operator matrix over its coefficient field: the
-    Ore ring F[d] (or V's fraction field in place of F) for a MatDiffOp,
-    the skew field of pseudodifferential operators for a MatPseudoOp.
+def _coefficient_terms(c) -> dict:
+    """A coefficient as a polynomial for field._primitive_parts: the terms
+    of a DiffPoly, {(): c} for an element of F."""
+    return c.terms if isinstance(c, DiffPoly) else {(): c}
 
-    ``ops`` records each row operation as ("swap", i, j) or ("sub", i, j, P),
-    meaning row_j -= P o row_i, and ``sign`` is -1 to the number of swaps.
+
+def _split(row) -> tuple:
+    """(keys, polys): key (t, n) for each coefficient of d^n in entry t of
+    the row, and that coefficient's _coefficient_terms."""
+    keys = [(t, n) for t, e in enumerate(row) for n in e.coeffs]
+    return keys, [_coefficient_terms(row[t].coeffs[n]) for t, n in keys]
+
+
+class _Elimination:
+    """Row reduction of an operator matrix: fraction-free over the Ore ring
+    F[d] for a MatDiffOp (entries with jets stay in V[d]), over the skew
+    field of pseudodifferential operators for a MatPseudoOp.
+
+    A MatDiffOp's rows are kept free of denominators: a row holding a
+    fraction of F is first multiplied by the lcm of its denominators, and
+    every step multiplies the target row by the pivot's leading coefficient
+    instead of dividing by it, then divides the row by its content.
+
+    ``ops`` records each row operation as ("swap", i, j); ("scale", j, a),
+    meaning row_j <- a row_j; or ("sub", i, j, P, a, g), meaning
+    row_j <- (a row_j - P o row_i) / g with g dividing the result exactly
+    (a = g = 1 in the skew field).  ``sign`` is -1 to the number of swaps.
     """
 
     def __init__(self, M):
-        if isinstance(M, MatPseudoOp):
-            self.rows = [list(r) for r in M.rows]
-        else:
-            _, convert = _coefficient_field(
-                [c for r in M.rows for e in r for c in e.coeffs.values()],
-                M.alg)
-            self.rows = [[e.map_coeffs(convert) for e in r] for r in M.rows]
         self.ops: list = []
         self.sign = 1
+        self.jets = False
+        if isinstance(M, MatPseudoOp):
+            self.rows = [list(r) for r in M.rows]
+            return
+        alg = self.alg = M.alg
+        self.jets = not M.is_quasiconstant()
+        if self.jets:
+            def convert(c):
+                return c if isinstance(c, DiffPoly) else alg.from_scalar(c)
+        else:
+            convert = _field_value
+        self.rows = [[e.map_coeffs(convert) for e in r] for r in M.rows]
+        for j in range(len(self.rows)):
+            self._clear_denominators(j)
+
+    def _coefficient(self, terms: dict):
+        """The coefficient whose _coefficient_terms are `terms`."""
+        return DiffPoly(self.alg, terms) if self.jets else terms[()]
+
+    def _join(self, keys: list, polys: list, width: int) -> list:
+        """The row of `width` entries whose coefficient of d^n in entry t
+        has the _coefficient_terms polys[k], for keys[k] = (t, n)."""
+        coeffs = [{} for _ in range(width)]
+        for (t, n), terms in zip(keys, polys):
+            coeffs[t][n] = self._coefficient(terms)
+        return [ScalarDiffOp(self.alg, c) for c in coeffs]
+
+    def _clear_denominators(self, j: int):
+        """row_j <- D row_j for D the lcm of the denominators in the row,
+        when one of its coefficients is a fraction."""
+        row = self.rows[j]
+        keys, polys = _split(row)
+        values = [v for terms in polys for v in terms.values()]
+        if not values:
+            return
+        D, cleared = clear_denominators(values)
+        if D.is_rational_number():
+            return
+        cleared = iter(cleared)
+        self.rows[j] = self._join(keys, [{mono: next(cleared) for mono in p}
+                                         for p in polys], len(row))
+        self.ops.append(("scale", j, self._coefficient({(): D})))
 
     def swap(self, i: int, j: int):
         rows = self.rows
@@ -752,16 +806,32 @@ class _Elimination:
         self.ops.append(("swap", i, j))
         self.sign = -self.sign
 
-    def sub(self, i: int, j: int, P):
+    def sub(self, i: int, j: int, P, a=None):
+        """row_j <- a row_j - P o row_i over F[d], then divided by its
+        content g, found from a onwards (field._primitive_parts); row_j -=
+        P o row_i when a is None, in the skew field."""
         rows = self.rows
-        rows[j] = [a - P.compose(b) for a, b in zip(rows[j], rows[i])]
-        self.ops.append(("sub", i, j, P))
+        if a is None:
+            rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
+            self.ops.append(("sub", i, j, P, 1, 1))
+            return
+        row = [(x if a == 1 else x.scale(a)) - P.compose(y)
+               for x, y in zip(rows[j], rows[i])]
+        keys, polys = _split(row)
+        g, polys = _primitive_parts(_coefficient_terms(a), polys)
+        if g is None:
+            g = 1
+        else:
+            row, g = self._join(keys, polys, len(row)), self._coefficient(g)
+        rows[j] = row
+        self.ops.append(("sub", i, j, P, a, g))
 
     def echelon(self):
         """Row echelon form in place; zero rows sink to the bottom.
 
-        Over F[d] the pivot is an entry of least order and P is the quotient
-        of leading monomials, (lc_e / lc_p) d^(ord e - ord p), so a column
+        Over F[d] the pivot is an entry of least order, first row among
+        ties, and an entry e below it is reduced by
+        row_e <- lc_p row_e - lc_e d^(ord e - ord p) o row_p, so a column
         is cleared by repeated steps.  In the skew field every nonzero entry
         is a unit: the pivot is the first one (keeping the diagonal pivots
         that majorant_preserving_reduce sets up) and P = e o p^-1 clears an
@@ -800,17 +870,20 @@ class _Elimination:
                     for i in rest:
                         e = rows[i][col]
                         self.sub(r, i, _monomial(
-                            e, e.leading_coefficient() / lc, e.order() - q))
+                            e, e.leading_coefficient(), e.order() - q), lc)
                 live = [i for i in range(r, m) if not rows[i][col].is_zero()]
             r += 1
 
 
 def row_echelon(M: MatDiffOp):
-    """Bring M to row echelon form by elementary row operations (recorded).
+    """Bring M to row echelon form by recorded elementary row operations.
 
-    Each op is ("swap", i, j) or ("sub", i, j, P) meaning row_j -= P o row_i.
-    Zero rows sink to the bottom.  Entries are moved into the coefficient
-    field (fraction field of V if entries are not quasiconstant).
+    The elimination is fraction-free: rows stay polynomial (entries in
+    F[d], or in V[d] when M carries jets), with no division by a leading
+    coefficient.  Each op is ("swap", i, j); ("scale", j, a), meaning
+    row_j <- a row_j, for the initial clearing of a row's denominators; or
+    ("sub", i, j, P, a, g), meaning row_j <- (a row_j - P o row_i) / g, the
+    division by the row's content exact.  Zero rows sink to the bottom.
     """
     elim = _Elimination(M)
     elim.echelon()
@@ -825,9 +898,13 @@ def majorant_preserving_reduce(M, maj: Majorant):
     preserving row operations (and column permutations).
 
     Differential input (MatDiffOp): diagonal orders become exactly N_j - h_j
-    and below-diagonal orders strictly smaller.  Pseudodifferential input
-    (MatPseudoOp): upper triangular.  Returns (reduced, column permutation,
-    row permutation).
+    and below-diagonal orders strictly smaller.  The reduction is
+    fraction-free, as in row_echelon, so each row of the result is the
+    reduced row times a nonzero element of F (of V when M carries jets):
+    the lcm of its denominators and the pivots' leading coefficients, over
+    the contents divided out.  Pseudodifferential input (MatPseudoOp):
+    upper triangular.  Returns (reduced, column permutation, row
+    permutation).
     """
     pseudo = isinstance(M, MatPseudoOp)
     if M.m != M.n:
@@ -859,7 +936,12 @@ def majorant_preserving_reduce(M, maj: Majorant):
                     if c.is_zero():
                         continue
                     lc = rows[t][t].coeff(N[t] - h[t])
-                    elim.sub(t, m, _monomial(rows[t][t], c / lc, d))
+                    if pseudo:
+                        elim.sub(t, m, _monomial(rows[t][t], c / lc, d))
+                    else:
+                        # lc row_m - c d^d o row_t: scaling a row by lc
+                        # leaves its orders as they are
+                        elim.sub(t, m, _monomial(rows[t][t], c, d), lc)
         # establish the pivot of row m (column swap if needed)
         want = None
         for k in range(m, size):
@@ -943,18 +1025,33 @@ def dieudonne_det(M) -> DetValue:
 
 def _echelon_det(M) -> DetValue:
     """The determinant from elimination: the swap sign times the product of
-    the diagonal leading terms."""
+    the diagonal leading terms, over the product of the factors a / g by
+    which the recorded operations scaled their rows."""
     elim = _Elimination(M)
     elim.echelon()
     diag = [elim.rows[i][i] for i in range(M.m)]
     if any(e.is_zero() for e in diag):
         return DET_ZERO
-    c = diag[0].leading_coefficient()
+    num = diag[0].leading_coefficient()
     if elim.sign < 0:
-        c = -c
+        num = -num
     for e in diag[1:]:
-        c = c * e.leading_coefficient()
-    return DetValue(_simplify_coeff(c), sum(e.order() for e in diag))
+        num = num * e.leading_coefficient()
+    den = M.alg.one if elim.jets else 1
+    for op in elim.ops:
+        if op[0] == "scale":
+            den = den * op[2]
+        elif op[0] == "sub":
+            den, num = den * op[4], num * op[5]
+    if elim.jets:
+        if den != 1:
+            # the one fraction of V: cancel the common factor first
+            _, (n, d) = _primitive_parts(num.terms, [num.terms, den.terms])
+            num, den = DiffPoly(M.alg, n), DiffPoly(M.alg, d)
+        num = DiffRat(num, den)
+    elif den != 1:
+        num = num / den
+    return DetValue(_simplify_coeff(num), sum(e.order() for e in diag))
 
 
 def _simplify_coeff(c):

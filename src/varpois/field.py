@@ -24,7 +24,9 @@ sum of a fraction and a polynomial, or a fraction scaled by a rational, only
 needs its integer content normalized.  Values are read over Q:
 ``FieldElem.f`` is an element of sympy's Q(x, params), and printing,
 ``clear_denominators`` and ``rational_antiderivative`` take numerators and
-denominators over Q.
+denominators over Q.  ``_primitive_parts`` divides polynomials over F's
+polynomial ring, possibly in further variables such as the jets of V, by
+their common factor: the content that fraction-free elimination removes.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from sympy import QQ, ZZ
+from sympy import QQ, ZZ, Symbol
 from sympy.polys.fields import field as _sympy_field
+from sympy.polys.rings import PolyRing
 
 from .linsolve import gauss_solve
 
@@ -132,20 +135,24 @@ def _from_poly(field: CoefficientField, p) -> "FieldElem":
     return FieldElem(field, POLY, p) if c is None else FieldElem(field, RAT, c)
 
 
-def _integral(field: CoefficientField, p) -> tuple:
-    """(m, P) with p = P/m for a polynomial p over Q: P in Z[x, params] and
-    m the least common denominator of the coefficients of p."""
+def _integral(field: CoefficientField, p, ring=None) -> tuple:
+    """(m, P) with p = P/m for a polynomial p over Q: P in Z[x, params], or
+    in `ring`, that ring with more generators, and m the least common
+    denominator of the coefficients of p.  p maps exponent tuples of the
+    target ring to rationals (a sympy polynomial or a plain dict)."""
+    ring = field._zring if ring is None else ring
     m = 1
     for c in p.values():
         m = lcm(m, c.denominator)
     if m == 1:
-        return 1, field._zring.dtype({k: c.numerator for k, c in p.items()})
-    return m, field._zring.dtype({k: c.numerator * (m // c.denominator)
-                                  for k, c in p.items()})
+        return 1, ring.dtype({k: c.numerator for k, c in p.items()})
+    return m, ring.dtype({k: c.numerator * (m // c.denominator)
+                          for k, c in p.items()})
 
 
 def _over(field: CoefficientField, p, m=1):
-    """P/m as a polynomial over Q, for P in Z[x, params] and an integer m."""
+    """P/m as a polynomial over Q, for P in Z[x, params] (a sympy polynomial
+    or a dict of its terms) and an integer m."""
     return field._ring.dtype({k: _Q(c, m) for k, c in p.items()})
 
 
@@ -560,6 +567,110 @@ def clear_denominators(values) -> tuple:
             raise InvariantViolation("an lcm is not divisible by a factor")
         cleared.append(_from_poly(field, part[0] * mult))
     return _from_poly(field, den), cleared
+
+
+@lru_cache(maxsize=None)
+def _extended_zring(zring, nextra: int):
+    """Z[x, params, y_1, ..., y_n]: the field's integral ring with n more
+    generators (sympy builds a ring slowly, so each is built once)."""
+    if not nextra:
+        return zring
+    return PolyRing(zring.symbols + tuple(Symbol(f"#{k}")
+                                          for k in range(nextra)), ZZ)
+
+
+def _primitive_parts(start: dict, polys: list) -> tuple:
+    """Divide polynomials with coefficients in F by their common factor.
+
+    A polynomial is a dict {mono: c}: mono is a tuple of (variable,
+    exponent) pairs, sorted by variable, over variables of the caller's own
+    (() for the constant term), and every c is a nonzero polynomial element
+    (no FRAC).  The factor is g*q: g is the gcd in Z[x, params, variables]
+    of `start` and of all of `polys`, with a positive leading coefficient,
+    taken from `start` onwards and abandoned as soon as it is a constant; q
+    is the positive rational content of the quotients.  Returns
+    (g*q, [p / (g*q) for p in polys]), or (None, polys) when the factor is
+    one or there is no polynomial.
+    """
+    if not polys:
+        return None, polys
+    field = next(iter(start.values())).field
+    g = None
+    if len(start) != 1 or () not in start or start[()]._k != RAT:
+        names = sorted({v for p in chain((start,), polys) for mono in p
+                        for v, _ in mono})
+        slots = {v: k for k, v in enumerate(names)}
+        ring = _extended_zring(field._zring, len(names))
+        g = _integral(field, _flat(field, start, slots), ring)[1]
+        if g.LC < 0:
+            g = -g
+        integral = []
+        for p in polys:
+            m, P = _integral(field, _flat(field, p, slots), ring)
+            # g | P is common (g is often all of start), and a trial
+            # division is cheaper than a gcd
+            quo, rem = P.div(g)
+            if not rem:
+                integral.append((m, P, quo, g))
+                continue
+            g = g.gcd(P)
+            if g.is_ground:
+                g = None
+                break
+            integral.append((m, P, None, None))
+    if g is not None:
+        polys = [_unflat(field, quo if divisor is g else P.exquo(g), m,
+                         names) for m, P, quo, divisor in integral]
+    num, den = 0, 1
+    for p in polys:
+        for c in p.values():
+            for q in _rationals(c):
+                num, den = gcd(num, q.numerator), lcm(den, q.denominator)
+    if g is None and num == den == 1:
+        return None, polys
+    q = _Q(num, den)
+    factor = {(): FieldElem(field, RAT, q)} if g is None else \
+        {mono: _mul(field, RAT, q, c._k, c._v)
+         for mono, c in _unflat(field, g, 1, names).items()}
+    if q != 1:
+        inv = 1 / q
+        polys = [{mono: _mul(field, RAT, inv, c._k, c._v)
+                  for mono, c in p.items()} for p in polys]
+    return factor, polys
+
+
+def _rationals(c: FieldElem):
+    """The rational coefficients of a RAT or POLY element."""
+    return (c._v,) if c._k == RAT else c._v.values()
+
+
+def _flat(field: CoefficientField, p: dict, slots: dict) -> dict:
+    """The terms over Q of a dict {mono: c}, keyed by the exponents of x,
+    params and then of the extra generators of `slots` (variable -> index),
+    for _integral into the extended ring."""
+    out = {}
+    nextra = len(slots)
+    for mono, c in p.items():
+        tail = [0] * nextra
+        for v, e in mono:
+            tail[slots[v]] = e
+        tail = tuple(tail)
+        terms = ((field._zm, c._v),) if c._k == RAT else c._v.items()
+        for fm, q in terms:
+            out[fm + tail] = q
+    return out
+
+
+def _unflat(field: CoefficientField, P, m, names: list) -> dict:
+    """The dict {mono: c} of P/m, for P in Z[x, params] with the extra
+    generators `names` after x, params."""
+    k = field._zring.ngens
+    grouped: dict = {}
+    for exps, c in P.items():
+        grouped.setdefault(exps[k:], {})[exps[:k]] = c
+    return {tuple((v, e) for v, e in zip(names, tail) if e):
+            _from_poly(field, _over(field, terms, m))
+            for tail, terms in grouped.items()}
 
 
 def _x_poly(p: FieldElem) -> list:

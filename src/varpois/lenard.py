@@ -175,6 +175,11 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
     return h_next
 
 
+def _require_skewadjoint(name: str, S: LambdaBracketStruct):
+    if not check_skewadjoint(S):
+        raise NotSkewadjoint(f"bracket operator {name} is not skewadjoint")
+
+
 def verify_involution(state: HierarchyState) -> list:
     """Pairwise {int h_m, int h_n} = 0 under both brackets; returns the
     matrix of booleans (True = vanishes under both).
@@ -185,9 +190,7 @@ def verify_involution(state: HierarchyState) -> list:
     density's gradient is taken once.
     """
     for name, S in (("H", state.H), ("K", state.K)):
-        if not check_skewadjoint(S):
-            raise NotSkewadjoint(f"bracket operator {name} is not "
-                                 f"skewadjoint")
+        _require_skewadjoint(name, S)
     alg = state.alg
     grads = state.gradients
     n = len(grads)
@@ -214,12 +217,12 @@ def run_hierarchy(H: LambdaBracketStruct, K: LambdaBracketStruct,
     densities accepted so far stay in the state.
     """
     if verify_pair:
-        ok_h, wit = check_jacobi(H)
-        if not ok_h:
-            raise NotPoisson(f"H is not Poisson; witness triple {wit[0]}", wit)
-        ok_k, wit = check_jacobi(K)
-        if not ok_k:
-            raise NotPoisson(f"K is not Poisson; witness triple {wit[0]}", wit)
+        for name, S in (("H", H), ("K", K)):
+            _require_skewadjoint(name, S)
+            ok, wit = check_jacobi(S)
+            if not ok:
+                raise NotPoisson(f"{name} is not Poisson; witness triple "
+                                 f"{wit[0]}", wit)
         ok_c, wit = check_compatible(H, K)
         if not ok_c:
             raise NotPoisson(f"pair is not compatible; witness {wit[0]}", wit)

@@ -32,9 +32,11 @@ class NotPoisson(Exception):
 
 
 class LambdaBracketStruct:
-    """Bracket structure determined by its operator H (DiffPoly entries)."""
+    """Bracket structure determined by its operator H (DiffPoly entries).
+    Immutable; ``_skew`` holds the verdict of check_skewadjoint once taken
+    (None before)."""
 
-    __slots__ = ("op",)
+    __slots__ = ("op", "_skew")
 
     def __init__(self, op: MatDiffOp):
         size = op.alg.nvars
@@ -42,6 +44,7 @@ class LambdaBracketStruct:
             raise ShapeMismatch(f"a bracket on {size} variables needs a "
                                 f"{size}x{size} operator, got {op.m}x{op.n}")
         self.op = op
+        self._skew = None
 
     @property
     def alg(self) -> DiffAlgebra:
@@ -158,7 +161,10 @@ def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,
 
 
 def check_skewadjoint(H: LambdaBracketStruct) -> bool:
-    return (H.op.adjoint() + H.op).is_zero()
+    """H* = -H; the adjoint is taken once per structure."""
+    if H._skew is None:
+        H._skew = (H.op.adjoint() + H.op).is_zero()
+    return H._skew
 
 
 # The master formula differentiates only by the u_j^(n), so a bracket with an

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, FieldElem, LambdaPoly, LocalFunctional,
-                     MatDiffOp, ScalarDiffOp, SkewArray, ev_commutator,
-                     hamiltonian_vf, jacobi_residual, lambda_bracket,
-                     poisson_bracket, rational_antiderivative,
+from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, LambdaPoly,
+                     LocalFunctional, MatDiffOp, ScalarDiffOp, SkewArray,
+                     ev_commutator, hamiltonian_vf, jacobi_residual,
+                     lambda_bracket, poisson_bracket, rational_antiderivative,
                      variational_derivative)
-from varpois.diffop import _Elimination
+from varpois.diffalg import _exact_div
+from varpois.diffop import (DET_ZERO, DetValue, _field_value,
+                            _simplify_coeff)
 from varpois.lambdapoly import subst_slot_neg
 from varpois.polydiff import _tau_action
 from varpois.pva import compatibility_residual
@@ -173,18 +175,87 @@ def total_skewsymmetrize_shortcut(P):
     return out.scale(Fraction(1, P.k + 1))
 
 
+def _field_entries(M: MatDiffOp, convert_jets):
+    """The rows of M with coefficients in F when M is quasiconstant, else
+    each coefficient mapped by convert_jets."""
+    convert = _field_value if M.is_quasiconstant() else convert_jets
+    return [[e.map_coeffs(convert) for e in r] for r in M.rows]
+
+
 def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
-    """Replay recorded elementary row operations on (a field-entry copy of) M."""
-    rows = _Elimination(M).rows
+    """Replay recorded elementary row operations on M, its coefficients in
+    F when M is quasiconstant: ("swap", i, j); ("scale", j, a), row_j <-
+    a row_j; ("sub", i, j, P, a, g), row_j <- (a row_j - P o row_i) / g,
+    where g must divide exactly."""
+    def divide(c, g):
+        if isinstance(g, DiffPoly):
+            q = _exact_div(c, g)
+            assert q is not None, "the content does not divide the row"
+            return q
+        return c / g
+
+    rows = _field_entries(M, lambda c: c)
     for op in ops:
         if op[0] == "swap":
             _, i, j = op
             rows[i], rows[j] = rows[j], rows[i]
+        elif op[0] == "scale":
+            _, j, a = op
+            rows[j] = [e.scale(a) for e in rows[j]]
         else:
-            _, i, j, P = op
-            rows[j] = [rows[j][t] - P.compose(rows[i][t])
-                       for t in range(len(rows[j]))]
+            _, i, j, P, a, g = op
+            rows[j] = [(x.scale(a) - P.compose(y)).map_coeffs(
+                lambda c: divide(c, g)) for x, y in zip(rows[j], rows[i])]
     return MatDiffOp(M.alg, rows)
+
+
+def echelon_by_division(M: MatDiffOp):
+    """Row echelon form of M over F[d] by division: the entries move into F
+    (quasiconstant M) or into V's fraction field (DiffRat), the pivot is an
+    entry of least order (first row among ties), and an entry e below the
+    pivot p is reduced by row_e -= (lc_e / lc_p) d^(ord e - ord p) o row_p.
+    The reference for the fraction-free kernel; returns (rows, sign), sign
+    being -1 to the number of swaps."""
+    alg = M.alg
+    rows = _field_entries(M, lambda c: DiffRat.of(c, alg))
+    sign, m, r = 1, M.m, 0
+    for col in range(M.n):
+        if r >= m:
+            break
+        live = [i for i in range(r, m) if not rows[i][col].is_zero()]
+        if not live:
+            continue
+        while True:
+            piv = min(live, key=lambda i: rows[i][col].order())
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                sign = -sign
+            p = rows[r][col]
+            rest = [i for i in range(r + 1, m) if not rows[i][col].is_zero()]
+            if not rest:
+                break
+            for i in rest:
+                e = rows[i][col]
+                P = ScalarDiffOp(alg, {e.order() - p.order():
+                                       e.leading_coefficient()
+                                       / p.leading_coefficient()})
+                rows[i] = [a - P.compose(b) for a, b in zip(rows[i], rows[r])]
+            live = [i for i in range(r, m) if not rows[i][col].is_zero()]
+        r += 1
+    return rows, sign
+
+
+def det_by_division(M: MatDiffOp) -> DetValue:
+    """The Dieudonne determinant from echelon_by_division: the swap sign
+    times the product of the diagonal leading terms."""
+    rows, sign = echelon_by_division(M)
+    diag = [rows[i][i] for i in range(M.m)]
+    if any(e.is_zero() for e in diag):
+        return DET_ZERO
+    c = diag[0].leading_coefficient() * sign
+    for e in diag[1:]:
+        c = c * e.leading_coefficient()
+    return DetValue(_simplify_coeff(c), sum(e.order() for e in diag))
 
 
 def commuting_flows(state) -> bool:

@@ -144,7 +144,9 @@ def test_seed_file(session_file, tmp_path):
 
 # Exact report text (without the timing line) of det and echelon: the
 # determinant is a Dieudonne invariant, and the echelon pivot rule (least
-# order, first row among ties) fixes the matrix and the operation count.
+# order, first row among ties) with fraction-free steps (the target row times
+# the pivot's leading coefficient, then divided by its content) fixes the
+# matrix, whose rows are free of denominators, and the operation count.
 PINNED_REPORTS = [
     ("det", "[[1, a],[d, a*d]]", "[[1, u],[d, u*d]]",
      'det: ok  {"c": "-u\'", "degree": 0}'),
@@ -165,10 +167,10 @@ PINNED_REPORTS = [
      'det: ok  {"c": "1", "degree": 6}'),
     ("echelon", "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
      "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
-     'echelon: ok  {"matrix": "[[1, d, c],[0, 1, ((-1)/x)*d^5 + '
-     '(1/x^2)*d^4 + d^3 + (c/x)*d + ((-x^3*c + x^2 - c)/x^2)],[0, 0, -d^6 '
-     '+ (3/x)*d^5 + ((x^3 - 3)/x^2)*d^4 + c*d^2 + ((-x^3*c + x^2 - 3*c)/x)'
-     '*d + ((-x^3*c - x^2 + 3*c)/x^2)]]", "operations": 10}'),
+     'echelon: ok  {"matrix": "[[1, d, c],[0, -x^2, x*d^5 + -d^4 + '
+     '-x^2*d^3 + -x*c*d + (x^3*c - x^2 + c)],[0, 0, -x^2*d^6 + 3*x*d^5 + '
+     '(x^3 - 3)*d^4 + x^2*c*d^2 + (-x^4*c + x^3 - 3*x*c)*d + (-x^3*c - x^2 '
+     '+ 3*c)]]", "operations": 10}'),
 ]
 
 
@@ -195,3 +197,47 @@ def test_main_output_format(session_file, capsys, fmt):
         assert doc["command"] == "det" and "timing_ms" in doc
     else:
         assert out.startswith("command: det\ninput M: [[1, u],[d, u*d]]\n")
+
+
+@pytest.mark.parametrize("A, B, results", [
+    ("d^2", "d", [("A-skewadjoint", "fail")]),
+    ("d", "d^2", [("A-poisson", "ok"), ("B-skewadjoint", "fail")]),
+])
+def test_check_compat_names_the_operator_that_is_not_skewadjoint(
+        session_file, A, B, results):
+    """A bracket operator that is not skewadjoint is a failed check of that
+    operator (exit 1), as in check-jacobi, not an error."""
+    body, code = _run(["--session", session_file, "check-compat",
+                       "--A", A, "--B", B])
+    assert code == 1
+    assert [(r["name"], r["status"]) for r in body["results"]] == results
+
+
+@pytest.mark.parametrize("H, K, name", [("d^2", "K", "H"), ("H", "d^2", "K")])
+def test_lenard_names_the_operator_that_is_not_skewadjoint(session_file, H,
+                                                           K, name):
+    body, code = _run(["--session", session_file, "lenard", "--H", H,
+                       "--K", K, "--seed", "u^2/2"])
+    assert code == 2
+    assert body["results"][-1]["value"] == \
+        f"NotSkewadjoint: bracket operator {name} is not skewadjoint"
+
+
+def test_lenard_takes_each_bracket_adjoint_once(session_file, monkeypatch):
+    """run_hierarchy certifies H* = -H and K* = -K, and verify_involution
+    reads the verdicts kept on the structures instead of taking the two
+    adjoints again.  With no recursion step (each step's exactness test
+    takes adjoints of its own) the job takes exactly two."""
+    from varpois.diffop import MatDiffOp
+    calls = []
+    adjoint = MatDiffOp.adjoint
+
+    def counted(self):
+        calls.append(self)
+        return adjoint(self)
+    monkeypatch.setattr(MatDiffOp, "adjoint", counted)
+    body, code = _run(["--session", session_file, "lenard", "--H", "H",
+                       "--K", "K", "--seed", "u^2/2", "--steps", "0"])
+    assert code == 0
+    assert body["results"][-1]["name"] == "involution"
+    assert len(calls) == 2

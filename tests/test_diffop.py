@@ -1,9 +1,10 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
@@ -18,9 +19,11 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _echelon_det,
                             default_degree_bound, linform_equations,
                             solve_linform_system)
+from varpois.field import x_coefficients
 
-from helpers import (apply_row_ops, field_elems, rnd_diffpoly, rnd_mat_op,
-                     rnd_scalar_op, skewadjoint_op)
+from helpers import (apply_row_ops, det_by_division, echelon_by_division,
+                     field_elems, rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
+                     skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -517,3 +520,135 @@ def test_echelon_det_equals_leading_matrix_det(M):
         assume(False)
     assume(leading_matrix(M, maj).is_nondegenerate(ALG))
     assert _echelon_det(M) == dieudonne_det(M)
+
+
+def _is_echelon(E) -> bool:
+    """The first nonzero column moves strictly right from row to row, and
+    zero rows come last."""
+    firsts = [next((j for j, e in enumerate(r) if not e.is_zero()), None)
+              for r in E.rows]
+    nonzero = [f for f in firsts if f is not None]
+    return firsts[:len(nonzero)] == nonzero and \
+        all(a < b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def _denominator_free(E) -> bool:
+    """Every coefficient of every entry is a polynomial (x_coefficients
+    raises on a fraction)."""
+    for row in E.rows:
+        for e in row:
+            for c in e.coeffs.values():
+                for v in (c.terms.values() if hasattr(c, "terms") else [c]):
+                    try:
+                        x_coefficients(v)
+                    except ValueError:
+                        return False
+    return True
+
+
+@st.composite
+def echelon_matrices(draw):
+    """A 2x2 or 3x3 quasiconstant MatDiffOp, or a 2x2 one whose order-0
+    coefficients may carry u, with coefficients c, c*x and c/(x + k).  Half
+    of them get row 1 += P o row 0 for P of order 1 or 2, which most often
+    makes the leading matrix degenerate, so that dieudonne_det eliminates.
+    Orders stay small so that the division-based reference stays fast."""
+    size, jets = draw(st.sampled_from([(2, False), (3, False), (2, True)]))
+    F = ALG.field
+    top = 2 if size == 2 else 1
+
+    def coeff(n):
+        c = draw(field_elems(F))
+        if draw(st.integers(0, 3)) == 0:
+            c = c / (F.x + draw(st.integers(1, 2)))
+        c = ALG.from_scalar(c)
+        if jets and n == 0 and draw(st.booleans()):
+            c = c + ALG.from_scalar(draw(field_elems(F, False))) * U
+        return c
+    rows = [[ScalarDiffOp(ALG, {n: coeff(n) for n in range(top + 1)
+                                if draw(st.booleans())})
+             for _ in range(size)] for _ in range(size)]
+    if draw(st.booleans()):
+        P = ScalarDiffOp(ALG, {draw(st.integers(1, 2)):
+                               ALG.from_scalar(draw(field_elems(F, False)))})
+        rows[1] = [a + P.compose(b) for a, b in zip(rows[1], rows[0])]
+    return MatDiffOp(ALG, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(echelon_matrices())
+def test_fraction_free_echelon_equals_division(M):
+    """The fraction-free kernel and the division-based reference make the
+    same pivot choices: each fraction-free row is the reference row times
+    an element of F (or of V's fraction field), so every entry order, hence
+    every pivot column and diagonal order, agrees, and so does the
+    Dieudonne determinant.  The rows have no denominators, and the recorded
+    operations replay from M."""
+    E, ops = row_echelon(M)
+    ref, _ = echelon_by_division(M)
+    assert [[e.order() for e in r] for r in E.rows] == \
+        [[e.order() for e in r] for r in ref]
+    assert _is_echelon(E) and _denominator_free(E)
+    assert apply_row_ops(M, ops) == E
+    det = det_by_division(M)
+    assert _echelon_det(M) == det
+    assert dieudonne_det(M) == det
+
+
+def _leading_degenerate(M) -> bool:
+    try:
+        return not leading_matrix(M, majorant(M)).is_nondegenerate(ALG)
+    except DegenerateShape:
+        return True
+
+
+@pytest.mark.parametrize("jets", [False, True])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_echelon_matrices_reach_both_determinant_paths(jets, degenerate):
+    """The strategy above gives matrices with and without jets whose
+    leading matrix is degenerate (dieudonne_det eliminates) and ones whose
+    leading matrix is not."""
+    find(echelon_matrices(),
+         lambda M: M.is_quasiconstant() != jets
+         and _leading_degenerate(M) == degenerate,
+         settings=settings(max_examples=500, database=None, deadline=None,
+                           phases=[Phase.generate]))
+
+
+def test_row_echelon_jet_matrix_that_swelled():
+    """A 2x2 operator with u and u' in its coefficients took 591 s in
+    row_echelon when the elimination divided in V's fraction field; the
+    fraction-free kernel reduces it in well under a second."""
+    M = rnd_mat_op(random.Random(14), ALG, size=2, max_order=2,
+                   quasiconstant=False)
+    t0 = time.process_time()
+    E, ops = row_echelon(M)
+    assert time.process_time() - t0 < 10
+    assert _is_echelon(E) and E.rows[1][0].is_zero()
+    assert apply_row_ops(M, ops) == E
+    assert leading_matrix(M, majorant(M)).is_nondegenerate(ALG)
+    assert _echelon_det(M) == dieudonne_det(M)
+
+
+def test_elimination_with_jets_builds_no_fraction_of_v(monkeypatch):
+    """Entries with jets stay in V[d] during elimination: row_echelon builds
+    no DiffRat, and _echelon_det builds one, for the determinant."""
+    from varpois.diffalg import DiffRat
+    built = []
+    init = DiffRat.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(DiffRat, "__init__", counted)
+    M = rnd_mat_op(random.Random(14), ALG, size=2, max_order=2,
+                   quasiconstant=False)
+    row_echelon(M)
+    row_echelon(degenerate_leading_example())
+    assert not built
+    _echelon_det(M)
+    assert len(built) == 1
+    # a determinant with jets is a DiffRat on either path, also when no
+    # row was scaled (the [[1, u], [d, u d]] example takes the echelon path)
+    det = dieudonne_det(degenerate_leading_example())
+    assert type(det.c) is DiffRat and repr(det) == "DetValue((-u')*xi^0)"

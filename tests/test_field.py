@@ -7,17 +7,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, ZZ
+from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list
 from sympy.polys.fields import field as sympy_field
 
-from varpois import (CoefficientField, InvariantViolation, UndecidableResidue,
-                     parse_session, rational_antiderivative)
+from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
+                     InvariantViolation, UndecidableResidue, parse_session,
+                     rational_antiderivative)
 from varpois import field as field_module
 from varpois.field import (FRAC, POLY, RAT, _format_poly, _poly_lcm,
-                          clear_denominators, format_field_elem,
-                          x_coefficients)
+                          _primitive_parts, _rationals, clear_denominators,
+                          format_field_elem, x_coefficients)
 
-from helpers import field_elems, rnd_field_elem
+from helpers import diffpolys, field_elems, rnd_field_elem
 
 
 @pytest.fixture
@@ -409,3 +410,41 @@ def test_equal_values_hash_equal(F):
                  (((x + c) / (x - 1)) ** 2,
                   (x * x + 2 * c * x + c * c) / (x * x - 2 * x + 1))):
         assert a == b and hash(a) == hash(b)
+
+
+ALG = DiffAlgebra(1, ["c"])
+
+
+def _as_expr(p: DiffPoly):
+    """A differential polynomial as a sympy expression, one symbol per
+    jet."""
+    return sum((c.f.as_expr() * Mul(*(Symbol(f"u{n}_{i}") ** e
+                                      for (n, i), e in mono))
+                for mono, c in p.terms.items()), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+       start=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+       polys=st.lists(diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+                      min_size=1, max_size=3))
+def test_primitive_parts_divides_by_the_gcd(common, start, polys):
+    """For start = common*s and polys p_i = common*r_i: the factor times
+    each quotient gives back p_i, the quotients have integer coefficients
+    of gcd 1, and the factor is the gcd of start and the p_i (sympy's
+    gcd_list) up to a rational."""
+    polys = [p * common for p in polys if not (p * common).is_zero()]
+    start = start * common
+    if start.is_zero() or not polys:
+        return
+    factor, quotients = _primitive_parts(start.terms,
+                                         [p.terms for p in polys])
+    f = ALG.one if factor is None else DiffPoly(ALG, factor)
+    for p, q in zip(polys, quotients):
+        assert DiffPoly(ALG, q) * f == p
+    rationals = [r for q in quotients for c in q.values()
+                 for r in _rationals(c)]
+    assert all(r.denominator == 1 for r in rationals)
+    assert reduce(gcd, (int(r.numerator) for r in rationals), 0) == 1
+    ref = gcd_list([_as_expr(start)] + [_as_expr(p) for p in polys])
+    assert cancel(_as_expr(f) / ref).is_Rational
