@@ -733,12 +733,23 @@ class CohomologyResult:
         return f"CohomologyResult(dim={self.dim}, expected={self.expected}{flag})"
 
 
+def _degree_cap(N: int, k: int, nvars: int) -> int:
+    """The default ansatz degree of cohomology_dim and sigma_space for K of
+    order N in nvars variables, at arity k."""
+    return N * (k + 2) * nvars + 4
+
+
 def cohomology_dim(K: MatDiffOp, k: int,
                    degree_bound: Optional[int] = None) -> CohomologyResult:
     """dim over C of the kernel of alpha_(k+1) on the bottom slice, solving
     the induced linear differential system by rational ansatz.  Equals
     C(N*nvars, k+1) over a linearly closed field; the rational count is
-    flagged as a lower bound when it falls short."""
+    flagged as a lower bound when it falls short.
+
+    For K free of x the system has constant coefficients, and degree_bound
+    (default _degree_cap) is only a cap: the search stops, certified, at the
+    first degree that adds no solution, and then a flag means solutions
+    that are not rational (exponential), not a short ansatz."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
@@ -750,7 +761,7 @@ def cohomology_dim(K: MatDiffOp, k: int,
     if expected == 0:
         return CohomologyResult(0, 0, False, [])
     if degree_bound is None:
-        degree_bound = N * (k + 2) * alg.nvars + 4
+        degree_bound = _degree_cap(N, k, alg.nvars)
     _, basis = dim_omega00(N, alg.nvars, k + 1, alg)
     unknown = SkewArray(alg, k + 1)
     for b, arr in enumerate(basis):

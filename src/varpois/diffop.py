@@ -23,7 +23,7 @@ from .field import (FieldElem, InvariantViolation, _primitive_parts,
                     x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
-from .linsolve import gauss_solve
+from .linsolve import _eliminate, gauss_solve
 
 
 class ShapeMismatch(Exception):
@@ -1074,12 +1074,11 @@ def kernel_dim_bound(M: MatDiffOp):
 class SolutionSet:
     """Affine solution set over the constants: particular + span(homogeneous)."""
 
-    __slots__ = ("particular", "homogeneous", "degree_bound")
+    __slots__ = ("particular", "homogeneous")
 
-    def __init__(self, particular, homogeneous, degree_bound):
+    def __init__(self, particular, homogeneous):
         self.particular = particular
         self.homogeneous = homogeneous
-        self.degree_bound = degree_bound
 
     @property
     def dim(self) -> int:
@@ -1113,7 +1112,10 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
     A scalar equation c d^m u = b is decided exactly through iterated
     antiderivatives (Hermite reduction), raising NoRationalSolution when a
     logarithmic term obstructs; otherwise an inconsistent ansatz raises
-    Incomplete.
+    Incomplete.  For M free of x and b = 0 the kernel grows one degree at a
+    time (_constant_kernel) and the degree bound is only a cap: the first
+    degree that adds no solution certifies that no rational solution is
+    missing.
     """
     if not M.is_quasiconstant():
         raise ValueError("solve_rational needs quasiconstant coefficients")
@@ -1131,13 +1133,17 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
         coeffs = M.rows[0][0].field_coeffs()
         if len(coeffs) == 1:
             (m0,), (c0,) = zip(*coeffs.items())
-            return _solve_scalar_monomial(field, m0, c0, b[0], degree_bound)
+            return _solve_scalar_monomial(field, m0, c0, b[0])
 
+    if all(v.is_zero() for v in b):
+        kernel = _constant_kernel(M, degree_bound)
+        if kernel is not None:
+            return SolutionSet(None, kernel)
     return _solve_by_ansatz(M, b, degree_bound)
 
 
-def _solve_scalar_monomial(field, m0: int, c0: FieldElem, rhs: FieldElem,
-                           degree_bound: int) -> SolutionSet:
+def _solve_scalar_monomial(field, m0: int, c0: FieldElem,
+                           rhs: FieldElem) -> SolutionSet:
     from .field import rational_antiderivative
     part = rhs / c0
     for _ in range(m0):
@@ -1147,7 +1153,103 @@ def _solve_scalar_monomial(field, m0: int, c0: FieldElem, rhs: FieldElem,
                 "antiderivative leaves a logarithmic term")
         part = nxt
     hom = [[field.x ** t] for t in range(m0)]
-    return SolutionSet([part], hom, degree_bound)
+    return SolutionSet([part], hom)
+
+
+def _constant_kernel(M: MatDiffOp, cap: int) -> Optional[list]:
+    """The polynomial solutions of degree at most cap of M(d) y = 0 when
+    every coefficient of M is constant (free of x); None otherwise.
+
+    d commutes with such an M, so the derivative of a solution solves too,
+    and a solution of degree <= D is c + sum_i a_i int z_i, for c in C^n and
+    z_1..z_r a basis of the solutions of degree <= D - 1 (int: the
+    antiderivative with zero constant term).  As d(M y) = M y' = 0, M y is
+    constant, and y solves iff its value at x = 0, sum_k k! M_k y_k (y_k
+    the coefficient of x^k), vanishes: one linear system in the r + n
+    unknowns (a, c) per degree.  The first degree D that adds no solution
+    ends the search: a solution of degree e >= D would have an (e - D)-th
+    derivative of degree exactly D.  The kernel is then every polynomial
+    solution.  It is also every rational one: a finite polynomial kernel
+    means M has full column rank over C(d), so the solutions form a
+    finite-dimensional space closed under x -> x + s, and a solution with
+    a pole would have infinitely many independent translates.
+
+    Returns the basis that _solve_by_ansatz finds at the same cap.
+    """
+    field = M.alg.field
+    n = M.n
+    # sum_k k! M_k y_k, one sparse row {k n + j: k! M_k[i][j]} per row i of M;
+    # an invertible combination of rows keeps the solutions, so only the
+    # nonzero rows of the reduced echelon form are kept
+    stacked = []
+    for row in M.rows:
+        stacked.append({})
+        for j, e in enumerate(row):
+            for k, c in e.field_coeffs().items():
+                if not c.is_constant():
+                    return None
+                stacked[-1][k * n + j] = c * math.factorial(k)
+    width = 1 + max((col for r in stacked for col in r), default=0)
+    stacked = stacked[:len(_eliminate(stacked, width, field)[0])]
+
+    def value(y):
+        """The constant M y of y = [{t: y_jt}], on the kept rows."""
+        out = []
+        for r in stacked:
+            acc = field.zero
+            for col, c in r.items():
+                k, j = divmod(col, n)
+                v = y[j].get(k)
+                if v is not None:
+                    acc = acc + c * v
+            out.append(acc)
+        return out
+
+    units = [[{0: field.one} if j == i else {} for j in range(n)]
+             for i in range(n)]
+    unit_values = [value(u) for u in units]
+    basis: list = []
+    for _ in range(cap + 1):
+        candidates = [[{t + 1: c * Fraction(1, t + 1) for t, c in yj.items()}
+                       for yj in z] for z in basis] + units
+        values = [value(z) for z in candidates[:len(basis)]] + unit_values
+        rows = [{col: v[i] for col, v in enumerate(values)
+                 if not v[i].is_zero()} for i in range(len(stacked))]
+        _, null = gauss_solve(rows, [field.zero] * len(rows), len(candidates),
+                              field)
+        if len(null) == len(basis):
+            break
+        basis = []
+        for vec in null:
+            y = [{} for _ in range(n)]
+            for a, z in zip(vec, candidates):
+                if not a.is_zero():
+                    for yj, zj in zip(y, z):
+                        for t, c in zj.items():
+                            accumulate(yj, t, a * c)
+            basis.append(y)
+    return _ansatz_order(basis, field)
+
+
+def _ansatz_order(basis: list, field) -> list:
+    """The basis of span(basis) that gauss_solve gives in the ansatz
+    columns (j, t) for the coefficient of x^t in y_j, ordered by j, then t:
+    each vector has its own last nonzero column, with entry one, where the
+    others vanish.  That is reduced row echelon form in the reversed
+    column order, read backwards."""
+    width = 1 + max((t for y in basis for yj in y for t in yj), default=0)
+    last = len(basis[0]) * width - 1 if basis else 0
+    rows = [{last - (j * width + t): c for j, yj in enumerate(y)
+             for t, c in yj.items()} for y in basis]
+    _eliminate(rows, last + 1, field)
+    out = []
+    for row in reversed(rows):
+        vec = [field.zero] * len(basis[0])
+        for col, c in row.items():
+            j, t = divmod(last - col, width)
+            vec[j] = vec[j] + c * field.x ** t
+        out.append(vec)
+    return out
 
 
 def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
@@ -1194,7 +1296,7 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
         particular = None
     basis = [assemble(v) for v in null_vecs]
     basis = [v for v in basis if any(not c.is_zero() for c in v)]
-    return SolutionSet(particular, basis, degree_bound)
+    return SolutionSet(particular, basis)
 
 
 def _match_x_coefficients(field, entries, rhs):
@@ -1337,7 +1439,7 @@ def solve_linform_system(alg: DiffAlgebra, eqs: list, atoms: list,
     if not eqs:
         basis = [[field.one if t == b else field.zero
                   for t in range(len(atoms))] for b in range(len(atoms))]
-        return SolutionSet([field.zero] * len(atoms), basis, 0)
+        return SolutionSet([field.zero] * len(atoms), basis)
     index = {a: j for j, a in enumerate(atoms)}
     rows = []
     for lf in eqs:

@@ -523,20 +523,11 @@ def x_coefficients(v: FieldElem) -> dict:
             for k, terms in buckets.items()}
 
 
-def _poly_lcm(p, q):
-    """lcm of two polynomials, as p / gcd(p, q) * q."""
-    g = p.gcd(q)
-    quot, rem = p.div(g)
-    if rem:
-        raise InvariantViolation("a gcd does not divide its argument")
-    return quot * q
-
-
 def clear_denominators(values) -> tuple:
     """(D, [v*D for v in values]) for a nonempty sequence of elements, with
-    D the lcm of the denominators of the nonzero values (one when there are
-    none); each v*D is a polynomial, found by exact division rather than
-    gcd cancellation."""
+    D the lcm over Z[x, params] of the denominators of the nonzero values
+    (one when there are none); each v*D is a polynomial, found by exact
+    division rather than gcd cancellation."""
     values = list(values)
     field = values[0].field
     if all(v._k != FRAC for v in values):
@@ -553,10 +544,13 @@ def clear_denominators(values) -> tuple:
                 [_mul(field, RAT, q, v._k, v._v) for v in values])
     # some value is a fraction, so some denominator is a real polynomial
     parts = [None if v.is_zero() else _numer_denom(v) for v in values]
+    # over Z, not Q: a fold of sympy's lcm over Q (p q / monic gcd)
+    # multiplies D by the leading coefficient of a repeated factor again
     den = None
-    for part in parts:
-        if part is not None:
-            den = part[1] if den is None else _poly_lcm(den, part[1])
+    for q in dict.fromkeys(part[1] for part in parts if part is not None):
+        q = _integral(field, q)[1]
+        den = q if den is None else den.lcm(q)
+    den = _over(field, den)
     cleared = []
     for v, part in zip(values, parts):
         if part is None:

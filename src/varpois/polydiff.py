@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import SkewArray, _perm_sign, invertible_leading
+from .complexes import (SkewArray, _degree_cap, _perm_sign,
+                        invertible_leading)
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
 from .diffop import (Incomplete, MatDiffOp, ScalarDiffOp, linform_equations,
                      solve_linform_system)
@@ -467,7 +468,13 @@ def sigma_space(K: MatDiffOp, k: int,
                 degree_bound: Optional[int] = None):
     """Basis over C of the skewsymmetric k-differential operators P of degree
     at most ord(K)-1 per variable with the total skewsymmetrization of
-    K* o P vanishing.  Returns (basis, expected_dim, flagged)."""
+    K* o P vanishing.  Returns (basis, expected_dim, flagged).
+
+    For K free of x the system has constant coefficients, and degree_bound
+    (default complexes._degree_cap) is only a cap: the search stops,
+    certified, at the first degree that adds no solution, and then a flag
+    means solutions that are not rational (exponential), not a short
+    ansatz."""
     alg = K.alg
     invertible_leading(K)
     N = K.order()
@@ -476,7 +483,7 @@ def sigma_space(K: MatDiffOp, k: int,
     if not atoms:
         return [], expected, expected > 0
     if degree_bound is None:
-        degree_bound = N * (k + 2) * alg.nvars + 4
+        degree_bound = _degree_cap(N, k, alg.nvars)
     P = _unknown_kdiffop(alg, k, N, atoms)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
     eqs = linform_equations(_collect_equations(E))

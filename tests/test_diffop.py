@@ -16,10 +16,11 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      majorant_preserving_reduce, row_echelon,
                      selfadjoint_product_space, skewadjoint_decompose,
                      solve_rational)
-from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _echelon_det,
+from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _constant_kernel,
+                            _echelon_det, _solve_by_ansatz,
                             default_degree_bound, linform_equations,
                             solve_linform_system)
-from varpois.field import x_coefficients
+from varpois.field import format_field_elem, x_coefficients
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
@@ -421,6 +422,61 @@ def test_pseudo_ops():
 def test_default_degree_bound():
     M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2)]])
     assert default_degree_bound(M) == 2 * 2 + 4
+
+
+@st.composite
+def constant_systems(draw):
+    """An m x n MatDiffOp over ALG with m, n <= 3, entries of order <= 3
+    and coefficients free of x (small rationals, c-linear, or zero).  A
+    system may be underdetermined (m < n), or rank-deficient: a row
+    repeated, or scaled by c."""
+    F = ALG.field
+    c = F.param("c")
+    coeff = st.one_of(
+        st.just(F.zero),
+        st.builds(F.rational, st.integers(-3, 3), st.sampled_from([1, 2])),
+        st.builds(lambda p, q: p * c + q, st.integers(-2, 2),
+                  st.integers(-2, 2)))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[ScalarDiffOp(ALG, {k: ALG.from_scalar(draw(coeff))
+                                for k in range(draw(st.integers(0, 3)) + 1)})
+             for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        factor = draw(st.sampled_from([F.one, c]))
+        rows[-1] = [e.scale(ALG.from_scalar(factor)) for e in rows[0]]
+    return MatDiffOp(ALG, rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(M=constant_systems(), cap=st.integers(0, 5))
+def test_constant_kernel_equals_ansatz(M, cap):
+    """The kernel grown degree by degree is, vector for vector and as
+    printed, the basis of the one ansatz of degree cap."""
+    F = ALG.field
+    grown = _constant_kernel(M, cap)
+    ansatz = _solve_by_ansatz(M, [F.zero] * M.m, cap).homogeneous
+    assert grown == ansatz
+    assert [[format_field_elem(v) for v in y] for y in grown] == \
+        [[format_field_elem(v) for v in y] for y in ansatz]
+    for y in grown:
+        assert all(v.is_zero() for v in
+                   M.apply([ALG.from_scalar(v) for v in y]))
+
+
+def test_constant_kernel_stops_where_the_kernel_stops_growing():
+    """d + 2 has no rational solution at any cap; diag(d^2, d) stops at
+    degree 2; [d, d], whose kernel is infinite, runs to the cap; a system
+    with x in a coefficient is not taken."""
+    F = ALG.field
+    e = ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one * 2})
+    assert _constant_kernel(MatDiffOp(ALG, [[e]]), 40) == []
+    M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2), ZERO], [ZERO, D]])
+    assert _constant_kernel(M, 40) == [[F.one, F.zero], [F.x, F.zero],
+                                       [F.zero, F.one]]
+    wide = MatDiffOp(ALG, [[D, D]])  # y1 + y2 constant
+    assert len(_constant_kernel(wide, 4)) == 2 + 4
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    assert _constant_kernel(MatDiffOp(ALG, [[xd]]), 4) is None
 
 
 @st.composite

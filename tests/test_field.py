@@ -7,16 +7,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list
+from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list, lcm_list
 from sympy.polys.fields import field as sympy_field
 
 from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
                      InvariantViolation, UndecidableResidue, parse_session,
                      rational_antiderivative)
 from varpois import field as field_module
-from varpois.field import (FRAC, POLY, RAT, _format_poly, _poly_lcm,
-                          _primitive_parts, _rationals, clear_denominators,
-                          format_field_elem, x_coefficients)
+from varpois.field import (FRAC, POLY, RAT, _format_poly, _primitive_parts,
+                          _rationals, clear_denominators, format_field_elem,
+                          x_coefficients)
 
 from helpers import diffpolys, field_elems, rnd_field_elem
 
@@ -362,18 +362,17 @@ def test_printed_values_read_back(data, T, ta):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), tiers_=st.lists(tiers, min_size=1, max_size=4))
 def test_clear_denominators_matches_lcm_reference(data, tiers_):
-    """The lcm of the sympy denominators, folded left to right as the
-    ansatz solver did before the tiers; each v*D split by powers of x sums
-    back to v*D."""
+    """D is sympy's lcm over Z of the denominators, so a repeated factor
+    counts once; each v*D split by powers of x sums back to v*D."""
     F = C1.field
     pairs = [data.draw(tiered(C1, t)) for t in tiers_]
+    if data.draw(st.booleans()):
+        pairs.append(pairs[0])
     values = [v for v, _ in pairs]
-    den = None
-    for _, r in pairs:
-        if r:
-            den = r.denom if den is None else _poly_lcm(den, r.denom)
+    den = lcm_list([r.denom.as_expr() for _, r in pairs if r] or [1],
+                   *(g.as_expr() for g in C1.gens), domain=ZZ)
     D, cleared = clear_denominators(values)
-    check_same(D, C1.ref.one if den is None else C1.ref(den))
+    check_same(D, C1.ref(den))
     for (v, r), p in zip(pairs, cleared):
         check_same(p, r * D.f)
         total = F.zero
@@ -383,6 +382,17 @@ def test_clear_denominators_matches_lcm_reference(data, tiers_):
         assert total == p
     with pytest.raises(ValueError):
         x_coefficients(F.one / (F.x + 1))
+
+
+def test_clear_denominators_counts_a_repeated_factor_once(F):
+    x = F.x
+    D, cleared = clear_denominators([F.rational(k) / (2 * x + 1)
+                                     for k in (1, 3, 5, 7)])
+    assert D == 2 * x + 1
+    assert cleared == [F.rational(k) for k in (1, 3, 5, 7)]
+    D, _ = clear_denominators([1 / (2 * x + 1), 1 / ((2 * x + 1) * x),
+                               F.rational(1, 2)])
+    assert D == 2 * x * (2 * x + 1)
 
 
 def test_rationals_use_only_the_ground_type_constructor(monkeypatch):

@@ -15,7 +15,8 @@ from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
                      skew_product, solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois.diffalg import LocalFunctional
-from varpois.polydiff import _B_TABLE, _C_TABLE
+from varpois import diffop
+from varpois.polydiff import _B_TABLE, _C_TABLE, _skew_atoms
 
 from helpers import rnd_diffpoly, total_skewsymmetrize_shortcut
 
@@ -277,6 +278,26 @@ def test_sigma_space_examples():
     assert (len(basis), expected, flagged) == (1, 1, False)
     P = basis[0]
     assert P.entry((1, 1)).degree_in(0) == 0
+
+
+def test_sigma_space_grows_the_kernel_by_degree(monkeypatch):
+    """For K free of x the ansatz system is solved one degree at a time, so
+    no linear system has more columns than the kernel found plus one per
+    unknown function; one ansatz of the default degree 28 had 29 per
+    unknown.  diag(d^3, d^3) at k = 2 has C(6, 3) = 20 solutions."""
+    widths = []
+    solve = diffop.gauss_solve
+
+    def recording(rows, rhs, ncols, field):
+        widths.append(ncols)
+        return solve(rows, rhs, ncols, field)
+
+    monkeypatch.setattr(diffop, "gauss_solve", recording)
+    d3, z = ScalarDiffOp.d(ALG2, 3), ScalarDiffOp.zero(ALG2)
+    K = MatDiffOp(ALG2, [[d3, z], [z, d3]])
+    basis, expected, flagged = sigma_space(K, 2)
+    assert (len(basis), expected, flagged) == (20, 20, False)
+    assert widths and max(widths) <= len(basis) + len(_skew_atoms(ALG2, 2, 3))
 
 
 def test_sigma_space_flagged_nonrational():
