@@ -143,7 +143,7 @@ def _sk_action(P: KDiffOp, sigma: Sequence[int]) -> KDiffOp:
     out = KDiffOp(P.alg, k)
     for idx, L in P.entries.items():
         new_idx = (idx[0],) + tuple(idx[inv[a]] for a in range(1, k + 1))
-        var_map = tuple(inv[a + 1] - 1 for a in range(k))
+        var_map = tuple(sigma[a + 1] - 1 for a in range(k))
         out.entries[tuple(new_idx)] = out.entry(new_idx) + L.compose_vars(var_map)
     clean = KDiffOp(P.alg, k)
     for idx, L in out.entries.items():

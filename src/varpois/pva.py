@@ -16,8 +16,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, frechet,
-                      variational_derivative)
+                      higher_euler, variational_derivative)
 from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch
+from .field import accumulate
 from .lambdapoly import (LambdaPoly, affine_pow_apply, affine_pow_on,
                          symbol_act)
 
@@ -66,45 +67,77 @@ class LambdaBracketStruct:
         return f"LambdaBracketStruct({self.op!r})"
 
 
+class _LeftFactor:
+    """The half of the master formula that depends on f alone, for one
+    structure H:
+
+        B_j(lam) = sum_{i,m} H_ji(lam+d) (-lam-d)^m df/du_i^(m),
+
+    so that {f_lam g} = sum_{j,n} dg/du_j^(n) (lam+d)^n B_j.  Calling the
+    factor on g gives {f_lam g}.  B_j and each shift (lam+d)^n B_j are built
+    on first use and kept, so every element bracketed with the same f on
+    the left reuses them."""
+
+    __slots__ = ("H", "euler", "shifted")
+
+    def __init__(self, f: DiffPoly, H: LambdaBracketStruct):
+        self.H = H
+        # (-lam-d)^m df/du_i^(m) summed over m, for each u_i that f has
+        self.euler = {i: higher_euler(f, i)
+                      for i in sorted({i for (_, i) in f.jet_support()})}
+        self.shifted = {}
+
+    def _shift(self, j: int, n: int) -> LambdaPoly:
+        """(lam+d)^n B_j."""
+        out = self.shifted.get((j, n))
+        if out is None:
+            if n:
+                out = affine_pow_on({0: 1}, 1, n, self._shift(j, 0))
+            else:
+                out = LambdaPoly.zero(self.H.alg, 1)
+                for i, a_i in self.euler.items():
+                    sym = self.H.generator_bracket(i, j)
+                    if not sym.is_zero():
+                        out = out + symbol_act(sym, {0: 1}, 1, a_i)
+            self.shifted[(j, n)] = out
+        return out
+
+    def _add_bracket(self, g: DiffPoly, out: dict, tail: tuple = ()):
+        """Add the terms of {f_lam g} to the term dict `out`, each exponent
+        (t,) extended to (t,) + tail."""
+        if not self.euler:
+            return
+        for (n, j) in sorted(g.jet_support()):
+            b = self._shift(j, n)
+            if b.terms:
+                part = g.jet_partial(j, n)
+                for (t,), p in b.terms.items():
+                    accumulate(out, (t,) + tail, p * part)
+
+    def __call__(self, g: DiffPoly) -> LambdaPoly:
+        out = {}
+        self._add_bracket(g, out)
+        return LambdaPoly(self.H.alg, 1, out)
+
+    def into(self, G: LambdaPoly) -> LambdaPoly:
+        """{f_lam G} for G with formal variables of its own: bracket each
+        coefficient, result arity 1 + G.k with lam in slot 0."""
+        out = {}
+        for e, coeff in G.terms.items():
+            self._add_bracket(coeff, out, e)
+        return LambdaPoly(self.H.alg, 1 + G.k, out)
+
+
+def _left_factors(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly):
+    """The left factors of f and g under H, one shared factor when f = g."""
+    left_f = _LeftFactor(f, H)
+    return left_f, (left_f if g == f else _LeftFactor(g, H))
+
+
 def lambda_bracket(f: DiffPoly, g: DiffPoly,
                    H: LambdaBracketStruct) -> LambdaPoly:
     """{f_lam g} by the master formula; arity-1 result in lam."""
-    alg = H.alg
-    out = LambdaPoly.zero(alg, 1)
-    for i in range(1, H.nvars + 1):
-        a_i = LambdaPoly.zero(alg, 1)
-        for (n, jj) in sorted(f.jet_support()):
-            if jj != i:
-                continue
-            a_i = a_i + affine_pow_apply(alg, {0: -1}, -1, n,
-                                         f.jet_partial(i, n))
-        if a_i.is_zero():
-            continue
-        for j in range(1, H.nvars + 1):
-            sym = H.generator_bracket(i, j)
-            if sym.is_zero():
-                continue
-            b = symbol_act(sym, {0: 1}, 1, a_i)
-            for (n, jj) in sorted(g.jet_support()):
-                if jj != j:
-                    continue
-                part = g.jet_partial(j, n)
-                out = out + affine_pow_on({0: 1}, 1, n, b).scale(part)
-    return out
-
-
-def _bracket_into_poly(G: LambdaPoly, H: LambdaBracketStruct,
-                       f: DiffPoly) -> LambdaPoly:
-    """{f_lam G} for G with formal variables of its own: bracket each
-    coefficient, result arity 1 + G.k with lam in slot 0."""
-    alg = H.alg
-    out = LambdaPoly.zero(alg, 1 + G.k)
-    for e, coeff in G.terms.items():
-        br = lambda_bracket(f, coeff, H)
-        lifted = LambdaPoly(alg, 1 + G.k,
-                            {(ee[0],) + e: p for ee, p in br.terms.items()})
-        out = out + lifted
-    return out
+    return _LeftFactor(f, H)(g)
 
 
 def _expand_slot_to_sum(L: LambdaPoly, slots: tuple, k: int) -> LambdaPoly:
@@ -118,21 +151,28 @@ def _expand_slot_to_sum(L: LambdaPoly, slots: tuple, k: int) -> LambdaPoly:
     return out
 
 
+def _outer_bracket(q: LambdaPoly, h: DiffPoly,
+                   H: LambdaBracketStruct) -> LambdaPoly:
+    """{{f_lam g}_(lam+mu) h} from q = {f_lam g} = sum_t q_t lam^t: lam is a
+    constant in the outer bracket, so this is sum_t lam^t {q_t_(lam+mu) h},
+    arity 2 (lam = slot 0, mu = slot 1)."""
+    out = LambdaPoly.zero(H.alg, 2)
+    for (t,), coeff in q.terms.items():
+        r = lambda_bracket(coeff, h, H)
+        out = out + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
+    return out
+
+
 def jacobi_residual(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly,
                     h: DiffPoly) -> LambdaPoly:
     """{f_lam {g_mu h}} - {g_mu {f_lam h}} - {{f_lam g}_(lam+mu) h},
-    as an arity-2 polynomial (lam = slot 0, mu = slot 1)."""
-    alg = H.alg
-    t1 = _bracket_into_poly(lambda_bracket(g, h, H), H, f)
-    t2 = _bracket_into_poly(lambda_bracket(f, h, H), H, g)
+    as an arity-2 polynomial (lam = slot 0, mu = slot 1).  The left factors
+    of f and g are built once and serve the inner and the outer brackets."""
+    left_f, left_g = _left_factors(H, f, g)
+    t1 = left_f.into(left_g(h))
+    t2 = left_g.into(left_f(h))
     t2 = t2.compose_vars((1, 0))  # result had (mu, lam); swap into (lam, mu)
-    q = lambda_bracket(f, g, H)
-    t3 = LambdaPoly.zero(alg, 2)
-    for (t,), coeff in q.terms.items():
-        r = lambda_bracket(coeff, h, H)
-        r2 = _expand_slot_to_sum(r, (0, 1), 2)
-        t3 = t3 + r2.shift_exp(0, t)
-    return t1 - t2 - t3
+    return t1 - t2 - _outer_bracket(left_f(g), h, H)
 
 
 def _compatibility_terms(first: LambdaBracketStruct,
@@ -140,15 +180,11 @@ def _compatibility_terms(first: LambdaBracketStruct,
                          g: DiffPoly, h: DiffPoly) -> LambdaPoly:
     """The three mixed Jacobi terms with `first` inside and `second` outside:
     {{f_lam g}_(lam+mu) h} - {f_lam {g_mu h}} + {g_mu {f_lam h}}."""
-    t1 = _bracket_into_poly(lambda_bracket(g, h, first), second, f)
-    t2 = _bracket_into_poly(lambda_bracket(f, h, first), second,
-                            g).compose_vars((1, 0))
-    q = lambda_bracket(f, g, first)
-    t3 = LambdaPoly.zero(first.alg, 2)
-    for (t,), coeff in q.terms.items():
-        r = lambda_bracket(coeff, h, second)
-        t3 = t3 + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
-    return t3 - t1 + t2
+    inner_f, inner_g = _left_factors(first, f, g)
+    outer_f, outer_g = _left_factors(second, f, g)
+    t1 = outer_f.into(inner_g(h))
+    t2 = outer_g.into(inner_f(h)).compose_vars((1, 0))
+    return _outer_bracket(inner_f(g), h, second) - t1 + t2
 
 
 def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, LambdaPoly,
                      LocalFunctional, MatDiffOp, ScalarDiffOp, SkewArray,
-                     ev_commutator, hamiltonian_vf, jacobi_residual,
-                     lambda_bracket, poisson_bracket, rational_antiderivative,
+                     ev_commutator, hamiltonian_vf, lambda_bracket,
+                     poisson_bracket, rational_antiderivative,
                      variational_derivative)
 from varpois.diffalg import _exact_div
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
                             _simplify_coeff)
-from varpois.lambdapoly import subst_slot_neg
+from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
+                                subst_slot_neg, symbol_act)
 from varpois.polydiff import _tau_action
-from varpois.pva import compatibility_residual
+from varpois.pva import _expand_slot_to_sum
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -143,6 +144,80 @@ def skewsymmetry_residual(H, f, g) -> LambdaPoly:
     return lhs + rhs
 
 
+def lambda_bracket_reference(f, g, H) -> LambdaPoly:
+    """{f_lam g} by the master formula term by term: for each u_i in f and
+    each H_ji, the operator H_ji(lam+d) acts on sum_m (-lam-d)^m df/du_i^(m),
+    and (lam+d)^n of that is taken again for every jet u_j^(n) of g."""
+    alg = H.alg
+    out = LambdaPoly.zero(alg, 1)
+    for i in range(1, H.nvars + 1):
+        a_i = LambdaPoly.zero(alg, 1)
+        for (n, jj) in sorted(f.jet_support()):
+            if jj == i:
+                a_i = a_i + affine_pow_apply(alg, {0: -1}, -1, n,
+                                             f.jet_partial(i, n))
+        if a_i.is_zero():
+            continue
+        for j in range(1, H.nvars + 1):
+            sym = H.generator_bracket(i, j)
+            if sym.is_zero():
+                continue
+            b = symbol_act(sym, {0: 1}, 1, a_i)
+            for (n, jj) in sorted(g.jet_support()):
+                if jj == j:
+                    out = out + affine_pow_on({0: 1}, 1, n, b).scale(
+                        g.jet_partial(j, n))
+    return out
+
+
+def _bracket_into_poly_reference(G, H, f) -> LambdaPoly:
+    """{f_lam G} for G with variables of its own, one reference bracket per
+    coefficient; lam in slot 0."""
+    out = LambdaPoly.zero(H.alg, 1 + G.k)
+    for e, coeff in G.terms.items():
+        br = lambda_bracket_reference(f, coeff, H)
+        out = out + LambdaPoly(H.alg, 1 + G.k, {(ee[0],) + e: p
+                                                for ee, p in br.terms.items()})
+    return out
+
+
+def _outer_bracket_reference(q, h, H) -> LambdaPoly:
+    """{{f_lam g}_(lam+mu) h} from q = {f_lam g}."""
+    out = LambdaPoly.zero(H.alg, 2)
+    for (t,), coeff in q.terms.items():
+        r = lambda_bracket_reference(coeff, h, H)
+        out = out + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
+    return out
+
+
+def jacobi_residual_reference(H, f, g, h) -> LambdaPoly:
+    """{f_lam {g_mu h}} - {g_mu {f_lam h}} - {{f_lam g}_(lam+mu) h} from
+    reference brackets, every bracket built afresh."""
+    t1 = _bracket_into_poly_reference(lambda_bracket_reference(g, h, H), H, f)
+    t2 = _bracket_into_poly_reference(lambda_bracket_reference(f, h, H), H,
+                                      g).compose_vars((1, 0))
+    t3 = _outer_bracket_reference(lambda_bracket_reference(f, g, H), h, H)
+    return t1 - t2 - t3
+
+
+def compatibility_terms_reference(first, second, f, g, h) -> LambdaPoly:
+    """{{f_lam g}_(lam+mu) h} - {f_lam {g_mu h}} + {g_mu {f_lam h}} with
+    `first` inside and `second` outside, from reference brackets."""
+    t1 = _bracket_into_poly_reference(lambda_bracket_reference(g, h, first),
+                                      second, f)
+    t2 = _bracket_into_poly_reference(lambda_bracket_reference(f, h, first),
+                                      second, g).compose_vars((1, 0))
+    t3 = _outer_bracket_reference(lambda_bracket_reference(f, g, first), h,
+                                  second)
+    return t3 - t1 + t2
+
+
+def compatibility_residual_reference(H, K, f, g, h) -> LambdaPoly:
+    """The six-term mixed Jacobi expression from reference brackets."""
+    return (compatibility_terms_reference(H, K, f, g, h)
+            + compatibility_terms_reference(K, H, f, g, h))
+
+
 def _first_failing_triple(nvars, residual):
     for triple in itertools.product(range(1, nvars + 1), repeat=3):
         res = residual(triple)
@@ -152,19 +227,21 @@ def _first_failing_triple(nvars, residual):
 
 
 def jacobi_all_triples(H):
-    """check_jacobi without its shortcuts: the Jacobi residual of every
-    generator triple in order; (ok, witness) as check_jacobi returns it."""
+    """check_jacobi without its shortcuts: the reference Jacobi residual of
+    every generator triple in order; (ok, witness) as check_jacobi returns
+    it."""
     jet = H.alg.jet
-    return _first_failing_triple(H.nvars, lambda t: jacobi_residual(
+    return _first_failing_triple(H.nvars, lambda t: jacobi_residual_reference(
         H, jet(t[0]), jet(t[1]), jet(t[2])))
 
 
 def compatible_all_terms(H, K):
-    """check_compatible without its shortcuts: the six-term residual of
-    every generator triple in order."""
+    """check_compatible without its shortcuts: the reference six-term
+    residual of every generator triple in order."""
     jet = H.alg.jet
-    return _first_failing_triple(H.nvars, lambda t: compatibility_residual(
-        H, K, jet(t[0]), jet(t[1]), jet(t[2])))
+    return _first_failing_triple(
+        H.nvars, lambda t: compatibility_residual_reference(
+            H, K, jet(t[0]), jet(t[1]), jet(t[2])))
 
 
 def total_skewsymmetrize_shortcut(P):

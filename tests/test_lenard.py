@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varpois.diffalg as diffalg_module
 from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      LambdaBracketStruct, LocalFunctional, MatDiffOp,
-                     NoPreimage, NotPoisson, NotSkewadjoint, ScalarDiffOp,
-                     UnsupportedK, functional_eq, gfz_structure,
+                     NoPreimage, NotExact, NotPoisson, NotSkewadjoint,
+                     ScalarDiffOp, UnsupportedK, functional_eq, gfz_structure,
                      hamiltonian_vf, magri_structure, run_hierarchy,
                      variational_derivative, verify_involution)
-from varpois.lenard import lenard_step
+from varpois.lenard import StepCertificate, lenard_step
 
 from helpers import commuting_flows, diffpolys, involution_matrix_reference
 
@@ -186,3 +187,84 @@ def test_failed_recursion_is_a_named_error(monkeypatch):
         lenard_step(state)
     assert len(state.densities) == len(state.gradients) == 1
     assert state.certificates == []
+
+
+def test_non_gradient_preimage_is_not_exact():
+    """K = diag(d, d), H = [[0, d], [-d, 0]] from (u1^2 + u2^2)/2: the
+    preimage (u2, -u1) is not a variational gradient.  NotExact carries
+    D_G - D_G* as its witness, and the state stays as it was."""
+    z = ScalarDiffOp.zero(ALG2)
+    Kd = LambdaBracketStruct(MatDiffOp(ALG2, [[_D1, z], [z, _D1]]))
+    Hs = LambdaBracketStruct(MatDiffOp(ALG2, [[z, _D1], [-_D1, z]]))
+    u1, u2 = ALG2.jet(1), ALG2.jet(2)
+    state = HierarchyState(Hs, Kd, [LocalFunctional((u1 * u1 + u2 * u2) / 2)])
+    with pytest.raises(NotExact, match="not a variational gradient") as err:
+        lenard_step(state)
+    two = ScalarDiffOp.identity(ALG2).scale(2)
+    assert (err.value.witness - MatDiffOp(ALG2, [[z, two], [-two, z]])).is_zero()
+    assert len(state.densities) == len(state.gradients) == 1
+    assert state.certificates == []
+
+
+def _count_zero_tests(monkeypatch):
+    """Count the integration-by-parts zero tests (is_total_derivative)."""
+    calls = []
+    real = diffalg_module.is_total_derivative
+    monkeypatch.setattr(diffalg_module, "is_total_derivative",
+                        lambda f: calls.append(f) or real(f))
+    return calls
+
+
+def test_involution_of_a_chain_makes_no_zero_test(monkeypatch):
+    """Every link of a 4-step KdV hierarchy is exact, so the Lenard-Magri
+    lemma settles every pair: no zero test runs.  A broken link brings
+    them back, which shows that the counter sees them."""
+    state = run_hierarchy(H, K, LocalFunctional(U * U / 2), 4)
+    calls = _count_zero_tests(monkeypatch)
+    assert all(all(row) for row in verify_involution(state))
+    assert calls == []
+    broken = HierarchyState(H, K, state.densities[:2] +
+                            [LocalFunctional(ALG.jet(1, 1) ** 2)])
+    verify_involution(broken)
+    assert calls
+
+
+def test_involution_across_a_broken_link(kdv_state):
+    """[h0, h1, junk, h2]: the links h0-h1 and junk-h2 are broken at junk.
+    Pairs inside {h0, h1} follow from the lemma; the pairs across junk are
+    zero-tested, and the ones with h2 still vanish."""
+    h0, h1, h2 = kdv_state.densities[:3]
+    junk = LocalFunctional(ALG.jet(1, 1) ** 2)
+    state = HierarchyState(H, K, [h0, h1, junk, h2])
+    matrix = verify_involution(state)
+    assert matrix == involution_matrix_reference(state)
+    assert matrix[2] == [False, False, True, False]
+    assert matrix[0][1] and matrix[0][3] and matrix[1][3]
+
+
+def test_hand_given_densities_on_a_chain(kdv_state, monkeypatch):
+    """Densities typed by hand, each off the reconstructed one by a total
+    derivative, have the same gradients, so they satisfy every link and
+    the lemma settles them without a zero test."""
+    u1, u2 = ALG.jet(1, 1), ALG.jet(1, 2)
+    hand = [LocalFunctional(U * U / 2 + (U * u1).derive()),
+            LocalFunctional((U ** 3 + C * U * u2) / 2
+                            + (U ** 2 * u1).derive())]
+    state = HierarchyState(H, K, hand)
+    for a, b in zip(hand, kdv_state.densities):
+        assert functional_eq(a, b)
+    expected = involution_matrix_reference(state)
+    calls = _count_zero_tests(monkeypatch)
+    assert verify_involution(state) == expected == [[True, True], [True, True]]
+    assert calls == []
+
+
+def test_involution_ignores_forged_certificates(kdv_state):
+    """A hand-built state whose certificates claim an exact step still gets
+    its links checked: h0 with u'^2 is not in involution."""
+    state = HierarchyState(H, K, [kdv_state.densities[0],
+                                  LocalFunctional(ALG.jet(1, 1) ** 2)],
+                           [StepCertificate(1, True, "claimed by hand")])
+    matrix = verify_involution(state)
+    assert matrix == involution_matrix_reference(state)
+    assert matrix == [[True, False], [False, True]]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
                      LeadingCoeffSingular, MatDiffOp, NotInSigma,
@@ -65,6 +67,19 @@ def test_group_action_axiom():
             comp = tuple(tau[sigma[a]] for a in range(3))
             assert sigma_action(sigma_action(P, sigma), tau) == \
                 sigma_action(P, comp)
+
+
+@pytest.mark.parametrize("alg", [ALG, ALG2], ids=["l1", "l2"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), s=st.permutations(range(4)),
+       t=st.permutations(range(4)))
+def test_group_action_axiom_k3(alg, seed, s, t):
+    """(P^s)^t = P^(t s) at k = 3, where S_4 has elements of order 3 and 4.
+    The entries have degree 1 in each lam, so a permutation that moves the
+    variables differently from the indices shows."""
+    P = rnd_kdiffop(random.Random(seed), alg, 3, max_deg=2)
+    comp = tuple(t[s[a]] for a in range(4))
+    assert sigma_action(sigma_action(P, s), t) == sigma_action(P, comp)
 
 
 def test_pairing_covariance():

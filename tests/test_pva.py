@@ -13,9 +13,13 @@ from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
                      jacobi_residual, lambda_bracket, magri_structure,
                      poisson_bracket)
 from varpois.lambdapoly import LambdaPoly
+from varpois.pva import compatibility_residual
 
-from helpers import (compatible_all_terms, jacobi_all_triples, rnd_diffpoly,
-                     rnd_mat_op, rnd_scalar_op, skewsymmetry_residual)
+from helpers import (compatibility_residual_reference, compatible_all_terms,
+                     diffpolys, field_elems, jacobi_all_triples,
+                     jacobi_residual_reference, lambda_bracket_reference,
+                     rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
+                     skewsymmetry_residual)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -225,6 +229,70 @@ def test_check_compatible_equals_all_terms(data, alg):
     H = data.draw(skew_brackets(alg))
     K = data.draw(skew_brackets(alg))
     assert check_compatible(H, K) == compatible_all_terms(H, K)
+
+
+@st.composite
+def _with_jet(draw, alg, max_degree):
+    """A small element of V (x and the field's parameter in its
+    coefficients, jets of order <= 1) plus a nonzero multiple of one jet,
+    so that it is not in F."""
+    c = draw(field_elems(alg.field).filter(lambda v: not v.is_zero()))
+    jet = alg.jet(draw(st.integers(1, alg.nvars)), draw(st.integers(0, 1)))
+    return draw(diffpolys(alg, max_order=1, max_degree=max_degree,
+                          max_terms=2, with_x=True)) + jet * c
+
+
+@st.composite
+def bracket_structs(draw, alg):
+    """An l x l operator of order <= 2 whose coefficients carry jets, x and
+    the field's parameter, skewadjoint (M - M*) or not (M)."""
+    M = MatDiffOp(alg, [[ScalarDiffOp(alg, {n: draw(_with_jet(alg, 1)) for n
+                                            in range(draw(st.integers(0, 2))
+                                                     + 1)})
+                         for _ in range(alg.nvars)]
+                        for _ in range(alg.nvars)])
+    return LambdaBracketStruct(M - M.adjoint() if draw(st.booleans()) else M)
+
+
+def _elements(draw, alg, count, max_degree):
+    """`count` elements of V outside F; a later one repeats the one before
+    it half the time, so that f = g also occurs."""
+    out = []
+    for _ in range(count):
+        out.append(out[-1] if out and draw(st.booleans())
+                   else draw(_with_jet(alg, max_degree)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_lambda_bracket_equals_reference(data, alg):
+    """The left factor applied to g gives the per-term master formula."""
+    H = data.draw(bracket_structs(alg))
+    f, g = _elements(data.draw, alg, 2, max_degree=2)
+    assert lambda_bracket(f, g, H) == lambda_bracket_reference(f, g, H)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_jacobi_residual_equals_reference(data, alg):
+    """One left factor for f and one for g, reused across the coefficients
+    of the inner brackets, give the reference residual term for term."""
+    H = data.draw(bracket_structs(alg))
+    f, g, h = _elements(data.draw, alg, 3, max_degree=1)
+    assert jacobi_residual(H, f, g, h) == jacobi_residual_reference(H, f, g, h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_compatibility_residual_equals_reference(data, alg):
+    """Left factors per structure and element, inner and outer, give the
+    reference six-term expression term for term."""
+    H = data.draw(bracket_structs(alg))
+    K = data.draw(bracket_structs(alg))
+    f, g, h = _elements(data.draw, alg, 3, max_degree=1)
+    assert compatibility_residual(H, K, f, g, h) == \
+        compatibility_residual_reference(H, K, f, g, h)
 
 
 def test_bracket_size_must_match_algebra():
