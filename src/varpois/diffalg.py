@@ -258,29 +258,12 @@ class DiffPoly:
         """Evaluation at u = 0 (all jets to zero): element of F."""
         return self.terms.get((), self.alg.field.zero)
 
-    def constant_coefficient(self):
-        return self.quasiconstant_part()
-
     def jet_degree_parts(self) -> dict:
         """Split into homogeneous components by total degree in the jets."""
         parts: dict = {}
         for m, c in self.terms.items():
             parts.setdefault(mono_degree(m), {})[m] = c
         return {d: DiffPoly(self.alg, t) for d, t in parts.items()}
-
-    def subs_jets(self, values: dict) -> "DiffPoly":
-        """Substitute DiffPoly values for jet variables (n, i) -> value."""
-        out = self.alg.zero
-        for m, c in self.terms.items():
-            term = self.alg.from_scalar(c) if not isinstance(c, FieldElem) \
-                else DiffPoly(self.alg, {(): c})
-            for v, e in m:
-                base = values.get(v)
-                if base is None:
-                    base = DiffPoly(self.alg, {((v, 1),): self.alg.field.one})
-                term = term * base ** e
-            out = out + term
-        return out
 
     # -- display ----------------------------------------------------------------
 

@@ -4,8 +4,9 @@ The derivation is d/dx; parameters are constants (their derivative is zero).
 Every element is stored in the lowest of three tiers that can hold it:
 
 - RAT: a plain rational, a sympy ``QQ`` number;
-- POLY: a polynomial over Q in x and the parameters that is not a plain
-  rational, a bare sympy ``PolyElement``;
+- POLY: a polynomial in x and the parameters that is not a plain rational,
+  stored as P/m: P in Z[x, params] (a sympy ``PolyElement`` over ``ZZ``)
+  and m >= 1 an int with gcd(content P, m) = 1;
 - FRAC: a fraction whose denominator is not a plain rational, a sympy
   ``FracElement`` of a fraction field over Z on the same generators, in the
   canonical form of ``PolyElement.cancel``: numerator and denominator in
@@ -17,17 +18,17 @@ tier and the stored value.  Arithmetic dispatches on the operand tiers: rat
 with rat is rational arithmetic, rat with poly scales or shifts the
 polynomial, poly with poly stays in the ring, and a gcd cancellation runs
 only where a common factor can appear (a quotient of polynomials, a product
-with a fraction, a sum of fractions, the derivative of a fraction).  Those
-gcds run in Z[x, params]: a polynomial operand enters as P/m with P
-integral, so sympy never converts between its rings over Q and over Z.  A
-sum of a fraction and a polynomial, or a fraction scaled by a rational, only
-needs its integer content normalized.  Values are read over Q:
-``FieldElem.f`` is an element of sympy's Q(x, params), and printing,
-``clear_denominators`` and ``rational_antiderivative`` take numerators and
-denominators over Q.  ``_primitive_parts`` divides polynomials over F's
-polynomial ring, possibly in further variables such as the jets of V, by
-their common factor: the content that fraction-free elimination removes.
-"""
+with a fraction, a sum of fractions, the derivative of a fraction).  All
+polynomial arithmetic is over Z (the integer-preserving elimination of
+Bareiss, in the content form of Geddes-Czapor-Labahn): a POLY result only
+needs the integer gcd of m and its coefficients, which stops at the first 1
+and does not run at all when m = 1, and a sum of a fraction and a
+polynomial, or a fraction scaled by a rational, only needs its integer
+content normalized.  Values are read over Q: ``FieldElem.f`` is an element
+of sympy's Q(x, params), and printing takes numerators and denominators
+over Q.  ``_primitive_parts`` divides polynomials over F's polynomial ring,
+possibly in further variables such as the jets of V, by their common
+factor: the content that fraction-free elimination removes."""
 
 from __future__ import annotations
 
@@ -88,11 +89,10 @@ class CoefficientField:
         self._field, self._zfield = _sympy_fields(("x",) + self.params)
         self._ring = self._field.ring
         self._zring = self._zfield.ring
-        self._gens = self._ring.gens
-        self._zm = self._ring.zero_monom
+        self._zm = self._zring.zero_monom
         self.zero = FieldElem(self, RAT, _Q(0))
         self.one = FieldElem(self, RAT, _Q(1))
-        self.x = FieldElem(self, POLY, self._gens[0])
+        self.x = FieldElem(self, POLY, _ZPoly(self._zring.gens[0], 1))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.params == other.params
@@ -105,7 +105,8 @@ class CoefficientField:
         return f"CoefficientField(x{',' if ps else ''}{ps})"
 
     def param(self, name: str) -> "FieldElem":
-        return FieldElem(self, POLY, self._gens[1 + self.params.index(name)])
+        return FieldElem(self, POLY, _ZPoly(
+            self._zring.gens[1 + self.params.index(name)], 1))
 
     def rational(self, num, den=1) -> "FieldElem":
         q = Fraction(num, den) if den != 1 else Fraction(num)
@@ -127,41 +128,66 @@ class CoefficientField:
 # call them and never each other, so each public operation is one call
 # whatever the operand tiers.
 
-def _from_poly(field: CoefficientField, p) -> "FieldElem":
-    """The polynomial p over Q in its lowest tier."""
-    if len(p) != 1:
-        return FieldElem(field, POLY, p) if p else field.zero
-    c = p.get(field._zm)
-    return FieldElem(field, POLY, p) if c is None else FieldElem(field, RAT, c)
+class _ZPoly:
+    """A POLY value P/m: P in Z[x, params] not a constant and m >= 1 an
+    int, with gcd(content P, m) = 1, so each value has one such pair."""
+
+    __slots__ = ("P", "m")
+
+    def __init__(self, P, m: int):
+        self.P = P
+        self.m = m
+
+    def __eq__(self, other):
+        return self.m == other.m and self.P == other.P
+
+    def __neg__(self):
+        return _ZPoly(-self.P, self.m)
+
+    def __pow__(self, n: int):
+        # content(P^n) = content(P)^n (Gauss), still prime to m^n
+        return _ZPoly(self.P ** n, self.m ** n)
 
 
-def _integral(field: CoefficientField, p, ring=None) -> tuple:
-    """(m, P) with p = P/m for a polynomial p over Q: P in Z[x, params], or
-    in `ring`, that ring with more generators, and m the least common
-    denominator of the coefficients of p.  p maps exponent tuples of the
-    target ring to rationals (a sympy polynomial or a plain dict)."""
-    ring = field._zring if ring is None else ring
-    m = 1
-    for c in p.values():
-        m = lcm(m, c.denominator)
-    if m == 1:
-        return 1, ring.dtype({k: c.numerator for k, c in p.items()})
-    return m, ring.dtype({k: c.numerator * (m // c.denominator)
-                          for k, c in p.items()})
+def _poly(field: CoefficientField, P, m: int = 1) -> "FieldElem":
+    """P/m in its lowest tier, for P in Z[x, params] and m >= 1 with
+    gcd(content P, m) = 1."""
+    if len(P) != 1:
+        return FieldElem(field, POLY, _ZPoly(P, m)) if P else field.zero
+    c = P.get(field._zm)
+    if c is None:
+        return FieldElem(field, POLY, _ZPoly(P, m))
+    return FieldElem(field, RAT, _Q(c, m))
 
 
-def _over(field: CoefficientField, p, m=1):
-    """P/m as a polynomial over Q, for P in Z[x, params] (a sympy polynomial
-    or a dict of its terms) and an integer m."""
-    return field._ring.dtype({k: _Q(c, m) for k, c in p.items()})
+def _content(values, g: int = 0) -> int:
+    """The gcd of g and the integers `values`, stopping at the first 1."""
+    for c in values:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _reduced(field: CoefficientField, P, m: int) -> "FieldElem":
+    """P/m in its lowest tier, for P in Z[x, params] and an int m >= 1: the
+    integer gcd stops at the first 1, and does not run when m = 1."""
+    if m != 1 and P:
+        g = _content(P.values(), m)
+        if g != 1:
+            P, m = P.quo_ground(g), m // g
+    return _poly(field, P, m)
 
 
 def _zz_parts(field: CoefficientField, k, v) -> tuple:
-    """Numerator and denominator in Z[x, params] of a POLY or FRAC value."""
+    """Numerator and denominator in Z[x, params] of a value: coprime, of
+    joint content 1, with a positive leading coefficient below."""
     if k == FRAC:
         return v.numer, v.denom
-    m, p = _integral(field, v)
-    return p, field._zring.ground_new(m)
+    ring = field._zring
+    if k == POLY:
+        return v.P, ring.ground_new(v.m)
+    return ring.ground_new(v.numerator), ring.ground_new(v.denominator)
 
 
 def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
@@ -169,7 +195,7 @@ def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
     if len(den) == 1:
         c = den.get(field._zm)
         if c is not None:
-            return _from_poly(field, _over(field, num, c))
+            return _poly(field, num, c)
     return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
 
 
@@ -183,34 +209,36 @@ def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
     factor: only the integer content and the sign need normalizing, no gcd
     of polynomials."""
     if len(den) == 1 and field._zm in den:
-        return _from_poly(field, _over(field, num, den[field._zm]))
-    g = 0
-    for c in chain(num.values(), den.values()):
-        g = gcd(g, c)
-        if g == 1:
-            break
-    else:
+        c = den[field._zm]
+        return _reduced(field, -num, -c) if c < 0 else _reduced(field, num, c)
+    g = _content(chain(num.values(), den.values()))
+    if g != 1:
         num, den = num.quo_ground(g), den.quo_ground(g)
     if den.LC < 0:
         num, den = -num, -den
     return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
 
 
-def _poly_plus_rat(p, q, zm):
-    """p + q for a polynomial p and a rational q; never a plain rational
-    when p is not one."""
-    out = p.copy()
-    c = out.get(zm)
-    if c is None:
-        if q:
-            out[zm] = q
-        return out
-    c = c + q
+def _poly_plus_rat(field, a: _ZPoly, q) -> "FieldElem":
+    """P/m + r/s over l = lcm(m, s); never a plain rational."""
+    if not q:
+        return FieldElem(field, POLY, a)
+    l = lcm(a.m, q.denominator)
+    P = a.P.copy() if l == a.m else a.P.mul_ground(l // a.m)
+    zm = field._zm
+    c = P.get(zm, 0) + q.numerator * (l // q.denominator)
     if c:
-        out[zm] = c
+        P[zm] = c
     else:
-        del out[zm]
-    return out
+        del P[zm]
+    return _reduced(field, P, l)
+
+
+def _poly_plus_poly(field, a: _ZPoly, b: _ZPoly) -> "FieldElem":
+    """P/m + Q/n over l = lcm(m, n)."""
+    l = lcm(a.m, b.m)
+    return _reduced(field, (a.P if l == a.m else a.P.mul_ground(l // a.m)) +
+                    (b.P if l == b.m else b.P.mul_ground(l // b.m)), l)
 
 
 def _frac_plus(field, f, kb, b) -> "FieldElem":
@@ -221,8 +249,7 @@ def _frac_plus(field, f, kb, b) -> "FieldElem":
             return FieldElem(field, FRAC, f)
         m, added = b.denominator, f.denom.mul_ground(b.numerator)
     else:
-        m, bz = _integral(field, b)
-        added = f.denom * bz
+        m, added = b.m, f.denom * b.P
     num, den = f.numer, f.denom
     if m != 1:
         num, den = num.mul_ground(m), den.mul_ground(m)
@@ -236,8 +263,8 @@ def _add(field, ka, a, kb, b) -> "FieldElem":
         return FieldElem(field, RAT, a + b)
     if kb == POLY:
         if ka == RAT:
-            return FieldElem(field, POLY, _poly_plus_rat(b, a, field._zm))
-        return _from_poly(field, a + b)
+            return _poly_plus_rat(field, b, a)
+        return _poly_plus_poly(field, a, b)
     if ka == FRAC:
         return _from_frac(field, a + b)
     return _frac_plus(field, b, ka, a)
@@ -254,11 +281,12 @@ def _mul(field, ka, a, kb, b) -> "FieldElem":
         if a == 1:
             return FieldElem(field, kb, b)
         if kb == POLY:
-            return FieldElem(field, POLY, b.mul_ground(a))
+            return _reduced(field, b.P.mul_ground(a.numerator),
+                            a.denominator * b.m)
         return _from_coprime(field, b.numer.mul_ground(a.numerator),
                              b.denom.mul_ground(a.denominator))
     if kb == POLY:
-        return FieldElem(field, POLY, a * b)
+        return _reduced(field, a.P * b.P, a.m * b.m)
     if ka == FRAC:
         return _from_frac(field, a * b)
     na, da = _zz_parts(field, ka, a)
@@ -286,7 +314,7 @@ def _div(field, ka, a, kb, b) -> "FieldElem":
 
 
 def _pow(field, k, v, n: int) -> "FieldElem":
-    """v**n for n >= 0; a power of a canonical fraction is canonical."""
+    """v**n for n >= 0; a power of a canonical value is canonical."""
     if n == 0:
         return field.one
     return FieldElem(field, k, v ** n)
@@ -296,13 +324,8 @@ def _numer_denom(v: "FieldElem"):
     """Numerator and denominator polynomials of v over Q in the canonical
     form of ``PolyElement.cancel``."""
     field = v.field
-    ring = field._ring
-    if v._k == RAT:
-        return ring.ground_new(v._v.numerator), ring.ground_new(v._v.denominator)
-    if v._k == POLY:
-        m, num = v._v.clear_denoms()
-        return num, ring.ground_new(m)
-    return _over(field, v._v.numer), _over(field, v._v.denom)
+    return tuple(field._ring.dtype({k: _Q(c) for k, c in p.items()})
+                 for p in _zz_parts(field, v._k, v._v))
 
 
 class FieldElem:
@@ -407,7 +430,7 @@ class FieldElem:
         if self._k == RAT:
             return hash((self.field, self._v))
         if self._k == POLY:
-            return hash((self.field, frozenset(self._v.items())))
+            return hash((self.field, frozenset(self._v.P.items()), self._v.m))
         return hash((self.field, frozenset(self._v.numer.items()),
                      frozenset(self._v.denom.items())))
 
@@ -425,7 +448,7 @@ class FieldElem:
         if self._k == RAT:
             return field.zero
         if self._k == POLY:
-            return _from_poly(field, v.diff(0))
+            return _reduced(field, v.P.diff(0), v.m)
         num, den = v.numer, v.denom
         return _from_cancelled(field, *(num.diff(0) * den - num * den.diff(0))
                                .cancel(den ** 2))
@@ -435,7 +458,7 @@ class FieldElem:
         if self._k == RAT:
             return True
         if self._k == POLY:
-            return all(m[0] == 0 for m in self._v)
+            return all(m[0] == 0 for m in self._v.P)
         return all(m[0] == 0 for m in self._v.numer) and \
             all(m[0] == 0 for m in self._v.denom)
 
@@ -453,7 +476,7 @@ class FieldElem:
         if self._k == RAT:
             return 0
         if self._k == POLY:
-            return max(m[0] for m in self._v)
+            return max(m[0] for m in self._v.P)
         return max(m[0] for m in self._v.numer) - \
             max(m[0] for m in self._v.denom)
 
@@ -516,10 +539,11 @@ def x_coefficients(v: FieldElem) -> dict:
         return {0: v} if v._v else {}
     if v._k != POLY:
         raise ValueError(f"{v} is not a polynomial")
+    P, m = v._v.P, v._v.m
     buckets: dict = {}
-    for mono, coeff in v._v.items():
+    for mono, coeff in P.items():
         buckets.setdefault(mono[0], {})[(0,) + mono[1:]] = coeff
-    return {k: _from_poly(v.field, v._v.new(terms))
+    return {k: _reduced(v.field, P.new(terms), m)
             for k, terms in buckets.items()}
 
 
@@ -534,23 +558,18 @@ def clear_denominators(values) -> tuple:
         # integer denominators only: their lcm, without polynomial gcds
         m = 1
         for v in values:
-            if v._k == RAT:
-                m = lcm(m, v._v.denominator)
-            else:
-                for c in v._v.values():
-                    m = lcm(m, c.denominator)
+            m = lcm(m, v._v.denominator if v._k == RAT else v._v.m)
         q = _Q(m)
         return (FieldElem(field, RAT, q),
                 [_mul(field, RAT, q, v._k, v._v) for v in values])
     # some value is a fraction, so some denominator is a real polynomial
-    parts = [None if v.is_zero() else _numer_denom(v) for v in values]
+    parts = [None if v.is_zero() else _zz_parts(field, v._k, v._v)
+             for v in values]
     # over Z, not Q: a fold of sympy's lcm over Q (p q / monic gcd)
     # multiplies D by the leading coefficient of a repeated factor again
     den = None
     for q in dict.fromkeys(part[1] for part in parts if part is not None):
-        q = _integral(field, q)[1]
         den = q if den is None else den.lcm(q)
-    den = _over(field, den)
     cleared = []
     for v, part in zip(values, parts):
         if part is None:
@@ -559,8 +578,8 @@ def clear_denominators(values) -> tuple:
         mult, rem = den.div(part[1])
         if rem:
             raise InvariantViolation("an lcm is not divisible by a factor")
-        cleared.append(_from_poly(field, part[0] * mult))
-    return _from_poly(field, den), cleared
+        cleared.append(_poly(field, part[0] * mult))
+    return _poly(field, den), cleared
 
 
 @lru_cache(maxsize=None)
@@ -589,59 +608,76 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
     if not polys:
         return None, polys
     field = next(iter(start.values())).field
-    g = None
-    if len(start) != 1 or () not in start or start[()]._k != RAT:
-        names = sorted({v for p in chain((start,), polys) for mono in p
-                        for v, _ in mono})
-        slots = {v: k for k, v in enumerate(names)}
-        ring = _extended_zring(field._zring, len(names))
-        g = _integral(field, _flat(field, start, slots), ring)[1]
-        if g.LC < 0:
-            g = -g
-        integral = []
-        for p in polys:
-            m, P = _integral(field, _flat(field, p, slots), ring)
-            # g | P is common (g is often all of start), and a trial
-            # division is cheaper than a gcd
-            quo, rem = P.div(g)
-            if not rem:
-                integral.append((m, P, quo, g))
-                continue
-            g = g.gcd(P)
-            if g.is_ground:
-                g = None
-                break
-            integral.append((m, P, None, None))
-    if g is not None:
-        polys = [_unflat(field, quo if divisor is g else P.exquo(g), m,
-                         names) for m, P, quo, divisor in integral]
+    if len(start) == 1 and () in start and start[()]._k == RAT:
+        return _rational_parts(field, polys)
+    names = sorted({v for p in chain((start,), polys) for mono in p
+                    for v, _ in mono})
+    slots = {v: k for k, v in enumerate(names)}
+    ring = _extended_zring(field._zring, len(names))
+    g = _flat(field, ring, start, slots)[0]
+    if g.LC < 0:
+        g = -g
+    flat = []
+    for p in polys:
+        P, m = _flat(field, ring, p, slots)
+        # g | P is common (g is often all of start), and a trial division
+        # is cheaper than a gcd
+        quo, rem = P.div(g)
+        if not rem:
+            flat.append((P, m, quo, g))
+            continue
+        g = g.gcd(P)
+        if g.is_ground:
+            return _rational_parts(field, polys)
+        flat.append((P, m, None, None))
+    # p = P/m, so p/g = Q/m; q = N/D is the gcd of the contents Q/m
+    quotients = [(quo if divisor is g else P.exquo(g), m)
+                 for P, m, quo, divisor in flat]
+    num, den = 0, 1
+    for Q, m in quotients:
+        c = _content(Q.values())
+        d = gcd(c, m)
+        num, den = gcd(num, c // d), lcm(den, m // d)
+    parts = []
+    for Q, m in quotients:
+        a, b = den, m * num
+        d = gcd(a, b)
+        a, b = a // d, b // d
+        if a != 1:
+            Q = Q.mul_ground(a)
+        parts.append(_unflat(field, Q.quo_ground(b), 1, names))
+    return _unflat(field, g.mul_ground(num), den, names), parts
+
+
+def _rational_parts(field: CoefficientField, polys: list) -> tuple:
+    """_primitive_parts when g = 1: the factor is the rational content q of
+    the polys, gcd of the numerators over lcm of the denominators of their
+    coefficients (each in lowest terms)."""
     num, den = 0, 1
     for p in polys:
         for c in p.values():
-            for q in _rationals(c):
-                num, den = gcd(num, q.numerator), lcm(den, q.denominator)
-    if g is None and num == den == 1:
+            if c._k == RAT:
+                num, b = gcd(num, c._v.numerator), c._v.denominator
+            else:
+                num, b = _content(c._v.P.values(), num), c._v.m
+            if b != 1:
+                den = lcm(den, b)
+    if num == den == 1:
         return None, polys
     q = _Q(num, den)
-    factor = {(): FieldElem(field, RAT, q)} if g is None else \
-        {mono: _mul(field, RAT, q, c._k, c._v)
-         for mono, c in _unflat(field, g, 1, names).items()}
-    if q != 1:
-        inv = 1 / q
-        polys = [{mono: _mul(field, RAT, inv, c._k, c._v)
-                  for mono, c in p.items()} for p in polys]
-    return factor, polys
+    inv = 1 / q
+    return {(): FieldElem(field, RAT, q)}, [
+        {mono: _mul(field, RAT, inv, c._k, c._v) for mono, c in p.items()}
+        for p in polys]
 
 
-def _rationals(c: FieldElem):
-    """The rational coefficients of a RAT or POLY element."""
-    return (c._v,) if c._k == RAT else c._v.values()
-
-
-def _flat(field: CoefficientField, p: dict, slots: dict) -> dict:
-    """The terms over Q of a dict {mono: c}, keyed by the exponents of x,
-    params and then of the extra generators of `slots` (variable -> index),
-    for _integral into the extended ring."""
+def _flat(field: CoefficientField, ring, p: dict, slots: dict) -> tuple:
+    """(P, m) with p = P/m: P in `ring`, Z[x, params] with the extra
+    generators of `slots` (variable -> index) after x, params, and m the
+    lcm of the denominators of the coefficients of p."""
+    m = 1
+    for c in p.values():
+        m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
     out = {}
     nextra = len(slots)
     for mono, c in p.items():
@@ -649,21 +685,25 @@ def _flat(field: CoefficientField, p: dict, slots: dict) -> dict:
         for v, e in mono:
             tail[slots[v]] = e
         tail = tuple(tail)
-        terms = ((field._zm, c._v),) if c._k == RAT else c._v.items()
-        for fm, q in terms:
-            out[fm + tail] = q
-    return out
+        if c._k == RAT:
+            out[field._zm + tail] = c._v.numerator * (m // c._v.denominator)
+            continue
+        k = m // c._v.m
+        for fm, a in c._v.P.items():
+            out[fm + tail] = a * k
+    return ring.dtype(out), m
 
 
-def _unflat(field: CoefficientField, P, m, names: list) -> dict:
+def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
     """The dict {mono: c} of P/m, for P in Z[x, params] with the extra
     generators `names` after x, params."""
     k = field._zring.ngens
+    new = field._zring.dtype
     grouped: dict = {}
     for exps, c in P.items():
         grouped.setdefault(exps[k:], {})[exps[:k]] = c
     return {tuple((v, e) for v, e in zip(names, tail) if e):
-            _from_poly(field, _over(field, terms, m))
+            _reduced(field, new(terms), m)
             for tail, terms in grouped.items()}
 
 
@@ -756,7 +796,7 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     if v.is_zero():
         return v.field.zero
     f = v.field
-    num, den = (_x_poly(_from_poly(f, p)) for p in _numer_denom(v))
+    num, den = (_x_poly(_poly(f, p)) for p in _zz_parts(f, v._k, v._v))
     q, r = _xp_divmod(num, den)
     x = f.x
     result = f.zero

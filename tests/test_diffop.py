@@ -708,3 +708,37 @@ def test_elimination_with_jets_builds_no_fraction_of_v(monkeypatch):
     # row was scaled (the [[1, u], [d, u d]] example takes the echelon path)
     det = dieudonne_det(degenerate_leading_example())
     assert type(det.c) is DiffRat and repr(det) == "DetValue((-u')*xi^0)"
+
+
+def test_fraction_free_echelon_multiplies_no_polynomials_over_q(monkeypatch):
+    """Polynomials of F are stored over Z, so a fraction-free elimination
+    of polynomial entries multiplies no sympy polynomials over Q: here a
+    3x3 matrix with the orders of the benchmark's echelon3 jobs and
+    coefficients a x + b, a and b rationals with denominators."""
+    from sympy import QQ
+    from sympy.polys.rings import PolyElement
+    over_q = []
+    mul = PolyElement.__mul__
+
+    def counted(p, q):
+        if p.ring.domain == QQ:
+            over_q.append(p)
+        return mul(p, q)
+    monkeypatch.setattr(PolyElement, "__mul__", counted)
+    F = ALG.field
+    (F.x / 2).f.numer * (F.x / 3).f.numer
+    assert len(over_q) == 1
+    over_q.clear()
+    rng = random.Random(3)
+
+    def coeff():
+        return ALG.from_scalar(F.rational(rng.randint(-5, 5), rng.randint(1, 4))
+                               * F.x + F.rational(rng.randint(1, 5),
+                                                  rng.randint(1, 6)))
+    orders = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+    M = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {n: coeff() for n in range(k + 1)})
+                         for k in row] for row in orders])
+    E, ops = row_echelon(M)
+    assert not over_q
+    assert _is_echelon(E) and _denominator_free(E)
+    assert apply_row_ops(M, ops) == E

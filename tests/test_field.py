@@ -15,7 +15,7 @@ from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
                      rational_antiderivative)
 from varpois import field as field_module
 from varpois.field import (FRAC, POLY, RAT, _format_poly, _primitive_parts,
-                          _rationals, clear_denominators, format_field_elem,
+                          clear_denominators, format_field_elem,
                           x_coefficients)
 
 from helpers import diffpolys, field_elems, rnd_field_elem
@@ -245,11 +245,22 @@ def check_stored_over_zz(v):
     assert den.LC > 0, (num, den)
 
 
+def check_poly_stored_over_zz(v):
+    """A polynomial is stored as P/m: P with integer coefficients, m a
+    positive int, gcd(content P, m) = 1."""
+    P, m = v._v.P, v._v.m
+    assert P.ring.domain == ZZ and all(ZZ.of_type(c) for c in P.values()), P
+    assert type(m) is int and m >= 1, m
+    assert reduce(gcd, P.values(), m) == 1, (P, m)
+
+
 def check_same(v, r):
     """v is the value r, stored in its lowest tier and printed as before."""
     T = TWINS[v.field.params]
     if v._k == FRAC:
         check_stored_over_zz(v)
+    elif v._k == POLY:
+        check_poly_stored_over_zz(v)
     assert v.f == r and v.f.numer == r.numer and v.f.denom == r.denom
     assert v._k == ref_tier(r), (TIER_NAMES[v._k], r)
     assert format_field_elem(v) == ref_format(r, T)
@@ -336,6 +347,32 @@ def test_tiers_with_python_numbers(data, T, ta, k):
     assert (a == k) == (ra == rk)
     if a == k:
         assert a.as_fraction() == k
+
+
+def test_polynomials_are_reduced_over_their_integer_denominator():
+    """P/m is kept in lowest terms: sums, derivatives and products that
+    cancel part of m (or all of it, or the polynomial) land in the lowest
+    tier with the reduced pair."""
+    F, (x, c) = C1.field, C1.gens
+    X, cc = F.x, F.param("c")
+    half, third = F.rational(1, 2), F.rational(1, 3)
+    check_same(X / 6 + X / 3, x / 2)
+    assert (X / 6 + X / 3)._v.m == 2
+    check_same((X ** 3 / 3).derive(), x ** 2)
+    assert (X ** 3 / 3).derive()._v.m == 1
+    check_same(F.rational(2, 3) * (3 * X / 2), x)
+    assert (F.rational(2, 3) * (3 * X / 2))._v.m == 1
+    v = (X + half) - X
+    check_same(v, C1.ref(QQ(1, 2)))
+    assert v._k == RAT
+    check_same(X / 2 - X / 2, C1.ref.zero)
+    assert (X / 2 - X / 2).is_zero()
+    w = cc * X / 2
+    check_same(w, c * x / 2)
+    assert w._k == POLY and format_field_elem(w) == "x*c/2"
+    assert hash(w) == hash(X * (cc * half)) and w == X * (cc * half)
+    check_same((2 * X + 1) / 2 + half, x + 1)
+    check_same((X + third) * 3, 3 * x + 1)
 
 
 def test_one_term_denominators_are_parenthesized(F):
@@ -425,6 +462,12 @@ def test_equal_values_hash_equal(F):
 ALG = DiffAlgebra(1, ["c"])
 
 
+def rational_coefficients(c):
+    """The rational coefficients of a RAT or POLY element, read over Q."""
+    num, den = c.f.numer, c.f.denom
+    return [q / den.LC for q in num.coeffs()]
+
+
 def _as_expr(p: DiffPoly):
     """A differential polynomial as a sympy expression, one symbol per
     jet."""
@@ -453,8 +496,39 @@ def test_primitive_parts_divides_by_the_gcd(common, start, polys):
     for p, q in zip(polys, quotients):
         assert DiffPoly(ALG, q) * f == p
     rationals = [r for q in quotients for c in q.values()
-                 for r in _rationals(c)]
+                 for r in rational_coefficients(c)]
     assert all(r.denominator == 1 for r in rationals)
     assert reduce(gcd, (int(r.numerator) for r in rationals), 0) == 1
     ref = gcd_list([_as_expr(start)] + [_as_expr(p) for p in polys])
     assert cancel(_as_expr(f) / ref).is_Rational
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+       polys=st.lists(diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+                      min_size=1, max_size=4),
+       shared=st.lists(st.booleans(), min_size=4, max_size=4),
+       extra=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
+       pick=st.integers(0, 3))
+def test_primitive_parts_are_coprime_with_content_one(common, polys, shared,
+                                                      extra, pick):
+    """Jet polynomials with RAT and POLY coefficients, some of them
+    multiples of a common factor, divided from a start that is a multiple
+    of one of them: factor * part_i = p_i, the parts have no common factor
+    over Z[x, params, jets] (sympy's gcd_list) and joint rational content
+    one."""
+    polys = [p * common if s else p for p, s in zip(polys, shared)]
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return
+    start = polys[pick % len(polys)] * (ALG.one if extra.is_zero() else extra)
+    factor, parts = _primitive_parts(start.terms, [p.terms for p in polys])
+    f = ALG.one if factor is None else DiffPoly(ALG, factor)
+    parts = [DiffPoly(ALG, q) for q in parts]
+    for p, q in zip(polys, parts):
+        assert q * f == p
+    rationals = [r for q in parts for c in q.terms.values()
+                 for r in rational_coefficients(c)]
+    assert all(r.denominator == 1 for r in rationals)
+    assert reduce(gcd, (int(r.numerator) for r in rationals), 0) == 1
+    assert gcd_list([_as_expr(q) for q in parts]).is_Rational
