@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
-from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
+from .diffop import (MatDiffOp, NotSkewadjoint, ShapeMismatch,
                      linform_equations, solve_linform_system)
 from .field import InvariantViolation, accumulate
 from .lambdapoly import (LambdaPoly, affine_apply_once, affine_pow_apply,
@@ -361,27 +361,6 @@ class QuotientArray:
                 acc = acc + (g if m % 2 == 0 else -g)
             out.append(acc)
         return out
-
-    def as_skewadjoint_op(self) -> MatDiffOp:
-        """For k = 2: the identification with skewadjoint matrix operators,
-        taking the entry sum c^{m,n} lam_1^m lam_2^n at (i, j) to
-        S_ij(d) = sum (-d)^n o c^{m,n} d^m."""
-        if self.k != 2:
-            raise ValueError("only arity-2 classes are operators")
-        alg = self.alg
-        P = self.representative
-        rows = []
-        for i in range(1, alg.nvars + 1):
-            row = []
-            for j in range(1, alg.nvars + 1):
-                acc = ScalarDiffOp.zero(alg)
-                for (m, n), c in P.entry((i, j)).terms.items():
-                    t = ScalarDiffOp.d(alg, n).compose(
-                        ScalarDiffOp(alg, {m: c}))
-                    acc = acc + (t if n % 2 == 0 else -t)
-                row.append(acc)
-            rows.append(row)
-        return MatDiffOp(alg, rows)
 
     def __repr__(self):
         return f"QuotientArray({self.representative!r})"

@@ -262,22 +262,6 @@ class ScalarDiffOp:
             rem = rem - t
         return cs, ds
 
-    @classmethod
-    def from_right_form(cls, alg: DiffAlgebra, b: dict) -> "ScalarDiffOp":
-        out = cls.zero(alg)
-        for n, c in b.items():
-            out = out + cls.d(alg, n).compose(cls(alg, {0: c}))
-        return out
-
-    @classmethod
-    def from_split_form(cls, alg: DiffAlgebra, cs: dict, ds: dict) -> "ScalarDiffOp":
-        out = cls.zero(alg)
-        for m, c in cs.items():
-            out = out + cls.d(alg, m + 1).compose(cls(alg, {m: c}))
-        for n, c in ds.items():
-            out = out + cls.d(alg, n).compose(cls(alg, {n: c}))
-        return out
-
 
 def canonical_forms(P: ScalarDiffOp) -> dict:
     """The three canonical writings of a scalar operator."""

@@ -28,7 +28,13 @@ content normalized.  Values are read over Q: ``FieldElem.f`` is an element
 of sympy's Q(x, params), and printing takes numerators and denominators
 over Q.  ``_primitive_parts`` divides polynomials over F's polynomial ring,
 possibly in further variables such as the jets of V, by their common
-factor: the content that fraction-free elimination removes."""
+factor: the content that fraction-free elimination removes.
+
+Polynomials are sympy ``PolyElement``s of the sparse ring throughout.  The
+gcds, cancellations and exact divisions go through four kernels (``_cancel``,
+``_gcd``, ``_lcm``, ``_divrem``): in a ring with the one generator x (F =
+Q(x), no further variables) they run sympy's dense univariate routines on
+coefficient lists, in any other ring the sparse methods."""
 
 from __future__ import annotations
 
@@ -39,6 +45,9 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from sympy import QQ, ZZ, Symbol
+from sympy.polys.densearith import dup_mul, dup_rr_div
+from sympy.polys.densebasic import dup_from_dict, dup_to_dict
+from sympy.polys.euclidtools import dup_inner_gcd
 from sympy.polys.fields import field as _sympy_field
 from sympy.polys.rings import PolyRing
 
@@ -122,6 +131,73 @@ class CoefficientField:
         raise TypeError(f"cannot coerce {type(v).__name__} into {self!r}")
 
 
+# -- gcd kernels over Z ---------------------------------------------------------
+#
+# Every polynomial gcd, cancellation and exact division of this module runs
+# through these.  Both branches run GCDHEU (Char, Geddes and Gonnet, J. Symb.
+# Comput. 7, 1989) on the primitive parts, with the integer content split off
+# as in Geddes, Czapor and Labahn (1992); the dense ``dup_inner_gcd`` falls
+# back to PRS where the heuristic fails.  In a ring with one generator the
+# polynomials move to dense coefficient lists, whose routines skip the sparse
+# multivariate recursion; with two generators or more the dense form is
+# slower, so those keep the sparse calls.  A gcd over Z is unique up to sign
+# and both branches give it a positive leading coefficient, so the results
+# are the same whichever branch runs.
+
+def _dense(p) -> list:
+    return dup_from_dict(p, ZZ)
+
+
+def _cancel(num, den) -> tuple:
+    """num/den over Z in the canonical form of ``PolyElement.cancel``:
+    coprime, of joint content 1, with a positive leading coefficient below
+    (den != 0)."""
+    ring = num.ring
+    if ring.ngens != 1:
+        return num.cancel(den)
+    if not num:
+        return num, ring.one
+    _, p, q = dup_inner_gcd(_dense(num), _dense(den), ZZ)
+    if q[0] < 0:
+        p, q = [-c for c in p], [-c for c in q]
+    return ring.dtype(dup_to_dict(p)), ring.dtype(dup_to_dict(q))
+
+
+def _gcd(a, b):
+    """gcd(a, b) over Z, with a positive leading coefficient."""
+    ring = a.ring
+    if ring.ngens != 1:
+        return a.gcd(b)
+    return ring.dtype(dup_to_dict(dup_inner_gcd(_dense(a), _dense(b), ZZ)[0]))
+
+
+def _lcm(a, b):
+    """lcm(a, b) over Z: a*b / gcd(a, b), of the sign of a*b."""
+    ring = a.ring
+    if ring.ngens != 1:
+        return a.lcm(b)
+    A = _dense(a)
+    return ring.dtype(dup_to_dict(
+        dup_mul(A, dup_inner_gcd(A, _dense(b), ZZ)[2], ZZ)))
+
+
+def _divrem(P, g) -> tuple:
+    """(q, r) with P = q*g + r over Z; r = 0 exactly when g divides P."""
+    ring = P.ring
+    if ring.ngens != 1:
+        return P.div(g)
+    q, r = dup_rr_div(_dense(P), _dense(g), ZZ)
+    return ring.dtype(dup_to_dict(q)), ring.dtype(dup_to_dict(r))
+
+
+def _exquo(P, g):
+    """P/g over Z, for a g known to divide P."""
+    q, r = _divrem(P, g)
+    if r:
+        raise InvariantViolation(f"{g} does not divide {P}")
+    return q
+
+
 # -- tier constructors and arithmetic on (tier, value) pairs -------------------
 #
 # These take (tier, value) pairs and return elements.  The FieldElem methods
@@ -199,11 +275,6 @@ def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
     return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
 
 
-def _from_frac(field: CoefficientField, r) -> "FieldElem":
-    """A fraction produced by sympy arithmetic over Z (hence cancelled)."""
-    return _from_cancelled(field, r.numer, r.denom)
-
-
 def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
     """num/den for num, den in Z[x, params] with no common polynomial
     factor: only the integer content and the sign need normalizing, no gcd
@@ -266,7 +337,11 @@ def _add(field, ka, a, kb, b) -> "FieldElem":
             return _poly_plus_rat(field, b, a)
         return _poly_plus_poly(field, a, b)
     if ka == FRAC:
-        return _from_frac(field, a + b)
+        if a.denom == b.denom:
+            num, den = a.numer + b.numer, a.denom
+        else:
+            num, den = a.numer * b.denom + a.denom * b.numer, a.denom * b.denom
+        return _from_cancelled(field, *_cancel(num, den))
     return _frac_plus(field, b, ka, a)
 
 
@@ -287,10 +362,8 @@ def _mul(field, ka, a, kb, b) -> "FieldElem":
                              b.denom.mul_ground(a.denominator))
     if kb == POLY:
         return _reduced(field, a.P * b.P, a.m * b.m)
-    if ka == FRAC:
-        return _from_frac(field, a * b)
     na, da = _zz_parts(field, ka, a)
-    return _from_cancelled(field, *(na * b.numer).cancel(da * b.denom))
+    return _from_cancelled(field, *_cancel(na * b.numer, da * b.denom))
 
 
 def _div(field, ka, a, kb, b) -> "FieldElem":
@@ -306,11 +379,9 @@ def _div(field, ka, a, kb, b) -> "FieldElem":
         nb, db = _zz_parts(field, kb, b)
         return _from_coprime(field, db.mul_ground(a.numerator),
                              nb.mul_ground(a.denominator))
-    if ka == FRAC and kb == FRAC:
-        return _from_frac(field, a / b)
     na, da = _zz_parts(field, ka, a)
     nb, db = _zz_parts(field, kb, b)
-    return _from_cancelled(field, *(na * db).cancel(da * nb))
+    return _from_cancelled(field, *_cancel(na * db, da * nb))
 
 
 def _pow(field, k, v, n: int) -> "FieldElem":
@@ -450,8 +521,8 @@ class FieldElem:
         if self._k == POLY:
             return _reduced(field, v.P.diff(0), v.m)
         num, den = v.numer, v.denom
-        return _from_cancelled(field, *(num.diff(0) * den - num * den.diff(0))
-                               .cancel(den ** 2))
+        return _from_cancelled(field, *_cancel(
+            num.diff(0) * den - num * den.diff(0), den ** 2))
 
     def is_constant(self) -> bool:
         """True iff free of x, i.e. in the constant subfield C = Q(params)."""
@@ -470,15 +541,6 @@ class FieldElem:
         if self._k != RAT:
             raise ValueError(f"{self} is not a plain rational number")
         return Fraction(int(self._v.numerator), int(self._v.denominator))
-
-    def x_degree(self) -> int:
-        """Degree in x of the numerator minus that of the denominator."""
-        if self._k == RAT:
-            return 0
-        if self._k == POLY:
-            return max(m[0] for m in self._v.P)
-        return max(m[0] for m in self._v.numer) - \
-            max(m[0] for m in self._v.denom)
 
     def __repr__(self):
         return f"FieldElem({format_field_elem(self)})"
@@ -569,16 +631,13 @@ def clear_denominators(values) -> tuple:
     # multiplies D by the leading coefficient of a repeated factor again
     den = None
     for q in dict.fromkeys(part[1] for part in parts if part is not None):
-        den = q if den is None else den.lcm(q)
+        den = q if den is None else _lcm(den, q)
     cleared = []
     for v, part in zip(values, parts):
         if part is None:
             cleared.append(v)
             continue
-        mult, rem = den.div(part[1])
-        if rem:
-            raise InvariantViolation("an lcm is not divisible by a factor")
-        cleared.append(_poly(field, part[0] * mult))
+        cleared.append(_poly(field, part[0] * _exquo(den, part[1])))
     return _poly(field, den), cleared
 
 
@@ -622,16 +681,16 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
         P, m = _flat(field, ring, p, slots)
         # g | P is common (g is often all of start), and a trial division
         # is cheaper than a gcd
-        quo, rem = P.div(g)
+        quo, rem = _divrem(P, g)
         if not rem:
             flat.append((P, m, quo, g))
             continue
-        g = g.gcd(P)
+        g = _gcd(g, P)
         if g.is_ground:
             return _rational_parts(field, polys)
         flat.append((P, m, None, None))
     # p = P/m, so p/g = Q/m; q = N/D is the gcd of the contents Q/m
-    quotients = [(quo if divisor is g else P.exquo(g), m)
+    quotients = [(quo if divisor is g else _exquo(P, g), m)
                  for P, m, quo, divisor in flat]
     num, den = 0, 1
     for Q, m in quotients:

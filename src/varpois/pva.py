@@ -13,14 +13,14 @@ and Jacobi / compatibility checks reduce to generator triples.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, frechet,
                       higher_euler, variational_derivative)
 from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch
 from .field import accumulate
-from .lambdapoly import (LambdaPoly, affine_pow_apply, affine_pow_on,
-                         symbol_act)
+from .lambdapoly import LambdaPoly, affine_pow_on, symbol_act
 
 
 class NotPoisson(Exception):
@@ -140,27 +140,19 @@ def lambda_bracket(f: DiffPoly, g: DiffPoly,
     return _LeftFactor(f, H)(g)
 
 
-def _expand_slot_to_sum(L: LambdaPoly, slots: tuple, k: int) -> LambdaPoly:
-    """Commutative substitution of L's single variable by a sum of variables:
-    L(nu) -> L(lam_{slots[0]} + lam_{slots[1]} + ...), result arity k."""
-    alg = L.alg
-    out = LambdaPoly.zero(alg, k)
-    lin = {s: 1 for s in slots}
-    for (s,), coeff in L.terms.items():
-        out = out + affine_pow_apply(alg, lin, 0, s, coeff, k=k)
-    return out
-
-
 def _outer_bracket(q: LambdaPoly, h: DiffPoly,
                    H: LambdaBracketStruct) -> LambdaPoly:
     """{{f_lam g}_(lam+mu) h} from q = {f_lam g} = sum_t q_t lam^t: lam is a
     constant in the outer bracket, so this is sum_t lam^t {q_t_(lam+mu) h},
-    arity 2 (lam = slot 0, mu = slot 1)."""
-    out = LambdaPoly.zero(H.alg, 2)
+    arity 2 (lam = slot 0, mu = slot 1).  With {q_t_nu h} = sum_s r_s nu^s
+    the binomial theorem gives sum_{t,s,a} C(s,a) r_s lam^(a+t) mu^(s-a)."""
+    out = {}
     for (t,), coeff in q.terms.items():
-        r = lambda_bracket(coeff, h, H)
-        out = out + _expand_slot_to_sum(r, (0, 1), 2).shift_exp(0, t)
-    return out
+        for (s,), r in lambda_bracket(coeff, h, H).terms.items():
+            for a in range(s + 1):
+                c = comb(s, a)
+                accumulate(out, (a + t, s - a), r if c == 1 else r.scale(c))
+    return LambdaPoly(H.alg, 2, out)
 
 
 def jacobi_residual(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly,

@@ -14,10 +14,10 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, LambdaPoly,
 from varpois.diffalg import _exact_div
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
                             _simplify_coeff)
+from varpois.field import POLY, RAT
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
 from varpois.polydiff import _tau_action
-from varpois.pva import _expand_slot_to_sum
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -181,6 +181,18 @@ def _bracket_into_poly_reference(G, H, f) -> LambdaPoly:
     return out
 
 
+def _expand_slot_to_sum(L: LambdaPoly, slots: tuple, k: int) -> LambdaPoly:
+    """Commutative substitution of L's single variable by a sum of variables:
+    L(nu) -> L(lam_{slots[0]} + lam_{slots[1]} + ...), result arity k, one
+    affine power per term."""
+    alg = L.alg
+    out = LambdaPoly.zero(alg, k)
+    lin = {s: 1 for s in slots}
+    for (s,), coeff in L.terms.items():
+        out = out + affine_pow_apply(alg, lin, 0, s, coeff, k=k)
+    return out
+
+
 def _outer_bracket_reference(q, h, H) -> LambdaPoly:
     """{{f_lam g}_(lam+mu) h} from q = {f_lam g}."""
     out = LambdaPoly.zero(H.alg, 2)
@@ -242,6 +254,54 @@ def compatible_all_terms(H, K):
     return _first_failing_triple(
         H.nvars, lambda t: compatibility_residual_reference(
             H, K, jet(t[0]), jet(t[1]), jet(t[2])))
+
+
+def from_right_form(alg: DiffAlgebra, b: dict) -> ScalarDiffOp:
+    """The operator sum_n d^n o b_n, from its right coefficients."""
+    out = ScalarDiffOp.zero(alg)
+    for n, c in b.items():
+        out = out + ScalarDiffOp.d(alg, n).compose(ScalarDiffOp(alg, {0: c}))
+    return out
+
+
+def from_split_form(alg: DiffAlgebra, cs: dict, ds: dict) -> ScalarDiffOp:
+    """The operator with split form (cs, ds), as ScalarDiffOp.split_form
+    returns it: sum_m d^(m+1) o cs[m] d^m + sum_n d^n o ds[n] d^n."""
+    out = ScalarDiffOp.zero(alg)
+    for m, c in cs.items():
+        out = out + ScalarDiffOp.d(alg, m + 1).compose(
+            ScalarDiffOp(alg, {m: c}))
+    for n, c in ds.items():
+        out = out + ScalarDiffOp.d(alg, n).compose(ScalarDiffOp(alg, {n: c}))
+    return out
+
+
+def as_skewadjoint_op(Q) -> MatDiffOp:
+    """For an arity-2 QuotientArray Q: the identification with skewadjoint
+    matrix operators, taking the entry sum c^{m,n} lam_1^m lam_2^n at
+    (i, j) to S_ij(d) = sum (-d)^n o c^{m,n} d^m."""
+    alg, P = Q.alg, Q.representative
+    rows = []
+    for i in range(1, alg.nvars + 1):
+        row = []
+        for j in range(1, alg.nvars + 1):
+            acc = ScalarDiffOp.zero(alg)
+            for (m, n), c in P.entry((i, j)).terms.items():
+                t = ScalarDiffOp.d(alg, n).compose(ScalarDiffOp(alg, {m: c}))
+                acc = acc + (t if n % 2 == 0 else -t)
+            row.append(acc)
+        rows.append(row)
+    return MatDiffOp(alg, rows)
+
+
+def x_degree(v: FieldElem) -> int:
+    """Degree in x of the numerator of v minus that of its denominator,
+    read from the stored tier."""
+    if v._k == RAT:
+        return 0
+    if v._k == POLY:
+        return max(m[0] for m in v._v.P)
+    return max(m[0] for m in v._v.numer) - max(m[0] for m in v._v.denom)
 
 
 def total_skewsymmetrize_shortcut(P):

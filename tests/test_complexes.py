@@ -16,7 +16,7 @@ from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
 from varpois.complexes import in_filtration, level_key
 from varpois.pva import LambdaBracketStruct, hamiltonian_vf
 
-from helpers import rnd_diffpoly, rnd_skew_array
+from helpers import as_skewadjoint_op, rnd_diffpoly, rnd_skew_array
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -329,7 +329,7 @@ def test_d_k_matches_adjoint_action_on_one_forms():
             F = [rnd_diffpoly(rng, ALG, max_order=1, max_degree=2, terms=2)]
             dq = d_k(QuotientArray(SkewArray.from_one_form(F)), K,
                      assume_poisson=True)
-            S = dq.as_skewadjoint_op()
+            S = as_skewadjoint_op(dq)
             assert (S + S.adjoint()).is_zero()
             assert S == -ad_field_on_operator(EvVectorField(F), K)
 

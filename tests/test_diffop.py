@@ -18,13 +18,13 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      solve_rational)
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _constant_kernel,
                             _echelon_det, _solve_by_ansatz,
-                            default_degree_bound, linform_equations,
-                            solve_linform_system)
+                            default_degree_bound, format_scalar_op,
+                            linform_equations, solve_linform_system)
 from varpois.field import format_field_elem, x_coefficients
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
-                     field_elems, rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
-                     skewadjoint_op)
+                     field_elems, from_right_form, from_split_form,
+                     rnd_diffpoly, rnd_mat_op, rnd_scalar_op, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -87,8 +87,8 @@ def test_canonical_forms():
     for _ in range(8):
         P = rnd_scalar_op(rng, ALG, max_order=4)
         forms = canonical_forms(P)
-        assert ScalarDiffOp.from_right_form(ALG, forms["right"]) == P
-        assert ScalarDiffOp.from_split_form(ALG, *forms["split"]) == P
+        assert from_right_form(ALG, forms["right"]) == P
+        assert from_split_form(ALG, *forms["split"]) == P
 
 
 def test_power_rearrangement_identity():
@@ -742,3 +742,45 @@ def test_fraction_free_echelon_multiplies_no_polynomials_over_q(monkeypatch):
     assert not over_q
     assert _is_echelon(E) and _denominator_free(E)
     assert apply_row_ops(M, ops) == E
+
+
+def _benchmark_shaped(alg, rng, orders):
+    """A matrix with the given entry orders, a rational leading coefficient
+    and lower coefficients (a x + b)/(x + p), one pole p per matrix, as in
+    the benchmark's echelon3 and det_product jobs."""
+    F = alg.field
+
+    def q():
+        return F.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    pole = q()
+    return MatDiffOp(alg, [[ScalarDiffOp(alg, {
+        n: alg.from_scalar(q() if n == k else (q() * F.x + q()) / (F.x + pole))
+        for n in range(k + 1)}) for k in row] for row in orders])
+
+
+def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
+    """Over Q(x) the gcds, cancellations and divisions of a fraction-free
+    echelon3 elimination and of a det_product composition run on sympy's
+    dense univariate routines: no sparse heugcd and no PolyElement.div.  The
+    same inputs over Q(c)(x) take the sparse path and give the same
+    results."""
+    import sympy.polys.rings as rings
+    calls = []
+    heugcd, div = rings.heugcd, rings.PolyElement.div
+    monkeypatch.setattr(rings, "heugcd",
+                        lambda f, g: calls.append("heugcd") or heugcd(f, g))
+    monkeypatch.setattr(rings.PolyElement, "div",
+                        lambda f, g: calls.append("div") or div(f, g))
+
+    def run(alg):
+        rng = random.Random(5)
+        E, _ = row_echelon(_benchmark_shaped(
+            alg, rng, ((2, 1, 0), (1, 2, 1), (0, 1, 2))))
+        A, B = (_benchmark_shaped(alg, rng, ((1, 0), (1, 1)))
+                for _ in range(2))
+        return [[format_scalar_op(e) for e in row]
+                for M in (E, A.compose(B)) for row in M.rows]
+    over_q_of_x = run(DiffAlgebra(1))
+    assert not calls
+    assert run(ALG) == over_q_of_x
+    assert "heugcd" in calls and "div" in calls

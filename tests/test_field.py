@@ -5,7 +5,7 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list, lcm_list
 from sympy.polys.fields import field as sympy_field
@@ -14,11 +14,12 @@ from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
                      InvariantViolation, UndecidableResidue, parse_session,
                      rational_antiderivative)
 from varpois import field as field_module
-from varpois.field import (FRAC, POLY, RAT, _format_poly, _primitive_parts,
-                          clear_denominators, format_field_elem,
-                          x_coefficients)
+from varpois.field import (FRAC, POLY, RAT, _cancel, _divrem, _exquo,
+                           _format_poly, _gcd, _lcm, _primitive_parts,
+                           clear_denominators, format_field_elem,
+                           x_coefficients)
 
-from helpers import diffpolys, field_elems, rnd_field_elem
+from helpers import diffpolys, field_elems, rnd_field_elem, x_degree
 
 
 @pytest.fixture
@@ -142,15 +143,17 @@ class Twin:
     def __init__(self, *params):
         self.field = CoefficientField(params)
         self.ref, *self.gens = sympy_field(",".join(("x",) + params), QQ)
-        self.session = parse_session(f"vars 1\nparams {' '.join(params)}\n")
+        self.session = parse_session(
+            "vars 1\n" + (f"params {' '.join(params)}\n" if params else ""))
 
     def elem_gens(self):
         return (self.field.x,) + tuple(map(self.field.param, self.field.params))
 
 
+C0 = Twin()
 C1 = Twin("c")
 C2 = Twin("a", "b")
-TWINS = {T.field.params: T for T in (C1, C2)}
+TWINS = {T.field.params: T for T in (C0, C1, C2)}
 TIER_NAMES = {RAT: "rat", POLY: "poly", FRAC: "frac"}
 
 
@@ -271,7 +274,7 @@ def check_same(v, r):
                                all(m[0] == 0 for m in r.numer.monoms()) and
                                all(m[0] == 0 for m in r.denom.monoms()))
     if r:
-        assert v.x_degree() == (r.numer.degree(0) - r.denom.degree(0))
+        assert x_degree(v) == (r.numer.degree(0) - r.denom.degree(0))
     w = from_ref(r, T)
     assert w == v and hash(w) == hash(v) and w._k == v._k
 
@@ -323,13 +326,21 @@ def test_tiers_match_sympy_fracfield_two_params(data, ta, tb):
     check_tier_pair(data, C2, ta, tb)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ta=tiers, tb=tiers)
+def test_tiers_match_sympy_fracfield_no_params(data, ta, tb):
+    """The same over Q(x), whose one-generator gcds run on dense lists."""
+    check_tier_pair(data, C0, ta, tb)
+
+
 python_numbers = st.one_of(st.integers(-3, 3),
                            st.builds(Fraction, st.integers(-3, 3),
                                      st.integers(1, 3)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), T=st.sampled_from([C1, C2]), ta=tiers, k=python_numbers)
+@given(data=st.data(), T=st.sampled_from([C0, C1, C2]), ta=tiers,
+       k=python_numbers)
 def test_tiers_with_python_numbers(data, T, ta, k):
     """int and Fraction operands on either side, and equality with them."""
     a, ra = data.draw(tiered(T, ta))
@@ -385,7 +396,7 @@ def test_one_term_denominators_are_parenthesized(F):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), T=st.sampled_from([C1, C2]), ta=tiers)
+@given(data=st.data(), T=st.sampled_from([C0, C1, C2]), ta=tiers)
 def test_printed_values_read_back(data, T, ta):
     """The session parser reads a printed value back as the same value,
     also over a one-term denominator such as 3*x or x*c."""
@@ -476,12 +487,15 @@ def _as_expr(p: DiffPoly):
                 for mono, c in p.terms.items()), 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(common=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-       start=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-       polys=st.lists(diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-                      min_size=1, max_size=3))
-def test_primitive_parts_divides_by_the_gcd(common, start, polys):
+# The primitive-parts properties on two shapes: jet polynomials over Q(c)(x),
+# and jet-free polynomials over Q(x), the shape of the rows of an echelon3
+# job, whose extended ring has the one generator x.
+JETS = diffpolys(ALG, max_order=1, max_degree=1, with_x=True)
+ALG0 = DiffAlgebra(1)
+JET_FREE = diffpolys(ALG0, max_degree=0, max_terms=4, with_x=True)
+
+
+def check_divides_by_the_gcd(alg, common, start, polys):
     """For start = common*s and polys p_i = common*r_i: the factor times
     each quotient gives back p_i, the quotients have integer coefficients
     of gcd 1, and the factor is the gcd of start and the p_i (sympy's
@@ -492,9 +506,9 @@ def test_primitive_parts_divides_by_the_gcd(common, start, polys):
         return
     factor, quotients = _primitive_parts(start.terms,
                                          [p.terms for p in polys])
-    f = ALG.one if factor is None else DiffPoly(ALG, factor)
+    f = alg.one if factor is None else DiffPoly(alg, factor)
     for p, q in zip(polys, quotients):
-        assert DiffPoly(ALG, q) * f == p
+        assert DiffPoly(alg, q) * f == p
     rationals = [r for q in quotients for c in q.values()
                  for r in rational_coefficients(c)]
     assert all(r.denominator == 1 for r in rationals)
@@ -504,27 +518,32 @@ def test_primitive_parts_divides_by_the_gcd(common, start, polys):
 
 
 @settings(max_examples=60, deadline=None)
-@given(common=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-       polys=st.lists(diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-                      min_size=1, max_size=4),
-       shared=st.lists(st.booleans(), min_size=4, max_size=4),
-       extra=diffpolys(ALG, max_order=1, max_degree=1, with_x=True),
-       pick=st.integers(0, 3))
-def test_primitive_parts_are_coprime_with_content_one(common, polys, shared,
-                                                      extra, pick):
-    """Jet polynomials with RAT and POLY coefficients, some of them
-    multiples of a common factor, divided from a start that is a multiple
-    of one of them: factor * part_i = p_i, the parts have no common factor
-    over Z[x, params, jets] (sympy's gcd_list) and joint rational content
+@given(common=JETS, start=JETS, polys=st.lists(JETS, min_size=1, max_size=3))
+def test_primitive_parts_divides_by_the_gcd(common, start, polys):
+    check_divides_by_the_gcd(ALG, common, start, polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=JET_FREE, start=JET_FREE,
+       polys=st.lists(JET_FREE, min_size=1, max_size=3))
+def test_primitive_parts_divides_by_the_gcd_jet_free(common, start, polys):
+    check_divides_by_the_gcd(ALG0, common, start, polys)
+
+
+def check_coprime_with_content_one(alg, common, polys, shared, extra, pick):
+    """Polynomials with RAT and POLY coefficients, some of them multiples
+    of a common factor, divided from a start that is a multiple of one of
+    them: factor * part_i = p_i, the parts have no common factor over
+    Z[x, params, jets] (sympy's gcd_list) and joint rational content
     one."""
     polys = [p * common if s else p for p, s in zip(polys, shared)]
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return
-    start = polys[pick % len(polys)] * (ALG.one if extra.is_zero() else extra)
+    start = polys[pick % len(polys)] * (alg.one if extra.is_zero() else extra)
     factor, parts = _primitive_parts(start.terms, [p.terms for p in polys])
-    f = ALG.one if factor is None else DiffPoly(ALG, factor)
-    parts = [DiffPoly(ALG, q) for q in parts]
+    f = alg.one if factor is None else DiffPoly(alg, factor)
+    parts = [DiffPoly(alg, q) for q in parts]
     for p, q in zip(polys, parts):
         assert q * f == p
     rationals = [r for q in parts for c in q.terms.values()
@@ -532,3 +551,82 @@ def test_primitive_parts_are_coprime_with_content_one(common, polys, shared,
     assert all(r.denominator == 1 for r in rationals)
     assert reduce(gcd, (int(r.numerator) for r in rationals), 0) == 1
     assert gcd_list([_as_expr(q) for q in parts]).is_Rational
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=JETS, polys=st.lists(JETS, min_size=1, max_size=4),
+       shared=st.lists(st.booleans(), min_size=4, max_size=4),
+       extra=JETS, pick=st.integers(0, 3))
+def test_primitive_parts_are_coprime_with_content_one(common, polys, shared,
+                                                      extra, pick):
+    check_coprime_with_content_one(ALG, common, polys, shared, extra, pick)
+
+
+@settings(max_examples=60, deadline=None)
+@given(common=JET_FREE, polys=st.lists(JET_FREE, min_size=1, max_size=4),
+       shared=st.lists(st.booleans(), min_size=4, max_size=4),
+       extra=JET_FREE, pick=st.integers(0, 3))
+def test_primitive_parts_are_coprime_with_content_one_jet_free(
+        common, polys, shared, extra, pick):
+    check_coprime_with_content_one(ALG0, common, polys, shared, extra, pick)
+
+
+# -- the one-generator kernels against sympy's sparse calls -------------------
+
+ZX = C0.field._zring
+
+
+@st.composite
+def zx_polys(draw, max_degree=3):
+    """A polynomial of Z[x]: zero, a constant, or of degree up to
+    max_degree, with coefficients of either sign."""
+    coeffs = draw(st.lists(st.integers(-9, 9), max_size=max_degree + 1))
+    return ZX.dtype({(k,): c for k, c in enumerate(coeffs) if c})
+
+
+@st.composite
+def zx_pairs(draw):
+    """(a, b) = (k*s*p, l*s*q): a shared factor s (often 1, possibly
+    negative) and a shared integer content, so cancellations have work."""
+    s = draw(st.one_of(st.just(ZX.one), zx_polys(2)))
+    k, l = draw(st.integers(1, 12)), draw(st.integers(-12, 12))
+    shared = draw(st.sampled_from([1, 2, 6]))
+    a = draw(zx_polys()) * s * (k * shared)
+    b = draw(zx_polys()) * s * (l * shared)
+    return a, b
+
+
+X = ZX.gens[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=zx_pairs())
+@example(pair=(ZX.zero, 2 * X + 1))
+@example(pair=(ZX(6), ZX(-4)))
+@example(pair=(-6 * X ** 2 + 6, 4 * X - 4))
+@example(pair=(3 * (X + 1) ** 2, -9 * (X + 1)))
+@example(pair=(2 * X + 4, -2 * X - 4))
+@example(pair=(ZX.zero, ZX.zero))
+def test_one_generator_kernels_match_sparse_sympy(pair):
+    """On Z[x], _cancel, _gcd, _lcm and _divrem (dense univariate routines)
+    give what sympy's sparse PolyElement methods give: the same canonical
+    cancellation, gcd and lcm, and a division that is exact exactly when
+    the sparse one is, with the same quotient then."""
+    a, b = pair
+    assert _gcd(a, b) == a.gcd(b)
+    if b:
+        num, den = _cancel(a, b)
+        assert (num, den) == a.cancel(b)
+        assert den.LC > 0 and num.gcd(den) == ZX.one
+        q, r = _divrem(a, b)
+        sq, sr = a.div(b)
+        assert q * b + r == a
+        assert (not r) == (not sr)
+        if not r:
+            assert q == sq == a.exquo(b) == _exquo(a, b)
+        else:
+            with pytest.raises(InvariantViolation):
+                _exquo(a, b)
+    if a and b:
+        assert _lcm(a, b) == a.lcm(b)
+
