@@ -382,6 +382,41 @@ def echelon_by_division(M: MatDiffOp):
     return rows, sign
 
 
+def echelon_pivots(rows) -> list:
+    """(column, entry) of the first nonzero entry of each nonzero row."""
+    out = []
+    for r in rows:
+        col = next((j for j, e in enumerate(r) if not e.is_zero()), None)
+        if col is not None:
+            out.append((col, r[col]))
+    return out
+
+
+def pivots_agree_up_to_scalars(E: MatDiffOp, ref) -> bool:
+    """E and the rows ref are row echelon forms of one matrix over F[d] (or
+    over K[d], K the fraction field of V): their pivot columns agree, and
+    each pivot of E is the pivot of ref times a nonzero element of F (of K).
+
+    That is all two such forms share.  If E = U ref with U invertible, the
+    rows of E with zeros left of column c are combinations of the rows of
+    ref with the same zeros, so U is upper triangular, its diagonal is made
+    of units of F[d], i.e. of F*, and E's pivots are U_rr times ref's.  The
+    entries right of a pivot are not shared: a fraction-free step
+    lc_p row_e - lc_e d^k o (f row_p) differs from f lc_p times the
+    division step row_e - (lc_e / lc_p) d^k o row_p by multiples of
+    row_p of lower order, which come from d^k o f = f d^k + k f' d^(k-1)
+    + ..., and may zero an entry that the division step keeps."""
+    rows = _field_entries(E, lambda c: DiffRat.of(c, E.alg))
+    mine, theirs = echelon_pivots(rows), echelon_pivots(ref)
+    if [c for c, _ in mine] != [c for c, _ in theirs]:
+        return False
+    for (_, a), (_, b) in zip(mine, theirs):
+        la, lb = a.leading_coefficient(), b.leading_coefficient()
+        if a.map_coeffs(lambda c: c * lb) != b.map_coeffs(lambda c: c * la):
+            return False
+    return True
+
+
 def det_by_division(M: MatDiffOp) -> DetValue:
     """The Dieudonne determinant from echelon_by_division: the swap sign
     times the product of the diagonal leading terms."""

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
@@ -24,7 +24,8 @@ from varpois.field import format_field_elem, x_coefficients
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, from_right_form, from_split_form,
-                     rnd_diffpoly, rnd_mat_op, rnd_scalar_op, skewadjoint_op)
+                     pivots_agree_up_to_scalars, rnd_diffpoly, rnd_mat_op,
+                     rnd_scalar_op, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -631,19 +632,34 @@ def echelon_matrices(draw):
     return MatDiffOp(ALG, rows)
 
 
+def _pivot_row_gains_a_tail():
+    """rows (1/(x+1) d + 1, 0, d), (1/(x+1) d^2 + (x^2+2x)/(x+1)^2 d, d,
+    d^2), (d, 0, 0).  Division clears row 1 with row_1 - d o row_0 to
+    (0, d, 0); the fraction-free kernel first scales row 0 by x + 1, and
+    d o (x + 1) = (x + 1) d + 1 leaves a nonzero entry in column 2."""
+    F = ALG.field
+    a = ALG.from_scalar(F.one / (F.x + 1))
+    b = ALG.from_scalar((F.x * F.x + 2 * F.x) / ((F.x + 1) * (F.x + 1)))
+    one = ALG.one
+    return MatDiffOp(ALG, [
+        [ScalarDiffOp(ALG, {1: a, 0: one}), ZERO, D],
+        [ScalarDiffOp(ALG, {2: a, 1: b}), D, ScalarDiffOp.d(ALG, 2)],
+        [D, ZERO, ZERO]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(echelon_matrices())
+@example(_pivot_row_gains_a_tail())
 def test_fraction_free_echelon_equals_division(M):
-    """The fraction-free kernel and the division-based reference make the
-    same pivot choices: each fraction-free row is the reference row times
-    an element of F (or of V's fraction field), so every entry order, hence
-    every pivot column and diagonal order, agrees, and so does the
-    Dieudonne determinant.  The rows have no denominators, and the recorded
-    operations replay from M."""
+    """The fraction-free kernel and the division-based reference reach
+    echelon forms with the same pivot columns, each fraction-free pivot the
+    reference pivot times an element of F (or of V's fraction field), hence
+    the same diagonal orders and Dieudonne determinant.  Entries right of a
+    pivot may differ (see pivots_agree_up_to_scalars).  The rows have no
+    denominators, and the recorded operations replay from M."""
     E, ops = row_echelon(M)
     ref, _ = echelon_by_division(M)
-    assert [[e.order() for e in r] for r in E.rows] == \
-        [[e.order() for e in r] for r in ref]
+    assert pivots_agree_up_to_scalars(E, ref)
     assert _is_echelon(E) and _denominator_free(E)
     assert apply_row_ops(M, ops) == E
     det = det_by_division(M)
