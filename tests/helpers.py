@@ -346,6 +346,15 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
     return MatDiffOp(M.alg, rows)
 
 
+def _division_step(row, pivot_row, col):
+    """row - (lc_e / lc_p) d^(ord e - ord p) o pivot_row, e and p the
+    entries of row and pivot_row in column col, ord e >= ord p."""
+    e, p = row[col], pivot_row[col]
+    P = ScalarDiffOp(p.alg, {e.order() - p.order():
+                             e.leading_coefficient() / p.leading_coefficient()})
+    return [a - P.compose(b) for a, b in zip(row, pivot_row)]
+
+
 def echelon_by_division(M: MatDiffOp):
     """Row echelon form of M over F[d] by division: the entries move into F
     (quasiconstant M) or into V's fraction field (DiffRat), the pivot is an
@@ -372,49 +381,54 @@ def echelon_by_division(M: MatDiffOp):
             if not rest:
                 break
             for i in rest:
-                e = rows[i][col]
-                P = ScalarDiffOp(alg, {e.order() - p.order():
-                                       e.leading_coefficient()
-                                       / p.leading_coefficient()})
-                rows[i] = [a - P.compose(b) for a, b in zip(rows[i], rows[r])]
+                rows[i] = _division_step(rows[i], rows[r], col)
             live = [i for i in range(r, m) if not rows[i][col].is_zero()]
         r += 1
     return rows, sign
 
 
-def echelon_pivots(rows) -> list:
-    """(column, entry) of the first nonzero entry of each nonzero row."""
-    out = []
+def _pivot(row) -> tuple:
+    """(column, order) of the first nonzero entry of row, (None, None) for
+    a zero row."""
+    col = next((j for j, e in enumerate(row) if not e.is_zero()), None)
+    return (None, None) if col is None else (col, row[col].order())
+
+
+def _in_span(row, rows) -> bool:
+    """Whether row is sum_j q_j o rows[j] with q_j in K[d], the rows being
+    in echelon form: left to right, each pivot must clear its column of row
+    by division steps, and nothing may be left over."""
     for r in rows:
-        col = next((j for j, e in enumerate(r) if not e.is_zero()), None)
-        if col is not None:
-            out.append((col, r[col]))
-    return out
-
-
-def pivots_agree_up_to_scalars(E: MatDiffOp, ref) -> bool:
-    """E and the rows ref are row echelon forms of one matrix over F[d] (or
-    over K[d], K the fraction field of V): their pivot columns agree, and
-    each pivot of E is the pivot of ref times a nonzero element of F (of K).
-
-    That is all two such forms share.  If E = U ref with U invertible, the
-    rows of E with zeros left of column c are combinations of the rows of
-    ref with the same zeros, so U is upper triangular, its diagonal is made
-    of units of F[d], i.e. of F*, and E's pivots are U_rr times ref's.  The
-    entries right of a pivot are not shared: a fraction-free step
-    lc_p row_e - lc_e d^k o (f row_p) differs from f lc_p times the
-    division step row_e - (lc_e / lc_p) d^k o row_p by multiples of
-    row_p of lower order, which come from d^k o f = f d^k + k f' d^(k-1)
-    + ..., and may zero an entry that the division step keeps."""
-    rows = _field_entries(E, lambda c: DiffRat.of(c, E.alg))
-    mine, theirs = echelon_pivots(rows), echelon_pivots(ref)
-    if [c for c, _ in mine] != [c for c, _ in theirs]:
-        return False
-    for (_, a), (_, b) in zip(mine, theirs):
-        la, lb = a.leading_coefficient(), b.leading_coefficient()
-        if a.map_coeffs(lambda c: c * lb) != b.map_coeffs(lambda c: c * la):
+        col, order = _pivot(r)
+        if col is None:
+            continue
+        if any(not e.is_zero() for e in row[:col]):
             return False
-    return True
+        while not row[col].is_zero() and row[col].order() >= order:
+            row = _division_step(row, r, col)
+        if not row[col].is_zero():
+            return False
+    return all(e.is_zero() for e in row)
+
+
+def same_row_flags(E: MatDiffOp, ref) -> bool:
+    """E and the rows ref, row echelon forms of one matrix over K[d] (K = F,
+    or the fraction field of V when the matrix has jets), are related by
+    E = U ref with U upper triangular and invertible: for every i, row i of
+    E lies in the left K[d]-span of the rows i, i+1, ... of ref, and the
+    pivots of both sit in the same columns with the same orders.  So the
+    pivot of E's row i is U_ii times ref's, U_ii is of order 0, i.e. in K*,
+    and the rows from any index on span the same module in both.
+
+    The entries right of a pivot need not agree, not even in order: a
+    fraction-free step lc_p row_e - lc_e d^k o (f row_p) differs from f lc_p
+    times the division step row_e - (lc_e / lc_p) d^k o row_p by multiples
+    of row_p of lower order, which come from d^k o f = f d^k + k f' d^(k-1)
+    + ..., and may zero an entry that the division step keeps (or the
+    reverse)."""
+    rows = _field_entries(E, lambda c: DiffRat.of(c, E.alg))
+    return [_pivot(r) for r in rows] == [_pivot(r) for r in ref] and all(
+        _in_span(rows[i], ref[i:]) for i in range(len(rows)))
 
 
 def det_by_division(M: MatDiffOp) -> DetValue:

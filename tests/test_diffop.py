@@ -24,8 +24,8 @@ from varpois.field import format_field_elem, x_coefficients
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, from_right_form, from_split_form,
-                     pivots_agree_up_to_scalars, rnd_diffpoly, rnd_mat_op,
-                     rnd_scalar_op, skewadjoint_op)
+                     rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
+                     same_row_flags, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -652,14 +652,16 @@ def _pivot_row_gains_a_tail():
 @example(_pivot_row_gains_a_tail())
 def test_fraction_free_echelon_equals_division(M):
     """The fraction-free kernel and the division-based reference reach
-    echelon forms with the same pivot columns, each fraction-free pivot the
-    reference pivot times an element of F (or of V's fraction field), hence
-    the same diagonal orders and Dieudonne determinant.  Entries right of a
-    pivot may differ (see pivots_agree_up_to_scalars).  The rows have no
-    denominators, and the recorded operations replay from M."""
+    echelon forms E = U ref with U upper triangular and invertible over
+    F[d] (or over K[d], K the fraction field of V): the pivot columns agree
+    and each pivot is the reference pivot times an element of F (of K),
+    hence the diagonal orders and the Dieudonne determinant agree, and the
+    rows from any index on span the same module.  Entries right of a pivot
+    may differ (see same_row_flags and the pinned example).  The rows have
+    no denominators, and the recorded operations replay from M."""
     E, ops = row_echelon(M)
     ref, _ = echelon_by_division(M)
-    assert pivots_agree_up_to_scalars(E, ref)
+    assert same_row_flags(E, ref)
     assert _is_echelon(E) and _denominator_free(E)
     assert apply_row_ops(M, ops) == E
     det = det_by_division(M)
