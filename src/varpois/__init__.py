@@ -14,8 +14,8 @@ from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, LocalFunctional,
                       variational_derivative)
 from .diffop import (DegenerateLeadingMatrix, DegenerateShape, Incomplete,
                      LeadingMatrix, Majorant, MatDiffOp, MatPseudoOp,
-                     NoRationalSolution, NotAMajorant, NotSkewadjoint,
-                     PseudoDiffOp, ScalarDiffOp, ShapeMismatch,
+                     NoRationalSolution, NotAMajorant, NotQuasiconstant,
+                     NotSkewadjoint, PseudoDiffOp, ScalarDiffOp, ShapeMismatch,
                      TruncationExceeded, canonical_forms, dieudonne_det,
                      kernel_dim_bound, leading_matrix, majorant,
                      majorant_preserving_reduce, row_echelon,
@@ -25,8 +25,8 @@ from .field import (CoefficientField, FieldElem, InvariantViolation,
                     UndecidableResidue, rational_antiderivative)
 from .lambdapoly import LambdaPoly
 from .complexes import (CohomologyResult, LeadingCoeffNotIdentity,
-                        LeadingCoeffSingular, NotClosed, NotQuasiconstant,
-                        OutOfFiltration, QuotientArray, SkewArray, alpha_k,
+                        LeadingCoeffSingular, NotClosed, OutOfFiltration,
+                        QuotientArray, SkewArray, alpha_k,
                         array_pairing, cohomology_dim, d_k, de_rham_delta,
                         delta_k, dim_omega00, filtration_level, homotopy,
                         partial_action, phi_k1, phi_s, reduce_closed)

@@ -19,21 +19,17 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
-from .diffop import (MatDiffOp, NotSkewadjoint, ShapeMismatch,
-                     linform_equations, solve_linform_system)
+from .diffop import (MatDiffOp, NotQuasiconstant, NotSkewadjoint,
+                     ShapeMismatch, linform_equations, solve_linform_system)
 from .field import InvariantViolation, accumulate
-from .lambdapoly import (LambdaPoly, affine_apply_once, affine_pow_apply,
-                         affine_pow_on, subst_slot_neg)
+from .lambdapoly import (LambdaPoly, _LambdaArray, affine_apply_once,
+                         affine_pow_apply, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
 from .linsolve import matrix_inverse
 from .pva import LambdaBracketStruct, NotPoisson, check_jacobi
 
 
 class NotClosed(Exception):
-    pass
-
-
-class NotQuasiconstant(Exception):
     pass
 
 
@@ -60,21 +56,10 @@ def _argsort_stable(t: Sequence[int]) -> list:
     return sorted(range(len(t)), key=lambda j: (t[j], j))
 
 
-class SkewArray:
+class SkewArray(_LambdaArray):
     """Skewsymmetric array of lambda-polynomials (arity k over nvars)."""
 
-    __slots__ = ("alg", "k", "entries")
-
-    def __init__(self, alg: DiffAlgebra, k: int, entries: Optional[dict] = None,
-                 project: bool = True):
-        self.alg = alg
-        self.k = k
-        self.entries = {}
-        if entries:
-            for idx, L in entries.items():
-                self.set_entry(idx, L, project=project)
-
-    # -- canonical storage --------------------------------------------------
+    __slots__ = ()
 
     def set_entry(self, idx: tuple, L: LambdaPoly, project: bool = True):
         """Install P_idx = L (idx arbitrary); stores the sorted-key entry."""
@@ -129,66 +114,8 @@ class SkewArray:
         out = stored.compose_vars(tuple(perm))
         return out if _perm_sign(perm) > 0 else -out
 
-    def canonical_keys(self):
-        return sorted(self.entries)
-
     def all_keys(self):
         return itertools.product(range(1, self.alg.nvars + 1), repeat=self.k)
-
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other: "SkewArray") -> "SkewArray":
-        self._check(other)
-        out = SkewArray(self.alg, self.k)
-        keys = set(self.entries) | set(other.entries)
-        for key in keys:
-            v = self.entries.get(key, LambdaPoly.zero(self.alg, self.k)) + \
-                other.entries.get(key, LambdaPoly.zero(self.alg, self.k))
-            if not v.is_zero():
-                out.entries[key] = v
-        return out
-
-    def __sub__(self, other: "SkewArray") -> "SkewArray":
-        return self + (-other)
-
-    def __neg__(self) -> "SkewArray":
-        out = SkewArray(self.alg, self.k)
-        out.entries = {key: -v for key, v in self.entries.items()}
-        return out
-
-    def scale(self, c) -> "SkewArray":
-        out = SkewArray(self.alg, self.k)
-        for key, v in self.entries.items():
-            w = v.scale(c)
-            if not w.is_zero():
-                out.entries[key] = w
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewArray):
-            return NotImplemented
-        return self.k == other.k and (self - other).is_zero()
-
-    def _check(self, other: "SkewArray"):
-        if self.alg != other.alg or self.k != other.k:
-            raise ValueError("incompatible arrays")
-
-    def map_entries(self, fn) -> "SkewArray":
-        out = SkewArray(self.alg, self.k)
-        for key, v in self.entries.items():
-            w = fn(v)
-            if not w.is_zero():
-                out.entries[key] = w
-        return out
-
-    def __repr__(self):
-        from .lambdapoly import format_lambda_poly
-        body = ", ".join(f"{key}: {format_lambda_poly(v)}"
-                         for key, v in sorted(self.entries.items()))
-        return f"SkewArray(k={self.k}, {{{body}}})"
 
     @classmethod
     def from_function(cls, alg: DiffAlgebra, f: DiffPoly) -> "SkewArray":
@@ -219,22 +146,9 @@ def _inverse_perm(perm: Sequence[int]) -> list:
 
 def de_rham_delta(P: SkewArray) -> SkewArray:
     """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
-    d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n."""
-    alg = P.alg
-    k1 = P.k + 1
-    out = SkewArray(alg, k1)
-    for idx in itertools.combinations_with_replacement(
-            range(1, alg.nvars + 1), k1):
-        total = LambdaPoly.zero(alg, k1)
-        for a in range(k1):
-            sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
-            i_a = idx[a]
-            for n in _orders_of(sub, i_a):
-                piece = sub.map_coeff(lambda p: p.jet_partial(i_a, n))
-                piece = piece.shift_exp(a, n)
-                total = total + (piece if a % 2 == 0 else -piece)
-        out.set_entry(idx, total, project=False)
-    return out
+    d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n: the twisted
+    differential delta_K at K = 1."""
+    return _delta(P, MatDiffOp.identity(P.alg, P.alg.nvars))
 
 
 def _orders_of(L: LambdaPoly, i: int) -> list:
@@ -255,30 +169,41 @@ def delta_k(P: SkewArray, K: MatDiffOp) -> SkewArray:
     dP_{..alpha-hat..}/du_j^(n) (lam_alpha + d)^n K_{j,i_alpha}(lam_alpha)."""
     if not K.is_quasiconstant():
         raise NotQuasiconstant("delta_K needs a quasiconstant operator")
-    alg = P.alg
+    return _delta(P, K)
+
+
+def _delta(P: SkewArray, K: MatDiffOp) -> SkewArray:
+    """delta_K P, without delta_k's check that K is quasiconstant."""
     k1 = P.k + 1
-    out = SkewArray(alg, k1)
+    out = SkewArray(P.alg, k1)
     for idx in itertools.combinations_with_replacement(
-            range(1, alg.nvars + 1), k1):
-        total = LambdaPoly.zero(alg, k1)
-        for a in range(k1):
-            sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
-            if sub.is_zero():
-                continue
-            i_a = idx[a]
-            for j in range(1, alg.nvars + 1):
-                if K.rows[j - 1][i_a - 1].is_zero():
-                    continue
-                ksym = _k_symbol(K, j, i_a, k1, a)
-                for n in _orders_of(sub, j):
-                    piece = sub.map_coeff(lambda p: p.jet_partial(j, n))
-                    if piece.is_zero():
-                        continue
-                    shifted = affine_pow_on({a: 1}, 1, n, ksym)
-                    piece = piece * shifted
-                    total = total + (piece if a % 2 == 0 else -piece)
-        out.set_entry(idx, total, project=False)
+            range(1, P.alg.nvars + 1), k1):
+        out.set_entry(idx, _delta_terms(P, K, idx), project=False)
     return out
+
+
+def _delta_terms(P: SkewArray, K: MatDiffOp, idx: tuple) -> LambdaPoly:
+    """The entry of delta_K P at idx, summed as in delta_k; K may have jet
+    coefficients (the first group of terms of d_K)."""
+    alg = P.alg
+    k1 = len(idx)
+    total = LambdaPoly.zero(alg, k1)
+    for a in range(k1):
+        sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
+        if sub.is_zero():
+            continue
+        i_a = idx[a]
+        for j in range(1, alg.nvars + 1):
+            if K.rows[j - 1][i_a - 1].is_zero():
+                continue
+            ksym = _k_symbol(K, j, i_a, k1, a)
+            for n in _orders_of(sub, j):
+                piece = sub.map_coeff(lambda p: p.jet_partial(j, n))
+                if piece.is_zero():
+                    continue
+                piece = piece * affine_pow_on({a: 1}, 1, n, ksym)
+                total = total + (piece if a % 2 == 0 else -piece)
+    return total
 
 
 def partial_action(P: SkewArray) -> SkewArray:
@@ -314,7 +239,7 @@ class QuotientArray:
         if P.k == 0:
             return {(): P.entries.get((), LambdaPoly.zero(P.alg, 0))}
         out = {}
-        for key in P.canonical_keys():
+        for key in sorted(P.entries):
             nf = subst_slot_neg(P.entries[key], P.k - 1,
                                 tuple(range(P.k - 1)), drop=True)
             if not nf.is_zero():
@@ -344,24 +269,6 @@ class QuotientArray:
             return NotImplemented
         return (self - other).is_zero()
 
-    def as_one_form(self) -> list:
-        """For k = 1: the canonical identification with V^nvars,
-        sum_m (-d)^m applied to the coefficient of lam^m."""
-        if self.k != 1:
-            raise ValueError("only arity-1 classes are vectors")
-        P = self.representative
-        out = []
-        for i in range(1, self.alg.nvars + 1):
-            L = P.entry((i,))
-            acc = self.alg.zero
-            for (m,), coeff in L.terms.items():
-                g = coeff
-                for _ in range(m):
-                    g = g.derive()
-                acc = acc + (g if m % 2 == 0 else -g)
-            out.append(acc)
-        return out
-
     def __repr__(self):
         return f"QuotientArray({self.representative!r})"
 
@@ -390,24 +297,8 @@ def d_k(P: QuotientArray, K: LambdaBracketStruct,
     out = SkewArray(alg, k1)
     for idx in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), k1):
-        total = LambdaPoly.zero(alg, k1)
-        # first group: the delta_K-shaped terms
-        for a in range(k1):
-            sub = rep.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
-            if sub.is_zero():
-                continue
-            i_a = idx[a]
-            for j in range(1, alg.nvars + 1):
-                if Kop.rows[j - 1][i_a - 1].is_zero():
-                    continue
-                ksym = _k_symbol(Kop, j, i_a, k1, a)
-                for n in _orders_of(sub, j):
-                    piece = sub.map_coeff(lambda p: p.jet_partial(j, n))
-                    if piece.is_zero():
-                        continue
-                    piece = piece * affine_pow_on({a: 1}, 1, n, ksym)
-                    total = total + (piece if a % 2 == 0 else -piece)
-        # second group: brackets landing inside the array
+        # the delta_K-shaped terms, then the brackets landing inside the array
+        total = _delta_terms(rep, Kop, idx)
         for a in range(k1):
             for b in range(a + 1, k1):
                 pos = [t for t in range(k1) if t not in (a, b)]
@@ -475,7 +366,7 @@ def filtration_level(P: SkewArray, N: int) -> tuple:
     m+N when i_alpha <= i, at most m+N-1 otherwise."""
     nvars = P.alg.nvars
     best = -1
-    for key in P.canonical_keys():
+    for key in sorted(P.entries):
         L = P.entries[key]
         for p in L.terms.values():
             for (n, j) in p.jet_support():
@@ -746,10 +637,7 @@ def cohomology_dim(K: MatDiffOp, k: int,
     for b, arr in enumerate(basis):
         unknown = unknown + arr.scale(LinForm.atom(field, b))
     image = alpha_k(unknown, Kn)
-    eqs = linform_equations(
-        ((key, e, mono), c) for key in image.canonical_keys()
-        for e, p in image.entries[key].sorted_terms()
-        for mono, c in sorted(p.terms.items()))
+    eqs = linform_equations(image._equations())
     kern = solve_linform_system(alg, list(eqs.values()),
                                 list(range(len(basis))),
                                 degree_bound=degree_bound).homogeneous
@@ -769,18 +657,24 @@ def array_pairing(P: SkewArray, gs: Sequence[Sequence[DiffPoly]]) -> LocalFuncti
     each d_t hitting its own argument.  The quotient class of P is zero
     exactly when these values vanish for all arguments (nondegeneracy of the
     integration pairing)."""
-    alg = P.alg
     if len(gs) != P.k:
         raise ValueError("need one argument vector per arity slot")
-    acc = alg.zero
+    acc = P.alg.zero
     for idx in P.all_keys():
-        L = P.entry(idx)
-        for e, c in L.terms.items():
-            term = c
-            for t in range(P.k):
-                g = gs[t][idx[t] - 1]
-                for _ in range(e[t]):
-                    g = g.derive()
-                term = term * g
-            acc = acc + term
+        acc = acc + _apply_entry(P.entry(idx), [gs[t][i - 1]
+                                                for t, i in enumerate(idx)])
     return LocalFunctional(acc)
+
+
+def _apply_entry(L: LambdaPoly, args: Sequence[DiffPoly]) -> DiffPoly:
+    """L(d_1..d_k) applied to args: sum over the terms c lam^e of L of c
+    times the product of the e_t-th derivatives of args[t]."""
+    acc = L.alg.zero
+    for e, c in L.terms.items():
+        term = c
+        for t, g in enumerate(args):
+            for _ in range(e[t]):
+                g = g.derive()
+            term = term * g
+        acc = acc + term
+    return acc

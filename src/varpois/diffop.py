@@ -46,6 +46,10 @@ class NotSkewadjoint(Exception):
     pass
 
 
+class NotQuasiconstant(ValueError):
+    """A coefficient that must lie in F depends on the jets u_i^(n)."""
+
+
 class TruncationExceeded(Exception):
     """A pseudodifferential coefficient below the tracked depth was read."""
 
@@ -119,7 +123,7 @@ class ScalarDiffOp:
             elif isinstance(c, DiffPoly) and c.is_quasiconstant():
                 out[n] = c.quasiconstant_part()
             else:
-                raise ValueError("operator is not quasiconstant")
+                raise NotQuasiconstant("operator is not quasiconstant")
         return out
 
     # -- ring structure ---------------------------------------------------------
@@ -200,12 +204,6 @@ class ScalarDiffOp:
             p = c if isinstance(c, DiffPoly) else self.alg.from_scalar(c)
             terms[tuple(e)] = p
         return LambdaPoly(self.alg, k, terms)
-
-    @classmethod
-    def from_symbol(cls, L) -> "ScalarDiffOp":
-        if L.k != 1:
-            raise ValueError("operator symbols have one lambda variable")
-        return cls(L.alg, {e[0]: p for e, p in L.terms.items()})
 
     def map_coeffs(self, fn) -> "ScalarDiffOp":
         return ScalarDiffOp(self.alg, {n: fn(c) for n, c in self.coeffs.items()})
@@ -515,8 +513,9 @@ class PseudoDiffOp:
                         break
         return PseudoDiffOp(self.field, out, floor)
 
-    def inverse(self, depth: int = 0) -> "PseudoDiffOp":
-        """Right inverse to the given depth: self o result = 1 + O(d^(N-depth))."""
+    def inverse(self) -> "PseudoDiffOp":
+        """Right inverse to the tracked depth: self o result = 1 +
+        O(d^(N - _DEFAULT_PSEUDO_DEPTH))."""
         N = self.order()
         if N is None:
             raise ZeroDivisionError("inverse of (truncation of) zero")
@@ -525,11 +524,10 @@ class PseudoDiffOp:
                 and lead.derive().is_zero()):
             # c d^N with c' = 0: d^N o c^-1 = c^-1 d^N, so c^-1 d^-N is exact
             return PseudoDiffOp(self.field, {-N: self.field.one / lead})
-        depth = max(depth, _DEFAULT_PSEUDO_DEPTH)
         inv = PseudoDiffOp(self.field, {-N: self.field.one / lead},
-                           -N - depth)
+                           -N - _DEFAULT_PSEUDO_DEPTH)
         one = PseudoDiffOp.identity(self.field)
-        for _ in range(depth + 1):
+        for _ in range(_DEFAULT_PSEUDO_DEPTH + 1):
             r = one - self.compose(inv)
             ro = r.order()
             if ro is None or (inv.floor is not None and ro - N < inv.floor):
@@ -1102,7 +1100,8 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
     missing.
     """
     if not M.is_quasiconstant():
-        raise ValueError("solve_rational needs quasiconstant coefficients")
+        raise NotQuasiconstant("solve_rational needs quasiconstant "
+                               "coefficients")
     field = M.alg.field
     if b is None:
         b = [field.zero] * M.m
@@ -1369,7 +1368,7 @@ def selfadjoint_product_space(K: MatDiffOp,
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
-        raise ValueError("K must be quasiconstant")
+        raise NotQuasiconstant("K must be quasiconstant")
     N = K.order()
     size = K.m
     atoms = [(q, i, j) for q in range(N) for i in range(size)
@@ -1389,11 +1388,9 @@ def selfadjoint_product_space(K: MatDiffOp,
                                 degree_bound=degree_bound)
     out = []
     for vec in sols.homogeneous:
-        by_atom = dict(zip(atoms, vec))
-        out.append(MatDiffOp(alg, [[
-            ScalarDiffOp(alg, {q: alg.from_scalar(by_atom[(q, i, j)])
-                               for q in range(N)})
-            for j in range(size)] for i in range(size)]))
+        values = dict(zip(atoms, vec))
+        out.append(P.map_entries(lambda e: e.map_coeffs(
+            lambda c: alg.from_scalar(c.quasiconstant_part().evaluate(values)))))
     return out
 
 

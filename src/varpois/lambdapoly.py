@@ -50,12 +50,6 @@ class LambdaPoly:
             raise ValueError(f"exponent {exp!r} does not have {k} slots")
         return cls(alg, k, {tuple(exp): p})
 
-    @classmethod
-    def variable(cls, alg: DiffAlgebra, k: int, slot: int) -> "LambdaPoly":
-        e = [0] * k
-        e[slot] = 1
-        return cls(alg, k, {tuple(e): alg.one})
-
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "LambdaPoly"):
@@ -103,9 +97,6 @@ class LambdaPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exp: tuple) -> DiffPoly:
-        return self.terms.get(tuple(exp), self.alg.zero)
 
     def degree_in(self, slot: int) -> int:
         return max((e[slot] for e in self.terms), default=0)
@@ -192,6 +183,72 @@ def format_lambda_poly(P: LambdaPoly, names: Optional[list] = None) -> str:
         else:
             parts.append(ps if " " not in ps else f"({ps})")
     return " + ".join(parts)
+
+
+class _LambdaArray:
+    """Arity-k array of lambda-polynomials: `entries` maps index tuples to
+    nonzero LambdaPoly.  The linear structure acts on the stored entries
+    key by key; a subclass fixes which index tuples are stored."""
+
+    __slots__ = ("alg", "k", "entries")
+
+    def __init__(self, alg: DiffAlgebra, k: int):
+        self.alg = alg
+        self.k = k
+        self.entries = {}
+
+    def _with(self, entries: dict):
+        out = type(self)(self.alg, self.k)
+        out.entries = entries
+        return out
+
+    def _check(self, other):
+        if self.alg != other.alg or self.k != other.k:
+            raise ValueError("incompatible arrays")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.entries)
+        for key, v in other.entries.items():
+            accumulate(out, key, v)
+        return self._with(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with({key: -v for key, v in self.entries.items()})
+
+    def map_entries(self, fn):
+        out = {}
+        for key, v in self.entries.items():
+            w = fn(v)
+            if not w.is_zero():
+                out[key] = w
+        return self._with(out)
+
+    def scale(self, c):
+        return self.map_entries(lambda v: v.scale(c))
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.k == other.k and (self - other).is_zero()
+
+    def _equations(self) -> list:
+        """((key, e, mono), c) for every coefficient c of every
+        lambda-coefficient of every entry, in sorted order."""
+        return [((key, e, mono), c) for key in sorted(self.entries)
+                for e, p in self.entries[key].sorted_terms()
+                for mono, c in sorted(p.terms.items())]
+
+    def __repr__(self):
+        body = ", ".join(f"{key}: {format_lambda_poly(v)}"
+                         for key, v in sorted(self.entries.items()))
+        return f"{type(self).__name__}(k={self.k}, {{{body}}})"
 
 
 # -- affine substitution machinery -------------------------------------------

@@ -78,6 +78,17 @@ class LinForm:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def evaluate(self, values) -> FieldElem:
+        """sum c * D^r(values[a]): the form with each unknown p_a set to the
+        element values[a] of the coefficient field."""
+        out = self.field.zero
+        for (a, r), c in self.terms.items():
+            v = values[a]
+            for _ in range(r):
+                v = v.derive()
+            out = out + c * v
+        return out
+
     def __eq__(self, other):
         if isinstance(other, LinForm):
             return self.field == other.field and self.terms == other.terms

@@ -16,12 +16,13 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import (SkewArray, _degree_cap, _perm_sign,
-                        invertible_leading)
+from .complexes import (SkewArray, _apply_entry, _degree_cap, _inverse_perm,
+                        _perm_sign, invertible_leading)
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
-from .diffop import (Incomplete, MatDiffOp, ScalarDiffOp, linform_equations,
+from .diffop import (Incomplete, MatDiffOp, linform_equations,
                      solve_linform_system)
-from .lambdapoly import LambdaPoly, subst_slot_neg, symbol_act
+from .field import accumulate
+from .lambdapoly import LambdaPoly, _LambdaArray, subst_slot_neg, symbol_act
 from .linform import LinForm
 
 
@@ -33,19 +34,16 @@ class NotInSigma(Exception):
     pass
 
 
-class KDiffOp:
+class KDiffOp(_LambdaArray):
     """Array of lambda-polynomials indexed by (k+1)-tuples of 1..nvars."""
 
-    __slots__ = ("alg", "k", "entries")
+    __slots__ = ()
 
     def __init__(self, alg: DiffAlgebra, k: int, entries: Optional[dict] = None):
-        self.alg = alg
-        self.k = k
-        self.entries = {}
-        if entries:
-            for idx, L in entries.items():
-                if not L.is_zero():
-                    self.entries[tuple(idx)] = L
+        super().__init__(alg, k)
+        for idx, L in (entries or {}).items():
+            if not L.is_zero():
+                self.entries[tuple(idx)] = L
 
     def entry(self, idx: tuple) -> LambdaPoly:
         return self.entries.get(tuple(idx), LambdaPoly.zero(self.alg, self.k))
@@ -60,52 +58,6 @@ class KDiffOp:
         else:
             self.entries[tuple(idx)] = L
 
-    def __add__(self, other: "KDiffOp") -> "KDiffOp":
-        out = KDiffOp(self.alg, self.k)
-        for idx in set(self.entries) | set(other.entries):
-            v = self.entry(idx) + other.entry(idx)
-            if not v.is_zero():
-                out.entries[idx] = v
-        return out
-
-    def __sub__(self, other: "KDiffOp") -> "KDiffOp":
-        return self + (-other)
-
-    def __neg__(self) -> "KDiffOp":
-        out = KDiffOp(self.alg, self.k)
-        out.entries = {idx: -v for idx, v in self.entries.items()}
-        return out
-
-    def scale(self, c) -> "KDiffOp":
-        out = KDiffOp(self.alg, self.k)
-        for idx, v in self.entries.items():
-            w = v.scale(c)
-            if not w.is_zero():
-                out.entries[idx] = w
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, KDiffOp):
-            return NotImplemented
-        return self.k == other.k and (self - other).is_zero()
-
-    def map_entries(self, fn) -> "KDiffOp":
-        out = KDiffOp(self.alg, self.k)
-        for idx, v in self.entries.items():
-            w = fn(v)
-            if not w.is_zero():
-                out.entries[idx] = w
-        return out
-
-    def __repr__(self):
-        from .lambdapoly import format_lambda_poly
-        body = ", ".join(f"{idx}: {format_lambda_poly(v)}"
-                         for idx, v in sorted(self.entries.items()))
-        return f"KDiffOp(k={self.k}, {{{body}}})"
-
     @classmethod
     def from_mat_diff_op(cls, M: MatDiffOp) -> "KDiffOp":
         """Arity-1 operators are matrix differential operators (lam = d)."""
@@ -117,18 +69,6 @@ class KDiffOp:
                     out.entries[(i + 1, j + 1)] = sym
         return out
 
-    def to_mat_diff_op(self) -> MatDiffOp:
-        if self.k != 1:
-            raise ValueError("only arity-1 operators are matrices")
-        size = self.alg.nvars
-        rows = []
-        for i in range(1, size + 1):
-            row = []
-            for j in range(1, size + 1):
-                row.append(ScalarDiffOp.from_symbol(self.entry((i, j))))
-            rows.append(row)
-        return MatDiffOp(self.alg, rows)
-
 
 # -- symmetric group action ---------------------------------------------------------
 
@@ -137,19 +77,13 @@ def _sk_action(P: KDiffOp, sigma: Sequence[int]) -> KDiffOp:
     """Action of sigma in S_k = Perm(1..k) (given 0-based on {0..k} fixing 0):
     simultaneous permutation of trailing indices and variables."""
     k = P.k
-    inv = [0] * (k + 1)
-    for a, b in enumerate(sigma):
-        inv[b] = a
-    out = KDiffOp(P.alg, k)
+    inv = _inverse_perm(sigma)
+    var_map = tuple(sigma[a + 1] - 1 for a in range(k))
+    out: dict = {}
     for idx, L in P.entries.items():
         new_idx = (idx[0],) + tuple(idx[inv[a]] for a in range(1, k + 1))
-        var_map = tuple(sigma[a + 1] - 1 for a in range(k))
-        out.entries[tuple(new_idx)] = out.entry(new_idx) + L.compose_vars(var_map)
-    clean = KDiffOp(P.alg, k)
-    for idx, L in out.entries.items():
-        if not L.is_zero():
-            clean.entries[idx] = L
-    return clean
+        accumulate(out, new_idx, L.compose_vars(var_map))
+    return KDiffOp(P.alg, k, out)
 
 
 def _tau_action(P: KDiffOp, alpha: int) -> KDiffOp:
@@ -157,18 +91,13 @@ def _tau_action(P: KDiffOp, alpha: int) -> KDiffOp:
     swap the indices and substitute the alpha-th variable by
     -(lam_1 + ... + lam_k) - d (differentiating the coefficients)."""
     k = P.k
-    out = KDiffOp(P.alg, k)
+    out: dict = {}
     for idx, L in P.entries.items():
         new_idx = list(idx)
         new_idx[0], new_idx[alpha] = new_idx[alpha], new_idx[0]
-        subst = subst_slot_neg(L, alpha - 1, tuple(range(k)), drop=False)
-        prev = out.entry(tuple(new_idx))
-        val = prev + subst
-        if val.is_zero():
-            out.entries.pop(tuple(new_idx), None)
-        else:
-            out.entries[tuple(new_idx)] = val
-    return out
+        accumulate(out, tuple(new_idx),
+                   subst_slot_neg(L, alpha - 1, tuple(range(k)), drop=False))
+    return KDiffOp(P.alg, k, out)
 
 
 def sigma_action(P: KDiffOp, sigma: Sequence[int]) -> KDiffOp:
@@ -240,33 +169,15 @@ def module_action(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
     return out
 
 
-def apply_to_vectors(P: KDiffOp, fs: Sequence[Sequence[DiffPoly]]) -> list:
-    """P(F^1,...,F^k) in V^nvars."""
-    alg = P.alg
-    if len(fs) != P.k:
-        raise ValueError("need k argument vectors")
-    out = [alg.zero for _ in range(alg.nvars)]
-    for idx, L in P.entries.items():
-        i0 = idx[0]
-        for e, c in L.terms.items():
-            term = c if isinstance(c, DiffPoly) else alg.from_scalar(c)
-            for t in range(P.k):
-                g = fs[t][idx[1 + t] - 1]
-                for _ in range(e[t]):
-                    g = g.derive()
-                term = term * g
-            out[i0 - 1] = out[i0 - 1] + term
-    return out
-
-
 def pairing(F0: Sequence[DiffPoly], P: KDiffOp,
             fs: Sequence[Sequence[DiffPoly]]) -> LocalFunctional:
     """int F^0 . P(F^1..F^k), the pairing underlying the S_{k+1} action."""
-    alg = P.alg
-    vec = apply_to_vectors(P, fs)
-    acc = alg.zero
-    for a, b in zip(F0, vec):
-        acc = acc + a * b
+    if len(fs) != P.k:
+        raise ValueError("need k argument vectors")
+    acc = P.alg.zero
+    for idx, L in P.entries.items():
+        args = [fs[t][i - 1] for t, i in enumerate(idx[1:])]
+        acc = acc + F0[idx[0] - 1] * _apply_entry(L, args)
     return LocalFunctional(acc)
 
 
@@ -452,16 +363,11 @@ def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int, atoms: list) -> KDiffOp:
     return P
 
 
-def _collect_equations(E: KDiffOp):
-    """((idx, e, mono), c) for every coefficient c of every
-    lambda-coefficient of every entry, in sorted order."""
-    eqs = []
-    for idx in sorted(E.entries):
-        L = E.entries[idx]
-        for e, p in L.sorted_terms():
-            for mono, c in sorted(p.terms.items()):
-                eqs.append(((idx, e, mono), c))
-    return eqs
+def _at(P: KDiffOp, atoms: list, vec: list) -> KDiffOp:
+    """The generic unknown P with each atoms[t] set to vec[t]."""
+    alg, values = P.alg, dict(zip(atoms, vec))
+    return P.map_entries(lambda L: L.map_coeff(lambda p: alg.from_scalar(
+        p.quasiconstant_part().evaluate(values))))
 
 
 def sigma_space(K: MatDiffOp, k: int,
@@ -486,39 +392,11 @@ def sigma_space(K: MatDiffOp, k: int,
         degree_bound = _degree_cap(N, k, alg.nvars)
     P = _unknown_kdiffop(alg, k, N, atoms)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
-    eqs = linform_equations(_collect_equations(E))
+    eqs = linform_equations(E._equations())
     sols = solve_linform_system(alg, list(eqs.values()), atoms,
                                 degree_bound=degree_bound)
-    basis = [_substitute_atoms(alg, k, N, atoms, vec)
-             for vec in sols.homogeneous]
+    basis = [_at(P, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
-
-
-def _substitute_atoms(alg: DiffAlgebra, k: int, N: int, atoms: list,
-                      vec: list) -> KDiffOp:
-    values = dict(zip(atoms, vec))
-    P = KDiffOp(alg, k)
-    for i0 in range(1, alg.nvars + 1):
-        for rest in itertools.product(range(1, alg.nvars + 1), repeat=k):
-            terms = {}
-            for exps in itertools.product(range(N), repeat=k):
-                pairs = tuple((exps[t], rest[t]) for t in range(k))
-                if len(set(pairs)) < k:
-                    continue
-                perm = sorted(range(k), key=lambda t: pairs[t], reverse=True)
-                canon = tuple(pairs[t] for t in perm)
-                atom = (i0, canon)
-                if atom not in values:
-                    continue
-                c = values[atom]
-                if _perm_sign(perm) < 0:
-                    c = -c
-                if not c.is_zero():
-                    terms[tuple(exps)] = alg.from_scalar(c)
-            L = LambdaPoly(alg, k, terms)
-            if not L.is_zero():
-                P.entries[(i0,) + rest] = L
-    return P
 
 
 def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
@@ -545,8 +423,8 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
         atoms = _skew_atoms(alg, k, ndeg)
         P = _unknown_kdiffop(alg, k, ndeg, atoms)
         E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
-        lhs = linform_equations(_collect_equations(E))
-        rhs = {key: field.coerce(c) for key, c in _collect_equations(S)}
+        lhs = linform_equations(E._equations())
+        rhs = {key: field.coerce(c) for key, c in S._equations()}
         keys = sorted(set(lhs) | set(rhs), key=repr)
         try:
             sols = solve_linform_system(
@@ -556,7 +434,7 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
             last_err = err
             continue
         if sols.particular is not None:
-            return _substitute_atoms(alg, k, ndeg, atoms, sols.particular)
+            return _at(P, atoms, sols.particular)
     raise last_err or Incomplete("rational ansatz exhausted")
 
 

@@ -294,6 +294,61 @@ def as_skewadjoint_op(Q) -> MatDiffOp:
     return MatDiffOp(alg, rows)
 
 
+def coefficient(L: LambdaPoly, exp: tuple) -> DiffPoly:
+    """The coefficient of lam^exp in L."""
+    return L.terms.get(tuple(exp), L.alg.zero)
+
+
+def to_mat_diff_op(P) -> MatDiffOp:
+    """An arity-1 KDiffOp as the matrix operator whose entries have P's
+    entries as symbols (lam = d)."""
+    if P.k != 1:
+        raise ValueError("only arity-1 operators are matrices")
+    size = P.alg.nvars
+    return MatDiffOp(P.alg, [[ScalarDiffOp(P.alg, {
+        e[0]: c for e, c in P.entry((i, j)).terms.items()})
+        for j in range(1, size + 1)] for i in range(1, size + 1)])
+
+
+def as_one_form(Q) -> list:
+    """For an arity-1 QuotientArray Q: the canonical identification with
+    V^nvars, sum_m (-d)^m applied to the coefficient of lam^m."""
+    if Q.k != 1:
+        raise ValueError("only arity-1 classes are vectors")
+    out = []
+    for i in range(1, Q.alg.nvars + 1):
+        acc = Q.alg.zero
+        for (m,), g in Q.representative.entry((i,)).terms.items():
+            for _ in range(m):
+                g = g.derive()
+            acc = acc + (g if m % 2 == 0 else -g)
+        out.append(acc)
+    return out
+
+
+def de_rham_delta_reference(P: SkewArray) -> SkewArray:
+    """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
+    d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n, summed
+    directly (the library computes it as delta_K at K = 1)."""
+    alg = P.alg
+    k1 = P.k + 1
+    out = SkewArray(alg, k1)
+    for idx in itertools.combinations_with_replacement(
+            range(1, alg.nvars + 1), k1):
+        total = LambdaPoly.zero(alg, k1)
+        for a in range(k1):
+            sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
+            i_a = idx[a]
+            orders = {n for p in sub.terms.values()
+                      for (n, j) in p.jet_support() if j == i_a}
+            for n in sorted(orders):
+                piece = sub.map_coeff(lambda p: p.jet_partial(i_a, n))
+                piece = piece.shift_exp(a, n)
+                total = total + (piece if a % 2 == 0 else -piece)
+        out.set_entry(idx, total, project=False)
+    return out
+
+
 def x_degree(v: FieldElem) -> int:
     """Degree in x of the numerator of v minus that of its denominator,
     read from the stored tier."""

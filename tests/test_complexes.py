@@ -16,7 +16,8 @@ from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
 from varpois.complexes import in_filtration, level_key
 from varpois.pva import LambdaBracketStruct, hamiltonian_vf
 
-from helpers import as_skewadjoint_op, rnd_diffpoly, rnd_skew_array
+from helpers import (as_one_form, as_skewadjoint_op, de_rham_delta_reference,
+                     rnd_diffpoly, rnd_skew_array)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -59,7 +60,7 @@ def test_delta_k_examples():
     rng = random.Random(21)
     for k in (0, 1, 2):
         arr = rnd_skew_array(rng, ALG, k, max_deg=1, max_order=1)
-        assert delta_k(arr, KI) == de_rham_delta(arr)
+        assert delta_k(arr, KI) == de_rham_delta_reference(arr)
     # quasiconstant bottom-slice arrays are killed
     flat = SkewArray(ALG, 1)
     flat.set_entry((1,), LambdaPoly.const(ALG, 1, ALG.x()))
@@ -70,6 +71,26 @@ def test_delta_k_requires_quasiconstant():
     H = magri_structure(ALG).op
     with pytest.raises(NotQuasiconstant):
         delta_k(SkewArray.from_function(ALG, U), H)
+
+
+QUASICONSTANT_SITES = {
+    "field_coeffs": lambda K: K.rows[0][0].field_coeffs(),
+    "solve_rational": lambda K: varpois.solve_rational(K),
+    "selfadjoint_product_space": lambda K: varpois.selfadjoint_product_space(K),
+    "delta_k": lambda K: delta_k(SkewArray.from_function(ALG, U), K),
+    "reduce_closed": lambda K: reduce_closed(SkewArray(ALG, 1), K),
+    "cohomology_dim": lambda K: cohomology_dim(K, 0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(QUASICONSTANT_SITES))
+def test_not_quasiconstant_is_one_class(site):
+    """Every check that an operator's coefficients lie in F raises the
+    exported NotQuasiconstant, which is a ValueError, on d + u."""
+    K = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.one, 0: U})]])
+    assert issubclass(NotQuasiconstant, ValueError)
+    with pytest.raises(NotQuasiconstant):
+        QUASICONSTANT_SITES[site](K)
 
 
 def test_complex_property_random():
@@ -277,7 +298,7 @@ def test_d_k_at_bottom_is_hamiltonian_field():
     from varpois import LocalFunctional
     G = gfz_structure(ALG)
     P = QuotientArray(SkewArray.from_function(ALG, U * U / 2))
-    vec = d_k(P, G).as_one_form()
+    vec = as_one_form(d_k(P, G))
     assert vec == hamiltonian_vf(LocalFunctional(U * U / 2), G).P
 
 

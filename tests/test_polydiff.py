@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,8 @@ from varpois.diffalg import LocalFunctional
 from varpois import diffop
 from varpois.polydiff import _B_TABLE, _C_TABLE, _skew_atoms
 
-from helpers import rnd_diffpoly, total_skewsymmetrize_shortcut
+from helpers import (as_one_form, rnd_diffpoly, to_mat_diff_op,
+                     total_skewsymmetrize_shortcut)
 
 ALG = DiffAlgebra(1, [])
 ALG2 = DiffAlgebra(2)
@@ -54,7 +56,7 @@ def test_transposition_is_adjoint_at_arity_one():
     op = ScalarDiffOp(ALG, {1: ALG.from_scalar(x)})
     P = KDiffOp.from_mat_diff_op(MatDiffOp(ALG, [[op]]))
     Pt = sigma_action(P, (1, 0))
-    assert Pt.to_mat_diff_op() == MatDiffOp(ALG, [[op.adjoint()]])
+    assert to_mat_diff_op(Pt) == MatDiffOp(ALG, [[op.adjoint()]])
     # double transposition returns the operator
     assert sigma_action(Pt, (1, 0)) == P
 
@@ -295,6 +297,55 @@ def test_sigma_space_examples():
     assert P.entry((1, 1)).degree_in(0) == 0
 
 
+def _diag_d(alg, N, A=None):
+    """diag(d^N), composed on the left with the constant matrix A if given."""
+    z = ScalarDiffOp.zero(alg)
+    K = MatDiffOp(alg, [[ScalarDiffOp.d(alg, N) if i == j else z
+                         for j in range(alg.nvars)] for i in range(alg.nvars)])
+    return K if A is None else MatDiffOp.from_constant(alg, A).compose(K)
+
+
+def _rank_over_constants(basis) -> int:
+    """Rank over Q of the coefficient vectors of the basis, each coefficient
+    a polynomial in x split by powers of x."""
+    x = sympy.Symbol("x")
+    cols: dict = {}
+    rows = []
+    for P in basis:
+        row = {}
+        for idx, L in P.entries.items():
+            for e, p in L.terms.items():
+                for mono, c in p.terms.items():
+                    poly = sympy.Poly(c.f.as_expr(), x)
+                    for (n,), v in poly.as_dict().items():
+                        row[cols.setdefault((idx, e, mono, n), len(cols))] = v
+        rows.append(row)
+    mat = sympy.zeros(len(rows), len(cols))
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            mat[r, c] = v
+    return mat.rank()
+
+
+@pytest.mark.parametrize("l, N, A", [
+    (1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None),
+    (2, 1, [[1, 2], [0, 1]]), (2, 2, [[1, 0], [-1, 1]])],
+    ids=["l1-d", "l1-d2", "l2-d", "l2-d2", "l2-unipotent-d", "l2-unipotent-d2"])
+def test_sigma_space_basis_solves_the_equation(l, N, A):
+    """Every basis vector of Sigma_k is skewsymmetric under S_k and solves
+    <K* o P>^- = 0, and the basis is linearly independent over C, for
+    diag(d^N) and the unipotent 2x2 operators of the benchmark, k <= 2."""
+    alg = ALG if l == 1 else ALG2
+    K = _diag_d(alg, N, A)
+    for k in range(3):
+        basis, expected, flagged = sigma_space(K, k)
+        assert (len(basis), flagged) == (expected, False)
+        for P in basis:
+            assert is_skewsymmetric(P)
+            assert total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero()
+        assert _rank_over_constants(basis) == len(basis)
+
+
 def test_sigma_space_grows_the_kernel_by_degree(monkeypatch):
     """For K free of x the ansatz system is solved one degree at a time, so
     no linear system has more columns than the kernel found plus one per
@@ -371,8 +422,8 @@ def test_chi_frechet_is_adjoint():
     basis, _, _ = sigma_space(Kd2, 1)
     P = basis[0]
     rep = chi_representative(P, Kd2)
-    F = QuotientArray(rep).as_one_form()
-    assert frechet(F) == P.to_mat_diff_op().adjoint()
+    F = as_one_form(QuotientArray(rep))
+    assert frechet(F) == to_mat_diff_op(P).adjoint()
     assert QuotientArray(delta_k(rep, Kd2)).is_zero()
 
 

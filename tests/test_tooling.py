@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -70,3 +71,54 @@ def test_benchmark_smoke_verdicts(workload, trace):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+
+
+def _defined_functions(tree) -> list:
+    """(qualname, node) for every function and method of a module."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+    visit(tree, "")
+    return out
+
+
+def _named(node) -> list:
+    """Every identifier that a Name or an Attribute under node names."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_library_code_has_a_library_caller():
+    """Every function and method of the package is exported from varpois,
+    or named (called, passed or traced by the benchmark) somewhere in src/
+    or bench/ outside its own definition: no library code serves only the
+    tests.  Dunder methods are called by the language and are exempt."""
+    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sources}
+    uses: dict = {}
+    for tree in trees.values():
+        for name in _named(tree):
+            uses[name] = uses.get(name, 0) + 1
+    layers = (ROOT / "bench" / "layers.py").read_text()
+    for target in re.findall(r':([\w.]+)"', layers):
+        name = target.split(".")[-1]
+        uses[name] = uses.get(name, 0) + 1
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _defined_functions(trees[path]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if "." not in qualname and hasattr(varpois, name):
+                continue
+            own = sum(1 for n in _named(node) if n == name)
+            if uses.get(name, 0) - own == 0:
+                unused.append(f"{path.name}:{qualname}")
+    assert unused == []
