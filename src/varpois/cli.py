@@ -197,8 +197,8 @@ def cmd_cohomology(args, session: Session, report: Report):
     K = _eval_operator(session, args.K)
     report.inputs["K"] = _fmt_value(K)
     report.inputs["k"] = args.k
-    res = cohomology_dim(K, args.k, args.degree_bound)
-    basis, expected, flagged = sigma_space(K, args.k, args.degree_bound)
+    res = cohomology_dim(K, args.k)
+    basis, expected, flagged = sigma_space(K, args.k)
     reps = [_array_to_json(chi_representative(P, K, check=False))
             for P in basis]
     value = {"dim": res.dim, "basis_representatives": reps,
@@ -211,7 +211,7 @@ def cmd_sigma(args, session: Session, report: Report):
     K = _eval_operator(session, args.K)
     report.inputs["K"] = _fmt_value(K)
     report.inputs["k"] = args.k
-    basis, expected, flagged = sigma_space(K, args.k, args.degree_bound)
+    basis, expected, flagged = sigma_space(K, args.k)
     value = {"dim": len(basis), "expected": expected,
              "basis": [_array_to_json(P) for P in basis]}
     report.add("sigma", "flagged" if flagged else "ok", value)
@@ -224,7 +224,7 @@ def cmd_solve_skew(args, session: Session, report: Report):
     S = _array_from_json(doc, session, "kdiff")
     report.inputs["K"] = _fmt_value(K)
     report.inputs["S"] = _array_to_json(S)
-    P = solve_skew_equation(K, S, args.degree_bound)
+    P = solve_skew_equation(K, S)
     verified = skew_product(K, P) == S
     report.add("solution", "ok" if verified else "fail",
                _array_to_json(P))
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="variational Poisson calculus engine")
     ap.add_argument("--session", help="session file with vars/params/defs")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--degree-bound", type=int, default=None)
     ap.add_argument("--seed-file", default=None)
     sub = ap.add_subparsers(dest="command")
     p = sub.add_parser("check-jacobi")

@@ -609,17 +609,17 @@ def _degree_cap(N: int, k: int, nvars: int) -> int:
     return N * (k + 2) * nvars + 4
 
 
-def cohomology_dim(K: MatDiffOp, k: int,
-                   degree_bound: Optional[int] = None) -> CohomologyResult:
+def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
     """dim over C of the kernel of alpha_(k+1) on the bottom slice, solving
     the induced linear differential system by rational ansatz.  Equals
     C(N*nvars, k+1) over a linearly closed field; the rational count is
     flagged as a lower bound when it falls short.
 
-    For K free of x the system has constant coefficients, and degree_bound
-    (default _degree_cap) is only a cap: the search stops, certified, at the
-    first degree that adds no solution, and then a flag means solutions
-    that are not rational (exponential), not a short ansatz."""
+    The ansatz degree is _degree_cap.  For K free of x the system has
+    constant coefficients, and that degree is only a cap: the search stops,
+    certified, at the first degree that adds no solution, and then a flag
+    means solutions that are not rational (exponential), not a short
+    ansatz."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
@@ -630,17 +630,15 @@ def cohomology_dim(K: MatDiffOp, k: int,
     expected = math.comb(N * alg.nvars, k + 1)
     if expected == 0:
         return CohomologyResult(0, 0, False, [])
-    if degree_bound is None:
-        degree_bound = _degree_cap(N, k, alg.nvars)
     _, basis = dim_omega00(N, alg.nvars, k + 1, alg)
     unknown = SkewArray(alg, k + 1)
     for b, arr in enumerate(basis):
         unknown = unknown + arr.scale(LinForm.atom(field, b))
     image = alpha_k(unknown, Kn)
     eqs = linform_equations(image._equations())
-    kern = solve_linform_system(alg, list(eqs.values()),
-                                list(range(len(basis))),
-                                degree_bound=degree_bound).homogeneous
+    kern = solve_linform_system(
+        alg, list(eqs.values()), list(range(len(basis))),
+        degree_bound=_degree_cap(N, k, alg.nvars)).homogeneous
     dim = len(kern)
     return CohomologyResult(dim, expected, dim < expected, kern)
 

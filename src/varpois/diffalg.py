@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .field import (CoefficientField, FieldElem, UndecidableResidue,
-                    accumulate, format_field_elem, rational_antiderivative)
+from .field import (CoefficientField, FieldElem, accumulate,
+                    format_field_elem, rational_antiderivative)
 
 Mono = tuple  # tuple of ((n, i), exp), sorted ascending by (n, i)
 

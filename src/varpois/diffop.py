@@ -18,9 +18,9 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
-from .field import (FieldElem, InvariantViolation, _primitive_parts,
-                    accumulate, clear_denominators, format_field_elem,
-                    x_coefficients)
+from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
+                    _primitive_parts, accumulate, clear_denominators,
+                    format_field_elem, rational_antiderivative)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve
@@ -1127,7 +1127,6 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
 
 def _solve_scalar_monomial(field, m0: int, c0: FieldElem,
                            rhs: FieldElem) -> SolutionSet:
-    from .field import rational_antiderivative
     part = rhs / c0
     for _ in range(m0):
         nxt = rational_antiderivative(part)
@@ -1282,23 +1281,6 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
     return SolutionSet(particular, basis)
 
 
-def _match_x_coefficients(field, entries, rhs):
-    """Turn sum_c gamma_c * entries[c] = rhs (FieldElem identity in x) into
-    scalar rows over C by clearing denominators and matching powers of x."""
-    _, cleared = clear_denominators(list(entries) + [rhs])
-    cleared = [x_coefficients(p) for p in cleared]
-    degrees = sorted(set().union(*cleared))
-    rows = {d: {} for d in degrees}
-    rhs_rows = {d: field.zero for d in degrees}
-    for c, coeffs in enumerate(cleared[:-1]):
-        for dkey, val in coeffs.items():
-            rows[dkey][c] = val
-    rhs_rows.update(cleared[-1])
-    out_rows = [rows[d] for d in degrees]
-    out_rhs = [rhs_rows[d] for d in degrees]
-    return out_rows, out_rhs
-
-
 # -- skewadjoint/selfadjoint canonical decomposition --------------------------------
 
 
@@ -1360,8 +1342,7 @@ def _as_op(alg: DiffAlgebra, c) -> ScalarDiffOp:
 # -- spaces of operators with (self)adjoint products ---------------------------------
 
 
-def selfadjoint_product_space(K: MatDiffOp,
-                              degree_bound: Optional[int] = None) -> list:
+def selfadjoint_product_space(K: MatDiffOp) -> list:
     """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint},
     found by the rational ansatz.  K must be quasiconstant with invertible
     leading coefficient."""
@@ -1384,8 +1365,7 @@ def selfadjoint_product_space(K: MatDiffOp,
         ((i, j, n), e.coeffs[n].quasiconstant_part())
         for i, row in enumerate(R.rows) for j, e in enumerate(row)
         for n in sorted(e.coeffs))
-    sols = solve_linform_system(alg, list(eqs.values()), atoms,
-                                degree_bound=degree_bound)
+    sols = solve_linform_system(alg, list(eqs.values()), atoms)
     out = []
     for vec in sols.homogeneous:
         values = dict(zip(atoms, vec))

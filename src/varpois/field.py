@@ -34,7 +34,13 @@ Polynomials are sympy ``PolyElement``s of the sparse ring throughout.  The
 gcds, cancellations and exact divisions go through four kernels (``_cancel``,
 ``_gcd``, ``_lcm``, ``_divrem``): in a ring with the one generator x (F =
 Q(x), no further variables) they run sympy's dense univariate routines on
-coefficient lists, in any other ring the sparse methods."""
+coefficient lists, in any other ring the sparse methods.
+
+The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
+arithmetic over C = Q(params) of its own: it splits the denominator with
+those kernels and solves one ansatz through ``_match_x_coefficients``, the
+builder that turns an identity in x into linear rows over C for every
+ansatz system of the package."""
 
 from __future__ import annotations
 
@@ -641,6 +647,23 @@ def clear_denominators(values) -> tuple:
     return _poly(field, den), cleared
 
 
+def _match_x_coefficients(field, entries, rhs):
+    """Turn sum_c gamma_c * entries[c] = rhs (FieldElem identity in x) into
+    scalar rows over C by clearing denominators and matching powers of x."""
+    _, cleared = clear_denominators(list(entries) + [rhs])
+    cleared = [x_coefficients(p) for p in cleared]
+    degrees = sorted(set().union(*cleared))
+    rows = {d: {} for d in degrees}
+    rhs_rows = {d: field.zero for d in degrees}
+    for c, coeffs in enumerate(cleared[:-1]):
+        for dkey, val in coeffs.items():
+            rows[dkey][c] = val
+    rhs_rows.update(cleared[-1])
+    out_rows = [rows[d] for d in degrees]
+    out_rhs = [rhs_rows[d] for d in degrees]
+    return out_rows, out_rhs
+
+
 @lru_cache(maxsize=None)
 def _extended_zring(zring, nextra: int):
     """Z[x, params, y_1, ..., y_n]: the field's integral ring with n more
@@ -766,149 +789,53 @@ def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
             for tail, terms in grouped.items()}
 
 
-def _x_poly(p: FieldElem) -> list:
-    """Polynomial -> dense coefficient list in x over C (FieldElem values)."""
-    cs = x_coefficients(p)
-    return [cs.get(k, p.field.zero) for k in range(max(cs, default=0) + 1)]
-
-
-def _xp_is_zero(a: list) -> bool:
-    return all(c.is_zero() for c in a)
-
-
-def _xp_trim(a: list) -> list:
-    while len(a) > 1 and a[-1].is_zero():
-        a = a[:-1]
-    return a
-
-
-def _xp_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    f = a[0].field
-    out = [(a[i] if i < len(a) else f.zero) - (b[i] if i < len(b) else f.zero)
-           for i in range(n)]
-    return _xp_trim(out)
-
-
-def _xp_mul(a: list, b: list) -> list:
-    f = a[0].field
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _xp_trim(out)
-
-
-def _xp_divmod(a: list, b: list) -> tuple[list, list]:
-    f = a[0].field
-    b = _xp_trim(b)
-    if _xp_is_zero(b):
-        raise ZeroDivisionError
-    r = list(a)
-    q = [f.zero] * max(1, len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while not _xp_is_zero(r) and len(_xp_trim(r)) - 1 >= db:
-        r = _xp_trim(r)
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = q[k] + c
-        for i, bi in enumerate(b):
-            r[k + i] = r[k + i] - c * bi
-        r = _xp_trim(r[:-1] + [f.zero]) if r else r
-    return _xp_trim(q), _xp_trim(r)
-
-
-def _xp_gcd(a: list, b: list) -> list:
-    a, b = _xp_trim(a), _xp_trim(b)
-    while not _xp_is_zero(b):
-        _, r = _xp_divmod(a, b)
-        a, b = b, r
-    if _xp_is_zero(a):
-        return a
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
-def _xp_diff(a: list) -> list:
-    # d/dx(c_i x^i) = c_i' x^i + i c_i x^(i-1); coefficients may carry x too,
-    # though callers only pass x-free coefficient lists.
-    f = a[0].field
-    res = [f.zero] * len(a)
-    for i, c in enumerate(a):
-        res[i] = res[i] + c.derive()
-        if i >= 1:
-            res[i - 1] = res[i - 1] + i * c
-    return _xp_trim(res)
-
-
 def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     """Antiderivative of v in F when one exists; None when it provably does
     not; raises UndecidableResidue when the answer depends on parameter
     values.
 
-    Splits off the polynomial part, then applies Horowitz-Ostrogradsky
-    reduction: the proper part integrates rationally iff the residual with
-    squarefree denominator vanishes.
+    A polynomial integrates termwise.  A fraction num/den is split by the
+    Horowitz-Ostrogradsky ansatz v = (q + a/d2)' + l b/d1 over C, with d2 =
+    gcd(den, den') and d1 = den/d2 in Z[x, params] and l the leading
+    coefficient of d1 in x, so that b is read against d1 made monic.  q is
+    a polynomial without constant term, of degree at most deg num - deg den
+    + 1; deg a < deg d2 and deg b < deg d1.  Times den the ansatz is the
+    polynomial identity num = q' den + a' d1 - a h + l b d2, with h =
+    d2' d1 / d2, matched coefficientwise in x; its solution is unique.  d1
+    is squarefree, so v integrates in F iff b = 0.  A nonzero rational
+    coefficient of b is a logarithm at every value of the parameters;
+    otherwise b vanishes only at special values.
     """
+    field = v.field
     if v.is_zero():
-        return v.field.zero
-    f = v.field
-    num, den = (_x_poly(_poly(f, p)) for p in _zz_parts(f, v._k, v._v))
-    q, r = _xp_divmod(num, den)
-    x = f.x
-    result = f.zero
-    for i, c in enumerate(q):
-        result = result + c / (i + 1) * x ** (i + 1)
-    if _xp_is_zero(r):
-        return result
-    # proper part r/den; make den monic
-    lc = den[-1]
-    den = [c / lc for c in den]
-    r = [c / lc for c in r]
-    d2 = _xp_gcd(den, _xp_diff(den))
-    d1, rem = _xp_divmod(den, d2)
-    if not _xp_is_zero(rem):
-        raise InvariantViolation("gcd(den, den') does not divide den")
-    # H = d2' * d1 / d2 is a polynomial
-    h, rem = _xp_divmod(_xp_mul(_xp_diff(d2), d1), d2)
-    if not _xp_is_zero(rem):
-        raise InvariantViolation("d2' * d1 is not divisible by d2")
-    na, nb = len(d2) - 1, len(d1) - 1
-    # unknowns: a_0..a_{na-1}, b_0..b_{nb-1};  r = a'*d1 - a*H + b*d2
-    ncols = na + nb
-    nrows = len(den) - 1
-    rows = [{} for _ in range(nrows)]
-    rhs = [r[i] if i < len(r) else f.zero for i in range(nrows)]
-    for j in range(na):
-        basis = [f.zero] * (j + 1)
-        basis[j] = f.one
-        contrib = _xp_sub(_xp_mul(_xp_diff(basis), d1), _xp_mul(basis, h))
-        for i, c in enumerate(contrib[:nrows]):
-            rows[i][j] = c
-    for j in range(nb):
-        basis = [f.zero] * (j + 1)
-        basis[j] = f.one
-        contrib = _xp_mul(basis, d2)
-        for i, c in enumerate(contrib[:nrows]):
-            rows[i][na + j] = c
-    sol, _ = gauss_solve(rows, rhs, ncols, f)
-    if sol is None:
-        raise InvariantViolation("inconsistent Horowitz system")
-    a, b = sol[:na], sol[na:]
-    if all(c.is_zero() for c in b):
-        if na > 0:
-            anum = f.zero
-            for i, c in enumerate(a):
-                anum = anum + c * x ** i
-            aden = f.zero
-            for i, c in enumerate(d2):
-                aden = aden + c * x ** i
-            result = result + anum / aden
-        return result
-    if any((not c.is_zero()) and c.is_rational_number() for c in b):
+        return field.zero
+    x = field.x
+    if v._k != FRAC:
+        return sum((c / (k + 1) * x ** (k + 1)
+                    for k, c in x_coefficients(v).items()), field.zero)
+    num, den = v._v.numer, v._v.denom
+    d2 = _gcd(den, den.diff(0))
+    d1 = _exquo(den, d2)
+    h = _exquo(d2.diff(0) * d1, d2)
+    nq = max(0, num.degree(0) - den.degree(0) + 1)
+    n2, n1 = d2.degree(0), d1.degree(0)
+    lead = x_coefficients(_poly(field, d1))[n1]
+    X = den.ring.gens[0]
+    # one column per coefficient of q, a and b: its term of the identity
+    columns = ([_poly(field, (X ** (i + 1)).diff(0) * den) for i in range(nq)]
+               + [_poly(field, (X ** j).diff(0) * d1 - X ** j * h)
+                  for j in range(n2)]
+               + [lead * _poly(field, X ** j * d2) for j in range(n1)])
+    rows, rhs = _match_x_coefficients(field, columns, _poly(field, num))
+    sol, null = gauss_solve(rows, rhs, len(columns), field)
+    if sol is None or null:
+        raise InvariantViolation("the Horowitz system has no unique solution")
+    q, a, b = sol[:nq], sol[nq:nq + n2], sol[nq + n2:]
+    if any(not c.is_zero() and c.is_rational_number() for c in b):
         return None
-    raise UndecidableResidue(
-        "antiderivative existence depends on parameter values")
-
+    if any(not c.is_zero() for c in b):
+        raise UndecidableResidue(
+            "antiderivative existence depends on parameter values")
+    return (sum((c * x ** (i + 1) for i, c in enumerate(q)), field.zero) +
+            sum((c * x ** j for j, c in enumerate(a)), field.zero) /
+            _poly(field, d2))

@@ -241,25 +241,23 @@ def verify_involution(state: HierarchyState) -> list:
 
 
 def run_hierarchy(H: LambdaBracketStruct, K: LambdaBracketStruct,
-                  seed: LocalFunctional, steps: int,
-                  verify_pair: bool = True) -> HierarchyState:
+                  seed: LocalFunctional, steps: int) -> HierarchyState:
     """Run the recursion for `steps` new densities from the seed.
 
-    With verify_pair the Hamiltonian/compatibility preconditions are checked
-    first; a failure raises NotPoisson carrying the witness.  Obstructions
+    The Hamiltonian/compatibility preconditions are checked first; a
+    failure raises NotPoisson carrying the witness.  Obstructions
     propagate as NoPreimage / NotExact with the residual witness attached;
     densities accepted so far stay in the state.
     """
-    if verify_pair:
-        for name, S in (("H", H), ("K", K)):
-            _require_skewadjoint(name, S)
-            ok, wit = check_jacobi(S)
-            if not ok:
-                raise NotPoisson(f"{name} is not Poisson; witness triple "
-                                 f"{wit[0]}", wit)
-        ok_c, wit = check_compatible(H, K)
-        if not ok_c:
-            raise NotPoisson(f"pair is not compatible; witness {wit[0]}", wit)
+    for name, S in (("H", H), ("K", K)):
+        _require_skewadjoint(name, S)
+        ok, wit = check_jacobi(S)
+        if not ok:
+            raise NotPoisson(f"{name} is not Poisson; witness triple "
+                             f"{wit[0]}", wit)
+    ok_c, wit = check_compatible(H, K)
+    if not ok_c:
+        raise NotPoisson(f"pair is not compatible; witness {wit[0]}", wit)
     state = HierarchyState(H, K, [seed])
     for _ in range(steps):
         lenard_step(state)

@@ -370,16 +370,15 @@ def _at(P: KDiffOp, atoms: list, vec: list) -> KDiffOp:
         p.quasiconstant_part().evaluate(values))))
 
 
-def sigma_space(K: MatDiffOp, k: int,
-                degree_bound: Optional[int] = None):
+def sigma_space(K: MatDiffOp, k: int):
     """Basis over C of the skewsymmetric k-differential operators P of degree
     at most ord(K)-1 per variable with the total skewsymmetrization of
     K* o P vanishing.  Returns (basis, expected_dim, flagged).
 
-    For K free of x the system has constant coefficients, and degree_bound
-    (default complexes._degree_cap) is only a cap: the search stops,
-    certified, at the first degree that adds no solution, and then a flag
-    means solutions that are not rational (exponential), not a short
+    The ansatz degree is complexes._degree_cap.  For K free of x the system
+    has constant coefficients, and that degree is only a cap: the search
+    stops, certified, at the first degree that adds no solution, and then a
+    flag means solutions that are not rational (exponential), not a short
     ansatz."""
     alg = K.alg
     invertible_leading(K)
@@ -388,19 +387,16 @@ def sigma_space(K: MatDiffOp, k: int,
     atoms = _skew_atoms(alg, k, N)
     if not atoms:
         return [], expected, expected > 0
-    if degree_bound is None:
-        degree_bound = _degree_cap(N, k, alg.nvars)
     P = _unknown_kdiffop(alg, k, N, atoms)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
     eqs = linform_equations(E._equations())
     sols = solve_linform_system(alg, list(eqs.values()), atoms,
-                                degree_bound=degree_bound)
+                                degree_bound=_degree_cap(N, k, alg.nvars))
     basis = [_at(P, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
 
 
-def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
-                        degree_bound: Optional[int] = None) -> KDiffOp:
+def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     """Skewsymmetric P with sum_{sigma in S_{k+1}} sign(sigma) (K o P)^sigma
     / k! = S (the unnormalized total skewsymmetrization, matching the closed
     forms K=1 -> P = S/2 and K=d -> dP = S at arity one), for totally
@@ -429,7 +425,7 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp,
         try:
             sols = solve_linform_system(
                 alg, [lhs.get(key) for key in keys], atoms,
-                [rhs.get(key, field.zero) for key in keys], degree_bound)
+                [rhs.get(key, field.zero) for key in keys])
         except Incomplete as err:
             last_err = err
             continue

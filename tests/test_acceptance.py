@@ -12,16 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaBracketStruct,
-                     LambdaPoly, LocalFunctional, MatDiffOp, Majorant,
-                     NotExact, QuotientArray, ScalarDiffOp, SkewArray,
+from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaPoly,
+                     LocalFunctional, MatDiffOp, Majorant, NotExact,
+                     QuotientArray, ScalarDiffOp, SkewArray,
                      check_compatible, check_jacobi, check_skewadjoint,
                      chi_representative, cohomology_dim, d_k, de_rham_delta,
                      delta_k, dieudonne_det, dim_omega00, filtration_level,
-                     frechet, functional_eq, gfz_structure, hamiltonian_vf,
-                     homotopy, is_exact_1form, kernel_dim_bound,
-                     magri_structure, majorant, partial_action,
-                     reconstruct_density, reduce_closed, run_hierarchy,
+                     gfz_structure, hamiltonian_vf, homotopy, is_exact_1form,
+                     kernel_dim_bound, magri_structure, majorant,
+                     partial_action, reconstruct_density, reduce_closed,
+                     run_hierarchy,
                      selfadjoint_product_space, sigma_space, skew_product,
                      solve_rational, solve_skew_equation,
                      variational_derivative, verify_involution)

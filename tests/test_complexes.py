@@ -1,7 +1,5 @@
-import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +11,7 @@ from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
                      filtration_level, gfz_structure, homotopy,
                      magri_structure, partial_action, partial_antiderivative,
                      phi_k1, phi_s, reduce_closed)
-from varpois.complexes import in_filtration, level_key
+from varpois.complexes import level_key
 from varpois.pva import LambdaBracketStruct, hamiltonian_vf
 
 from helpers import (as_one_form, as_skewadjoint_op, de_rham_delta_reference,

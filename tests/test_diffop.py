@@ -24,7 +24,7 @@ from varpois.field import format_field_elem, x_coefficients
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, from_right_form, from_split_form,
-                     rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
+                     rnd_mat_op, rnd_scalar_op,
                      same_row_flags, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])

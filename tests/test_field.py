@@ -89,8 +89,10 @@ HF = CoefficientField(["c"])
        st.integers(1, 2))
 def test_horowitz_solve_over_parameters(p, r, s, k):
     """g' for g = p/(x + s)^k + r/(x^2 + 1) has a repeated factor in its
-    denominator, so the Horowitz system is solved over Q(c); adding
-    1/(x + 2) leaves a logarithm."""
+    denominator, so the Horowitz system is solved over Q(c).  Adding
+    t/(x + 2) leaves a logarithm: at every c for a nonzero rational t
+    (None), and for t = c only at c != 0 (UndecidableResidue).  So the
+    residue is read against a monic d1, also after the Hermite step."""
     x = HF.x
     g = p / (x + s) ** k + r / (x ** 2 + 1)
     v = g.derive()
@@ -99,6 +101,9 @@ def test_horowitz_solve_over_parameters(p, r, s, k):
     a = rational_antiderivative(v)
     assert a is not None and a.derive() == v
     assert rational_antiderivative(v + 1 / (x + 2)) is None
+    assert rational_antiderivative(v + HF.rational(-2, 3) / (x + 2)) is None
+    with pytest.raises(UndecidableResidue):
+        rational_antiderivative(v + HF.param("c") / (x + 2))
 
 
 def test_antiderivative_roundtrip_random(F):
@@ -128,8 +133,8 @@ def test_printing_roundtrip(F):
 def test_horowitz_invariant_is_a_named_error(F, monkeypatch):
     """A broken invariant raises InvariantViolation, which python -O keeps:
     here a gcd of x^2 and 2x that does not divide x^2."""
-    monkeypatch.setattr(field_module, "_xp_gcd",
-                        lambda a, b: [F.one, F.one])
+    monkeypatch.setattr(field_module, "_gcd",
+                        lambda a, b: a.ring.gens[0] + 1)
     with pytest.raises(InvariantViolation, match="does not divide"):
         rational_antiderivative(F.one / (F.x * F.x))
 

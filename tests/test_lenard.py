@@ -58,15 +58,13 @@ def test_commuting_flows(kdv_state):
 
 def test_density_normalization(kdv_state):
     """Re-running reconstructs the same cosets."""
-    again = run_hierarchy(H, K, LocalFunctional(U * U / 2), 2,
-                          verify_pair=False)
+    again = run_hierarchy(H, K, LocalFunctional(U * U / 2), 2)
     for a, b in zip(again.densities, kdv_state.densities[:3]):
         assert functional_eq(a, b)
 
 
 def test_steps_zero():
-    st = run_hierarchy(H, K, LocalFunctional(U * U / 2), 0,
-                       verify_pair=False)
+    st = run_hierarchy(H, K, LocalFunctional(U * U / 2), 0)
     assert len(st.densities) == 1
 
 
@@ -127,8 +125,7 @@ def test_involution_matches_all_pairs(kdv_state):
     assert verify_involution(kdv_state) == \
         involution_matrix_reference(kdv_state)
     u1, u2 = ALG2.jet(1), ALG2.jet(2)
-    st2 = run_hierarchy(H2, K2, LocalFunctional((u1 * u1 + u2 * u2) / 2), 2,
-                        verify_pair=False)
+    st2 = run_hierarchy(H2, K2, LocalFunctional((u1 * u1 + u2 * u2) / 2), 2)
     assert verify_involution(st2) == involution_matrix_reference(st2)
     loose = HierarchyState(H, K, [LocalFunctional(U * U / 2),
                                   LocalFunctional(ALG.jet(1, 1) ** 2),

@@ -17,7 +17,6 @@ from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
                      module_action, pairing, sigma_action, sigma_space,
                      skew_product, solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
-from varpois.diffalg import LocalFunctional
 from varpois import diffop
 from varpois.polydiff import _B_TABLE, _C_TABLE, _skew_atoms
 

@@ -9,7 +9,7 @@ from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
                      LocalFunctional, MatDiffOp, NotSkewadjoint, ScalarDiffOp,
                      ShapeMismatch, ad_field_on_operator, check_compatible,
                      check_jacobi, check_skewadjoint, ev_apply, ev_commutator,
-                     frechet, functional_eq, gfz_structure, hamiltonian_vf,
+                     functional_eq, gfz_structure, hamiltonian_vf,
                      jacobi_residual, lambda_bracket, magri_structure,
                      poisson_bracket)
 from varpois.lambdapoly import LambdaPoly

@@ -122,3 +122,34 @@ def test_library_code_has_a_library_caller():
             if uses.get(name, 0) - own == 0:
                 unused.append(f"{path.name}:{qualname}")
     assert unused == []
+
+
+def _imported_names(tree) -> dict:
+    """{name: line} for every name an import statement binds (`import a.b`
+    binds a); `from __future__` imports bind none."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def test_no_unused_imports():
+    """Every name imported by a module of the package (but __init__.py,
+    whose imports are the public API) or of the tests is used: a Name node
+    names it, which includes the root of an attribute chain."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree).items()
+                   if name not in used]
+    assert len(paths) > 10, f"no sources under {SRC}"
+    assert unused == []
