@@ -3,15 +3,14 @@
 The derivation is d/dx; parameters are constants (their derivative is zero).
 Every element is stored in the lowest of three tiers that can hold it:
 
-- RAT: a plain rational, a sympy ``QQ`` number;
+- RAT: a plain rational, a ``zpoly.Rational``;
 - POLY: a polynomial in x and the parameters that is not a plain rational,
-  stored as P/m: P in Z[x, params] (a sympy ``PolyElement`` over ``ZZ``)
-  and m >= 1 an int with gcd(content P, m) = 1;
-- FRAC: a fraction whose denominator is not a plain rational, a sympy
-  ``FracElement`` of a fraction field over Z on the same generators, in the
-  canonical form of ``PolyElement.cancel``: numerator and denominator in
-  Z[x, params], coprime, of joint content 1, with a positive leading
-  coefficient below.
+  stored as P/m: P in Z[x, params] (a ``zpoly.Poly``) and m >= 1 an int
+  with gcd(content P, m) = 1;
+- FRAC: a fraction whose denominator is not a plain rational, stored as a
+  pair numer/denom in Z[x, params], coprime, of joint content 1, with a
+  positive leading coefficient below (the canonical form of sympy's
+  ``PolyElement.cancel``).
 
 Each value has exactly one stored form, so equality and hashing compare the
 tier and the stored value.  Arithmetic dispatches on the operand tiers: rat
@@ -24,17 +23,18 @@ Bareiss, in the content form of Geddes-Czapor-Labahn): a POLY result only
 needs the integer gcd of m and its coefficients, which stops at the first 1
 and does not run at all when m = 1, and a sum of a fraction and a
 polynomial, or a fraction scaled by a rational, only needs its integer
-content normalized.  Values are read over Q: ``FieldElem.f`` is an element
-of sympy's Q(x, params), and printing takes numerators and denominators
-over Q.  ``_primitive_parts`` divides polynomials over F's polynomial ring,
+content normalized.  Printing takes the numerator and the denominator
+over Z.  ``_primitive_parts`` divides polynomials over F's polynomial ring,
 possibly in further variables such as the jets of V, by their common
 factor: the content that fraction-free elimination removes.
 
-Polynomials are sympy ``PolyElement``s of the sparse ring throughout.  The
+The arithmetic under the tiers is the package's own (``zpoly``), so no
+computation imports sympy; ``FieldElem.f`` converts a value to sympy's
+Q(x, params) for reading it with sympy, and imports sympy when called.  The
 gcds, cancellations and exact divisions go through four kernels (``_cancel``,
 ``_gcd``, ``_lcm``, ``_divrem``): in a ring with the one generator x (F =
-Q(x), no further variables) they run sympy's dense univariate routines on
-coefficient lists, in any other ring the sparse methods.
+Q(x), no further variables) they run on dense coefficient lists, in any
+other ring on the sparse terms.
 
 The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
 arithmetic over C = Q(params) of its own: it splits the denominator with
@@ -50,16 +50,10 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from sympy import QQ, ZZ, Symbol
-from sympy.polys.densearith import dup_mul, dup_rr_div
-from sympy.polys.densebasic import dup_from_dict, dup_to_dict
-from sympy.polys.euclidtools import dup_inner_gcd
-from sympy.polys.fields import field as _sympy_field
-from sympy.polys.rings import PolyRing
-
 from .linsolve import gauss_solve
+from .zpoly import Poly, cofactors, content, divrem, ground, nvars
+from .zpoly import Rational as _Q
 
-_Q = QQ.dtype
 RAT, POLY, FRAC = range(3)
 
 
@@ -84,10 +78,12 @@ def accumulate(out: dict, key, value) -> None:
 
 
 @lru_cache(maxsize=None)
-def _sympy_fields(names: tuple) -> tuple:
-    """sympy's fraction fields over Q and over Z on the generators names."""
-    names = ",".join(names)
-    return _sympy_field(names, QQ)[0], _sympy_field(names, ZZ)[0]
+def _sympy_field(names: tuple):
+    """sympy's fraction field over Q on the generators names (imports
+    sympy)."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+    return field(",".join(names), QQ)[0]
 
 
 class CoefficientField:
@@ -101,13 +97,10 @@ class CoefficientField:
         for p in self.params:
             if p in ("x", "d") or not p.isidentifier():
                 raise ValueError(f"bad parameter name {p!r}")
-        self._field, self._zfield = _sympy_fields(("x",) + self.params)
-        self._ring = self._field.ring
-        self._zring = self._zfield.ring
-        self._zm = self._zring.zero_monom
+        self._zm = (0,) * (1 + len(self.params))
         self.zero = FieldElem(self, RAT, _Q(0))
         self.one = FieldElem(self, RAT, _Q(1))
-        self.x = FieldElem(self, POLY, _ZPoly(self._zring.gens[0], 1))
+        self.x = FieldElem(self, POLY, _ZPoly(self._gen(0), 1))
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.params == other.params
@@ -119,9 +112,13 @@ class CoefficientField:
         ps = ",".join(self.params)
         return f"CoefficientField(x{',' if ps else ''}{ps})"
 
+    def _gen(self, i: int) -> Poly:
+        """Generator i of Z[x, params] (0 is x)."""
+        return Poly({self._zm[:i] + (1,) + self._zm[i + 1:]: 1})
+
     def param(self, name: str) -> "FieldElem":
         return FieldElem(self, POLY, _ZPoly(
-            self._zring.gens[1 + self.params.index(name)], 1))
+            self._gen(1 + self.params.index(name)), 1))
 
     def rational(self, num, den=1) -> "FieldElem":
         q = Fraction(num, den) if den != 1 else Fraction(num)
@@ -140,60 +137,38 @@ class CoefficientField:
 # -- gcd kernels over Z ---------------------------------------------------------
 #
 # Every polynomial gcd, cancellation and exact division of this module runs
-# through these.  Both branches run GCDHEU (Char, Geddes and Gonnet, J. Symb.
-# Comput. 7, 1989) on the primitive parts, with the integer content split off
-# as in Geddes, Czapor and Labahn (1992); the dense ``dup_inner_gcd`` falls
-# back to PRS where the heuristic fails.  In a ring with one generator the
-# polynomials move to dense coefficient lists, whose routines skip the sparse
-# multivariate recursion; with two generators or more the dense form is
-# slower, so those keep the sparse calls.  A gcd over Z is unique up to sign
-# and both branches give it a positive leading coefficient, so the results
-# are the same whichever branch runs.
-
-def _dense(p) -> list:
-    return dup_from_dict(p, ZZ)
-
+# through these, on ``zpoly``: GCDHEU on the primitive parts, on dense
+# coefficient lists in a ring with the one generator x and on the sparse
+# terms with more, and a primitive PRS where the heuristic fails.  A gcd over
+# Z is unique up to sign, so the canonical forms below do not depend on the
+# path.
 
 def _cancel(num, den) -> tuple:
-    """num/den over Z in the canonical form of ``PolyElement.cancel``:
-    coprime, of joint content 1, with a positive leading coefficient below
-    (den != 0)."""
-    ring = num.ring
-    if ring.ngens != 1:
-        return num.cancel(den)
+    """num/den over Z in canonical form: coprime, of joint content 1, with
+    a positive leading coefficient below (den != 0)."""
     if not num:
-        return num, ring.one
-    _, p, q = dup_inner_gcd(_dense(num), _dense(den), ZZ)
-    if q[0] < 0:
-        p, q = [-c for c in p], [-c for c in q]
-    return ring.dtype(dup_to_dict(p)), ring.dtype(dup_to_dict(q))
+        return num, ground(nvars(den), 1)
+    _, p, q = cofactors(num, den)
+    if q.LC < 0:
+        p, q = -p, -q
+    return p, q
 
 
 def _gcd(a, b):
     """gcd(a, b) over Z, with a positive leading coefficient."""
-    ring = a.ring
-    if ring.ngens != 1:
-        return a.gcd(b)
-    return ring.dtype(dup_to_dict(dup_inner_gcd(_dense(a), _dense(b), ZZ)[0]))
+    h = cofactors(a, b)[0]
+    return -h if h.LC < 0 else h
 
 
 def _lcm(a, b):
     """lcm(a, b) over Z: a*b / gcd(a, b), of the sign of a*b."""
-    ring = a.ring
-    if ring.ngens != 1:
-        return a.lcm(b)
-    A = _dense(a)
-    return ring.dtype(dup_to_dict(
-        dup_mul(A, dup_inner_gcd(A, _dense(b), ZZ)[2], ZZ)))
+    h, _, cfg = cofactors(a, b)
+    return a * cfg if h.LC > 0 else -(a * cfg)
 
 
 def _divrem(P, g) -> tuple:
     """(q, r) with P = q*g + r over Z; r = 0 exactly when g divides P."""
-    ring = P.ring
-    if ring.ngens != 1:
-        return P.div(g)
-    q, r = dup_rr_div(_dense(P), _dense(g), ZZ)
-    return ring.dtype(dup_to_dict(q)), ring.dtype(dup_to_dict(r))
+    return divrem(P, g)
 
 
 def _exquo(P, g):
@@ -231,6 +206,29 @@ class _ZPoly:
         return _ZPoly(self.P ** n, self.m ** n)
 
 
+class _Frac:
+    """A FRAC value numer/denom: numer and denom in Z[x, params], coprime,
+    of joint content 1, with a positive leading coefficient below and denom
+    not an integer."""
+
+    __slots__ = ("numer", "denom")
+
+    def __init__(self, numer, denom):
+        self.numer = numer
+        self.denom = denom
+
+    def __eq__(self, other):
+        return self.denom == other.denom and self.numer == other.numer
+
+    def __neg__(self):
+        return _Frac(-self.numer, self.denom)
+
+    def __pow__(self, n: int):
+        # coprime of joint content 1 with a positive leading coefficient
+        # below stays so under powers
+        return _Frac(self.numer ** n, self.denom ** n)
+
+
 def _poly(field: CoefficientField, P, m: int = 1) -> "FieldElem":
     """P/m in its lowest tier, for P in Z[x, params] and m >= 1 with
     gcd(content P, m) = 1."""
@@ -242,20 +240,11 @@ def _poly(field: CoefficientField, P, m: int = 1) -> "FieldElem":
     return FieldElem(field, RAT, _Q(c, m))
 
 
-def _content(values, g: int = 0) -> int:
-    """The gcd of g and the integers `values`, stopping at the first 1."""
-    for c in values:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _reduced(field: CoefficientField, P, m: int) -> "FieldElem":
     """P/m in its lowest tier, for P in Z[x, params] and an int m >= 1: the
     integer gcd stops at the first 1, and does not run when m = 1."""
     if m != 1 and P:
-        g = _content(P.values(), m)
+        g = content(P.values(), m)
         if g != 1:
             P, m = P.quo_ground(g), m // g
     return _poly(field, P, m)
@@ -266,10 +255,10 @@ def _zz_parts(field: CoefficientField, k, v) -> tuple:
     joint content 1, with a positive leading coefficient below."""
     if k == FRAC:
         return v.numer, v.denom
-    ring = field._zring
+    n = len(field._zm)
     if k == POLY:
-        return v.P, ring.ground_new(v.m)
-    return ring.ground_new(v.numerator), ring.ground_new(v.denominator)
+        return v.P, ground(n, v.m)
+    return ground(n, v.numerator), ground(n, v.denominator)
 
 
 def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
@@ -278,7 +267,7 @@ def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
         c = den.get(field._zm)
         if c is not None:
             return _poly(field, num, c)
-    return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
+    return FieldElem(field, FRAC, _Frac(num, den))
 
 
 def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
@@ -288,12 +277,12 @@ def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
     if len(den) == 1 and field._zm in den:
         c = den[field._zm]
         return _reduced(field, -num, -c) if c < 0 else _reduced(field, num, c)
-    g = _content(chain(num.values(), den.values()))
+    g = content(chain(num.values(), den.values()))
     if g != 1:
         num, den = num.quo_ground(g), den.quo_ground(g)
     if den.LC < 0:
         num, den = -num, -den
-    return FieldElem(field, FRAC, field._zfield.raw_new(num, den))
+    return FieldElem(field, FRAC, _Frac(num, den))
 
 
 def _poly_plus_rat(field, a: _ZPoly, q) -> "FieldElem":
@@ -301,7 +290,7 @@ def _poly_plus_rat(field, a: _ZPoly, q) -> "FieldElem":
     if not q:
         return FieldElem(field, POLY, a)
     l = lcm(a.m, q.denominator)
-    P = a.P.copy() if l == a.m else a.P.mul_ground(l // a.m)
+    P = Poly(a.P) if l == a.m else a.P.mul_ground(l // a.m)
     zm = field._zm
     c = P.get(zm, 0) + q.numerator * (l // q.denominator)
     if c:
@@ -397,14 +386,6 @@ def _pow(field, k, v, n: int) -> "FieldElem":
     return FieldElem(field, k, v ** n)
 
 
-def _numer_denom(v: "FieldElem"):
-    """Numerator and denominator polynomials of v over Q in the canonical
-    form of ``PolyElement.cancel``."""
-    field = v.field
-    return tuple(field._ring.dtype({k: _Q(c) for k, c in p.items()})
-                 for p in _zz_parts(field, v._k, v._v))
-
-
 class FieldElem:
     """One element of a CoefficientField; immutable.
 
@@ -422,8 +403,12 @@ class FieldElem:
     @property
     def f(self):
         """The value as a sympy FracElement of the field's fraction field
-        over Q."""
-        return self.field._field.raw_new(*_numer_denom(self))
+        over Q, for reading values with sympy; this imports sympy."""
+        field = self.field
+        K = _sympy_field(("x",) + field.params)
+        num, den = (K.ring.from_dict({m: K.domain(c) for m, c in p.items()})
+                    for p in _zz_parts(field, self._k, self._v))
+        return K.raw_new(num, den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -501,15 +486,11 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
-        # sympy caches a polynomial's hash and some of its in-place
-        # operations change the polynomial after hashing it, so the hash is
-        # taken from the terms.
         if self._k == RAT:
             return hash((self.field, self._v))
         if self._k == POLY:
-            return hash((self.field, frozenset(self._v.P.items()), self._v.m))
-        return hash((self.field, frozenset(self._v.numer.items()),
-                     frozenset(self._v.denom.items())))
+            return hash((self.field, self._v.P, self._v.m))
+        return hash((self.field, self._v.numer, self._v.denom))
 
     # -- structure ----------------------------------------------------------
 
@@ -555,13 +536,14 @@ class FieldElem:
 # -- printing ----------------------------------------------------------------
 
 def _format_poly(field: CoefficientField, p) -> str:
+    """A polynomial {exponent tuple: coefficient} of Z[x, params], terms by
+    descending exponent tuple."""
     names = ("x",) + field.params
-    terms = sorted(p.terms(), reverse=True)
+    terms = sorted(p.items(), reverse=True)
     if not terms:
         return "0"
     parts = []
-    for mono, coeff in terms:
-        q = Fraction(int(coeff.numerator), int(coeff.denominator))
+    for mono, q in terms:
         factors = []
         for name, e in zip(names, mono):
             if e == 1:
@@ -584,16 +566,16 @@ def _format_poly(field: CoefficientField, p) -> str:
 
 
 def format_field_elem(v: FieldElem) -> str:
-    num, den = _numer_denom(v)
+    num, den = _zz_parts(v.field, v._k, v._v)
     ns = _format_poly(v.field, num)
-    if den == den.ring.one:
+    if den == {v.field._zm: 1}:
         return ns
     ds = _format_poly(v.field, den)
-    if len(num.terms()) > 1 or ns.startswith("-"):
+    if len(num) > 1 or ns.startswith("-"):
         ns = f"({ns})"
     # only a bare power or an integer may follow "/" unparenthesized:
     # 1/3*x reads as x/3
-    if len(den.terms()) > 1 or "*" in ds:
+    if len(den) > 1 or "*" in ds:
         ds = f"({ds})"
     return f"{ns}/{ds}"
 
@@ -611,7 +593,7 @@ def x_coefficients(v: FieldElem) -> dict:
     buckets: dict = {}
     for mono, coeff in P.items():
         buckets.setdefault(mono[0], {})[(0,) + mono[1:]] = coeff
-    return {k: _reduced(v.field, P.new(terms), m)
+    return {k: _reduced(v.field, Poly(terms), m)
             for k, terms in buckets.items()}
 
 
@@ -664,16 +646,6 @@ def _match_x_coefficients(field, entries, rhs):
     return out_rows, out_rhs
 
 
-@lru_cache(maxsize=None)
-def _extended_zring(zring, nextra: int):
-    """Z[x, params, y_1, ..., y_n]: the field's integral ring with n more
-    generators (sympy builds a ring slowly, so each is built once)."""
-    if not nextra:
-        return zring
-    return PolyRing(zring.symbols + tuple(Symbol(f"#{k}")
-                                          for k in range(nextra)), ZZ)
-
-
 def _primitive_parts(start: dict, polys: list) -> tuple:
     """Divide polynomials with coefficients in F by their common factor.
 
@@ -695,13 +667,12 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
     names = sorted({v for p in chain((start,), polys) for mono in p
                     for v, _ in mono})
     slots = {v: k for k, v in enumerate(names)}
-    ring = _extended_zring(field._zring, len(names))
-    g = _flat(field, ring, start, slots)[0]
+    g = _flat(field, start, slots)[0]
     if g.LC < 0:
         g = -g
     flat = []
     for p in polys:
-        P, m = _flat(field, ring, p, slots)
+        P, m = _flat(field, p, slots)
         # g | P is common (g is often all of start), and a trial division
         # is cheaper than a gcd
         quo, rem = _divrem(P, g)
@@ -717,7 +688,7 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
                  for P, m, quo, divisor in flat]
     num, den = 0, 1
     for Q, m in quotients:
-        c = _content(Q.values())
+        c = content(Q.values())
         d = gcd(c, m)
         num, den = gcd(num, c // d), lcm(den, m // d)
     parts = []
@@ -741,7 +712,7 @@ def _rational_parts(field: CoefficientField, polys: list) -> tuple:
             if c._k == RAT:
                 num, b = gcd(num, c._v.numerator), c._v.denominator
             else:
-                num, b = _content(c._v.P.values(), num), c._v.m
+                num, b = content(c._v.P.values(), num), c._v.m
             if b != 1:
                 den = lcm(den, b)
     if num == den == 1:
@@ -753,10 +724,10 @@ def _rational_parts(field: CoefficientField, polys: list) -> tuple:
         for p in polys]
 
 
-def _flat(field: CoefficientField, ring, p: dict, slots: dict) -> tuple:
-    """(P, m) with p = P/m: P in `ring`, Z[x, params] with the extra
-    generators of `slots` (variable -> index) after x, params, and m the
-    lcm of the denominators of the coefficients of p."""
+def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
+    """(P, m) with p = P/m: P in Z[x, params] with the extra generators of
+    `slots` (variable -> index) after x, params, and m the lcm of the
+    denominators of the coefficients of p."""
     m = 1
     for c in p.values():
         m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
@@ -773,19 +744,18 @@ def _flat(field: CoefficientField, ring, p: dict, slots: dict) -> tuple:
         k = m // c._v.m
         for fm, a in c._v.P.items():
             out[fm + tail] = a * k
-    return ring.dtype(out), m
+    return Poly(out), m
 
 
 def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
     """The dict {mono: c} of P/m, for P in Z[x, params] with the extra
     generators `names` after x, params."""
-    k = field._zring.ngens
-    new = field._zring.dtype
+    k = len(field._zm)
     grouped: dict = {}
     for exps, c in P.items():
         grouped.setdefault(exps[k:], {})[exps[:k]] = c
     return {tuple((v, e) for v, e in zip(names, tail) if e):
-            _reduced(field, new(terms), m)
+            _reduced(field, Poly(terms), m)
             for tail, terms in grouped.items()}
 
 
@@ -802,9 +772,10 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     + 1; deg a < deg d2 and deg b < deg d1.  Times den the ansatz is the
     polynomial identity num = q' den + a' d1 - a h + l b d2, with h =
     d2' d1 / d2, matched coefficientwise in x; its solution is unique.  d1
-    is squarefree, so v integrates in F iff b = 0.  A nonzero rational
-    coefficient of b is a logarithm at every value of the parameters;
-    otherwise b vanishes only at special values.
+    is squarefree, so v integrates in F iff b = 0.  A coefficient of b
+    whose numerator in Z[params] is a nonzero integer (a nonzero rational,
+    or one such as 1/c) vanishes at no value of the parameters, so it is a
+    logarithm at every value; otherwise b vanishes only at special values.
     """
     field = v.field
     if v.is_zero():
@@ -820,7 +791,7 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     nq = max(0, num.degree(0) - den.degree(0) + 1)
     n2, n1 = d2.degree(0), d1.degree(0)
     lead = x_coefficients(_poly(field, d1))[n1]
-    X = den.ring.gens[0]
+    X = field._gen(0)
     # one column per coefficient of q, a and b: its term of the identity
     columns = ([_poly(field, (X ** (i + 1)).diff(0) * den) for i in range(nq)]
                + [_poly(field, (X ** j).diff(0) * d1 - X ** j * h)
@@ -831,7 +802,8 @@ def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:
     if sol is None or null:
         raise InvariantViolation("the Horowitz system has no unique solution")
     q, a, b = sol[:nq], sol[nq:nq + n2], sol[nq + n2:]
-    if any(not c.is_zero() and c.is_rational_number() for c in b):
+    if any(c._k == RAT and c._v or c._k == FRAC and c._v.numer.is_ground
+           for c in b):
         return None
     if any(not c.is_zero() for c in b):
         raise UndecidableResidue(

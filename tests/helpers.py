@@ -355,8 +355,8 @@ def x_degree(v: FieldElem) -> int:
     if v._k == RAT:
         return 0
     if v._k == POLY:
-        return max(m[0] for m in v._v.P)
-    return max(m[0] for m in v._v.numer) - max(m[0] for m in v._v.denom)
+        return v._v.P.degree(0)
+    return v._v.numer.degree(0) - v._v.denom.degree(0)
 
 
 def total_skewsymmetrize_shortcut(P):

@@ -20,7 +20,9 @@ from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _constant_kernel,
                             _echelon_det, _solve_by_ansatz,
                             default_degree_bound, format_scalar_op,
                             linform_equations, solve_linform_system)
+from varpois import zpoly
 from varpois.field import format_field_elem, x_coefficients
+from varpois.zpoly import Poly
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, from_right_form, from_split_form,
@@ -730,21 +732,20 @@ def test_elimination_with_jets_builds_no_fraction_of_v(monkeypatch):
 
 def test_fraction_free_echelon_multiplies_no_polynomials_over_q(monkeypatch):
     """Polynomials of F are stored over Z, so a fraction-free elimination
-    of polynomial entries multiplies no sympy polynomials over Q: here a
-    3x3 matrix with the orders of the benchmark's echelon3 jobs and
-    coefficients a x + b, a and b rationals with denominators."""
-    from sympy import QQ
-    from sympy.polys.rings import PolyElement
+    of polynomial entries multiplies no polynomials over Q (one with a
+    coefficient that is not an int): here a 3x3 matrix with the orders of
+    the benchmark's echelon3 jobs and coefficients a x + b, a and b
+    rationals with denominators."""
     over_q = []
-    mul = PolyElement.__mul__
+    mul = Poly.__mul__
 
     def counted(p, q):
-        if p.ring.domain == QQ:
+        if any(type(c) is not int for c in p.values()):
             over_q.append(p)
         return mul(p, q)
-    monkeypatch.setattr(PolyElement, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__mul__", counted)
     F = ALG.field
-    (F.x / 2).f.numer * (F.x / 3).f.numer
+    Poly({(1,): Fraction(1, 2)}) * Poly({(1,): Fraction(1, 3)})
     assert len(over_q) == 1
     over_q.clear()
     rng = random.Random(3)
@@ -778,16 +779,14 @@ def _benchmark_shaped(alg, rng, orders):
 
 def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
     """Over Q(x) the gcds, cancellations and divisions of a fraction-free
-    echelon3 elimination and of a det_product composition run on sympy's
-    dense univariate routines: no sparse heugcd and no PolyElement.div.  The
-    same inputs over Q(c)(x) take the sparse path and give the same
-    results."""
-    import sympy.polys.rings as rings
+    echelon3 elimination and of a det_product composition run on dense
+    coefficient lists: no sparse GCDHEU and no sparse division.  The same
+    inputs over Q(c)(x) take the sparse path and give the same results."""
     calls = []
-    heugcd, div = rings.heugcd, rings.PolyElement.div
-    monkeypatch.setattr(rings, "heugcd",
+    heugcd, div = zpoly._heugcd, zpoly._sparse_divrem
+    monkeypatch.setattr(zpoly, "_heugcd",
                         lambda f, g: calls.append("heugcd") or heugcd(f, g))
-    monkeypatch.setattr(rings.PolyElement, "div",
+    monkeypatch.setattr(zpoly, "_sparse_divrem",
                         lambda f, g: calls.append("div") or div(f, g))
 
     def run(alg):

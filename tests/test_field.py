@@ -9,15 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list, lcm_list
 from sympy.polys.fields import field as sympy_field
+from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.rings import ring as sympy_ring
 
 from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
                      InvariantViolation, UndecidableResidue, parse_session,
                      rational_antiderivative)
 from varpois import field as field_module
+from varpois import zpoly
 from varpois.field import (FRAC, POLY, RAT, _cancel, _divrem, _exquo,
                            _format_poly, _gcd, _lcm, _primitive_parts,
                            clear_denominators, format_field_elem,
                            x_coefficients)
+from varpois.zpoly import Poly, Rational, ground
 
 from helpers import diffpolys, field_elems, rnd_field_elem, x_degree
 
@@ -78,6 +82,16 @@ def test_log_term_rejected(F):
 def test_parameter_branching_raises(F):
     with pytest.raises(UndecidableResidue):
         rational_antiderivative(F.param("c") / F.x)
+    with pytest.raises(UndecidableResidue):
+        rational_antiderivative(F.param("c") / (F.x + 2))
+
+
+def test_log_coefficient_with_an_integer_numerator_is_rejected(F):
+    """A log coefficient such as 1/c or 1/(c + 1) vanishes at no value of
+    c, so the input has no antiderivative in F at any value: None."""
+    x, c = F.x, F.param("c")
+    for v in (1 / (c * x), (x ** 2 + 1) / (c * x), 1 / ((c + 1) * x)):
+        assert rational_antiderivative(v) is None, v
 
 
 HF = CoefficientField(["c"])
@@ -134,7 +148,7 @@ def test_horowitz_invariant_is_a_named_error(F, monkeypatch):
     """A broken invariant raises InvariantViolation, which python -O keeps:
     here a gcd of x^2 and 2x that does not divide x^2."""
     monkeypatch.setattr(field_module, "_gcd",
-                        lambda a, b: a.ring.gens[0] + 1)
+                        lambda a, b: Poly({(1, 0): 1, (0, 0): 1}))
     with pytest.raises(InvariantViolation, match="does not divide"):
         rational_antiderivative(F.one / (F.x * F.x))
 
@@ -242,14 +256,28 @@ def tiered(draw, T, tier):
     return num[0] / den[0], num[1] / den[1]
 
 
+def zz_ring(n):
+    """sympy's Z[x, ...] in n generators, the reference ring."""
+    return sympy_ring(",".join(("x", "c", "y1", "y2", "y3")[:n]), ZZ)[0]
+
+
+ZZ_RINGS = {n: zz_ring(n) for n in (1, 2, 3, 4)}
+
+
+def to_sympy(p, n):
+    return ZZ_RINGS[n].from_dict(dict(p))
+
+
 def check_stored_over_zz(v):
     """A fraction is stored over Z: numerator and denominator integral,
-    coprime, of joint content 1, with a positive leading coefficient
-    below."""
+    coprime (sympy's gcd), of joint content 1, with a positive leading
+    coefficient below."""
     num, den = v._v.numer, v._v.denom
-    assert all(ZZ.of_type(c) for c in chain(num.values(), den.values()))
+    n = len(v.field.params) + 1
+    assert type(num) is type(den) is Poly
+    assert all(type(c) is int for c in chain(num.values(), den.values()))
     assert reduce(gcd, chain(num.values(), den.values())) == 1, (num, den)
-    assert num.gcd(den) == den.ring.one, (num, den)
+    assert to_sympy(num, n).gcd(to_sympy(den, n)) == 1, (num, den)
     assert den.LC > 0, (num, den)
 
 
@@ -257,7 +285,7 @@ def check_poly_stored_over_zz(v):
     """A polynomial is stored as P/m: P with integer coefficients, m a
     positive int, gcd(content P, m) = 1."""
     P, m = v._v.P, v._v.m
-    assert P.ring.domain == ZZ and all(ZZ.of_type(c) for c in P.values()), P
+    assert type(P) is Poly and all(type(c) is int for c in P.values()), P
     assert type(m) is int and m >= 1, m
     assert reduce(gcd, P.values(), m) == 1, (P, m)
 
@@ -449,10 +477,10 @@ def test_clear_denominators_counts_a_repeated_factor_once(F):
 
 
 def test_rationals_use_only_the_ground_type_constructor(monkeypatch):
-    """sympy's QQ.dtype is gmpy2's mpq or python-flint's fmpq when either is
-    installed; rationals must be built through the constructor all of them
-    share, not through methods of the pure-Python type."""
-    monkeypatch.setattr(field_module, "_Q", lambda *a: QQ.dtype(*a))
+    """Rationals are built through the constructor Rational(p, q) that
+    Fraction shares, and used only through the operators both have: with
+    Fraction in its place the field computes the same values."""
+    monkeypatch.setattr(field_module, "_Q", Fraction)
     F = CoefficientField(["c"])
     x, c = F.x, F.param("c")
     half = F.rational(3, 6)
@@ -466,8 +494,8 @@ def test_rationals_use_only_the_ground_type_constructor(monkeypatch):
 
 
 def test_equal_values_hash_equal(F):
-    """sympy squares a polynomial in place after hashing it; the element's
-    hash must not depend on that cached value."""
+    """Equal values built by different routes (a square and a product)
+    hash equal."""
     x, c = F.x, F.param("c")
     for a, b in (((x - 1) ** 2, x * x - 2 * x + 1),
                  (((x + c) / (x - 1)) ** 2,
@@ -576,62 +604,167 @@ def test_primitive_parts_are_coprime_with_content_one_jet_free(
     check_coprime_with_content_one(ALG0, common, polys, shared, extra, pick)
 
 
-# -- the one-generator kernels against sympy's sparse calls -------------------
+# -- the kernels against sympy's PolyElement methods --------------------------
 
-ZX = C0.field._zring
+@st.composite
+def z_polys(draw, n, max_terms=4, max_degree=3):
+    """A polynomial of Z[x, ...] in n generators: zero, a constant, or a few
+    terms of x-degree up to max_degree and degree up to 1 in each other
+    generator, with coefficients of either sign."""
+    exps = st.tuples(st.integers(0, max_degree),
+                     *[st.integers(0, 1)] * (n - 1))
+    p = Poly()
+    for m, c in draw(st.lists(st.tuples(exps, st.integers(-9, 9)),
+                              max_size=max_terms)):
+        if c:
+            p = p + Poly({m: c})
+    return p
 
 
 @st.composite
-def zx_polys(draw, max_degree=3):
-    """A polynomial of Z[x]: zero, a constant, or of degree up to
-    max_degree, with coefficients of either sign."""
-    coeffs = draw(st.lists(st.integers(-9, 9), max_size=max_degree + 1))
-    return ZX.dtype({(k,): c for k, c in enumerate(coeffs) if c})
-
-
-@st.composite
-def zx_pairs(draw):
+def z_pairs(draw, n, max_terms=4):
     """(a, b) = (k*s*p, l*s*q): a shared factor s (often 1, possibly
     negative) and a shared integer content, so cancellations have work."""
-    s = draw(st.one_of(st.just(ZX.one), zx_polys(2)))
+    s = draw(st.one_of(st.just(ground(n, 1)), z_polys(n, 3, 2)))
     k, l = draw(st.integers(1, 12)), draw(st.integers(-12, 12))
     shared = draw(st.sampled_from([1, 2, 6]))
-    a = draw(zx_polys()) * s * (k * shared)
-    b = draw(zx_polys()) * s * (l * shared)
+    a = (draw(z_polys(n, max_terms)) * s).mul_ground(k * shared)
+    b = (draw(z_polys(n, max_terms)) * s).mul_ground(l * shared)
     return a, b
 
 
-X = ZX.gens[0]
+def reference_gcd(sa, sb):
+    """sympy's gcd with a positive leading coefficient; sympy's sparse
+    heuristic has no fallback, so its dense gcd steps in where it fails."""
+    try:
+        h = sa.gcd(sb)
+    except HeuristicGCDFailed:
+        h = sa.ring.dmp_inner_gcd(sa, sb)[0]
+    return -h if h.LC < 0 else h
 
 
-@settings(max_examples=300, deadline=None)
-@given(pair=zx_pairs())
-@example(pair=(ZX.zero, 2 * X + 1))
-@example(pair=(ZX(6), ZX(-4)))
-@example(pair=(-6 * X ** 2 + 6, 4 * X - 4))
-@example(pair=(3 * (X + 1) ** 2, -9 * (X + 1)))
-@example(pair=(2 * X + 4, -2 * X - 4))
-@example(pair=(ZX.zero, ZX.zero))
-def test_one_generator_kernels_match_sparse_sympy(pair):
-    """On Z[x], _cancel, _gcd, _lcm and _divrem (dense univariate routines)
-    give what sympy's sparse PolyElement methods give: the same canonical
-    cancellation, gcd and lcm, and a division that is exact exactly when
-    the sparse one is, with the same quotient then."""
-    a, b = pair
-    assert _gcd(a, b) == a.gcd(b)
+def check_kernels(n, a, b):
+    """_cancel, _gcd, _lcm and _divrem give what sympy gives: the same
+    canonical cancellation, gcd and lcm, and a division that is exact
+    exactly when sympy's is, with the same quotient then."""
+    sa, sb = to_sympy(a, n), to_sympy(b, n)
+    h = reference_gcd(sa, sb)
+    assert to_sympy(_gcd(a, b), n) == h
     if b:
         num, den = _cancel(a, b)
-        assert (num, den) == a.cancel(b)
-        assert den.LC > 0 and num.gcd(den) == ZX.one
+        p, q = sa.exquo(h), sb.exquo(h)
+        if q.LC < 0:
+            p, q = -p, -q
+        assert (to_sympy(num, n), to_sympy(den, n)) == (p, q)
         q, r = _divrem(a, b)
-        sq, sr = a.div(b)
+        sq, sr = sa.div(sb)
         assert q * b + r == a
         assert (not r) == (not sr)
         if not r:
-            assert q == sq == a.exquo(b) == _exquo(a, b)
+            assert to_sympy(q, n) == sq == to_sympy(_exquo(a, b), n)
         else:
             with pytest.raises(InvariantViolation):
                 _exquo(a, b)
     if a and b:
-        assert _lcm(a, b) == a.lcm(b)
+        assert to_sympy(_lcm(a, b), n) == sa * sb.exquo(h)
 
+
+X = Poly({(1,): 1})
+ONE = ground(1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=z_pairs(1))
+@example(pair=(Poly(), X.mul_ground(2) + ONE))
+@example(pair=(ground(1, 6), ground(1, -4)))
+@example(pair=((X ** 2).mul_ground(-6) + ground(1, 6),
+               X.mul_ground(4) - ground(1, 4)))
+@example(pair=(((X + ONE) ** 2).mul_ground(3), (X + ONE).mul_ground(-9)))
+@example(pair=(X.mul_ground(2) + ground(1, 4), X.mul_ground(-2) - ground(1, 4)))
+@example(pair=(Poly(), Poly()))
+def test_one_generator_kernels_match_sparse_sympy(pair):
+    """On Z[x] (dense coefficient lists)."""
+    check_kernels(1, *pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=z_pairs(2))
+def test_kernels_match_sympy_two_generators(pair):
+    """On Z[x, c] (sparse terms)."""
+    check_kernels(2, *pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=z_pairs(4, max_terms=3))
+def test_kernels_match_sympy_four_generators(pair):
+    """On Z[x, c, y1, y2], the shape of _primitive_parts with two jets."""
+    check_kernels(4, *pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 4]), data=st.data())
+def test_prs_fallback_gives_the_heuristic_gcd(n, data):
+    """With GCDHEU allowed no evaluation point, every gcd comes from the
+    primitive PRS, and the kernels still give sympy's results."""
+    a, b = data.draw(z_pairs(n, max_terms=3 if n < 4 else 2))
+    old = zpoly.HEU_GCD_MAX
+    zpoly.HEU_GCD_MAX = 0
+    try:
+        check_kernels(n, a, b)
+    finally:
+        zpoly.HEU_GCD_MAX = old
+
+
+def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
+    """The retry limit is what the PRS fallback hangs on: at 0 the
+    heuristic raises at once, dense and sparse."""
+    a = (X + ONE) * (X - ONE)
+    b = (X + ONE) ** 2
+    monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
+    with pytest.raises(zpoly._HeuristicGCDFailed):
+        zpoly._dup_heu_gcd(zpoly._dense(a), zpoly._dense(b))
+    a2, b2 = (Poly({(k, 1): c for (k,), c in p.items()}) for p in (a, b))
+    with pytest.raises(zpoly._HeuristicGCDFailed):
+        zpoly._heugcd(a2, b2)
+    assert _gcd(a, b) == X + ONE
+    assert _gcd(a2, b2) == Poly({(1, 1): 1, (0, 1): 1})
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=rationals, b=rationals, k=st.integers(-6, 6), n=st.integers(-3, 3))
+def test_rational_matches_fraction(a, b, k, n):
+    """Rational gives Fraction's values, in lowest terms with a positive
+    denominator, and Fraction's equality and hash."""
+    A = Rational(a.numerator * 6, a.denominator * 6)
+    B = Rational(-b.numerator, -b.denominator)
+
+    def same(r, f):
+        assert type(r) is Rational
+        assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+        assert r == f and hash(r) == hash(f) and bool(r) == bool(f)
+    same(A, a)
+    same(B, b)
+    same(A + B, a + b)
+    same(A - B, a - b)
+    same(A * B, a * b)
+    same(-A, -a)
+    same(A + k, a + k)
+    same(A - k, a - k)
+    same(A * k, a * k)
+    if b:
+        same(A / B, a / b)
+    if k:
+        same(A / k, a / k)
+    if a:
+        same(k / A, k / a)
+    if a or n >= 0:
+        same(A ** n, a ** n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            A ** n
+    assert (A == B) == (a == b) and (A == k) == (a == k)
+    with pytest.raises(ZeroDivisionError):
+        Rational(k, 0)

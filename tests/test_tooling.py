@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -153,3 +154,52 @@ def test_no_unused_imports():
                    if name not in used]
     assert len(paths) > 10, f"no sources under {SRC}"
     assert unused == []
+
+
+RUNTIME_PROBE = """
+import sys
+import varpois
+import varpois.cli
+from varpois import (CoefficientField, DiffAlgebra, MatDiffOp, ScalarDiffOp,
+                     parse_session, rational_antiderivative, row_echelon)
+from varpois.field import _primitive_parts
+
+session = sys.argv[1]
+report, code = varpois.cli.run(["--session", session, "lenard", "--H", "H",
+                                "--K", "K", "--seed", "u^2/2",
+                                "--steps", "2"])
+assert code == 0, report.body()
+alg = DiffAlgebra(1)
+x = alg.field.x
+M = MatDiffOp(alg, [[ScalarDiffOp(alg, {0: alg.from_scalar(1 / (x + 1)),
+                                        1: alg.one}),
+                     ScalarDiffOp(alg, {0: alg.from_scalar(x / (x - 2))})],
+                    [ScalarDiffOp(alg, {1: alg.from_scalar(x)}),
+                     ScalarDiffOp(alg, {0: alg.from_scalar(1 / x)})]])
+row_echelon(M)
+jets = parse_session("vars 2\\nparams c\\n")
+u, v = (jets.evaluate(s) for s in ("(u1 + c*x)*(u2' + x)",
+                                   "(u1 + c*x)*u1'"))
+factor, _ = _primitive_parts(u.terms, [u.terms, v.terms])
+assert factor is not None
+F = CoefficientField(["c"])
+c = F.param("c")
+assert rational_antiderivative(((F.x + c) / (F.x ** 2 + c)).derive()) \\
+    is not None
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    """Import varpois and its CLI, run a lenard session with a parameter, a
+    row echelon form with fraction entries, a primitive part with jets and
+    a rational antiderivative over Q(c): no sympy module is loaded, so no
+    lazy import moves sympy's start-up cost into a job."""
+    session = tmp_path / "kdv.vp"
+    session.write_text("vars 1\nparams c\nH = u' + 2*u*d + c*d^3\nK = d\n")
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_PROBE, str(session)],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120, env={**os.environ,
+                                            "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
