@@ -27,10 +27,6 @@ from .polydiff import (KDiffOp, chi_representative, sigma_space, skew_product,
 from .pva import LambdaBracketStruct, check_compatible, check_jacobi
 
 
-class UnknownCommand(Exception):
-    pass
-
-
 class Report:
     """Deterministic result container: fixed key order, witnesses only on
     failures, timing kept outside the hashable body."""
@@ -362,8 +358,6 @@ def _run_args(args):
     if args.command is None:
         _PARSER.print_help()
         return None, 2
-    if args.command not in COMMANDS:
-        raise UnknownCommand(args.command)
     report = Report(args.command)
     t0 = time.monotonic()
     try:

@@ -544,32 +544,16 @@ def dim_omega00(N: int, nvars: int, k: int,
     if k == 0:
         return 1, [SkewArray.from_function(alg, alg.one)]
     for comp in _compositions(k, nvars, N):
-        idx = []
-        for i, n_i in enumerate(comp, start=1):
-            idx.extend([i] * n_i)
-        idx = tuple(idx)
-        blocks = []
-        start = 0
-        for n_i in comp:
-            blocks.append((start, n_i))
-            start += n_i
-        degree_choices = [list(itertools.combinations(range(N), n_i))
-                          for n_i in comp if n_i > 0]
-        slots_per_block = [b for b in blocks if b[1] > 0]
-        for choice in itertools.product(*degree_choices):
-            L = LambdaPoly.const(alg, k, alg.one)
-            for (start, n_i), degs in zip(slots_per_block, choice):
-                block = LambdaPoly.zero(alg, k)
-                degs_desc = tuple(sorted(degs, reverse=True))
-                for sigma in itertools.permutations(range(n_i)):
-                    e = [0] * k
-                    for t in range(n_i):
-                        e[start + t] = degs_desc[sigma[t]]
-                    term = LambdaPoly.monomial(alg, k, tuple(e), alg.one)
-                    block = block + (term if _perm_sign(sigma) > 0 else -term)
-                L = L * block
+        idx = tuple(i for i, n_i in enumerate(comp, start=1)
+                    for _ in range(n_i))
+        # the skew projection averages lam^e over the n_i! permutations of
+        # each block of equal indices
+        weight = math.prod(math.factorial(n_i) for n_i in comp)
+        for choice in itertools.product(*(
+                itertools.combinations(range(N), n_i) for n_i in comp)):
+            e = tuple(n for degs in choice for n in reversed(degs))
             arr = SkewArray(alg, k)
-            arr.set_entry(idx, L, project=False)
+            arr.set_entry(idx, LambdaPoly.monomial(alg, k, e, weight))
             if not arr.is_zero():
                 basis.append(arr)
     count = math.comb(N * nvars, k)

@@ -32,8 +32,8 @@ The arithmetic under the tiers is the package's own (``zpoly``), so no
 computation imports sympy; ``FieldElem.f`` converts a value to sympy's
 Q(x, params) for reading it with sympy, and imports sympy when called.  The
 gcds, cancellations and exact divisions go through four kernels (``_cancel``,
-``_gcd``, ``_lcm``, ``_divrem``): in a ring with the one generator x (F =
-Q(x), no further variables) they run on dense coefficient lists, in any
+``_gcd``, ``_lcm`` and ``zpoly.divrem``): in a ring with the one generator x
+(F = Q(x), no further variables) they run on dense coefficient lists, in any
 other ring on the sparse terms.
 
 The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
@@ -166,14 +166,9 @@ def _lcm(a, b):
     return a * cfg if h.LC > 0 else -(a * cfg)
 
 
-def _divrem(P, g) -> tuple:
-    """(q, r) with P = q*g + r over Z; r = 0 exactly when g divides P."""
-    return divrem(P, g)
-
-
 def _exquo(P, g):
     """P/g over Z, for a g known to divide P."""
-    q, r = _divrem(P, g)
+    q, r = divrem(P, g)
     if r:
         raise InvariantViolation(f"{g} does not divide {P}")
     return q
@@ -675,7 +670,7 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
         P, m = _flat(field, p, slots)
         # g | P is common (g is often all of start), and a trial division
         # is cheaper than a gcd
-        quo, rem = _divrem(P, g)
+        quo, rem = divrem(P, g)
         if not rem:
             flat.append((P, m, quo, g))
             continue

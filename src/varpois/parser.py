@@ -30,10 +30,6 @@ class ArityError(ParseError):
     pass
 
 
-class EvalError(Exception):
-    pass
-
-
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
@@ -226,8 +222,8 @@ class _Parser:
             if any(len(r) != width for r in rows):
                 raise ParseError("ragged matrix rows", t.line, t.col)
             alg = self.session.alg
-            return MatDiffOp(alg, [[_as_operator(v, alg) for v in row]
-                                   for row in rows])
+            return MatDiffOp(alg, [[_as_operator(v, alg, tok)
+                                    for tok, v in row] for row in rows])
         items = [self.parse_sum()]
         while self.accept(","):
             items.append(self.parse_sum())
@@ -235,10 +231,11 @@ class _Parser:
         return [_as_diffpoly(v, self.session.alg, t) for v in items]
 
     def parse_row(self) -> list:
+        """The entries of a matrix row as (first token, value) pairs."""
         self.expect("[", "a matrix row")
-        items = [self.parse_sum()]
+        items = [(self.peek(), self.parse_sum())]
         while self.accept(","):
-            items.append(self.parse_sum())
+            items.append((self.peek(), self.parse_sum()))
         self.expect("]", "']' closing the row")
         return items
 
@@ -339,12 +336,13 @@ def _is_op(v) -> bool:
     return isinstance(v, (ScalarDiffOp, MatDiffOp))
 
 
-def _as_operator(v, alg) -> ScalarDiffOp:
+def _as_operator(v, alg, t) -> ScalarDiffOp:
     if isinstance(v, ScalarDiffOp):
         return v
     if isinstance(v, DiffPoly):
         return ScalarDiffOp(alg, {0: v})
-    raise EvalError(f"cannot use {type(v).__name__} as an operator entry")
+    raise ParseError(f"cannot use {type(v).__name__} as an operator entry",
+                     t.line, t.col)
 
 
 def _as_diffpoly(v, alg, t) -> DiffPoly:
@@ -361,7 +359,7 @@ def _add(a, b, alg, t):
                              t.line, t.col)
         return a + b
     if _is_op(a) or _is_op(b):
-        return _as_operator(a, alg) + _as_operator(b, alg)
+        return _as_operator(a, alg, t) + _as_operator(b, alg, t)
     if isinstance(a, list) or isinstance(b, list):
         raise ParseError("vectors do not participate in arithmetic",
                          t.line, t.col)
@@ -380,13 +378,13 @@ def _mul(a, b, alg, t):
             return a.compose(b)
         mat = a if isinstance(a, MatDiffOp) else b
         other = b if isinstance(a, MatDiffOp) else a
-        op = _as_operator(other, alg)
+        op = _as_operator(other, alg, t)
         if mat is a:
             return MatDiffOp(alg, [[e.compose(op) for e in r]
                                    for r in mat.rows])
         return MatDiffOp(alg, [[op.compose(e) for e in r] for r in mat.rows])
     if _is_op(a) or _is_op(b):
-        return _as_operator(a, alg).compose(_as_operator(b, alg))
+        return _as_operator(a, alg, t).compose(_as_operator(b, alg, t))
     if isinstance(a, list) or isinstance(b, list):
         raise ParseError("vectors do not participate in arithmetic",
                          t.line, t.col)

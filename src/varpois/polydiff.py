@@ -188,21 +188,29 @@ def _sorted_desc(t: Sequence[int]) -> tuple:
     return tuple(sorted(t, reverse=True))
 
 
-class CCoeffTable:
-    """Coefficients rewriting lam_0^{n_0}..lam_k^{n_k} over monomials whose
-    two largest exponents differ by exactly one (times powers of d,
-    possibly negative), under lam_0 = -lam_1 - ... - lam_k - d.  Values are
-    memoized per table, with no lock: the package starts no threads."""
+class _CoeffTable:
+    """Coefficients rewriting lam_0^{n_0}..lam_k^{n_k}, under lam_0 =
+    -lam_1 - ... - lam_k - d, over the allowed monomials: those whose two
+    largest exponents differ by exactly one when `ties` (the c-table, with
+    powers of d possibly negative), else by zero or one (the b-table, with
+    nonnegative powers of d).  A top gap of two or more is lowered by
+    lam_a^{n_a} = -lam_a^{n_a - 1}(d + sum_{b != a} lam_b), with a the first
+    largest exponent; with `ties`, a tie is lifted by
+    d lam^n = -sum_a lam^(n + e_a).  Values are memoized per table, with no
+    lock: the package starts no threads."""
 
-    def __init__(self):
+    def __init__(self, ties: bool):
+        self.ties = ties
+        self.gaps = (1,) if ties else (0, 1)
         self.memo: dict = {}
 
     def get(self, n: tuple, m: tuple) -> int:
         n, m = tuple(n), tuple(m)
         mu = _sorted_desc(m)
-        if len(mu) < 2 or mu[0] - mu[1] != 1:
-            raise BadSupport("target tuple must have top exponents "
-                             "differing by one")
+        if len(mu) < 2 or mu[0] - mu[1] not in self.gaps:
+            gaps = " or ".join(map(str, self.gaps))
+            raise BadSupport(f"target tuple must have top exponents "
+                             f"differing by {gaps}")
         return self._c(n, m)
 
     def _c(self, n: tuple, m: tuple) -> int:
@@ -210,7 +218,7 @@ class CCoeffTable:
         if key in self.memo:
             return self.memo[key]
         nu = _sorted_desc(n)
-        if nu[0] - nu[1] == 1:
+        if nu[0] - nu[1] in self.gaps:
             val = 1 if n == m else 0
         elif nu[0] == nu[1]:
             val = 0
@@ -232,74 +240,22 @@ class CCoeffTable:
 
     def expansion(self, n: tuple) -> list:
         """All (coefficient, m, dpow) with nonzero coefficient in the
-        rewriting of lam^n; dpow = sum(n) - sum(m) may be negative."""
-        k1 = len(n)
-        nu0 = max(n)
+        rewriting of lam^n; dpow = sum(n) - sum(m), negative only with
+        `ties`."""
         out = []
-        for m in itertools.product(range(nu0 + 2), repeat=k1):
+        for m in itertools.product(range(max(n) + 1 + self.ties),
+                                   repeat=len(n)):
             mu = _sorted_desc(m)
-            if mu[0] - mu[1] != 1:
+            if mu[0] - mu[1] not in self.gaps:
                 continue
-            c = self._c(tuple(n), tuple(m))
+            c = self._c(tuple(n), m)
             if c:
                 out.append((c, m, sum(n) - sum(m)))
         return out
 
 
-class BCoeffTable:
-    """Coefficients rewriting lam^n over monomials whose top exponents differ
-    by zero or one, with nonnegative powers of d.  Values are memoized per
-    table, with no lock, as in the c-table."""
-
-    def __init__(self):
-        self.memo: dict = {}
-
-    def get(self, n: tuple, m: tuple) -> int:
-        n, m = tuple(n), tuple(m)
-        mu = _sorted_desc(m)
-        if len(mu) < 2 or mu[0] - mu[1] not in (0, 1):
-            raise BadSupport("target tuple must have top exponents "
-                             "differing by zero or one")
-        return self._b(n, m)
-
-    def _b(self, n: tuple, m: tuple) -> int:
-        key = (n, m)
-        if key in self.memo:
-            return self.memo[key]
-        nu = _sorted_desc(n)
-        if nu[0] - nu[1] in (0, 1):
-            val = 1 if n == m else 0
-        else:
-            a = max(range(len(n)), key=lambda t: n[t])
-            val = -self._b(n[:a] + (n[a] - 1,) + n[a + 1:], m)
-            for b in range(len(n)):
-                if b == a:
-                    continue
-                shifted = list(n)
-                shifted[b] += 1
-                shifted[a] -= 1
-                val -= self._b(tuple(shifted), m)
-        self.memo[key] = val
-        return val
-
-    def expansion(self, n: tuple) -> list:
-        k1 = len(n)
-        nu0 = max(n)
-        out = []
-        for m in itertools.product(range(nu0 + 1), repeat=k1):
-            mu = _sorted_desc(m)
-            if mu[0] - mu[1] not in (0, 1):
-                continue
-            if sum(n) - sum(m) < 0:
-                continue
-            c = self._b(tuple(n), tuple(m))
-            if c:
-                out.append((c, m, sum(n) - sum(m)))
-        return out
-
-
-_C_TABLE = CCoeffTable()
-_B_TABLE = BCoeffTable()
+_C_TABLE = _CoeffTable(ties=True)
+_B_TABLE = _CoeffTable(ties=False)
 
 
 def coeff_c(n: tuple, m: tuple) -> int:

@@ -158,22 +158,21 @@ def _outer_bracket(q: LambdaPoly, h: DiffPoly,
 def jacobi_residual(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly,
                     h: DiffPoly) -> LambdaPoly:
     """{f_lam {g_mu h}} - {g_mu {f_lam h}} - {{f_lam g}_(lam+mu) h},
-    as an arity-2 polynomial (lam = slot 0, mu = slot 1).  The left factors
-    of f and g are built once and serve the inner and the outer brackets."""
-    left_f, left_g = _left_factors(H, f, g)
-    t1 = left_f.into(left_g(h))
-    t2 = left_g.into(left_f(h))
-    t2 = t2.compose_vars((1, 0))  # result had (mu, lam); swap into (lam, mu)
-    return t1 - t2 - _outer_bracket(left_f(g), h, H)
+    as an arity-2 polynomial (lam = slot 0, mu = slot 1): the mixed terms
+    with H inside and outside, negated."""
+    return -_compatibility_terms(H, H, f, g, h)
 
 
 def _compatibility_terms(first: LambdaBracketStruct,
                          second: LambdaBracketStruct, f: DiffPoly,
                          g: DiffPoly, h: DiffPoly) -> LambdaPoly:
     """The three mixed Jacobi terms with `first` inside and `second` outside:
-    {{f_lam g}_(lam+mu) h} - {f_lam {g_mu h}} + {g_mu {f_lam h}}."""
+    {{f_lam g}_(lam+mu) h} - {f_lam {g_mu h}} + {g_mu {f_lam h}}.  The left
+    factors of f and g are built once per structure, so with second = first
+    they serve the inner and the outer brackets."""
     inner_f, inner_g = _left_factors(first, f, g)
-    outer_f, outer_g = _left_factors(second, f, g)
+    outer_f, outer_g = ((inner_f, inner_g) if second is first
+                        else _left_factors(second, f, g))
     t1 = outer_f.into(inner_g(h))
     t2 = outer_g.into(inner_f(h)).compose_vars((1, 0))
     return _outer_bracket(inner_f(g), h, second) - t1 + t2
@@ -220,14 +219,8 @@ def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
     # J(b,a,c)(mu,lam) = -J(a,b,c)(lam,mu): (b,a,c) fails iff (a,b,c) does,
     # and the full loop meets (a,b,c) first, so the triples with a <= b give
     # the same verdict and the same first witness.
-    alg = H.alg
-    for a in range(1, H.nvars + 1):
-        for b in range(a if require_skew else 1, H.nvars + 1):
-            for c in range(1, H.nvars + 1):
-                res = jacobi_residual(H, alg.jet(a), alg.jet(b), alg.jet(c))
-                if not res.is_zero():
-                    return False, ((a, b, c), res)
-    return True, None
+    return _check_triples(H.alg, lambda f, g, h: jacobi_residual(H, f, g, h),
+                          a_le_b=require_skew)
 
 
 def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
@@ -237,14 +230,20 @@ def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
     compatible outright."""
     orders = [(first, second) for first, second in ((H, K), (K, H))
               if not first.op.is_quasiconstant()]
-    alg = H.alg
-    for a in range(1, H.nvars + 1):
-        for b in range(1, H.nvars + 1):
-            for c in range(1, H.nvars + 1):
-                f, g, h = alg.jet(a), alg.jet(b), alg.jet(c)
-                res = sum((_compatibility_terms(first, second, f, g, h)
-                           for first, second in orders),
-                          LambdaPoly.zero(alg, 2))
+    zero = LambdaPoly.zero(H.alg, 2)
+    return _check_triples(H.alg, lambda f, g, h: sum(
+        (_compatibility_terms(first, second, f, g, h)
+         for first, second in orders), zero))
+
+
+def _check_triples(alg: DiffAlgebra, residual, a_le_b: bool = False):
+    """(ok, witness) for residual(u_a, u_b, u_c) over the generator triples
+    in lexicographic order, b from a on when a_le_b; the witness is the
+    first triple with a nonzero residual, and that residual."""
+    for a in range(1, alg.nvars + 1):
+        for b in range(a if a_le_b else 1, alg.nvars + 1):
+            for c in range(1, alg.nvars + 1):
+                res = residual(alg.jet(a), alg.jet(b), alg.jet(c))
                 if not res.is_zero():
                     return False, ((a, b, c), res)
     return True, None

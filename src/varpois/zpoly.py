@@ -10,16 +10,16 @@ polynomials over Z in any number of generators with their gcds.
   sympy's default ring, so ``LC`` is the coefficient of the largest tuple.
   A ``Poly`` is mutable (its items can be set and deleted) and hashes by
   its terms, so hash it only once it is built.
-- ``cofactors(f, g)``: (h, f/h, g/h) with h = gcd(f, g) over Z.  Both paths
-  run GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the
-  primitive parts, in the control flow of sympy's: with one generator on
-  dense coefficient lists (``dup_zz_heu_gcd``), with more on the sparse
-  terms, evaluating one generator at a time (``heugcd``, after the monomial
-  cases and the deflation of ``PolyElement.cofactors``).  h has a positive
-  leading coefficient, except where GCDHEU, as sympy's does, finds h as a
-  quotient by an interpolated cofactor.  Where the heuristic fails
-  ``HEU_GCD_MAX`` times, a primitive PRS over Z[x_1, ...][x_0] gives h
-  with a positive leading coefficient.
+- ``cofactors(f, g)``: (h, f/h, g/h) with h = gcd(f, g) over Z, by GCDHEU
+  (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the primitive
+  parts.  With one generator it runs on dense coefficient lists.  With more,
+  a one-term operand is settled by the monomial gcd; otherwise GCDHEU sets
+  x_0 to an integer and recurses through ``cofactors`` on the images, so
+  images in one generator run on the dense lists.  h has a positive leading
+  coefficient, except where GCDHEU finds h as a quotient by an
+  interpolated cofactor.  Where the heuristic fails ``HEU_GCD_MAX`` times
+  on a polynomial, a primitive PRS over Z[x_1, ...][x_0] gives its h with
+  a positive leading coefficient.
 - ``divrem(P, g)``: division over Z that stops at the first leading term g
   does not divide; the remainder is zero exactly when g divides P.
 """
@@ -327,10 +327,7 @@ def divrem(P, g) -> tuple:
 # -- sparse GCDHEU ---------------------------------------------------------------
 
 def _evaluate(p, x: int):
-    """p with generator 0 set to x: an int for one generator, else a
-    polynomial in the others."""
-    if nvars(p) == 1:
-        return sum(c * x ** m[0] for m, c in p.items())
+    """p with generator 0 set to x: a polynomial in the others."""
     out = Poly()
     for m, c in p.items():
         rest = m[1:]
@@ -342,44 +339,32 @@ def _evaluate(p, x: int):
     return out
 
 
-def _interpolate(h, x: int, n: int):
-    """The polynomial in n generators whose coefficients, read in the
-    symmetric residues base x, are the digits of h (an int for n = 1, else
-    a polynomial in n - 1 generators), with a positive leading
-    coefficient."""
+def _interpolate(h, x: int):
+    """The polynomial whose coefficients of x_0^i, read in the symmetric
+    residues base x, are the digits of h (a polynomial in the generators
+    after x_0), with a positive leading coefficient."""
     f, i = Poly(), 0
     half = x // 2
-    if n == 1:
-        while h:
-            g = h % x
-            if g > half:
-                g -= x
-            h = (h - g) // x
-            if g:
-                f[(i,)] = g
-            i += 1
-    else:
-        while h:
-            g = Poly()
-            for m, c in h.items():
-                c %= x
-                if c > half:
-                    c -= x
-                if c:
-                    g[m] = c
-            h = (h - g).quo_ground(x)
-            for m, c in g.items():
-                f[(i,) + m] = c
-            i += 1
+    while h:
+        g = Poly()
+        for m, c in h.items():
+            c %= x
+            if c > half:
+                c -= x
+            if c:
+                g[m] = c
+        h = (h - g).quo_ground(x)
+        for m, c in g.items():
+            f[(i,) + m] = c
+        i += 1
     return -f if f.LC < 0 else f
 
 
 def _heugcd(f, g) -> tuple:
-    """GCDHEU in Z[x_0, ...] for nonzero f, g, as sympy's ``heugcd``:
-    evaluate x_0 at a large integer, take the gcd of the images (recursively
-    in the remaining generators), interpolate, and keep the first candidate
-    that divides both."""
-    n = nvars(f)
+    """GCDHEU in Z[x_0, x_1, ...], two or more generators, for nonzero f,
+    g: evaluate x_0 at a large integer, take the cofactors of the images
+    (through ``cofactors``, so images in one generator run on dense lists),
+    interpolate, and keep the first candidate that divides both."""
     cont = content(g.values(), content(f.values()))
     if cont != 1:
         f, g = f.quo_ground(cont), g.quo_ground(cont)
@@ -391,24 +376,20 @@ def _heugcd(f, g) -> tuple:
     for _ in range(HEU_GCD_MAX):
         ff, gg = _evaluate(f, x), _evaluate(g, x)
         if ff and gg:
-            if n == 1:
-                h = gcd(ff, gg)
-                cff, cfg = ff // h, gg // h
-            else:
-                h, cff, cfg = _heugcd(ff, gg)
-            h = _primitive(_interpolate(h, x, n))
+            h, cff, cfg = cofactors(ff, gg)
+            h = _primitive(_interpolate(h, x))
             cff_, r = _sparse_divrem(f, h)
             if not r:
                 cfg_, r = _sparse_divrem(g, h)
                 if not r:
                     return h.mul_ground(cont), cff_, cfg_
-            cff = _interpolate(cff, x, n)
+            cff = _interpolate(cff, x)
             h, r = _sparse_divrem(f, cff)
             if not r:
                 cfg_, r = _sparse_divrem(g, h)
                 if not r:
                     return h.mul_ground(cont), cff, cfg_
-            cfg = _interpolate(cfg, x, n)
+            cfg = _interpolate(cfg, x)
             h, r = _sparse_divrem(g, cfg)
             if not r:
                 cff_, r = _sparse_divrem(f, h)
@@ -416,25 +397,6 @@ def _heugcd(f, g) -> tuple:
                     return h.mul_ground(cont), cff_, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     raise _HeuristicGCDFailed
-
-
-def _deflate(f, g) -> tuple:
-    """(J, f', g') with f = f'(x_i^J_i), g likewise, J_i the gcd of the
-    exponents of x_i in f and g (1 where x_i does not appear)."""
-    J = [0] * nvars(f)
-    for p in (f, g):
-        for m in p:
-            for i, e in enumerate(m):
-                J[i] = gcd(J[i], e)
-    J = tuple(j or 1 for j in J)
-    if all(j == 1 for j in J):
-        return J, f, g
-    return J, *(Poly({tuple(e // j for e, j in zip(m, J)): c
-                      for m, c in p.items()}) for p in (f, g))
-
-
-def _inflate(p, J):
-    return Poly({tuple(e * j for e, j in zip(m, J)): c for m, c in p.items()})
 
 
 def _gcd_monom(f, g) -> tuple:
@@ -449,25 +411,6 @@ def _gcd_monom(f, g) -> tuple:
     cfg = Poly({tuple(a - b for a, b in zip(m, mh)): c // ch
                 for m, c in g.items()})
     return h, cff, cfg
-
-
-def _sparse_cofactors(f, g) -> tuple:
-    """cofactors in two or more generators, in the control flow of sympy's
-    ``PolyElement.cofactors``."""
-    if len(f) == 1:
-        return _gcd_monom(f, g)
-    if len(g) == 1:
-        h, cfg, cff = _gcd_monom(g, f)
-        return h, cff, cfg
-    J, f, g = _deflate(f, g)
-    try:
-        h, cff, cfg = _heugcd(f, g)
-    except _HeuristicGCDFailed:
-        h = _prs_gcd(f, g)
-        cff, cfg = _sparse_divrem(f, h)[0], _sparse_divrem(g, h)[0]
-    if all(j == 1 for j in J):
-        return h, cff, cfg
-    return _inflate(h, J), _inflate(cff, J), _inflate(cfg, J)
 
 
 # -- the PRS fallback over Z[x_1, ...][x_0] ------------------------------------
@@ -625,7 +568,7 @@ def _dup_interpolate(h: int, x: int) -> list:
 
 
 def _dup_heu_gcd(f: list, g: list) -> tuple:
-    """sympy's ``dup_zz_heu_gcd`` for nonzero f, g: (h, f/h, g/h)."""
+    """GCDHEU on dense lists for nonzero f, g: (h, f/h, g/h)."""
     df, dg = len(f) - 1, len(g) - 1
     cont = content(g, content(f))
     if cont != 1:
@@ -663,16 +606,6 @@ def _dup_heu_gcd(f: list, g: list) -> tuple:
     raise _HeuristicGCDFailed
 
 
-def _dense_cofactors(f: list, g: list) -> tuple:
-    """cofactors of nonzero dense f, g, as sympy's ``dup_inner_gcd`` over Z
-    (GCDHEU; the PRS fallback runs on the sparse form)."""
-    try:
-        return _dup_heu_gcd(f, g)
-    except _HeuristicGCDFailed:
-        h = _dense(_prs_gcd(_sparse(f), _sparse(g)))
-        return h, _dup_div(f, h)[0], _dup_div(g, h)[0]
-
-
 # -- the entry point ---------------------------------------------------------------
 
 def cofactors(f, g) -> tuple:
@@ -687,6 +620,20 @@ def cofactors(f, g) -> tuple:
         s = -1 if p.LC < 0 else 1
         h, unit = p.mul_ground(s), ground(n, s)
         return (h, Poly(), unit) if not f else (h, unit, Poly())
-    if nvars(f) != 1:
-        return _sparse_cofactors(f, g)
-    return tuple(map(_sparse, _dense_cofactors(_dense(f), _dense(g))))
+    if nvars(f) == 1:
+        try:
+            return tuple(map(_sparse, _dup_heu_gcd(_dense(f), _dense(g))))
+        except _HeuristicGCDFailed:
+            pass
+    elif len(f) == 1:
+        return _gcd_monom(f, g)
+    elif len(g) == 1:
+        h, cfg, cff = _gcd_monom(g, f)
+        return h, cff, cfg
+    else:
+        try:
+            return _heugcd(f, g)
+        except _HeuristicGCDFailed:
+            pass
+    h = _prs_gcd(f, g)
+    return h, divrem(f, h)[0], divrem(g, h)[0]

@@ -126,6 +126,22 @@ def test_parse_error_exit_2(session_file):
     assert body["results"][0]["status"] == "error"
 
 
+@pytest.mark.parametrize("M, column", [
+    ("[[v, 1]]", 3), ("[[A, 1]]", 3), ("d + v", 1)])
+def test_operator_entry_type_error_is_a_parse_error(tmp_path, M, column):
+    """A vector or a matrix where an operator entry belongs is reported as
+    a parse error with its position, as every other DSL error is."""
+    p = tmp_path / "session.vp"
+    p.write_text("vars 1\nv = [u]\nA = [[d, 1],[1, d]]\n")
+    body, code = _run(["--session", str(p), "echelon", "--M", M])
+    assert code == 2
+    (result,) = body["results"]
+    assert result["name"] == "parse" and result["status"] == "error"
+    kind = "list" if "v" in M else "MatDiffOp"
+    assert result["value"] == (f"cannot use {kind} as an operator entry "
+                               f"(line 1, column {column})")
+
+
 def test_report_determinism(session_file):
     b1, _ = _run(["--session", session_file, "det",
                   "--M", "[[1, a],[d, a*d]]"])

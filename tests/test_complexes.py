@@ -12,6 +12,7 @@ from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
                      magri_structure, partial_action, partial_antiderivative,
                      phi_k1, phi_s, reduce_closed)
 from varpois.complexes import level_key
+from varpois.lambdapoly import format_lambda_poly
 from varpois.pva import LambdaBracketStruct, hamiltonian_vf
 
 from helpers import (as_one_form, as_skewadjoint_op, de_rham_delta_reference,
@@ -263,6 +264,15 @@ def test_dim_omega00():
     assert dim_omega00(1, 1, 2, ALG)[0] == 0
     count, basis = dim_omega00(2, 2, 3, ALG2)
     assert count == 4 == len(basis)
+    # each block of equal indices carries its alternating sum of monomials,
+    # with coefficients +-1
+    assert [{key: format_lambda_poly(L) for key, L in arr.entries.items()}
+            for arr in basis] == [
+        {(1, 2, 2): "-l3 + l2"}, {(1, 2, 2): "-l1*l3 + l1*l2"},
+        {(1, 1, 2): "-l2 + l1"}, {(1, 1, 2): "-l2*l3 + l1*l3"}]
+    (vandermonde,) = dim_omega00(3, 1, 3, ALG)[1]
+    assert format_lambda_poly(vandermonde.entries[(1, 1, 1)]) == (
+        "-l2*l3^2 + l2^2*l3 + l1*l3^2 + -l1*l2^2 + -l1^2*l3 + l1^2*l2")
     for N in (1, 2, 3):
         for nv, alg in ((1, ALG), (2, ALG2)):
             for k in range(5):

@@ -8,7 +8,7 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
-                     InvariantViolation, LinForm, Majorant, MatDiffOp,
+                     Incomplete, InvariantViolation, LinForm, Majorant, MatDiffOp,
                      MatPseudoOp, NoRationalSolution, NotAMajorant,
                      NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
                      TruncationExceeded, canonical_forms, dieudonne_det,
@@ -360,6 +360,19 @@ def test_solve_rational_scalar():
     assert s.homogeneous == [[F.one]]
     with pytest.raises(NoRationalSolution):
         solve_rational(M, [F.one / F.x])
+
+
+def test_solve_rational_incomplete():
+    """d y1 + y2 = 0, d y2 = 1/x needs y2 = log x: the system is not scalar,
+    so no antiderivative decides it, and the exhausted ansatz raises
+    Incomplete."""
+    F = ALG.field
+    M = MatDiffOp(ALG, [[D, ScalarDiffOp.identity(ALG)],
+                        [ScalarDiffOp.zero(ALG), D]])
+    with pytest.raises(Incomplete,
+                       match="no rational solution found with ansatz "
+                             "degree 8"):
+        solve_rational(M, [F.zero, F.one / F.x])
 
 
 def test_solve_rational_selfadjoint_system():

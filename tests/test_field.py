@@ -17,11 +17,10 @@ from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
                      rational_antiderivative)
 from varpois import field as field_module
 from varpois import zpoly
-from varpois.field import (FRAC, POLY, RAT, _cancel, _divrem, _exquo,
-                           _format_poly, _gcd, _lcm, _primitive_parts,
-                           clear_denominators, format_field_elem,
-                           x_coefficients)
-from varpois.zpoly import Poly, Rational, ground
+from varpois.field import (FRAC, POLY, RAT, _cancel, _exquo, _format_poly,
+                           _gcd, _lcm, _primitive_parts, clear_denominators,
+                           format_field_elem, x_coefficients)
+from varpois.zpoly import Poly, Rational, divrem, ground
 
 from helpers import diffpolys, field_elems, rnd_field_elem, x_degree
 
@@ -644,7 +643,7 @@ def reference_gcd(sa, sb):
 
 
 def check_kernels(n, a, b):
-    """_cancel, _gcd, _lcm and _divrem give what sympy gives: the same
+    """_cancel, _gcd, _lcm and divrem give what sympy gives: the same
     canonical cancellation, gcd and lcm, and a division that is exact
     exactly when sympy's is, with the same quotient then."""
     sa, sb = to_sympy(a, n), to_sympy(b, n)
@@ -656,7 +655,7 @@ def check_kernels(n, a, b):
         if q.LC < 0:
             p, q = -p, -q
         assert (to_sympy(num, n), to_sympy(den, n)) == (p, q)
-        q, r = _divrem(a, b)
+        q, r = divrem(a, b)
         sq, sr = sa.div(sb)
         assert q * b + r == a
         assert (not r) == (not sr)
@@ -715,6 +714,25 @@ def test_prs_fallback_gives_the_heuristic_gcd(n, data):
         zpoly.HEU_GCD_MAX = old
 
 
+@settings(max_examples=40, deadline=None)
+@given(pair=z_pairs(3, max_terms=3))
+def test_prs_fallback_on_the_images(pair):
+    """With GCDHEU failing below three generators, a gcd over Z[x, c, y]
+    takes the gcds of its images by the primitive PRS and still gives
+    sympy's results."""
+    heugcd = zpoly._heugcd
+
+    def failing_below_three(f, g):
+        if zpoly.nvars(f) < 3:
+            raise zpoly._HeuristicGCDFailed
+        return heugcd(f, g)
+    zpoly._heugcd = failing_below_three
+    try:
+        check_kernels(3, *pair)
+    finally:
+        zpoly._heugcd = heugcd
+
+
 def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
     """The retry limit is what the PRS fallback hangs on: at 0 the
     heuristic raises at once, dense and sparse."""
@@ -728,6 +746,25 @@ def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
         zpoly._heugcd(a2, b2)
     assert _gcd(a, b) == X + ONE
     assert _gcd(a2, b2) == Poly({(1, 1): 1, (0, 1): 1})
+
+
+def test_sparse_gcd_recurses_through_the_dense_kernel(monkeypatch):
+    """A gcd over Z[x, c] evaluates x and takes the gcd of the images in c
+    through cofactors: GCDHEU on sparse terms never runs on one generator,
+    and the dense heuristic does."""
+    seen, dense = [], []
+    heugcd, dup_heu_gcd = zpoly._heugcd, zpoly._dup_heu_gcd
+    monkeypatch.setattr(zpoly, "_heugcd", lambda f, g: seen.append(
+        zpoly.nvars(f)) or heugcd(f, g))
+    monkeypatch.setattr(zpoly, "_dup_heu_gcd", lambda f, g: dense.append(
+        len(f)) or dup_heu_gcd(f, g))
+    x, c, one = Poly({(1, 0): 1}), Poly({(0, 1): 1}), ground(2, 1)
+    common = x + c.mul_ground(2) - one
+    a = common * (x * c + one)
+    b = common * (x - c).mul_ground(-3)
+    assert _gcd(a, b) == common
+    assert seen and set(seen) == {2}
+    assert dense
 
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))

@@ -12,6 +12,7 @@ from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
                      functional_eq, gfz_structure, hamiltonian_vf,
                      jacobi_residual, lambda_bracket, magri_structure,
                      poisson_bracket)
+from varpois import pva
 from varpois.lambdapoly import LambdaPoly
 from varpois.pva import compatibility_residual
 
@@ -281,6 +282,27 @@ def test_jacobi_residual_equals_reference(data, alg):
     H = data.draw(bracket_structs(alg))
     f, g, h = _elements(data.draw, alg, 3, max_degree=1)
     assert jacobi_residual(H, f, g, h) == jacobi_residual_reference(H, f, g, h)
+
+
+def test_jacobi_residual_builds_each_left_factor_once(monkeypatch):
+    """The residual is the mixed terms with H inside and outside, and the
+    inner left factors of f and g serve as the outer ones too: two factors
+    for f != g, one for f = g.  (The outer bracket's factors are built on
+    the coefficients of {f_lam g}, new elements, and are not counted.)"""
+    built = []
+
+    class Counting(pva._LeftFactor):
+        __slots__ = ()
+
+        def __init__(self, f, H):
+            built.append(f)
+            super().__init__(f, H)
+    monkeypatch.setattr(pva, "_LeftFactor", Counting)
+    for f, g, want in ((U, U.derive() * U, 2), (U * U, U * U, 1)):
+        built.clear()
+        res = jacobi_residual(MAGRI, f, g, U)
+        assert sum(1 for p in built if p is f or p is g) == want
+        assert res == jacobi_residual_reference(MAGRI, f, g, U)
 
 
 @settings(max_examples=20, deadline=None)
