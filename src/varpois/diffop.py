@@ -220,45 +220,43 @@ class ScalarDiffOp:
 
     def right_coefficient_form(self) -> dict:
         """Coefficients b_n of the rewriting sum d^n o b_n."""
-        res = dict(self.coeffs)
-        b: dict = {}
-        n = self.order()
-        if n is None:
-            return {}
-        for m in range(n, -1, -1):
-            c = res.get(m)
-            if c is None or c.is_zero():
-                continue
-            b[m] = c
-            expanded = ScalarDiffOp.d(self.alg, m).compose(
-                ScalarDiffOp(self.alg, {0: c}))
-            for key, v in expanded.coeffs.items():
-                accumulate(res, key, -v)
-        if not all(v.is_zero() for v in res.values()):
-            raise InvariantViolation("right coefficient form leaves a rest")
-        return b
+        alg = self.alg
+        return _peel(self, lambda o, c: (
+            o, ScalarDiffOp.d(alg, o).compose(ScalarDiffOp(alg, {0: c}))))
 
     def split_form(self) -> tuple:
         """Coefficients ({c_m}, {d_n}) of
-        sum d^(m+1) o c_m d^m + sum d^n o d_n d^n."""
-        rem = self
-        cs: dict = {}
-        ds: dict = {}
-        while not rem.is_zero():
-            o = rem.order()
-            lead = rem.leading_coefficient()
-            if o % 2 == 1:
-                m = (o - 1) // 2
-                cs[m] = lead
-                t = ScalarDiffOp.d(self.alg, m + 1).compose(
-                    ScalarDiffOp(self.alg, {m: lead}))
-            else:
-                n = o // 2
-                ds[n] = lead
-                t = ScalarDiffOp.d(self.alg, n).compose(
-                    ScalarDiffOp(self.alg, {n: lead}))
-            rem = rem - t
-        return cs, ds
+        sum d^(m+1) o c_m d^m + sum d^n o d_n d^n: the block of order o is
+        d^(o - h) o c d^h with h = o // 2 (m = h for odd o, n = h for even
+        o)."""
+        alg = self.alg
+
+        def block(o, c):
+            h = o // 2
+            return (o % 2, h), ScalarDiffOp.d(alg, o - h).compose(
+                ScalarDiffOp(alg, {h: c}))
+
+        form = _peel(self, block)
+        return ({h: c for (odd, h), c in form.items() if odd},
+                {h: c for (odd, h), c in form.items() if not odd})
+
+
+def _peel(op: ScalarDiffOp, block) -> dict:
+    """{key: c} from taking blocks off op until nothing is left: with o and
+    c the order and leading coefficient of the rest, block(o, c) returns
+    (key, B), B of order o with leading coefficient c, and B is subtracted.
+    Raises InvariantViolation when a step does not lower the order."""
+    out: dict = {}
+    rem = op
+    while not rem.is_zero():
+        o, c = rem.order(), rem.leading_coefficient()
+        key, B = block(o, c)
+        out[key] = c
+        rem = rem - B
+        if not rem.is_zero() and rem.order() >= o:
+            raise InvariantViolation("a canonical form block does not lower "
+                                     "the order")
+    return out
 
 
 def canonical_forms(P: ScalarDiffOp) -> dict:

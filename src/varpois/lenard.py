@@ -2,10 +2,10 @@
 
 Given a compatible pair (H, K) and a seed density, repeatedly solve
 K(d) (delta h_(n+1) / delta u) = H(d) (delta h_n / delta u): apply H to the
-current gradient, invert K (supported for operators that constant row
-operations bring to diagonal c d^m form), test exactness of the preimage via
-the selfadjoint Frechet criterion, and rebuild the density.  Every accepted
-step is certified symbolically; failures surface the obstruction class.
+current gradient, invert K (triangularize K over F[d], single-power
+pivots), test exactness of the preimage via the selfadjoint Frechet
+criterion, and rebuild the density.  Every accepted step is certified
+symbolically; failures surface the obstruction class.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
                       antiderivative_in_v, frechet, reconstruct_density,
                       variational_derivative)
-from .diffop import NotSkewadjoint
+from .diffop import NotSkewadjoint, row_echelon
 from .field import InvariantViolation
-from .linsolve import matrix_inverse
 from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
                   check_jacobi, check_skewadjoint)
 
@@ -72,73 +71,55 @@ class HierarchyState:
         return f"HierarchyState({len(self.densities)} densities)"
 
 
-def _diagonalize_k(K: LambdaBracketStruct):
-    """Write K = A . diag(c_i d^(m_i)) up to constant row operations:
-    returns (inverse row matrix B with B K = diag, diagonal data).  Raises
-    UnsupportedK outside this class."""
-    op = K.op
-    alg = op.alg
-    field = alg.field
-    if not op.is_quasiconstant():
-        raise UnsupportedK("only quasiconstant K is invertible here")
-    size = op.m
-    # extract scalar coefficients: entry (i,j) must be c_ij d^(m_j)?  We only
-    # support entries that are single monomials in d with constant ratio, by
-    # constant Gaussian elimination on the coefficient vectors per order.
-    # The practical class: K = A o diag(c_j d^(m_j)) with A constant
-    # invertible.  Detect per column: all entries in column j share order m_j.
-    orders = []
-    for j in range(size):
-        col_orders = {op.rows[i][j].order() for i in range(size)
-                      if not op.rows[i][j].is_zero()}
-        if len(col_orders) != 1:
-            raise UnsupportedK("column mixes operator orders")
-        m = col_orders.pop()
-        for i in range(size):
-            e = op.rows[i][j]
-            if not e.is_zero() and set(e.field_coeffs()) != {m}:
-                raise UnsupportedK("entry is not a single d-power")
-        orders.append(m)
-    amat = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            e = op.rows[i][j]
-            row.append(field.zero if e.is_zero()
-                       else e.field_coeffs()[orders[j]])
-        amat.append(row)
-    binv = matrix_inverse(amat, field)
-    if binv is None:
-        raise UnsupportedK("constant factor is singular")
-    return binv, orders
-
-
 def _invert_k_on(K: LambdaBracketStruct, F: Sequence[DiffPoly]):
     """Solve K(d) G = F for G in V^l; integration constants are fixed to
-    zero and the kernel ambiguity is reported in the certificate note."""
-    alg = K.alg
-    binv, orders = _diagonalize_k(K)
-    # rotate F by the constant inverse: diag(c_j d^(m_j)) G = B F
-    rotated = []
-    for i in range(len(F)):
-        acc = alg.zero
-        for j, f in enumerate(F):
-            acc = acc + f.scale(binv[i][j])
-        rotated.append(acc)
-    G = []
-    for j, rhs in enumerate(rotated):
-        g = rhs
-        for step in range(orders[j]):
+    zero and the kernel ambiguity is reported in the certificate note.
+
+    row_echelon brings K to an upper triangular U by row operations that
+    are invertible over F[d]; replayed on F they turn K G = F into
+    U G = F' with the same solutions.  Each pivot must be a single power
+    c d^m, so the rows are solved from the last one up:
+    g_j = int^m (f'_j - sum_(t>j) U_jt g_t) / c.  Raises UnsupportedK for
+    a K that is not quasiconstant, is singular, or has another pivot.
+    """
+    if not K.op.is_quasiconstant():
+        raise UnsupportedK("only quasiconstant K is invertible here")
+    U, ops = row_echelon(K.op)
+    f = list(F)
+    for op in ops:
+        if op[0] == "swap":
+            _, i, j = op
+            f[i], f[j] = f[j], f[i]
+        elif op[0] == "scale":
+            _, j, a = op
+            f[j] = f[j].scale(a)
+        else:
+            _, i, j, P, a, content = op
+            f[j] = (f[j].scale(a) - P.apply(f[i])) / content
+    size = len(f)
+    G = [None] * size
+    orders = [None] * size
+    for j in reversed(range(size)):
+        pivot = U.rows[j][j]
+        if pivot.is_zero():
+            raise UnsupportedK("K is singular: its triangular form has a "
+                               "zero pivot")
+        if len(pivot.coeffs) != 1:
+            raise UnsupportedK("pivot is not a single d-power")
+        (m, c), = pivot.coeffs.items()
+        g = (f[j] - sum((U.rows[j][t].apply(G[t])
+                         for t in range(j + 1, size)), K.alg.zero)) / c
+        for step in range(m):
             try:
                 g = antiderivative_in_v(g)
             except NotExact as err:
                 raise NoPreimage(
                     f"component {j + 1} is not in the image of K "
-                    f"(obstruction at derivative {step + 1} of {orders[j]}): "
+                    f"(obstruction at derivative {step + 1} of {m}): "
                     f"{err}", witness=g) from err
-        G.append(g)
+        G[j], orders[j] = g, m
     kernel_note = ("kernel of K: constants times d-kernel polynomials of "
-                   "degrees " + str([m for m in orders]))
+                   "degrees " + str(orders))
     return G, kernel_note
 
 

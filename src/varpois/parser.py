@@ -240,26 +240,25 @@ class _Parser:
         return items
 
     def parse_sum(self):
-        t = self.peek()
+        """Type errors of a sum point at its operator token."""
         left = self.parse_term()
         while True:
-            if self.accept("+"):
-                left = _add(left, self.parse_term(), self.session.alg, t)
-            elif self.accept("-"):
-                left = _add(left, _neg(self.parse_term()), self.session.alg, t)
-            else:
+            t = self.accept("+") or self.accept("-")
+            if t is None:
                 return left
+            right = self.parse_term()
+            left = _add(left, right if t.kind == "+" else _neg(right),
+                        self.session.alg, t)
 
     def parse_term(self):
-        t = self.peek()
+        """Type errors of a product point at its operator token."""
         left = self.parse_unary()
         while True:
-            if self.accept("*"):
-                left = _mul(left, self.parse_unary(), self.session.alg, t)
-            elif self.accept("/"):
-                left = _div(left, self.parse_unary(), self.session.alg, t)
-            else:
+            t = self.accept("*") or self.accept("/")
+            if t is None:
                 return left
+            step = _mul if t.kind == "*" else _div
+            left = step(left, self.parse_unary(), self.session.alg, t)
 
     def parse_unary(self):
         if self.accept("-"):

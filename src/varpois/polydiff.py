@@ -290,12 +290,12 @@ def _skew_atoms(alg: DiffAlgebra, k: int, ndeg: int) -> list:
     return atoms
 
 
-def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int, atoms: list) -> KDiffOp:
+def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int) -> KDiffOp:
     """The generic skewsymmetric k-differential operator with LinForm
-    coefficients over the atoms."""
+    coefficients over the atoms of _skew_atoms(alg, k, N): every canonical
+    descending tuple of k distinct pairs (n, i) with n < N is one."""
     field = alg.field
     P = KDiffOp(alg, k)
-    atom_set = set(atoms)
     for i0 in range(1, alg.nvars + 1):
         for rest in itertools.product(range(1, alg.nvars + 1), repeat=k):
             terms = {}
@@ -306,10 +306,7 @@ def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int, atoms: list) -> KDiffOp:
                 perm = sorted(range(k), key=lambda t: pairs[t], reverse=True)
                 canon = tuple(pairs[t] for t in perm)
                 sign = _perm_sign(perm)
-                atom = (i0, canon)
-                if atom not in atom_set:
-                    continue
-                lf = LinForm.atom(field, atom)
+                lf = LinForm.atom(field, (i0, canon))
                 if sign < 0:
                     lf = -lf
                 terms[tuple(exps)] = alg.from_scalar(lf)
@@ -343,7 +340,7 @@ def sigma_space(K: MatDiffOp, k: int):
     atoms = _skew_atoms(alg, k, N)
     if not atoms:
         return [], expected, expected > 0
-    P = _unknown_kdiffop(alg, k, N, atoms)
+    P = _unknown_kdiffop(alg, k, N)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
     eqs = linform_equations(E._equations())
     sols = solve_linform_system(alg, list(eqs.values()), atoms,
@@ -373,7 +370,7 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     for attempt in range(3):
         ndeg = lam_deg + 1 + attempt
         atoms = _skew_atoms(alg, k, ndeg)
-        P = _unknown_kdiffop(alg, k, ndeg, atoms)
+        P = _unknown_kdiffop(alg, k, ndeg)
         E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
         lhs = linform_equations(E._equations())
         rhs = {key: field.coerce(c) for key, c in S._equations()}

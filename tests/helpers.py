@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, LambdaPoly,
                      LocalFunctional, MatDiffOp, ScalarDiffOp, SkewArray,
-                     ev_commutator, hamiltonian_vf, lambda_bracket,
-                     poisson_bracket, rational_antiderivative,
+                     antiderivative_in_v, ev_commutator, hamiltonian_vf,
+                     lambda_bracket, poisson_bracket, rational_antiderivative,
                      variational_derivative)
 from varpois.diffalg import _exact_div
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
@@ -17,6 +17,7 @@ from varpois.diffop import (DET_ZERO, DetValue, _field_value,
 from varpois.field import POLY, RAT
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
+from varpois.linsolve import matrix_inverse
 from varpois.polydiff import _tau_action
 
 
@@ -497,6 +498,33 @@ def det_by_division(M: MatDiffOp) -> DetValue:
     for e in diag[1:]:
         c = c * e.leading_coefficient()
     return DetValue(_simplify_coeff(c), sum(e.order() for e in diag))
+
+
+def invert_k_by_constant_inverse(K: MatDiffOp, F: list) -> list:
+    """G with K(d) G = F for K = A diag(c_j d^(m_j)), A invertible over F:
+    read off the orders m_j by column and the matrix (a_ij c_j), invert it
+    by linsolve, so that d^(m_j) g_j is the j-th entry of that inverse
+    times F, and take m_j antiderivatives in V.  The reference for the
+    Lenard-Magri driver's triangular solve on this class."""
+    field = K.alg.field
+    size = K.m
+    orders = []
+    for j in range(size):
+        col = [K.rows[i][j] for i in range(size) if not K.rows[i][j].is_zero()]
+        (m,) = {e.order() for e in col}
+        assert all(len(e.coeffs) == 1 for e in col), "not a single d-power"
+        orders.append(m)
+    amat = [[field.zero if e.is_zero() else e.field_coeffs()[orders[j]]
+             for j, e in enumerate(row)] for row in K.rows]
+    binv = matrix_inverse(amat, field)
+    assert binv is not None, "the constant factor is singular"
+    G = []
+    for j in range(size):
+        g = sum((f.scale(b) for f, b in zip(F, binv[j])), K.alg.zero)
+        for _ in range(orders[j]):
+            g = antiderivative_in_v(g)
+        G.append(g)
+    return G
 
 
 def commuting_flows(state) -> bool:

@@ -127,7 +127,7 @@ def test_parse_error_exit_2(session_file):
 
 
 @pytest.mark.parametrize("M, column", [
-    ("[[v, 1]]", 3), ("[[A, 1]]", 3), ("d + v", 1)])
+    ("[[v, 1]]", 3), ("[[A, 1]]", 3), ("d + v", 3), ("[[1, d + v]]", 8)])
 def test_operator_entry_type_error_is_a_parse_error(tmp_path, M, column):
     """A vector or a matrix where an operator entry belongs is reported as
     a parse error with its position, as every other DSL error is."""

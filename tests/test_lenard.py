@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varpois.diffalg as diffalg_module
@@ -9,9 +9,11 @@ from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      ScalarDiffOp, UnsupportedK, functional_eq, gfz_structure,
                      hamiltonian_vf, magri_structure, run_hierarchy,
                      variational_derivative, verify_involution)
-from varpois.lenard import StepCertificate, lenard_step
+from varpois.lenard import StepCertificate, _invert_k_on, lenard_step
+from varpois.linsolve import det
 
-from helpers import commuting_flows, diffpolys, involution_matrix_reference
+from helpers import (commuting_flows, diffpolys, field_elems,
+                     invert_k_by_constant_inverse, involution_matrix_reference)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -107,6 +109,65 @@ def test_two_component_constant_pair():
             st.densities[n].representative)))
         assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
     assert all(all(r) for r in verify_involution(st))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_triangular_inversion_equals_constant_inverse(data):
+    """K = A diag(c_j d^(m_j)) with A and c_j in F, A invertible, and
+    F = K G for a random G: the triangular solve returns the G' of the
+    constant-inverse reference exactly, and K G' = F."""
+    field = ALG2.field
+    amat = [[data.draw(field_elems(field)) for _ in range(2)]
+            for _ in range(2)]
+    assume(not det(amat, field).is_zero())
+    cs = [data.draw(field_elems(field)) for _ in range(2)]
+    assume(not any(c.is_zero() for c in cs))
+    orders = [data.draw(st.integers(0, 3)) for _ in range(2)]
+    Kmat = MatDiffOp(ALG2, [[ScalarDiffOp(ALG2, {orders[j]: ALG2.from_scalar(
+        a * cs[j])}) for j, a in enumerate(row)] for row in amat])
+    G = [data.draw(diffpolys(ALG2, max_order=1, max_terms=2, with_x=True))
+         for _ in range(2)]
+    F = Kmat.apply(G)
+    G2, _ = _invert_k_on(LambdaBracketStruct(Kmat), F)
+    assert G2 == invert_k_by_constant_inverse(Kmat, F)
+    assert Kmat.apply(G2) == F
+
+
+def test_mixed_order_column_gets_a_step():
+    """K = [[d^3, d], [d, 0]] is quasiconstant with triangular form
+    diag(d, d), though its first column mixes orders: from
+    (u1^2 + u2^2)/2 under H = diag(d, d) the step gives
+    G = (u2, u1 - u2''), the gradient of u1 u2 - u2 u2'' / 2."""
+    Kmix = LambdaBracketStruct(MatDiffOp(ALG2, [[_D3, _D1], [_D1, _Z]]))
+    Hd = LambdaBracketStruct(MatDiffOp(ALG2, [[_D1, _Z], [_Z, _D1]]))
+    u1, u2 = ALG2.jet(1), ALG2.jet(2)
+    u2xx = ALG2.jet(2, 2)
+    state = HierarchyState(Hd, Kmix,
+                           [LocalFunctional((u1 * u1 + u2 * u2) / 2)])
+    h1 = lenard_step(state)
+    assert functional_eq(h1, LocalFunctional(u1 * u2 - u2 * u2xx / 2))
+    assert state.gradients[1] == [u2, u1 - u2xx]
+    assert "degrees [1, 1]" in state.certificates[0].kernel_note
+
+
+_ONE2 = ScalarDiffOp.identity(ALG2)
+
+
+@pytest.mark.parametrize("Hs, op, reason", [
+    (H, MatDiffOp.scalar(ScalarDiffOp(ALG, {3: ALG.one, 1: ALG.one})),
+     "pivot is not a single d-power"),
+    (H2, MatDiffOp(ALG2, [[_D1, _ONE2], [-_ONE2, _D1]]),
+     "pivot is not a single d-power"),
+    (H2, MatDiffOp(ALG2, [[_D1, _D1], [_D1, _D1]]), "K is singular")])
+def test_unsupported_k_reasons(Hs, op, reason):
+    """d^3 + d, and [[d, 1], [-1, d]] whose triangular form ends in
+    -1 - d^2, wait for a solver of L y = r; [[d, d], [d, d]] is
+    singular."""
+    seed = LocalFunctional(Hs.alg.jet(1) ** 2)
+    state = HierarchyState(Hs, LambdaBracketStruct(op), [seed])
+    with pytest.raises(UnsupportedK, match=reason):
+        lenard_step(state)
 
 
 def test_incompatible_pair_rejected():
