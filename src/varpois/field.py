@@ -5,8 +5,8 @@ Every element is stored in the lowest of three tiers that can hold it:
 
 - RAT: a plain rational, a ``zpoly.Rational``;
 - POLY: a polynomial in x and the parameters that is not a plain rational,
-  stored as P/m: P in Z[x, params] (a ``zpoly.Poly``) and m >= 1 an int
-  with gcd(content P, m) = 1;
+  stored as P/m: P in Z[x, params] and m >= 1 an int with gcd(content P,
+  m) = 1;
 - FRAC: a fraction whose denominator is not a plain rational, stored as a
   pair numer/denom in Z[x, params], coprime, of joint content 1, with a
   positive leading coefficient below (the canonical form of sympy's
@@ -30,11 +30,19 @@ factor: the content that fraction-free elimination removes.
 
 The arithmetic under the tiers is the package's own (``zpoly``), so no
 computation imports sympy; ``FieldElem.f`` converts a value to sympy's
-Q(x, params) for reading it with sympy, and imports sympy when called.  The
-gcds, cancellations and exact divisions go through four kernels (``_cancel``,
-``_gcd``, ``_lcm`` and ``zpoly.divrem``): in a ring with the one generator x
-(F = Q(x), no further variables) they run on dense coefficient lists, in any
-other ring on the sparse terms.
+Q(x, params) for reading it with sympy, and imports sympy when called.  How
+a polynomial is stored follows the number of generators.  On F = Q(x),
+with no parameters, every polynomial (the P of a POLY value, numer and
+denom of a FRAC value) is a dense list of the int coefficients of x
+(``zpoly._Dense``); with parameters it is a dict of sparse terms
+(``zpoly.Poly``).  Both answer the same methods, so the tiers below never
+ask which.  The gcds, cancellations and exact divisions go through four
+kernels (``_cancel``, ``_gcd``, ``_lcm`` and ``zpoly.divrem``), which run
+on the coefficient lists or on the terms by the type of their operands.
+Only the readers that need terms (``FieldElem.f``, printing,
+``x_coefficients``) and the passage of a value into and out of the ring
+with jets of ``_primitive_parts``, which is sparse, convert a dense
+polynomial.
 
 The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
 arithmetic over C = Q(params) of its own: it splits the denominator with
@@ -51,7 +59,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .linsolve import gauss_solve
-from .zpoly import Poly, cofactors, content, divrem, ground, nvars
+from .zpoly import Poly, _dense, _sparse, cofactors, divrem, ground
 from .zpoly import Rational as _Q
 
 RAT, POLY, FRAC = range(3)
@@ -112,9 +120,9 @@ class CoefficientField:
         ps = ",".join(self.params)
         return f"CoefficientField(x{',' if ps else ''}{ps})"
 
-    def _gen(self, i: int) -> Poly:
+    def _gen(self, i: int):
         """Generator i of Z[x, params] (0 is x)."""
-        return Poly({self._zm[:i] + (1,) + self._zm[i + 1:]: 1})
+        return _from_terms(self, {self._zm[:i] + (1,) + self._zm[i + 1:]: 1})
 
     def param(self, name: str) -> "FieldElem":
         return FieldElem(self, POLY, _ZPoly(
@@ -134,20 +142,31 @@ class CoefficientField:
         raise TypeError(f"cannot coerce {type(v).__name__} into {self!r}")
 
 
+def _terms(field: CoefficientField, P) -> dict:
+    """{exponent tuple: int} of a polynomial of the field's ring, for the
+    readers that need terms."""
+    return P if field.params else _sparse(P)
+
+
+def _from_terms(field: CoefficientField, terms: dict):
+    """The polynomial of the field's ring with the given terms."""
+    return Poly(terms) if field.params else _dense(terms)
+
+
 # -- gcd kernels over Z ---------------------------------------------------------
 #
 # Every polynomial gcd, cancellation and exact division of this module runs
-# through these, on ``zpoly``: GCDHEU on the primitive parts, on dense
-# coefficient lists in a ring with the one generator x and on the sparse
-# terms with more, and a primitive PRS where the heuristic fails.  A gcd over
-# Z is unique up to sign, so the canonical forms below do not depend on the
-# path.
+# through these, on ``zpoly``: GCDHEU on the primitive parts, on the
+# coefficient lists of a ``_Dense`` operand (one generator) and on the sparse
+# terms of a ``Poly``, and a primitive PRS where the heuristic fails.  A gcd
+# over Z is unique up to sign, so the canonical forms below do not depend on
+# the path.
 
 def _cancel(num, den) -> tuple:
     """num/den over Z in canonical form: coprime, of joint content 1, with
     a positive leading coefficient below (den != 0)."""
     if not num:
-        return num, ground(nvars(den), 1)
+        return num, den ** 0
     _, p, q = cofactors(num, den)
     if q.LC < 0:
         p, q = -p, -q
@@ -227,19 +246,16 @@ class _Frac:
 def _poly(field: CoefficientField, P, m: int = 1) -> "FieldElem":
     """P/m in its lowest tier, for P in Z[x, params] and m >= 1 with
     gcd(content P, m) = 1."""
-    if len(P) != 1:
-        return FieldElem(field, POLY, _ZPoly(P, m)) if P else field.zero
-    c = P.get(field._zm)
-    if c is None:
+    if not P.is_ground:
         return FieldElem(field, POLY, _ZPoly(P, m))
-    return FieldElem(field, RAT, _Q(c, m))
+    return FieldElem(field, RAT, _Q(P.LC, m)) if P else field.zero
 
 
 def _reduced(field: CoefficientField, P, m: int) -> "FieldElem":
     """P/m in its lowest tier, for P in Z[x, params] and an int m >= 1: the
     integer gcd stops at the first 1, and does not run when m = 1."""
     if m != 1 and P:
-        g = content(P.values(), m)
+        g = P.content(m)
         if g != 1:
             P, m = P.quo_ground(g), m // g
     return _poly(field, P, m)
@@ -258,10 +274,8 @@ def _zz_parts(field: CoefficientField, k, v) -> tuple:
 
 def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
     """num/den, already in canonical form over Z, in its lowest tier."""
-    if len(den) == 1:
-        c = den.get(field._zm)
-        if c is not None:
-            return _poly(field, num, c)
+    if den.is_ground:
+        return _poly(field, num, den.LC)
     return FieldElem(field, FRAC, _Frac(num, den))
 
 
@@ -269,10 +283,10 @@ def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
     """num/den for num, den in Z[x, params] with no common polynomial
     factor: only the integer content and the sign need normalizing, no gcd
     of polynomials."""
-    if len(den) == 1 and field._zm in den:
-        c = den[field._zm]
+    if den.is_ground:
+        c = den.LC
         return _reduced(field, -num, -c) if c < 0 else _reduced(field, num, c)
-    g = content(chain(num.values(), den.values()))
+    g = den.content(num.content())
     if g != 1:
         num, den = num.quo_ground(g), den.quo_ground(g)
     if den.LC < 0:
@@ -285,14 +299,9 @@ def _poly_plus_rat(field, a: _ZPoly, q) -> "FieldElem":
     if not q:
         return FieldElem(field, POLY, a)
     l = lcm(a.m, q.denominator)
-    P = Poly(a.P) if l == a.m else a.P.mul_ground(l // a.m)
-    zm = field._zm
-    c = P.get(zm, 0) + q.numerator * (l // q.denominator)
-    if c:
-        P[zm] = c
-    else:
-        del P[zm]
-    return _reduced(field, P, l)
+    P = a.P if l == a.m else a.P.mul_ground(l // a.m)
+    c = ground(len(field._zm), q.numerator * (l // q.denominator))
+    return _reduced(field, P + c, l)
 
 
 def _poly_plus_poly(field, a: _ZPoly, b: _ZPoly) -> "FieldElem":
@@ -401,7 +410,8 @@ class FieldElem:
         over Q, for reading values with sympy; this imports sympy."""
         field = self.field
         K = _sympy_field(("x",) + field.params)
-        num, den = (K.ring.from_dict({m: K.domain(c) for m, c in p.items()})
+        num, den = (K.ring.from_dict({m: K.domain(c) for m, c in
+                                      _terms(field, p).items()})
                     for p in _zz_parts(field, self._k, self._v))
         return K.raw_new(num, den)
 
@@ -511,9 +521,8 @@ class FieldElem:
         if self._k == RAT:
             return True
         if self._k == POLY:
-            return all(m[0] == 0 for m in self._v.P)
-        return all(m[0] == 0 for m in self._v.numer) and \
-            all(m[0] == 0 for m in self._v.denom)
+            return self._v.P.degree(0) == 0
+        return self._v.numer.degree(0) == 0 == self._v.denom.degree(0)
 
     def is_rational_number(self) -> bool:
         """True iff a plain rational (free of x and of all parameters)."""
@@ -530,9 +539,9 @@ class FieldElem:
 
 # -- printing ----------------------------------------------------------------
 
-def _format_poly(field: CoefficientField, p) -> str:
-    """A polynomial {exponent tuple: coefficient} of Z[x, params], terms by
-    descending exponent tuple."""
+def _format_poly(field: CoefficientField, p: dict) -> str:
+    """The terms {exponent tuple: coefficient} of a polynomial of Z[x,
+    params], by descending exponent tuple."""
     names = ("x",) + field.params
     terms = sorted(p.items(), reverse=True)
     if not terms:
@@ -561,7 +570,7 @@ def _format_poly(field: CoefficientField, p) -> str:
 
 
 def format_field_elem(v: FieldElem) -> str:
-    num, den = _zz_parts(v.field, v._k, v._v)
+    num, den = (_terms(v.field, p) for p in _zz_parts(v.field, v._k, v._v))
     ns = _format_poly(v.field, num)
     if den == {v.field._zm: 1}:
         return ns
@@ -586,9 +595,9 @@ def x_coefficients(v: FieldElem) -> dict:
         raise ValueError(f"{v} is not a polynomial")
     P, m = v._v.P, v._v.m
     buckets: dict = {}
-    for mono, coeff in P.items():
+    for mono, coeff in _terms(v.field, P).items():
         buckets.setdefault(mono[0], {})[(0,) + mono[1:]] = coeff
-    return {k: _reduced(v.field, Poly(terms), m)
+    return {k: _reduced(v.field, _from_terms(v.field, terms), m)
             for k, terms in buckets.items()}
 
 
@@ -683,7 +692,7 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
                  for P, m, quo, divisor in flat]
     num, den = 0, 1
     for Q, m in quotients:
-        c = content(Q.values())
+        c = Q.content()
         d = gcd(c, m)
         num, den = gcd(num, c // d), lcm(den, m // d)
     parts = []
@@ -707,7 +716,7 @@ def _rational_parts(field: CoefficientField, polys: list) -> tuple:
             if c._k == RAT:
                 num, b = gcd(num, c._v.numerator), c._v.denominator
             else:
-                num, b = content(c._v.P.values(), num), c._v.m
+                num, b = c._v.P.content(num), c._v.m
             if b != 1:
                 den = lcm(den, b)
     if num == den == 1:
@@ -722,7 +731,13 @@ def _rational_parts(field: CoefficientField, polys: list) -> tuple:
 def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
     """(P, m) with p = P/m: P in Z[x, params] with the extra generators of
     `slots` (variable -> index) after x, params, and m the lcm of the
-    denominators of the coefficients of p."""
+    denominators of the coefficients of p.  With no extra generator p is
+    {(): c}, and P/m is c in the field's own ring."""
+    if not slots:
+        c = p[()]
+        if c._k == RAT:
+            return ground(len(field._zm), c._v.numerator), c._v.denominator
+        return c._v.P, c._v.m
     m = 1
     for c in p.values():
         m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
@@ -737,7 +752,7 @@ def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
             out[field._zm + tail] = c._v.numerator * (m // c._v.denominator)
             continue
         k = m // c._v.m
-        for fm, a in c._v.P.items():
+        for fm, a in _terms(field, c._v.P).items():
             out[fm + tail] = a * k
     return Poly(out), m
 
@@ -745,12 +760,14 @@ def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
 def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
     """The dict {mono: c} of P/m, for P in Z[x, params] with the extra
     generators `names` after x, params."""
+    if not names:
+        return {(): _reduced(field, P, m)}
     k = len(field._zm)
     grouped: dict = {}
     for exps, c in P.items():
         grouped.setdefault(exps[k:], {})[exps[:k]] = c
     return {tuple((v, e) for v, e in zip(names, tail) if e):
-            _reduced(field, Poly(terms), m)
+            _reduced(field, _from_terms(field, terms), m)
             for tail, terms in grouped.items()}
 
 

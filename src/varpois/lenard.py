@@ -51,7 +51,10 @@ class StepCertificate:
 
 class HierarchyState:
     """Densities produced so far, with their certificates and their
-    variational gradients (gradients[n] = delta h_n / delta u)."""
+    variational gradients (gradients[n] = delta h_n / delta u).
+
+    Privately it keeps row_echelon(K.op), computed at the first step, and
+    the images S(d) g_n computed so far, so each is computed once."""
 
     def __init__(self, H: LambdaBracketStruct, K: LambdaBracketStruct,
                  densities: Sequence[LocalFunctional],
@@ -62,29 +65,41 @@ class HierarchyState:
         self.gradients = [list(variational_derivative(h.representative))
                           for h in self.densities]
         self.certificates = list(certificates or [])
+        self._echelon = None
+        self._images = {}
 
     @property
     def alg(self) -> DiffAlgebra:
         return self.H.alg
 
+    def _image(self, S: LambdaBracketStruct, n: int) -> list:
+        """S(d) g_n for S one of H and K."""
+        key = (S is self.K, n)
+        if key not in self._images:
+            self._images[key] = S.op.apply(self.gradients[n])
+        return self._images[key]
+
     def __repr__(self):
         return f"HierarchyState({len(self.densities)} densities)"
 
 
-def _invert_k_on(K: LambdaBracketStruct, F: Sequence[DiffPoly]):
+def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]):
     """Solve K(d) G = F for G in V^l; integration constants are fixed to
     zero and the kernel ambiguity is reported in the certificate note.
 
     row_echelon brings K to an upper triangular U by row operations that
-    are invertible over F[d]; replayed on F they turn K G = F into
-    U G = F' with the same solutions.  Each pivot must be a single power
-    c d^m, so the rows are solved from the last one up:
+    are invertible over F[d], once per state; replayed on F they turn
+    K G = F into U G = F' with the same solutions.  Each pivot must be a
+    single power c d^m, so the rows are solved from the last one up:
     g_j = int^m (f'_j - sum_(t>j) U_jt g_t) / c.  Raises UnsupportedK for
     a K that is not quasiconstant, is singular, or has another pivot.
     """
+    K = state.K
     if not K.op.is_quasiconstant():
         raise UnsupportedK("only quasiconstant K is invertible here")
-    U, ops = row_echelon(K.op)
+    if state._echelon is None:
+        state._echelon = row_echelon(K.op)
+    U, ops = state._echelon
     f = list(F)
     for op in ops:
         if op[0] == "swap":
@@ -132,10 +147,11 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
     carry the residual witness.  A reconstructed density that fails the
     recursion raises InvariantViolation and is not added to the state.
     The gradient of h_(n+1), computed for the certificate, is kept on the
-    state for the next step and for verify_involution.
+    state for the next step and for verify_involution, and so are the
+    images H g_n and K g_(n+1).
     """
-    F = state.H.op.apply(state.gradients[-1])
-    G, kernel_note = _invert_k_on(state.K, F)
+    F = state._image(state.H, len(state.gradients) - 1)
+    G, kernel_note = _invert_k_on(state, F)
     try:
         h_next = LocalFunctional(reconstruct_density(G))
     except NotExact as exc:
@@ -151,6 +167,7 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
             "recursion identity failed after reconstruction")
     state.densities.append(h_next)
     state.gradients.append(new_grad)
+    state._images[(True, len(state.gradients) - 1)] = lhs
     state.certificates.append(StepCertificate(len(state.densities) - 1, True,
                                               kernel_note))
     return h_next
@@ -189,21 +206,15 @@ def verify_involution(state: HierarchyState) -> list:
     = -{h_m, h_m}_H = 0.  Every index used stays in [s, e], so the lemma
     holds on any such run.  Only the pairs across a broken link are
     zero-tested, by integration by parts; each image H g_n and K g_n is
-    computed at most once, when first needed.
+    computed at most once per state, when first needed, and lenard_step
+    has computed H g_n and K g_(n+1) already.
     """
     for name, S in (("H", state.H), ("K", state.K)):
         _require_skewadjoint(name, S)
     alg = state.alg
     grads = state.gradients
     n = len(grads)
-    images = {}
-
-    def image(S, m):
-        key = (S is state.K, m)
-        if key not in images:
-            images[key] = S.op.apply(grads[m])
-        return images[key]
-
+    image = state._image
     run = [0] * n  # run[m]: the first index of m's run of exact links
     for m in range(1, n):
         exact = image(state.K, m) == image(state.H, m - 1)

@@ -138,13 +138,40 @@ def is_totally_skewsymmetric(P: KDiffOp) -> bool:
 
 
 def total_skewsymmetrize(P: KDiffOp) -> KDiffOp:
-    """<P>^- = (1/(k+1)!) sum_sigma sign(sigma) P^sigma."""
+    """<P>^- = (1/(k+1)!) sum_sigma sign(sigma) P^sigma, summed by cosets of
+    S_k (the permutations fixing 0), with one substitution in all.
+
+    Let A = (1/k!) sum_(s in S_k) sign(s) P^s, the S_k-antisymmetrization
+    of P: relabelings only, and A = P when P is skewsymmetric.  With
+    tau_b = (0 b) (tau_0 = 1), every sigma is tau_b s for b = sigma(0)
+    and s = tau_b sigma in S_k, uniquely, and sign(tau_b s) = -sign(s) for
+    b >= 1.  As P^(tau s) = (P^s)^tau and the action is linear,
+
+        sum_sigma sign(sigma) P^sigma = k! (A - sum_(a>=1) A^tau_a),
+
+    so <P>^- = (A - sum_a A^tau_a)/(k+1).  For a >= 2, tau_a =
+    (1 a) tau_1 (1 a), so A^tau_a = ((A^(1 a))^tau_1)^(1 a), and
+    A^(1 a) = -A because (1 a) is an odd element of S_k.  Hence
+    A^tau_a = -(A^tau_1)^(1 a): one substitution (tau_1) and k - 1
+    relabelings take the place of the k * k! substitutions of the full sum.
+    """
     k = P.k
-    out = KDiffOp(P.alg, k)
-    for sigma in itertools.permutations(range(k + 1)):
-        t = sigma_action(P, sigma)
-        out = out + (t if _perm_sign(sigma) > 0 else -t)
-    return out.scale(Fraction(1, math.factorial(k + 1)))
+    if k == 0:
+        return P.scale(1)  # S_1 is trivial; a new array, as for k >= 1
+    A = P
+    if not is_skewsymmetric(P):
+        A = KDiffOp(P.alg, k)
+        for s in itertools.permutations(range(1, k + 1)):
+            t = _sk_action(P, (0,) + s)
+            A = A + (t if _perm_sign((0,) + s) > 0 else -t)
+        A = A.scale(Fraction(1, math.factorial(k)))
+    T = _tau_action(A, 1)
+    out = A - T
+    for a in range(2, k + 1):
+        swap = list(range(k + 1))
+        swap[1], swap[a] = a, 1
+        out = out + _sk_action(T, swap)
+    return out.scale(Fraction(1, k + 1))
 
 
 def module_action(K: MatDiffOp, P: KDiffOp) -> KDiffOp:

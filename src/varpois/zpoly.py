@@ -5,18 +5,23 @@ polynomials over Z in any number of generators with their gcds.
   arithmetic is the gcd-normalized one of sympy's pure-Python ``PythonMPQ``
   (no float paths), and it hashes and compares equal as
   ``fractions.Fraction`` does.
-- ``Poly``: a polynomial of Z[x_0, ..., x_(n-1)], a dict {exponent tuple:
-  nonzero int}.  Terms are ordered lex by their exponent tuples, as in
-  sympy's default ring, so ``LC`` is the coefficient of the largest tuple.
-  A ``Poly`` is mutable (its items can be set and deleted) and hashes by
-  its terms, so hash it only once it is built.
+- ``Poly``: a polynomial of Z[x_0, ..., x_(n-1)], n >= 2, a dict {exponent
+  tuple: nonzero int}.  Terms are ordered lex by their exponent tuples, as
+  in sympy's default ring, so ``LC`` is the coefficient of the largest
+  tuple.  A ``Poly`` is mutable (its items can be set and deleted) and
+  hashes by its terms, so hash it only once it is built.
+- ``_Dense``: a polynomial of Z[x], one generator, as the tuple of its
+  coefficients, highest degree first.  It has ``Poly``'s arithmetic and
+  readers under the same names, so a caller treats both alike; ``ground(1,
+  c)`` is dense.  ``_dense`` and ``_sparse`` convert between the two forms
+  for readers that need terms.
 - ``cofactors(f, g)``: (h, f/h, g/h) with h = gcd(f, g) over Z, by GCDHEU
   (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the primitive
-  parts.  With one generator it runs on dense coefficient lists.  With more,
-  a one-term operand is settled by the monomial gcd; otherwise GCDHEU sets
-  x_0 to an integer and recurses through ``cofactors`` on the images, so
-  images in one generator run on the dense lists.  h has a positive leading
-  coefficient, except where GCDHEU finds h as a quotient by an
+  parts.  On ``_Dense`` operands it runs on the coefficients.  On ``Poly``
+  operands a one-term operand is settled by the monomial gcd; otherwise
+  GCDHEU sets x_0 to an integer and recurses through ``cofactors`` on the
+  images, so images in one generator are ``_Dense``.  h has a positive
+  leading coefficient, except where GCDHEU finds h as a quotient by an
   interpolated cofactor.  Where the heuristic fails ``HEU_GCD_MAX`` times
   on a polynomial, a primitive PRS over Z[x_1, ...][x_0] gives its h with
   a positive leading coefficient.
@@ -161,13 +166,17 @@ def nvars(p) -> int:
     return len(next(iter(p)))
 
 
-def ground(n: int, c: int) -> "Poly":
-    """The constant c in n generators."""
+def ground(n: int, c: int):
+    """The constant c in n generators: a ``_Dense`` for one."""
+    if n == 1:
+        return _Dense((c,) if c else ())
     return Poly({(0,) * n: c}) if c else Poly()
 
 
 class Poly(dict):
-    """A polynomial of Z[x_0, ..., x_(n-1)]: {exponent tuple: nonzero int}."""
+    """A polynomial of Z[x_0, ..., x_(n-1)]: {exponent tuple: nonzero int}.
+    Polynomials in one generator are ``_Dense``; a ``Poly`` in fewer than
+    two generators is only built inside the PRS fallback."""
 
     __slots__ = ()
 
@@ -219,7 +228,7 @@ class Poly(dict):
 
     def __pow__(self, n: int):
         if n <= 1:
-            return Poly(self) if n else ground(nvars(self), 1)
+            return Poly(self) if n else Poly({(0,) * nvars(self): 1})
         if len(self) == 1:
             (m, c), = self.items()
             return Poly({tuple(e * n for e in m): c ** n})
@@ -270,6 +279,10 @@ class Poly(dict):
         """True for a constant, zero included."""
         return not self or len(self) == 1 and not any(next(iter(self)))
 
+    def content(self, g: int = 0) -> int:
+        """The gcd of g and the coefficients."""
+        return content(self.values(), g)
+
 
 def content(values, g: int = 0) -> int:
     """The gcd of g and the integers `values`, stopping at the first 1."""
@@ -282,7 +295,7 @@ def content(values, g: int = 0) -> int:
 
 def _primitive(p):
     """p over its positive integer content."""
-    c = content(p.values()) if p else 1
+    c = p.content() if p else 1
     return p if c == 1 else p.quo_ground(c)
 
 
@@ -315,19 +328,24 @@ def _sparse_divrem(P, g) -> tuple:
 
 def divrem(P, g) -> tuple:
     """(q, r) with P = q g + r over Z for g != 0; r = 0 exactly when g
-    divides P.  One generator: dense division as sympy's ``dup_rr_div``."""
+    divides P.  ``_Dense``: division as sympy's ``dup_rr_div``."""
     if not P:
-        return Poly(), Poly()
-    if nvars(g) != 1:
-        return _sparse_divrem(P, g)
-    q, r = _dup_div(_dense(P), _dense(g))
-    return _sparse(q), _sparse(r)
+        return type(P)(), type(P)()
+    if type(g) is _Dense:
+        return _dup_div(P, g)
+    return _sparse_divrem(P, g)
 
 
 # -- sparse GCDHEU ---------------------------------------------------------------
 
 def _evaluate(p, x: int):
-    """p with generator 0 set to x: a polynomial in the others."""
+    """p with generator 0 set to x: a polynomial in the others, a
+    ``_Dense`` when one is left."""
+    if nvars(p) == 2:
+        coeffs = [0] * (p.degree(1) + 1)
+        for (e, k), c in p.items():
+            coeffs[-1 - k] += c * x ** e
+        return _strip(coeffs)
     out = Poly()
     for m, c in p.items():
         rest = m[1:]
@@ -344,6 +362,13 @@ def _interpolate(h, x: int):
     residues base x, are the digits of h (a polynomial in the generators
     after x_0), with a positive leading coefficient."""
     f, i = Poly(), 0
+    if type(h) is _Dense:  # the digits of each coefficient of x_1^k
+        top = len(h) - 1
+        for j, c in enumerate(h):
+            for i, a in enumerate(reversed(_dup_interpolate(c, x))):
+                if a:
+                    f[(i, top - j)] = a
+        return -f if f.LC < 0 else f
     half = x // 2
     while h:
         g = Poly()
@@ -365,7 +390,7 @@ def _heugcd(f, g) -> tuple:
     g: evaluate x_0 at a large integer, take the cofactors of the images
     (through ``cofactors``, so images in one generator run on dense lists),
     interpolate, and keep the first candidate that divides both."""
-    cont = content(g.values(), content(f.values()))
+    cont = g.content(f.content())
     if cont != 1:
         f, g = f.quo_ground(cont), g.quo_ground(cont)
     f_norm = max(map(abs, f.values()))
@@ -439,7 +464,7 @@ def _gcd_list(polys):
     leading coefficient."""
     h = polys[0]
     for p in polys[1:]:
-        if h.is_ground and content(h.values()) == 1:
+        if h.is_ground and h.content() == 1:
             break
         h = _prs_gcd(h, p)
     return -h if h.LC < 0 else h
@@ -455,12 +480,13 @@ def _split_content(coeffs: list) -> tuple:
 def _prem(F: list, G: list) -> list:
     """F times a power of lc(G), reduced modulo G: a pseudo-remainder with
     the power left out, which changes only the content.  Coefficient lists
-    in x_0, highest first."""
+    in x_0, highest first; the coefficients are polynomials, or ints for
+    ``_dup_prs_gcd``."""
     lc = G[0]
     r = F
     while len(r) >= len(G):
         lr = r[0]
-        shifted = [a * lr for a in G] + [Poly()] * (len(r) - len(G))
+        shifted = [a * lr for a in G] + [type(lr)()] * (len(r) - len(G))
         r = [a * lc - b for a, b in zip(r, shifted)]
         while r and not r[0]:
             r.pop(0)
@@ -486,46 +512,117 @@ def _prs_gcd(f, g):
             break  # G divides F: the primitive parts have the gcd G
         F, G = G, _split_content(R)[1]
     else:
-        G = [ground(n - 1, 1)]  # a remainder free of x_0: coprime parts
+        G = [Poly({(0,) * (n - 1): 1})]  # a remainder free of x_0: coprime
     h = _from_x0([a * c for a in G])
     return -h if h.LC < 0 else h
 
 
 # -- dense one-generator polynomials ---------------------------------------------
-#
-# A list of ints, highest degree first, no leading zero; [] is zero.
 
-def _dense(p) -> list:
+class _Dense(tuple):
+    """A polynomial of Z[x]: its int coefficients, highest degree first,
+    with no leading zero; () is zero.  Immutable, with ``Poly``'s methods
+    under the same names (the generator index they take is always 0)."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return _Dense([-a for a in self])
+
+    def __add__(self, other):
+        if len(self) < len(other):
+            self, other = other, self
+        k = len(self) - len(other)
+        out = list(self)
+        for i, b in enumerate(other, k):
+            out[i] += b
+        return _Dense(out) if k else _strip(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if len(self) < len(other):
+            self, other = other, self
+        if len(other) <= 1:
+            return self.mul_ground(other[0]) if other else other
+        out = [0] * (len(self) + len(other) - 1)
+        for i, b in enumerate(other):
+            if b:
+                for j, a in enumerate(self, i):
+                    out[j] += a * b
+        return _Dense(out)
+
+    __rmul__ = __mul__  # not tuple repetition: an int operand raises
+
+    def __pow__(self, n: int):
+        out, base = _Dense((1,)), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def mul_ground(self, k: int) -> "_Dense":
+        return _Dense([a * k for a in self]) if k else _Dense()
+
+    def quo_ground(self, k: int) -> "_Dense":
+        """The exact quotient by an int k that divides every coefficient."""
+        return _Dense([a // k for a in self])
+
+    def diff(self, i: int) -> "_Dense":
+        n = len(self) - 1
+        return _Dense([a * (n - j) for j, a in enumerate(self[:-1])])
+
+    def degree(self, i: int) -> int:
+        return len(self) - 1
+
+    @property
+    def LC(self) -> int:
+        return self[0] if self else 0
+
+    @property
+    def is_ground(self) -> bool:
+        return len(self) < 2
+
+    def content(self, g: int = 0) -> int:
+        return content(self, g)
+
+
+def _dense(p) -> _Dense:
+    """The ``_Dense`` of the terms {(k,): c} of a one-generator polynomial."""
     if not p:
-        return []
+        return _Dense()
     n = max(p)[0]
     out = [0] * (n + 1)
     for (k,), c in p.items():
         out[n - k] = c
-    return out
+    return _Dense(out)
 
 
-def _sparse(f: list):
-    """The Poly of a dense list, terms by ascending degree (the order of
-    sympy's ``dup_to_dict``)."""
+def _sparse(f) -> Poly:
+    """The terms of a ``_Dense`` as a ``Poly`` in one generator, by
+    ascending degree (the order of sympy's ``dup_to_dict``)."""
     n = len(f) - 1
     return Poly({(k,): f[n - k] for k in range(n + 1) if f[n - k]})
 
 
-def _strip(f: list) -> list:
+def _strip(f: list) -> _Dense:
     k = 0
     while k < len(f) and not f[k]:
         k += 1
-    return f[k:]
+    return _Dense(f[k:] if k else f)
 
 
-def _dup_div(f: list, g: list) -> tuple:
+def _dup_div(f, g) -> tuple:
     """(q, r) with f = q g + r, as sympy's ``dup_rr_div``: the leading
     coefficients of f are divided out, one degree at a time, while lc(g)
     divides them."""
     steps = len(f) - len(g) + 1
     if steps <= 0:
-        return [], f
+        return _Dense(), f
     lc, tail = g[0], g[1:]
     r = list(f)
     q = []
@@ -542,19 +639,19 @@ def _dup_div(f: list, g: list) -> tuple:
     return _strip(q + [0] * (steps - len(q))), _strip(r[i:])
 
 
-def _dup_primitive(f: list) -> list:
+def _dup_primitive(f: _Dense) -> _Dense:
     c = content(f)
-    return f if c in (0, 1) else [a // c for a in f]
+    return f if c in (0, 1) else f.quo_ground(c)
 
 
-def _dup_eval(f: list, x: int) -> int:
+def _dup_eval(f, x: int) -> int:
     out = 0
     for c in f:
         out = out * x + c
     return out
 
 
-def _dup_interpolate(h: int, x: int) -> list:
+def _dup_interpolate(h: int, x: int) -> _Dense:
     f = []
     half = x // 2
     while h:
@@ -564,17 +661,17 @@ def _dup_interpolate(h: int, x: int) -> list:
         f.append(g)
         h = (h - g) // x
     f.reverse()
-    return f
+    return _Dense(f)
 
 
-def _dup_heu_gcd(f: list, g: list) -> tuple:
-    """GCDHEU on dense lists for nonzero f, g: (h, f/h, g/h)."""
+def _dup_heu_gcd(f: _Dense, g: _Dense) -> tuple:
+    """GCDHEU on the coefficients of nonzero f, g: (h, f/h, g/h)."""
     df, dg = len(f) - 1, len(g) - 1
     cont = content(g, content(f))
     if cont != 1:
-        f, g = [a // cont for a in f], [a // cont for a in g]
+        f, g = f.quo_ground(cont), g.quo_ground(cont)
     if df == 0 or dg == 0:
-        return [cont], f, g
+        return _Dense((cont,)), f, g
     f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
     B = 2 * min(f_norm, g_norm) + 29
     x = max(min(B, 99 * isqrt(B)),
@@ -589,21 +686,38 @@ def _dup_heu_gcd(f: list, g: list) -> tuple:
             if not r:
                 cfg_, r = _dup_div(g, h)
                 if not r:
-                    return [a * cont for a in h], cff_, cfg_
+                    return h.mul_ground(cont), cff_, cfg_
             cff = _dup_interpolate(cff, x)
             h, r = _dup_div(f, cff)
             if not r:
                 cfg_, r = _dup_div(g, h)
                 if not r:
-                    return [a * cont for a in h], cff, cfg_
+                    return h.mul_ground(cont), cff, cfg_
             cfg = _dup_interpolate(cfg, x)
             h, r = _dup_div(g, cfg)
             if not r:
                 cff_, r = _dup_div(f, h)
                 if not r:
-                    return [a * cont for a in h], cff_, cfg
+                    return h.mul_ground(cont), cff_, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     raise _HeuristicGCDFailed
+
+
+def _dup_prs_gcd(f: _Dense, g: _Dense) -> _Dense:
+    """gcd(f, g) for nonzero f, g, with a positive leading coefficient: the
+    primitive PRS of ``_prs_gcd``, whose contents here are ints."""
+    c = gcd(content(f), content(g))
+    F, G = _dup_primitive(f), _dup_primitive(g)
+    if len(F) < len(G):
+        F, G = G, F
+    while len(G) > 1:
+        R = _prem(list(F), list(G))
+        if not R:
+            break  # G divides F: the primitive parts have the gcd G
+        F, G = G, _dup_primitive(_Dense(R))
+    else:
+        G = _Dense((1,))  # a constant remainder: coprime parts
+    return G.mul_ground(c if G[0] > 0 else -c)
 
 
 # -- the entry point ---------------------------------------------------------------
@@ -614,17 +728,17 @@ def cofactors(f, g) -> tuple:
     give zeros)."""
     if not f or not g:
         if not f and not g:
-            return Poly(), Poly(), Poly()
+            return type(f)(), type(f)(), type(f)()
         p = g if not f else f
-        n = nvars(p)
         s = -1 if p.LC < 0 else 1
-        h, unit = p.mul_ground(s), ground(n, s)
-        return (h, Poly(), unit) if not f else (h, unit, Poly())
-    if nvars(f) == 1:
+        h, unit = p.mul_ground(s), (p ** 0).mul_ground(s)
+        return (h, type(p)(), unit) if not f else (h, unit, type(p)())
+    if type(f) is _Dense:
         try:
-            return tuple(map(_sparse, _dup_heu_gcd(_dense(f), _dense(g))))
+            return _dup_heu_gcd(f, g)
         except _HeuristicGCDFailed:
             pass
+        h = _dup_prs_gcd(f, g)
     elif len(f) == 1:
         return _gcd_monom(f, g)
     elif len(g) == 1:
@@ -635,5 +749,5 @@ def cofactors(f, g) -> tuple:
             return _heugcd(f, g)
         except _HeuristicGCDFailed:
             pass
-    h = _prs_gcd(f, g)
+        h = _prs_gcd(f, g)
     return h, divrem(f, h)[0], divrem(g, h)[0]

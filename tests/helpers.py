@@ -1,16 +1,19 @@
 """Shared builders and seeded random generators for the test suite."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, LambdaPoly,
-                     LocalFunctional, MatDiffOp, ScalarDiffOp, SkewArray,
-                     antiderivative_in_v, ev_commutator, hamiltonian_vf,
-                     lambda_bracket, poisson_bracket, rational_antiderivative,
+from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
+                     LambdaPoly, LocalFunctional, MatDiffOp, ScalarDiffOp,
+                     SkewArray, antiderivative_in_v, ev_commutator,
+                     hamiltonian_vf, lambda_bracket, poisson_bracket,
+                     rational_antiderivative, sigma_action,
                      variational_derivative)
+from varpois.complexes import _perm_sign
 from varpois.diffalg import _exact_div
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
                             _simplify_coeff)
@@ -358,6 +361,17 @@ def x_degree(v: FieldElem) -> int:
     if v._k == POLY:
         return v._v.P.degree(0)
     return v._v.numer.degree(0) - v._v.denom.degree(0)
+
+
+def total_skewsymmetrize_reference(P):
+    """<P>^- = (1/(k+1)!) sum_sigma sign(sigma) P^sigma over all of
+    S_(k+1), one sigma_action each."""
+    k = P.k
+    out = KDiffOp(P.alg, k)
+    for sigma in itertools.permutations(range(k + 1)):
+        t = sigma_action(P, sigma)
+        out = out + (t if _perm_sign(sigma) > 0 else -t)
+    return out.scale(Fraction(1, math.factorial(k + 1)))
 
 
 def total_skewsymmetrize_shortcut(P):

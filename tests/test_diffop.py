@@ -814,3 +814,35 @@ def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
     assert not calls
     assert run(ALG) == over_q_of_x
     assert "heugcd" in calls and "div" in calls
+
+
+def test_no_value_of_q_of_x_is_built_on_a_poly(monkeypatch):
+    """Over Q(x) every POLY and FRAC value is built on dense coefficient
+    lists: an echelon3 elimination, a det_product composition and
+    determinant, a selfadjoint product space and a rational kernel build
+    no value of Q(x) on a Poly (over Q(c)(x) they all are)."""
+    from varpois.field import FRAC, POLY, FieldElem
+    built = {}
+    init = FieldElem.__init__
+
+    def recorded(self, field, kind, value):
+        if kind in (POLY, FRAC):
+            polys = (value.P,) if kind == POLY else (value.numer, value.denom)
+            built.setdefault(field.params, set()).update(map(type, polys))
+        init(self, field, kind, value)
+    monkeypatch.setattr(FieldElem, "__init__", recorded)
+    for alg in (DiffAlgebra(1), ALG):
+        rng = random.Random(5)
+        row_echelon(_benchmark_shaped(
+            alg, rng, ((2, 1, 0), (1, 2, 1), (0, 1, 2))))
+        A, B = (_benchmark_shaped(alg, rng, ((1, 0), (1, 1)))
+                for _ in range(2))
+        dieudonne_det(A.compose(B))
+        e = alg.from_scalar(alg.field.rational(-3, 2))
+        assert len(selfadjoint_product_space(
+            MatDiffOp(alg, [[ScalarDiffOp(alg, {3: e})]]))) == 3
+        z = ScalarDiffOp.zero(alg)
+        assert solve_rational(MatDiffOp(alg, [
+            [ScalarDiffOp(alg, {2: e}), z], [z, ScalarDiffOp(alg, {1: e})]])
+        ).dim == 3
+    assert built == {(): {zpoly._Dense}, ("c",): {Poly}}

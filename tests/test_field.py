@@ -264,7 +264,17 @@ ZZ_RINGS = {n: zz_ring(n) for n in (1, 2, 3, 4)}
 
 
 def to_sympy(p, n):
+    if type(p) is zpoly._Dense:
+        p = zpoly._sparse(p)
     return ZZ_RINGS[n].from_dict(dict(p))
+
+
+def stored_terms(v, p) -> dict:
+    """The terms of a polynomial stored by v's field, which is a dense
+    coefficient list exactly when the field has no parameters."""
+    want = Poly if v.field.params else zpoly._Dense
+    assert type(p) is want, (type(p), want)
+    return field_module._terms(v.field, p)
 
 
 def check_stored_over_zz(v):
@@ -273,9 +283,10 @@ def check_stored_over_zz(v):
     coefficient below."""
     num, den = v._v.numer, v._v.denom
     n = len(v.field.params) + 1
-    assert type(num) is type(den) is Poly
-    assert all(type(c) is int for c in chain(num.values(), den.values()))
-    assert reduce(gcd, chain(num.values(), den.values())) == 1, (num, den)
+    coeffs = list(chain(stored_terms(v, num).values(),
+                        stored_terms(v, den).values()))
+    assert all(type(c) is int for c in coeffs)
+    assert reduce(gcd, coeffs) == 1, (num, den)
     assert to_sympy(num, n).gcd(to_sympy(den, n)) == 1, (num, den)
     assert den.LC > 0, (num, den)
 
@@ -284,9 +295,10 @@ def check_poly_stored_over_zz(v):
     """A polynomial is stored as P/m: P with integer coefficients, m a
     positive int, gcd(content P, m) = 1."""
     P, m = v._v.P, v._v.m
-    assert type(P) is Poly and all(type(c) is int for c in P.values()), P
+    coeffs = stored_terms(v, P).values()
+    assert all(type(c) is int for c in coeffs), P
     assert type(m) is int and m >= 1, m
-    assert reduce(gcd, P.values(), m) == 1, (P, m)
+    assert reduce(gcd, coeffs, m) == 1, (P, m)
 
 
 def check_same(v, r):
@@ -475,6 +487,74 @@ def test_clear_denominators_counts_a_repeated_factor_once(F):
     assert D == 2 * x * (2 * x + 1)
 
 
+# -- dense storage on Q(x) against the sparse path -----------------------------
+
+def stored_form(v) -> tuple:
+    """(tier, stored value) with every polynomial read as its terms
+    {(i, j): c} of x^i c^j, so a value of Q(x) and its embedding in
+    Q(c)(x) compare directly."""
+    def terms(p):
+        return {m + (0,) * (2 - len(m)): c
+                for m, c in field_module._terms(v.field, p).items()}
+    if v._k == RAT:
+        return RAT, v._v
+    if v._k == POLY:
+        return POLY, terms(v._v.P), v._v.m
+    return FRAC, terms(v._v.numer), terms(v._v.denom)
+
+
+def check_dense_like_sparse(v, w, r):
+    """v over Q(x) is r and is stored as its embedding w in Q(c)(x) is,
+    with every polynomial a dense coefficient list, never a Poly."""
+    assert v.f == r
+    assert stored_form(v) == stored_form(w), (v, w)
+    if v._k == POLY:
+        assert type(v._v.P) is zpoly._Dense
+    elif v._k == FRAC:
+        assert type(v._v.numer) is type(v._v.denom) is zpoly._Dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ta=tiers, tb=tiers, n=st.integers(-2, 3))
+def test_dense_storage_matches_the_sparse_path(data, ta, tb, n):
+    """Every tier operation on random Q(x) values agrees with sympy and
+    stores what the same values embedded in Q(c)(x) store on the sparse
+    path: + - * /, pow, derive, x_coefficients, clear_denominators and
+    rational_antiderivative."""
+    (a, ra), (b, rb) = data.draw(tiered(C0, ta)), data.draw(tiered(C0, tb))
+    A, B = from_ref(ra, C1), from_ref(rb, C1)
+    check_dense_like_sparse(a, A, ra)
+    check_dense_like_sparse(b, B, rb)
+    check_dense_like_sparse(a + b, A + B, ra + rb)
+    check_dense_like_sparse(a - b, A - B, ra - rb)
+    check_dense_like_sparse(a * b, A * B, ra * rb)
+    check_dense_like_sparse(a.derive(), A.derive(), ra.diff(C0.gens[0]))
+    if rb:
+        check_dense_like_sparse(a / b, A / B, ra / rb)
+    if ra or n >= 0:
+        one = C0.ref.one
+        check_dense_like_sparse(a ** n, A ** n, one if n == 0 else ra ** n
+                                if n > 0 else one / ra ** -n)
+    if a._k != FRAC:
+        coeffs, Coeffs = x_coefficients(a), x_coefficients(A)
+        assert coeffs.keys() == Coeffs.keys()
+        total = C0.ref.zero
+        for k, c in coeffs.items():
+            check_dense_like_sparse(c, Coeffs[k], c.f)
+            total += c.f * C0.gens[0] ** k
+        assert total == ra
+    (D, cleared), (D1, cleared1) = (clear_denominators([a, b]),
+                                    clear_denominators([A, B]))
+    check_dense_like_sparse(D, D1, D.f)
+    for p, p1, r in zip(cleared, cleared1, (ra, rb)):
+        check_dense_like_sparse(p, p1, r * D.f)
+    anti, anti1 = rational_antiderivative(a), rational_antiderivative(A)
+    assert (anti is None) == (anti1 is None)
+    if anti is not None:
+        check_dense_like_sparse(anti, anti1, anti.f)
+        assert anti.f.diff(C0.gens[0]) == ra
+
+
 def test_rationals_use_only_the_ground_type_constructor(monkeypatch):
     """Rationals are built through the constructor Rational(p, q) that
     Fraction shares, and used only through the operators both have: with
@@ -609,7 +689,8 @@ def test_primitive_parts_are_coprime_with_content_one_jet_free(
 def z_polys(draw, n, max_terms=4, max_degree=3):
     """A polynomial of Z[x, ...] in n generators: zero, a constant, or a few
     terms of x-degree up to max_degree and degree up to 1 in each other
-    generator, with coefficients of either sign."""
+    generator, with coefficients of either sign; dense for n = 1, as the
+    field stores it."""
     exps = st.tuples(st.integers(0, max_degree),
                      *[st.integers(0, 1)] * (n - 1))
     p = Poly()
@@ -617,7 +698,7 @@ def z_polys(draw, n, max_terms=4, max_degree=3):
                               max_size=max_terms)):
         if c:
             p = p + Poly({m: c})
-    return p
+    return zpoly._dense(p) if n == 1 else p
 
 
 @st.composite
@@ -668,19 +749,20 @@ def check_kernels(n, a, b):
         assert to_sympy(_lcm(a, b), n) == sa * sb.exquo(h)
 
 
-X = Poly({(1,): 1})
+X = zpoly._Dense((1, 0))
 ONE = ground(1, 1)
+ZERO = ground(1, 0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(pair=z_pairs(1))
-@example(pair=(Poly(), X.mul_ground(2) + ONE))
+@example(pair=(ZERO, X.mul_ground(2) + ONE))
 @example(pair=(ground(1, 6), ground(1, -4)))
 @example(pair=((X ** 2).mul_ground(-6) + ground(1, 6),
                X.mul_ground(4) - ground(1, 4)))
 @example(pair=(((X + ONE) ** 2).mul_ground(3), (X + ONE).mul_ground(-9)))
 @example(pair=(X.mul_ground(2) + ground(1, 4), X.mul_ground(-2) - ground(1, 4)))
-@example(pair=(Poly(), Poly()))
+@example(pair=(ZERO, ZERO))
 def test_one_generator_kernels_match_sparse_sympy(pair):
     """On Z[x] (dense coefficient lists)."""
     check_kernels(1, *pair)
@@ -740,8 +822,9 @@ def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
     b = (X + ONE) ** 2
     monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
     with pytest.raises(zpoly._HeuristicGCDFailed):
-        zpoly._dup_heu_gcd(zpoly._dense(a), zpoly._dense(b))
-    a2, b2 = (Poly({(k, 1): c for (k,), c in p.items()}) for p in (a, b))
+        zpoly._dup_heu_gcd(a, b)
+    a2, b2 = (Poly({(k, 1): c for (k,), c in zpoly._sparse(p).items()})
+              for p in (a, b))
     with pytest.raises(zpoly._HeuristicGCDFailed):
         zpoly._heugcd(a2, b2)
     assert _gcd(a, b) == X + ONE

@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varpois.diffalg as diffalg_module
+import varpois.lenard as lenard_module
 from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      LambdaBracketStruct, LocalFunctional, MatDiffOp,
                      NoPreimage, NotExact, NotPoisson, NotSkewadjoint,
@@ -129,7 +130,8 @@ def test_triangular_inversion_equals_constant_inverse(data):
     G = [data.draw(diffpolys(ALG2, max_order=1, max_terms=2, with_x=True))
          for _ in range(2)]
     F = Kmat.apply(G)
-    G2, _ = _invert_k_on(LambdaBracketStruct(Kmat), F)
+    Ks = LambdaBracketStruct(Kmat)
+    G2, _ = _invert_k_on(HierarchyState(Ks, Ks, []), F)
     assert G2 == invert_k_by_constant_inverse(Kmat, F)
     assert Kmat.apply(G2) == F
 
@@ -178,6 +180,35 @@ def test_incompatible_pair_rejected():
         run_hierarchy(bad, K, LocalFunctional(U * U / 2), 1)
     triple, residual = err.value.witness
     assert triple == (1, 1, 1) and not residual.is_zero()
+
+
+def test_k_is_triangularized_once_per_hierarchy(monkeypatch):
+    """K is fixed along a hierarchy, so three KdV steps bring it to
+    triangular form once."""
+    calls = []
+    echelon = lenard_module.row_echelon
+    monkeypatch.setattr(lenard_module, "row_echelon",
+                        lambda M: calls.append(M) or echelon(M))
+    state = run_hierarchy(H, K, LocalFunctional(U * U / 2), 3)
+    assert len(state.densities) == 4 and len(calls) == 1
+
+
+def test_involution_reuses_the_step_images(monkeypatch):
+    """verify_involution takes H g_n and K g_(n+1) from the steps that
+    computed them: three KdV steps and the involution check apply an
+    operator six times (H g_0, K g_1, ..., K g_3), not twelve.  A state
+    built by hand, with no images stored, gives the same matrix."""
+    calls = []
+    apply = MatDiffOp.apply
+    monkeypatch.setattr(MatDiffOp, "apply",
+                        lambda self, v: calls.append(self) or apply(self, v))
+    state = run_hierarchy(H, K, LocalFunctional(U * U / 2), 3)
+    matrix = verify_involution(state)
+    assert len(calls) == 6
+    assert matrix == [[True] * 4] * 4
+    fresh = HierarchyState(H, K, state.densities)
+    assert verify_involution(fresh) == matrix
+    assert len(calls) == 12
 
 
 def test_involution_matches_all_pairs(kdv_state):

@@ -21,6 +21,7 @@ from varpois import diffop
 from varpois.polydiff import _B_TABLE, _C_TABLE, _skew_atoms
 
 from helpers import (as_one_form, rnd_diffpoly, to_mat_diff_op,
+                     total_skewsymmetrize_reference,
                      total_skewsymmetrize_shortcut)
 
 ALG = DiffAlgebra(1, [])
@@ -150,6 +151,22 @@ def test_skew_pairing_alternating_form():
     from varpois.polydiff import _tau_action
     rhs = KP - _tau_action(KP, 1)
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), l=st.integers(1, 2), k=st.integers(0, 3),
+       skew=st.booleans())
+def test_total_skewsymmetrize_matches_the_full_sum(seed, l, k, skew):
+    """The coset sum equals the sum over all of S_(k+1), on any P and on
+    an S_k-skewsymmetric one (the shape the solvers pass in), entry order
+    included."""
+    alg = ALG if l == 1 else ALG2
+    P = rnd_kdiffop(random.Random(seed), alg, k)
+    if skew:
+        P = total_skewsymmetrize_reference(P)
+        assert is_skewsymmetric(P)
+    got, want = total_skewsymmetrize(P), total_skewsymmetrize_reference(P)
+    assert got == want and repr(got.entries) == repr(want.entries)
 
 
 # -- coefficient tables -----------------------------------------------------------
@@ -343,6 +360,35 @@ def test_sigma_space_basis_solves_the_equation(l, N, A):
             assert is_skewsymmetric(P)
             assert total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero()
         assert _rank_over_constants(basis) == len(basis)
+
+
+def test_sigma_space_d3_at_k3_solves_the_full_sum():
+    """Sigma_3 for diag(d^3, d^3) has all C(6, 4) = 15 solutions, and its
+    first basis vector solves the equation written with the full (k+1)!
+    sum (about a second for each vector; the coset sum is checked against
+    the full one on random operators above).  k = 4, a runaway input of
+    the full sum, finds all C(6, 5) = 6 solutions."""
+    K = _diag_d(ALG2, 3)
+    basis, expected, flagged = sigma_space(K, 3)
+    assert (len(basis), expected, flagged) == (15, 15, False)
+    assert total_skewsymmetrize_reference(
+        module_action(K.adjoint(), basis[0])).is_zero()
+    basis, expected, flagged = sigma_space(K, 4)
+    assert (len(basis), expected, flagged) == (6, 6, False)
+
+
+def test_solve_skew_equation_against_the_full_sum():
+    """A k = 2, l = 2 skew equation (k+1) <K o P>^- = S for K = diag(d, d):
+    the solution satisfies it with the full (k+1)! sum.  (At k = 3 the
+    rational ansatz of solve_rational takes over half a minute.)"""
+    K = _diag_d(ALG2, 1)
+    x = ALG2.from_scalar(ALG2.field.x)
+    P0 = total_skewsymmetrize_reference(KDiffOp(ALG2, 2, {
+        (1, 1, 2): LambdaPoly(ALG2, 2, {(1, 0): x})}))
+    S = total_skewsymmetrize_reference(module_action(K, P0)).scale(3)
+    assert not S.is_zero()
+    P = solve_skew_equation(K, S)
+    assert total_skewsymmetrize_reference(module_action(K, P)).scale(3) == S
 
 
 def test_sigma_space_grows_the_kernel_by_degree(monkeypatch):
