@@ -599,11 +599,10 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
     C(N*nvars, k+1) over a linearly closed field; the rational count is
     flagged as a lower bound when it falls short.
 
-    The ansatz degree is _degree_cap.  For K free of x the system has
-    constant coefficients, and that degree is only a cap: the search stops,
-    certified, at the first degree that adds no solution, and then a flag
-    means solutions that are not rational (exponential), not a short
-    ansatz."""
+    For K free of x the count is certified (solve_rational's triangular
+    form), and a flag means solutions that are not rational; for K with x
+    the ansatz has degree _degree_cap, and a flag may also mean that it
+    was too short."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():

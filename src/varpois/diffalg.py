@@ -499,21 +499,35 @@ def is_exact_1form(fvec: Sequence[DiffPoly]) -> bool:
     return (d - d.adjoint()).is_zero()
 
 
-def reconstruct_density(fvec: Sequence[DiffPoly]) -> DiffPoly:
-    """A density h with delta h/delta u = F, for exact F.
-
-    Uses the scaling homotopy int_0^1 u . F(t u) dt, evaluated exactly by
-    splitting F into jet-degree homogeneous parts: the degree-d part
+def _homotopy_density(fvec: Sequence[DiffPoly]) -> tuple:
+    """(h, delta h / delta u) for the homotopy density of F = fvec,
+    h = sum_i int_0^1 u_i F_i(t u) dt: the jet-degree-d part of F_i
     contributes u_i F_i^(d) / (d + 1).
+
+    delta h = F iff F is a variational gradient, so this is the exactness
+    test, with one delta and no Frechet adjoint.  If F = delta h0, then as
+    u -> t u commutes with d, integration by parts gives modulo dV
+    d/dt h0(t u) = sum_(i,n) u_i^(n) (dh0/du_i^(n))(t u)
+    = sum_i u_i (delta h0/delta u_i)(t u), so h = h0(u) - h0(0) modulo dV;
+    delta kills dV and h0(0), which lies in F, so delta h = F.  (Olver,
+    Applications of Lie Groups to Differential Equations: the homotopy
+    operator of the variational complex.)
     """
-    if not is_exact_1form(fvec):
-        raise NotExact("Frechet derivative is not selfadjoint")
     alg = fvec[0].alg
     h = alg.zero
     for i, fi in enumerate(fvec, start=1):
         ui = alg.jet(i, 0)
         for d, part in fi.jet_degree_parts().items():
             h = h + (ui * part) / (d + 1)
+    return h, list(variational_derivative(h))
+
+
+def reconstruct_density(fvec: Sequence[DiffPoly]) -> DiffPoly:
+    """A density h with delta h/delta u = F (_homotopy_density); raises
+    NotExact when delta h != F, that is when F is not exact."""
+    h, grad = _homotopy_density(fvec)
+    if grad != list(fvec):
+        raise NotExact("F is not a variational gradient: delta h != F")
     return h
 
 

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
                     _primitive_parts, accumulate, clear_denominators,
-                    format_field_elem, rational_antiderivative)
+                    format_field_elem, rational_antiderivative,
+                    x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve
@@ -175,20 +176,13 @@ class ScalarDiffOp:
                     cd = cd.derive()
         return ScalarDiffOp(self.alg, out)
 
-    def apply(self, f: DiffPoly) -> DiffPoly:
-        out = self.alg.zero
-        for n, c in self.coeffs.items():
+    def apply(self, f):
+        """The operator applied to f in V, or to f in F when the operator
+        is quasiconstant."""
+        scalar = isinstance(f, FieldElem)
+        out = f.field.zero if scalar else self.alg.zero
+        for n, c in (self.field_coeffs() if scalar else self.coeffs).items():
             g = f
-            for _ in range(n):
-                g = g.derive()
-            out = out + c * g
-        return out
-
-    def apply_scalar(self, v: FieldElem) -> FieldElem:
-        """Apply a quasiconstant operator to a field element."""
-        out = self.alg.field.zero
-        for n, c in self.field_coeffs().items():
-            g = v
             for _ in range(n):
                 g = g.derive()
             out = out + c * g
@@ -795,8 +789,9 @@ class _Elimination:
             rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
             self.ops.append(("sub", i, j, P, 1, 1))
             return
-        row = [(x if a == 1 else x.scale(a)) - P.compose(y)
-               for x, y in zip(rows[j], rows[i])]
+        row = [x if a == 1 else x.scale(a) for x in rows[j]]
+        row = [x if y.is_zero() else x - P.compose(y)
+               for x, y in zip(row, rows[i])]
         keys, polys = _split(row)
         g, polys = _primitive_parts(_coefficient_terms(a), polys)
         if g is None:
@@ -1052,17 +1047,20 @@ def kernel_dim_bound(M: MatDiffOp):
 
 
 class SolutionSet:
-    """Affine solution set over the constants: particular + span(homogeneous)."""
+    """Affine solution set over the constants: particular + span(homogeneous);
+    homogeneous is None for an infinite kernel, free the unknowns that no
+    pivot determines."""
 
-    __slots__ = ("particular", "homogeneous")
+    __slots__ = ("particular", "homogeneous", "free")
 
-    def __init__(self, particular, homogeneous):
+    def __init__(self, particular, homogeneous, free=()):
         self.particular = particular
         self.homogeneous = homogeneous
+        self.free = tuple(free)
 
     @property
-    def dim(self) -> int:
-        return len(self.homogeneous)
+    def dim(self):
+        return INFINITE if self.homogeneous is None else len(self.homogeneous)
 
     def __repr__(self):
         return (f"SolutionSet(dim={self.dim}, "
@@ -1078,145 +1076,157 @@ def default_degree_bound(M: MatDiffOp) -> int:
         if not dv.is_zero:
             d = dv.d
     if d is None:
-        d = sum(max((e.order() or 0) for e in col if e is not None)
+        d = sum(max((e.order() or 0) for e in col)
                 for col in zip(*M.rows)) if M.rows else 0
     return 2 * d + 4
 
 
 def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
                    degree_bound: Optional[int] = None) -> SolutionSet:
-    """Rational solutions of M(d) u = b for quasiconstant M.
+    """Rational solutions of M(d) u = b for quasiconstant M; b is zero when
+    omitted, and then particular is None.
 
-    Homogeneous solutions come from a polynomial-in-x ansatz up to the degree
-    bound; particular solutions additionally use denominators present in b.
-    A scalar equation c d^m u = b is decided exactly through iterated
-    antiderivatives (Hermite reduction), raising NoRationalSolution when a
-    logarithmic term obstructs; otherwise an inconsistent ansatz raises
-    Incomplete.  For M free of x and b = 0 the kernel grows one degree at a
-    time (_constant_kernel) and the degree bound is only a cap: the first
-    degree that adds no solution certifies that no rational solution is
-    missing.
+    M free of x is solved exactly on its triangular form (_solve_constant):
+    an infinite kernel has dim INFINITE, and NoRationalSolution certifies
+    that there is no solution.  M with x in a coefficient goes to a
+    polynomial-in-x ansatz of degree degree_bound (default_degree_bound
+    when None) over the denominators of b: its kernel may miss solutions of
+    higher degree, and Incomplete means it found no particular solution.
     """
-    if not M.is_quasiconstant():
-        raise NotQuasiconstant("solve_rational needs quasiconstant "
-                               "coefficients")
     field = M.alg.field
-    if b is None:
-        b = [field.zero] * M.m
-    b = [field.coerce(v) for v in b]
+    b = [field.zero] * M.m if b is None else [field.coerce(v) for v in b]
     if len(b) != M.m:
         raise ShapeMismatch("right-hand side length mismatch")
+    coeffs = [[e.field_coeffs() for e in row] for row in M.rows]
+    if all(c.is_constant() for row in coeffs for e in row for c in e.values()):
+        return _solve_constant(M.alg, coeffs, b)
     if degree_bound is None:
         degree_bound = default_degree_bound(M)
-
-    # exact scalar path: c * d^m
-    if M.m == M.n == 1:
-        coeffs = M.rows[0][0].field_coeffs()
-        if len(coeffs) == 1:
-            (m0,), (c0,) = zip(*coeffs.items())
-            return _solve_scalar_monomial(field, m0, c0, b[0])
-
-    if all(v.is_zero() for v in b):
-        kernel = _constant_kernel(M, degree_bound)
-        if kernel is not None:
-            return SolutionSet(None, kernel)
     return _solve_by_ansatz(M, b, degree_bound)
 
 
-def _solve_scalar_monomial(field, m0: int, c0: FieldElem,
-                           rhs: FieldElem) -> SolutionSet:
-    part = rhs / c0
-    for _ in range(m0):
-        nxt = rational_antiderivative(part)
-        if nxt is None:
+def _replay(ops: list, f: Sequence) -> list:
+    """The right-hand side f (in F or in V) under the row operations ops
+    that row_echelon recorded for M: each is invertible, so M y = f iff
+    U y = _replay(ops, f) for U the echelon form."""
+    f = list(f)
+    for op in ops:
+        if op[0] == "swap":
+            _, i, j = op
+            f[i], f[j] = f[j], f[i]
+        elif op[0] == "scale":
+            _, j, a = op
+            f[j] = f[j] * a
+        else:
+            _, i, j, P, a, g = op
+            f[j] = (f[j] * a - P.apply(f[i])) / g
+    return f
+
+
+def _solve_constant(alg: DiffAlgebra, coeffs: list, b: list) -> SolutionSet:
+    """M(d) y = b for M free of x, given by the field_coeffs of its
+    entries, on a triangular form over C[d] (De Sole-Kac, arXiv:1106.0082,
+    Appendix).  The rows, as vectors of their coefficients of d^k y_j with
+    b as one more column, are first reduced over C, so that row_echelon,
+    whose cost grows with the rows, sees at most n (ord M + 1) of them.
+    Its operations are invertible over C[d], and _replay applies them to
+    b.  A zero row whose right-hand side is not zero certifies
+    NoRationalSolution.  The rows are solved from the bottom up
+    (_solve_pivot), with an unknown without a pivot set to zero.
+
+    A pivot L = d^m L0, L0(0) != 0, has the polynomials of degree < m as
+    its rational kernel: L0 is invertible on polynomials, and its kernel is
+    exponential.  So x^s, s < m, seeded at each pivot and carried up with
+    right-hand side zero, gives a basis of the rational kernel, which
+    _ansatz_order brings to the basis an ansatz prints.  An unknown without
+    a pivot makes the kernel infinite.
+    """
+    field, m, n = alg.field, len(coeffs), len(coeffs[0])
+    width = n * (1 + max((k for row in coeffs for e in row for k in e),
+                         default=0))
+    stacked = []
+    for row, v in zip(coeffs, b):
+        stacked.append({k * n + j: c for j, e in enumerate(row)
+                        for k, c in e.items()})
+        if not v.is_zero():
+            stacked[-1][width] = v
+    rank = len(_eliminate(stacked, width, field)[0])
+    rows = []
+    for r in stacked[:rank]:
+        entries = [{} for _ in range(n)]
+        for col, c in r.items():
+            if col < width:
+                entries[col % n][col // n] = c
+        rows.append([ScalarDiffOp(alg, e) for e in entries])
+    U, ops = row_echelon(MatDiffOp(alg, rows))
+    # rows rank.. hold no unknowns; the operations leave them as they are
+    rhs = _replay(ops, [r.get(width, field.zero) for r in stacked])
+    pivots = [next((j for j, e in enumerate(row) if not e.is_zero()), None)
+              for row in U.rows] + [None] * (m - rank)
+    if any(j is None and not v.is_zero() for j, v in zip(pivots, rhs)):
+        raise NoRationalSolution("a row of the triangular form vanishes, "
+                                 "and its right-hand side does not")
+    pivots = [j for j in pivots if j is not None]
+
+    def back_substitute(y: list, top: int, rhs: list) -> list:
+        """y with the pivot unknowns of rows top-1, ..., 0 solved in turn."""
+        for i in reversed(range(top)):
+            j = pivots[i]
+            r = rhs[i] - sum((U.rows[i][t].apply(y[t])
+                              for t in range(j + 1, n) if not y[t].is_zero()),
+                             field.zero)
+            y[j] = _solve_pivot(U.rows[i][j], r)
+        return y
+
+    zero = [field.zero] * n
+    particular = (back_substitute(list(zero), len(pivots), rhs)
+                  if any(not v.is_zero() for v in b) else None)
+    free = [j for j in range(n) if j not in pivots]
+    if free:
+        return SolutionSet(particular, None, free)
+    basis = []
+    for i, j in enumerate(pivots):
+        for s in range(min(U.rows[i][j].coeffs)):
+            y = list(zero)
+            y[j] = field.x ** s
+            basis.append(back_substitute(y, i, zero))
+    return SolutionSet(particular, _ansatz_order(basis, field))
+
+
+def _solve_pivot(L: ScalarDiffOp, r: FieldElem) -> FieldElem:
+    """A rational y with L(d) y = r, for L = d^m L0 with constant
+    coefficients, L0 = c + T and c != 0: z = int^m r by m calls of
+    rational_antiderivative (NoRationalSolution on a logarithm), then
+    y = L0^-1 z = (1/c) sum_i (-T/c)^i z, which ends because T lowers the
+    degree of a polynomial.  So unless T = 0, r must be a polynomial: for
+    r with poles the rational ansatz solves L y = r instead."""
+    coeffs = L.field_coeffs()
+    m = min(coeffs)
+    c, T = coeffs[m], ScalarDiffOp(L.alg, {k - m: v for k, v in
+                                           coeffs.items() if k > m})
+    if not T.is_zero() and not clear_denominators([r])[0].is_constant():
+        single = MatDiffOp.scalar(L)
+        return _solve_by_ansatz(single, [r],
+                                default_degree_bound(single)).particular[0]
+    for _ in range(m):
+        r = rational_antiderivative(r)
+        if r is None:
             raise NoRationalSolution(
                 "antiderivative leaves a logarithmic term")
-        part = nxt
-    hom = [[field.x ** t] for t in range(m0)]
-    return SolutionSet([part], hom)
-
-
-def _constant_kernel(M: MatDiffOp, cap: int) -> Optional[list]:
-    """The polynomial solutions of degree at most cap of M(d) y = 0 when
-    every coefficient of M is constant (free of x); None otherwise.
-
-    d commutes with such an M, so the derivative of a solution solves too,
-    and a solution of degree <= D is c + sum_i a_i int z_i, for c in C^n and
-    z_1..z_r a basis of the solutions of degree <= D - 1 (int: the
-    antiderivative with zero constant term).  As d(M y) = M y' = 0, M y is
-    constant, and y solves iff its value at x = 0, sum_k k! M_k y_k (y_k
-    the coefficient of x^k), vanishes: one linear system in the r + n
-    unknowns (a, c) per degree.  The first degree D that adds no solution
-    ends the search: a solution of degree e >= D would have an (e - D)-th
-    derivative of degree exactly D.  The kernel is then every polynomial
-    solution.  It is also every rational one: a finite polynomial kernel
-    means M has full column rank over C(d), so the solutions form a
-    finite-dimensional space closed under x -> x + s, and a solution with
-    a pole would have infinitely many independent translates.
-
-    Returns the basis that _solve_by_ansatz finds at the same cap.
-    """
-    field = M.alg.field
-    n = M.n
-    # sum_k k! M_k y_k, one sparse row {k n + j: k! M_k[i][j]} per row i of M;
-    # an invertible combination of rows keeps the solutions, so only the
-    # nonzero rows of the reduced echelon form are kept
-    stacked = []
-    for row in M.rows:
-        stacked.append({})
-        for j, e in enumerate(row):
-            for k, c in e.field_coeffs().items():
-                if not c.is_constant():
-                    return None
-                stacked[-1][k * n + j] = c * math.factorial(k)
-    width = 1 + max((col for r in stacked for col in r), default=0)
-    stacked = stacked[:len(_eliminate(stacked, width, field)[0])]
-
-    def value(y):
-        """The constant M y of y = [{t: y_jt}], on the kept rows."""
-        out = []
-        for r in stacked:
-            acc = field.zero
-            for col, c in r.items():
-                k, j = divmod(col, n)
-                v = y[j].get(k)
-                if v is not None:
-                    acc = acc + c * v
-            out.append(acc)
-        return out
-
-    units = [[{0: field.one} if j == i else {} for j in range(n)]
-             for i in range(n)]
-    unit_values = [value(u) for u in units]
-    basis: list = []
-    for _ in range(cap + 1):
-        candidates = [[{t + 1: c * Fraction(1, t + 1) for t, c in yj.items()}
-                       for yj in z] for z in basis] + units
-        values = [value(z) for z in candidates[:len(basis)]] + unit_values
-        rows = [{col: v[i] for col, v in enumerate(values)
-                 if not v[i].is_zero()} for i in range(len(stacked))]
-        _, null = gauss_solve(rows, [field.zero] * len(rows), len(candidates),
-                              field)
-        if len(null) == len(basis):
-            break
-        basis = []
-        for vec in null:
-            y = [{} for _ in range(n)]
-            for a, z in zip(vec, candidates):
-                if not a.is_zero():
-                    for yj, zj in zip(y, z):
-                        for t, c in zj.items():
-                            accumulate(yj, t, a * c)
-            basis.append(y)
-    return _ansatz_order(basis, field)
+    y, term = r.field.zero, r / c
+    while not term.is_zero():
+        y, term = y + term, -T.apply(term) / c
+    return y
 
 
 def _ansatz_order(basis: list, field) -> list:
-    """The basis of span(basis) that gauss_solve gives in the ansatz
-    columns (j, t) for the coefficient of x^t in y_j, ordered by j, then t:
-    each vector has its own last nonzero column, with entry one, where the
-    others vanish.  That is reduced row echelon form in the reversed
-    column order, read backwards."""
+    """The basis of span(basis), vectors of polynomials in x, that
+    gauss_solve gives in the ansatz columns (j, t) for the coefficient of
+    x^t in y_j, ordered by j, then t: each vector has its own last nonzero
+    column, with entry one, where the others vanish.  That is reduced row
+    echelon form in the reversed column order, read backwards."""
+    basis = [[{t: c / D for t, c in x_coefficients(p).items()} for D, (p,)
+              in map(clear_denominators, ([v] for v in y))] for y in basis]
     width = 1 + max((t for y in basis for yj in y for t in yj), default=0)
     last = len(basis[0]) * width - 1 if basis else 0
     rows = [{last - (j * width + t): c for j, yj in enumerate(y)
@@ -1233,50 +1243,31 @@ def _ansatz_order(basis: list, field) -> list:
 
 
 def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
+    """M(d) y = b with each y_j = p_j / den, p_j a polynomial of degree at
+    most degree_bound and den the lcm of the denominators of b; raises
+    Incomplete when b is not zero and no such y solves."""
     field = M.alg.field
-    x = field.x
     homogeneous_rhs = all(v.is_zero() for v in b)
-    # denominator from b (x-part only)
     den = field.one if homogeneous_rhs else clear_denominators(b)[0]
-    ncols_basis = degree_bound + 1
-    unknowns = [(j, t) for j in range(M.n) for t in range(ncols_basis)]
-    col_index = {u: i for i, u in enumerate(unknowns)}
-    # image of each basis function under M
-    images = []
-    for (j, t) in unknowns:
-        basis = x ** t / den
-        vec = [M.rows[i][j].apply_scalar(basis) for i in range(M.m)]
-        images.append(vec)
-    rows, rhs_out = [], []
-    for i in range(M.m):
-        entries = [images[c][i] for c in range(len(unknowns))]
-        r_rows, r_rhs = _match_x_coefficients(field, entries, b[i])
-        for rr, rv in zip(r_rows, r_rhs):
-            rows.append(rr)
-            rhs_out.append(rv)
-    particular_vec, null_vecs = gauss_solve(rows, rhs_out, len(unknowns),
-                                            field)
-    if particular_vec is None and not homogeneous_rhs:
+    powers = [field.x ** t / den for t in range(degree_bound + 1)]
+    # unknown j * len(powers) + t is the coefficient of x^t / den in y_j
+    rows, rhs = [], []
+    for row, v in zip(M.rows, b):
+        eqs, values = _match_x_coefficients(
+            field, [e.apply(p) for e in row for p in powers], v)
+        rows += eqs
+        rhs += values
+    particular, null = gauss_solve(rows, rhs, M.n * len(powers), field)
+    if particular is None and not homogeneous_rhs:
         raise Incomplete(
             f"no rational solution found with ansatz degree {degree_bound}")
 
     def assemble(vec):
-        out = []
-        for j in range(M.n):
-            acc = field.zero
-            for t in range(ncols_basis):
-                c = vec[col_index[(j, t)]]
-                if not c.is_zero():
-                    acc = acc + c * x ** t / den
-            out.append(acc)
-        return out
+        return [sum((c * p for c, p in zip(vec[j * len(powers):], powers)
+                     if not c.is_zero()), field.zero) for j in range(M.n)]
 
-    particular = assemble(particular_vec) if particular_vec is not None else None
-    if homogeneous_rhs:
-        particular = None
-    basis = [assemble(v) for v in null_vecs]
-    basis = [v for v in basis if any(not c.is_zero() for c in v)]
-    return SolutionSet(particular, basis)
+    basis = [y for y in map(assemble, null) if any(not v.is_zero() for v in y)]
+    return SolutionSet(None if homogeneous_rhs else assemble(particular), basis)
 
 
 # -- skewadjoint/selfadjoint canonical decomposition --------------------------------
@@ -1342,8 +1333,8 @@ def _as_op(alg: DiffAlgebra, c) -> ScalarDiffOp:
 
 def selfadjoint_product_space(K: MatDiffOp) -> list:
     """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint},
-    found by the rational ansatz.  K must be quasiconstant with invertible
-    leading coefficient."""
+    found by solve_rational.  K must be quasiconstant with invertible
+    leading coefficient; an infinite space raises InvariantViolation."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
@@ -1391,9 +1382,11 @@ def solve_linform_system(alg: DiffAlgebra, eqs: list, atoms: list,
                          degree_bound: Optional[int] = None) -> SolutionSet:
     """Rational solutions of the equations eqs = rhs in the unknown functions
     atoms, by solve_rational.  Each equation is a LinForm in the atoms and
-    their derivatives; None or a zero LinForm is an empty row.  rhs is zero
-    when omitted.  Without equations every atom is free, and the basis is
-    the identity."""
+    their derivatives; None or a zero LinForm is an empty row.  Without
+    equations every atom is free, and the basis is the identity.  rhs is
+    zero when omitted, and then the caller wants a basis of the kernel: an
+    infinite kernel raises InvariantViolation naming an atom that no pivot
+    determines."""
     field = alg.field
     if not eqs:
         basis = [[field.one if t == b else field.zero
@@ -1408,4 +1401,8 @@ def solve_linform_system(alg: DiffAlgebra, eqs: list, atoms: list,
                 row[index[a]] = ScalarDiffOp(
                     alg, {r: alg.from_scalar(c) for r, c in ders.items()})
         rows.append(row)
-    return solve_rational(MatDiffOp(alg, rows), rhs, degree_bound)
+    sols = solve_rational(MatDiffOp(alg, rows), rhs, degree_bound)
+    if rhs is None and sols.homogeneous is None:
+        raise InvariantViolation(f"the kernel is infinite: unknown "
+                                 f"{atoms[sols.free[0]]!r} has no pivot")
+    return sols

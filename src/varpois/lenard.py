@@ -3,9 +3,9 @@
 Given a compatible pair (H, K) and a seed density, repeatedly solve
 K(d) (delta h_(n+1) / delta u) = H(d) (delta h_n / delta u): apply H to the
 current gradient, invert K (triangularize K over F[d], single-power
-pivots), test exactness of the preimage via the selfadjoint Frechet
-criterion, and rebuild the density.  Every accepted step is certified
-symbolically; failures surface the obstruction class.
+pivots), and rebuild the density by the homotopy formula, whose gradient
+is the exactness test.  Every accepted step is certified symbolically;
+failures surface the obstruction class.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
-                      antiderivative_in_v, frechet, reconstruct_density,
+                      _homotopy_density, antiderivative_in_v, frechet,
                       variational_derivative)
-from .diffop import NotSkewadjoint, row_echelon
+from .diffop import NotSkewadjoint, _replay, row_echelon
 from .field import InvariantViolation
 from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
                   check_jacobi, check_skewadjoint)
@@ -88,11 +88,12 @@ def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]):
     zero and the kernel ambiguity is reported in the certificate note.
 
     row_echelon brings K to an upper triangular U by row operations that
-    are invertible over F[d], once per state; replayed on F they turn
-    K G = F into U G = F' with the same solutions.  Each pivot must be a
-    single power c d^m, so the rows are solved from the last one up:
-    g_j = int^m (f'_j - sum_(t>j) U_jt g_t) / c.  Raises UnsupportedK for
-    a K that is not quasiconstant, is singular, or has another pivot.
+    are invertible over F[d], once per state; diffop._replay applies them
+    to F, turning K G = F into U G = F' with the same solutions.  Each
+    pivot must be a single power c d^m, so the rows are solved from the
+    last one up: g_j = int^m (f'_j - sum_(t>j) U_jt g_t) / c.  Raises
+    UnsupportedK for a K that is not quasiconstant, is singular, or has
+    another pivot.
     """
     K = state.K
     if not K.op.is_quasiconstant():
@@ -100,17 +101,7 @@ def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]):
     if state._echelon is None:
         state._echelon = row_echelon(K.op)
     U, ops = state._echelon
-    f = list(F)
-    for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            f[i], f[j] = f[j], f[i]
-        elif op[0] == "scale":
-            _, j, a = op
-            f[j] = f[j].scale(a)
-        else:
-            _, i, j, P, a, content = op
-            f[j] = (f[j].scale(a) - P.apply(f[i])) / content
+    f = _replay(ops, F)
     size = len(f)
     G = [None] * size
     orders = [None] * size
@@ -142,27 +133,26 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
     """One recursion step: from the last density h_n produce h_(n+1) with
     K(d) delta h_(n+1) = H(d) delta h_n, certified exactly.
 
-    Raises NoPreimage when H delta h_n is not in the image of K, and
-    NotExact when the preimage fails the selfadjointness criterion; both
-    carry the residual witness.  A reconstructed density that fails the
-    recursion raises InvariantViolation and is not added to the state.
-    The gradient of h_(n+1), computed for the certificate, is kept on the
-    state for the next step and for verify_involution, and so are the
-    images H g_n and K g_(n+1).
+    The preimage G is exact iff its homotopy density h_(n+1) has
+    delta h_(n+1) = G (diffalg._homotopy_density), so one delta is both
+    the test and the new gradient.  Raises NoPreimage when H delta h_n is
+    not in the image of K, and NotExact, with D_G - D_G* as its witness,
+    when G is not a variational gradient.  K delta h_(n+1) = H delta h_n
+    is checked on its own, against a wrong inversion: InvariantViolation,
+    and the density is not added.  The new gradient and the images H g_n
+    and K g_(n+1) are kept on the state.
     """
     F = state._image(state.H, len(state.gradients) - 1)
     G, kernel_note = _invert_k_on(state, F)
-    try:
-        h_next = LocalFunctional(reconstruct_density(G))
-    except NotExact as exc:
+    h, new_grad = _homotopy_density(G)
+    if new_grad != G:
         d = frechet(G)
         err = NotExact("preimage is not a variational gradient")
         err.witness = d - d.adjoint()
-        raise err from exc
-    # certify K delta h_(n+1) = H delta h_n exactly
-    new_grad = list(variational_derivative(h_next.representative))
+        raise err
+    h_next = LocalFunctional(h)
     lhs = state.K.op.apply(new_grad)
-    if not all((a - b).is_zero() for a, b in zip(lhs, F)):
+    if lhs != F:
         raise InvariantViolation(
             "recursion identity failed after reconstruction")
     state.densities.append(h_next)

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .complexes import (SkewArray, _apply_entry, _degree_cap, _inverse_perm,
                         _perm_sign, invertible_leading)
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
-from .diffop import (Incomplete, MatDiffOp, linform_equations,
-                     solve_linform_system)
+from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
+                     linform_equations, solve_linform_system)
 from .field import accumulate
 from .lambdapoly import LambdaPoly, _LambdaArray, subst_slot_neg, symbol_act
 from .linform import LinForm
@@ -355,11 +355,10 @@ def sigma_space(K: MatDiffOp, k: int):
     at most ord(K)-1 per variable with the total skewsymmetrization of
     K* o P vanishing.  Returns (basis, expected_dim, flagged).
 
-    The ansatz degree is complexes._degree_cap.  For K free of x the system
-    has constant coefficients, and that degree is only a cap: the search
-    stops, certified, at the first degree that adds no solution, and then a
-    flag means solutions that are not rational (exponential), not a short
-    ansatz."""
+    For K free of x the basis is certified (solve_rational's triangular
+    form), and a flag means solutions that are not rational; for K with x
+    the ansatz has degree complexes._degree_cap, and a flag may also mean
+    that it was too short."""
     alg = K.alg
     invertible_leading(K)
     N = K.order()
@@ -380,7 +379,11 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     """Skewsymmetric P with sum_{sigma in S_{k+1}} sign(sigma) (K o P)^sigma
     / k! = S (the unnormalized total skewsymmetrization, matching the closed
     forms K=1 -> P = S/2 and K=d -> dP = S at arity one), for totally
-    skewsymmetric S."""
+    skewsymmetric S.
+
+    P's lambda-degree starts at max(ord K - 1, deg S) per variable and is
+    raised by one, twice, while NoRationalSolution or Incomplete says no
+    P of that degree solves; the last error names the largest degree."""
     alg = K.alg
     field = alg.field
     k = S.k
@@ -393,25 +396,21 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     d_s = max(max((L.degree_in(a) for a in range(k)), default=0)
               for L in S.entries.values())
     lam_deg = max(N - 1, d_s)
-    last_err = None
-    for attempt in range(3):
-        ndeg = lam_deg + 1 + attempt
+    rhs = {key: field.coerce(c) for key, c in S._equations()}
+    for ndeg in range(lam_deg + 1, lam_deg + 4):
         atoms = _skew_atoms(alg, k, ndeg)
         P = _unknown_kdiffop(alg, k, ndeg)
         E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
         lhs = linform_equations(E._equations())
-        rhs = {key: field.coerce(c) for key, c in S._equations()}
         keys = sorted(set(lhs) | set(rhs), key=repr)
         try:
-            sols = solve_linform_system(
+            return _at(P, atoms, solve_linform_system(
                 alg, [lhs.get(key) for key in keys], atoms,
-                [rhs.get(key, field.zero) for key in keys])
-        except Incomplete as err:
+                [rhs.get(key, field.zero) for key in keys]).particular)
+        except (Incomplete, NoRationalSolution) as err:
             last_err = err
-            continue
-        if sols.particular is not None:
-            return _at(P, atoms, sols.particular)
-    raise last_err or Incomplete("rational ansatz exhausted")
+    raise type(last_err)(f"no solution P of lambda-degree at most "
+                         f"{ndeg - 1}: {last_err}") from last_err
 
 
 def skew_product(K: MatDiffOp, P: KDiffOp) -> KDiffOp:

@@ -140,6 +140,27 @@ def test_reconstruct_roundtrip_random(alg):
         assert list(variational_derivative(h2)) == grad
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG1C, ALG2]),
+       exact=st.booleans())
+def test_homotopy_verdict_equals_the_frechet_criterion(data, alg, exact):
+    """reconstruct_density accepts F, by delta h = F for its homotopy
+    density h, exactly when D_F is selfadjoint (is_exact_1form): for
+    F = delta h0 of a random h0, and for a random F, mostly not exact."""
+    polys = diffpolys(alg, max_order=2, max_degree=3, with_x=True)
+    if exact:
+        F = list(variational_derivative(data.draw(polys)))
+    else:
+        F = [data.draw(polys) for _ in range(alg.nvars)]
+    try:
+        h = reconstruct_density(F)
+    except NotExact:
+        assert not is_exact_1form(F)
+    else:
+        assert is_exact_1form(F)
+        assert list(variational_derivative(h)) == F
+
+
 def test_reconstruct_against_homotopy_reduction(alg):
     """The reduction chain at K = identity lands in the same coset."""
     rng = random.Random(6)

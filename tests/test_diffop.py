@@ -16,7 +16,8 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      majorant_preserving_reduce, row_echelon,
                      selfadjoint_product_space, skewadjoint_decompose,
                      solve_rational)
-from varpois.diffop import (DET_ZERO, INFINITE, DetValue, _constant_kernel,
+from varpois import diffop
+from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
                             _echelon_det, _solve_by_ansatz,
                             default_degree_bound, format_scalar_op,
                             linform_equations, solve_linform_system)
@@ -362,17 +363,33 @@ def test_solve_rational_scalar():
         solve_rational(M, [F.one / F.x])
 
 
+def test_pivot_with_poles_is_solved_by_the_ansatz():
+    """d + 1 is not a monomial, so a right-hand side with poles goes to
+    the ansatz: 1/x - 1/x^2 gives y = 1/x, and 1/x, which needs the
+    exponential integral, exhausts it."""
+    F = ALG.field
+    M = MatDiffOp(ALG, [[D + ONE]])
+    b = F.one / F.x - F.one / F.x ** 2
+    assert solve_rational(M, [b]).particular == [F.one / F.x]
+    with pytest.raises(Incomplete):
+        solve_rational(M, [F.one / F.x])
+
+
 def test_solve_rational_incomplete():
-    """d y1 + y2 = 0, d y2 = 1/x needs y2 = log x: the system is not scalar,
-    so no antiderivative decides it, and the exhausted ansatz raises
-    Incomplete."""
+    """d y1 + y2 = 0, d y2 = 1/x needs y2 = log x: the bottom row of the
+    triangular form certifies that no rational solution exists.  x d y = 1
+    needs log x too, but x in a coefficient leaves only the ansatz, whose
+    exhaustion raises Incomplete."""
     F = ALG.field
     M = MatDiffOp(ALG, [[D, ScalarDiffOp.identity(ALG)],
                         [ScalarDiffOp.zero(ALG), D]])
+    with pytest.raises(NoRationalSolution, match="logarithmic"):
+        solve_rational(M, [F.zero, F.one / F.x])
+    xd = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})]])
     with pytest.raises(Incomplete,
                        match="no rational solution found with ansatz "
-                             "degree 8"):
-        solve_rational(M, [F.zero, F.one / F.x])
+                             "degree 6"):
+        solve_rational(xd, [F.one])
 
 
 def test_solve_rational_selfadjoint_system():
@@ -463,36 +480,148 @@ def constant_systems(draw):
     return MatDiffOp(ALG, rows)
 
 
+def _polynomials(draw, count):
+    """count polynomials of degree <= 2 in x with coefficients in
+    {-2..2} and c."""
+    F = ALG.field
+    c = F.param("c")
+    coeff = st.one_of(st.builds(F.rational, st.integers(-2, 2)),
+                      st.just(c))
+    return [sum((draw(coeff) * F.x ** t for t in range(3)), F.zero)
+            for _ in range(count)]
+
+
+def _x_degree(v) -> int:
+    """The degree in x of a polynomial v (-1 for zero)."""
+    d = -1
+    while not v.is_zero():
+        v, d = v.derive(), d + 1
+    return d
+
+
+def _solves(M, y, b) -> bool:
+    """M y = b, exactly."""
+    return M.apply([ALG.from_scalar(v) for v in y]) == \
+        [ALG.from_scalar(v) for v in b]
+
+
 @settings(max_examples=120, deadline=None)
-@given(M=constant_systems(), cap=st.integers(0, 5))
-def test_constant_kernel_equals_ansatz(M, cap):
-    """The kernel grown degree by degree is, vector for vector and as
-    printed, the basis of the one ansatz of degree cap."""
+@given(M=constant_systems(), data=st.data())
+def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
+    """On the triangular form: M y = b holds for a polynomial b; a finite
+    kernel is, vector for vector and as printed, the basis of an ansatz of
+    degree above its top degree; an infinite kernel makes the ansatz
+    kernel grow from degree 2 to 3; NoRationalSolution comes only where no
+    ansatz solves."""
     F = ALG.field
-    grown = _constant_kernel(M, cap)
-    ansatz = _solve_by_ansatz(M, [F.zero] * M.m, cap).homogeneous
-    assert grown == ansatz
-    assert [[format_field_elem(v) for v in y] for y in grown] == \
+    zero = [F.zero] * M.m
+    b = _polynomials(data.draw, M.m) if data.draw(st.booleans()) else zero
+    try:
+        sols = solve_rational(M, b)
+    except NoRationalSolution:
+        with pytest.raises(Incomplete):
+            _solve_by_ansatz(M, b, 6)
+        return
+    if b == zero:
+        assert sols.particular is None
+    else:
+        assert _solves(M, sols.particular, b)
+    if sols.dim == INFINITE:
+        assert sols.homogeneous is None and sols.free
+        grown = [len(_solve_by_ansatz(M, zero, cap).homogeneous)
+                 for cap in (2, 3)]
+        assert grown[0] < grown[1]
+        return
+    top = max((_x_degree(v) for y in sols.homogeneous for v in y),
+              default=0)
+    ansatz = _solve_by_ansatz(M, zero, top + 2).homogeneous
+    assert sols.homogeneous == ansatz
+    assert [[format_field_elem(v) for v in y] for y in sols.homogeneous] == \
         [[format_field_elem(v) for v in y] for y in ansatz]
-    for y in grown:
-        assert all(v.is_zero() for v in
-                   M.apply([ALG.from_scalar(v) for v in y]))
+    for y in sols.homogeneous:
+        assert _solves(M, y, zero)
 
 
-def test_constant_kernel_stops_where_the_kernel_stops_growing():
-    """d + 2 has no rational solution at any cap; diag(d^2, d) stops at
-    degree 2; [d, d], whose kernel is infinite, runs to the cap; a system
-    with x in a coefficient is not taken."""
+def test_constant_systems_solve_on_the_triangular_form(monkeypatch):
+    """d + 2 has no rational solution; diag(d^2, d) has the kernel 1, x in
+    y1 and 1 in y2; [d, d] (y1 + y2 constant) has an infinite kernel, with
+    y2 free; none of them reaches the ansatz.  x d, with x in a
+    coefficient, is solved by the ansatz."""
     F = ALG.field
+    calls = []
+
+    def recording(M, b, degree_bound):
+        calls.append(M)
+        return _solve_by_ansatz(M, b, degree_bound)
+
+    monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
     e = ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one * 2})
-    assert _constant_kernel(MatDiffOp(ALG, [[e]]), 40) == []
+    assert solve_rational(MatDiffOp(ALG, [[e]])).homogeneous == []
     M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2), ZERO], [ZERO, D]])
-    assert _constant_kernel(M, 40) == [[F.one, F.zero], [F.x, F.zero],
-                                       [F.zero, F.one]]
-    wide = MatDiffOp(ALG, [[D, D]])  # y1 + y2 constant
-    assert len(_constant_kernel(wide, 4)) == 2 + 4
+    assert solve_rational(M).homogeneous == [[F.one, F.zero], [F.x, F.zero],
+                                             [F.zero, F.one]]
+    wide = solve_rational(MatDiffOp(ALG, [[D, D]]))
+    assert (wide.dim, wide.homogeneous, wide.free) == (INFINITE, None, (1,))
+    assert calls == []
     xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
-    assert _constant_kernel(MatDiffOp(ALG, [[xd]]), 4) is None
+    assert solve_rational(MatDiffOp(ALG, [[xd]])).homogeneous == [[F.one]]
+    assert len(calls) == 1
+
+
+@st.composite
+def triangularizable_systems(draw):
+    """(M, ms, orders): M = A diag(L_1..L_n) B with n <= 3, A and B
+    unipotent (upper and lower triangular, ones on the diagonal, entries of
+    order <= 1) and L_j = d^m_j L0_j, L0_j = c_j + (order <= 1), c_j != 0;
+    every coefficient a small rational.  ms lists the m_j and orders the
+    ord L_j."""
+    F = ALG.field
+    small = st.builds(F.rational, st.integers(-2, 2))
+
+    def op(coeffs):
+        return ScalarDiffOp(ALG, {k: ALG.from_scalar(v)
+                                  for k, v in coeffs.items()})
+
+    n = draw(st.integers(1, 3))
+    pivots, ms = [], []
+    for _ in range(n):
+        m = draw(st.integers(0, 2))
+        L0 = {0: F.rational(draw(st.sampled_from([-2, -1, 1, 3])))}
+        if draw(st.booleans()):
+            L0[1] = draw(small)
+        pivots.append(op({k + m: v for k, v in L0.items()}))
+        ms.append(m)
+
+    def unipotent(upper):
+        return MatDiffOp(ALG, [[ONE if i == j else
+                                op({0: draw(small), 1: draw(small)})
+                                if (i < j) == upper else ZERO
+                                for j in range(n)] for i in range(n)])
+
+    diag = MatDiffOp(ALG, [[pivots[i] if i == j else ZERO for j in range(n)]
+                           for i in range(n)])
+    M = unipotent(True).compose(diag).compose(unipotent(False))
+    return M, ms, [L.order() for L in pivots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=triangularizable_systems(), data=st.data())
+def test_triangular_solver_on_triangularizable_systems(system, data):
+    """M = A diag(d^m_j L0_j) B: M y = b for a polynomial b, and the
+    rational kernel has dimension sum m_j, while kernel_dim_bound (deg det)
+    is sum ord L_j; the two agree when every L0_j is constant."""
+    M, ms, orders = system
+    zero = [ALG.field.zero] * M.m
+    b = _polynomials(data.draw, M.m)
+    sols = solve_rational(M, b)
+    if b == zero:
+        assert sols.particular is None
+    else:
+        assert _solves(M, sols.particular, b)
+    assert sols.dim == sum(ms)
+    assert kernel_dim_bound(M) == sum(orders)
+    for y in sols.homogeneous:
+        assert _solves(M, y, zero)
 
 
 @st.composite

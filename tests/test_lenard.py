@@ -265,12 +265,13 @@ def test_state_keeps_each_density_gradient(kdv_state):
 
 
 def test_failed_recursion_is_a_named_error(monkeypatch):
-    """A reconstructed density that breaks K delta h_(n+1) = H delta h_n
-    raises InvariantViolation, which python -O keeps, and the state stays
-    as it was."""
+    """A density that breaks K delta h_(n+1) = H delta h_n, here from an
+    inversion of K that returns a wrong but exact preimage, raises
+    InvariantViolation, which python -O keeps, and the state stays as it
+    was."""
     import varpois.lenard as lenard_module
-    monkeypatch.setattr(lenard_module, "reconstruct_density",
-                        lambda G: U * U * U)
+    monkeypatch.setattr(lenard_module, "_invert_k_on",
+                        lambda state, F: ([U * U * 3], "kernel note"))
     state = HierarchyState(H, K, [LocalFunctional(U * U / 2)])
     with pytest.raises(InvariantViolation, match="recursion identity"):
         lenard_step(state)

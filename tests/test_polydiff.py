@@ -3,22 +3,24 @@ import math
 import random
 from fractions import Fraction
 
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
-                     LeadingCoeffSingular, MatDiffOp, NotInSigma,
-                     NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
+                     LeadingCoeffSingular, MatDiffOp, NoRationalSolution,
+                     NotInSigma, NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
                      chi_representative, coeff_b, coeff_c, cohomology_dim,
                      expand_monomial, frechet, functional_eq,
                      is_skewsymmetric, is_totally_skewsymmetric,
                      module_action, pairing, sigma_action, sigma_space,
                      skew_product, solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
-from varpois import diffop
-from varpois.polydiff import _B_TABLE, _C_TABLE, _skew_atoms
+from varpois import diffop, polydiff
+from varpois.polydiff import _B_TABLE, _C_TABLE
 
 from helpers import (as_one_form, rnd_diffpoly, to_mat_diff_op,
                      total_skewsymmetrize_reference,
@@ -379,8 +381,8 @@ def test_sigma_space_d3_at_k3_solves_the_full_sum():
 
 def test_solve_skew_equation_against_the_full_sum():
     """A k = 2, l = 2 skew equation (k+1) <K o P>^- = S for K = diag(d, d):
-    the solution satisfies it with the full (k+1)! sum.  (At k = 3 the
-    rational ansatz of solve_rational takes over half a minute.)"""
+    the solution satisfies it with the full (k+1)! sum.  k = 3 is
+    test_solve_skew_equation_at_k3_is_fast."""
     K = _diag_d(ALG2, 1)
     x = ALG2.from_scalar(ALG2.field.x)
     P0 = total_skewsymmetrize_reference(KDiffOp(ALG2, 2, {
@@ -391,24 +393,69 @@ def test_solve_skew_equation_against_the_full_sum():
     assert total_skewsymmetrize_reference(module_action(K, P)).scale(3) == S
 
 
-def test_sigma_space_grows_the_kernel_by_degree(monkeypatch):
-    """For K free of x the ansatz system is solved one degree at a time, so
-    no linear system has more columns than the kernel found plus one per
-    unknown function; one ansatz of the default degree 28 had 29 per
-    unknown.  diag(d^3, d^3) at k = 2 has C(6, 3) = 20 solutions."""
-    widths = []
-    solve = diffop.gauss_solve
+def test_solve_skew_equation_at_k3_is_fast():
+    """K = diag(d, d), k = 3 and S = 4 <K o P0>^- for P0 the
+    skewsymmetrized x lam_1 lam_2 at (1, 1, 2, 2): the operator system is
+    free of x (504 x 40, orders <= 2), so it is solved on its triangular
+    form, in well under 2 s, where an ansatz of degree 80 took over half a
+    minute.  P satisfies the equation with the full (k+1)! sum."""
+    K = _diag_d(ALG2, 1)
+    x = ALG2.from_scalar(ALG2.field.x)
+    P0 = total_skewsymmetrize_reference(KDiffOp(ALG2, 3, {
+        (1, 1, 2, 2): LambdaPoly(ALG2, 3, {(1, 1, 0): x})}))
+    S = total_skewsymmetrize_reference(module_action(K, P0)).scale(4)
+    assert not S.is_zero()
+    start = time.process_time()
+    P = solve_skew_equation(K, S)
+    assert time.process_time() - start < 2
+    assert total_skewsymmetrize_reference(module_action(K, P)).scale(4) == S
 
-    def recording(rows, rhs, ncols, field):
-        widths.append(ncols)
-        return solve(rows, rhs, ncols, field)
 
-    monkeypatch.setattr(diffop, "gauss_solve", recording)
-    d3, z = ScalarDiffOp.d(ALG2, 3), ScalarDiffOp.zero(ALG2)
-    K = MatDiffOp(ALG2, [[d3, z], [z, d3]])
+def test_solve_skew_equation_tries_every_size(monkeypatch):
+    """K = d^2 and S = (1/x) lam + (1/x)'/2, the symbol of the skewadjoint
+    (1/x) d + (1/x)'/2: P would need log x, so no lambda-degree solves,
+    and the error, raised after the last size, names the largest degree
+    tried.  NoRationalSolution at a smaller size moves on to the next one:
+    the size with a solution is still found."""
+    F = ALG.field
+    a = F.one / F.x
+    S = KDiffOp(ALG, 1, {(1, 1): LambdaPoly(ALG, 1, {
+        (1,): ALG.from_scalar(a), (0,): ALG.from_scalar(a.derive() / 2)})})
+    K = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2)]])
+    with pytest.raises(NoRationalSolution,
+                       match="lambda-degree at most 3: antiderivative"):
+        solve_skew_equation(K, S)
+    sizes = []
+    solve = diffop.solve_linform_system
+
+    def first_size_fails(alg, eqs, atoms, rhs):
+        sizes.append(len(atoms))
+        if len(sizes) == 1:
+            raise NoRationalSolution("none at this size")
+        return solve(alg, eqs, atoms, rhs)
+
+    monkeypatch.setattr(polydiff, "solve_linform_system", first_size_fails)
+    S = skew_product(K, KDiffOp(ALG, 1, {(1, 1): LambdaPoly(
+        ALG, 1, {(0,): ALG.from_scalar(F.x)})}))
+    assert skew_product(K, solve_skew_equation(K, S)) == S
+    assert len(sizes) == 2
+
+
+def test_x_free_systems_never_reach_the_ansatz(monkeypatch):
+    """For K free of x, sigma_space, cohomology_dim and solve_skew_equation
+    solve their operator systems on the triangular form, without the
+    rational ansatz: diag(d^3, d^3) at k = 2 has C(6, 3) = 20 solutions in
+    both, and the k = 2 skew equation above solves."""
+    def ansatz(*args):
+        raise AssertionError("the ansatz was called on an x-free system")
+
+    monkeypatch.setattr(diffop, "_solve_by_ansatz", ansatz)
+    K = _diag_d(ALG2, 3)
     basis, expected, flagged = sigma_space(K, 2)
     assert (len(basis), expected, flagged) == (20, 20, False)
-    assert widths and max(widths) <= len(basis) + len(_skew_atoms(ALG2, 2, 3))
+    res = cohomology_dim(K, 2)
+    assert (res.dim, res.flagged_lower_bound) == (20, False)
+    test_solve_skew_equation_against_the_full_sum()
 
 
 def test_sigma_space_flagged_nonrational():
