@@ -13,10 +13,11 @@ from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, LocalFunctional,
                       partial_antiderivative, reconstruct_density,
                       variational_derivative)
 from .diffop import (DegenerateLeadingMatrix, DegenerateShape, Incomplete,
-                     LeadingMatrix, Majorant, MatDiffOp, MatPseudoOp,
-                     NoRationalSolution, NotAMajorant, NotQuasiconstant,
-                     NotSkewadjoint, PseudoDiffOp, ScalarDiffOp, ShapeMismatch,
-                     TruncationExceeded, canonical_forms, dieudonne_det,
+                     LeadingCoeffSingular, LeadingMatrix, Majorant, MatDiffOp,
+                     MatPseudoOp, NoRationalSolution, NotAMajorant,
+                     NotQuasiconstant, NotSkewadjoint, PseudoDiffOp,
+                     ScalarDiffOp, ShapeMismatch, TruncationExceeded,
+                     canonical_forms, dieudonne_det,
                      kernel_dim_bound, leading_matrix, majorant,
                      majorant_preserving_reduce, row_echelon,
                      selfadjoint_product_space, skewadjoint_decompose,
@@ -24,9 +25,8 @@ from .diffop import (DegenerateLeadingMatrix, DegenerateShape, Incomplete,
 from .field import (CoefficientField, FieldElem, InvariantViolation,
                     UndecidableResidue, rational_antiderivative)
 from .lambdapoly import LambdaPoly
-from .complexes import (CohomologyResult, LeadingCoeffNotIdentity,
-                        LeadingCoeffSingular, NotClosed, OutOfFiltration,
-                        QuotientArray, SkewArray, alpha_k,
+from .complexes import (CohomologyResult, LeadingCoeffNotIdentity, NotClosed,
+                        OutOfFiltration, QuotientArray, SkewArray, alpha_k,
                         array_pairing, cohomology_dim, d_k, de_rham_delta,
                         delta_k, dim_omega00, filtration_level, homotopy,
                         partial_action, phi_k1, phi_s, reduce_closed)

@@ -20,20 +20,15 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
 from .diffop import (MatDiffOp, NotQuasiconstant, NotSkewadjoint,
-                     ShapeMismatch, linform_equations, solve_linform_system)
+                     _is_identity, invertible_leading, solve_linform_system)
 from .field import InvariantViolation, accumulate
 from .lambdapoly import (LambdaPoly, _LambdaArray, affine_apply_once,
                          affine_pow_apply, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
-from .linsolve import matrix_inverse
 from .pva import LambdaBracketStruct, NotPoisson, check_jacobi
 
 
 class NotClosed(Exception):
-    pass
-
-
-class LeadingCoeffSingular(Exception):
     pass
 
 
@@ -407,39 +402,6 @@ def homotopy(P: SkewArray, m: int, i: int, N: int) -> SkewArray:
     return out
 
 
-def invertible_leading(K: MatDiffOp) -> tuple:
-    """(K_N, K_N^-1): the leading coefficient of a square operator K of
-    order N as a matrix over F, and its inverse.  Raises ShapeMismatch when K
-    is not square, NotQuasiconstant when K_N is not in F, and
-    LeadingCoeffSingular when K is zero or K_N is singular."""
-    if not K.is_square():
-        raise ShapeMismatch(f"leading coefficient of a {K.m}x{K.n} operator")
-    N = K.order()
-    if N is None:
-        raise LeadingCoeffSingular("zero operator")
-    field = K.alg.field
-    lead = []
-    for row in K.rows:
-        r = []
-        for e in row:
-            c = e.coeff(N)
-            if isinstance(c, DiffPoly):
-                if not c.is_quasiconstant():
-                    raise NotQuasiconstant("leading coefficient not in F")
-                c = c.quasiconstant_part()
-            r.append(field.coerce(c))
-        lead.append(r)
-    inv = lead if _is_identity(lead) else matrix_inverse(lead, field)
-    if inv is None:
-        raise LeadingCoeffSingular("leading coefficient is singular")
-    return lead, inv
-
-
-def _is_identity(mat: list) -> bool:
-    return all(c.is_one() if i == j else c.is_zero()
-               for i, row in enumerate(mat) for j, c in enumerate(row))
-
-
 def leading_is_identity(K: MatDiffOp) -> bool:
     return _is_identity(invertible_leading(K)[0])
 
@@ -618,9 +580,8 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
     for b, arr in enumerate(basis):
         unknown = unknown + arr.scale(LinForm.atom(field, b))
     image = alpha_k(unknown, Kn)
-    eqs = linform_equations(image._equations())
     kern = solve_linform_system(
-        alg, list(eqs.values()), list(range(len(basis))),
+        alg, image._equations(), list(range(len(basis))),
         degree_bound=_degree_cap(N, k, alg.nvars)).homogeneous
     dim = len(kern)
     return CohomologyResult(dim, expected, dim < expected, kern)

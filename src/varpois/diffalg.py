@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .field import (CoefficientField, FieldElem, accumulate,
-                    format_field_elem, rational_antiderivative)
+from .field import (CoefficientField, FieldElem, _primitive_parts,
+                    accumulate, clear_denominators, format_field_elem,
+                    rational_antiderivative)
 
 Mono = tuple  # tuple of ((n, i), exp), sorted ascending by (n, i)
 
@@ -55,9 +56,6 @@ class DiffAlgebra:
             raise ValueError("jet order must be nonnegative")
         return DiffPoly(self, {(((n, i), 1),): self.field.one})
 
-    def u(self, i: int = 1, n: int = 0) -> "DiffPoly":
-        return self.jet(i, n)
-
     def from_scalar(self, c) -> "DiffPoly":
         c = self.field.coerce(c) if not _is_scalar(c) else c
         if c.is_zero():
@@ -94,7 +92,7 @@ def _mono_sort_key(m: Mono):
     """Display order of monomials: higher degree first, ties broken by
     comparing (variable, exponent) pairs from the largest variable (n, i)
     down, a larger variable counting as smaller.  Not a monomial order
-    (u'' < u' but u''^2 > u' u''); division uses _grlex_key."""
+    (u'' < u' but u''^2 > u' u'')."""
     return (mono_degree(m), tuple(sorted(((-n, -i), e) for (n, i), e in m)))
 
 
@@ -546,13 +544,16 @@ def higher_euler(f: DiffPoly, i: int):
     return out
 
 
-# -- light fraction field over V (for elimination with V-entries) ----------------
+# -- fraction field over V (for elimination with V-entries) ----------------------
 
 
 class DiffRat:
-    """Fraction num/den of differential polynomials with light normalization:
-    exact single-divisor cancellation and quasiconstant-denominator clearing.
-    Supports the field protocol needed by row reduction."""
+    """Fraction num/den of differential polynomials in lowest terms: the
+    F-denominators of num and den are cleared together, and their common
+    factor, a gcd over Z[x, params, jets] times a rational content, is
+    divided out by field._primitive_parts, the content kernel of row
+    reduction.  A denominator in F is folded into num, so den is one or
+    has a jet.  Supports the field protocol needed by row reduction."""
 
     __slots__ = ("num", "den")
 
@@ -562,14 +563,19 @@ class DiffRat:
             den = alg.one
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if den.is_quasiconstant() and not den.is_zero():
-            c = den.quasiconstant_part()
-            num = num.scale(alg.field.one / c)
+        if num.is_zero():
             den = alg.one
-        else:
-            q = _exact_div(num, den)
-            if q is not None:
-                num, den = q, alg.one
+        elif not den.is_quasiconstant():
+            _, cleared = clear_denominators(
+                list(num.terms.values()) + list(den.terms.values()))
+            cleared = iter(cleared)
+            polys = [{mono: next(cleared) for mono in p.terms}
+                     for p in (num, den)]
+            polys = _primitive_parts(polys[1], polys)[1]
+            num, den = DiffPoly(alg, polys[0]), DiffPoly(alg, polys[1])
+        if den.is_quasiconstant():
+            num = num.scale(alg.field.one / den.quasiconstant_part())
+            den = alg.one
         self.num = num
         self.den = den
 
@@ -640,53 +646,3 @@ class DiffRat:
         if self.den == self.alg.one:
             return format_diff_poly(self.num)
         return f"({format_diff_poly(self.num)})/({format_diff_poly(self.den)})"
-
-
-def _grlex_key(m: Mono):
-    """Graded lex order, jet variables ranked by (n, i): total degree first,
-    then the exponents compared from the largest variable down.  Unlike the
-    display order of _mono_sort_key this is a monomial order: multiplying by
-    a monomial preserves it, and it is a well-order."""
-    return (mono_degree(m), m[::-1])
-
-
-def _exact_div(num: DiffPoly, den: DiffPoly) -> Optional[DiffPoly]:
-    """num / den when den divides num exactly, else None.
-
-    Division by leading terms in a monomial order: if den divides num then
-    every remainder is a multiple q*den, whose leading monomial is
-    LM(q)*LM(den), so a leading monomial not divisible by LM(den) proves
-    that den does not divide num.  Each step cancels the leading term of the
-    remainder and adds only terms below it, so the leading monomial strictly
-    decreases in a well-order and the loop ends.
-    """
-    alg = num.alg
-    if den.is_zero():
-        return None
-    if num.is_zero():
-        return alg.zero
-    if not isinstance(next(iter(num.terms.values())), FieldElem):
-        return None
-    quot = alg.zero
-    rem = num
-    dlead = max(den.terms, key=_grlex_key)
-    dcoef = den.terms[dlead]
-    dset = dict(dlead)
-    while not rem.is_zero():
-        rlead = max(rem.terms, key=_grlex_key)
-        rset = dict(rlead)
-        q = {}
-        for v, e in dset.items():
-            if rset.get(v, 0) < e:
-                return None
-            if rset[v] > e:
-                q[v] = rset[v] - e
-        for v, e in rset.items():
-            if v not in dset:
-                q[v] = e
-        qmono = tuple(sorted(q.items()))
-        qcoef = rem.terms[rlead] / dcoef
-        t = DiffPoly(alg, {qmono: qcoef})
-        quot = quot + t
-        rem = rem - t * den
-    return quot

@@ -1,9 +1,11 @@
 """Scalar, matrix, and pseudodifferential operators, and differential linear
 algebra over the coefficient field: majorants, leading matrices, row echelon
-form, majorant-preserving reduction, Dieudonne determinants, and a
-rational-ansatz solver for linear differential systems.  Row reduction over
-F[d] (fraction-free, on rows without denominators) and over the skew field
-of pseudodifferential operators is one kernel, _Elimination.
+form, majorant-preserving reduction, Dieudonne determinants, and the
+solver for linear differential systems: exact on a triangular form when
+the coefficients are free of x, a rational ansatz otherwise.  Row
+reduction over F[d] (fraction-free, on rows without denominators) and
+over the skew field of pseudodifferential operators is one kernel,
+_Elimination.
 
 Operators are sums a_n d^n with coefficients in V (differential polynomials),
 F (quasiconstants), the fraction field of V, or linear forms in unknown
@@ -24,7 +26,7 @@ from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
                     x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
-from .linsolve import _eliminate, gauss_solve
+from .linsolve import _eliminate, gauss_solve, matrix_inverse
 
 
 class ShapeMismatch(Exception):
@@ -53,6 +55,10 @@ class NotQuasiconstant(ValueError):
 
 class TruncationExceeded(Exception):
     """A pseudodifferential coefficient below the tracked depth was read."""
+
+
+class LeadingCoeffSingular(Exception):
+    pass
 
 
 class NoRationalSolution(Exception):
@@ -1019,10 +1025,6 @@ def _echelon_det(M) -> DetValue:
         elif op[0] == "sub":
             den, num = den * op[4], num * op[5]
     if elim.jets:
-        if den != 1:
-            # the one fraction of V: cancel the common factor first
-            _, (n, d) = _primitive_parts(num.terms, [num.terms, den.terms])
-            num, den = DiffPoly(M.alg, n), DiffPoly(M.alg, d)
         num = DiffRat(num, den)
     elif den != 1:
         num = num / den
@@ -1093,16 +1095,40 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
     when None) over the denominators of b: its kernel may miss solutions of
     higher degree, and Incomplete means it found no particular solution.
     """
-    field = M.alg.field
+    field, n = M.alg.field, M.n
     b = [field.zero] * M.m if b is None else [field.coerce(v) for v in b]
     if len(b) != M.m:
         raise ShapeMismatch("right-hand side length mismatch")
-    coeffs = [[e.field_coeffs() for e in row] for row in M.rows]
-    if all(c.is_constant() for row in coeffs for e in row for c in e.values()):
-        return _solve_constant(M.alg, coeffs, b)
+    rows = [{k * n + j: c for j, e in enumerate(row)
+             for k, c in e.field_coeffs().items()} for row in M.rows]
+    return _solve_rows(M.alg, rows, n, b, degree_bound)
+
+
+def _solve_rows(alg: DiffAlgebra, rows: list, n: int, b: list,
+                degree_bound: Optional[int]) -> SolutionSet:
+    """M(d) y = b for the quasiconstant M in n unknowns whose row i holds
+    the coefficient of d^k y_j in column k n + j of rows[i], a sparse
+    dict free of zero entries (consumed).  Free of x: _solve_constant; x in
+    a coefficient: the ansatz of degree degree_bound, default_degree_bound
+    when None."""
+    if all(c.is_constant() for row in rows for c in row.values()):
+        return _solve_constant(alg, rows, n, b)
+    M = _as_matrix(alg, rows, n)
     if degree_bound is None:
         degree_bound = default_degree_bound(M)
     return _solve_by_ansatz(M, b, degree_bound)
+
+
+def _as_matrix(alg: DiffAlgebra, rows: list, n: int) -> MatDiffOp:
+    """The operator matrix of coefficient rows: column k n + j of a row is
+    the coefficient of d^k in its entry j."""
+    out = []
+    for row in rows:
+        entries = [{} for _ in range(n)]
+        for col, c in row.items():
+            entries[col % n][col // n] = c
+        out.append([ScalarDiffOp(alg, e) for e in entries])
+    return MatDiffOp(alg, out)
 
 
 def _replay(ops: list, f: Sequence) -> list:
@@ -1123,44 +1149,35 @@ def _replay(ops: list, f: Sequence) -> list:
     return f
 
 
-def _solve_constant(alg: DiffAlgebra, coeffs: list, b: list) -> SolutionSet:
-    """M(d) y = b for M free of x, given by the field_coeffs of its
-    entries, on a triangular form over C[d] (De Sole-Kac, arXiv:1106.0082,
-    Appendix).  The rows, as vectors of their coefficients of d^k y_j with
-    b as one more column, are first reduced over C, so that row_echelon,
-    whose cost grows with the rows, sees at most n (ord M + 1) of them.
-    Its operations are invertible over C[d], and _replay applies them to
-    b.  A zero row whose right-hand side is not zero certifies
-    NoRationalSolution.  The rows are solved from the bottom up
-    (_solve_pivot), with an unknown without a pivot set to zero.
+def _solve_constant(alg: DiffAlgebra, rows: list, n: int,
+                    b: list) -> SolutionSet:
+    """M(d) y = b for M free of x, given as the coefficient rows of
+    _solve_rows, on a triangular form over C[d] (De Sole-Kac,
+    arXiv:1106.0082, Appendix).  The rows, with b as one more column, are
+    first reduced over C in place, so that row_echelon, whose cost grows
+    with the rows, sees at most n (ord M + 1) of them.  Its operations are
+    invertible over C[d], and _replay applies them to b.  A zero row whose
+    right-hand side is not zero certifies NoRationalSolution.  The rows are
+    solved from the bottom up (_solve_pivot), with an unknown without a
+    pivot set to zero.
 
     A pivot L = d^m L0, L0(0) != 0, has the polynomials of degree < m as
     its rational kernel: L0 is invertible on polynomials, and its kernel is
     exponential.  So x^s, s < m, seeded at each pivot and carried up with
     right-hand side zero, gives a basis of the rational kernel, which
     _ansatz_order brings to the basis an ansatz prints.  An unknown without
-    a pivot makes the kernel infinite.
+    a pivot makes the kernel infinite; so does a system without rows.
     """
-    field, m, n = alg.field, len(coeffs), len(coeffs[0])
-    width = n * (1 + max((k for row in coeffs for e in row for k in e),
-                         default=0))
-    stacked = []
-    for row, v in zip(coeffs, b):
-        stacked.append({k * n + j: c for j, e in enumerate(row)
-                        for k, c in e.items()})
+    field, m = alg.field, len(rows)
+    width = 1 + max((col for row in rows for col in row), default=0)
+    for row, v in zip(rows, b):
         if not v.is_zero():
-            stacked[-1][width] = v
-    rank = len(_eliminate(stacked, width, field)[0])
-    rows = []
-    for r in stacked[:rank]:
-        entries = [{} for _ in range(n)]
-        for col, c in r.items():
-            if col < width:
-                entries[col % n][col // n] = c
-        rows.append([ScalarDiffOp(alg, e) for e in entries])
-    U, ops = row_echelon(MatDiffOp(alg, rows))
+            row[width] = v
+    rank = len(_eliminate(rows, width, field)[0])
+    rhs = [row.pop(width, field.zero) for row in rows]
+    U, ops = row_echelon(_as_matrix(alg, rows[:rank], n))
     # rows rank.. hold no unknowns; the operations leave them as they are
-    rhs = _replay(ops, [r.get(width, field.zero) for r in stacked])
+    rhs = _replay(ops, rhs)
     pivots = [next((j for j, e in enumerate(row) if not e.is_zero()), None)
               for row in U.rows] + [None] * (m - rank)
     if any(j is None and not v.is_zero() for j, v in zip(pivots, rhs)):
@@ -1331,14 +1348,49 @@ def _as_op(alg: DiffAlgebra, c) -> ScalarDiffOp:
 # -- spaces of operators with (self)adjoint products ---------------------------------
 
 
+def invertible_leading(K: MatDiffOp) -> tuple:
+    """(K_N, K_N^-1): the leading coefficient of a square operator K of
+    order N as a matrix over F, and its inverse.  Raises ShapeMismatch when K
+    is not square, NotQuasiconstant when K_N is not in F, and
+    LeadingCoeffSingular when K is zero or K_N is singular."""
+    if not K.is_square():
+        raise ShapeMismatch(f"leading coefficient of a {K.m}x{K.n} operator")
+    N = K.order()
+    if N is None:
+        raise LeadingCoeffSingular("zero operator")
+    field = K.alg.field
+    lead = []
+    for row in K.rows:
+        r = []
+        for e in row:
+            c = e.coeff(N)
+            if isinstance(c, DiffPoly):
+                if not c.is_quasiconstant():
+                    raise NotQuasiconstant("leading coefficient not in F")
+                c = c.quasiconstant_part()
+            r.append(field.coerce(c))
+        lead.append(r)
+    inv = lead if _is_identity(lead) else matrix_inverse(lead, field)
+    if inv is None:
+        raise LeadingCoeffSingular("leading coefficient is singular")
+    return lead, inv
+
+
+def _is_identity(mat: list) -> bool:
+    return all(c.is_one() if i == j else c.is_zero()
+               for i, row in enumerate(mat) for j, c in enumerate(row))
+
+
 def selfadjoint_product_space(K: MatDiffOp) -> list:
     """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint},
-    found by solve_rational.  K must be quasiconstant with invertible
-    leading coefficient; an infinite space raises InvariantViolation."""
+    found by solve_linform_system.  K must be quasiconstant with invertible
+    leading coefficient (invertible_leading: LeadingCoeffSingular
+    otherwise); an infinite space raises InvariantViolation."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
         raise NotQuasiconstant("K must be quasiconstant")
+    invertible_leading(K)
     N = K.order()
     size = K.m
     atoms = [(q, i, j) for q in range(N) for i in range(size)
@@ -1350,11 +1402,10 @@ def selfadjoint_product_space(K: MatDiffOp) -> list:
     # LinForm coefficients live inside DiffPoly constant terms
     T = K.compose(P)
     R = T - T.adjoint()
-    eqs = linform_equations(
-        ((i, j, n), e.coeffs[n].quasiconstant_part())
-        for i, row in enumerate(R.rows) for j, e in enumerate(row)
-        for n in sorted(e.coeffs))
-    sols = solve_linform_system(alg, list(eqs.values()), atoms)
+    sols = solve_linform_system(
+        alg, (((i, j, n), e.coeffs[n].quasiconstant_part())
+              for i, row in enumerate(R.rows) for j, e in enumerate(row)
+              for n in sorted(e.coeffs)), atoms)
     out = []
     for vec in sols.homogeneous:
         values = dict(zip(atoms, vec))
@@ -1363,45 +1414,36 @@ def selfadjoint_product_space(K: MatDiffOp) -> list:
     return out
 
 
-def linform_equations(pairs) -> dict:
-    """{key: c} for the (key, c) pairs of a homogeneous linear system in
-    unknowns whose c is a LinForm, in order.  A zero c is dropped; any other
-    c is a term free of the unknowns and raises InvariantViolation."""
+def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list, rhs=None,
+                         degree_bound: Optional[int] = None) -> SolutionSet:
+    """Rational solutions of a linear system in the unknown functions atoms,
+    given as the (key, c) pairs of _equations(): c is a LinForm in the
+    atoms and their derivatives, or a term free of them, which must be
+    zero (InvariantViolation otherwise).  Each LinForm is one row of
+    _solve_rows, read from its terms: D^r atoms[j] is column r n + j.
+
+    rhs, as (key, value) pairs, is zero when omitted, and then the caller
+    wants a basis of the kernel: an infinite kernel, as of a system
+    without equations, raises InvariantViolation naming an atom that no
+    pivot determines.  With rhs the rows are the keys of both, sorted by
+    repr."""
+    field, n = alg.field, len(atoms)
+    index = {a: j for j, a in enumerate(atoms)}
     eqs = {}
     for key, c in pairs:
         if isinstance(c, LinForm):
-            eqs[key] = c
+            eqs[key] = {r * n + index[a]: v for (a, r), v in c.terms.items()}
         elif not c.is_zero():
             raise InvariantViolation(
-                "a term free of the unknowns in a homogeneous linear system")
-    return eqs
-
-
-def solve_linform_system(alg: DiffAlgebra, eqs: list, atoms: list,
-                         rhs: Optional[Sequence[FieldElem]] = None,
-                         degree_bound: Optional[int] = None) -> SolutionSet:
-    """Rational solutions of the equations eqs = rhs in the unknown functions
-    atoms, by solve_rational.  Each equation is a LinForm in the atoms and
-    their derivatives; None or a zero LinForm is an empty row.  Without
-    equations every atom is free, and the basis is the identity.  rhs is
-    zero when omitted, and then the caller wants a basis of the kernel: an
-    infinite kernel raises InvariantViolation naming an atom that no pivot
-    determines."""
-    field = alg.field
-    if not eqs:
-        basis = [[field.one if t == b else field.zero
-                  for t in range(len(atoms))] for b in range(len(atoms))]
-        return SolutionSet([field.zero] * len(atoms), basis)
-    index = {a: j for j, a in enumerate(atoms)}
-    rows = []
-    for lf in eqs:
-        row = [ScalarDiffOp.zero(alg) for _ in atoms]
-        if lf is not None:
-            for a, ders in lf.by_atom().items():
-                row[index[a]] = ScalarDiffOp(
-                    alg, {r: alg.from_scalar(c) for r, c in ders.items()})
-        rows.append(row)
-    sols = solve_rational(MatDiffOp(alg, rows), rhs, degree_bound)
+                "a term free of the unknowns in a linear-form equation")
+    if rhs is None:
+        rows, b = list(eqs.values()), [field.zero] * len(eqs)
+    else:
+        rhs = dict(rhs)
+        keys = sorted(set(eqs) | set(rhs), key=repr)
+        rows = [eqs.get(key, {}) for key in keys]
+        b = [field.coerce(rhs.get(key, field.zero)) for key in keys]
+    sols = _solve_rows(alg, rows, n, b, degree_bound)
     if rhs is None and sols.homogeneous is None:
         raise InvariantViolation(f"the kernel is infinite: unknown "
                                  f"{atoms[sols.free[0]]!r} has no pivot")

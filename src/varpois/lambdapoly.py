@@ -188,7 +188,8 @@ def format_lambda_poly(P: LambdaPoly, names: Optional[list] = None) -> str:
 class _LambdaArray:
     """Arity-k array of lambda-polynomials: `entries` maps index tuples to
     nonzero LambdaPoly.  The linear structure acts on the stored entries
-    key by key; a subclass fixes which index tuples are stored."""
+    key by key, and a sum holds them in sorted key order; a subclass fixes
+    which index tuples are stored."""
 
     __slots__ = ("alg", "k", "entries")
 
@@ -211,7 +212,7 @@ class _LambdaArray:
         out = dict(self.entries)
         for key, v in other.entries.items():
             accumulate(out, key, v)
-        return self._with(out)
+        return self._with(dict(sorted(out.items())))
 
     def __sub__(self, other):
         return self + (-other)

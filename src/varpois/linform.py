@@ -100,16 +100,6 @@ class LinForm:
         return hash((self.field, tuple(sorted(self.terms.items(),
                                               key=lambda kv: repr(kv[0])))))
 
-    def atoms(self) -> set:
-        return {a for (a, _) in self.terms}
-
-    def by_atom(self) -> dict:
-        """atom -> {derivative order -> coefficient}."""
-        out: dict = {}
-        for (a, r), c in self.terms.items():
-            out.setdefault(a, {})[r] = c
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "LinForm(0)"

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import (SkewArray, _apply_entry, _degree_cap, _inverse_perm,
-                        _perm_sign, invertible_leading)
+                        _perm_sign)
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
 from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
-                     linform_equations, solve_linform_system)
+                     invertible_leading, solve_linform_system)
 from .field import accumulate
 from .lambdapoly import LambdaPoly, _LambdaArray, subst_slot_neg, symbol_act
 from .linform import LinForm
@@ -368,8 +368,7 @@ def sigma_space(K: MatDiffOp, k: int):
         return [], expected, expected > 0
     P = _unknown_kdiffop(alg, k, N)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
-    eqs = linform_equations(E._equations())
-    sols = solve_linform_system(alg, list(eqs.values()), atoms,
+    sols = solve_linform_system(alg, E._equations(), atoms,
                                 degree_bound=_degree_cap(N, k, alg.nvars))
     basis = [_at(P, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
@@ -385,7 +384,6 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     raised by one, twice, while NoRationalSolution or Incomplete says no
     P of that degree solves; the last error names the largest degree."""
     alg = K.alg
-    field = alg.field
     k = S.k
     invertible_leading(K)
     N = K.order()
@@ -396,17 +394,14 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     d_s = max(max((L.degree_in(a) for a in range(k)), default=0)
               for L in S.entries.values())
     lam_deg = max(N - 1, d_s)
-    rhs = {key: field.coerce(c) for key, c in S._equations()}
+    rhs = S._equations()
     for ndeg in range(lam_deg + 1, lam_deg + 4):
         atoms = _skew_atoms(alg, k, ndeg)
         P = _unknown_kdiffop(alg, k, ndeg)
         E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
-        lhs = linform_equations(E._equations())
-        keys = sorted(set(lhs) | set(rhs), key=repr)
         try:
             return _at(P, atoms, solve_linform_system(
-                alg, [lhs.get(key) for key in keys], atoms,
-                [rhs.get(key, field.zero) for key in keys]).particular)
+                alg, E._equations(), atoms, rhs).particular)
         except (Incomplete, NoRationalSolution) as err:
             last_err = err
     raise type(last_err)(f"no solution P of lambda-degree at most "

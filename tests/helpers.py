@@ -14,7 +14,6 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
 from varpois.complexes import _perm_sign
-from varpois.diffalg import _exact_div
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
                             _simplify_coeff)
 from varpois.field import POLY, RAT
@@ -396,9 +395,9 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
     where g must divide exactly."""
     def divide(c, g):
         if isinstance(g, DiffPoly):
-            q = _exact_div(c, g)
-            assert q is not None, "the content does not divide the row"
-            return q
+            q = DiffRat(c, g)
+            assert q.den == c.alg.one, "the content does not divide the row"
+            return q.num
         return c / g
 
     rows = _field_entries(M, lambda c: c)
@@ -414,6 +413,21 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
             rows[j] = [(x.scale(a) - P.compose(y)).map_coeffs(
                 lambda c: divide(c, g)) for x, y in zip(rows[j], rows[i])]
     return MatDiffOp(M.alg, rows)
+
+
+def linform_matrix_reference(alg: DiffAlgebra, eqs: list,
+                             atoms: list) -> MatDiffOp:
+    """The operator matrix of LinForm equations, built entry by entry: row
+    i holds in column j the operator sum_r c D^r for the terms c D^r
+    atoms[j] of eqs[i]; None is a zero row."""
+    index = {a: j for j, a in enumerate(atoms)}
+    rows = []
+    for lf in eqs:
+        row = [{} for _ in atoms]
+        for (a, r), c in (lf.terms.items() if lf is not None else ()):
+            row[index[a]][r] = alg.from_scalar(c)
+        rows.append([ScalarDiffOp(alg, e) for e in row])
+    return MatDiffOp(alg, rows)
 
 
 def _division_step(row, pivot_row, col):

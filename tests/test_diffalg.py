@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
                      is_exact_1form, is_total_derivative, reconstruct_density,
                      variational_derivative)
 from varpois.complexes import SkewArray, de_rham_delta, reduce_closed
-from varpois.diffalg import DiffRat, _exact_div, format_diff_poly
+from varpois.diffalg import DiffRat, format_diff_poly
 from varpois.diffop import MatDiffOp
 
 from helpers import (coefficient, diffpolys, functional_eq_reference,
@@ -264,30 +265,62 @@ def test_undecidable_residue_in_both_paths():
             eq(LocalFunctional(w), LocalFunctional(ALG2C.zero))
 
 
-def test_exact_division_needs_a_monomial_order():
-    """(u' + u'') u'' / (u' + u''): under the display order u'' ranks below
-    u' but u''^2 above u' u'', so leading terms stopped matching and the
-    division reported 'does not divide'.  Graded lex finds the quotient."""
+def test_diffrat_cancels_a_common_factor_of_jets():
+    """(u' + u'') u'' / (u' + u''): the factor cancels, and den = u' + u''
+    stays over u''' + (u' + u'') u'', which it does not divide."""
     u = ALG1.jet
     den = u(1, 1) + u(1, 2)
-    assert _exact_div(den * u(1, 2), den) == u(1, 2)
-    assert _exact_div(den * u(1, 2) + u(1, 3), den) is None
+    q = DiffRat(den * u(1, 2), den)
+    assert q.den == ALG1.one and q.num == u(1, 2)
+    r = DiffRat(den * u(1, 2) + u(1, 3), den)
+    assert r.den == den and r.num == den * u(1, 2) + u(1, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), alg=st.sampled_from([ALG1, ALG1C, ALG2]))
-def test_exact_division_multi_step(data, alg):
-    """den * q / den gives q back, one quotient term per pass of the
-    division loop, with field coefficients in x and c."""
+def test_diffrat_of_a_multiple(data, alg):
+    """den * q / den gives q back, also over den squared, with field
+    coefficients in x and c."""
     den = data.draw(diffpolys(alg, max_order=2, max_degree=2, max_terms=3,
                               with_x=True))
     q = data.draw(diffpolys(alg, max_order=2, max_degree=2, max_terms=3,
                             with_x=True))
     if den.is_zero():
         return
-    assert _exact_div(den * q, den) == q
+    rat = DiffRat(den * q, den)
+    assert rat.den == alg.one and rat.num == q
     rat = DiffRat(den * q * den, den * den)
     assert rat.den == alg.one and rat.num == q
+
+
+def _sympy_poly(p):
+    """A DiffPoly with polynomial coefficients as a sympy expression in x,
+    the parameters and one symbol per jet variable."""
+    out = 0
+    for mono, c in p.terms.items():
+        term = c.f.as_expr()
+        for (n, i), e in mono:
+            term *= sympy.Symbol(f"u{i}_{n}") ** e
+        out += term
+    return sympy.expand(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG1, ALG1C, ALG2]))
+def test_diffrat_is_in_lowest_terms(data, alg):
+    """DiffRat(a g, b g) equals DiffRat(a, b), and the stored num and den
+    share no non-constant factor (sympy's gcd)."""
+    def draw(terms=3):
+        return data.draw(diffpolys(alg, max_order=2, max_degree=2,
+                                   max_terms=terms, with_x=True))
+    a, b, g = draw(), draw(), draw(2)
+    assume(not b.is_zero() and not g.is_zero())
+    want, got = DiffRat(a, b), DiffRat(a * g, b * g)
+    assert got == want
+    for r in (want, got):
+        if r.den != alg.one:
+            common = sympy.gcd(_sympy_poly(r.num), _sympy_poly(r.den))
+            assert not common.free_symbols, (r, common)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +328,8 @@ def test_exact_division_multi_step(data, alg):
        shared=st.booleans())
 def test_diffrat_sums_match_cross_multiplication(data, alg, shared):
     """a + b and a - b equal (a.num*b.den +- b.num*a.den)/(a.den*b.den);
-    over a shared denominator the sum keeps it instead of squaring it."""
+    over a shared denominator the sum's denominator divides it instead of
+    being its square."""
     def draw():
         return data.draw(diffpolys(alg, max_order=2, max_degree=2,
                                    max_terms=3, with_x=True))
@@ -307,4 +341,4 @@ def test_diffrat_sums_match_cross_multiplication(data, alg, shared):
                          (a - b, a.num * b.den - b.num * a.den)):
         assert got == DiffRat(ref_num, a.den * b.den)
         if a.den == b.den:
-            assert got.den in (a.den, alg.one)
+            assert DiffRat(a.den, got.den).den == alg.one

@@ -20,14 +20,14 @@ from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
                             _echelon_det, _solve_by_ansatz,
                             default_degree_bound, format_scalar_op,
-                            linform_equations, solve_linform_system)
+                            solve_linform_system)
 from varpois import zpoly
 from varpois.field import format_field_elem, x_coefficients
 from varpois.zpoly import Poly
 
 from helpers import (apply_row_ops, det_by_division, echelon_by_division,
                      field_elems, from_right_form, from_split_form,
-                     rnd_mat_op, rnd_scalar_op,
+                     linform_matrix_reference, rnd_mat_op, rnd_scalar_op,
                      same_row_flags, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
@@ -402,22 +402,93 @@ def test_solve_rational_selfadjoint_system():
     assert P.order() == 0 and P.coeff(0).is_quasiconstant()
 
 
-def test_linform_equations_and_system():
-    """The LinForm split keeps LinForms, drops zeros and names a term free
-    of the unknowns; a system without equations leaves every atom free."""
+def test_linform_system_rows():
+    """solve_linform_system keeps LinForm equations, drops zero terms and
+    names a term free of the unknowns; a system without equations leaves
+    every atom free, so its kernel is infinite."""
     F = ALG.field
-    a = LinForm.atom(F, "a")
-    assert linform_equations([(0, a), (1, F.zero), (2, LinForm.zero(F))]) \
-        == {0: a, 2: LinForm.zero(F)}
-    with pytest.raises(InvariantViolation):
-        linform_equations([(0, a), (1, F.one)])
-    sols = solve_linform_system(ALG, [], ["a", "b"])
-    assert sols.homogeneous == [[F.one, F.zero], [F.zero, F.one]]
+    a, b = LinForm.atom(F, "a"), LinForm.atom(F, "b")
+    # a' = 0, with a zero term and a zero LinForm: a is a constant
+    sols = solve_linform_system(
+        ALG, [(0, a.derive()), (1, F.zero), (2, LinForm.zero(F))], ["a"])
+    assert sols.homogeneous == [[F.one]]
+    with pytest.raises(InvariantViolation, match="free of the unknowns"):
+        solve_linform_system(ALG, [(0, a), (1, F.one)], ["a"])
+    with pytest.raises(InvariantViolation, match="'a' has no pivot"):
+        solve_linform_system(ALG, [], ["a", "b"])
+    assert solve_rational(MatDiffOp(ALG, [[ZERO, ZERO]])).dim == INFINITE
     # a' = 0 and b = x: a is a constant, b is x
-    sols = solve_linform_system(ALG, [a.derive(), LinForm.atom(F, "b")],
-                                ["a", "b"], [F.zero, F.x], 2)
+    sols = solve_linform_system(ALG, [(0, a.derive()), (1, b)], ["a", "b"],
+                                [(1, F.x)], 2)
     assert sols.particular == [F.zero, F.x]
     assert sols.homogeneous == [[F.one, F.zero]]
+
+
+@st.composite
+def linform_systems(draw):
+    """(eqs, atoms, b): up to 3 LinForm equations in the atoms "p", "q"
+    with derivatives of order <= 2, each None (no equation), zero or a few
+    terms; coefficients with x or free of x, and b a right-hand side of
+    small polynomials of degree <= 1 or None."""
+    F = ALG.field
+    atoms = ["p", "q"][:draw(st.integers(1, 2))]
+    with_x = draw(st.booleans())
+    coeff = field_elems(F, with_x=with_x)
+    eqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["none", "zero", "form", "form"]))
+        lf = None if kind == "none" else LinForm.zero(F)
+        if kind == "form":
+            for _ in range(draw(st.integers(1, 3))):
+                atom = LinForm.atom(F, draw(st.sampled_from(atoms)),
+                                    draw(st.integers(0, 2)))
+                lf = lf + atom * draw(coeff.filter(lambda v: not v.is_zero()))
+        eqs.append(lf)
+    b = None
+    if draw(st.booleans()):
+        b = [draw(st.sampled_from([F.zero, F.one, F.x, F.x - 2]))
+             for _ in eqs]
+    return eqs, atoms, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=linform_systems(), cap=st.sampled_from([None, 3]))
+def test_linform_rows_equal_the_operator_matrix(system, cap):
+    """solve_linform_system, which reads its rows from LinForm.terms,
+    equals solve_rational on the operator matrix of the same equations
+    (linform_matrix_reference), with and without x, with and without a
+    right-hand side, zero rows included: the same particular solution and
+    basis, or the same error; without a right-hand side an infinite
+    kernel is an InvariantViolation."""
+    eqs, atoms, b = system
+    keys = [i for i, lf in enumerate(eqs) if lf is not None]
+    pairs = [(i, eqs[i]) for i in keys]
+    if b is not None:
+        rhs = [(i, v) for i, v in enumerate(b) if not v.is_zero()]
+        keys = sorted(set(keys) | {i for i, _ in rhs})
+        b = [b[i] for i in keys]
+    # no equation at all: the reference is the zero operator
+    M = linform_matrix_reference(ALG, [eqs[i] for i in keys] or [None], atoms)
+    if b is not None and not keys:
+        b = [ALG.field.zero]
+
+    def outcome(solve):
+        try:
+            sols = solve()
+        except (Incomplete, NoRationalSolution, InvariantViolation) as err:
+            return type(err)
+        return (sols.particular, sols.homogeneous, sols.free)
+
+    want = outcome(lambda: solve_rational(M, b, cap))
+    if b is None:
+        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms,
+                                                   degree_bound=cap))
+        if want[1] is None:
+            want = InvariantViolation
+    else:
+        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms, rhs,
+                                                   cap))
+    assert got == want
 
 
 def test_selfadjoint_space_dimensions():

@@ -7,7 +7,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
@@ -16,8 +16,9 @@ from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
                      chi_representative, coeff_b, coeff_c, cohomology_dim,
                      expand_monomial, frechet, functional_eq,
                      is_skewsymmetric, is_totally_skewsymmetric,
-                     module_action, pairing, sigma_action, sigma_space,
-                     skew_product, solve_skew_equation, total_skewsymmetrize)
+                     module_action, pairing, selfadjoint_product_space,
+                     sigma_action, sigma_space, skew_product,
+                     solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois import diffop, polydiff
 from varpois.polydiff import _B_TABLE, _C_TABLE
@@ -158,10 +159,13 @@ def test_skew_pairing_alternating_form():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), l=st.integers(1, 2), k=st.integers(0, 3),
        skew=st.booleans())
+@example(seed=483, l=2, k=2, skew=False)
+@example(seed=1888, l=2, k=2, skew=False)
 def test_total_skewsymmetrize_matches_the_full_sum(seed, l, k, skew):
     """The coset sum equals the sum over all of S_(k+1), on any P and on
     an S_k-skewsymmetric one (the shape the solvers pass in), entry order
-    included."""
+    included: a sum of arrays holds its entries in sorted key order, which
+    the two seeds pinned above once broke."""
     alg = ALG if l == 1 else ALG2
     P = rnd_kdiffop(random.Random(seed), alg, k)
     if skew:
@@ -479,6 +483,7 @@ SOLVERS = {
     "sigma_space": lambda K: sigma_space(K, 0),
     "solve_skew_equation": lambda K: solve_skew_equation(K, KDiffOp(ALG2, 1)),
     "cohomology_dim": lambda K: cohomology_dim(K, 0),
+    "selfadjoint_product_space": selfadjoint_product_space,
 }
 
 

@@ -75,13 +75,15 @@ def test_benchmark_smoke_verdicts(workload, trace):
 
 
 def _defined_functions(tree) -> list:
-    """(qualname, node) for every function and method of a module."""
+    """(qualname, node, method) for every function and method of a module,
+    method true for a function defined in a class body."""
     out = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((prefix + child.name, child))
+                out.append((prefix + child.name, child,
+                            isinstance(node, ast.ClassDef)))
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
@@ -95,32 +97,50 @@ def _named(node) -> list:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def _attribute_named(node) -> list:
+    """Every identifier that an Attribute under node names, or a string
+    that getattr reads."""
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)] \
+        + [n.args[1].value for n in ast.walk(node)
+           if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+           and n.func.id == "getattr" and len(n.args) > 1
+           and isinstance(n.args[1], ast.Constant)
+           and isinstance(n.args[1].value, str)]
+
+
 def test_library_code_has_a_library_caller():
     """Every function and method of the package is exported from varpois,
     or named (called, passed or traced by the benchmark) somewhere in src/
     or bench/ outside its own definition: no library code serves only the
-    tests.  Dunder methods are called by the language and are exempt."""
+    tests.  A method counts as named only by an attribute (`.name`) or a
+    getattr string, so a variable of the same name does not hide it.
+    Dunder methods are called by the language and are exempt."""
     sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sources}
     uses: dict = {}
+    attribute_uses: dict = {}
     for tree in trees.values():
         for name in _named(tree):
             uses[name] = uses.get(name, 0) + 1
+        for name in _attribute_named(tree):
+            attribute_uses[name] = attribute_uses.get(name, 0) + 1
     layers = (ROOT / "bench" / "layers.py").read_text()
     for target in re.findall(r':([\w.]+)"', layers):
         name = target.split(".")[-1]
         uses[name] = uses.get(name, 0) + 1
+        attribute_uses[name] = attribute_uses.get(name, 0) + 1
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        for qualname, node in _defined_functions(trees[path]):
+        for qualname, node, method in _defined_functions(trees[path]):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
             if "." not in qualname and hasattr(varpois, name):
                 continue
-            own = sum(1 for n in _named(node) if n == name)
-            if uses.get(name, 0) - own == 0:
+            named = _attribute_named if method else _named
+            own = sum(1 for n in named(node) if n == name)
+            if (attribute_uses if method else uses).get(name, 0) == own:
                 unused.append(f"{path.name}:{qualname}")
     assert unused == []
 
