@@ -1110,9 +1110,24 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int, b: list,
     the coefficient of d^k y_j in column k n + j of rows[i], a sparse
     dict free of zero entries (consumed).  Free of x: _solve_constant; x in
     a coefficient: the ansatz of degree degree_bound, default_degree_bound
-    when None."""
+    when None.  An unknown that no row mentions makes the kernel infinite
+    before any ansatz is built; the particular solution sets it to zero
+    and solves the others by the ansatz."""
     if all(c.is_constant() for row in rows for c in row.values()):
         return _solve_constant(alg, rows, n, b)
+    used = sorted({col % n for row in rows for col in row})
+    free = [j for j in range(n) if j not in used]
+    if free:
+        if all(v.is_zero() for v in b):
+            return SolutionSet(None, None, free)
+        place = {j: t for t, j in enumerate(used)}
+        rows = [{col // n * len(used) + place[col % n]: c
+                 for col, c in row.items()} for row in rows]
+        y = _solve_rows(alg, rows, len(used), b, degree_bound).particular
+        particular = [alg.field.zero] * n
+        for t, j in enumerate(used):
+            particular[j] = y[t]
+        return SolutionSet(particular, None, free)
     M = _as_matrix(alg, rows, n)
     if degree_bound is None:
         degree_bound = default_degree_bound(M)

@@ -34,10 +34,14 @@ class NotPoisson(Exception):
 
 class LambdaBracketStruct:
     """Bracket structure determined by its operator H (DiffPoly entries).
-    Immutable; ``_skew`` holds the verdict of check_skewadjoint once taken
-    (None before)."""
+    Immutable; ``_skew`` holds the verdict of check_skewadjoint and
+    ``_jacobi`` the (ok, witness) of check_jacobi once taken (None before),
+    so d_K, the Lenard-Magri driver, the CLI and jacobi_residual check a
+    structure they meet again only once.  A skewadjoint H that passes
+    check_jacobi is Poisson, and its jacobi_residual is zero on every
+    triple without a bracket being expanded."""
 
-    __slots__ = ("op", "_skew")
+    __slots__ = ("op", "_skew", "_jacobi")
 
     def __init__(self, op: MatDiffOp):
         size = op.alg.nvars
@@ -46,6 +50,7 @@ class LambdaBracketStruct:
                                 f"{size}x{size} operator, got {op.m}x{op.n}")
         self.op = op
         self._skew = None
+        self._jacobi = None
 
     @property
     def alg(self) -> DiffAlgebra:
@@ -157,9 +162,41 @@ def _outer_bracket(q: LambdaPoly, h: DiffPoly,
 
 def jacobi_residual(H: LambdaBracketStruct, f: DiffPoly, g: DiffPoly,
                     h: DiffPoly) -> LambdaPoly:
-    """{f_lam {g_mu h}} - {g_mu {f_lam h}} - {{f_lam g}_(lam+mu) h},
-    as an arity-2 polynomial (lam = slot 0, mu = slot 1): the mixed terms
-    with H inside and outside, negated."""
+    """J(f, g, h) = {f_lam {g_mu h}} - {g_mu {f_lam h}}
+    - {{f_lam g}_(lam+mu) h}, as an arity-2 polynomial (lam = slot 0,
+    mu = slot 1): the mixed terms with H inside and outside, negated.
+
+    A skewadjoint H whose verdict from check_jacobi (kept on H) is ok is a
+    Poisson structure, and then J is zero on every triple: Barakat, De Sole
+    and Kac, *Poisson vertex algebras in the theory of Hamiltonian
+    equations*, Japan. J. Math. 4 (2009), Section 1, Theorem 1.15 (the
+    master formula).  So the residual is zero without a bracket being
+    expanded.  The proof, for the master-formula bracket of any H over
+    F = Q(params)(x):
+    - the bracket is sesquilinear, {d f_lam g} = -lam {f_lam g} and
+      {f_lam d g} = (lam + d) {f_lam g}; it obeys the left Leibniz rule
+      {f_lam g1 g2} = g1 {f_lam g2} + g2 {f_lam g1}; and it is zero when
+      either side is in F.
+    - h: expanding J(f, g, h1 h2) by the Leibniz rule, the products
+      {f_lam h1} {g_mu h2} and {f_lam h2} {g_mu h1} come once from each of
+      the first two terms and cancel, so J is a derivation in h;
+      sesquilinearity gives J(f, g, d h) = (lam + mu + d) J(f, g, h), and
+      J(f, g, a) = 0 for a in F.  Hence J(f, g, h) =
+      sum_{k,n} dh/du_k^(n) (lam + mu + d)^n J(f, g, u_k).
+    - f and g: with H* = -H the bracket is skewsymmetric,
+      {g_lam f} = -{f_(-lam-d) g}.  Rewriting each of the three terms by it
+      (in the outer bracket d acts as -(lam + mu) and then on the
+      coefficients) gives the cyclic form J(f, g, h)(lam, mu) =
+      J(h, f, g)(-lam-mu-d, lam), d acting on the coefficients; applied
+      twice it moves f, and once g, into the last slot, where the step
+      above reduces it to a generator.
+    So J vanishes on V^3 once it vanishes on the generator triples, which
+    is what check_jacobi tests.  Without skewsymmetry the last step fails,
+    and a non-skewadjoint H always takes the full expansion, whatever
+    check_jacobi(H, require_skew=False) says.
+    """
+    if check_skewadjoint(H) and check_jacobi(H)[0]:
+        return LambdaPoly.zero(H.alg, 2)
     return -_compatibility_terms(H, H, f, g, h)
 
 
@@ -205,35 +242,56 @@ def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
 
     Returns (ok, witness); witness is None or (triple, residual).  A
     quasiconstant H is Poisson without a residual, skewadjoint or not.
+    The verdict is taken once per structure and kept on H: one slot serves
+    both modes, since a skewadjoint H gets the same verdict and witness
+    from each (below), and a non-skewadjoint one gets a verdict only with
+    require_skew=False.  With an ok verdict a skewadjoint H is Poisson,
+    and jacobi_residual returns zero on every triple.
     """
     if require_skew and not check_skewadjoint(H):
         raise NotSkewadjoint("bracket operator is not skewadjoint")
-    if H.op.is_quasiconstant():
-        return True, None
-    # With H* = -H the bracket is skewsymmetric, {b_mu a} = -{a_(-mu-d) b}.
-    # Write J(a,b,c)(lam,mu) = {a_lam {b_mu c}} - {b_mu {a_lam c}}
-    # - {{a_lam b}_(lam+mu) c} and {a_nu b} = sum_t q_t nu^t.  Then
-    # {b_mu a} = -sum_t (-mu-d)^t q_t, and d acts as -(lam+mu) in the outer
-    # bracket, so {{b_mu a}_(lam+mu) c} = -sum_t lam^t {q_t_(lam+mu) c}
-    # = -{{a_lam b}_(lam+mu) c}.  The other two terms swap, hence
-    # J(b,a,c)(mu,lam) = -J(a,b,c)(lam,mu): (b,a,c) fails iff (a,b,c) does,
-    # and the full loop meets (a,b,c) first, so the triples with a <= b give
-    # the same verdict and the same first witness.
-    return _check_triples(H.alg, lambda f, g, h: jacobi_residual(H, f, g, h),
-                          a_le_b=require_skew)
+    if H._jacobi is None:
+        if H.op.is_quasiconstant():
+            H._jacobi = (True, None)
+        else:
+            H._jacobi = _check_triples(
+                H.alg, lambda f, g, h: -_compatibility_terms(H, H, f, g, h),
+                a_le_b=check_skewadjoint(H))
+    return H._jacobi
+
+
+# With H* = -H the bracket is skewsymmetric, {b_mu a} = -{a_(-mu-d) b}.
+# Write J(a,b,c)(lam,mu) = {a_lam {b_mu c}} - {b_mu {a_lam c}}
+# - {{a_lam b}_(lam+mu) c} and {a_nu b} = sum_t q_t nu^t.  Then
+# {b_mu a} = -sum_t (-mu-d)^t q_t, and d acts as -(lam+mu) in the outer
+# bracket, so {{b_mu a}_(lam+mu) c} = -sum_t lam^t {q_t_(lam+mu) c}
+# = -{{a_lam b}_(lam+mu) c}.  The other two terms swap, hence
+# J(b,a,c)(mu,lam) = -J(a,b,c)(lam,mu): (b,a,c) fails iff (a,b,c) does,
+# and the full loop meets (a,b,c) first, so the triples with a <= b give
+# the same verdict and the same first witness.
+#
+# For a pair, write J_S for the residual of S and C(S, T) for the mixed
+# terms with S inside and T outside (_compatibility_terms).  Each bracket
+# is linear in its structure, so J_(H+K) = J_H + J_K - C(H, K) - C(K, H):
+# the mixed residual of check_compatible is J_H + J_K - J_(H+K).  When H
+# and K are skewadjoint so is H + K, each of the three satisfies
+# J(b,a,c)(mu,lam) = -J(a,b,c)(lam,mu), hence so does their sum, and
+# check_compatible visits only a <= b by the same argument.
 
 
 def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
     """True iff the mixed triple expression vanishes on all generator
     triples; returns (ok, witness).  Only the terms whose inner operator is
     not quasiconstant are computed: two quasiconstant operators are
-    compatible outright."""
+    compatible outright.  When H and K are both skewadjoint, only the
+    triples with a <= b are visited (see above)."""
     orders = [(first, second) for first, second in ((H, K), (K, H))
               if not first.op.is_quasiconstant()]
     zero = LambdaPoly.zero(H.alg, 2)
     return _check_triples(H.alg, lambda f, g, h: sum(
         (_compatibility_terms(first, second, f, g, h)
-         for first, second in orders), zero))
+         for first, second in orders), zero),
+        a_le_b=check_skewadjoint(H) and check_skewadjoint(K))
 
 
 def _check_triples(alg: DiffAlgebra, residual, a_le_b: bool = False):

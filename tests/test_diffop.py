@@ -639,6 +639,41 @@ def test_constant_systems_solve_on_the_triangular_form(monkeypatch):
     assert len(calls) == 1
 
 
+def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
+        monkeypatch):
+    """[x d, 0] leaves y2 free, as [d, 0] does: the kernel is infinite
+    with y2 in free, not the degree-capped slice of an ansatz, and the
+    particular solution sets y2 to zero (x y1' = x gives y1 = x).  A
+    linear-form system in a and b that never mentions b raises
+    InvariantViolation naming b."""
+    F = ALG.field
+    calls = []
+
+    def recording(M, b, degree_bound):
+        calls.append(M)
+        return _solve_by_ansatz(M, b, degree_bound)
+
+    monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    for row, free in (([xd, ZERO], (1,)), ([ZERO, xd], (0,))):
+        sols = solve_rational(MatDiffOp(ALG, [row]))
+        assert (sols.dim, sols.particular, sols.free) == (INFINITE, None,
+                                                          free)
+    assert calls == []
+    sols = solve_rational(MatDiffOp(ALG, [[xd, ZERO]]), [F.x])
+    assert (sols.dim, sols.free) == (INFINITE, (1,))
+    assert sols.particular == [F.x, F.zero]
+    assert [M.n for M in calls] == [1]
+    wide = solve_rational(MatDiffOp(ALG, [[D, ZERO]]))
+    assert (wide.dim, wide.free) == (INFINITE, (1,))
+    a = LinForm.atom(F, "a")
+    with pytest.raises(InvariantViolation, match="'b' has no pivot"):
+        solve_linform_system(ALG, [(0, a.derive() * F.x)], ["a", "b"])
+    sols = solve_linform_system(ALG, [(0, a.derive() * F.x)], ["a", "b"],
+                                [(0, F.x)])
+    assert (sols.dim, sols.particular) == (INFINITE, [F.x, F.zero])
+
+
 @st.composite
 def triangularizable_systems(draw):
     """(M, ms, orders): M = A diag(L_1..L_n) B with n <= 3, A and B

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
@@ -44,6 +44,12 @@ def _vir_heis_op(alg):
 
 
 VIR_HEIS = LambdaBracketStruct(_vir_heis_op(ALG2))
+
+
+def _not_poisson():
+    """{u_lam u} = u' lam + u''/2: skewadjoint but not Poisson."""
+    return LambdaBracketStruct.from_scalar_op(
+        ScalarDiffOp(ALG, {1: U.derive(), 0: ALG.jet(1, 2) * Fraction(1, 2)}))
 
 
 @st.composite
@@ -121,8 +127,7 @@ def test_check_jacobi():
 
 def test_jacobi_failure_witness():
     """{u_lam u} = u' lam + u''/2 is skewadjoint but not Poisson."""
-    bad = LambdaBracketStruct.from_scalar_op(
-        ScalarDiffOp(ALG, {1: U.derive(), 0: ALG.jet(1, 2) * Fraction(1, 2)}))
+    bad = _not_poisson()
     assert check_skewadjoint(bad)
     ok, wit = check_jacobi(bad)
     assert not ok
@@ -133,9 +138,17 @@ def test_jacobi_failure_witness():
 
 
 def test_jacobi_not_skew_raises():
+    """The identity is not skewadjoint.  Being quasiconstant, it passes
+    check_jacobi(H, require_skew=False), yet its residual on (u^2, u, u)
+    is -4: without skewsymmetry the generator verdict says nothing about
+    other triples."""
     ident = LambdaBracketStruct.from_scalar_op(ScalarDiffOp.identity(ALG))
     with pytest.raises(NotSkewadjoint):
         check_jacobi(ident)
+    assert check_jacobi(ident, require_skew=False) == (True, None)
+    res = jacobi_residual(ident, U * U, U, U)
+    assert res == LambdaPoly.monomial(ALG, 2, (0, 0), ALG.one * -4)
+    assert res == jacobi_residual_reference(ident, U * U, U, U)
 
 
 def test_generator_sufficiency():
@@ -171,6 +184,18 @@ def test_jacobi_antisymmetric_in_first_two_generators():
             forward = jacobi_residual(H, U1, U2, ALG2.jet(c))
             swapped = jacobi_residual(H, U2, U1, ALG2.jet(c))
             assert swapped.compose_vars((1, 0)) == -forward
+
+
+def test_compatible_without_skew_visits_all_triples():
+    """A pair with a member that is not skewadjoint keeps the full loop:
+    with H the Virasoro-current operator without its (1, 2) entry, the
+    mixed terms of (H, H) are -2 J_H, which first fails on (2, 1, 2)."""
+    rows = _vir_heis_op(ALG2).rows
+    rows[0][1] = ScalarDiffOp.zero(ALG2)
+    H = LambdaBracketStruct(MatDiffOp(ALG2, rows))
+    ok, wit = check_compatible(H, H)
+    assert not ok and wit[0] == (2, 1, 2)
+    assert (ok, wit) == compatible_all_terms(H, H)
 
 
 def test_jacobi_failure_witness_two_components():
@@ -225,10 +250,17 @@ def test_check_jacobi_without_skew_equals_all_triples(data, alg):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
 def test_check_compatible_equals_all_terms(data, alg):
-    """Skipping the terms with a quasiconstant inner operator leaves the
-    verdict and the witness residual of the six-term loop."""
+    """Skipping the terms with a quasiconstant inner operator, and for a
+    skewadjoint pair the triples with a > b, leaves the verdict and the
+    witness residual of the six-term loop; half the time K gets a
+    quasiconstant part that is not skewadjoint, and every triple is
+    visited."""
     H = data.draw(skew_brackets(alg))
     K = data.draw(skew_brackets(alg))
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        K = LambdaBracketStruct(
+            K.op + rnd_mat_op(rng, alg, alg.nvars, 2, quasiconstant=True))
     assert check_compatible(H, K) == compatible_all_terms(H, K)
 
 
@@ -288,7 +320,10 @@ def test_jacobi_residual_builds_each_left_factor_once(monkeypatch):
     """The residual is the mixed terms with H inside and outside, and the
     inner left factors of f and g serve as the outer ones too: two factors
     for f != g, one for f = g.  (The outer bracket's factors are built on
-    the coefficients of {f_lam g}, new elements, and are not counted.)"""
+    the coefficients of {f_lam g}, new elements, and are not counted.)
+    The structure is skewadjoint and not Poisson, so the residual takes
+    the full expansion."""
+    bad = _not_poisson()
     built = []
 
     class Counting(pva._LeftFactor):
@@ -300,9 +335,89 @@ def test_jacobi_residual_builds_each_left_factor_once(monkeypatch):
     monkeypatch.setattr(pva, "_LeftFactor", Counting)
     for f, g, want in ((U, U.derive() * U, 2), (U * U, U * U, 1)):
         built.clear()
-        res = jacobi_residual(MAGRI, f, g, U)
+        res = jacobi_residual(bad, f, g, U)
         assert sum(1 for p in built if p is f or p is g) == want
-        assert res == jacobi_residual_reference(MAGRI, f, g, U)
+        assert res == jacobi_residual_reference(bad, f, g, U)
+
+
+def _pencil_member(a, b, g):
+    """a (u' + 2u d) + b d + g d^3 on one variable: a member of the Magri
+    pencil, Poisson for all rationals a, b, g."""
+    return LambdaBracketStruct.from_scalar_op(ScalarDiffOp(ALG, {
+        0: U.derive() * a, 1: U * (2 * a) + ALG.one * b, 3: ALG.one * g}))
+
+
+@st.composite
+def poisson_structures(draw):
+    """A fresh Poisson structure, so that its verdict is taken anew: a
+    Magri-pencil member with random rationals, the Magri bracket with
+    symbolic c, or the Virasoro-current structure on two variables."""
+    kind = draw(st.sampled_from(["pencil", "magri", "vir_heis"]))
+    if kind == "pencil":
+        return _pencil_member(*(draw(st.fractions(-3, 3, max_denominator=3))
+                                for _ in range(3)))
+    if kind == "magri":
+        return magri_structure(ALG)
+    return LambdaBracketStruct(_vir_heis_op(ALG2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poisson_residual_equals_reference(data):
+    """On a Poisson structure, confirmed on every generator triple by the
+    reference, jacobi_residual returns zero from the generator verdict,
+    and the reference residual of elements of jet degree <= 2 agrees."""
+    H = data.draw(poisson_structures())
+    assert jacobi_all_triples(H) == (True, None)
+    f, g, h = _elements(data.draw, H.alg, 3, max_degree=2)
+    assert jacobi_residual(H, f, g, h) == jacobi_residual_reference(H, f, g,
+                                                                    h)
+
+
+def test_poisson_residuals_run_the_generator_loop_once(monkeypatch):
+    """The first residual on a Poisson structure takes its verdict on the
+    generator triples; later residuals, and check_jacobi, read the kept
+    verdict, and no residual after the first builds a left factor."""
+    loops, built = [], []
+    check_triples = pva._check_triples
+
+    def counting_loop(*args, **kwargs):
+        loops.append(args)
+        return check_triples(*args, **kwargs)
+
+    class Counting(pva._LeftFactor):
+        __slots__ = ()
+
+        def __init__(self, f, H):
+            built.append(f)
+            super().__init__(f, H)
+    monkeypatch.setattr(pva, "_check_triples", counting_loop)
+    monkeypatch.setattr(pva, "_LeftFactor", Counting)
+    H = LambdaBracketStruct(_vir_heis_op(ALG2))
+    rng = random.Random(18)
+    for i in range(4):
+        built.clear()
+        f, g, h = (rnd_diffpoly(rng, ALG2) for _ in range(3))
+        assert jacobi_residual(H, f, g, h).is_zero()
+        assert len(loops) == 1
+        assert (len(built) > 0) == (i == 0)
+    assert check_jacobi(H) == (True, None) and len(loops) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2]))
+def test_non_skewadjoint_residual_equals_reference(data, alg):
+    """A quasiconstant H that is not skewadjoint has an ok verdict from
+    check_jacobi(H, require_skew=False), and its residual still equals the
+    reference: the zero shortcut needs skewsymmetry."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    H = LambdaBracketStruct(rnd_mat_op(rng, alg, alg.nvars, 2,
+                                       quasiconstant=True))
+    assume(not check_skewadjoint(H))
+    assert check_jacobi(H, require_skew=False) == (True, None)
+    f, g, h = _elements(data.draw, alg, 3, max_degree=2)
+    assert jacobi_residual(H, f, g, h) == jacobi_residual_reference(H, f, g,
+                                                                    h)
 
 
 @settings(max_examples=20, deadline=None)
