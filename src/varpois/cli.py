@@ -21,7 +21,7 @@ from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, dieudonne_det,
 from .field import FieldElem, format_field_elem
 from .lambdapoly import LambdaPoly, format_lambda_poly
 from .lenard import NoPreimage, run_hierarchy, verify_involution
-from .parser import ArityError, ParseError, Session, parse_session
+from .parser import ParseError, Session, parse_session
 from .polydiff import (KDiffOp, chi_representative, sigma_space, skew_product,
                        solve_skew_equation)
 from .pva import LambdaBracketStruct, check_compatible, check_jacobi
@@ -195,8 +195,7 @@ def cmd_cohomology(args, session: Session, report: Report):
     report.inputs["k"] = args.k
     res = cohomology_dim(K, args.k)
     basis, expected, flagged = sigma_space(K, args.k)
-    reps = [_array_to_json(chi_representative(P, K, check=False))
-            for P in basis]
+    reps = [_array_to_json(chi_representative(P)) for P in basis]
     value = {"dim": res.dim, "basis_representatives": reps,
              "flagged_lower_bound": bool(res.flagged_lower_bound or flagged)}
     status = "flagged" if value["flagged_lower_bound"] else "ok"
@@ -367,7 +366,7 @@ def _run_args(args):
         else:
             session = parse_session("")
         COMMANDS[args.command](args, session, report)
-    except (ParseError, ArityError) as err:
+    except ParseError as err:
         report.add("parse", "error", str(err))
     except Exception as err:  # noqa: BLE001 - reported, nonzero exit
         report.add(args.command, "error", f"{type(err).__name__}: {err}")

@@ -268,22 +268,21 @@ class QuotientArray:
         return f"QuotientArray({self.representative!r})"
 
 
-def d_k(P: QuotientArray, K: LambdaBracketStruct,
-        assume_poisson: bool = False) -> QuotientArray:
+def d_k(P: QuotientArray, K: LambdaBracketStruct) -> QuotientArray:
     """The variational Poisson differential induced by ad K.
 
     Only offered when K is a sum of a skewadjoint and a quasiconstant
-    operator, and K is Poisson.
+    operator, and K is Poisson; check_jacobi keeps its verdict on K, so
+    each structure is checked once.
     """
     Kop = K.op
     sym_part = Kop + Kop.adjoint()
     if not sym_part.is_quasiconstant():
         raise NotQuasiconstant(
             "d_K needs K = skewadjoint + quasiconstant")
-    if not assume_poisson:
-        ok, _ = check_jacobi(K, require_skew=False)
-        if not ok:
-            raise NotPoisson("K does not satisfy the Jacobi identity")
+    ok, _ = check_jacobi(K, require_skew=False)
+    if not ok:
+        raise NotPoisson("K does not satisfy the Jacobi identity")
     alg = P.alg
     k = P.k
     k1 = k + 1
@@ -549,22 +548,18 @@ class CohomologyResult:
         return f"CohomologyResult(dim={self.dim}, expected={self.expected}{flag})"
 
 
-def _degree_cap(N: int, k: int, nvars: int) -> int:
-    """The default ansatz degree of cohomology_dim and sigma_space for K of
-    order N in nvars variables, at arity k."""
-    return N * (k + 2) * nvars + 4
-
-
 def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
-    """dim over C of the kernel of alpha_(k+1) on the bottom slice, solving
-    the induced linear differential system by rational ansatz.  Equals
+    """dim over C of the kernel of alpha_(k+1) on the bottom slice: the
+    rational solutions of the induced linear differential system, which
+    solve_linform_system finds on its triangular form.  Equals
     C(N*nvars, k+1) over a linearly closed field; the rational count is
     flagged as a lower bound when it falls short.
 
-    For K free of x the count is certified (solve_rational's triangular
-    form), and a flag means solutions that are not rational; for K with x
-    the ansatz has degree _degree_cap, and a flag may also mean that it
-    was too short."""
+    For K free of x the count is certified, and a flag means solutions
+    that are not rational; for K with x the triangular rows go to an
+    ansatz of degree 2 (sum of the pivot orders) + 4, and a flag may also
+    mean that it was too short (x d^2 at k = 0 gives 0 of 2 here and 1 of
+    2 in sigma_space, both flagged)."""
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
@@ -581,8 +576,7 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
         unknown = unknown + arr.scale(LinForm.atom(field, b))
     image = alpha_k(unknown, Kn)
     kern = solve_linform_system(
-        alg, image._equations(), list(range(len(basis))),
-        degree_bound=_degree_cap(N, k, alg.nvars)).homogeneous
+        alg, image._equations(), list(range(len(basis)))).homogeneous
     dim = len(kern)
     return CohomologyResult(dim, expected, dim < expected, kern)
 

@@ -1,7 +1,7 @@
 """Scalar, matrix, and pseudodifferential operators, and differential linear
 algebra over the coefficient field: majorants, leading matrices, row echelon
 form, majorant-preserving reduction, Dieudonne determinants, and the
-solver for linear differential systems: exact on a triangular form when
+solver for linear differential systems on a triangular form: exact when
 the coefficients are free of x, a rational ansatz otherwise.  Row
 reduction over F[d] (fraction-free, on rows without denominators) and
 over the skew field of pseudodifferential operators is one kernel,
@@ -1069,31 +1069,19 @@ class SolutionSet:
                 f"particular={'yes' if self.particular is not None else 'no'})")
 
 
-def default_degree_bound(M: MatDiffOp) -> int:
-    """Heuristic ansatz degree: twice the xi-degree of the determinant plus
-    four; falls back to the total order for singular or non-square systems."""
-    d = None
-    if M.is_square():
-        dv = dieudonne_det(M)
-        if not dv.is_zero:
-            d = dv.d
-    if d is None:
-        d = sum(max((e.order() or 0) for e in col)
-                for col in zip(*M.rows)) if M.rows else 0
-    return 2 * d + 4
-
-
-def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
-                   degree_bound: Optional[int] = None) -> SolutionSet:
+def solve_rational(M: MatDiffOp,
+                   b: Optional[Sequence[FieldElem]] = None) -> SolutionSet:
     """Rational solutions of M(d) u = b for quasiconstant M; b is zero when
     omitted, and then particular is None.
 
-    M free of x is solved exactly on its triangular form (_solve_constant):
-    an infinite kernel has dim INFINITE, and NoRationalSolution certifies
-    that there is no solution.  M with x in a coefficient goes to a
-    polynomial-in-x ansatz of degree degree_bound (default_degree_bound
-    when None) over the denominators of b: its kernel may miss solutions of
-    higher degree, and Incomplete means it found no particular solution.
+    Every M is solved on its triangular form (_solve_rows): a zero row
+    whose right-hand side is not zero certifies NoRationalSolution, and an
+    unknown without a pivot makes the kernel infinite (dim INFINITE).  M
+    free of x is then solved exactly; with x in a coefficient the
+    triangular rows go to a polynomial-in-x ansatz whose degree, twice the
+    sum of the pivot orders plus four, comes from the triangular form: its
+    kernel may miss solutions of higher degree, and Incomplete means it
+    found no particular solution.
     """
     field, n = M.alg.field, M.n
     b = [field.zero] * M.m if b is None else [field.coerce(v) for v in b]
@@ -1101,37 +1089,88 @@ def solve_rational(M: MatDiffOp, b: Optional[Sequence[FieldElem]] = None,
         raise ShapeMismatch("right-hand side length mismatch")
     rows = [{k * n + j: c for j, e in enumerate(row)
              for k, c in e.field_coeffs().items()} for row in M.rows]
-    return _solve_rows(M.alg, rows, n, b, degree_bound)
+    return _solve_rows(M.alg, rows, n, b)
 
 
-def _solve_rows(alg: DiffAlgebra, rows: list, n: int, b: list,
-                degree_bound: Optional[int]) -> SolutionSet:
+def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
+                b: list) -> SolutionSet:
     """M(d) y = b for the quasiconstant M in n unknowns whose row i holds
     the coefficient of d^k y_j in column k n + j of rows[i], a sparse
-    dict free of zero entries (consumed).  Free of x: _solve_constant; x in
-    a coefficient: the ansatz of degree degree_bound, default_degree_bound
-    when None.  An unknown that no row mentions makes the kernel infinite
-    before any ansatz is built; the particular solution sets it to zero
-    and solves the others by the ansatz."""
-    if all(c.is_constant() for row in rows for c in row.values()):
-        return _solve_constant(alg, rows, n, b)
-    used = sorted({col % n for row in rows for col in row})
-    free = [j for j in range(n) if j not in used]
-    if free:
-        if all(v.is_zero() for v in b):
+    dict free of zero entries (consumed), on a triangular form over F[d]
+    (De Sole-Kac, arXiv:1106.0082, Appendix).  The rows, with b as one
+    more column, are first reduced over F in place, so that row_echelon,
+    whose cost grows with the rows, sees at most n (ord M + 1) of them.
+    Its operations are invertible over F[d], and _replay applies them to
+    b.  A zero row whose right-hand side is not zero certifies
+    NoRationalSolution, and an unknown without a pivot makes the kernel
+    infinite.
+
+    Free of x, the rows are solved from the bottom up (_solve_pivot), with
+    an unknown without a pivot set to zero.  A pivot L = d^m L0,
+    L0(0) != 0, has the polynomials of degree < m as its rational kernel:
+    L0 is invertible on polynomials, and its kernel is exponential.  So
+    x^s, s < m, seeded at each pivot and carried up with right-hand side
+    zero, gives a basis of the rational kernel, which _ansatz_order brings
+    to the basis an ansatz prints.
+
+    With x in a coefficient, the nonzero triangular rows and the replayed
+    b go to _solve_by_ansatz on all unknowns, over the denominators of the
+    given b (the replay's derivatives and divisions add poles that y does
+    not have), at degree 2 (sum of the pivot orders) + 4.  The row
+    operations leave the Dieudonne degree as it is, so on a square system
+    of full rank that is 2 deg det M + 4."""
+    field, m = alg.field, len(rows)
+    x_free = all(c.is_constant() for row in rows for c in row.values())
+    width = 1 + max((col for row in rows for col in row), default=0)
+    for row, v in zip(rows, b):
+        if not v.is_zero():
+            row[width] = v
+    rank = len(_eliminate(rows, width, field)[0])
+    rhs = [row.pop(width, field.zero) for row in rows]
+    U, ops = row_echelon(_as_matrix(alg, rows[:rank], n))
+    # rows rank.. hold no unknowns; the operations leave them as they are
+    rhs = _replay(ops, rhs)
+    pivots = [next((j for j, e in enumerate(row) if not e.is_zero()), None)
+              for row in U.rows] + [None] * (m - rank)
+    if any(j is None and not v.is_zero() for j, v in zip(pivots, rhs)):
+        raise NoRationalSolution("a row of the triangular form vanishes, "
+                                 "and its right-hand side does not")
+    pivots = [j for j in pivots if j is not None]
+    free = [j for j in range(n) if j not in pivots]
+    homogeneous_rhs = all(v.is_zero() for v in b)
+    if not x_free:
+        if free and homogeneous_rhs:
             return SolutionSet(None, None, free)
-        place = {j: t for t, j in enumerate(used)}
-        rows = [{col // n * len(used) + place[col % n]: c
-                 for col, c in row.items()} for row in rows]
-        y = _solve_rows(alg, rows, len(used), b, degree_bound).particular
-        particular = [alg.field.zero] * n
-        for t, j in enumerate(used):
-            particular[j] = y[t]
+        top = len(pivots)
+        den = field.one if homogeneous_rhs else clear_denominators(b)[0]
+        sols = _solve_by_ansatz(
+            MatDiffOp(alg, U.rows[:top]), rhs[:top],
+            2 * sum(U.rows[i][j].order() for i, j in enumerate(pivots)) + 4,
+            den)
+        return SolutionSet(sols.particular, None, free) if free else sols
+
+    def back_substitute(y: list, top: int, rhs: list) -> list:
+        """y with the pivot unknowns of rows top-1, ..., 0 solved in turn."""
+        for i in reversed(range(top)):
+            j = pivots[i]
+            r = rhs[i] - sum((U.rows[i][t].apply(y[t])
+                              for t in range(j + 1, n) if not y[t].is_zero()),
+                             field.zero)
+            y[j] = _solve_pivot(U.rows[i][j], r)
+        return y
+
+    zero = [field.zero] * n
+    particular = (None if homogeneous_rhs
+                  else back_substitute(list(zero), len(pivots), rhs))
+    if free:
         return SolutionSet(particular, None, free)
-    M = _as_matrix(alg, rows, n)
-    if degree_bound is None:
-        degree_bound = default_degree_bound(M)
-    return _solve_by_ansatz(M, b, degree_bound)
+    basis = []
+    for i, j in enumerate(pivots):
+        for s in range(min(U.rows[i][j].coeffs)):
+            y = list(zero)
+            y[j] = field.x ** s
+            basis.append(back_substitute(y, i, zero))
+    return SolutionSet(particular, _ansatz_order(basis, field))
 
 
 def _as_matrix(alg: DiffAlgebra, rows: list, n: int) -> MatDiffOp:
@@ -1164,82 +1203,22 @@ def _replay(ops: list, f: Sequence) -> list:
     return f
 
 
-def _solve_constant(alg: DiffAlgebra, rows: list, n: int,
-                    b: list) -> SolutionSet:
-    """M(d) y = b for M free of x, given as the coefficient rows of
-    _solve_rows, on a triangular form over C[d] (De Sole-Kac,
-    arXiv:1106.0082, Appendix).  The rows, with b as one more column, are
-    first reduced over C in place, so that row_echelon, whose cost grows
-    with the rows, sees at most n (ord M + 1) of them.  Its operations are
-    invertible over C[d], and _replay applies them to b.  A zero row whose
-    right-hand side is not zero certifies NoRationalSolution.  The rows are
-    solved from the bottom up (_solve_pivot), with an unknown without a
-    pivot set to zero.
-
-    A pivot L = d^m L0, L0(0) != 0, has the polynomials of degree < m as
-    its rational kernel: L0 is invertible on polynomials, and its kernel is
-    exponential.  So x^s, s < m, seeded at each pivot and carried up with
-    right-hand side zero, gives a basis of the rational kernel, which
-    _ansatz_order brings to the basis an ansatz prints.  An unknown without
-    a pivot makes the kernel infinite; so does a system without rows.
-    """
-    field, m = alg.field, len(rows)
-    width = 1 + max((col for row in rows for col in row), default=0)
-    for row, v in zip(rows, b):
-        if not v.is_zero():
-            row[width] = v
-    rank = len(_eliminate(rows, width, field)[0])
-    rhs = [row.pop(width, field.zero) for row in rows]
-    U, ops = row_echelon(_as_matrix(alg, rows[:rank], n))
-    # rows rank.. hold no unknowns; the operations leave them as they are
-    rhs = _replay(ops, rhs)
-    pivots = [next((j for j, e in enumerate(row) if not e.is_zero()), None)
-              for row in U.rows] + [None] * (m - rank)
-    if any(j is None and not v.is_zero() for j, v in zip(pivots, rhs)):
-        raise NoRationalSolution("a row of the triangular form vanishes, "
-                                 "and its right-hand side does not")
-    pivots = [j for j in pivots if j is not None]
-
-    def back_substitute(y: list, top: int, rhs: list) -> list:
-        """y with the pivot unknowns of rows top-1, ..., 0 solved in turn."""
-        for i in reversed(range(top)):
-            j = pivots[i]
-            r = rhs[i] - sum((U.rows[i][t].apply(y[t])
-                              for t in range(j + 1, n) if not y[t].is_zero()),
-                             field.zero)
-            y[j] = _solve_pivot(U.rows[i][j], r)
-        return y
-
-    zero = [field.zero] * n
-    particular = (back_substitute(list(zero), len(pivots), rhs)
-                  if any(not v.is_zero() for v in b) else None)
-    free = [j for j in range(n) if j not in pivots]
-    if free:
-        return SolutionSet(particular, None, free)
-    basis = []
-    for i, j in enumerate(pivots):
-        for s in range(min(U.rows[i][j].coeffs)):
-            y = list(zero)
-            y[j] = field.x ** s
-            basis.append(back_substitute(y, i, zero))
-    return SolutionSet(particular, _ansatz_order(basis, field))
-
-
 def _solve_pivot(L: ScalarDiffOp, r: FieldElem) -> FieldElem:
     """A rational y with L(d) y = r, for L = d^m L0 with constant
     coefficients, L0 = c + T and c != 0: z = int^m r by m calls of
     rational_antiderivative (NoRationalSolution on a logarithm), then
     y = L0^-1 z = (1/c) sum_i (-T/c)^i z, which ends because T lowers the
     degree of a polynomial.  So unless T = 0, r must be a polynomial: for
-    r with poles the rational ansatz solves L y = r instead."""
+    r with poles the rational ansatz of degree 2 ord L + 4 solves L y = r
+    instead."""
     coeffs = L.field_coeffs()
     m = min(coeffs)
     c, T = coeffs[m], ScalarDiffOp(L.alg, {k - m: v for k, v in
                                            coeffs.items() if k > m})
-    if not T.is_zero() and not clear_denominators([r])[0].is_constant():
-        single = MatDiffOp.scalar(L)
-        return _solve_by_ansatz(single, [r],
-                                default_degree_bound(single)).particular[0]
+    den = clear_denominators([r])[0]
+    if not T.is_zero() and not den.is_constant():
+        return _solve_by_ansatz(MatDiffOp.scalar(L), [r],
+                                2 * L.order() + 4, den).particular[0]
     for _ in range(m):
         r = rational_antiderivative(r)
         if r is None:
@@ -1274,13 +1253,13 @@ def _ansatz_order(basis: list, field) -> list:
     return out
 
 
-def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int) -> SolutionSet:
+def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int,
+                     den: FieldElem) -> SolutionSet:
     """M(d) y = b with each y_j = p_j / den, p_j a polynomial of degree at
-    most degree_bound and den the lcm of the denominators of b; raises
-    Incomplete when b is not zero and no such y solves."""
+    most degree_bound; raises Incomplete when b is not zero and no such y
+    solves."""
     field = M.alg.field
     homogeneous_rhs = all(v.is_zero() for v in b)
-    den = field.one if homogeneous_rhs else clear_denominators(b)[0]
     powers = [field.x ** t / den for t in range(degree_bound + 1)]
     # unknown j * len(powers) + t is the coefficient of x^t / den in y_j
     rows, rhs = [], []
@@ -1429,13 +1408,14 @@ def selfadjoint_product_space(K: MatDiffOp) -> list:
     return out
 
 
-def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list, rhs=None,
-                         degree_bound: Optional[int] = None) -> SolutionSet:
+def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list,
+                         rhs=None) -> SolutionSet:
     """Rational solutions of a linear system in the unknown functions atoms,
     given as the (key, c) pairs of _equations(): c is a LinForm in the
     atoms and their derivatives, or a term free of them, which must be
     zero (InvariantViolation otherwise).  Each LinForm is one row of
-    _solve_rows, read from its terms: D^r atoms[j] is column r n + j.
+    _solve_rows, read from its terms: D^r atoms[j] is column r n + j, so
+    the system is solved on its triangular form as solve_rational's is.
 
     rhs, as (key, value) pairs, is zero when omitted, and then the caller
     wants a basis of the kernel: an infinite kernel, as of a system
@@ -1458,7 +1438,7 @@ def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list, rhs=None,
         keys = sorted(set(eqs) | set(rhs), key=repr)
         rows = [eqs.get(key, {}) for key in keys]
         b = [field.coerce(rhs.get(key, field.zero)) for key in keys]
-    sols = _solve_rows(alg, rows, n, b, degree_bound)
+    sols = _solve_rows(alg, rows, n, b)
     if rhs is None and sols.homogeneous is None:
         raise InvariantViolation(f"the kernel is infinite: unknown "
                                  f"{atoms[sols.free[0]]!r} has no pivot")

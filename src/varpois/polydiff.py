@@ -16,8 +16,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import (SkewArray, _apply_entry, _degree_cap, _inverse_perm,
-                        _perm_sign)
+from .complexes import SkewArray, _apply_entry, _inverse_perm, _perm_sign
 from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
 from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
                      invertible_leading, solve_linform_system)
@@ -355,10 +354,11 @@ def sigma_space(K: MatDiffOp, k: int):
     at most ord(K)-1 per variable with the total skewsymmetrization of
     K* o P vanishing.  Returns (basis, expected_dim, flagged).
 
-    For K free of x the basis is certified (solve_rational's triangular
-    form), and a flag means solutions that are not rational; for K with x
-    the ansatz has degree complexes._degree_cap, and a flag may also mean
-    that it was too short."""
+    The system is solved on its triangular form (solve_linform_system).
+    For K free of x the basis is certified, and a flag means solutions
+    that are not rational; for K with x the triangular rows go to an
+    ansatz of degree 2 (sum of the pivot orders) + 4, and a flag may also
+    mean that it was too short."""
     alg = K.alg
     invertible_leading(K)
     N = K.order()
@@ -368,8 +368,7 @@ def sigma_space(K: MatDiffOp, k: int):
         return [], expected, expected > 0
     P = _unknown_kdiffop(alg, k, N)
     E = total_skewsymmetrize(module_action(K.adjoint(), P))
-    sols = solve_linform_system(alg, E._equations(), atoms,
-                                degree_bound=_degree_cap(N, k, alg.nvars))
+    sols = solve_linform_system(alg, E._equations(), atoms)
     basis = [_at(P, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
 
@@ -414,12 +413,12 @@ def skew_product(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
     return total_skewsymmetrize(module_action(K, P)).scale(P.k + 1)
 
 
-def chi_representative(P: KDiffOp, K: Optional[MatDiffOp] = None,
-                       check: bool = True):
+def chi_representative(P: KDiffOp, K: Optional[MatDiffOp] = None):
     """The array (sum_j P_{j,i1..ik}(lam) u_j): a closed representative of
-    the cohomology class attached to P in Sigma_k(K*)."""
+    the cohomology class attached to P in Sigma_k(K*).  Given K, P is first
+    checked to lie in Sigma_k(K*) (NotInSigma otherwise)."""
     alg = P.alg
-    if check and K is not None:
+    if K is not None:
         if not total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero():
             raise NotInSigma("operator does not solve the Sigma equation")
     out = SkewArray(alg, P.k)

@@ -15,8 +15,8 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
                      variational_derivative)
 from varpois.complexes import _perm_sign
 from varpois.diffop import (DET_ZERO, DetValue, _field_value,
-                            _simplify_coeff)
-from varpois.field import POLY, RAT
+                            _simplify_coeff, _solve_by_ansatz, dieudonne_det)
+from varpois.field import POLY, RAT, clear_denominators
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
 from varpois.linsolve import matrix_inverse
@@ -526,6 +526,16 @@ def det_by_division(M: MatDiffOp) -> DetValue:
     for e in diag[1:]:
         c = c * e.leading_coefficient()
     return DetValue(_simplify_coeff(c), sum(e.order() for e in diag))
+
+
+def ansatz_reference(M: MatDiffOp, b: list):
+    """The rational solutions of M y = b by the ansatz on M itself, for a
+    square M of full rank with x in a coefficient: degree 2 deg det M + 4
+    over the denominators of b, as solve_rational found them before it
+    triangularized x-dependent systems."""
+    den = (M.alg.field.one if all(v.is_zero() for v in b)
+           else clear_denominators(b)[0])
+    return _solve_by_ansatz(M, b, 2 * dieudonne_det(M).d + 4, den)
 
 
 def invert_k_by_constant_inverse(K: MatDiffOp, F: list) -> list:

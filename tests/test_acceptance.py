@@ -83,8 +83,7 @@ def test_criterion_03_complex_property_suite():
                     assert delta_k(delta_k(P, K), K).is_zero()
                     assert delta_k(partial_action(P), K) == \
                         partial_action(delta_k(P, K))
-                dd = d_k(d_k(QuotientArray(P), dK, assume_poisson=True),
-                         dK, assume_poisson=True)
+                dd = d_k(d_k(QuotientArray(P), dK), dK)
                 assert dd.is_zero()
                 count += 1
     assert count >= 20

@@ -315,8 +315,7 @@ def test_d_k_squares_to_zero():
     rng = random.Random(31)
     for _ in range(3):
         arr = rnd_skew_array(rng, ALG, 1, max_deg=1, max_order=1)
-        dd = d_k(d_k(QuotientArray(arr), H, assume_poisson=True), H,
-                 assume_poisson=True)
+        dd = d_k(d_k(QuotientArray(arr), H), H)
         assert dd.is_zero()
 
 
@@ -325,7 +324,7 @@ def test_d_k_vs_delta_k_for_quasiconstant_skew():
     rng = random.Random(32)
     for k in (0, 1, 2):
         arr = rnd_skew_array(rng, ALG, k, max_deg=1, max_order=1)
-        lhs = d_k(QuotientArray(arr), G, assume_poisson=True).representative
+        lhs = d_k(QuotientArray(arr), G).representative
         sign = 1 if (k + 1) % 2 == 0 else -1
         rhs = delta_k(arr, KD).scale(sign)
         assert QuotientArray(lhs) == QuotientArray(rhs)
@@ -356,8 +355,7 @@ def test_d_k_matches_adjoint_action_on_one_forms():
     for K in (gfz_structure(ALG), magri_structure(ALG)):
         for _ in range(4):
             F = [rnd_diffpoly(rng, ALG, max_order=1, max_degree=2, terms=2)]
-            dq = d_k(QuotientArray(SkewArray.from_one_form(F)), K,
-                     assume_poisson=True)
+            dq = d_k(QuotientArray(SkewArray.from_one_form(F)), K)
             S = as_skewadjoint_op(dq)
             assert (S + S.adjoint()).is_zero()
             assert S == -ad_field_on_operator(EvVectorField(F), K)
@@ -372,8 +370,8 @@ def test_d_k_well_defined_on_quotient():
         arr = rnd_skew_array(rng, ALG, 1, max_deg=1, max_order=1)
         shift = partial_action(rnd_skew_array(rng, ALG, 1, max_deg=1,
                                               max_order=1))
-        lhs = d_k(QuotientArray(arr + shift), H, assume_poisson=True)
-        rhs = d_k(QuotientArray(arr), H, assume_poisson=True)
+        lhs = d_k(QuotientArray(arr + shift), H)
+        rhs = d_k(QuotientArray(arr), H)
         assert lhs == rhs
 
 

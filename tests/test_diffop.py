@@ -18,17 +18,16 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      solve_rational)
 from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
-                            _echelon_det, _solve_by_ansatz,
-                            default_degree_bound, format_scalar_op,
+                            _echelon_det, _solve_by_ansatz, format_scalar_op,
                             solve_linform_system)
 from varpois import zpoly
 from varpois.field import format_field_elem, x_coefficients
 from varpois.zpoly import Poly
 
-from helpers import (apply_row_ops, det_by_division, echelon_by_division,
-                     field_elems, from_right_form, from_split_form,
-                     linform_matrix_reference, rnd_mat_op, rnd_scalar_op,
-                     same_row_flags, skewadjoint_op)
+from helpers import (ansatz_reference, apply_row_ops, det_by_division,
+                     echelon_by_division, field_elems, from_right_form,
+                     from_split_form, linform_matrix_reference, rnd_mat_op,
+                     rnd_scalar_op, same_row_flags, skewadjoint_op)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -230,6 +229,45 @@ def test_row_echelon():
         assert apply_row_ops(W, opsW) == eW
 
 
+def _rebuild(alg, a, b, size):
+    """sum_m d^m o (d o a_m + a_m d) o d^m + sum_m d^m o b_m o d^m, for
+    the blocks of skewadjoint_decompose on a size x size operator."""
+    def block(m, v, odd):
+        def entry(i, j):
+            c = ScalarDiffOp(alg, {0: v[i][j] if size > 1 else v})
+            inner = D.compose(c) + c.compose(D) if odd else c
+            dm = ScalarDiffOp.d(alg, m)
+            return dm.compose(inner).compose(dm)
+        return MatDiffOp(alg, [[entry(i, j) for j in range(size)]
+                               for i in range(size)])
+
+    out = MatDiffOp(alg, [[ScalarDiffOp.zero(alg)] * size] * size)
+    for m, v in a.items():
+        out = out + block(m, v, True)
+    for m, v in b.items():
+        out = out + block(m, v, False)
+    return out
+
+
+def test_skewadjoint_decompose_even_order_blocks():
+    """Even orders give the d^m o b_m o d^m blocks: the selfadjoint d^2
+    and d o (1 + x^2) o d, and the skewadjoint [[0, d^2], [-d^2, 0]],
+    each rebuilt from its blocks."""
+    F = ALG.field
+    x2 = ALG.from_scalar(F.one + F.x * F.x)
+    for S, want in ((ScalarDiffOp.d(ALG, 2), ALG.one),
+                    (D.compose(ScalarDiffOp(ALG, {0: x2})).compose(D), x2)):
+        a, b = skewadjoint_decompose(S, selfadjoint=True)
+        assert (a, b) == ({}, {1: want})
+        assert _rebuild(ALG, a, b, 1) == MatDiffOp.scalar(S)
+    d2 = ScalarDiffOp.d(ALG, 2)
+    S = MatDiffOp(ALG, [[ZERO, d2], [ZERO, ZERO]])
+    S = S - S.adjoint()
+    a, b = skewadjoint_decompose(S)
+    assert not a and list(b) == [1]
+    assert _rebuild(ALG, a, b, 2) == S
+
+
 def test_majorant_preserving_reduce_diag():
     diag = MatDiffOp(ALG, [[D, ZERO], [ZERO, D]])
     red, colperm, rowperm = majorant_preserving_reduce(diag, majorant(diag))
@@ -243,6 +281,27 @@ def test_majorant_preserving_reduce_pseudo():
     red, colperm, rowperm = majorant_preserving_reduce(MP, mj)
     assert red.rows[1][0].order() is None
     assert [red.rows[i][i].order() for i in range(2)] == [1, 1]
+
+
+def test_majorant_preserving_reduce_pseudo_clears_below_the_pivots():
+    """[[d^2, x d], [d, 2]] has row gains h = (0, 1), so the row of gain 1
+    comes first and the pseudodifferential reduction clears the entry below
+    its pivot.  The result is upper triangular, with the diagonal orders
+    N_j - h_j that the MatDiffOp reduction of the same matrix has."""
+    F = ALG.field
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2), xd], [D, ONE + ONE]])
+    mj = majorant(M)
+    assert mj.h == (0, 1)
+    red, colperm, rowperm = majorant_preserving_reduce(
+        MatPseudoOp.from_mat_diff_op(M), mj)
+    assert red.rows[1][0].order() is None
+    ref, ref_colperm, ref_rowperm = majorant_preserving_reduce(M, mj)
+    assert (colperm, rowperm) == (ref_colperm, ref_rowperm)
+    N, h = [mj.N[c] for c in colperm], [mj.h[i] for i in rowperm]
+    assert [red.rows[j][j].order() for j in range(2)] == \
+        [ref.rows[j][j].order() for j in range(2)] == \
+        [N[j] - h[j] for j in range(2)]
 
 
 def test_majorant_preserving_reduce_degenerate():
@@ -419,7 +478,7 @@ def test_linform_system_rows():
     assert solve_rational(MatDiffOp(ALG, [[ZERO, ZERO]])).dim == INFINITE
     # a' = 0 and b = x: a is a constant, b is x
     sols = solve_linform_system(ALG, [(0, a.derive()), (1, b)], ["a", "b"],
-                                [(1, F.x)], 2)
+                                [(1, F.x)])
     assert sols.particular == [F.zero, F.x]
     assert sols.homogeneous == [[F.one, F.zero]]
 
@@ -452,8 +511,8 @@ def linform_systems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(system=linform_systems(), cap=st.sampled_from([None, 3]))
-def test_linform_rows_equal_the_operator_matrix(system, cap):
+@given(system=linform_systems())
+def test_linform_rows_equal_the_operator_matrix(system):
     """solve_linform_system, which reads its rows from LinForm.terms,
     equals solve_rational on the operator matrix of the same equations
     (linform_matrix_reference), with and without x, with and without a
@@ -479,15 +538,13 @@ def test_linform_rows_equal_the_operator_matrix(system, cap):
             return type(err)
         return (sols.particular, sols.homogeneous, sols.free)
 
-    want = outcome(lambda: solve_rational(M, b, cap))
+    want = outcome(lambda: solve_rational(M, b))
     if b is None:
-        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms,
-                                                   degree_bound=cap))
+        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms))
         if want[1] is None:
             want = InvariantViolation
     else:
-        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms, rhs,
-                                                   cap))
+        got = outcome(lambda: solve_linform_system(ALG, pairs, atoms, rhs))
     assert got == want
 
 
@@ -523,9 +580,26 @@ def test_pseudo_ops():
         inv.coeff(inv.floor - 1)
 
 
-def test_default_degree_bound():
-    M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2)]])
-    assert default_degree_bound(M) == 2 * 2 + 4
+def test_ansatz_degree_comes_from_the_pivots(monkeypatch):
+    """With x in a coefficient the ansatz runs on the triangular rows at
+    degree 2 (sum of the pivot orders) + 4: 8 for x d^2, 10 for
+    diag(x d^2, d), 6 for [x d, x d] (one pivot, of order 1); a pivot d + 1
+    facing a pole takes 2 ord + 4 = 6."""
+    F = ALG.field
+    degrees = []
+
+    def recording(M, b, degree_bound, den):
+        degrees.append((M.n, degree_bound))
+        return _solve_by_ansatz(M, b, degree_bound, den)
+
+    monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    xd2 = ScalarDiffOp(ALG, {2: ALG.from_scalar(F.x)})
+    solve_rational(MatDiffOp(ALG, [[xd2]]))
+    solve_rational(MatDiffOp(ALG, [[xd2, ZERO], [ZERO, D]]))
+    solve_rational(MatDiffOp(ALG, [[xd, xd]]), [F.x])
+    solve_rational(MatDiffOp(ALG, [[D + ONE]]), [F.one / F.x - F.one / F.x ** 2])
+    assert degrees == [(1, 8), (2, 10), (2, 6), (1, 6)]
 
 
 @st.composite
@@ -591,7 +665,7 @@ def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
         sols = solve_rational(M, b)
     except NoRationalSolution:
         with pytest.raises(Incomplete):
-            _solve_by_ansatz(M, b, 6)
+            _solve_by_ansatz(M, b, 6, F.one)
         return
     if b == zero:
         assert sols.particular is None
@@ -599,13 +673,13 @@ def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
         assert _solves(M, sols.particular, b)
     if sols.dim == INFINITE:
         assert sols.homogeneous is None and sols.free
-        grown = [len(_solve_by_ansatz(M, zero, cap).homogeneous)
+        grown = [len(_solve_by_ansatz(M, zero, cap, F.one).homogeneous)
                  for cap in (2, 3)]
         assert grown[0] < grown[1]
         return
     top = max((_x_degree(v) for y in sols.homogeneous for v in y),
               default=0)
-    ansatz = _solve_by_ansatz(M, zero, top + 2).homogeneous
+    ansatz = _solve_by_ansatz(M, zero, top + 2, F.one).homogeneous
     assert sols.homogeneous == ansatz
     assert [[format_field_elem(v) for v in y] for y in sols.homogeneous] == \
         [[format_field_elem(v) for v in y] for y in ansatz]
@@ -621,9 +695,9 @@ def test_constant_systems_solve_on_the_triangular_form(monkeypatch):
     F = ALG.field
     calls = []
 
-    def recording(M, b, degree_bound):
+    def recording(M, b, degree_bound, den):
         calls.append(M)
-        return _solve_by_ansatz(M, b, degree_bound)
+        return _solve_by_ansatz(M, b, degree_bound, den)
 
     monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
     e = ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one * 2})
@@ -643,15 +717,15 @@ def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
         monkeypatch):
     """[x d, 0] leaves y2 free, as [d, 0] does: the kernel is infinite
     with y2 in free, not the degree-capped slice of an ansatz, and the
-    particular solution sets y2 to zero (x y1' = x gives y1 = x).  A
-    linear-form system in a and b that never mentions b raises
-    InvariantViolation naming b."""
+    particular solution, from the ansatz on both unknowns, has y2 zero
+    (x y1' = x gives y1 = x).  A linear-form system in a and b that never
+    mentions b raises InvariantViolation naming b."""
     F = ALG.field
     calls = []
 
-    def recording(M, b, degree_bound):
+    def recording(M, b, degree_bound, den):
         calls.append(M)
-        return _solve_by_ansatz(M, b, degree_bound)
+        return _solve_by_ansatz(M, b, degree_bound, den)
 
     monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
     xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
@@ -663,7 +737,7 @@ def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
     sols = solve_rational(MatDiffOp(ALG, [[xd, ZERO]]), [F.x])
     assert (sols.dim, sols.free) == (INFINITE, (1,))
     assert sols.particular == [F.x, F.zero]
-    assert [M.n for M in calls] == [1]
+    assert [M.n for M in calls] == [2]
     wide = solve_rational(MatDiffOp(ALG, [[D, ZERO]]))
     assert (wide.dim, wide.free) == (INFINITE, (1,))
     a = LinForm.atom(F, "a")
@@ -672,6 +746,76 @@ def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
     sols = solve_linform_system(ALG, [(0, a.derive() * F.x)], ["a", "b"],
                                 [(0, F.x)])
     assert (sols.dim, sols.particular) == (INFINITE, [F.x, F.zero])
+
+
+def test_x_dependent_systems_solve_on_the_triangular_form():
+    """[x d, x d], that is x (y1 + y2)' = b, leaves y2 without a pivot:
+    the kernel is infinite with y2 free, not the degree-capped slice of an
+    ansatz, and for b = x the particular solution solves the system.  A
+    zero row of the triangular form facing a nonzero right-hand side
+    certifies NoRationalSolution, whether the reduction over F finds it
+    ([x d; x d], b = (0, 1)) or row_echelon does ([x d; x d^2], where
+    y' = 0 forces x y'' = 0)."""
+    F = ALG.field
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    xd2 = ScalarDiffOp(ALG, {2: ALG.from_scalar(F.x)})
+    M = MatDiffOp(ALG, [[xd, xd]])
+    sols = solve_rational(M)
+    assert (sols.dim, sols.free) == (INFINITE, (1,))
+    sols = solve_rational(M, [F.x])
+    assert (sols.dim, sols.free) == (INFINITE, (1,))
+    assert _solves(M, sols.particular, [F.x])
+    for rows in ([[xd], [xd]], [[xd], [xd2]]):
+        with pytest.raises(NoRationalSolution, match="vanishes"):
+            solve_rational(MatDiffOp(ALG, rows), [F.zero, F.one])
+
+
+@st.composite
+def x_dependent_full_rank_systems(draw):
+    """(M, b): a square M with 1 or 2 unknowns, entries of order <= 2 with
+    small polynomial coefficients, x in at least one and det M nonzero;
+    b zero, polynomial, or with a pole at 0 or -1 in each entry."""
+    F = ALG.field
+    x = F.x
+    coeff = st.sampled_from([F.zero, F.zero, F.one, -F.one, F.rational(2),
+                             x, x + 1, x * x, 1 - x])
+    n = draw(st.integers(1, 2))
+    M = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {k: ALG.from_scalar(draw(coeff))
+                                            for k in range(draw(
+                                                st.integers(0, 2)) + 1)})
+                         for _ in range(n)] for _ in range(n)])
+    assume(any(not c.is_constant() for row in M.rows for e in row
+               for c in e.field_coeffs().values()))
+    assume(not dieudonne_det(M).is_zero)
+    kind = draw(st.sampled_from(["zero", "polynomial", "pole"]))
+    if kind == "zero":
+        return M, [F.zero] * n
+    values = [F.one, x, x * x - 1, F.rational(3) * x + 2]
+    if kind == "pole":
+        values += [F.one / x, x / (x + 1), (x * x + 1) / (x * x)]
+    return M, [draw(st.sampled_from(values)) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=x_dependent_full_rank_systems())
+def test_x_dependent_systems_equal_the_ansatz_on_m(system):
+    """For a square x-dependent M of full rank, the ansatz on the
+    triangular rows (degree 2 (sum of the pivot orders) + 4, over the
+    denominators of b) gives what the ansatz on M itself gives at degree
+    2 deg det M + 4 (ansatz_reference): the row operations keep the
+    solution set and the Dieudonne degree.  The same particular solution
+    and basis, or the same exception."""
+    M, b = system
+
+    def outcome(solve):
+        try:
+            sols = solve()
+        except (Incomplete, NoRationalSolution) as err:
+            return type(err)
+        return sols.particular, sols.homogeneous, sols.free
+
+    assert outcome(lambda: solve_rational(M, b)) == \
+        outcome(lambda: ansatz_reference(M, b))
 
 
 @st.composite

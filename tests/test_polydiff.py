@@ -462,6 +462,76 @@ def test_x_free_systems_never_reach_the_ansatz(monkeypatch):
     test_solve_skew_equation_against_the_full_sum()
 
 
+def _x_dependent_grid():
+    """name -> K for the x-dependent grid: ten scalar K in one variable and
+    five 2 x 2 K in two."""
+    F, G = ALG.field, ALG2.field
+    x, one, X, I = F.x, F.one, G.x, G.one
+
+    def op(alg, coeffs):
+        return ScalarDiffOp(alg, {k: alg.from_scalar(v)
+                                  for k, v in coeffs.items()})
+
+    grid = {name: MatDiffOp(ALG, [[op(ALG, c)]]) for name, c in (
+        ("x d", {1: x}), ("x d^2", {2: x}), ("(x+1) d^3", {3: x + 1}),
+        ("x^2 d", {1: x * x}), ("x d + 1", {1: x, 0: one}),
+        ("d + x", {1: one, 0: x}), ("(x^2+1) d^2", {2: x * x + 1}),
+        ("x^2 d^2 + x d", {2: x * x, 1: x}),
+        ("d^2 + 1/x^2", {2: one, 0: one / (x * x)}), ("x^3 d^3", {3: x ** 3}))}
+    z = ScalarDiffOp.zero(ALG2)
+    for name, rows in (
+            ("diag(x d, d)", [[{1: X}, {}], [{}, {1: I}]]),
+            ("diag(x d, x d)", [[{1: X}, {}], [{}, {1: X}]]),
+            ("[[d, x], [0, d]]", [[{1: I}, {0: X}], [{}, {1: I}]]),
+            ("diag(x d^2, d^2)", [[{2: X}, {}], [{}, {2: I}]]),
+            ("[[x d, 1], [-1, d]]", [[{1: X}, {0: I}], [{0: -I}, {1: I}]])):
+        grid[name] = MatDiffOp(ALG2, [[op(ALG2, c) if c else z for c in row]
+                                      for row in rows])
+    return grid
+
+
+# name: ((|Sigma basis|, cohomology dim, expected) at k = 0, 1, 2;
+#        dim of selfadjoint_product_space)
+X_DEPENDENT_COUNTS = {
+    "x d": ([(0, 0, 1), (0, 0, 0), (0, 0, 0)], 0),
+    "x d^2": ([(1, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
+    "(x+1) d^3": ([(2, 0, 3), (1, 0, 3), (0, 0, 1)], 3),
+    "x^2 d": ([(0, 0, 1), (0, 0, 0), (0, 0, 0)], 0),
+    "x d + 1": ([(1, 1, 1), (0, 0, 0), (0, 0, 0)], 0),
+    "d + x": ([(0, 0, 1), (0, 0, 0), (0, 0, 0)], 0),
+    "(x^2+1) d^2": ([(0, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
+    "x^2 d^2 + x d": ([(0, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
+    "d^2 + 1/x^2": ([(0, 0, 2), (1, 1, 1), (0, 0, 0)], 1),
+    "x^3 d^3": ([(0, 0, 3), (0, 0, 3), (0, 0, 1)], 3),
+    "diag(x d, d)": ([(1, 1, 2), (0, 0, 1), (0, 0, 0)], 1),
+    "diag(x d, x d)": ([(0, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
+    "[[d, x], [0, d]]": ([(2, 2, 2), (1, 1, 1), (0, 0, 0)], 1),
+    "diag(x d^2, d^2)": ([(3, 2, 4), (3, 1, 6), (1, 0, 4)], 6),
+    "[[x d, 1], [-1, d]]": ([(0, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
+}
+
+
+def test_x_dependent_counts_and_flags():
+    """sigma_space, cohomology_dim and selfadjoint_product_space on K with
+    x in a coefficient: the counts are pinned, and a count is flagged
+    exactly when it falls short of C(N nvars, k + 1).  The two routes to
+    the same cohomology do not agree here: for x d^2 at k = 0 sigma_space
+    finds 1 of 2 and cohomology_dim 0 of 2, both flagged, since the
+    ansatz that finishes x-dependent systems may stop short."""
+    grid = _x_dependent_grid()
+    assert set(grid) == set(X_DEPENDENT_COUNTS)
+    for name, K in grid.items():
+        per_k, sadj = X_DEPENDENT_COUNTS[name]
+        for k, (n_sigma, n_cohom, expected) in enumerate(per_k):
+            basis, exp_sigma, flagged = sigma_space(K, k)
+            res = cohomology_dim(K, k)
+            assert (len(basis), res.dim, exp_sigma, res.expected) == \
+                (n_sigma, n_cohom, expected, expected), (name, k)
+            assert flagged == (n_sigma < expected), (name, k)
+            assert res.flagged_lower_bound == (n_cohom < expected), (name, k)
+        assert len(selfadjoint_product_space(K)) == sadj, name
+
+
 def test_sigma_space_flagged_nonrational():
     K = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one})]])
     basis, expected, flagged = sigma_space(K, 0)
