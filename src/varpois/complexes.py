@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
@@ -25,7 +25,7 @@ from .field import InvariantViolation, accumulate
 from .lambdapoly import (LambdaPoly, _LambdaArray, affine_apply_once,
                          affine_pow_apply, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
-from .pva import LambdaBracketStruct, NotPoisson, check_jacobi
+from .pva import LambdaBracketStruct, NotPoisson, _LeftFactor, check_jacobi
 
 
 class NotClosed(Exception):
@@ -143,7 +143,7 @@ def de_rham_delta(P: SkewArray) -> SkewArray:
     """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
     d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n: the twisted
     differential delta_K at K = 1."""
-    return _delta(P, MatDiffOp.identity(P.alg, P.alg.nvars))
+    return delta_k(P, MatDiffOp.identity(P.alg, P.alg.nvars))
 
 
 def _orders_of(L: LambdaPoly, i: int) -> list:
@@ -153,51 +153,44 @@ def _orders_of(L: LambdaPoly, i: int) -> list:
     return sorted(orders)
 
 
-def _k_symbol(K: MatDiffOp, j: int, i: int, k: int, slot: int) -> LambdaPoly:
-    """Symbol of K_{ji} in arity k with the variable at `slot`."""
-    return K.rows[j - 1][i - 1].symbol(k=k, slot=slot)
-
-
 def delta_k(P: SkewArray, K: MatDiffOp) -> SkewArray:
     """Twisted differential for quasiconstant K:
     (delta_K P)_{i0..ik} = sum_alpha (-1)^alpha sum_{j,n}
     dP_{..alpha-hat..}/du_j^(n) (lam_alpha + d)^n K_{j,i_alpha}(lam_alpha)."""
     if not K.is_quasiconstant():
         raise NotQuasiconstant("delta_K needs a quasiconstant operator")
-    return _delta(P, K)
-
-
-def _delta(P: SkewArray, K: MatDiffOp) -> SkewArray:
-    """delta_K P, without delta_k's check that K is quasiconstant."""
-    k1 = P.k + 1
-    out = SkewArray(P.alg, k1)
+    factors = _generator_factors(LambdaBracketStruct(K))
+    out = SkewArray(P.alg, P.k + 1)
     for idx in itertools.combinations_with_replacement(
-            range(1, P.alg.nvars + 1), k1):
-        out.set_entry(idx, _delta_terms(P, K, idx), project=False)
+            range(1, P.alg.nvars + 1), P.k + 1):
+        out.set_entry(idx, _delta_terms(P, factors, idx), project=False)
     return out
 
 
-def _delta_terms(P: SkewArray, K: MatDiffOp, idx: tuple) -> LambdaPoly:
-    """The entry of delta_K P at idx, summed as in delta_k; K may have jet
-    coefficients (the first group of terms of d_K)."""
-    alg = P.alg
+def _generator_factors(K: LambdaBracketStruct) -> list:
+    """The left factors {u_i _lam .} of the master formula under K, one per
+    generator; their shifts (lam + d)^n K_ji serve every index tuple."""
+    return [_LeftFactor(K.alg.jet(i), K) for i in range(1, K.nvars + 1)]
+
+
+def _delta_terms(P: SkewArray, factors: list, idx: tuple) -> LambdaPoly:
+    """The entry of delta_K P at idx, sum_alpha (-1)^alpha
+    {u_(i_alpha) _(lam_alpha) P_(idx without alpha)}, by the master formula
+    (Barakat-De Sole-Kac, Japan. J. Math. 4 (2009), Section 1) with the
+    generator factors of K; K may have jet coefficients (the first group of
+    terms of d_K)."""
     k1 = len(idx)
-    total = LambdaPoly.zero(alg, k1)
+    total = LambdaPoly.zero(P.alg, k1)
     for a in range(k1):
-        sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
+        sub = P.entry(idx[:a] + idx[a + 1:])
         if sub.is_zero():
             continue
-        i_a = idx[a]
-        for j in range(1, alg.nvars + 1):
-            if K.rows[j - 1][i_a - 1].is_zero():
-                continue
-            ksym = _k_symbol(K, j, i_a, k1, a)
-            for n in _orders_of(sub, j):
-                piece = sub.map_coeff(lambda p: p.jet_partial(j, n))
-                if piece.is_zero():
-                    continue
-                piece = piece * affine_pow_on({a: 1}, 1, n, ksym)
-                total = total + (piece if a % 2 == 0 else -piece)
+        piece = factors[idx[a] - 1].into(sub)
+        if a:
+            # the bracket's lam sits in slot 0; it moves to slot a
+            piece = piece.compose_vars(
+                (a,) + tuple(range(a)) + tuple(range(a + 1, k1)))
+        total = total + piece if a % 2 == 0 else total - piece
     return total
 
 
@@ -288,20 +281,22 @@ def d_k(P: QuotientArray, K: LambdaBracketStruct) -> QuotientArray:
     k1 = k + 1
     rep = P.representative
     sign_out = 1 if (k + 1) % 2 == 0 else -1
+    factors = _generator_factors(K)
     out = SkewArray(alg, k1)
     for idx in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), k1):
         # the delta_K-shaped terms, then the brackets landing inside the array
-        total = _delta_terms(rep, Kop, idx)
+        total = _delta_terms(rep, factors, idx)
         for a in range(k1):
             for b in range(a + 1, k1):
                 pos = [t for t in range(k1) if t not in (a, b)]
+                ksym_ba = Kop.rows[idx[b] - 1][idx[a] - 1].symbol(k=k1,
+                                                                  slot=a)
                 for j in range(1, alg.nvars + 1):
                     ent = rep.entry((j,) + tuple(idx[t] for t in pos))
                     if ent.is_zero():
                         continue
-                    ksym_ba = _k_symbol(Kop, idx[b], idx[a], k1, a)
-                    for n in _orders_of_k(Kop, idx[b], idx[a], j):
+                    for n in _orders_of(ksym_ba, j):
                         kpart = ksym_ba.map_coeff(
                             lambda p: p.jet_partial(j, n))
                         if kpart.is_zero():
@@ -313,14 +308,6 @@ def d_k(P: QuotientArray, K: LambdaBracketStruct) -> QuotientArray:
                         total = total + (piece if sgn > 0 else -piece)
         out.set_entry(idx, total if sign_out > 0 else -total, project=False)
     return QuotientArray(out)
-
-
-def _orders_of_k(K: MatDiffOp, i: int, j: int, var: int) -> list:
-    orders = set()
-    for c in K.rows[i - 1][j - 1].coeffs.values():
-        if isinstance(c, DiffPoly):
-            orders.update(n for (n, jj) in c.jet_support() if jj == var)
-    return sorted(orders)
 
 
 def _compose_first_slot(ent: LambdaPoly, pos: list, target: LambdaPoly,
@@ -495,12 +482,9 @@ def alpha_k(C: SkewArray, K: MatDiffOp) -> SkewArray:
     return X
 
 
-def dim_omega00(N: int, nvars: int, k: int,
-                alg: Optional[DiffAlgebra] = None):
+def dim_omega00(N: int, nvars: int, k: int, alg: DiffAlgebra):
     """Dimension C(N*nvars, k) of the bottom slice, with an explicit basis
     of skewsymmetric quasiconstant arrays of degree < N per variable."""
-    if alg is None:
-        alg = DiffAlgebra(nvars)
     basis = []
     if k == 0:
         return 1, [SkewArray.from_function(alg, alg.one)]

@@ -540,7 +540,8 @@ def higher_euler(f: DiffPoly, i: int):
         g = f.jet_partial(i, n)
         if g.is_zero() and n > 0:
             continue
-        out = out + affine_pow_apply(alg, {0: -1}, -1, n, g)
+        out = out + (affine_pow_apply(alg, {0: -1}, -1, n, g) if n
+                     else LambdaPoly.const(alg, 1, g))
     return out
 
 

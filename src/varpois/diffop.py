@@ -2,7 +2,7 @@
 algebra over the coefficient field: majorants, leading matrices, row echelon
 form, majorant-preserving reduction, Dieudonne determinants, and the
 solver for linear differential systems on a triangular form: exact when
-the coefficients are free of x, a rational ansatz otherwise.  Row
+that form is free of x, a rational ansatz otherwise.  Row
 reduction over F[d] (fraction-free, on rows without denominators) and
 over the skew field of pseudodifferential operators is one kernel,
 _Elimination.
@@ -1076,8 +1076,9 @@ def solve_rational(M: MatDiffOp,
 
     Every M is solved on its triangular form (_solve_rows): a zero row
     whose right-hand side is not zero certifies NoRationalSolution, and an
-    unknown without a pivot makes the kernel infinite (dim INFINITE).  M
-    free of x is then solved exactly; with x in a coefficient the
+    unknown without a pivot makes the kernel infinite (dim INFINITE).  A
+    triangular form free of x is then solved exactly (so is x d y = 1,
+    whose reduced row is d y = 1/x); with x in a coefficient the
     triangular rows go to a polynomial-in-x ansatz whose degree, twice the
     sum of the pivot orders plus four, comes from the triangular form: its
     kernel may miss solutions of higher degree, and Incomplete means it
@@ -1105,22 +1106,23 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
     NoRationalSolution, and an unknown without a pivot makes the kernel
     infinite.
 
-    Free of x, the rows are solved from the bottom up (_solve_pivot), with
-    an unknown without a pivot set to zero.  A pivot L = d^m L0,
-    L0(0) != 0, has the polynomials of degree < m as its rational kernel:
-    L0 is invertible on polynomials, and its kernel is exponential.  So
-    x^s, s < m, seeded at each pivot and carried up with right-hand side
-    zero, gives a basis of the rational kernel, which _ansatz_order brings
-    to the basis an ansatz prints.
+    Whether the system is free of x is read from the triangular form, not
+    from the rows as given: the reduction over F divides each row by its
+    pivot coefficient.  Free of x, the rows are solved from the bottom up
+    (_solve_pivot), with an unknown without a pivot set to zero.  A pivot
+    L = d^m L0, L0(0) != 0, has the polynomials of degree < m as its
+    rational kernel: L0 is invertible on polynomials, and its kernel is
+    exponential.  So x^s, s < m, seeded at each pivot and carried up with
+    right-hand side zero, gives a basis of the rational kernel, which
+    _ansatz_order brings to the basis an ansatz prints.
 
-    With x in a coefficient, the nonzero triangular rows and the replayed
-    b go to _solve_by_ansatz on all unknowns, over the denominators of the
-    given b (the replay's derivatives and divisions add poles that y does
-    not have), at degree 2 (sum of the pivot orders) + 4.  The row
-    operations leave the Dieudonne degree as it is, so on a square system
-    of full rank that is 2 deg det M + 4."""
+    With x in a coefficient of the triangular form, its nonzero rows and
+    the replayed b go to _solve_by_ansatz on all unknowns, over the
+    denominators of the given b (the replay's derivatives and divisions
+    add poles that y does not have), at degree 2 (sum of the pivot orders)
+    + 4.  The row operations leave the Dieudonne degree as it is, so on a
+    square system of full rank that is 2 deg det M + 4."""
     field, m = alg.field, len(rows)
-    x_free = all(c.is_constant() for row in rows for c in row.values())
     width = 1 + max((col for row in rows for col in row), default=0)
     for row, v in zip(rows, b):
         if not v.is_zero():
@@ -1128,6 +1130,8 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
     rank = len(_eliminate(rows, width, field)[0])
     rhs = [row.pop(width, field.zero) for row in rows]
     U, ops = row_echelon(_as_matrix(alg, rows[:rank], n))
+    x_free = all(c.is_constant() for row in U.rows for e in row
+                 for c in e.coeffs.values())
     # rows rank.. hold no unknowns; the operations leave them as they are
     rhs = _replay(ops, rhs)
     pivots = [next((j for j, e in enumerate(row) if not e.is_zero()), None)
@@ -1298,45 +1302,37 @@ def skewadjoint_decompose(S, selfadjoint: bool = False):
     if not (mat - want).is_zero():
         raise NotSkewadjoint(
             "operator is not " + ("selfadjoint" if selfadjoint else "skewadjoint"))
-    size = mat.m
-    rem = mat
+    dd = ScalarDiffOp.d(alg)
+
+    def block(o, c):
+        """d^m o (d o c/2 + c/2 d) d^m for o = 2m + 1, d^m o c d^m for
+        o = 2m."""
+        m = o // 2
+        if o % 2:
+            half = ScalarDiffOp(alg, {0: c * Fraction(1, 2)})
+            mid = dd.compose(half) + half.compose(dd)
+        else:
+            mid = ScalarDiffOp(alg, {0: c})
+        return (o % 2, m), ScalarDiffOp.d(alg, m).compose(mid).compose(
+            ScalarDiffOp.d(alg, m))
+
+    # each block is entrywise, so every entry is peeled on its own
+    forms = [[_peel(e, block) for e in row] for row in mat.rows]
+    keys = sorted({key for row in forms for form in row for key in form},
+                  key=lambda key: -(2 * key[1] + key[0]))
     a_out: dict = {}
     b_out: dict = {}
-    dd = ScalarDiffOp.d(alg, 1)
-
-    def entry_coeff(i, j, n):
-        return rem.rows[i][j].coeff(n)
-
-    while not rem.is_zero():
-        o = rem.order()
-        lead = [[entry_coeff(i, j, o) for j in range(size)] for i in range(size)]
-        if o % 2 == 1:
-            m = (o - 1) // 2
-            a = [[lead[i][j] * Fraction(1, 2) for j in range(size)]
-                 for i in range(size)]
-            a_out[m] = a
-            block = MatDiffOp(alg, [[
-                ScalarDiffOp.d(alg, m).compose(
-                    (dd.compose(_as_op(alg, a[i][j])) +
-                     _as_op(alg, a[i][j]).compose(dd))
-                ).compose(ScalarDiffOp.d(alg, m))
-                for j in range(size)] for i in range(size)])
+    for odd, m in keys:
+        lead = [[form.get((odd, m), alg.zero) for form in row]
+                for row in forms]
+        if odd:
+            a_out[m] = [[c * Fraction(1, 2) for c in r] for r in lead]
         else:
-            m = o // 2
             b_out[m] = lead
-            block = MatDiffOp(alg, [[
-                ScalarDiffOp.d(alg, m).compose(
-                    _as_op(alg, lead[i][j])).compose(ScalarDiffOp.d(alg, m))
-                for j in range(size)] for i in range(size)])
-        rem = rem - block
     if scalar:
         a_out = {m: v[0][0] for m, v in a_out.items()}
         b_out = {m: v[0][0] for m, v in b_out.items()}
     return a_out, b_out
-
-
-def _as_op(alg: DiffAlgebra, c) -> ScalarDiffOp:
-    return ScalarDiffOp(alg, {0: c})
 
 
 # -- spaces of operators with (self)adjoint products ---------------------------------

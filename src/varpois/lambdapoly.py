@@ -133,15 +133,9 @@ class LambdaPoly:
             accumulate(out, tuple(ee), p)
         return LambdaPoly(self.alg, self.k, out)
 
-    def insert_slot(self, pos: int) -> "LambdaPoly":
-        """View in arity k+1 with a fresh variable (exponent 0) at pos."""
-        out = {}
-        for e, p in self.terms.items():
-            out[e[:pos] + (0,) + e[pos:]] = p
-        return LambdaPoly(self.alg, self.k + 1, out)
-
     def drop_slot(self, pos: int) -> "LambdaPoly":
-        """Inverse of insert_slot; requires exponent zero at pos."""
+        """View in arity k-1 without the variable at pos; requires exponent
+        zero there."""
         out = {}
         for e, p in self.terms.items():
             if e[pos] != 0:
@@ -161,11 +155,10 @@ class LambdaPoly:
         return f"LambdaPoly({format_lambda_poly(self)})"
 
 
-def format_lambda_poly(P: LambdaPoly, names: Optional[list] = None) -> str:
+def format_lambda_poly(P: LambdaPoly) -> str:
     if P.is_zero():
         return "0"
-    if names is None:
-        names = [f"l{j + 1}" for j in range(P.k)]
+    names = [f"l{j + 1}" for j in range(P.k)]
     parts = []
     for e, p in P.sorted_terms():
         mono = "*".join(f"{names[j]}^{x}" if x > 1 else names[j]

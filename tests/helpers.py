@@ -14,12 +14,13 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
 from varpois.complexes import _perm_sign
-from varpois.diffop import (DET_ZERO, DetValue, _field_value,
-                            _simplify_coeff, _solve_by_ansatz, dieudonne_det)
-from varpois.field import POLY, RAT, clear_denominators
+from varpois.diffop import (DET_ZERO, DetValue, _as_matrix, _field_value,
+                            _simplify_coeff, _solve_by_ansatz, dieudonne_det,
+                            row_echelon)
+from varpois.field import POLY, RAT, clear_denominators, x_coefficients
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
-from varpois.linsolve import matrix_inverse
+from varpois.linsolve import _eliminate, matrix_inverse
 from varpois.polydiff import _tau_action
 
 
@@ -329,6 +330,18 @@ def as_one_form(Q) -> list:
     return out
 
 
+def _insert_slot(L: LambdaPoly, pos: int) -> LambdaPoly:
+    """L in arity k+1, with a fresh variable (exponent 0) at pos."""
+    return LambdaPoly(L.alg, L.k + 1, {e[:pos] + (0,) + e[pos:]: p
+                                       for e, p in L.terms.items()})
+
+
+def _jet_orders(L: LambdaPoly, j: int) -> list:
+    """The orders n of the jets u_j^(n) in the coefficients of L."""
+    return sorted({n for p in L.terms.values()
+                   for (n, i) in p.jet_support() if i == j})
+
+
 def de_rham_delta_reference(P: SkewArray) -> SkewArray:
     """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
     d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n, summed
@@ -340,16 +353,108 @@ def de_rham_delta_reference(P: SkewArray) -> SkewArray:
             range(1, alg.nvars + 1), k1):
         total = LambdaPoly.zero(alg, k1)
         for a in range(k1):
-            sub = P.entry(idx[:a] + idx[a + 1:]).insert_slot(a)
+            sub = _insert_slot(P.entry(idx[:a] + idx[a + 1:]), a)
             i_a = idx[a]
-            orders = {n for p in sub.terms.values()
-                      for (n, j) in p.jet_support() if j == i_a}
-            for n in sorted(orders):
+            for n in _jet_orders(sub, i_a):
                 piece = sub.map_coeff(lambda p: p.jet_partial(i_a, n))
                 piece = piece.shift_exp(a, n)
                 total = total + (piece if a % 2 == 0 else -piece)
         out.set_entry(idx, total, project=False)
     return out
+
+
+def delta_terms_reference(P: SkewArray, K: MatDiffOp, idx: tuple):
+    """The entry of delta_K P at idx, expanded term by term:
+    sum_alpha (-1)^alpha sum_{j,n} dP_{..alpha-hat..}/du_j^(n)
+    (lam_alpha + d)^n K_{j,i_alpha}(lam_alpha), K's coefficients may have
+    jets (the first group of terms of d_K)."""
+    alg = P.alg
+    k1 = len(idx)
+    total = LambdaPoly.zero(alg, k1)
+    for a in range(k1):
+        sub = _insert_slot(P.entry(idx[:a] + idx[a + 1:]), a)
+        for j in range(1, alg.nvars + 1):
+            ksym = K.rows[j - 1][idx[a] - 1].symbol(k=k1, slot=a)
+            if ksym.is_zero():
+                continue
+            for n in _jet_orders(sub, j):
+                piece = sub.map_coeff(lambda p: p.jet_partial(j, n)) * \
+                    affine_pow_on_reference({a: 1}, 1, n, ksym)
+                total = total + (piece if a % 2 == 0 else -piece)
+    return total
+
+
+def delta_k_reference(P: SkewArray, K: MatDiffOp) -> SkewArray:
+    """delta_K P, every entry from delta_terms_reference."""
+    out = SkewArray(P.alg, P.k + 1)
+    for idx in itertools.combinations_with_replacement(
+            range(1, P.alg.nvars + 1), P.k + 1):
+        out.set_entry(idx, delta_terms_reference(P, K, idx), project=False)
+    return out
+
+
+def d_k_reference(P, K) -> SkewArray:
+    """The representative of d_K P for a QuotientArray P and a bracket
+    structure K, without d_k's checks: (-1)^(k+1) times the delta_K terms
+    (delta_terms_reference) plus, for a < b and each jet u_j^(n) of
+    K_{i_b i_a}, P_{j, idx without a, b}(lam_a + lam_b + d, ...) applied to
+    (-lam_a - lam_b - d)^n dK_{i_b i_a}(lam_a)/du_j^(n)."""
+    alg, rep, Kop = P.alg, P.representative, K.op
+    k1 = P.k + 1
+    out = SkewArray(alg, k1)
+    for idx in itertools.combinations_with_replacement(
+            range(1, alg.nvars + 1), k1):
+        total = delta_terms_reference(rep, Kop, idx)
+        for a, b in itertools.combinations(range(k1), 2):
+            pos = [t for t in range(k1) if t not in (a, b)]
+            ksym = Kop.rows[idx[b] - 1][idx[a] - 1].symbol(k=k1, slot=a)
+            for j in range(1, alg.nvars + 1):
+                ent = rep.entry((j,) + tuple(idx[t] for t in pos))
+                for n in _jet_orders(ksym, j):
+                    x_n = affine_pow_on_reference(
+                        {a: -1, b: -1}, -1, n,
+                        ksym.map_coeff(lambda p: p.jet_partial(j, n)))
+                    for e, c in ent.terms.items():
+                        piece = affine_pow_on_reference({a: 1, b: 1}, 1,
+                                                        e[0], x_n)
+                        for r, exp in enumerate(e[1:]):
+                            piece = piece.shift_exp(pos[r], exp)
+                        piece = piece.scale(c)
+                        total = total + (piece if (a + b) % 2 == 0
+                                         else -piece)
+        out.set_entry(idx, total if k1 % 2 == 0 else -total, project=False)
+    return out
+
+
+def skewadjoint_decompose_reference(S: MatDiffOp, selfadjoint=False):
+    """skewadjoint_decompose of a square S as a matrix loop: take the
+    leading coefficient matrix of the remainder, order o, subtract the
+    block d^m o (d o a + a d) o d^m with a = lead / 2 (o = 2m + 1) or
+    d^m o lead o d^m (o = 2m), until nothing is left."""
+    alg = S.alg
+    size = S.m
+    rem = S
+    a_out, b_out = {}, {}
+    dd = ScalarDiffOp.d(alg)
+    while not rem.is_zero():
+        o = rem.order()
+        m = o // 2
+        dm = ScalarDiffOp.d(alg, m)
+        lead = [[rem.rows[i][j].coeff(o) for j in range(size)]
+                for i in range(size)]
+        if o % 2:
+            lead = [[c * Fraction(1, 2) for c in r] for r in lead]
+            a_out[m] = lead
+        else:
+            b_out[m] = lead
+
+        def block(c):
+            c = ScalarDiffOp(alg, {0: c})
+            inner = dd.compose(c) + c.compose(dd) if o % 2 else c
+            return dm.compose(inner).compose(dm)
+
+        rem = rem - MatDiffOp(alg, [[block(c) for c in r] for r in lead])
+    return a_out, b_out
 
 
 def x_degree(v: FieldElem) -> int:
@@ -536,6 +641,35 @@ def ansatz_reference(M: MatDiffOp, b: list):
     den = (M.alg.field.one if all(v.is_zero() for v in b)
            else clear_denominators(b)[0])
     return _solve_by_ansatz(M, b, 2 * dieudonne_det(M).d + 4, den)
+
+
+def triangular_form_has_x(M: MatDiffOp) -> bool:
+    """Whether x is in a coefficient of the triangular form that
+    solve_rational solves M on: M's coefficient rows (column k n + j for
+    d^k y_j) reduced over F, then row_echelon on the nonzero ones."""
+    field, n = M.alg.field, M.n
+    rows = [{k * n + j: c for j, e in enumerate(row)
+             for k, c in e.field_coeffs().items()} for row in M.rows]
+    width = 1 + max((col for row in rows for col in row), default=0)
+    rank = len(_eliminate(rows, width, field)[0])
+    U, _ = row_echelon(_as_matrix(M.alg, rows[:rank], n))
+    return any(not c.is_constant() for row in U.rows for e in row
+               for c in e.coeffs.values())
+
+
+def constant_rank(vectors: list) -> int:
+    """The rank over the constants of vectors with entries in F: over a
+    common denominator, each vector is read as the x-coefficients of its
+    entries."""
+    if not vectors:
+        return 0
+    field = vectors[0][0].field
+    den = clear_denominators([v for y in vectors for v in y])[0]
+    columns: dict = {}
+    rows = [{columns.setdefault((j, t), len(columns)): c
+             for j, v in enumerate(y)
+             for t, c in x_coefficients(v * den).items()} for y in vectors]
+    return len(_eliminate(rows, len(columns), field)[0])
 
 
 def invert_k_by_constant_inverse(K: MatDiffOp, F: list) -> list:

@@ -73,6 +73,22 @@ def test_cohomology_flagged(session_file):
     assert body["results"][0]["status"] == "flagged"
 
 
+@pytest.mark.parametrize("vars_, K, k", [(1, "x*d^2", 0),
+                                         (2, "[[d^2, 0],[0, d^2]]", 1)])
+def test_cohomology_dim_counts_its_representatives(tmp_path, vars_, K, k):
+    """The cohomology report takes its dim, flag and representatives from
+    one solve: dim is the number of representatives, flagged or not."""
+    session = tmp_path / "s.vp"
+    session.write_text(f"vars {vars_}\n")
+    body, code = _run(["--session", str(session), "cohomology",
+                       "--K", K, "--k", str(k)])
+    assert code == 0
+    val = body["results"][0]["value"]
+    assert val["dim"] == len(val["basis_representatives"])
+    assert body["results"][0]["status"] == (
+        "flagged" if val["flagged_lower_bound"] else "ok")
+
+
 def test_sigma(session_file):
     body, code = _run(["--session", session_file, "sigma",
                        "--K", "d^2", "--k", "1"])
@@ -120,6 +136,15 @@ def test_lenard(session_file):
     assert all(r["status"] == "ok" for r in body["results"])
 
 
+def test_lenard_requires_a_seed(session_file, capsys):
+    """--seed is the one source of the seed: without it the parser stops
+    with its usage and exit status 2, before the library sees None."""
+    with pytest.raises(SystemExit) as err:
+        run(["--session", session_file, "lenard", "--H", "H", "--K", "K"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_parse_error_exit_2(session_file):
     body, code = _run(["--session", session_file, "det", "--M", "[[1, a],"])
     assert code == 2
@@ -148,14 +173,6 @@ def test_report_determinism(session_file):
     b2, _ = _run(["--session", session_file, "det",
                   "--M", "[[1, a],[d, a*d]]"])
     assert json.dumps(b1, sort_keys=False) == json.dumps(b2, sort_keys=False)
-
-
-def test_seed_file(session_file, tmp_path):
-    seed = tmp_path / "seed.vp"
-    seed.write_text("1/2*u^2\n")
-    body, code = _run(["--session", session_file, "--seed-file", str(seed),
-                       "lenard", "--H", "H", "--K", "K", "--steps", "1"])
-    assert code == 0
 
 
 # Exact report text (without the timing line) of det and echelon: the

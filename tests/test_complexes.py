@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varpois
 from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
@@ -15,8 +18,9 @@ from varpois.complexes import level_key
 from varpois.lambdapoly import format_lambda_poly
 from varpois.pva import LambdaBracketStruct, hamiltonian_vf
 
-from helpers import (as_one_form, as_skewadjoint_op, de_rham_delta_reference,
-                     rnd_diffpoly, rnd_skew_array)
+from helpers import (as_one_form, as_skewadjoint_op, d_k_reference,
+                     de_rham_delta_reference, delta_k_reference, diffpolys,
+                     field_elems, rnd_diffpoly, rnd_skew_array)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -64,6 +68,90 @@ def test_delta_k_examples():
     flat = SkewArray(ALG, 1)
     flat.set_entry((1,), LambdaPoly.const(ALG, 1, ALG.x()))
     assert delta_k(flat, KD).is_zero()
+
+
+@st.composite
+def skew_arrays(draw, alg, k):
+    """A nonzero arity-k array on alg: each stored entry has some of the
+    lambda-monomials of degree < 2 per slot, with sparse coefficients of
+    jet order <= 1 (u_1 lam^(0, 1, ..) when all of them are zero)."""
+    out = SkewArray(alg, k)
+    for idx in itertools.combinations_with_replacement(
+            range(1, alg.nvars + 1), k):
+        L = LambdaPoly.zero(alg, k)
+        for e in itertools.product(range(2), repeat=k):
+            if draw(st.booleans()):
+                L = L + LambdaPoly.monomial(alg, k, e, draw(diffpolys(
+                    alg, max_order=1, max_terms=2)))
+        out.set_entry(idx, L)
+    if out.is_zero():
+        out.set_entry((1,) * k, LambdaPoly.monomial(alg, k, tuple(range(k)),
+                                                    alg.jet(1)))
+    return out
+
+
+@st.composite
+def quasiconstant_ops(draw, alg):
+    """A square operator on alg of order <= 2, its coefficients in F,
+    with x or without."""
+    with_x = draw(st.booleans())
+    return MatDiffOp(alg, [[ScalarDiffOp(alg, {
+        n: alg.from_scalar(draw(field_elems(alg.field, with_x)))
+        for n in range(3) if draw(st.booleans())})
+        for _ in range(alg.nvars)] for _ in range(alg.nvars)])
+
+
+@st.composite
+def arrays_and_quasiconstant_ops(draw):
+    alg = draw(st.sampled_from([ALG, ALG2]))
+    return (draw(skew_arrays(alg, draw(st.integers(0, 2)))),
+            draw(quasiconstant_ops(alg).filter(lambda K: not K.is_zero())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays_and_quasiconstant_ops())
+def test_delta_k_equals_the_expanded_sum(case):
+    """delta_K through the master-formula generator factors equals the sum
+    over alpha, j and n expanded term by term (delta_k_reference), for K
+    with x and without."""
+    P, K = case
+    assert delta_k(P, K) == delta_k_reference(P, K)
+
+
+def _current_algebra():
+    """{u1 _lam u1} = (d + 2 lam) u1, {u1 _lam u2} = (d + lam) u2,
+    {u2 _lam u2} = 0 on ALG2: a skewadjoint Poisson structure with jets
+    in entries off the diagonal."""
+    u1, u2 = ALG2.jet(1), ALG2.jet(2)
+    return LambdaBracketStruct(MatDiffOp(ALG2, [
+        [ScalarDiffOp(ALG2, {0: u1.derive(), 1: u1 * 2}),
+         ScalarDiffOp(ALG2, {1: u2})],
+        [ScalarDiffOp(ALG2, {0: u2.derive(), 1: u2}),
+         ScalarDiffOp.zero(ALG2)]]))
+
+
+@st.composite
+def arrays_and_structures(draw):
+    kind = draw(st.sampled_from(["magri", "current", "quasiconstant"]))
+    if kind == "magri":
+        alg, K = ALG, magri_structure(ALG)
+    elif kind == "current":
+        alg, K = ALG2, _current_algebra()
+    else:
+        alg = draw(st.sampled_from([ALG, ALG2]))
+        K = LambdaBracketStruct(draw(quasiconstant_ops(alg)))
+    return QuotientArray(draw(skew_arrays(alg, draw(st.integers(0, 2))))), K
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays_and_structures())
+def test_d_k_equals_the_expanded_sum(case):
+    """d_K, its delta_K-shaped terms through the generator factors, equals
+    d_k_reference, which expands those terms as delta_k_reference does:
+    for the Magri structure, a skewadjoint two-component structure with
+    jets, and quasiconstant K with x and without."""
+    P, K = case
+    assert d_k(P, K).representative == d_k_reference(P, K)
 
 
 def test_delta_k_requires_quasiconstant():

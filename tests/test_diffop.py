@@ -24,10 +24,12 @@ from varpois import zpoly
 from varpois.field import format_field_elem, x_coefficients
 from varpois.zpoly import Poly
 
-from helpers import (ansatz_reference, apply_row_ops, det_by_division,
-                     echelon_by_division, field_elems, from_right_form,
-                     from_split_form, linform_matrix_reference, rnd_mat_op,
-                     rnd_scalar_op, same_row_flags, skewadjoint_op)
+from helpers import (ansatz_reference, apply_row_ops, constant_rank,
+                     det_by_division, diffpolys, echelon_by_division,
+                     field_elems, from_right_form, from_split_form,
+                     linform_matrix_reference, rnd_mat_op, rnd_scalar_op,
+                     same_row_flags, skewadjoint_decompose_reference,
+                     skewadjoint_op, triangular_form_has_x)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -268,6 +270,34 @@ def test_skewadjoint_decompose_even_order_blocks():
     assert _rebuild(ALG, a, b, 2) == S
 
 
+@st.composite
+def adjoint_symmetric_ops(draw):
+    """(S, selfadjoint): S = M - M* or M + M* for a 1x1 or 2x2 M of order
+    <= 3 whose coefficients carry x and jets of u of order <= 1."""
+    size = draw(st.integers(1, 2))
+    M = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {
+        n: draw(diffpolys(ALG, max_order=1, max_degree=1, max_terms=2,
+                          with_x=True))
+        for n in range(4) if draw(st.booleans())})
+        for _ in range(size)] for _ in range(size)])
+    selfadjoint = draw(st.booleans())
+    return (M + M.adjoint() if selfadjoint else M - M.adjoint()), selfadjoint
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjoint_symmetric_ops())
+def test_skewadjoint_decompose_equals_the_matrix_loop(case):
+    """Peeling every entry on its own gives the blocks that the matrix
+    loop (skewadjoint_decompose_reference) takes off the whole operator,
+    for matrix input and, at size 1, for the scalar operator."""
+    S, selfadjoint = case
+    want = skewadjoint_decompose_reference(S, selfadjoint)
+    assert skewadjoint_decompose(S, selfadjoint) == want
+    if S.m == 1:
+        assert skewadjoint_decompose(S.rows[0][0], selfadjoint) == tuple(
+            {m: v[0][0] for m, v in part.items()} for part in want)
+
+
 def test_majorant_preserving_reduce_diag():
     diag = MatDiffOp(ALG, [[D, ZERO], [ZERO, D]])
     red, colperm, rowperm = majorant_preserving_reduce(diag, majorant(diag))
@@ -437,18 +467,26 @@ def test_pivot_with_poles_is_solved_by_the_ansatz():
 def test_solve_rational_incomplete():
     """d y1 + y2 = 0, d y2 = 1/x needs y2 = log x: the bottom row of the
     triangular form certifies that no rational solution exists.  x d y = 1
-    needs log x too, but x in a coefficient leaves only the ansatz, whose
-    exhaustion raises Incomplete."""
+    needs log x too, and its reduced row d y = 1/x is free of x, so that
+    is certified as well; x y = 1 gives y = 1/x.  (x d + 1) y = 1/x, that
+    is (x y)' = 1/x, keeps x in its triangular form, which leaves only the
+    ansatz, whose exhaustion raises Incomplete."""
     F = ALG.field
     M = MatDiffOp(ALG, [[D, ScalarDiffOp.identity(ALG)],
                         [ScalarDiffOp.zero(ALG), D]])
     with pytest.raises(NoRationalSolution, match="logarithmic"):
         solve_rational(M, [F.zero, F.one / F.x])
-    xd = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})]])
+    x = ALG.from_scalar(F.x)
+    xd = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: x})]])
+    with pytest.raises(NoRationalSolution, match="logarithmic"):
+        solve_rational(xd, [F.one])
+    assert solve_rational(MatDiffOp(ALG, [[ScalarDiffOp(ALG, {0: x})]]),
+                          [F.one]).particular == [F.one / F.x]
+    xd1 = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: x, 0: ALG.one})]])
     with pytest.raises(Incomplete,
                        match="no rational solution found with ansatz "
                              "degree 6"):
-        solve_rational(xd, [F.one])
+        solve_rational(xd1, [F.one / F.x])
 
 
 def test_solve_rational_selfadjoint_system():
@@ -581,10 +619,11 @@ def test_pseudo_ops():
 
 
 def test_ansatz_degree_comes_from_the_pivots(monkeypatch):
-    """With x in a coefficient the ansatz runs on the triangular rows at
-    degree 2 (sum of the pivot orders) + 4: 8 for x d^2, 10 for
-    diag(x d^2, d), 6 for [x d, x d] (one pivot, of order 1); a pivot d + 1
-    facing a pole takes 2 ord + 4 = 6."""
+    """With x in a coefficient of the triangular form the ansatz runs on
+    its rows at degree 2 (sum of the pivot orders) + 4: 8 for x d^2 + 1,
+    10 for diag(x d^2 + 1, d), 6 for [x d + 1, x d + 1] (one pivot, of
+    order 1); a pivot d + 1 facing a pole takes 2 ord + 4 = 6.  x d^2,
+    whose reduced row is d^2, reaches no ansatz."""
     F = ALG.field
     degrees = []
 
@@ -593,11 +632,14 @@ def test_ansatz_degree_comes_from_the_pivots(monkeypatch):
         return _solve_by_ansatz(M, b, degree_bound, den)
 
     monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
-    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
-    xd2 = ScalarDiffOp(ALG, {2: ALG.from_scalar(F.x)})
+    x = ALG.from_scalar(F.x)
+    xd1 = ScalarDiffOp(ALG, {1: x, 0: ALG.one})
+    xd2 = ScalarDiffOp(ALG, {2: x, 0: ALG.one})
+    solve_rational(MatDiffOp(ALG, [[ScalarDiffOp(ALG, {2: x})]]))
+    assert degrees == []
     solve_rational(MatDiffOp(ALG, [[xd2]]))
     solve_rational(MatDiffOp(ALG, [[xd2, ZERO], [ZERO, D]]))
-    solve_rational(MatDiffOp(ALG, [[xd, xd]]), [F.x])
+    solve_rational(MatDiffOp(ALG, [[xd1, xd1]]), [F.x])
     solve_rational(MatDiffOp(ALG, [[D + ONE]]), [F.one / F.x - F.one / F.x ** 2])
     assert degrees == [(1, 8), (2, 10), (2, 6), (1, 6)]
 
@@ -690,8 +732,9 @@ def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
 def test_constant_systems_solve_on_the_triangular_form(monkeypatch):
     """d + 2 has no rational solution; diag(d^2, d) has the kernel 1, x in
     y1 and 1 in y2; [d, d] (y1 + y2 constant) has an infinite kernel, with
-    y2 free; none of them reaches the ansatz.  x d, with x in a
-    coefficient, is solved by the ansatz."""
+    y2 free; none of them reaches the ansatz, and neither does x d, whose
+    reduced row d is free of x (kernel 1).  x d^2 - d, whose reduced row
+    d^2 - (1/x) d keeps x, is solved by the ansatz (kernel 1, x^2)."""
     F = ALG.field
     calls = []
 
@@ -707,19 +750,22 @@ def test_constant_systems_solve_on_the_triangular_form(monkeypatch):
                                              [F.zero, F.one]]
     wide = solve_rational(MatDiffOp(ALG, [[D, D]]))
     assert (wide.dim, wide.homogeneous, wide.free) == (INFINITE, None, (1,))
-    assert calls == []
     xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
     assert solve_rational(MatDiffOp(ALG, [[xd]])).homogeneous == [[F.one]]
+    assert calls == []
+    xd2 = ScalarDiffOp(ALG, {2: ALG.from_scalar(F.x), 1: -ALG.one})
+    assert solve_rational(MatDiffOp(ALG, [[xd2]])).homogeneous == \
+        [[F.one], [F.x ** 2]]
     assert len(calls) == 1
 
 
 def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
         monkeypatch):
-    """[x d, 0] leaves y2 free, as [d, 0] does: the kernel is infinite
+    """[x d + 1, 0] leaves y2 free, as [d, 0] does: the kernel is infinite
     with y2 in free, not the degree-capped slice of an ansatz, and the
     particular solution, from the ansatz on both unknowns, has y2 zero
-    (x y1' = x gives y1 = x).  A linear-form system in a and b that never
-    mentions b raises InvariantViolation naming b."""
+    ((x y1)' = x gives y1 = x/2).  A linear-form system in a and b that
+    never mentions b raises InvariantViolation naming b."""
     F = ALG.field
     calls = []
 
@@ -728,7 +774,7 @@ def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
         return _solve_by_ansatz(M, b, degree_bound, den)
 
     monkeypatch.setattr(diffop, "_solve_by_ansatz", recording)
-    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x)})
+    xd = ScalarDiffOp(ALG, {1: ALG.from_scalar(F.x), 0: ALG.one})
     for row, free in (([xd, ZERO], (1,)), ([ZERO, xd], (0,))):
         sols = solve_rational(MatDiffOp(ALG, [row]))
         assert (sols.dim, sols.particular, sols.free) == (INFINITE, None,
@@ -736,16 +782,16 @@ def test_unmentioned_unknown_makes_an_x_dependent_kernel_infinite(
     assert calls == []
     sols = solve_rational(MatDiffOp(ALG, [[xd, ZERO]]), [F.x])
     assert (sols.dim, sols.free) == (INFINITE, (1,))
-    assert sols.particular == [F.x, F.zero]
+    assert sols.particular == [F.x / 2, F.zero]
     assert [M.n for M in calls] == [2]
     wide = solve_rational(MatDiffOp(ALG, [[D, ZERO]]))
     assert (wide.dim, wide.free) == (INFINITE, (1,))
     a = LinForm.atom(F, "a")
     with pytest.raises(InvariantViolation, match="'b' has no pivot"):
         solve_linform_system(ALG, [(0, a.derive() * F.x)], ["a", "b"])
-    sols = solve_linform_system(ALG, [(0, a.derive() * F.x)], ["a", "b"],
-                                [(0, F.x)])
-    assert (sols.dim, sols.particular) == (INFINITE, [F.x, F.zero])
+    sols = solve_linform_system(ALG, [(0, a.derive() * F.x + a)],
+                                ["a", "b"], [(0, F.x)])
+    assert (sols.dim, sols.particular) == (INFINITE, [F.x / 2, F.zero])
 
 
 def test_x_dependent_systems_solve_on_the_triangular_form():
@@ -798,14 +844,23 @@ def x_dependent_full_rank_systems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(system=x_dependent_full_rank_systems())
+@example(system=(MatDiffOp(ALG, [[ScalarDiffOp(ALG, {0: ALG.x()})]]),
+                 [ALG.field.one]))
 def test_x_dependent_systems_equal_the_ansatz_on_m(system):
-    """For a square x-dependent M of full rank, the ansatz on the
-    triangular rows (degree 2 (sum of the pivot orders) + 4, over the
-    denominators of b) gives what the ansatz on M itself gives at degree
-    2 deg det M + 4 (ansatz_reference): the row operations keep the
-    solution set and the Dieudonne degree.  The same particular solution
-    and basis, or the same exception."""
+    """For a square M of full rank with x in a coefficient, and x still in
+    its triangular form, the ansatz on the triangular rows (degree
+    2 (sum of the pivot orders) + 4, over the denominators of b) gives
+    what the ansatz on M itself gives at degree 2 deg det M + 4
+    (ansatz_reference): the row operations keep the solution set and the
+    Dieudonne degree.  The same particular solution and basis, or the
+    same exception.
+
+    Where the triangular form is free of x (x y = 1 reduces to y = 1/x),
+    the solution is certified: M y = b holds, the kernel contains the
+    ansatz kernel, and where no solution is returned the ansatz on M finds
+    none either."""
     M, b = system
+    F = ALG.field
 
     def outcome(solve):
         try:
@@ -814,8 +869,25 @@ def test_x_dependent_systems_equal_the_ansatz_on_m(system):
             return type(err)
         return sols.particular, sols.homogeneous, sols.free
 
-    assert outcome(lambda: solve_rational(M, b)) == \
-        outcome(lambda: ansatz_reference(M, b))
+    if triangular_form_has_x(M):
+        assert outcome(lambda: solve_rational(M, b)) == \
+            outcome(lambda: ansatz_reference(M, b))
+        return
+    homogeneous_rhs = all(v.is_zero() for v in b)
+    ansatz_solves = homogeneous_rhs or \
+        outcome(lambda: ansatz_reference(M, b)) is not Incomplete
+    try:
+        sols = solve_rational(M, b)
+    except (Incomplete, NoRationalSolution):
+        assert not ansatz_solves
+        return
+    if not homogeneous_rhs:
+        assert _solves(M, sols.particular, b)
+    ansatz = ansatz_reference(M, [F.zero] * M.m).homogeneous
+    assert constant_rank(sols.homogeneous) == len(sols.homogeneous) == \
+        constant_rank(sols.homogeneous + ansatz)
+    for y in sols.homogeneous:
+        assert _solves(M, y, [F.zero] * M.m)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Checks on the source tree itself."""
 
+import argparse
 import ast
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import varpois
+from varpois import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "varpois"
@@ -223,3 +225,86 @@ def test_runtime_never_imports_sympy(tmp_path):
                                             "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_cli_option_is_read():
+    """Every option and positional of the CLI parser, its subcommands'
+    included, is read as args.<dest> in cli.py: no option is accepted and
+    then ignored."""
+    def dests(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                yield action.dest
+                for sub in action.choices.values():
+                    yield from dests(sub)
+            elif not isinstance(action, argparse._HelpAction):
+                yield action.dest
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "args"}
+    options = set(dests(cli._PARSER))
+    assert "session" in options
+    assert sorted(options - read) == []
+
+
+# the positional count of a call that spreads *args or **kwargs
+INFINITE_ARGS = 1 << 30
+
+
+def _is_private(qualname: str) -> bool:
+    """A function or method whose name, or an enclosing class's, starts
+    with one underscore."""
+    return any(part.startswith("_") and not part.endswith("__")
+               for part in qualname.split("."))
+
+
+def test_every_optional_parameter_of_private_code_is_passed():
+    """Every parameter with a default of a private function or method (see
+    _is_private; dunder methods are exempt) is passed by some call in src/
+    or bench/, by position or by keyword: a default that no caller
+    overrides is a setting nobody reaches."""
+    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sources]
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (INFINITE_ARGS if spread else len(node.args),
+                 {k.arg for k in node.keywords}))
+    unpassed = []
+    for path, tree in zip(sources, trees):
+        if path.parent != SRC:
+            continue
+        for qualname, node, method in _defined_functions(tree):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or \
+                    not _is_private(qualname):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = method and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            offset = 1 if bound else 0
+            optional = [(i - offset, a.arg) for i, a in enumerate(positional)
+                        if i >= len(positional) - len(args.defaults)]
+            optional += [(None, a.arg) for a, d in
+                         zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+            for index, arg in optional:
+                if not any((index is not None and count > index)
+                           or arg in keywords
+                           for count, keywords in calls.get(name, [])):
+                    unpassed.append(f"{path.name}:{qualname}({arg})")
+    assert unpassed == []
+
