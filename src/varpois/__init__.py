@@ -34,11 +34,11 @@ from .lenard import (HierarchyState, NoPreimage, UnsupportedK, lenard_step,
                      run_hierarchy, verify_involution)
 from .linform import LinForm
 from .parser import ArityError, ParseError, Session, parse_session
-from .polydiff import (BadSupport, KDiffOp, NotInSigma, chi_representative,
-                       coeff_b, coeff_c, expand_monomial, is_skewsymmetric,
-                       is_totally_skewsymmetric, module_action, pairing,
-                       sigma_action, sigma_space, skew_product,
-                       solve_skew_equation, total_skewsymmetrize)
+from .polydiff import (KDiffOp, NotInSigma, chi_representative,
+                       is_skewsymmetric, is_totally_skewsymmetric,
+                       module_action, pairing, sigma_action, sigma_space,
+                       skew_product, solve_skew_equation,
+                       total_skewsymmetrize)
 from .pva import (EvVectorField, LambdaBracketStruct, NotPoisson,
                   ad_field_on_operator, check_compatible, check_jacobi,
                   check_skewadjoint, ev_apply, ev_commutator, gfz_structure,

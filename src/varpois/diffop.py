@@ -9,7 +9,11 @@ _Elimination.
 
 Operators are sums a_n d^n with coefficients in V (differential polynomials),
 F (quasiconstants), the fraction field of V, or linear forms in unknown
-functions; composition follows d o a = a d + a'.
+functions; composition follows d o a = a d + a'.  A composition, an entry
+of a matrix product, an adjoint and a step of the row reduction over F[d]
+are each one sum of operator products (_compose_sum): the products that
+land on one coefficient are summed by field.dot, so each coefficient
+cancels once, not once per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, format_diff_poly)
+from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
+                      format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
-                    _primitive_parts, accumulate, clear_denominators,
+                    _primitive_parts, accumulate, clear_denominators, dot,
                     format_field_elem, rational_antiderivative,
                     x_coefficients)
 from .linform import LinForm
@@ -152,17 +157,7 @@ class ScalarDiffOp:
 
     def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """(self o other): d^m o c = sum_j C(m, j) c^(j) d^(m-j)."""
-        out: dict = {}
-        for m, a in self.coeffs.items():
-            for n, b in other.coeffs.items():
-                bded = b
-                for j in range(m + 1):
-                    coef = math.comb(m, j)
-                    term = a * bded if coef == 1 else a * bded * Fraction(coef)
-                    accumulate(out, m + n - j, term)
-                    if j < m:
-                        bded = bded.derive()
-        return ScalarDiffOp(self.alg, out)
+        return _compose_sum(self.alg, [(self, other)], {})
 
     def __mul__(self, other):
         if isinstance(other, ScalarDiffOp):
@@ -172,15 +167,10 @@ class ScalarDiffOp:
     def adjoint(self) -> "ScalarDiffOp":
         """(sum c_n d^n)* = sum (-d)^n o c_n (coefficientwise; matrix
         transposition happens at the matrix level)."""
-        out: dict = {}
-        for n, c in self.coeffs.items():
-            cd = c
-            for j in range(n + 1):
-                coef = math.comb(n, j) * (-1) ** n
-                accumulate(out, n - j, cd * Fraction(coef))
-                if j < n:
-                    cd = cd.derive()
-        return ScalarDiffOp(self.alg, out)
+        alg = self.alg
+        return _compose_sum(alg, [(ScalarDiffOp(alg, {n: (-1) ** n * (
+            alg.one if isinstance(c, DiffPoly) else alg.field.one)}),
+            ScalarDiffOp(alg, {0: c})) for n, c in self.coeffs.items()], {})
 
     def apply(self, f):
         """The operator applied to f in V, or to f in F when the operator
@@ -239,6 +229,56 @@ class ScalarDiffOp:
         form = _peel(self, block)
         return ({h: c for (odd, h), c in form.items() if odd},
                 {h: c for (odd, h), c in form.items() if not odd})
+
+
+def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
+    """sum A o B over the (A, B) pairs of scalar operators, by d^m o b =
+    sum_j C(m, j) b^(j) d^(m-j).  The products that land on one order and
+    one jet monomial are summed by field.dot, so each coefficient cancels
+    once; values that are not FieldElem (linear forms) are added with +.
+    An order is a DiffPoly when a DiffPoly coefficient reaches it.
+    derivatives maps id(b) to the chain b, b', ... (None from the first
+    zero on) of each right coefficient b, while the right operands live."""
+    sums: dict = {}     # (order, monomial) -> list of triples
+    others: dict = {}   # (order, monomial) -> sum of the other products
+    jets = set()
+    for A, B in pairs:
+        for n, b in B.coeffs.items():
+            chain = derivatives.setdefault(id(b), [b])
+            for m, a in A.coeffs.items():
+                while len(chain) <= m and chain[-1] is not None:
+                    d = chain[-1].derive()
+                    chain.append(None if d.is_zero() else d)
+                for j, bj in enumerate(chain[:m + 1]):
+                    if bj is None:
+                        break
+                    o, k = m + n - j, math.comb(m, j)
+                    if type(a) is FieldElem and type(bj) is FieldElem:
+                        sums.setdefault((o, ()), []).append((a, bj, k))
+                        continue
+                    if isinstance(a, DiffPoly) or isinstance(bj, DiffPoly):
+                        jets.add(o)
+                    for ma, ca in _coefficient_terms(a).items():
+                        for mb, cb in _coefficient_terms(bj).items():
+                            key = (o, _mono_mul(ma, mb))
+                            if type(ca) is FieldElem and type(cb) is FieldElem:
+                                sums.setdefault(key, []).append((ca, cb, k))
+                            else:
+                                term = ca * cb * k
+                                others[key] = others[key] + term \
+                                    if key in others else term
+    if not jets and not others:
+        return ScalarDiffOp(alg, {o: dot(alg.field, triples)
+                                  for (o, _), triples in sums.items()})
+    coeffs: dict = {}
+    for key in [*sums, *others.keys() - sums.keys()]:
+        v = dot(alg.field, sums[key]) if key in sums else None
+        if key in others:
+            v = others[key] if v is None else v + others[key]
+        if not v.is_zero():
+            coeffs.setdefault(key[0], {})[key[1]] = v
+    return ScalarDiffOp(alg, {o: DiffPoly(alg, c) if o in jets else c[()]
+                              for o, c in coeffs.items()})
 
 
 def _peel(op: ScalarDiffOp, block) -> dict:
@@ -354,16 +394,10 @@ class MatDiffOp:
     def compose(self, other: "MatDiffOp") -> "MatDiffOp":
         if self.n != other.m:
             raise ShapeMismatch(f"{self.m}x{self.n} o {other.m}x{other.n}")
-        out = []
-        for i in range(self.m):
-            row = []
-            for j in range(other.n):
-                acc = ScalarDiffOp.zero(self.alg)
-                for t in range(self.n):
-                    acc = acc + self.rows[i][t].compose(other.rows[t][j])
-                row.append(acc)
-            out.append(row)
-        return MatDiffOp(self.alg, out)
+        derivatives: dict = {}
+        return MatDiffOp(self.alg, [[_compose_sum(self.alg, [
+            (self.rows[i][t], other.rows[t][j]) for t in range(self.n)],
+            derivatives) for j in range(other.n)] for i in range(self.m)])
 
     __mul__ = compose
 
@@ -726,7 +760,9 @@ class _Elimination:
     A MatDiffOp's rows are kept free of denominators: a row holding a
     fraction of F is first multiplied by the lcm of its denominators, and
     every step multiplies the target row by the pivot's leading coefficient
-    instead of dividing by it, then divides the row by its content.
+    instead of dividing by it, then divides the row by its content.  The
+    step a row_j - P o row_i is one sum of operator products per entry
+    (_compose_sum), so each coefficient of the new row is one field.dot.
 
     ``ops`` records each row operation as ("swap", i, j); ("scale", j, a),
     meaning row_j <- a row_j; or ("sub", i, j, P, a, g), meaning
@@ -795,9 +831,9 @@ class _Elimination:
             rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
             self.ops.append(("sub", i, j, P, 1, 1))
             return
-        row = [x if a == 1 else x.scale(a) for x in rows[j]]
-        row = [x if y.is_zero() else x - P.compose(y)
-               for x, y in zip(row, rows[i])]
+        scaled, neg = ScalarDiffOp(self.alg, {0: a}), -P
+        row = [_compose_sum(self.alg, [(scaled, x), (neg, y)], {})
+               for x, y in zip(rows[j], rows[i])]
         keys, polys = _split(row)
         g, polys = _primitive_parts(_coefficient_terms(a), polys)
         if g is None:

@@ -23,10 +23,13 @@ Bareiss, in the content form of Geddes-Czapor-Labahn): a POLY result only
 needs the integer gcd of m and its coefficients, which stops at the first 1
 and does not run at all when m = 1, and a sum of a fraction and a
 polynomial, or a fraction scaled by a rational, only needs its integer
-content normalized.  Printing takes the numerator and the denominator
-over Z.  ``_primitive_parts`` divides polynomials over F's polynomial ring,
-possibly in further variables such as the jets of V, by their common
-factor: the content that fraction-free elimination removes.
+content normalized.  A sum of products, such as a coefficient of an
+operator product, is one call of ``dot``, which cancels once on the total
+instead of once per product and per partial sum.  Printing takes the
+numerator and the denominator over Z.  ``_primitive_parts`` divides
+polynomials over F's polynomial ring, possibly in further variables such
+as the jets of V, by their common factor: the content that fraction-free
+elimination removes.
 
 The arithmetic under the tiers is the package's own (``zpoly``), so no
 computation imports sympy; ``FieldElem.f`` converts a value to sympy's
@@ -38,7 +41,8 @@ denom of a FRAC value) is a dense list of the int coefficients of x
 (``zpoly.Poly``).  Both answer the same methods, so the tiers below never
 ask which.  The gcds, cancellations and exact divisions go through four
 kernels (``_cancel``, ``_gcd``, ``_lcm`` and ``zpoly.divrem``), which run
-on the coefficient lists or on the terms by the type of their operands.
+on the coefficient lists or on the terms by the type of their operands,
+and through ``dot``, whose one ``_cancel`` serves a whole sum.
 Only the readers that need terms (``FieldElem.f``, printing,
 ``x_coefficients``) and the passage of a value into and out of the ring
 with jets of ``_primitive_parts``, which is sparse, convert a dense
@@ -363,6 +367,62 @@ def _mul(field, ka, a, kb, b) -> "FieldElem":
         return _reduced(field, a.P * b.P, a.m * b.m)
     na, da = _zz_parts(field, ka, a)
     return _from_cancelled(field, *_cancel(na * b.numer, da * b.denom))
+
+
+def _times(P, k: int):
+    """P*k for a polynomial P over Z and an int k."""
+    return P if k == 1 else P.mul_ground(k)
+
+
+def dot(field: CoefficientField, triples) -> "FieldElem":
+    """sum a*b*k over (a, b, k) triples of elements of F and ints, with at
+    most one polynomial gcd.  Products over integer denominators meet over
+    the lcm of those denominators, with one content reduction.  A product
+    with a fraction keeps its numerator and denominator over Z uncancelled,
+    and numerators over one polynomial denominator are added over the lcm
+    of their integer factors.  Distinct denominators are combined by
+    cross-multiplication, and one _cancel runs on the total."""
+    q, polys = _Q(0), []   # the rational products; (P, m) for P/m
+    fracs = {}             # polynomial denominator D -> (N, m): N/(m D)
+    for a, b, k in triples:
+        ka, va, kb, vb = a._k, a._v, b._k, b._v
+        if ka > kb:
+            ka, va, kb, vb = kb, vb, ka, va
+        if kb == RAT:
+            q = q + va * vb * k
+            continue
+        if ka == RAT:
+            n, m = va.numerator * k, va.denominator
+            if kb == POLY:
+                polys.append((_times(vb.P, n), m * vb.m))
+                continue
+            num, den = _times(vb.numer, n), vb.denom
+        elif kb == POLY:
+            polys.append((_times(va.P * vb.P, k), va.m * vb.m))
+            continue
+        elif ka == POLY:
+            num, den, m = _times(va.P * vb.numer, k), vb.denom, va.m
+        else:
+            num, den, m = _times(va.numer * vb.numer, k), \
+                va.denom * vb.denom, 1
+        if den in fracs:
+            old, m0 = fracs[den]
+            l = lcm(m0, m)
+            num, m = _times(old, l // m0) + _times(num, l // m), l
+        fracs[den] = (num, m)
+    if not polys and not fracs:
+        return FieldElem(field, RAT, q)
+    l = lcm(q.denominator, *(m for _, m in polys))
+    num = ground(len(field._zm), q.numerator * (l // q.denominator))
+    for P, m in polys:
+        num = _times(P, l // m) + num if num else _times(P, l // m)
+    if not fracs:
+        return _reduced(field, num, l)
+    den = ground(len(field._zm), l)
+    for D, (N, m) in fracs.items():
+        D = _times(D, m)
+        num, den = num * D + N * den, den * D
+    return _from_cancelled(field, *_cancel(num, den))
 
 
 def _div(field, ka, a, kb, b) -> "FieldElem":

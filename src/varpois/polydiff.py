@@ -1,8 +1,7 @@
 """Polydifferential operators on F^l: the symmetric-group action, total
 skewsymmetrization, the module action of matrix differential operators,
-integer coefficient tables for rewriting lambda-monomials modulo
-lam_0 + ... + lam_k + d, the solvability spaces Sigma_k, and representatives
-of variational Poisson cohomology classes.
+the solvability spaces Sigma_k, and representatives of variational Poisson
+cohomology classes.
 
 A k-differential operator is an array over (k+1)-tuples of indices whose
 entries are polynomials in lam_1..lam_k with quasiconstant coefficients; no
@@ -23,10 +22,6 @@ from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
 from .field import accumulate
 from .lambdapoly import LambdaPoly, _LambdaArray, subst_slot_neg, symbol_act
 from .linform import LinForm
-
-
-class BadSupport(Exception):
-    pass
 
 
 class NotInSigma(Exception):
@@ -205,98 +200,6 @@ def pairing(F0: Sequence[DiffPoly], P: KDiffOp,
         args = [fs[t][i - 1] for t, i in enumerate(idx[1:])]
         acc = acc + F0[idx[0] - 1] * _apply_entry(L, args)
     return LocalFunctional(acc)
-
-
-# -- integer coefficient tables ------------------------------------------------------
-
-
-def _sorted_desc(t: Sequence[int]) -> tuple:
-    return tuple(sorted(t, reverse=True))
-
-
-class _CoeffTable:
-    """Coefficients rewriting lam_0^{n_0}..lam_k^{n_k}, under lam_0 =
-    -lam_1 - ... - lam_k - d, over the allowed monomials: those whose two
-    largest exponents differ by exactly one when `ties` (the c-table, with
-    powers of d possibly negative), else by zero or one (the b-table, with
-    nonnegative powers of d).  A top gap of two or more is lowered by
-    lam_a^{n_a} = -lam_a^{n_a - 1}(d + sum_{b != a} lam_b), with a the first
-    largest exponent; with `ties`, a tie is lifted by
-    d lam^n = -sum_a lam^(n + e_a).  Values are memoized per table, with no
-    lock: the package starts no threads."""
-
-    def __init__(self, ties: bool):
-        self.ties = ties
-        self.gaps = (1,) if ties else (0, 1)
-        self.memo: dict = {}
-
-    def get(self, n: tuple, m: tuple) -> int:
-        n, m = tuple(n), tuple(m)
-        mu = _sorted_desc(m)
-        if len(mu) < 2 or mu[0] - mu[1] not in self.gaps:
-            gaps = " or ".join(map(str, self.gaps))
-            raise BadSupport(f"target tuple must have top exponents "
-                             f"differing by {gaps}")
-        return self._c(n, m)
-
-    def _c(self, n: tuple, m: tuple) -> int:
-        key = (n, m)
-        if key in self.memo:
-            return self.memo[key]
-        nu = _sorted_desc(n)
-        if nu[0] - nu[1] in self.gaps:
-            val = 1 if n == m else 0
-        elif nu[0] == nu[1]:
-            val = 0
-            for a in range(len(n)):
-                bumped = n[:a] + (n[a] + 1,) + n[a + 1:]
-                val -= self._c(bumped, m)
-        else:
-            a = max(range(len(n)), key=lambda t: n[t])
-            val = -self._c(n[:a] + (n[a] - 1,) + n[a + 1:], m)
-            for b in range(len(n)):
-                if b == a:
-                    continue
-                shifted = list(n)
-                shifted[b] += 1
-                shifted[a] -= 1
-                val -= self._c(tuple(shifted), m)
-        self.memo[key] = val
-        return val
-
-    def expansion(self, n: tuple) -> list:
-        """All (coefficient, m, dpow) with nonzero coefficient in the
-        rewriting of lam^n; dpow = sum(n) - sum(m), negative only with
-        `ties`."""
-        out = []
-        for m in itertools.product(range(max(n) + 1 + self.ties),
-                                   repeat=len(n)):
-            mu = _sorted_desc(m)
-            if mu[0] - mu[1] not in self.gaps:
-                continue
-            c = self._c(tuple(n), m)
-            if c:
-                out.append((c, m, sum(n) - sum(m)))
-        return out
-
-
-_C_TABLE = _CoeffTable(ties=True)
-_B_TABLE = _CoeffTable(ties=False)
-
-
-def coeff_c(n: tuple, m: tuple) -> int:
-    return _C_TABLE.get(n, m)
-
-
-def coeff_b(n: tuple, m: tuple) -> int:
-    return _B_TABLE.get(n, m)
-
-
-def expand_monomial(n: tuple) -> list:
-    """Rewriting of a full lambda-monomial as sum of allowed monomials times
-    d-powers; substituting lam_0 = -lam_1 - ... - lam_k - d in both sides
-    gives an identity of commutative (Laurent in d) polynomials."""
-    return _C_TABLE.expansion(tuple(n))
 
 
 # -- solvability spaces --------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -14,10 +16,12 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
 from varpois.complexes import _perm_sign
-from varpois.diffop import (DET_ZERO, DetValue, _as_matrix, _field_value,
-                            _simplify_coeff, _solve_by_ansatz, dieudonne_det,
-                            row_echelon)
-from varpois.field import POLY, RAT, clear_denominators, x_coefficients
+from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
+                            _coefficient_terms, _Elimination, _field_value,
+                            _simplify_coeff, _solve_by_ansatz, _split,
+                            dieudonne_det, row_echelon)
+from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
+                           clear_denominators, x_coefficients)
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
 from varpois.linsolve import _eliminate, matrix_inverse
@@ -520,6 +524,81 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
     return MatDiffOp(M.alg, rows)
 
 
+def compose_reference(A: ScalarDiffOp, B: ScalarDiffOp) -> ScalarDiffOp:
+    """A o B term by term, d^m o c = sum_j C(m, j) c^(j) d^(m-j), with each
+    product added to the sum as it comes: the slow reference of
+    ScalarDiffOp.compose."""
+    out: dict = {}
+    for m, a in A.coeffs.items():
+        for n, b in B.coeffs.items():
+            bded = b
+            for j in range(m + 1):
+                coef = math.comb(m, j)
+                term = a * bded if coef == 1 else a * bded * Fraction(coef)
+                accumulate(out, m + n - j, term)
+                if j < m:
+                    bded = bded.derive()
+    return ScalarDiffOp(A.alg, out)
+
+
+def mat_compose_reference(A: MatDiffOp, B: MatDiffOp) -> MatDiffOp:
+    """A o B as a sum over t of compose_reference(A_it, B_tj), entry by
+    entry: the slow reference of MatDiffOp.compose."""
+    out = []
+    for i in range(A.m):
+        row = []
+        for j in range(B.n):
+            acc = ScalarDiffOp.zero(A.alg)
+            for t in range(A.n):
+                acc = acc + compose_reference(A.rows[i][t], B.rows[t][j])
+            row.append(acc)
+        out.append(row)
+    return MatDiffOp(A.alg, out)
+
+
+def adjoint_reference(op: ScalarDiffOp) -> ScalarDiffOp:
+    """(sum c_n d^n)* = sum (-d)^n o c_n term by term: the slow reference
+    of ScalarDiffOp.adjoint."""
+    out: dict = {}
+    for n, c in op.coeffs.items():
+        cd = c
+        for j in range(n + 1):
+            coef = math.comb(n, j) * (-1) ** n
+            accumulate(out, n - j, cd * Fraction(coef))
+            if j < n:
+                cd = cd.derive()
+    return ScalarDiffOp(op.alg, out)
+
+
+def elimination_sub_reference(self, i: int, j: int, P, a=None):
+    """_Elimination.sub the slow way: row_j is scaled by a, then P o row_i
+    (compose_reference) is subtracted entry by entry, then the row is
+    divided by its content.  Patch it over _Elimination.sub with
+    reference_elimination()."""
+    rows = self.rows
+    if a is None:
+        rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
+        self.ops.append(("sub", i, j, P, 1, 1))
+        return
+    row = [x if a == 1 else x.scale(a) for x in rows[j]]
+    row = [x if y.is_zero() else x - compose_reference(P, y)
+           for x, y in zip(row, rows[i])]
+    keys, polys = _split(row)
+    g, polys = _primitive_parts(_coefficient_terms(a), polys)
+    if g is None:
+        g = 1
+    else:
+        row, g = self._join(keys, polys, len(row)), self._coefficient(g)
+    rows[j] = row
+    self.ops.append(("sub", i, j, P, a, g))
+
+
+def reference_elimination():
+    """A context in which every row reduction over F[d] steps with
+    elimination_sub_reference."""
+    return mock.patch.object(_Elimination, "sub", elimination_sub_reference)
+
+
 def linform_matrix_reference(alg: DiffAlgebra, eqs: list,
                              atoms: list) -> MatDiffOp:
     """The operator matrix of LinForm equations, built entry by entry: row
@@ -737,3 +816,102 @@ def diffpolys(draw, alg: DiffAlgebra, max_order=2, max_degree=2, max_terms=3,
                             draw(st.integers(0, max_order)))
         out = out + t
     return out
+
+
+# -- integer coefficient tables -------------------------------------------------
+#
+# The tables that rewrite lambda-monomials modulo lam_0 + ... + lam_k + d.
+# No library code reads them; the tests keep checking their identities.
+
+
+class BadSupport(Exception):
+    """A target monomial outside a table's allowed support."""
+
+
+def _sorted_desc(t: Sequence[int]) -> tuple:
+    return tuple(sorted(t, reverse=True))
+
+
+class _CoeffTable:
+    """Coefficients rewriting lam_0^{n_0}..lam_k^{n_k}, under lam_0 =
+    -lam_1 - ... - lam_k - d, over the allowed monomials: those whose two
+    largest exponents differ by exactly one when `ties` (the c-table, with
+    powers of d possibly negative), else by zero or one (the b-table, with
+    nonnegative powers of d).  A top gap of two or more is lowered by
+    lam_a^{n_a} = -lam_a^{n_a - 1}(d + sum_{b != a} lam_b), with a the first
+    largest exponent; with `ties`, a tie is lifted by
+    d lam^n = -sum_a lam^(n + e_a).  Values are memoized per table, with no
+    lock: the package starts no threads."""
+
+    def __init__(self, ties: bool):
+        self.ties = ties
+        self.gaps = (1,) if ties else (0, 1)
+        self.memo: dict = {}
+
+    def get(self, n: tuple, m: tuple) -> int:
+        n, m = tuple(n), tuple(m)
+        mu = _sorted_desc(m)
+        if len(mu) < 2 or mu[0] - mu[1] not in self.gaps:
+            gaps = " or ".join(map(str, self.gaps))
+            raise BadSupport(f"target tuple must have top exponents "
+                             f"differing by {gaps}")
+        return self._c(n, m)
+
+    def _c(self, n: tuple, m: tuple) -> int:
+        key = (n, m)
+        if key in self.memo:
+            return self.memo[key]
+        nu = _sorted_desc(n)
+        if nu[0] - nu[1] in self.gaps:
+            val = 1 if n == m else 0
+        elif nu[0] == nu[1]:
+            val = 0
+            for a in range(len(n)):
+                bumped = n[:a] + (n[a] + 1,) + n[a + 1:]
+                val -= self._c(bumped, m)
+        else:
+            a = max(range(len(n)), key=lambda t: n[t])
+            val = -self._c(n[:a] + (n[a] - 1,) + n[a + 1:], m)
+            for b in range(len(n)):
+                if b == a:
+                    continue
+                shifted = list(n)
+                shifted[b] += 1
+                shifted[a] -= 1
+                val -= self._c(tuple(shifted), m)
+        self.memo[key] = val
+        return val
+
+    def expansion(self, n: tuple) -> list:
+        """All (coefficient, m, dpow) with nonzero coefficient in the
+        rewriting of lam^n; dpow = sum(n) - sum(m), negative only with
+        `ties`."""
+        out = []
+        for m in itertools.product(range(max(n) + 1 + self.ties),
+                                   repeat=len(n)):
+            mu = _sorted_desc(m)
+            if mu[0] - mu[1] not in self.gaps:
+                continue
+            c = self._c(tuple(n), m)
+            if c:
+                out.append((c, m, sum(n) - sum(m)))
+        return out
+
+
+_C_TABLE = _CoeffTable(ties=True)
+_B_TABLE = _CoeffTable(ties=False)
+
+
+def coeff_c(n: tuple, m: tuple) -> int:
+    return _C_TABLE.get(n, m)
+
+
+def coeff_b(n: tuple, m: tuple) -> int:
+    return _B_TABLE.get(n, m)
+
+
+def expand_monomial(n: tuple) -> list:
+    """Rewriting of a full lambda-monomial as sum of allowed monomials times
+    d-powers; substituting lam_0 = -lam_1 - ... - lam_k - d in both sides
+    gives an identity of commutative (Laurent in d) polynomials."""
+    return _C_TABLE.expansion(tuple(n))

@@ -26,9 +26,10 @@ from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaPoly,
                      solve_rational, solve_skew_equation,
                      variational_derivative, verify_involution)
 from varpois.complexes import level_key
-from varpois.polydiff import _B_TABLE, _C_TABLE, is_totally_skewsymmetric
+from varpois.polydiff import is_totally_skewsymmetric
 
-from helpers import rnd_diffpoly, rnd_mat_op, rnd_skew_array
+from helpers import (_B_TABLE, _C_TABLE, rnd_diffpoly, rnd_mat_op,
+                     rnd_skew_array)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)

@@ -8,9 +8,9 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
-                     Incomplete, InvariantViolation, LinForm, Majorant, MatDiffOp,
-                     MatPseudoOp, NoRationalSolution, NotAMajorant,
-                     NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
+                     DiffPoly, Incomplete, InvariantViolation, LinForm,
+                     Majorant, MatDiffOp, MatPseudoOp, NoRationalSolution,
+                     NotAMajorant, NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
                      TruncationExceeded, canonical_forms, dieudonne_det,
                      kernel_dim_bound, leading_matrix, majorant,
                      majorant_preserving_reduce, row_echelon,
@@ -18,16 +18,18 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      solve_rational)
 from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
-                            _echelon_det, _solve_by_ansatz, format_scalar_op,
-                            solve_linform_system)
+                            _echelon_det, _field_value, _solve_by_ansatz,
+                            format_scalar_op, solve_linform_system)
 from varpois import zpoly
 from varpois.field import format_field_elem, x_coefficients
 from varpois.zpoly import Poly
 
-from helpers import (ansatz_reference, apply_row_ops, constant_rank,
-                     det_by_division, diffpolys, echelon_by_division,
-                     field_elems, from_right_form, from_split_form,
-                     linform_matrix_reference, rnd_mat_op, rnd_scalar_op,
+from helpers import (adjoint_reference, ansatz_reference, apply_row_ops,
+                     compose_reference, constant_rank, det_by_division,
+                     diffpolys, echelon_by_division, field_elems,
+                     from_right_form, from_split_form,
+                     linform_matrix_reference, mat_compose_reference,
+                     reference_elimination, rnd_mat_op, rnd_scalar_op,
                      same_row_flags, skewadjoint_decompose_reference,
                      skewadjoint_op, triangular_form_has_x)
 
@@ -1070,32 +1072,32 @@ def _denominator_free(E) -> bool:
 
 
 @st.composite
-def echelon_matrices(draw):
+def echelon_matrices(draw, alg=ALG):
     """A 2x2 or 3x3 quasiconstant MatDiffOp, or a 2x2 one whose order-0
     coefficients may carry u, with coefficients c, c*x and c/(x + k).  Half
     of them get row 1 += P o row 0 for P of order 1 or 2, which most often
     makes the leading matrix degenerate, so that dieudonne_det eliminates.
     Orders stay small so that the division-based reference stays fast."""
     size, jets = draw(st.sampled_from([(2, False), (3, False), (2, True)]))
-    F = ALG.field
+    F = alg.field
     top = 2 if size == 2 else 1
 
     def coeff(n):
         c = draw(field_elems(F))
         if draw(st.integers(0, 3)) == 0:
             c = c / (F.x + draw(st.integers(1, 2)))
-        c = ALG.from_scalar(c)
+        c = alg.from_scalar(c)
         if jets and n == 0 and draw(st.booleans()):
-            c = c + ALG.from_scalar(draw(field_elems(F, False))) * U
+            c = c + alg.from_scalar(draw(field_elems(F, False))) * alg.jet(1)
         return c
-    rows = [[ScalarDiffOp(ALG, {n: coeff(n) for n in range(top + 1)
+    rows = [[ScalarDiffOp(alg, {n: coeff(n) for n in range(top + 1)
                                 if draw(st.booleans())})
              for _ in range(size)] for _ in range(size)]
     if draw(st.booleans()):
-        P = ScalarDiffOp(ALG, {draw(st.integers(1, 2)):
-                               ALG.from_scalar(draw(field_elems(F, False)))})
+        P = ScalarDiffOp(alg, {draw(st.integers(1, 2)):
+                               alg.from_scalar(draw(field_elems(F, False)))})
         rows[1] = [a + P.compose(b) for a, b in zip(rows[1], rows[0])]
-    return MatDiffOp(ALG, rows)
+    return MatDiffOp(alg, rows)
 
 
 def _pivot_row_gains_a_tail():
@@ -1297,3 +1299,151 @@ def test_no_value_of_q_of_x_is_built_on_a_poly(monkeypatch):
             [ScalarDiffOp(alg, {2: e}), z], [z, ScalarDiffOp(alg, {1: e})]])
         ).dim == 3
     assert built == {(): {zpoly._Dense}, ("c",): {Poly}}
+
+
+# -- operator products against the term-by-term reference ---------------------
+
+ALG_X = DiffAlgebra(1)
+
+
+@st.composite
+def product_coefficients(draw, alg, jets):
+    """A small element of F, a third of the time divided by x + k or, over
+    Q(c)(x), by x - c, as a DiffPoly; with jets, half the time plus a
+    multiple of u or u'."""
+    F = alg.field
+    c = draw(field_elems(F))
+    pole = draw(st.integers(0, 2))
+    if pole == 1:
+        c = c / (F.x + draw(st.integers(1, 2)))
+    elif pole == 2 and F.params:
+        c = c / (F.x - F.param(F.params[0]))
+    p = alg.from_scalar(c)
+    if jets and draw(st.booleans()):
+        p = p + alg.from_scalar(draw(field_elems(F))) * alg.jet(
+            1, draw(st.integers(0, 1)))
+    return p
+
+
+@st.composite
+def product_ops(draw, alg, jets=False, in_field=False):
+    """A scalar operator of order at most 2 with product_coefficients, or,
+    with in_field, the same operator free of jets with its coefficients in
+    F itself, as the row reduction holds them."""
+    op = ScalarDiffOp(alg, {n: draw(product_coefficients(alg, jets and
+                                                         not in_field))
+                            for n in range(3) if draw(st.booleans())})
+    return op.map_coeffs(_field_value) if in_field else op
+
+
+def _same_op(a, b) -> bool:
+    """Equal reprs, and coefficients of equal types (FieldElem or DiffPoly,
+    and so on for the values of a DiffPoly)."""
+    def types(op):
+        return [(n, type(c), sorted(type(v).__name__ for v in c.terms.values())
+                 if isinstance(c, DiffPoly) else None)
+                for n, c in sorted(op.coeffs.items())]
+    return repr(a) == repr(b) and types(a) == types(b)
+
+
+def _one_over_x_plus_one_and_back(alg):
+    """A = 1/(x+1), B = (x+1) d + x + 1: every product of A o B drops from
+    a fraction to the POLY or RAT tier, and A o B - A o B cancels."""
+    F = alg.field
+    A = ScalarDiffOp(alg, {0: alg.from_scalar(F.one / (F.x + 1))})
+    B = ScalarDiffOp(alg, {1: alg.from_scalar(F.x + 1),
+                           0: alg.from_scalar(F.x + 1)})
+    return A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG_X, ALG]),
+       kind=st.sampled_from(["poly", "jets", "field"]))
+@example(data=None, alg=ALG_X, kind="pinned")
+@example(data=None, alg=ALG, kind="pinned")
+def test_operator_products_equal_the_term_by_term_reference(data, alg, kind):
+    """compose, MatDiffOp.compose and adjoint give the reprs and coefficient
+    types of the term-by-term reference (tests/helpers.py), over Q(x) (the
+    dense path) and Q(c)(x) (the sparse Poly path), with DiffPoly
+    coefficients with and without jets and with FieldElem coefficients.
+    Half the time the matrix product holds A o B + A o (-B), whose sums
+    cancel to zero; the pinned example drops each fraction to a polynomial
+    or a rational."""
+    if data is None:
+        A, B = _one_over_x_plus_one_and_back(alg)
+        C, E = -B, A
+    else:
+        draw_op = product_ops(alg, kind == "jets", kind == "field")
+        A, B, C, E = (data.draw(draw_op) for _ in range(4))
+        if data.draw(st.booleans()):
+            C, E = -B, A
+    for P in (A, B, C):
+        assert _same_op(P.adjoint(), adjoint_reference(P))
+        for Q in (A, B, C):
+            assert _same_op(P.compose(Q), compose_reference(P, Q))
+    M = MatDiffOp(alg, [[A, E], [C, B]])
+    N = MatDiffOp(alg, [[B, A], [C, E]])
+    for X, Y in ((M, N), (N, M), (MatDiffOp(alg, [[A, E]]),
+                                  MatDiffOp(alg, [[B], [C]]))):
+        got, want = X.compose(Y), mat_compose_reference(X, Y)
+        assert all(_same_op(g, w) for rg, rw in zip(got.rows, want.rows)
+                   for g, w in zip(rg, rw))
+    if data is None:
+        assert MatDiffOp(alg, [[A, E]]).compose(
+            MatDiffOp(alg, [[B], [C]])).is_zero()
+        assert repr(A.compose(B)) == "ScalarDiffOp(d + 1)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG_X, ALG]))
+def test_linform_products_equal_the_term_by_term_reference(data, alg):
+    """With LinForm coefficients inside DiffPoly constant terms, as in
+    selfadjoint_product_space, the LinForm products are added with +:
+    K o P, P o K, P* and [[K, K]] o [[P], [-P]] = 0 equal the reference."""
+    F = alg.field
+    K = data.draw(product_ops(alg))
+    P = ScalarDiffOp(alg, {q: alg.from_scalar(
+        LinForm.atom(F, q) * data.draw(field_elems(F)) + LinForm.atom(F, -1))
+        for q in range(3) if data.draw(st.booleans())})
+    assert _same_op(K.compose(P), compose_reference(K, P))
+    assert _same_op(P.compose(K), compose_reference(P, K))
+    assert _same_op(P.adjoint(), adjoint_reference(P))
+    KK, PP = MatDiffOp(alg, [[K, K]]), MatDiffOp(alg, [[P], [-P]])
+    assert KK.compose(PP).is_zero()
+    assert _same_op(KK.compose(PP).rows[0][0],
+                    mat_compose_reference(KK, PP).rows[0][0])
+
+
+def test_a_coefficient_mixing_field_and_linform_values_raises():
+    """(1 + d) o (L + x d) puts x (in F) and the LinForm L on the
+    coefficient of d: a LinForm does not add to an element of F, so the
+    product raises TypeError, as the term-by-term reference does."""
+    F = ALG.field
+    A = ScalarDiffOp(ALG, {0: ALG.one, 1: ALG.one})
+    B = ScalarDiffOp(ALG, {0: ALG.from_scalar(LinForm.atom(F, "p")),
+                           1: ALG.x()})
+    for compose in (ScalarDiffOp.compose, compose_reference):
+        with pytest.raises(TypeError):
+            compose(A, B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(echelon_matrices(), echelon_matrices(ALG_X)))
+def test_elimination_equals_the_scale_then_subtract_step(M):
+    """row_echelon (rows and recorded ops), majorant_preserving_reduce and
+    dieudonne_det, run with the elimination step that scales, composes
+    term by term and subtracts (helpers.reference_elimination), give the
+    same reprs, over Q(c)(x) and Q(x), with and without jets."""
+    def results():
+        E, ops = row_echelon(M)
+        out = [repr(E), repr(ops), repr(dieudonne_det(M)),
+               repr(_echelon_det(M))]
+        try:
+            maj = majorant(M)
+            reduced = majorant_preserving_reduce(M, maj)
+        except (DegenerateShape, DegenerateLeadingMatrix) as exc:
+            reduced = type(exc).__name__
+        return out + [repr(reduced)]
+    got = results()
+    with reference_elimination():
+        assert results() == got

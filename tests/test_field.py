@@ -19,7 +19,7 @@ from varpois import field as field_module
 from varpois import zpoly
 from varpois.field import (FRAC, POLY, RAT, _cancel, _exquo, _format_poly,
                            _gcd, _lcm, _primitive_parts, clear_denominators,
-                           format_field_elem, x_coefficients)
+                           dot, format_field_elem, x_coefficients)
 from varpois.zpoly import Poly, Rational, divrem, ground
 
 from helpers import diffpolys, field_elems, rnd_field_elem, x_degree
@@ -402,6 +402,88 @@ def test_tiers_with_python_numbers(data, T, ta, k):
     assert (a == k) == (ra == rk)
     if a == k:
         assert a.as_fraction() == k
+
+
+def _fold(field, triples):
+    """sum a*b*k by the operators, one cancellation per step."""
+    out = field.zero
+    for a, b, k in triples:
+        out = out + a * b * k
+    return out
+
+
+def check_dot(T, triples, want):
+    """dot agrees with the fold of * and + (stored form, tier and hash),
+    with the sympy value want, and runs at most one polynomial gcd."""
+    gcds = []
+    cofactors = field_module.cofactors
+
+    def counted(f, g):
+        gcds.append(1)
+        return cofactors(f, g)
+    field_module.cofactors = counted
+    try:
+        v = dot(T.field, triples)
+    finally:
+        field_module.cofactors = cofactors
+    assert len(gcds) <= 1
+    fold = _fold(T.field, triples)
+    assert v == fold and v._k == fold._k and hash(v) == hash(fold)
+    check_same(v, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), T=st.sampled_from([C0, C1]),
+       pairs=st.lists(st.tuples(tiers, tiers), max_size=5))
+def test_dot_equals_the_fold_of_products(data, T, pairs):
+    """dot(triples) is the sum of a*b*k over every tier pair (RAT, POLY,
+    FRAC), over Q(x) and Q(c)(x), with k from -3 to 3, and equals the sum
+    taken one product and one addition at a time."""
+    triples, want = [], T.ref.zero
+    for ta, tb in pairs:
+        a, ra = data.draw(tiered(T, ta))
+        b, rb = data.draw(tiered(T, tb))
+        k = data.draw(st.integers(-3, 3))
+        triples.append((a, b, k))
+        want += ra * rb * k
+    check_dot(T, triples, want)
+
+
+@pytest.mark.parametrize("T", [C0, C1], ids=["Q(x)", "Q(c)(x)"])
+def test_dot_examples(T):
+    """The empty sum, k != 1, sums that cancel to zero and sums that drop
+    from fractions to a polynomial or a rational."""
+    F, x = T.field, T.gens[0]
+    X, half = F.x, F.rational(1, 2)
+    f, g = 1 / (X + 1), X / (X - 2)
+    rf, rg = 1 / (x + 1), x / (x - 2)
+    check_dot(T, [], T.ref.zero)
+    assert dot(F, [])._k == RAT
+    check_dot(T, [(f, g, 3), (half, X, -4)], 3 * rf * rg - 2 * x)
+    check_dot(T, [(f, g, 2), (g, f, -2)], T.ref.zero)
+    check_dot(T, [(f, X + 1, 1), (half, F.rational(2), -1)], T.ref.zero)
+    check_dot(T, [(f, X * X + X, 2), (g, X - 2, 1)], 3 * x)
+    check_dot(T, [(f, X + 1, 5), (X / 3, X, 0)], T.ref(5))
+    check_dot(T, [(f, f, 1), (f, -f, 1), (X / 2, X / 3, 6), (X, X, -1)],
+              T.ref.zero)
+
+
+def test_dot_flips_the_sign_of_the_cancelled_denominator(monkeypatch):
+    """A gcd over Z is unique up to sign: where cofactors returns the
+    negated gcd, the cancelled denominator of the total has a negative
+    leading coefficient, and dot flips both parts to the canonical form."""
+    for T in (C0, C1):
+        F, x = T.field, T.gens[0]
+        X = F.x
+        triples = [(1 / (X + 1), X, 1), (1 / (X - 1), F.one, 2)]
+        want = _fold(F, triples)
+        cofactors = field_module.cofactors
+        monkeypatch.setattr(field_module, "cofactors", lambda f, g: tuple(
+            -p for p in cofactors(f, g)))
+        v = dot(F, triples)
+        monkeypatch.undo()
+        assert v == want and v._v.denom.LC > 0
+        check_same(v, x / (x + 1) + 2 / (x - 1))
 
 
 def test_polynomials_are_reduced_over_their_integer_denominator():

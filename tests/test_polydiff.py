@@ -10,20 +10,18 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varpois import (BadSupport, DiffAlgebra, KDiffOp, LambdaPoly,
+from varpois import (DiffAlgebra, KDiffOp, LambdaPoly,
                      LeadingCoeffSingular, MatDiffOp, NoRationalSolution,
                      NotInSigma, NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
-                     chi_representative, coeff_b, coeff_c, cohomology_dim,
-                     expand_monomial, frechet, functional_eq,
-                     is_skewsymmetric, is_totally_skewsymmetric,
+                     chi_representative, cohomology_dim, frechet,
+                     functional_eq, is_skewsymmetric, is_totally_skewsymmetric,
                      module_action, pairing, selfadjoint_product_space,
                      sigma_action, sigma_space, skew_product,
                      solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois import diffop, polydiff
-from varpois.polydiff import _B_TABLE, _C_TABLE
-
-from helpers import (as_one_form, rnd_diffpoly, to_mat_diff_op,
+from helpers import (_B_TABLE, _C_TABLE, BadSupport, as_one_form, coeff_b,
+                     coeff_c, expand_monomial, rnd_diffpoly, to_mat_diff_op,
                      total_skewsymmetrize_reference,
                      total_skewsymmetrize_shortcut)
 
