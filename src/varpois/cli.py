@@ -15,7 +15,8 @@ import time
 from typing import Optional
 
 from .complexes import SkewArray, reduce_closed
-from .diffalg import (DiffPoly, DiffRat, LocalFunctional, format_diff_poly)
+from .diffalg import (DiffPoly, DiffRat, LocalFunctional, NotExact,
+                      format_diff_poly)
 from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, dieudonne_det,
                      format_scalar_op, row_echelon)
 from .field import FieldElem, format_field_elem
@@ -272,7 +273,7 @@ def cmd_lenard(args, session: Session, report: Report):
     report.inputs["steps"] = args.steps
     try:
         state = run_hierarchy(H, K, LocalFunctional(seed), args.steps)
-    except NoPreimage as err:
+    except (NoPreimage, NotExact) as err:
         report.add("hierarchy", "fail", str(err),
                    {"obstruction": _fmt_value(err.witness)
                     if err.witness is not None else None})

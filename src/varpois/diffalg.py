@@ -24,7 +24,10 @@ Mono = tuple  # tuple of ((n, i), exp), sorted ascending by (n, i)
 
 
 class NotExact(Exception):
-    """The 1-form fails the selfadjointness (exactness) criterion."""
+    """The 1-form fails the selfadjointness (exactness) criterion.
+    reconstruct_density sets witness to D_F - D_F*."""
+
+    witness = None
 
 
 class DiffAlgebra:
@@ -522,10 +525,15 @@ def _homotopy_density(fvec: Sequence[DiffPoly]) -> tuple:
 
 def reconstruct_density(fvec: Sequence[DiffPoly]) -> DiffPoly:
     """A density h with delta h/delta u = F (_homotopy_density); raises
-    NotExact when delta h != F, that is when F is not exact."""
+    NotExact when delta h != F, that is when F is not exact, with
+    D_F - D_F* (nonzero: F is exact iff its Frechet derivative D_F is
+    selfadjoint) as its witness."""
     h, grad = _homotopy_density(fvec)
     if grad != list(fvec):
-        raise NotExact("F is not a variational gradient: delta h != F")
+        d = frechet(fvec)
+        err = NotExact("F is not a variational gradient: delta h != F")
+        err.witness = d - d.adjoint()
+        raise err
     return h
 
 

@@ -27,8 +27,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
                       format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
                     _primitive_parts, accumulate, clear_denominators, dot,
-                    format_field_elem, rational_antiderivative,
-                    x_coefficients)
+                    format_field_elem, rational_antiderivative)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -1145,12 +1144,13 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
     Whether the system is free of x is read from the triangular form, not
     from the rows as given: the reduction over F divides each row by its
     pivot coefficient.  Free of x, the rows are solved from the bottom up
-    (_solve_pivot), with an unknown without a pivot set to zero.  A pivot
-    L = d^m L0, L0(0) != 0, has the polynomials of degree < m as its
-    rational kernel: L0 is invertible on polynomials, and its kernel is
-    exponential.  So x^s, s < m, seeded at each pivot and carried up with
-    right-hand side zero, gives a basis of the rational kernel, which
-    _ansatz_order brings to the basis an ansatz prints.
+    by _back_substitute with _solve_pivot, with an unknown without a pivot
+    set to zero.  A pivot L = d^m L0, L0(0) != 0, has the polynomials of
+    degree < m as its rational kernel: L0 is invertible on polynomials,
+    and its kernel is exponential.  So y_j = x^s, s < m, seeded at the
+    pivot j of row i and carried up through rows i-1, ..., 0 with
+    right-hand side zero, gives a basis of the rational kernel, in the
+    order of the pivots and then of s, as back-substitution builds it.
 
     With x in a coefficient of the triangular form, its nonzero rows and
     the replayed b go to _solve_by_ansatz on all unknowns, over the
@@ -1189,19 +1189,9 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
             den)
         return SolutionSet(sols.particular, None, free) if free else sols
 
-    def back_substitute(y: list, top: int, rhs: list) -> list:
-        """y with the pivot unknowns of rows top-1, ..., 0 solved in turn."""
-        for i in reversed(range(top)):
-            j = pivots[i]
-            r = rhs[i] - sum((U.rows[i][t].apply(y[t])
-                              for t in range(j + 1, n) if not y[t].is_zero()),
-                             field.zero)
-            y[j] = _solve_pivot(U.rows[i][j], r)
-        return y
-
     zero = [field.zero] * n
-    particular = (None if homogeneous_rhs
-                  else back_substitute(list(zero), len(pivots), rhs))
+    particular = (None if homogeneous_rhs else
+                  _back_substitute(U, pivots, rhs, list(zero), _solve_pivot))
     if free:
         return SolutionSet(particular, None, free)
     basis = []
@@ -1209,8 +1199,9 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
         for s in range(min(U.rows[i][j].coeffs)):
             y = list(zero)
             y[j] = field.x ** s
-            basis.append(back_substitute(y, i, zero))
-    return SolutionSet(particular, _ansatz_order(basis, field))
+            basis.append(_back_substitute(U, pivots[:i], zero, y,
+                                          _solve_pivot))
+    return SolutionSet(particular, basis)
 
 
 def _as_matrix(alg: DiffAlgebra, rows: list, n: int) -> MatDiffOp:
@@ -1243,14 +1234,33 @@ def _replay(ops: list, f: Sequence) -> list:
     return f
 
 
-def _solve_pivot(L: ScalarDiffOp, r: FieldElem) -> FieldElem:
-    """A rational y with L(d) y = r, for L = d^m L0 with constant
-    coefficients, L0 = c + T and c != 0: z = int^m r by m calls of
-    rational_antiderivative (NoRationalSolution on a logarithm), then
-    y = L0^-1 z = (1/c) sum_i (-T/c)^i z, which ends because T lowers the
-    degree of a polynomial.  So unless T = 0, r must be a polynomial: for
-    r with poles the rational ansatz of degree 2 ord L + 4 solves L y = r
-    instead."""
+def _back_substitute(U: MatDiffOp, pivots: Sequence[int], rhs: Sequence,
+                     y: list, solve) -> list:
+    """y with the unknowns pivots[i] of the rows i of the triangular form U
+    solved from the last row up: y_j = solve(U_ij, r, j) for j = pivots[i]
+    and r = rhs[i] - sum_(t > j) U_it y_t, so an unknown solved below, or
+    seeded in y, is moved to the right-hand side.  The entries lie in F
+    for the linear solver (_solve_pivot) and in V for the Lenard-Magri
+    driver's inversion of K (lenard._solve_pivot_in_v); solve raises when
+    its pivot has no solution."""
+    for i in reversed(range(len(pivots))):
+        j = pivots[i]
+        r = rhs[i]
+        for t in range(j + 1, len(y)):
+            if not y[t].is_zero():
+                r = r - U.rows[i][t].apply(y[t])
+        y[j] = solve(U.rows[i][j], r, j)
+    return y
+
+
+def _solve_pivot(L: ScalarDiffOp, r: FieldElem, _column: int) -> FieldElem:
+    """A rational y with L(d) y = r (y's column is not needed), for
+    L = d^m L0 with constant coefficients, L0 = c + T and c != 0:
+    z = int^m r by m calls of rational_antiderivative (NoRationalSolution
+    on a logarithm), then y = L0^-1 z = (1/c) sum_i (-T/c)^i z, which ends
+    because T lowers the degree of a polynomial.  So unless T = 0, r must
+    be a polynomial: for r with poles the rational ansatz of degree
+    2 ord L + 4 solves L y = r instead."""
     coeffs = L.field_coeffs()
     m = min(coeffs)
     c, T = coeffs[m], ScalarDiffOp(L.alg, {k - m: v for k, v in
@@ -1268,29 +1278,6 @@ def _solve_pivot(L: ScalarDiffOp, r: FieldElem) -> FieldElem:
     while not term.is_zero():
         y, term = y + term, -T.apply(term) / c
     return y
-
-
-def _ansatz_order(basis: list, field) -> list:
-    """The basis of span(basis), vectors of polynomials in x, that
-    gauss_solve gives in the ansatz columns (j, t) for the coefficient of
-    x^t in y_j, ordered by j, then t: each vector has its own last nonzero
-    column, with entry one, where the others vanish.  That is reduced row
-    echelon form in the reversed column order, read backwards."""
-    basis = [[{t: c / D for t, c in x_coefficients(p).items()} for D, (p,)
-              in map(clear_denominators, ([v] for v in y))] for y in basis]
-    width = 1 + max((t for y in basis for yj in y for t in yj), default=0)
-    last = len(basis[0]) * width - 1 if basis else 0
-    rows = [{last - (j * width + t): c for j, yj in enumerate(y)
-             for t, c in yj.items()} for y in basis]
-    _eliminate(rows, last + 1, field)
-    out = []
-    for row in reversed(rows):
-        vec = [field.zero] * len(basis[0])
-        for col, c in row.items():
-            j, t = divmod(last - col, width)
-            vec[j] = vec[j] + c * field.x ** t
-        out.append(vec)
-    return out
 
 
 def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int,

@@ -2,10 +2,11 @@
 
 Given a compatible pair (H, K) and a seed density, repeatedly solve
 K(d) (delta h_(n+1) / delta u) = H(d) (delta h_n / delta u): apply H to the
-current gradient, invert K (triangularize K over F[d], single-power
-pivots), and rebuild the density by the homotopy formula, whose gradient
-is the exactness test.  Every accepted step is certified symbolically;
-failures surface the obstruction class.
+current gradient, invert K (its triangular form over F[d], solved by the
+linear solver's back-substitution, single-power pivots), and rebuild the
+density by the homotopy formula, whose gradient is the exactness test.
+Every accepted step is certified symbolically; a preimage that is not a
+variational gradient raises NotExact with the witness D_G - D_G*.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, NotExact,
-                      _homotopy_density, antiderivative_in_v, frechet,
+                      antiderivative_in_v, reconstruct_density,
                       variational_derivative)
-from .diffop import NotSkewadjoint, _replay, row_echelon
+from .diffop import (NotSkewadjoint, ScalarDiffOp, _back_substitute,
+                     _replay, row_echelon)
 from .field import InvariantViolation
 from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
                   check_jacobi, check_skewadjoint)
@@ -37,12 +39,11 @@ class UnsupportedK(Exception):
 class StepCertificate:
     """Recorded evidence for one accepted recursion step."""
 
-    __slots__ = ("index", "recursion_exact", "kernel_note")
+    __slots__ = ("index", "recursion_exact")
 
-    def __init__(self, index: int, recursion_exact: bool, kernel_note: str):
+    def __init__(self, index: int, recursion_exact: bool):
         self.index = index
         self.recursion_exact = recursion_exact
-        self.kernel_note = kernel_note
 
     def __repr__(self):
         return (f"StepCertificate(n={self.index}, "
@@ -83,17 +84,15 @@ class HierarchyState:
         return f"HierarchyState({len(self.densities)} densities)"
 
 
-def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]):
-    """Solve K(d) G = F for G in V^l; integration constants are fixed to
-    zero and the kernel ambiguity is reported in the certificate note.
-
-    row_echelon brings K to an upper triangular U by row operations that
+def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]) -> list:
+    """Solve K(d) G = F for G in V^l, with the integration constants set to
+    zero: row_echelon brings K to an upper triangular U by row operations that
     are invertible over F[d], once per state; diffop._replay applies them
-    to F, turning K G = F into U G = F' with the same solutions.  Each
-    pivot must be a single power c d^m, so the rows are solved from the
-    last one up: g_j = int^m (f'_j - sum_(t>j) U_jt g_t) / c.  Raises
-    UnsupportedK for a K that is not quasiconstant, is singular, or has
-    another pivot.
+    to F, turning K G = F into U G = F' with the same solutions, and the
+    solver's back-substitution (diffop._back_substitute) solves U G = F'
+    from the last row up with _solve_pivot_in_v.  Raises UnsupportedK for
+    a K that is not quasiconstant, is singular, or has a pivot that is not
+    a single power c d^m.
     """
     K = state.K
     if not K.op.is_quasiconstant():
@@ -101,56 +100,49 @@ def _invert_k_on(state: HierarchyState, F: Sequence[DiffPoly]):
     if state._echelon is None:
         state._echelon = row_echelon(K.op)
     U, ops = state._echelon
-    f = _replay(ops, F)
-    size = len(f)
-    G = [None] * size
-    orders = [None] * size
-    for j in reversed(range(size)):
-        pivot = U.rows[j][j]
-        if pivot.is_zero():
-            raise UnsupportedK("K is singular: its triangular form has a "
-                               "zero pivot")
-        if len(pivot.coeffs) != 1:
-            raise UnsupportedK("pivot is not a single d-power")
-        (m, c), = pivot.coeffs.items()
-        g = (f[j] - sum((U.rows[j][t].apply(G[t])
-                         for t in range(j + 1, size)), K.alg.zero)) / c
-        for step in range(m):
-            try:
-                g = antiderivative_in_v(g)
-            except NotExact as err:
-                raise NoPreimage(
-                    f"component {j + 1} is not in the image of K "
-                    f"(obstruction at derivative {step + 1} of {m}): "
-                    f"{err}", witness=g) from err
-        G[j], orders[j] = g, m
-    kernel_note = ("kernel of K: constants times d-kernel polynomials of "
-                   "degrees " + str(orders))
-    return G, kernel_note
+    size = len(F)
+    return _back_substitute(U, range(size), _replay(ops, F),
+                            [K.alg.zero] * size, _solve_pivot_in_v)
+
+
+def _solve_pivot_in_v(pivot: ScalarDiffOp, g: DiffPoly, j: int) -> DiffPoly:
+    """g_j in V with pivot(d) g_j = g, for the diagonal pivot c d^m of
+    component j: m antiderivatives in V of g / c.  Raises NoPreimage, with
+    the integrand as its witness, when one is not a total derivative."""
+    if pivot.is_zero():
+        raise UnsupportedK("K is singular: its triangular form has a "
+                           "zero pivot")
+    if len(pivot.coeffs) != 1:
+        raise UnsupportedK("pivot is not a single d-power")
+    (m, c), = pivot.coeffs.items()
+    g = g / c
+    for step in range(m):
+        try:
+            g = antiderivative_in_v(g)
+        except NotExact as err:
+            raise NoPreimage(
+                f"component {j + 1} is not in the image of K "
+                f"(obstruction at derivative {step + 1} of {m}): "
+                f"{err}", witness=g) from err
+    return g
 
 
 def lenard_step(state: HierarchyState) -> LocalFunctional:
     """One recursion step: from the last density h_n produce h_(n+1) with
     K(d) delta h_(n+1) = H(d) delta h_n, certified exactly.
 
-    The preimage G is exact iff its homotopy density h_(n+1) has
-    delta h_(n+1) = G (diffalg._homotopy_density), so one delta is both
-    the test and the new gradient.  Raises NoPreimage when H delta h_n is
-    not in the image of K, and NotExact, with D_G - D_G* as its witness,
-    when G is not a variational gradient.  K delta h_(n+1) = H delta h_n
-    is checked on its own, against a wrong inversion: InvariantViolation,
-    and the density is not added.  The new gradient and the images H g_n
-    and K g_(n+1) are kept on the state.
+    The preimage G is the new gradient when diffalg.reconstruct_density
+    finds a density h_(n+1) with delta h_(n+1) = G.  Raises NoPreimage
+    when H delta h_n is not in the image of K, and reconstruct_density's
+    NotExact, with D_G - D_G* as its witness, when G is not a variational
+    gradient.  K delta h_(n+1) = H delta h_n is checked on its own,
+    against a wrong inversion: InvariantViolation, and the density is not
+    added.  The new gradient and the images H g_n and K g_(n+1) are kept
+    on the state.
     """
     F = state._image(state.H, len(state.gradients) - 1)
-    G, kernel_note = _invert_k_on(state, F)
-    h, new_grad = _homotopy_density(G)
-    if new_grad != G:
-        d = frechet(G)
-        err = NotExact("preimage is not a variational gradient")
-        err.witness = d - d.adjoint()
-        raise err
-    h_next = LocalFunctional(h)
+    new_grad = _invert_k_on(state, F)
+    h_next = LocalFunctional(reconstruct_density(new_grad))
     lhs = state.K.op.apply(new_grad)
     if lhs != F:
         raise InvariantViolation(
@@ -158,8 +150,7 @@ def lenard_step(state: HierarchyState) -> LocalFunctional:
     state.densities.append(h_next)
     state.gradients.append(new_grad)
     state._images[(True, len(state.gradients) - 1)] = lhs
-    state.certificates.append(StepCertificate(len(state.densities) - 1, True,
-                                              kernel_note))
+    state.certificates.append(StepCertificate(len(state.densities) - 1, True))
     return h_next
 
 

@@ -10,16 +10,17 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
-                     LambdaPoly, LocalFunctional, MatDiffOp, ScalarDiffOp,
-                     SkewArray, antiderivative_in_v, ev_commutator,
-                     hamiltonian_vf, lambda_bracket, poisson_bracket,
+                     LambdaPoly, LocalFunctional, MatDiffOp, NoPreimage,
+                     NotExact, ScalarDiffOp, SkewArray, UnsupportedK,
+                     antiderivative_in_v, ev_commutator, hamiltonian_vf,
+                     lambda_bracket, poisson_bracket,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
 from varpois.complexes import _perm_sign
 from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
                             _coefficient_terms, _Elimination, _field_value,
-                            _simplify_coeff, _solve_by_ansatz, _split,
-                            dieudonne_det, row_echelon)
+                            _replay, _simplify_coeff, _solve_by_ansatz,
+                            _split, dieudonne_det, row_echelon)
 from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
                            clear_denominators, x_coefficients)
 from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
@@ -775,6 +776,39 @@ def invert_k_by_constant_inverse(K: MatDiffOp, F: list) -> list:
         for _ in range(orders[j]):
             g = antiderivative_in_v(g)
         G.append(g)
+    return G
+
+
+def invert_k_reference(K: MatDiffOp, F: list) -> list:
+    """G with K(d) G = F in V^l by the Lenard-Magri driver's own bottom-up
+    loop, as it was before the driver used the linear solver's
+    back-substitution: replay row_echelon(K)'s operations on F, then solve
+    the rows from the last one up, g_j = int^m (f'_j - sum_(t>j) U_jt g_t)
+    / c for the pivot c d^m.  Raises UnsupportedK and NoPreimage with the
+    driver's messages and witnesses."""
+    U, ops = row_echelon(K)
+    f = _replay(ops, F)
+    size = len(f)
+    G = [None] * size
+    for j in reversed(range(size)):
+        pivot = U.rows[j][j]
+        if pivot.is_zero():
+            raise UnsupportedK("K is singular: its triangular form has a "
+                               "zero pivot")
+        if len(pivot.coeffs) != 1:
+            raise UnsupportedK("pivot is not a single d-power")
+        (m, c), = pivot.coeffs.items()
+        g = (f[j] - sum((U.rows[j][t].apply(G[t])
+                         for t in range(j + 1, size)), K.alg.zero)) / c
+        for step in range(m):
+            try:
+                g = antiderivative_in_v(g)
+            except NotExact as err:
+                raise NoPreimage(
+                    f"component {j + 1} is not in the image of K "
+                    f"(obstruction at derivative {step + 1} of {m}): "
+                    f"{err}", witness=g) from err
+        G[j] = g
     return G
 
 

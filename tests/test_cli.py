@@ -136,6 +136,31 @@ def test_lenard(session_file):
     assert all(r["status"] == "ok" for r in body["results"])
 
 
+@pytest.mark.parametrize("session, seed, message, obstruction", [
+    ("vars 2\nH = [[0, d^3],[d^3, 0]]\nK = [[d, 0],[0, d]]\n", "1/2*u1^2",
+     "F is not a variational gradient: delta h != F",
+     "[[0, -d^2],[d^2, 0]]"),
+    ("vars 1\nH = d\nK = d^3\n", "u^2",
+     "component 1 is not in the image of K (obstruction at derivative 2 of "
+     "3): not a total derivative: top jet has order 0 (u1 appears "
+     "underived)", "2*u")])
+def test_lenard_reports_an_obstruction(tmp_path, session, seed, message,
+                                       obstruction):
+    """Both pairs pass run_hierarchy's checks.  From u1^2/2 the preimage
+    (0, u1'') under diag(d, d) is not a variational gradient (NotExact,
+    witness D_G - D_G*); from u^2, H g = 2 u' has no preimage under d^3
+    (NoPreimage, witness the integrand).  Each is a failed hierarchy with
+    its witness, exit 1."""
+    path = tmp_path / "pair.vp"
+    path.write_text(session)
+    body, code = _run(["--session", str(path), "lenard", "--H", "H",
+                       "--K", "K", "--seed", seed])
+    assert code == 1
+    assert body["results"] == [{"name": "hierarchy", "status": "fail",
+                                "value": message,
+                                "witness": {"obstruction": obstruction}}]
+
+
 def test_lenard_requires_a_seed(session_file, capsys):
     """--seed is the one source of the seed: without it the parser stops
     with its usage and exit status 2, before the library sees None."""

@@ -12,7 +12,7 @@ from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
                      variational_derivative)
 from varpois.complexes import SkewArray, de_rham_delta, reduce_closed
 from varpois.diffalg import DiffRat, format_diff_poly
-from varpois.diffop import MatDiffOp
+from varpois.diffop import MatDiffOp, ScalarDiffOp
 
 from helpers import (coefficient, diffpolys, functional_eq_reference,
                      rnd_diffpoly)
@@ -127,8 +127,11 @@ def test_reconstruct_density(alg):
     h2 = reconstruct_density(g)
     target = (u ** 3 + c * u * alg.jet(1, 2)) / 2
     assert functional_eq(LocalFunctional(h2), LocalFunctional(target))
-    with pytest.raises(NotExact):
+    with pytest.raises(NotExact, match="not a variational gradient") as err:
         reconstruct_density([alg.jet(1, 1)])
+    # F = u': D_F = d, so D_F - D_F* = 2 d
+    two_d = MatDiffOp.scalar(ScalarDiffOp.d(alg).scale(2))
+    assert (err.value.witness - two_d).is_zero()
 
 
 def test_reconstruct_roundtrip_random(alg):

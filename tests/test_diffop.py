@@ -21,7 +21,7 @@ from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
                             _echelon_det, _field_value, _solve_by_ansatz,
                             format_scalar_op, solve_linform_system)
 from varpois import zpoly
-from varpois.field import format_field_elem, x_coefficients
+from varpois.field import x_coefficients
 from varpois.zpoly import Poly
 
 from helpers import (adjoint_reference, ansatz_reference, apply_row_ops,
@@ -454,6 +454,23 @@ def test_solve_rational_scalar():
         solve_rational(M, [F.one / F.x])
 
 
+def test_kernel_basis_is_the_one_back_substitution_builds():
+    """[[d^2 + d, 1], [0, d]]: the pivot d^2 + d of y1 seeds (1, 0), and
+    the pivot d of y2 seeds y2 = 1, which row 0 carries up to
+    (d^2 + d) y1 = -1, y1 = 1 - x.  The basis is returned as built, not
+    brought to the order an ansatz prints, [(1, 0), (-x, 1)]; the two span
+    the same space."""
+    F = ALG.field
+    M = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2) + D, ONE], [ZERO, D]])
+    basis = solve_rational(M).homogeneous
+    assert basis == [[F.one, F.zero], [F.one - F.x, F.one]]
+    for y in basis:
+        assert M.apply([ALG.from_scalar(v) for v in y]) == [ALG.zero] * 2
+    ansatz_basis = [[F.one, F.zero], [-F.x, F.one]]
+    assert (constant_rank(basis) == constant_rank(ansatz_basis)
+            == constant_rank(basis + ansatz_basis) == 2)
+
+
 def test_pivot_with_poles_is_solved_by_the_ansatz():
     """d + 1 is not a monomial, so a right-hand side with poles goes to
     the ansatz: 1/x - 1/x^2 gives y = 1/x, and 1/x, which needs the
@@ -698,8 +715,9 @@ def _solves(M, y, b) -> bool:
 @given(M=constant_systems(), data=st.data())
 def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
     """On the triangular form: M y = b holds for a polynomial b; a finite
-    kernel is, vector for vector and as printed, the basis of an ansatz of
-    degree above its top degree; an infinite kernel makes the ansatz
+    kernel basis, as back-substitution builds it, is as long as the basis
+    of an ansatz of degree above its top degree and spans the same space;
+    an infinite kernel makes the ansatz
     kernel grow from degree 2 to 3; NoRationalSolution comes only where no
     ansatz solves."""
     F = ALG.field
@@ -724,9 +742,9 @@ def test_solve_rational_on_constant_systems_equals_ansatz(M, data):
     top = max((_x_degree(v) for y in sols.homogeneous for v in y),
               default=0)
     ansatz = _solve_by_ansatz(M, zero, top + 2, F.one).homogeneous
-    assert sols.homogeneous == ansatz
-    assert [[format_field_elem(v) for v in y] for y in sols.homogeneous] == \
-        [[format_field_elem(v) for v in y] for y in ansatz]
+    assert len(sols.homogeneous) == len(ansatz) == \
+        constant_rank(sols.homogeneous) == \
+        constant_rank(sols.homogeneous + ansatz)
     for y in sols.homogeneous:
         assert _solves(M, y, zero)
 

@@ -14,7 +14,8 @@ from varpois.lenard import StepCertificate, _invert_k_on, lenard_step
 from varpois.linsolve import det
 
 from helpers import (commuting_flows, diffpolys, field_elems,
-                     invert_k_by_constant_inverse, involution_matrix_reference)
+                     invert_k_by_constant_inverse, invert_k_reference,
+                     involution_matrix_reference)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -131,9 +132,51 @@ def test_triangular_inversion_equals_constant_inverse(data):
          for _ in range(2)]
     F = Kmat.apply(G)
     Ks = LambdaBracketStruct(Kmat)
-    G2, _ = _invert_k_on(HierarchyState(Ks, Ks, []), F)
+    G2 = _invert_k_on(HierarchyState(Ks, Ks, []), F)
     assert G2 == invert_k_by_constant_inverse(Kmat, F)
     assert Kmat.apply(G2) == F
+
+
+def _outcome(solve):
+    """The G that solve() returns, or the type, message and witness of the
+    UnsupportedK or NoPreimage it raises."""
+    try:
+        return solve()
+    except (NoPreimage, UnsupportedK) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_upper_triangular_inversion_equals_the_reference_loop(data):
+    """K = A o T with A invertible over F and T upper triangular: diagonal
+    c_j d^(m_j), c_j in F (with x), and a quasiconstant entry above it.
+    With F = K G for a random G in V^2, the driver's inversion through the
+    solver's back-substitution gives what the driver's own bottom-up loop
+    gave (tests/helpers.invert_k_reference), a G' or the same error, and
+    K G' = F."""
+    field = ALG2.field
+    amat = [[data.draw(field_elems(field)) for _ in range(2)]
+            for _ in range(2)]
+    assume(not det(amat, field).is_zero())
+    cs = [data.draw(field_elems(field)) for _ in range(2)]
+    assume(not any(c.is_zero() for c in cs))
+    orders = [data.draw(st.integers(0, 2)) for _ in range(2)]
+    above = ScalarDiffOp(ALG2, {k: ALG2.from_scalar(data.draw(
+        field_elems(field))) for k in range(data.draw(st.integers(0, 3)))})
+    diag = [ScalarDiffOp(ALG2, {m: ALG2.from_scalar(c)})
+            for m, c in zip(orders, cs)]
+    A = MatDiffOp(ALG2, [[ScalarDiffOp(ALG2, {0: ALG2.from_scalar(a)})
+                          for a in row] for row in amat])
+    Kmat = A.compose(MatDiffOp(ALG2, [[diag[0], above], [_Z, diag[1]]]))
+    G = [data.draw(diffpolys(ALG2, max_order=1, max_terms=2, with_x=True))
+         for _ in range(2)]
+    F = Kmat.apply(G)
+    Ks = LambdaBracketStruct(Kmat)
+    G2 = _outcome(lambda: _invert_k_on(HierarchyState(Ks, Ks, []), F))
+    assert G2 == _outcome(lambda: invert_k_reference(Kmat, F))
+    if isinstance(G2, list):
+        assert Kmat.apply(G2) == F
 
 
 def test_mixed_order_column_gets_a_step():
@@ -150,7 +193,6 @@ def test_mixed_order_column_gets_a_step():
     h1 = lenard_step(state)
     assert functional_eq(h1, LocalFunctional(u1 * u2 - u2 * u2xx / 2))
     assert state.gradients[1] == [u2, u1 - u2xx]
-    assert "degrees [1, 1]" in state.certificates[0].kernel_note
 
 
 _ONE2 = ScalarDiffOp.identity(ALG2)
@@ -271,7 +313,7 @@ def test_failed_recursion_is_a_named_error(monkeypatch):
     was."""
     import varpois.lenard as lenard_module
     monkeypatch.setattr(lenard_module, "_invert_k_on",
-                        lambda state, F: ([U * U * 3], "kernel note"))
+                        lambda state, F: [U * U * 3])
     state = HierarchyState(H, K, [LocalFunctional(U * U / 2)])
     with pytest.raises(InvariantViolation, match="recursion identity"):
         lenard_step(state)
@@ -354,7 +396,7 @@ def test_involution_ignores_forged_certificates(kdv_state):
     its links checked: h0 with u'^2 is not in involution."""
     state = HierarchyState(H, K, [kdv_state.densities[0],
                                   LocalFunctional(ALG.jet(1, 1) ** 2)],
-                           [StepCertificate(1, True, "claimed by hand")])
+                           [StepCertificate(1, True)])
     matrix = verify_involution(state)
     assert matrix == involution_matrix_reference(state)
     assert matrix == [[True, False], [False, True]]
