@@ -17,32 +17,28 @@ from .diffop import (DegenerateLeadingMatrix, DegenerateShape, Incomplete,
                      MatPseudoOp, NoRationalSolution, NotAMajorant,
                      NotQuasiconstant, NotSkewadjoint, PseudoDiffOp,
                      ScalarDiffOp, ShapeMismatch, TruncationExceeded,
-                     canonical_forms, dieudonne_det,
-                     kernel_dim_bound, leading_matrix, majorant,
-                     majorant_preserving_reduce, row_echelon,
-                     selfadjoint_product_space, skewadjoint_decompose,
-                     solve_rational)
+                     dieudonne_det, kernel_dim_bound, leading_matrix,
+                     majorant, majorant_preserving_reduce, row_echelon,
+                     selfadjoint_product_space, solve_rational)
 from .field import (CoefficientField, FieldElem, InvariantViolation,
                     UndecidableResidue, rational_antiderivative)
 from .lambdapoly import LambdaPoly
 from .complexes import (CohomologyResult, LeadingCoeffNotIdentity, NotClosed,
                         OutOfFiltration, QuotientArray, SkewArray, alpha_k,
-                        array_pairing, cohomology_dim, d_k, de_rham_delta,
-                        delta_k, dim_omega00, filtration_level, homotopy,
-                        partial_action, phi_k1, phi_s, reduce_closed)
+                        cohomology_dim, d_k, delta_k, dim_omega00,
+                        filtration_level, homotopy, partial_action, phi_s,
+                        reduce_closed)
 from .lenard import (HierarchyState, NoPreimage, UnsupportedK, lenard_step,
                      run_hierarchy, verify_involution)
 from .linform import LinForm
 from .parser import ArityError, ParseError, Session, parse_session
 from .polydiff import (KDiffOp, NotInSigma, chi_representative,
                        is_skewsymmetric, is_totally_skewsymmetric,
-                       module_action, pairing, sigma_action, sigma_space,
+                       module_action, sigma_action, sigma_space,
                        skew_product, solve_skew_equation,
                        total_skewsymmetrize)
-from .pva import (EvVectorField, LambdaBracketStruct, NotPoisson,
-                  ad_field_on_operator, check_compatible, check_jacobi,
-                  check_skewadjoint, ev_apply, ev_commutator, gfz_structure,
-                  hamiltonian_vf, jacobi_residual, lambda_bracket,
-                  magri_structure, poisson_bracket)
+from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
+                  check_jacobi, check_skewadjoint, jacobi_residual,
+                  lambda_bracket, magri_structure, poisson_bracket)
 
 __version__ = "0.1.0"

@@ -14,12 +14,12 @@ import sys
 import time
 from typing import Optional
 
-from .complexes import SkewArray, reduce_closed
+from .complexes import QuotientArray, SkewArray, d_k, reduce_closed
 from .diffalg import (DiffPoly, DiffRat, LocalFunctional, NotExact,
                       format_diff_poly)
 from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, dieudonne_det,
                      format_scalar_op, row_echelon)
-from .field import FieldElem, format_field_elem
+from .field import FieldElem, InvariantViolation, format_field_elem
 from .lambdapoly import LambdaPoly, format_lambda_poly
 from .lenard import NoPreimage, run_hierarchy, verify_involution
 from .parser import ParseError, Session, parse_session
@@ -195,9 +195,17 @@ def cmd_cohomology(args, session: Session, report: Report):
     report.inputs["K"] = _fmt_value(K)
     report.inputs["k"] = args.k
     basis, _, flagged = sigma_space(K, args.k)
-    reps = [_array_to_json(chi_representative(P)) for P in basis]
+    # every representative chi(P) must be d_K-closed; "closed" says so
+    H = LambdaBracketStruct(K)
+    reps = []
+    for P in basis:
+        chi = chi_representative(P)
+        if not d_k(QuotientArray(chi), H).is_zero():
+            raise InvariantViolation("a cohomology representative is not "
+                                     "d_K-closed")
+        reps.append(_array_to_json(chi))
     value = {"dim": len(basis), "basis_representatives": reps,
-             "flagged_lower_bound": bool(flagged)}
+             "closed": True, "flagged_lower_bound": bool(flagged)}
     status = "flagged" if value["flagged_lower_bound"] else "ok"
     report.add("cohomology", status, value)
 

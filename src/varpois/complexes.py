@@ -1,7 +1,8 @@
-"""Skewsymmetric arrays: the de Rham complex, its quasiconstant twistings
-delta_K, the variational-complex differential d_K, the jet filtration, local
-homotopy operators, reduction of closed arrays to quasiconstant normal forms,
-and cohomology dimension counts.
+"""Skewsymmetric arrays: the quasiconstant twistings delta_K of the de Rham
+differential (which is delta_K at K = 1), the variational-complex
+differential d_K (the CLI checks each cohomology representative with it),
+the jet filtration, local homotopy operators, reduction of closed arrays to
+quasiconstant normal forms, and cohomology dimension counts.
 
 An arity-k array assigns to each index tuple (i_1..i_k) a polynomial in
 lam_1..lam_k with DiffPoly coefficients, skewsymmetric under simultaneous
@@ -19,8 +20,8 @@ from typing import Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       OutOfFiltration, functional_eq,
                       partial_antiderivative)
-from .diffop import (MatDiffOp, NotQuasiconstant, NotSkewadjoint,
-                     _is_identity, invertible_leading, solve_linform_system)
+from .diffop import (MatDiffOp, NotQuasiconstant, _is_identity,
+                     invertible_leading, solve_linform_system)
 from .field import InvariantViolation, accumulate
 from .lambdapoly import (LambdaPoly, _LambdaArray, affine_apply_once,
                          affine_pow_apply, affine_pow_on, subst_slot_neg)
@@ -137,13 +138,6 @@ def _inverse_perm(perm: Sequence[int]) -> list:
 
 
 # -- differentials ---------------------------------------------------------------
-
-
-def de_rham_delta(P: SkewArray) -> SkewArray:
-    """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
-    d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n: the twisted
-    differential delta_K at K = 1."""
-    return delta_k(P, MatDiffOp.identity(P.alg, P.alg.nvars))
 
 
 def _orders_of(L: LambdaPoly, i: int) -> list:
@@ -485,6 +479,8 @@ def alpha_k(C: SkewArray, K: MatDiffOp) -> SkewArray:
 def dim_omega00(N: int, nvars: int, k: int, alg: DiffAlgebra):
     """Dimension C(N*nvars, k) of the bottom slice, with an explicit basis
     of skewsymmetric quasiconstant arrays of degree < N per variable."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     basis = []
     if k == 0:
         return 1, [SkewArray.from_function(alg, alg.one)]
@@ -544,6 +540,8 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
     ansatz of degree 2 (sum of the pivot orders) + 4, and a flag may also
     mean that it was too short (x d^2 at k = 0 gives 0 of 2 here and 1 of
     2 in sigma_space, both flagged)."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     alg = K.alg
     field = alg.field
     if not K.is_quasiconstant():
@@ -563,38 +561,3 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
         alg, image._equations(), list(range(len(basis)))).homogeneous
     dim = len(kern)
     return CohomologyResult(dim, expected, dim < expected, kern)
-
-
-def phi_k1(S: MatDiffOp, K: MatDiffOp) -> MatDiffOp:
-    """The arity-1 comparison map: S skewadjoint goes to -K o S o K."""
-    if not (S + S.adjoint()).is_zero():
-        raise NotSkewadjoint("input must be skewadjoint")
-    return -(K.compose(S).compose(K))
-
-
-def array_pairing(P: SkewArray, gs: Sequence[Sequence[DiffPoly]]) -> LocalFunctional:
-    """The local polydifferential value int sum P_idx(d_1..d_k) g^1 ... g^k,
-    each d_t hitting its own argument.  The quotient class of P is zero
-    exactly when these values vanish for all arguments (nondegeneracy of the
-    integration pairing)."""
-    if len(gs) != P.k:
-        raise ValueError("need one argument vector per arity slot")
-    acc = P.alg.zero
-    for idx in P.all_keys():
-        acc = acc + _apply_entry(P.entry(idx), [gs[t][i - 1]
-                                                for t, i in enumerate(idx)])
-    return LocalFunctional(acc)
-
-
-def _apply_entry(L: LambdaPoly, args: Sequence[DiffPoly]) -> DiffPoly:
-    """L(d_1..d_k) applied to args: sum over the terms c lam^e of L of c
-    times the product of the e_t-th derivatives of args[t]."""
-    acc = L.alg.zero
-    for e, c in L.terms.items():
-        term = c
-        for t, g in enumerate(args):
-            for _ in range(e[t]):
-                g = g.derive()
-            term = term * g
-        acc = acc + term
-    return acc

@@ -1,8 +1,9 @@
 """Scalar, matrix, and pseudodifferential operators, and differential linear
 algebra over the coefficient field: majorants, leading matrices, row echelon
 form, majorant-preserving reduction, Dieudonne determinants, and the
-solver for linear differential systems on a triangular form: exact when
-that form is free of x, a rational ansatz otherwise.  Row
+solver for linear differential systems on a triangular form: certified when
+that form is free of x (a pivot facing poles takes a rational ansatz at a
+certified degree bound), a rational ansatz of guessed degree otherwise.  Row
 reduction over F[d] (fraction-free, on rows without denominators) and
 over the skew field of pseudodifferential operators is one kernel,
 _Elimination.
@@ -27,7 +28,8 @@ from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
                       format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
                     _primitive_parts, accumulate, clear_denominators, dot,
-                    format_field_elem, rational_antiderivative)
+                    format_field_elem, rational_antiderivative,
+                    x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -205,30 +207,6 @@ class ScalarDiffOp:
     def __repr__(self):
         return f"ScalarDiffOp({format_scalar_op(self)})"
 
-    # -- canonical forms ---------------------------------------------------------
-
-    def right_coefficient_form(self) -> dict:
-        """Coefficients b_n of the rewriting sum d^n o b_n."""
-        alg = self.alg
-        return _peel(self, lambda o, c: (
-            o, ScalarDiffOp.d(alg, o).compose(ScalarDiffOp(alg, {0: c}))))
-
-    def split_form(self) -> tuple:
-        """Coefficients ({c_m}, {d_n}) of
-        sum d^(m+1) o c_m d^m + sum d^n o d_n d^n: the block of order o is
-        d^(o - h) o c d^h with h = o // 2 (m = h for odd o, n = h for even
-        o)."""
-        alg = self.alg
-
-        def block(o, c):
-            h = o // 2
-            return (o % 2, h), ScalarDiffOp.d(alg, o - h).compose(
-                ScalarDiffOp(alg, {h: c}))
-
-        form = _peel(self, block)
-        return ({h: c for (odd, h), c in form.items() if odd},
-                {h: c for (odd, h), c in form.items() if not odd})
-
 
 def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
     """sum A o B over the (A, B) pairs of scalar operators, by d^m o b =
@@ -278,31 +256,6 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
             coeffs.setdefault(key[0], {})[key[1]] = v
     return ScalarDiffOp(alg, {o: DiffPoly(alg, c) if o in jets else c[()]
                               for o, c in coeffs.items()})
-
-
-def _peel(op: ScalarDiffOp, block) -> dict:
-    """{key: c} from taking blocks off op until nothing is left: with o and
-    c the order and leading coefficient of the rest, block(o, c) returns
-    (key, B), B of order o with leading coefficient c, and B is subtracted.
-    Raises InvariantViolation when a step does not lower the order."""
-    out: dict = {}
-    rem = op
-    while not rem.is_zero():
-        o, c = rem.order(), rem.leading_coefficient()
-        key, B = block(o, c)
-        out[key] = c
-        rem = rem - B
-        if not rem.is_zero() and rem.order() >= o:
-            raise InvariantViolation("a canonical form block does not lower "
-                                     "the order")
-    return out
-
-
-def canonical_forms(P: ScalarDiffOp) -> dict:
-    """The three canonical writings of a scalar operator."""
-    cs, ds = P.split_form()
-    return {"left": dict(P.coeffs), "right": P.right_coefficient_form(),
-            "split": (cs, ds)}
 
 
 def format_scalar_op(op: ScalarDiffOp) -> str:
@@ -1113,11 +1066,14 @@ def solve_rational(M: MatDiffOp,
     whose right-hand side is not zero certifies NoRationalSolution, and an
     unknown without a pivot makes the kernel infinite (dim INFINITE).  A
     triangular form free of x is then solved exactly (so is x d y = 1,
-    whose reduced row is d y = 1/x); with x in a coefficient the
-    triangular rows go to a polynomial-in-x ansatz whose degree, twice the
-    sum of the pivot orders plus four, comes from the triangular form: its
-    kernel may miss solutions of higher degree, and Incomplete means it
-    found no particular solution.
+    whose reduced row is d y = 1/x): a pivot L = d^m L0 facing a
+    right-hand side num/den with poles, L0 not constant, is solved by an
+    ansatz at the certified degree bound max(deg num + m, deg den - 1)
+    (see _solve_pivot), so NoRationalSolution is certified there too.  With
+    x in a coefficient the triangular rows go to a polynomial-in-x ansatz
+    whose degree, twice the sum of the pivot orders plus four, comes from
+    the triangular form: its kernel may miss solutions of higher degree,
+    and Incomplete means it found no particular solution.
     """
     field, n = M.alg.field, M.n
     b = [field.zero] * M.m if b is None else [field.coerce(v) for v in b]
@@ -1151,6 +1107,8 @@ def _solve_rows(alg: DiffAlgebra, rows: list, n: int,
     pivot j of row i and carried up through rows i-1, ..., 0 with
     right-hand side zero, gives a basis of the rational kernel, in the
     order of the pivots and then of s, as back-substitution builds it.
+    A pivot with L0 not constant facing poles is solved by the ansatz at
+    the certified bound of _solve_pivot.
 
     With x in a coefficient of the triangular form, its nonzero rows and
     the replayed b go to _solve_by_ansatz on all unknowns, over the
@@ -1258,17 +1216,34 @@ def _solve_pivot(L: ScalarDiffOp, r: FieldElem, _column: int) -> FieldElem:
     L = d^m L0 with constant coefficients, L0 = c + T and c != 0:
     z = int^m r by m calls of rational_antiderivative (NoRationalSolution
     on a logarithm), then y = L0^-1 z = (1/c) sum_i (-T/c)^i z, which ends
-    because T lowers the degree of a polynomial.  So unless T = 0, r must
-    be a polynomial: for r with poles the rational ansatz of degree
-    2 ord L + 4 solves L y = r instead."""
+    because T lowers the degree of a polynomial.
+
+    Unless T = 0, r must be a polynomial for that.  For r = num/den in
+    lowest terms with poles, y = p/den is found by the ansatz with
+    deg p <= max(deg num + m, deg den - 1), and an empty ansatz certifies
+    NoRationalSolution.  The bound holds because L has constant
+    coefficients: it maps polynomials to polynomials and proper fractions
+    to proper fractions, and its top term turns a pole of order e into one
+    of order e + ord L.  So a solution splits as y = P + Q, Q proper with
+    its denominator dividing den, and L Q the proper part of r; P has
+    degree deg (polynomial part of r) + m, and P = 0 may be taken when
+    that part is zero (the rest of P is in the kernel)."""
     coeffs = L.field_coeffs()
     m = min(coeffs)
     c, T = coeffs[m], ScalarDiffOp(L.alg, {k - m: v for k, v in
                                            coeffs.items() if k > m})
-    den = clear_denominators([r])[0]
+    den, (num,) = clear_denominators([r])
     if not T.is_zero() and not den.is_constant():
-        return _solve_by_ansatz(MatDiffOp.scalar(L), [r],
-                                2 * L.order() + 4, den).particular[0]
+        bound = max(max(x_coefficients(num)) + m,
+                    max(x_coefficients(den)) - 1)
+        try:
+            return _solve_by_ansatz(MatDiffOp.scalar(L), [r], bound,
+                                    den).particular[0]
+        except Incomplete:
+            raise NoRationalSolution(
+                f"no rational solution of degree at most {bound} over the "
+                "denominator of the right-hand side, a bound that holds "
+                "one whenever one exists") from None
     for _ in range(m):
         r = rational_antiderivative(r)
         if r is None:
@@ -1306,56 +1281,6 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int,
 
     basis = [y for y in map(assemble, null) if any(not v.is_zero() for v in y)]
     return SolutionSet(None if homogeneous_rhs else assemble(particular), basis)
-
-
-# -- skewadjoint/selfadjoint canonical decomposition --------------------------------
-
-
-def skewadjoint_decompose(S, selfadjoint: bool = False):
-    """Write S = sum_m d^m o (d o a_m + a_m d) d^m + sum_m d^m o b_m d^m with
-    a_m* = a_m and b_m* = -b_m (signs swapped for the selfadjoint variant).
-    Accepts a ScalarDiffOp or a square MatDiffOp; returns ({m: a_m}, {m: b_m})
-    with matrix values for matrix input."""
-    scalar = isinstance(S, ScalarDiffOp)
-    mat = MatDiffOp.scalar(S) if scalar else S
-    alg = mat.alg
-    if not mat.is_square():
-        raise ShapeMismatch("decomposition needs a square operator")
-    want = mat.adjoint() if selfadjoint else -mat.adjoint()
-    if not (mat - want).is_zero():
-        raise NotSkewadjoint(
-            "operator is not " + ("selfadjoint" if selfadjoint else "skewadjoint"))
-    dd = ScalarDiffOp.d(alg)
-
-    def block(o, c):
-        """d^m o (d o c/2 + c/2 d) d^m for o = 2m + 1, d^m o c d^m for
-        o = 2m."""
-        m = o // 2
-        if o % 2:
-            half = ScalarDiffOp(alg, {0: c * Fraction(1, 2)})
-            mid = dd.compose(half) + half.compose(dd)
-        else:
-            mid = ScalarDiffOp(alg, {0: c})
-        return (o % 2, m), ScalarDiffOp.d(alg, m).compose(mid).compose(
-            ScalarDiffOp.d(alg, m))
-
-    # each block is entrywise, so every entry is peeled on its own
-    forms = [[_peel(e, block) for e in row] for row in mat.rows]
-    keys = sorted({key for row in forms for form in row for key in form},
-                  key=lambda key: -(2 * key[1] + key[0]))
-    a_out: dict = {}
-    b_out: dict = {}
-    for odd, m in keys:
-        lead = [[form.get((odd, m), alg.zero) for form in row]
-                for row in forms]
-        if odd:
-            a_out[m] = [[c * Fraction(1, 2) for c in r] for r in lead]
-        else:
-            b_out[m] = lead
-    if scalar:
-        a_out = {m: v[0][0] for m, v in a_out.items()}
-        b_out = {m: v[0][0] for m, v in b_out.items()}
-    return a_out, b_out
 
 
 # -- spaces of operators with (self)adjoint products ---------------------------------

@@ -222,6 +222,8 @@ def run_hierarchy(H: LambdaBracketStruct, K: LambdaBracketStruct,
     propagate as NoPreimage / NotExact with the residual witness attached;
     densities accepted so far stay in the state.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     for name, S in (("H", H), ("K", K)):
         _require_skewadjoint(name, S)
         ok, wit = check_jacobi(S)

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import SkewArray, _apply_entry, _inverse_perm, _perm_sign
-from .diffalg import DiffAlgebra, DiffPoly, LocalFunctional
+from .complexes import SkewArray, _inverse_perm, _perm_sign
+from .diffalg import DiffAlgebra
 from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
                      invertible_leading, solve_linform_system)
 from .field import accumulate
@@ -190,18 +190,6 @@ def module_action(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
     return out
 
 
-def pairing(F0: Sequence[DiffPoly], P: KDiffOp,
-            fs: Sequence[Sequence[DiffPoly]]) -> LocalFunctional:
-    """int F^0 . P(F^1..F^k), the pairing underlying the S_{k+1} action."""
-    if len(fs) != P.k:
-        raise ValueError("need k argument vectors")
-    acc = P.alg.zero
-    for idx, L in P.entries.items():
-        args = [fs[t][i - 1] for t, i in enumerate(idx[1:])]
-        acc = acc + F0[idx[0] - 1] * _apply_entry(L, args)
-    return LocalFunctional(acc)
-
-
 # -- solvability spaces --------------------------------------------------------------
 
 
@@ -262,6 +250,8 @@ def sigma_space(K: MatDiffOp, k: int):
     that are not rational; for K with x the triangular rows go to an
     ansatz of degree 2 (sum of the pivot orders) + 4, and a flag may also
     mean that it was too short."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     alg = K.alg
     invertible_leading(K)
     N = K.order()

@@ -1,5 +1,5 @@
 """Lambda-brackets on the differential polynomial algebra, Hamiltonian
-structure verification, evolutionary vector fields, and functional brackets.
+structure verification, functional brackets, and the Magri structure.
 
 A bracket structure is an l x l matrix differential operator H with entries
 H_ij(d) = {u_j _d u_i}_->.  The bracket of arbitrary elements expands through
@@ -14,10 +14,10 @@ and Jacobi / compatibility checks reduce to generator triples.
 from __future__ import annotations
 
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
-from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, frechet,
-                      higher_euler, variational_derivative)
+from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, higher_euler,
+                      variational_derivative)
 from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch
 from .field import accumulate
 from .lambdapoly import LambdaPoly, affine_pow_on, symbol_act
@@ -307,72 +307,6 @@ def _check_triples(alg: DiffAlgebra, residual, a_le_b: bool = False):
     return True, None
 
 
-# -- evolutionary vector fields -----------------------------------------------
-
-
-class EvVectorField:
-    """Evolutionary vector field X_P = sum (d^n P_i) d/du_i^(n), stored by
-    its characteristic P."""
-
-    __slots__ = ("alg", "P")
-
-    def __init__(self, characteristic: Sequence[DiffPoly]):
-        self.P = list(characteristic)
-        self.alg = self.P[0].alg
-        if len(self.P) != self.alg.nvars:
-            raise ValueError("characteristic length must equal nvars")
-
-    def __call__(self, f: DiffPoly) -> DiffPoly:
-        return ev_apply(self, f)
-
-    def __eq__(self, other):
-        if not isinstance(other, EvVectorField):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.P, other.P))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.P)
-
-    def __repr__(self):
-        return f"EvVectorField({self.P!r})"
-
-
-def ev_apply(X: EvVectorField, f: DiffPoly) -> DiffPoly:
-    out = f.alg.zero
-    derived = {}
-    for (n, i) in sorted(f.jet_support()):
-        if (n, i) not in derived:
-            g = X.P[i - 1]
-            for _ in range(n):
-                g = g.derive()
-            derived[(n, i)] = g
-        out = out + derived[(n, i)] * f.jet_partial(i, n)
-    return out
-
-
-def ev_commutator(X: EvVectorField, Y: EvVectorField) -> EvVectorField:
-    return EvVectorField([ev_apply(X, q) - ev_apply(Y, p)
-                          for p, q in zip(X.P, Y.P)])
-
-
-def ad_field_on_operator(X: EvVectorField,
-                         H: LambdaBracketStruct) -> MatDiffOp:
-    """Action of an evolutionary field on a bracket operator:
-    X_P(H) - H o D_P* - D_P o H."""
-    xh = H.op.map_entries(lambda e: e.map_coeffs(
-        lambda c: ev_apply(X, c) if isinstance(c, DiffPoly) else
-        X.alg.zero))
-    dp = frechet(X.P)
-    return xh - H.op.compose(dp.adjoint()) - dp.compose(H.op)
-
-
-def hamiltonian_vf(h, H: LambdaBracketStruct) -> EvVectorField:
-    """Characteristic H(d) (delta h / delta u)."""
-    rep = h.representative if isinstance(h, LocalFunctional) else h
-    grad = list(variational_derivative(rep))
-    return EvVectorField(H.op.apply(grad))
-
-
 def poisson_bracket(f, g, H: LambdaBracketStruct) -> LocalFunctional:
     """{int f, int g} = int (delta g/delta u) . H(d) (delta f/delta u)."""
     fr = f.representative if isinstance(f, LocalFunctional) else f
@@ -387,15 +321,6 @@ def poisson_bracket(f, g, H: LambdaBracketStruct) -> LocalFunctional:
 
 
 # -- convenient standard structures ---------------------------------------------
-
-
-def gfz_structure(alg: DiffAlgebra) -> LambdaBracketStruct:
-    """The structure with {u_lam u} = lam on one variable (H = d); for
-    several variables, d times the identity matrix."""
-    size = alg.nvars
-    return LambdaBracketStruct(MatDiffOp(alg, [
-        [ScalarDiffOp.d(alg) if i == j else ScalarDiffOp.zero(alg)
-         for j in range(size)] for i in range(size)]))
 
 
 def magri_structure(alg: DiffAlgebra,

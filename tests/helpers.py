@@ -9,11 +9,12 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem, KDiffOp,
+from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem,
+                     InvariantViolation, KDiffOp, LambdaBracketStruct,
                      LambdaPoly, LocalFunctional, MatDiffOp, NoPreimage,
-                     NotExact, ScalarDiffOp, SkewArray, UnsupportedK,
-                     antiderivative_in_v, ev_commutator, hamiltonian_vf,
-                     lambda_bracket, poisson_bracket,
+                     NotExact, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
+                     SkewArray, UnsupportedK, antiderivative_in_v, delta_k,
+                     frechet, lambda_bracket, poisson_bracket,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
 from varpois.complexes import _perm_sign
@@ -274,8 +275,8 @@ def from_right_form(alg: DiffAlgebra, b: dict) -> ScalarDiffOp:
 
 
 def from_split_form(alg: DiffAlgebra, cs: dict, ds: dict) -> ScalarDiffOp:
-    """The operator with split form (cs, ds), as ScalarDiffOp.split_form
-    returns it: sum_m d^(m+1) o cs[m] d^m + sum_n d^n o ds[n] d^n."""
+    """The operator with split form (cs, ds), as split_form returns it:
+    sum_m d^(m+1) o cs[m] d^m + sum_n d^n o ds[n] d^n."""
     out = ScalarDiffOp.zero(alg)
     for m, c in cs.items():
         out = out + ScalarDiffOp.d(alg, m + 1).compose(
@@ -949,3 +950,233 @@ def expand_monomial(n: tuple) -> list:
     d-powers; substituting lam_0 = -lam_1 - ... - lam_k - d in both sides
     gives an identity of commutative (Laurent in d) polynomials."""
     return _C_TABLE.expansion(tuple(n))
+
+
+# -- paper constructions that no library verdict uses ------------------------------
+#
+# The de Rham differential, the arity-1 comparison map, the integration
+# pairings, the canonical forms and skewadjoint decomposition of operators,
+# evolutionary vector fields and the structure H = d.  No report or library
+# function reads them; the tests keep checking their identities.
+
+
+def de_rham_delta(P: SkewArray) -> SkewArray:
+    """(delta P)_{i0..ik} = sum_alpha (-1)^alpha sum_n
+    d(P with alpha-th slot removed)/du_{i_alpha}^(n) lam_alpha^n: the twisted
+    differential delta_K at K = 1."""
+    return delta_k(P, MatDiffOp.identity(P.alg, P.alg.nvars))
+
+
+def phi_k1(S: MatDiffOp, K: MatDiffOp) -> MatDiffOp:
+    """The arity-1 comparison map: S skewadjoint goes to -K o S o K."""
+    if not (S + S.adjoint()).is_zero():
+        raise NotSkewadjoint("input must be skewadjoint")
+    return -(K.compose(S).compose(K))
+
+
+def _apply_entry(L: LambdaPoly, args: Sequence[DiffPoly]) -> DiffPoly:
+    """L(d_1..d_k) applied to args: sum over the terms c lam^e of L of c
+    times the product of the e_t-th derivatives of args[t]."""
+    acc = L.alg.zero
+    for e, c in L.terms.items():
+        term = c
+        for t, g in enumerate(args):
+            for _ in range(e[t]):
+                g = g.derive()
+            term = term * g
+        acc = acc + term
+    return acc
+
+
+def array_pairing(P: SkewArray,
+                  gs: Sequence[Sequence[DiffPoly]]) -> LocalFunctional:
+    """The local polydifferential value int sum P_idx(d_1..d_k) g^1 ... g^k,
+    each d_t hitting its own argument.  The quotient class of P is zero
+    exactly when these values vanish for all arguments (nondegeneracy of the
+    integration pairing)."""
+    if len(gs) != P.k:
+        raise ValueError("need one argument vector per arity slot")
+    acc = P.alg.zero
+    for idx in P.all_keys():
+        acc = acc + _apply_entry(P.entry(idx), [gs[t][i - 1]
+                                                for t, i in enumerate(idx)])
+    return LocalFunctional(acc)
+
+
+def pairing(F0: Sequence[DiffPoly], P: KDiffOp,
+            fs: Sequence[Sequence[DiffPoly]]) -> LocalFunctional:
+    """int F^0 . P(F^1..F^k), the pairing underlying the S_{k+1} action."""
+    if len(fs) != P.k:
+        raise ValueError("need k argument vectors")
+    acc = P.alg.zero
+    for idx, L in P.entries.items():
+        args = [fs[t][i - 1] for t, i in enumerate(idx[1:])]
+        acc = acc + F0[idx[0] - 1] * _apply_entry(L, args)
+    return LocalFunctional(acc)
+
+
+def _peel(op: ScalarDiffOp, block) -> dict:
+    """{key: c} from taking blocks off op until nothing is left: with o and
+    c the order and leading coefficient of the rest, block(o, c) returns
+    (key, B), B of order o with leading coefficient c, and B is subtracted.
+    Raises InvariantViolation when a step does not lower the order."""
+    out: dict = {}
+    rem = op
+    while not rem.is_zero():
+        o, c = rem.order(), rem.leading_coefficient()
+        key, B = block(o, c)
+        out[key] = c
+        rem = rem - B
+        if not rem.is_zero() and rem.order() >= o:
+            raise InvariantViolation("a canonical form block does not lower "
+                                     "the order")
+    return out
+
+
+def right_coefficient_form(op: ScalarDiffOp) -> dict:
+    """Coefficients b_n of the rewriting sum d^n o b_n."""
+    alg = op.alg
+    return _peel(op, lambda o, c: (
+        o, ScalarDiffOp.d(alg, o).compose(ScalarDiffOp(alg, {0: c}))))
+
+
+def split_form(op: ScalarDiffOp) -> tuple:
+    """Coefficients ({c_m}, {d_n}) of
+    sum d^(m+1) o c_m d^m + sum d^n o d_n d^n: the block of order o is
+    d^(o - h) o c d^h with h = o // 2 (m = h for odd o, n = h for even
+    o)."""
+    alg = op.alg
+
+    def block(o, c):
+        h = o // 2
+        return (o % 2, h), ScalarDiffOp.d(alg, o - h).compose(
+            ScalarDiffOp(alg, {h: c}))
+
+    form = _peel(op, block)
+    return ({h: c for (odd, h), c in form.items() if odd},
+            {h: c for (odd, h), c in form.items() if not odd})
+
+
+def canonical_forms(P: ScalarDiffOp) -> dict:
+    """The three canonical writings of a scalar operator."""
+    return {"left": dict(P.coeffs), "right": right_coefficient_form(P),
+            "split": split_form(P)}
+
+
+def skewadjoint_decompose(S, selfadjoint: bool = False):
+    """Write S = sum_m d^m o (d o a_m + a_m d) d^m + sum_m d^m o b_m d^m with
+    a_m* = a_m and b_m* = -b_m (signs swapped for the selfadjoint variant).
+    Accepts a ScalarDiffOp or a square MatDiffOp; returns ({m: a_m}, {m: b_m})
+    with matrix values for matrix input."""
+    scalar = isinstance(S, ScalarDiffOp)
+    mat = MatDiffOp.scalar(S) if scalar else S
+    alg = mat.alg
+    if not mat.is_square():
+        raise ShapeMismatch("decomposition needs a square operator")
+    want = mat.adjoint() if selfadjoint else -mat.adjoint()
+    if not (mat - want).is_zero():
+        raise NotSkewadjoint(
+            "operator is not " + ("selfadjoint" if selfadjoint else "skewadjoint"))
+    dd = ScalarDiffOp.d(alg)
+
+    def block(o, c):
+        """d^m o (d o c/2 + c/2 d) d^m for o = 2m + 1, d^m o c d^m for
+        o = 2m."""
+        m = o // 2
+        if o % 2:
+            half = ScalarDiffOp(alg, {0: c * Fraction(1, 2)})
+            mid = dd.compose(half) + half.compose(dd)
+        else:
+            mid = ScalarDiffOp(alg, {0: c})
+        return (o % 2, m), ScalarDiffOp.d(alg, m).compose(mid).compose(
+            ScalarDiffOp.d(alg, m))
+
+    # each block is entrywise, so every entry is peeled on its own
+    forms = [[_peel(e, block) for e in row] for row in mat.rows]
+    keys = sorted({key for row in forms for form in row for key in form},
+                  key=lambda key: -(2 * key[1] + key[0]))
+    a_out: dict = {}
+    b_out: dict = {}
+    for odd, m in keys:
+        lead = [[form.get((odd, m), alg.zero) for form in row]
+                for row in forms]
+        if odd:
+            a_out[m] = [[c * Fraction(1, 2) for c in r] for r in lead]
+        else:
+            b_out[m] = lead
+    if scalar:
+        a_out = {m: v[0][0] for m, v in a_out.items()}
+        b_out = {m: v[0][0] for m, v in b_out.items()}
+    return a_out, b_out
+
+
+class EvVectorField:
+    """Evolutionary vector field X_P = sum (d^n P_i) d/du_i^(n), stored by
+    its characteristic P."""
+
+    __slots__ = ("alg", "P")
+
+    def __init__(self, characteristic: Sequence[DiffPoly]):
+        self.P = list(characteristic)
+        self.alg = self.P[0].alg
+        if len(self.P) != self.alg.nvars:
+            raise ValueError("characteristic length must equal nvars")
+
+    def __call__(self, f: DiffPoly) -> DiffPoly:
+        return ev_apply(self, f)
+
+    def __eq__(self, other):
+        if not isinstance(other, EvVectorField):
+            return NotImplemented
+        return all(a == b for a, b in zip(self.P, other.P))
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.P)
+
+    def __repr__(self):
+        return f"EvVectorField({self.P!r})"
+
+
+def ev_apply(X: EvVectorField, f: DiffPoly) -> DiffPoly:
+    out = f.alg.zero
+    derived = {}
+    for (n, i) in sorted(f.jet_support()):
+        if (n, i) not in derived:
+            g = X.P[i - 1]
+            for _ in range(n):
+                g = g.derive()
+            derived[(n, i)] = g
+        out = out + derived[(n, i)] * f.jet_partial(i, n)
+    return out
+
+
+def ev_commutator(X: EvVectorField, Y: EvVectorField) -> EvVectorField:
+    return EvVectorField([ev_apply(X, q) - ev_apply(Y, p)
+                          for p, q in zip(X.P, Y.P)])
+
+
+def ad_field_on_operator(X: EvVectorField,
+                         H: LambdaBracketStruct) -> MatDiffOp:
+    """Action of an evolutionary field on a bracket operator:
+    X_P(H) - H o D_P* - D_P o H."""
+    xh = H.op.map_entries(lambda e: e.map_coeffs(
+        lambda c: ev_apply(X, c) if isinstance(c, DiffPoly) else
+        X.alg.zero))
+    dp = frechet(X.P)
+    return xh - H.op.compose(dp.adjoint()) - dp.compose(H.op)
+
+
+def hamiltonian_vf(h, H: LambdaBracketStruct) -> EvVectorField:
+    """Characteristic H(d) (delta h / delta u)."""
+    rep = h.representative if isinstance(h, LocalFunctional) else h
+    grad = list(variational_derivative(rep))
+    return EvVectorField(H.op.apply(grad))
+
+
+def gfz_structure(alg: DiffAlgebra) -> LambdaBracketStruct:
+    """The structure with {u_lam u} = lam on one variable (H = d); for
+    several variables, d times the identity matrix."""
+    size = alg.nvars
+    return LambdaBracketStruct(MatDiffOp(alg, [
+        [ScalarDiffOp.d(alg) if i == j else ScalarDiffOp.zero(alg)
+         for j in range(size)] for i in range(size)]))

@@ -16,9 +16,9 @@ from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaPoly,
                      LocalFunctional, MatDiffOp, Majorant, NotExact,
                      QuotientArray, ScalarDiffOp, SkewArray,
                      check_compatible, check_jacobi, check_skewadjoint,
-                     chi_representative, cohomology_dim, d_k, de_rham_delta,
-                     delta_k, dieudonne_det, dim_omega00, filtration_level,
-                     gfz_structure, hamiltonian_vf, homotopy, is_exact_1form,
+                     chi_representative, cohomology_dim, d_k, delta_k,
+                     dieudonne_det, dim_omega00, filtration_level, homotopy,
+                     is_exact_1form,
                      kernel_dim_bound, magri_structure, majorant,
                      partial_action, reconstruct_density, reduce_closed,
                      run_hierarchy,
@@ -28,8 +28,9 @@ from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaPoly,
 from varpois.complexes import level_key
 from varpois.polydiff import is_totally_skewsymmetric
 
-from helpers import (_B_TABLE, _C_TABLE, rnd_diffpoly, rnd_mat_op,
-                     rnd_skew_array)
+from helpers import (_B_TABLE, _C_TABLE, de_rham_delta, gfz_structure,
+                     hamiltonian_vf, rnd_diffpoly, rnd_mat_op, rnd_skew_array,
+                     skewadjoint_decompose)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -344,7 +345,7 @@ def test_criterion_12_skew_equation_closed_forms():
         # solver and closed form agree modulo the kernel
         assert skew_product(K1, P - half).is_zero()
         # second closed form for K = d: the skewadjoint antiderivative
-        from varpois import rational_antiderivative, skewadjoint_decompose
+        from varpois import rational_antiderivative
         a, b = skewadjoint_decompose(s_op)
         d1 = ScalarDiffOp.d(ALG)
         closed_form = ScalarDiffOp.zero(ALG)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from varpois import cli
 from varpois.cli import main, run
 
 SESSION = """\
@@ -62,6 +63,7 @@ def test_cohomology(session_file):
     assert code == 0
     val = body["results"][0]["value"]
     assert val["dim"] == 0 and not val["flagged_lower_bound"]
+    assert val["closed"] is True
 
 
 def test_cohomology_flagged(session_file):
@@ -77,16 +79,31 @@ def test_cohomology_flagged(session_file):
                                          (2, "[[d^2, 0],[0, d^2]]", 1)])
 def test_cohomology_dim_counts_its_representatives(tmp_path, vars_, K, k):
     """The cohomology report takes its dim, flag and representatives from
-    one solve: dim is the number of representatives, flagged or not."""
+    one solve: dim is the number of representatives, flagged or not, and
+    each representative passed the d_K closure check."""
     session = tmp_path / "s.vp"
     session.write_text(f"vars {vars_}\n")
     body, code = _run(["--session", str(session), "cohomology",
                        "--K", K, "--k", str(k)])
     assert code == 0
     val = body["results"][0]["value"]
-    assert val["dim"] == len(val["basis_representatives"])
+    assert val["dim"] == len(val["basis_representatives"]) > 0
+    assert val["closed"] is True
     assert body["results"][0]["status"] == (
         "flagged" if val["flagged_lower_bound"] else "ok")
+
+
+def test_cohomology_representative_that_is_not_closed_is_an_error(
+        session_file, monkeypatch):
+    """A representative whose d_K is not zero is an invariant violation
+    (exit 2), not a count: here d_K is replaced by the identity on the
+    nonzero representative 1 of H^0(d)."""
+    monkeypatch.setattr(cli, "d_k", lambda P, K: P)
+    body, code = _run(["--session", session_file, "cohomology",
+                       "--K", "d", "--k", "0"])
+    assert code == 2
+    assert body["results"][0]["value"] == (
+        "InvariantViolation: a cohomology representative is not d_K-closed")
 
 
 def test_sigma(session_file):
@@ -95,6 +112,19 @@ def test_sigma(session_file):
     assert code == 0
     val = body["results"][0]["value"]
     assert val["dim"] == 1 == val["expected"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cohomology", "--K", "d", "--k", "-1"], "k must be nonnegative, got -1"),
+    (["sigma", "--K", "d", "--k", "-1"], "k must be nonnegative, got -1"),
+    (["lenard", "--H", "H", "--K", "K", "--seed", "u^2/2", "--steps", "-3"],
+     "steps must be nonnegative, got -3")])
+def test_negative_arity_or_step_count_is_an_error(session_file, args,
+                                                  message):
+    body, code = _run(["--session", session_file] + args)
+    assert code == 2
+    assert body["results"] == [{"name": args[0], "status": "error",
+                                "value": f"ValueError: {message}"}]
 
 
 @pytest.mark.parametrize("command", ["sigma", "cohomology"])

@@ -10,17 +10,20 @@ import varpois
 from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
                      MatDiffOp, NotClosed, NotQuasiconstant, OutOfFiltration,
                      QuotientArray, ScalarDiffOp, SkewArray, alpha_k,
-                     cohomology_dim, d_k, de_rham_delta, delta_k, dim_omega00,
-                     filtration_level, gfz_structure, homotopy,
-                     magri_structure, partial_action, partial_antiderivative,
-                     phi_k1, phi_s, reduce_closed)
+                     cohomology_dim, d_k, delta_k, dim_omega00,
+                     filtration_level, homotopy, magri_structure,
+                     partial_action, partial_antiderivative, phi_s,
+                     reduce_closed)
 from varpois.complexes import level_key
 from varpois.lambdapoly import format_lambda_poly
-from varpois.pva import LambdaBracketStruct, hamiltonian_vf
+from varpois.pva import LambdaBracketStruct
 
-from helpers import (as_one_form, as_skewadjoint_op, d_k_reference,
-                     de_rham_delta_reference, delta_k_reference, diffpolys,
-                     field_elems, rnd_diffpoly, rnd_skew_array)
+from helpers import (EvVectorField, ad_field_on_operator, array_pairing,
+                     as_one_form, as_skewadjoint_op, d_k_reference,
+                     de_rham_delta, de_rham_delta_reference,
+                     delta_k_reference, diffpolys, field_elems,
+                     gfz_structure, hamiltonian_vf, phi_k1, rnd_diffpoly,
+                     rnd_skew_array)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -368,6 +371,17 @@ def test_dim_omega00():
                 assert count == math.comb(N * nv, k) == len(basis)
 
 
+def test_dim_omega00_rejects_a_negative_arity():
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        dim_omega00(1, 1, -1, ALG)
+
+
+def test_cohomology_dim_rejects_a_negative_arity():
+    """k = -1 would count the one arity-0 slice as H^-1."""
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        cohomology_dim(KD, -1)
+
+
 def test_cohomology_dims():
     assert cohomology_dim(KD, 0).dim == 1
     assert cohomology_dim(KD, 1).dim == 0
@@ -438,7 +452,6 @@ def test_d_k_matches_adjoint_action_on_one_forms():
     """Under the arity-2 operator identification, d_K of a 1-form class is
     the bracket action on the corresponding evolutionary field:
     d_K(F) corresponds to -(X_F(K) - K o D_F* - D_F o K)."""
-    from varpois import EvVectorField, ad_field_on_operator
     rng = random.Random(33)
     for K in (gfz_structure(ALG), magri_structure(ALG)):
         for _ in range(4):
@@ -466,7 +479,6 @@ def test_d_k_well_defined_on_quotient():
 def test_pairing_oracle_for_quotient_equality():
     """Nondegeneracy: a class is zero iff its polydifferential values vanish
     (checked statistically on random arguments)."""
-    from varpois import array_pairing
     rng = random.Random(35)
     for k in (1, 2):
         for _ in range(4):

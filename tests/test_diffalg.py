@@ -10,12 +10,12 @@ from varpois import (DiffAlgebra, LocalFunctional, NotExact, UndecidableResidue,
                      antiderivative_in_v, frechet, functional_eq, higher_euler,
                      is_exact_1form, is_total_derivative, reconstruct_density,
                      variational_derivative)
-from varpois.complexes import SkewArray, de_rham_delta, reduce_closed
+from varpois.complexes import SkewArray, reduce_closed
 from varpois.diffalg import DiffRat, format_diff_poly
 from varpois.diffop import MatDiffOp, ScalarDiffOp
 
-from helpers import (coefficient, diffpolys, functional_eq_reference,
-                     rnd_diffpoly)
+from helpers import (coefficient, de_rham_delta, diffpolys,
+                     functional_eq_reference, rnd_diffpoly)
 
 ALG1 = DiffAlgebra(1)
 ALG1C = DiffAlgebra(1, ["c"])

@@ -11,11 +11,9 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      DiffPoly, Incomplete, InvariantViolation, LinForm,
                      Majorant, MatDiffOp, MatPseudoOp, NoRationalSolution,
                      NotAMajorant, NotSkewadjoint, PseudoDiffOp, ScalarDiffOp,
-                     TruncationExceeded, canonical_forms, dieudonne_det,
-                     kernel_dim_bound, leading_matrix, majorant,
-                     majorant_preserving_reduce, row_echelon,
-                     selfadjoint_product_space, skewadjoint_decompose,
-                     solve_rational)
+                     TruncationExceeded, dieudonne_det, kernel_dim_bound,
+                     leading_matrix, majorant, majorant_preserving_reduce,
+                     row_echelon, selfadjoint_product_space, solve_rational)
 from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
                             _echelon_det, _field_value, _solve_by_ansatz,
@@ -25,13 +23,14 @@ from varpois.field import x_coefficients
 from varpois.zpoly import Poly
 
 from helpers import (adjoint_reference, ansatz_reference, apply_row_ops,
-                     compose_reference, constant_rank, det_by_division,
-                     diffpolys, echelon_by_division, field_elems,
-                     from_right_form, from_split_form,
+                     canonical_forms, compose_reference, constant_rank,
+                     det_by_division, diffpolys, echelon_by_division,
+                     field_elems, from_right_form, from_split_form,
                      linform_matrix_reference, mat_compose_reference,
-                     reference_elimination, rnd_mat_op, rnd_scalar_op,
-                     same_row_flags, skewadjoint_decompose_reference,
-                     skewadjoint_op, triangular_form_has_x)
+                     reference_elimination, right_coefficient_form,
+                     rnd_mat_op, rnd_scalar_op, same_row_flags,
+                     skewadjoint_decompose, skewadjoint_decompose_reference,
+                     skewadjoint_op, split_form, triangular_form_has_x)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -86,9 +85,9 @@ def test_matrix_adjoint_anti_involution():
 def test_canonical_forms():
     u = ALG.jet(1)
     ud = u_op().compose(D)
-    b = ud.right_coefficient_form()
+    b = right_coefficient_form(ud)
     assert b[1] == u and b[0] == -u.derive()
-    cs, ds = ScalarDiffOp.d(ALG, 2).split_form()
+    cs, ds = split_form(ScalarDiffOp.d(ALG, 2))
     assert not cs and ds == {1: ALG.one}
     rng = random.Random(4)
     for _ in range(8):
@@ -473,14 +472,55 @@ def test_kernel_basis_is_the_one_back_substitution_builds():
 
 def test_pivot_with_poles_is_solved_by_the_ansatz():
     """d + 1 is not a monomial, so a right-hand side with poles goes to
-    the ansatz: 1/x - 1/x^2 gives y = 1/x, and 1/x, which needs the
-    exponential integral, exhausts it."""
+    the ansatz at its certified bound: 1/x - 1/x^2 gives y = 1/x, and 1/x,
+    which needs the exponential integral, certifies NoRationalSolution."""
     F = ALG.field
     M = MatDiffOp(ALG, [[D + ONE]])
     b = F.one / F.x - F.one / F.x ** 2
     assert solve_rational(M, [b]).particular == [F.one / F.x]
-    with pytest.raises(Incomplete):
+    with pytest.raises(NoRationalSolution):
         solve_rational(M, [F.one / F.x])
+
+
+@st.composite
+def pivots_facing_poles(draw):
+    """(L, y): L a constant-coefficient operator of order <= 3 with two or
+    three terms (not a monomial), and y a polynomial of degree <= 3 plus a
+    nonzero proper fraction over one or two factors (x + a)^e, e <= 2, or
+    x^2 + b, b > 0; over Q(x) or Q(c)(x)."""
+    alg = draw(st.sampled_from([DiffAlgebra(1), ALG]))
+    F = alg.field
+    const = field_elems(F, with_x=False)
+    nonzero = const.filter(lambda v: not v.is_zero())
+    orders = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3,
+                           unique=True))
+    L = ScalarDiffOp(alg, {n: alg.from_scalar(draw(nonzero))
+                           for n in orders})
+    poly = sum((draw(const) * F.x ** t
+                for t in range(draw(st.integers(0, 4)))), F.zero)
+    den = F.one
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            den = den * (F.x + draw(const)) ** draw(st.integers(1, 2))
+        else:
+            den = den * (F.x ** 2 + draw(st.integers(1, 3)))
+    degree = max(x_coefficients(den))
+    num = sum((draw(const) * F.x ** t for t in range(degree - 1)),
+              draw(nonzero) * F.x ** (degree - 1))
+    return L, poly + num / den
+
+
+@settings(max_examples=30, deadline=None)
+@given(pivots_facing_poles())
+def test_pivot_facing_poles_is_solved_at_the_certified_bound(case):
+    """A constant-coefficient pivot that is not a monomial, facing r = L y
+    with poles, returns a y' with L y' = r: the ansatz at the bound
+    max(deg num + m, deg den - 1) holds a solution whenever one exists."""
+    L, y = case
+    r = L.apply(y)
+    assume(not r.is_zero())
+    (found,) = solve_rational(MatDiffOp.scalar(L), [r]).particular
+    assert L.apply(found) == r
 
 
 def test_solve_rational_incomplete():
@@ -641,8 +681,9 @@ def test_ansatz_degree_comes_from_the_pivots(monkeypatch):
     """With x in a coefficient of the triangular form the ansatz runs on
     its rows at degree 2 (sum of the pivot orders) + 4: 8 for x d^2 + 1,
     10 for diag(x d^2 + 1, d), 6 for [x d + 1, x d + 1] (one pivot, of
-    order 1); a pivot d + 1 facing a pole takes 2 ord + 4 = 6.  x d^2,
-    whose reduced row is d^2, reaches no ansatz."""
+    order 1); a pivot d + 1 facing r = (x - 1)/x^2 takes its certified
+    bound max(deg num + 0, deg den - 1) = 1.  x d^2, whose reduced row is
+    d^2, reaches no ansatz."""
     F = ALG.field
     degrees = []
 
@@ -660,7 +701,7 @@ def test_ansatz_degree_comes_from_the_pivots(monkeypatch):
     solve_rational(MatDiffOp(ALG, [[xd2, ZERO], [ZERO, D]]))
     solve_rational(MatDiffOp(ALG, [[xd1, xd1]]), [F.x])
     solve_rational(MatDiffOp(ALG, [[D + ONE]]), [F.one / F.x - F.one / F.x ** 2])
-    assert degrees == [(1, 8), (2, 10), (2, 6), (1, 6)]
+    assert degrees == [(1, 8), (2, 10), (2, 6), (1, 1)]
 
 
 @st.composite

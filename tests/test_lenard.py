@@ -7,15 +7,15 @@ import varpois.lenard as lenard_module
 from varpois import (DiffAlgebra, HierarchyState, InvariantViolation,
                      LambdaBracketStruct, LocalFunctional, MatDiffOp,
                      NoPreimage, NotExact, NotPoisson, NotSkewadjoint,
-                     ScalarDiffOp, UnsupportedK, functional_eq, gfz_structure,
-                     hamiltonian_vf, magri_structure, run_hierarchy,
-                     variational_derivative, verify_involution)
+                     ScalarDiffOp, UnsupportedK, functional_eq,
+                     magri_structure, run_hierarchy, variational_derivative,
+                     verify_involution)
 from varpois.lenard import StepCertificate, _invert_k_on, lenard_step
 from varpois.linsolve import det
 
-from helpers import (commuting_flows, diffpolys, field_elems,
-                     invert_k_by_constant_inverse, invert_k_reference,
-                     involution_matrix_reference)
+from helpers import (commuting_flows, diffpolys, field_elems, gfz_structure,
+                     hamiltonian_vf, invert_k_by_constant_inverse,
+                     invert_k_reference, involution_matrix_reference)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -54,6 +54,12 @@ def test_evolution_equation(kdv_state):
 def test_involution(kdv_state):
     inv = verify_involution(kdv_state)
     assert all(all(row) for row in inv)
+
+
+def test_run_hierarchy_rejects_a_negative_step_count():
+    """-3 steps would report the seed alone as a hierarchy."""
+    with pytest.raises(ValueError, match="steps must be nonnegative, got -3"):
+        run_hierarchy(H, K, LocalFunctional(U * U / 2), -3)
 
 
 def test_commuting_flows(kdv_state):

@@ -15,13 +15,14 @@ from varpois import (DiffAlgebra, KDiffOp, LambdaPoly,
                      NotInSigma, NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
                      chi_representative, cohomology_dim, frechet,
                      functional_eq, is_skewsymmetric, is_totally_skewsymmetric,
-                     module_action, pairing, selfadjoint_product_space,
+                     module_action, selfadjoint_product_space,
                      sigma_action, sigma_space, skew_product,
                      solve_skew_equation, total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois import diffop, polydiff
 from helpers import (_B_TABLE, _C_TABLE, BadSupport, as_one_form, coeff_b,
-                     coeff_c, expand_monomial, rnd_diffpoly, to_mat_diff_op,
+                     coeff_c, expand_monomial, pairing, rnd_diffpoly,
+                     skewadjoint_decompose, to_mat_diff_op,
                      total_skewsymmetrize_reference,
                      total_skewsymmetrize_shortcut)
 
@@ -302,6 +303,12 @@ def test_c_table_properties_exhaustive():
 
 
 # -- solvability spaces -----------------------------------------------------------
+
+
+def test_sigma_space_rejects_a_negative_arity():
+    Kd = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG)]])
+    with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+        sigma_space(Kd, -1)
 
 
 def test_sigma_space_examples():
@@ -608,7 +615,6 @@ def test_solve_skew_closed_forms():
 def test_solve_skew_antiderivative_closed_form():
     """For K = d, the skewadjoint operator whose canonical coefficients are
     antiderivatives of those of S is a solution."""
-    from varpois import skewadjoint_decompose
     Kd = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG)]])
     x = ALG.field.x
     Sop = ScalarDiffOp(ALG, {1: ALG.from_scalar(x),

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, EvVectorField, LambdaBracketStruct,
-                     LocalFunctional, MatDiffOp, NotSkewadjoint, ScalarDiffOp,
-                     ShapeMismatch, ad_field_on_operator, check_compatible,
-                     check_jacobi, check_skewadjoint, ev_apply, ev_commutator,
-                     functional_eq, gfz_structure, hamiltonian_vf,
-                     jacobi_residual, lambda_bracket, magri_structure,
-                     poisson_bracket)
+from varpois import (DiffAlgebra, LambdaBracketStruct, LocalFunctional,
+                     MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
+                     check_compatible, check_jacobi, check_skewadjoint,
+                     functional_eq, jacobi_residual, lambda_bracket,
+                     magri_structure, poisson_bracket)
 from varpois import pva
 from varpois.lambdapoly import LambdaPoly
 from varpois.pva import compatibility_residual
 
-from helpers import (compatibility_residual_reference, compatible_all_terms,
-                     diffpolys, field_elems, jacobi_all_triples,
+from helpers import (EvVectorField, ad_field_on_operator,
+                     compatibility_residual_reference, compatible_all_terms,
+                     diffpolys, ev_apply, ev_commutator, field_elems,
+                     gfz_structure, hamiltonian_vf, jacobi_all_triples,
                      jacobi_residual_reference, lambda_bracket_reference,
                      rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
                      skewsymmetry_residual)

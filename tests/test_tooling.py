@@ -111,11 +111,11 @@ def _attribute_named(node) -> list:
 
 
 def test_library_code_has_a_library_caller():
-    """Every function and method of the package is exported from varpois,
-    or named (called, passed or traced by the benchmark) somewhere in src/
-    or bench/ outside its own definition: no library code serves only the
-    tests.  A method counts as named only by an attribute (`.name`) or a
-    getattr string, so a variable of the same name does not hide it.
+    """Every function and method of the package, exported or not, is named
+    (called, passed or traced by the benchmark) somewhere in src/ or bench/
+    outside its own definition: no library code serves only the tests.  A
+    method counts as named only by an attribute (`.name`) or a getattr
+    string, so a variable of the same name does not hide it.
     Dunder methods are called by the language and are exempt."""
     sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
@@ -137,8 +137,6 @@ def test_library_code_has_a_library_caller():
         for qualname, node, method in _defined_functions(trees[path]):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
-                continue
-            if "." not in qualname and hasattr(varpois, name):
                 continue
             named = _attribute_named if method else _named
             own = sum(1 for n in named(node) if n == name)
@@ -176,6 +174,19 @@ def test_no_unused_imports():
                    if name not in used]
     assert len(paths) > 10, f"no sources under {SRC}"
     assert unused == []
+
+
+def test_readme_library_tour_runs():
+    """The python block of README's library tour runs as written, and its
+    hierarchy holds h0..h3 in involution."""
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    state = namespace["state"]
+    assert len(state.densities) == 4
+    assert all(all(row) for row in varpois.verify_involution(state))
 
 
 RUNTIME_PROBE = """
