@@ -151,9 +151,19 @@ def delta_k(P: SkewArray, K: MatDiffOp) -> SkewArray:
     """Twisted differential for quasiconstant K:
     (delta_K P)_{i0..ik} = sum_alpha (-1)^alpha sum_{j,n}
     dP_{..alpha-hat..}/du_j^(n) (lam_alpha + d)^n K_{j,i_alpha}(lam_alpha)."""
+    return _delta(P, _delta_factors(K))
+
+
+def _delta_factors(K: MatDiffOp) -> list:
+    """The generator factors of delta_K, for quasiconstant K: a sweep that
+    applies delta_K many times builds them once."""
     if not K.is_quasiconstant():
         raise NotQuasiconstant("delta_K needs a quasiconstant operator")
-    factors = _generator_factors(LambdaBracketStruct(K))
+    return _generator_factors(LambdaBracketStruct(K))
+
+
+def _delta(P: SkewArray, factors: list) -> SkewArray:
+    """delta_K P for the generator factors of K."""
     out = SkewArray(P.alg, P.k + 1)
     for idx in itertools.combinations_with_replacement(
             range(1, P.alg.nvars + 1), P.k + 1):
@@ -435,7 +445,8 @@ def reduce_closed(P: SkewArray, K: MatDiffOp):
         return phi_s(Q1, lead), phi_s(R1, lead)
     alg = P.alg
     N = K.order()
-    if not delta_k(P, K).is_zero():
+    factors = _delta_factors(K)
+    if not _delta(P, factors).is_zero():
         raise NotClosed("array is not delta_K closed")
     Q = SkewArray(alg, P.k - 1) if P.k > 0 else None
     cur = P
@@ -447,7 +458,7 @@ def reduce_closed(P: SkewArray, K: MatDiffOp):
         m, i = key_to_level(key, nvars)
         h = homotopy(cur, m, i, N)
         Q = Q + h if Q is not None else None
-        cur = cur - delta_k(h, K)
+        cur = cur - _delta(h, factors)
         new_key = level_key(*filtration_level(cur, N), nvars)
         if new_key >= key:
             raise InvariantViolation("homotopy sweep failed to lower the level")
@@ -471,8 +482,9 @@ def alpha_k(C: SkewArray, K: MatDiffOp) -> SkewArray:
     X = partial_action(C)
     if C.k == 0:
         return X
+    factors = _delta_factors(K)
     for i in range(C.alg.nvars, 0, -1):
-        X = X - delta_k(homotopy(X, 0, i, N), K)
+        X = X - _delta(homotopy(X, 0, i, N), factors)
     return X
 
 

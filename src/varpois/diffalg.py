@@ -115,7 +115,7 @@ class DiffPoly:
 
     def _coerce(self, other) -> Optional["DiffPoly"]:
         if isinstance(other, DiffPoly):
-            if other.alg != self.alg:
+            if other.alg is not self.alg and other.alg != self.alg:
                 raise ValueError("mixed differential algebras")
             return other
         if isinstance(other, (int, Fraction, FieldElem)):

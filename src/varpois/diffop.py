@@ -1365,7 +1365,21 @@ def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list,
     wants a basis of the kernel: an infinite kernel, as of a system
     without equations, raises InvariantViolation naming an atom that no
     pivot determines.  With rhs the rows are the keys of both, sorted by
-    repr."""
+    repr.
+
+    Without rhs, a row that equals an earlier row or its negative is
+    dropped, and nothing else changes.  _solve_rows first brings the rows
+    to reduced row echelon form over F, and that form depends only on the
+    row space: two matrices in reduced row echelon form with the same row
+    space are equal (the pivots are the columns c where the vectors of the
+    space that vanish before c span more than those that vanish up to c,
+    and each nonzero row is the unique vector of the space with a 1 at its
+    pivot and 0 at the other pivots).  A row that is plus or minus another
+    row adds nothing to the row space, so the nonzero rows that reach
+    row_echelon, and with them the triangular form and the basis, are the
+    same; only the zero rows of the form, whose right-hand sides are all
+    zero, are fewer.  With rhs each row keeps its right-hand side, so
+    every row is kept."""
     field, n = alg.field, len(atoms)
     index = {a: j for j, a in enumerate(atoms)}
     eqs = {}
@@ -1376,7 +1390,13 @@ def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list,
             raise InvariantViolation(
                 "a term free of the unknowns in a linear-form equation")
     if rhs is None:
-        rows, b = list(eqs.values()), [field.zero] * len(eqs)
+        rows, seen = [], set()
+        for row in eqs.values():
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.update((key, frozenset((c, -v) for c, v in row.items())))
+                rows.append(row)
+        b = [field.zero] * len(rows)
     else:
         rhs = dict(rhs)
         keys = sorted(set(eqs) | set(rhs), key=repr)

@@ -53,7 +53,8 @@ class LambdaPoly:
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "LambdaPoly"):
-        if self.alg != other.alg or self.k != other.k:
+        if (self.alg is not other.alg and self.alg != other.alg
+                or self.k != other.k):
             raise ValueError("incompatible lambda-polynomials")
 
     def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
@@ -197,7 +198,8 @@ class _LambdaArray:
         return out
 
     def _check(self, other):
-        if self.alg != other.alg or self.k != other.k:
+        if (self.alg is not other.alg and self.alg != other.alg
+                or self.k != other.k):
             raise ValueError("incompatible arrays")
 
     def __add__(self, other):
@@ -283,29 +285,39 @@ def _linear_powers(lin: dict, k: int, n: int) -> list:
     return powers
 
 
-def _binomial_sum(dsign: int, m: int, chain: list,
-                  powers: list) -> LambdaPoly:
-    """(L + dsign*d)^m X = sum_j C(m,j) dsign^j L^(m-j) d^j X, given the
-    chain d^j X (j <= m when dsign != 0) and the powers L^i (i <= m).  The
-    expansion is valid because the lambda variables commute with d acting
-    on the coefficients."""
-    X = chain[0]
-    out: dict = {}
+def _binomial_into(out: dict, dsign: int, m: int, chain: list,
+                   powers: list, scale: Optional[DiffPoly] = None) -> None:
+    """Add (L + dsign*d)^m X = sum_j C(m,j) dsign^j L^(m-j) d^j X, times
+    the DiffPoly scale when given, to the accumulator out (lam-exponent ->
+    jet monomial -> coefficient), given the chain d^j X (j <= m when
+    dsign != 0) and the powers L^i (i <= m).  The expansion is valid
+    because the lambda variables commute with d acting on the
+    coefficients."""
     for j in range(m + 1 if dsign else 1):
         w = comb(m, j) * dsign ** j
-        for e, a in powers[m - j].items():
-            c = w * a
-            for f, p in chain[j].terms.items():
-                q = p if c == 1 else (-p if c == -1 else p.scale(c))
-                accumulate(out, tuple(x + y for x, y in zip(e, f)), q)
-    return LambdaPoly(X.alg, X.k, out)
+        for f, p in chain[j].terms.items():
+            terms = (p if scale is None else scale * p).terms
+            for e, a in powers[m - j].items():
+                c = w * a
+                acc = out.setdefault(tuple(x + y for x, y in zip(e, f)), {})
+                for mono, v in terms.items():
+                    accumulate(acc, mono,
+                               v if c == 1 else (-v if c == -1 else v * c))
+
+
+def _collect(alg: DiffAlgebra, k: int, out: dict) -> LambdaPoly:
+    """The LambdaPoly of an accumulator filled by _binomial_into."""
+    return LambdaPoly(alg, k, {e: DiffPoly(alg, t) for e, t in out.items()
+                               if t})
 
 
 def affine_pow_on(lin: dict, dsign: int, m: int, X: LambdaPoly) -> LambdaPoly:
     """(sum_s lin[s] lam_s + dsign*d)^m X, expanded binomially over one
     chain of derivatives of X."""
-    return _binomial_sum(dsign, m, _derivative_chain(X, m if dsign else 0),
-                         _linear_powers(lin, X.k, m))
+    out: dict = {}
+    _binomial_into(out, dsign, m, _derivative_chain(X, m if dsign else 0),
+                   _linear_powers(lin, X.k, m))
+    return _collect(X.alg, X.k, out)
 
 
 def affine_pow_apply(alg: DiffAlgebra, lin: dict, dsign: int, m: int,
@@ -321,16 +333,17 @@ def affine_pow_apply(alg: DiffAlgebra, lin: dict, dsign: int, m: int,
 def symbol_act(P: LambdaPoly, lin: dict, dsign: int, X: LambdaPoly) -> LambdaPoly:
     """P(sum lin[s] lam_s + dsign*d)_-> X for an arity-1 symbol P: each term
     c*mu^m of P contributes c * (L + dsign*d)^m X, the coefficient c passing
-    to the left of the derivative action."""
+    to the left of the derivative action.  All terms go to one
+    accumulator."""
     if P.k != 1:
         raise ValueError("symbol_act expects an arity-1 symbol")
     top = P.degree_in(0)
     chain = _derivative_chain(X, top if dsign else 0)
     powers = _linear_powers(lin, X.k, top)
-    out = LambdaPoly.zero(X.alg, X.k)
+    out: dict = {}
     for (m,), c in P.terms.items():
-        out = out + _binomial_sum(dsign, m, chain, powers).scale(c)
-    return out
+        _binomial_into(out, dsign, m, chain, powers, c)
+    return _collect(X.alg, X.k, out)
 
 
 def subst_slot_neg(X: LambdaPoly, slot: int, into: tuple,
@@ -338,16 +351,16 @@ def subst_slot_neg(X: LambdaPoly, slot: int, into: tuple,
     """Replace lam_slot by -(sum of lam_s for s in into) - d, with d acting
     leftward on the coefficients (i.e. differentiating them).  When slot is
     itself in `into` the substituted power re-feeds the same slot.  With
-    drop=True the slot is removed from the arity."""
+    drop=True the slot is removed from the arity.  Every power of lam_slot
+    goes to one accumulator."""
     alg, k = X.alg, X.k
-    lin = {s: -1 for s in into}
     by_power: dict = {}
     for e, p in X.terms.items():
         by_power.setdefault(e[slot], {})[e[:slot] + (0,) + e[slot + 1:]] = p
-    out = LambdaPoly.zero(alg, k)
-    for m, terms in sorted(by_power.items()):
-        base = LambdaPoly(alg, k, terms)
-        out = out + (affine_pow_on(lin, -1, m, base) if m else base)
-    if drop:
-        return out.drop_slot(slot)
-    return out
+    powers = _linear_powers({s: -1 for s in into}, k, max(by_power, default=0))
+    out: dict = {}
+    for m, terms in by_power.items():
+        _binomial_into(out, -1, m,
+                       _derivative_chain(LambdaPoly(alg, k, terms), m), powers)
+    out = _collect(alg, k, out)
+    return out.drop_slot(slot) if drop else out

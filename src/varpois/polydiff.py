@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import SkewArray, _inverse_perm, _perm_sign
-from .diffalg import DiffAlgebra
+from .diffalg import DiffAlgebra, DiffPoly
 from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
                      invertible_leading, solve_linform_system)
 from .field import accumulate
-from .lambdapoly import LambdaPoly, _LambdaArray, subst_slot_neg, symbol_act
+from .lambdapoly import (LambdaPoly, _LambdaArray, _linear_powers,
+                         subst_slot_neg, symbol_act)
 from .linform import LinForm
 
 
@@ -207,43 +208,161 @@ def _skew_atoms(alg: DiffAlgebra, k: int, ndeg: int) -> list:
     return atoms
 
 
-def _unknown_kdiffop(alg: DiffAlgebra, k: int, N: int) -> KDiffOp:
-    """The generic skewsymmetric k-differential operator with LinForm
-    coefficients over the atoms of _skew_atoms(alg, k, N): every canonical
-    descending tuple of k distinct pairs (n, i) with n < N is one."""
-    field = alg.field
-    P = KDiffOp(alg, k)
-    for i0 in range(1, alg.nvars + 1):
-        for rest in itertools.product(range(1, alg.nvars + 1), repeat=k):
+def _unknown_entries(nvars: int, k: int, ndeg: int) -> dict:
+    """The generic skewsymmetric k-differential operator over the atoms of
+    _skew_atoms, as (i0,) + rest -> {exps: (sign, atom)}: every canonical
+    descending tuple of k distinct pairs (n, i) with n < ndeg is one atom,
+    and the entry at lam^exps is sign * atom."""
+    out = {}
+    for i0 in range(1, nvars + 1):
+        for rest in itertools.product(range(1, nvars + 1), repeat=k):
             terms = {}
-            for exps in itertools.product(range(N), repeat=k):
+            for exps in itertools.product(range(ndeg), repeat=k):
                 pairs = tuple((exps[t], rest[t]) for t in range(k))
                 if len(set(pairs)) < k:
                     continue
                 perm = sorted(range(k), key=lambda t: pairs[t], reverse=True)
-                canon = tuple(pairs[t] for t in perm)
-                sign = _perm_sign(perm)
-                lf = LinForm.atom(field, (i0, canon))
-                if sign < 0:
-                    lf = -lf
-                terms[tuple(exps)] = alg.from_scalar(lf)
-            L = LambdaPoly(alg, k, terms)
-            if not L.is_zero():
-                P.entries[(i0,) + rest] = L
+                terms[exps] = (_perm_sign(perm),
+                               (i0, tuple(pairs[t] for t in perm)))
+            if terms:
+                out[(i0,) + rest] = terms
+    return out
+
+
+def _unknown_kdiffop(alg: DiffAlgebra, k: int, unknown: dict) -> KDiffOp:
+    """The generic unknown of _unknown_entries with LinForm coefficients."""
+    field = alg.field
+    P = KDiffOp(alg, k)
+    for idx, terms in unknown.items():
+        P.entries[idx] = LambdaPoly(alg, k, {e: alg.from_scalar(
+            LinForm.atom(field, a) if s > 0 else -LinForm.atom(field, a))
+            for e, (s, a) in terms.items()})
     return P
 
 
-def _at(P: KDiffOp, atoms: list, vec: list) -> KDiffOp:
-    """The generic unknown P with each atoms[t] set to vec[t]."""
-    alg, values = P.alg, dict(zip(atoms, vec))
-    return P.map_entries(lambda L: L.map_coeff(lambda p: alg.from_scalar(
-        p.quasiconstant_part().evaluate(values))))
+def _at(alg: DiffAlgebra, k: int, unknown: dict, atoms: list,
+        vec: list) -> KDiffOp:
+    """The generic unknown with each atoms[t] set to vec[t]."""
+    values = dict(zip(atoms, vec))
+    P = KDiffOp(alg, k)
+    for idx, terms in unknown.items():
+        L = {e: alg.from_scalar(values[a] if s > 0 else -values[a])
+             for e, (s, a) in terms.items() if not values[a].is_zero()}
+        if L:
+            P.entries[idx] = LambdaPoly(alg, k, L)
+    return P
+
+
+def _integer_symbols(K: MatDiffOp) -> Optional[tuple]:
+    """(L, {(i, j): {n: c}}) with L K_ij = sum_n c d^n, every c an int and
+    L the least common denominator, or None when a coefficient of K is not
+    a rational number."""
+    fracs: dict = {}
+    for i, row in enumerate(K.rows, 1):
+        for j, op in enumerate(row, 1):
+            for n, c in op.coeffs.items():
+                if isinstance(c, DiffPoly):
+                    if not c.is_quasiconstant():
+                        return None
+                    c = c.quasiconstant_part()
+                if not c.is_rational_number():
+                    return None
+                fracs.setdefault((i, j), {})[n] = c.as_fraction()
+    L = math.lcm(*(v.denominator for d in fracs.values() for v in d.values()))
+    return L, {ij: {n: int(v * L) for n, v in d.items()}
+               for ij, d in fracs.items()}
+
+
+def _rational_equations(K: MatDiffOp, k: int, unknown: dict,
+                        factor: Fraction) -> Optional[list]:
+    """The _equations() of factor (k+1) <K o P>^- for the generic unknown
+    P of _unknown_entries when every coefficient of K is a rational
+    number, and None otherwise; sigma_space proves the construction.  The
+    rows are keyed (index tuple, lam-exponent) and hold the integer
+    coefficient of each D^r p_a, for K scaled to integers by L once; each
+    is divided by L and by 1/factor at the end."""
+    sym = _integer_symbols(K)
+    if sym is None:
+        return None
+    L, ints = sym
+    field, nvars = K.alg.field, K.alg.nvars
+    top = max([K.order()] + [max(e, default=0) for t in unknown.values()
+                             for e in t])
+    powers = _linear_powers({s: 1 for s in range(k)}, k, top)
+    shift = [[(g, r, math.comb(n, r) * a) for r in range(n + 1)
+              for g, a in powers[n - r].items()] for n in range(top + 1)]
+    rows: dict = {}  # (index tuple, lam-exponent) -> {(atom, r): int}
+
+    def add(idx, e, a, r, v):
+        row = rows.setdefault((idx, e), {})
+        v += row.get((a, r), 0)
+        if v:
+            row[(a, r)] = v
+        else:
+            del row[(a, r)]
+
+    for (j, *rest), terms in unknown.items():
+        rest = tuple(rest)
+        for i0 in range(1, nvars + 1):
+            coeffs = ints.get((i0, j))
+            if not coeffs:
+                continue
+            for f, (s, a) in terms.items():
+                for n, c in coeffs.items():
+                    for g, r, b in shift[n]:
+                        add((i0,) + rest, tuple(x + y for x, y in zip(f, g)),
+                            a, r, s * c * b)
+                if not k:
+                    continue
+                idx = (rest[0], i0) + rest[1:]
+                for g, r, b in shift[f[0]]:
+                    tail = tuple(x + y for x, y in zip(f[1:], g[1:]))
+                    v0 = -s * b if f[0] % 2 else s * b
+                    for n, c in coeffs.items():
+                        v = -v0 * c if n % 2 else v0 * c
+                        e = (g[0] + n,) + tail
+                        add(idx, e, a, r, -v)
+                        for t in range(1, k):
+                            add(idx[:1] + (idx[t + 1],) + idx[2:t + 1] +
+                                (idx[1],) + idx[t + 2:],
+                                (e[t],) + e[1:t] + (e[0],) + e[t + 1:],
+                                a, r, v)
+    den = L * factor.denominator
+    value = {v: field.rational(v * factor.numerator, den)
+             for v in {v for row in rows.values() for v in row.values()}}
+    return [((idx, e, ()), LinForm(field, {
+        key: value[v] for key, v in rows[idx, e].items()}))
+        for idx, e in sorted(rows) if rows[idx, e]]
 
 
 def sigma_space(K: MatDiffOp, k: int):
     """Basis over C of the skewsymmetric k-differential operators P of degree
     at most ord(K)-1 per variable with the total skewsymmetrization of
     K* o P vanishing.  Returns (basis, expected_dim, flagged).
+
+    The equations are the coefficients of <K* o P>^- for the generic
+    unknown P, one atom p_a per orbit of _skew_atoms.  For K whose
+    coefficients are all rational numbers, _rational_equations builds
+    them on integer tables; otherwise module_action and
+    total_skewsymmetrize do, term by term.  The tables are exact: every
+    coefficient of K o P and of its substitutions is then c D^r p_a summed,
+    c rational, and d acts by d(c D^r p_a) = c' D^r p_a + c D^(r+1) p_a =
+    c D^(r+1) p_a, since c' = 0.  So d only raises derivative orders, and
+    the coefficients form the free module on the atoms over the commutative
+    ring Q[lam_1..lam_k, d], with D^r p_a = d^r p_a.  tau_1's substitution
+    lam_1 -> -lam_1 - ... - lam_k - d is a ring homomorphism of it, and
+    with S = lam_1 + ... + lam_k it sends S + d to -lam_1.  Since
+    (K o P)_(i0 i1 ..) = sum_j K_(i0 j)(S + d) P_(j i1 ..), the
+    transposition of positions 0 and 1 gives
+
+        T_(i1 i0 i2 ..) = sum_j K_(i0 j)(-lam_1) P_(j i1 i2 ..)(-S - d,
+                          lam_2, ..),
+
+    and as in total_skewsymmetrize (k+1) <K o P>^- = K o P - T +
+    sum_(a >= 2) T^(1 a), T^(1 a) swapping the indices at 1 and a and the
+    variables lam_1 and lam_a.  Both products need only the integer table
+    of (S + d)^n = sum C(n, r) multinomial(g) lam^g d^r over r + |g| = n,
+    with sign (-1)^n for the powers of lam_1 under tau_1.
 
     The system is solved on its triangular form (solve_linform_system).
     For K free of x the basis is certified, and a flag means solutions
@@ -259,10 +378,14 @@ def sigma_space(K: MatDiffOp, k: int):
     atoms = _skew_atoms(alg, k, N)
     if not atoms:
         return [], expected, expected > 0
-    P = _unknown_kdiffop(alg, k, N)
-    E = total_skewsymmetrize(module_action(K.adjoint(), P))
-    sols = solve_linform_system(alg, E._equations(), atoms)
-    basis = [_at(P, atoms, vec) for vec in sols.homogeneous]
+    unknown = _unknown_entries(alg.nvars, k, N)
+    Ka = K.adjoint()
+    eqs = _rational_equations(Ka, k, unknown, Fraction(1, k + 1))
+    if eqs is None:
+        eqs = total_skewsymmetrize(module_action(
+            Ka, _unknown_kdiffop(alg, k, unknown)))._equations()
+    sols = solve_linform_system(alg, eqs, atoms)
+    basis = [_at(alg, k, unknown, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
 
 
@@ -270,7 +393,9 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     """Skewsymmetric P with sum_{sigma in S_{k+1}} sign(sigma) (K o P)^sigma
     / k! = S (the unnormalized total skewsymmetrization, matching the closed
     forms K=1 -> P = S/2 and K=d -> dP = S at arity one), for totally
-    skewsymmetric S.
+    skewsymmetric S.  The equations come from _rational_equations when the
+    coefficients of K are rational numbers (see sigma_space), and from
+    skew_product otherwise.
 
     P's lambda-degree starts at max(ord K - 1, deg S) per variable and is
     raised by one, twice, while NoRationalSolution or Incomplete says no
@@ -289,11 +414,13 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     rhs = S._equations()
     for ndeg in range(lam_deg + 1, lam_deg + 4):
         atoms = _skew_atoms(alg, k, ndeg)
-        P = _unknown_kdiffop(alg, k, ndeg)
-        E = total_skewsymmetrize(module_action(K, P)).scale(k + 1)
+        unknown = _unknown_entries(alg.nvars, k, ndeg)
+        eqs = _rational_equations(K, k, unknown, Fraction(1))
+        if eqs is None:
+            eqs = skew_product(K, _unknown_kdiffop(alg, k, unknown))._equations()
         try:
-            return _at(P, atoms, solve_linform_system(
-                alg, E._equations(), atoms, rhs).particular)
+            return _at(alg, k, unknown, atoms, solve_linform_system(
+                alg, eqs, atoms, rhs).particular)
         except (Incomplete, NoRationalSolution) as err:
             last_err = err
     raise type(last_err)(f"no solution P of lambda-degree at most "

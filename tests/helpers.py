@@ -24,7 +24,8 @@ from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
                             _split, dieudonne_det, row_echelon)
 from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
                            clear_denominators, x_coefficients)
-from varpois.lambdapoly import (affine_pow_apply, affine_pow_on,
+from varpois.lambdapoly import (_derivative_chain, _linear_powers,
+                                affine_pow_apply, affine_pow_on,
                                 subst_slot_neg, symbol_act)
 from varpois.linsolve import _eliminate, matrix_inverse
 from varpois.polydiff import _tau_action
@@ -136,6 +137,52 @@ def affine_pow_on_reference(lin: dict, dsign: int, m: int,
     for _ in range(m):
         X = affine_apply_once_reference(lin, dsign, X)
     return X
+
+
+def _binomial_sum_reference(dsign: int, m: int, chain: list,
+                            powers: list) -> LambdaPoly:
+    """(L + dsign*d)^m X = sum_j C(m,j) dsign^j L^(m-j) d^j X with one
+    DiffPoly sum per term, given the chain d^j X and the powers L^i."""
+    X = chain[0]
+    out: dict = {}
+    for j in range(m + 1 if dsign else 1):
+        w = math.comb(m, j) * dsign ** j
+        for e, a in powers[m - j].items():
+            c = w * a
+            for f, p in chain[j].terms.items():
+                q = p if c == 1 else (-p if c == -1 else p.scale(c))
+                accumulate(out, tuple(x + y for x, y in zip(e, f)), q)
+    return LambdaPoly(X.alg, X.k, out)
+
+
+def symbol_act_reference(P: LambdaPoly, lin: dict, dsign: int,
+                         X: LambdaPoly) -> LambdaPoly:
+    """P(sum lin[s] lam_s + dsign*d)_-> X with one LambdaPoly sum per
+    symbol term c*mu^m."""
+    top = P.degree_in(0)
+    chain = _derivative_chain(X, top if dsign else 0)
+    powers = _linear_powers(lin, X.k, top)
+    out = LambdaPoly.zero(X.alg, X.k)
+    for (m,), c in P.terms.items():
+        out = out + _binomial_sum_reference(dsign, m, chain,
+                                            powers).scale(c)
+    return out
+
+
+def subst_slot_neg_reference(X: LambdaPoly, slot: int, into: tuple,
+                             drop: bool) -> LambdaPoly:
+    """lam_slot -> -(sum of lam_s for s in into) - d with one LambdaPoly
+    sum per power of lam_slot, each power expanded by m single steps."""
+    alg, k = X.alg, X.k
+    lin = {s: -1 for s in into}
+    by_power: dict = {}
+    for e, p in X.terms.items():
+        by_power.setdefault(e[slot], {})[e[:slot] + (0,) + e[slot + 1:]] = p
+    out = LambdaPoly.zero(alg, k)
+    for m, terms in sorted(by_power.items()):
+        base = LambdaPoly(alg, k, terms)
+        out = out + (affine_pow_on_reference(lin, -1, m, base) if m else base)
+    return out.drop_slot(slot) if drop else out
 
 
 def involution_matrix_reference(state) -> list:

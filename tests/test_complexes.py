@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varpois
+from varpois import complexes
 from varpois import (DiffAlgebra, LambdaPoly, LeadingCoeffNotIdentity,
                      MatDiffOp, NotClosed, NotQuasiconstant, OutOfFiltration,
                      QuotientArray, ScalarDiffOp, SkewArray, alpha_k,
@@ -306,6 +307,28 @@ def test_reduce_closed_nonidentity_leading():
     P = delta_k(Q0, K2)
     Q, R = reduce_closed(P, K2)
     assert R.is_zero() and delta_k(Q, K2) == P
+
+
+def test_reduce_closed_builds_the_generator_factors_once(monkeypatch):
+    """The whole sweep of reduce_closed, and alpha_k, build the generator
+    factors of delta_K once per K, where delta_k builds them per call; a K
+    with leading coefficient 2 is reduced through 2^-1 K, one K more."""
+    calls = []
+    real = complexes._generator_factors
+    monkeypatch.setattr(complexes, "_generator_factors",
+                        lambda K: calls.append(K) or real(K))
+    rng = random.Random(30)
+    K2 = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.one * 2})]])
+    for K in (KD, kd2(), K2):
+        P = delta_k(rnd_skew_array(rng, ALG, 1, max_deg=1, max_order=1), K)
+        calls.clear()
+        Q, R = reduce_closed(P, K)
+        assert R.is_zero() and len(calls) == 1
+        assert delta_k(Q, K) == P and len(calls) == 2
+    C = SkewArray(ALG, 1)
+    C.set_entry((1,), LambdaPoly.const(ALG, 1, ALG.x()))
+    calls.clear()
+    assert not alpha_k(C, KD).is_zero() and len(calls) == 1
 
 
 def test_reduce_sweep_order_stability():

@@ -645,6 +645,51 @@ def test_linform_rows_equal_the_operator_matrix(system):
     assert got == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(system=linform_systems(), data=st.data())
+def test_repeated_rows_leave_the_kernel_unchanged(system, data):
+    """Rows that repeat an earlier row or its negative, in any order,
+    leave the kernel basis of a homogeneous system, or its error, as it
+    is: the reduced row echelon form depends only on the row space."""
+    eqs, atoms, _ = system
+    pairs = [(i, lf) for i, lf in enumerate(eqs) if lf is not None]
+    repeats = data.draw(st.lists(st.sampled_from(pairs), max_size=4)
+                        if pairs else st.just([]))
+    extra = [(len(eqs) + t, -lf if data.draw(st.booleans()) else lf)
+             for t, (_, lf) in enumerate(repeats)]
+    mixed = data.draw(st.permutations(pairs + extra))
+
+    def outcome(given_pairs):
+        try:
+            sols = solve_linform_system(ALG, given_pairs, atoms)
+            return repr((sols.particular, sols.homogeneous, sols.free))
+        except (Incomplete, NoRationalSolution, InvariantViolation) as err:
+            return repr(err)
+    assert outcome(mixed) == outcome(pairs)
+
+
+def test_only_homogeneous_systems_drop_repeated_rows(monkeypatch):
+    """a' + b = 0 three times, twice negated, and b' = 0 twice, once
+    negated: the triangular solve sees two rows and returns the basis of
+    the two rows given once.  With a right-hand side each row keeps its
+    own value, so every row reaches the solve."""
+    F = ALG.field
+    a, b = LinForm.atom(F, "a"), LinForm.atom(F, "b")
+    e, f = a.derive() + b, b.derive()
+    seen = []
+    real = diffop._solve_rows
+    monkeypatch.setattr(diffop, "_solve_rows", lambda alg, rows, n, rhs:
+                        seen.append(len(rows)) or real(alg, rows, n, rhs))
+    once = solve_linform_system(ALG, [(0, e), (1, f)], ["a", "b"])
+    many = solve_linform_system(
+        ALG, [(0, -e), (1, f), (2, e), (3, -f), (4, -e)], ["a", "b"])
+    assert repr(many.homogeneous) == repr(once.homogeneous)
+    assert len(once.homogeneous) == 2
+    solve_linform_system(ALG, [(0, e), (1, -e)], ["a", "b"],
+                         [(0, F.x), (1, -F.x)])
+    assert seen == [2, 2, 2]
+
+
 def test_selfadjoint_space_dimensions():
     for N in range(1, 5):
         K = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, N)]])

@@ -1,15 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varpois import DiffAlgebra, LambdaPoly
+from varpois import DiffAlgebra, DiffPoly, LambdaPoly
 from varpois.lambdapoly import (affine_apply_once, affine_pow_on,
                                 subst_slot_neg, symbol_act)
+from varpois.linform import LinForm
 
 from helpers import (affine_apply_once_reference, affine_pow_on_reference,
-                     rnd_lambda_poly)
+                     rnd_lambda_poly, subst_slot_neg_reference,
+                     symbol_act_reference)
 
 ALG1 = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -80,3 +82,45 @@ def test_subst_slot_neg_matches_term_by_term(case, data):
 def test_monomial_checks_its_arity():
     with pytest.raises(ValueError, match="slots"):
         LambdaPoly.monomial(ALG1, 2, (1,), ALG1.one)
+
+
+def _with_coefficients(kind: str, rng: random.Random, X: LambdaPoly):
+    """X with its rational coefficients left as they are ("Q"), times
+    elements of Q(c)(x) ("Q(c)(x)"), or times linear forms in two unknowns
+    and their first derivatives ("LinForm")."""
+    F = X.alg.field
+    if kind == "Q":
+        return X
+    if kind == "Q(c)(x)":
+        v = (F.param("c") + F.x * rng.randint(-2, 2)) / (F.x + rng.randint(1, 3))
+        return X.map_coeff(lambda p: p.scale(v))
+    return X.map_coeff(lambda p: DiffPoly(p.alg, {
+        mono: LinForm.atom(F, "a", rng.randint(0, 1)) * c +
+        LinForm.atom(F, "b") * rng.randint(1, 2) for mono, c in p.terms.items()}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["Q", "Q(c)(x)", "LinForm"]),
+       seed=st.integers(0, 10 ** 6), data=st.data())
+def test_kernels_equal_the_sum_per_term(kind, seed, data):
+    """symbol_act and subst_slot_neg, which add every term to one
+    accumulator, equal the references that build one LambdaPoly per symbol
+    term or per power, on coefficients in Q, in Q(c)(x) and in linear
+    forms; subst_slot_neg also with the slot dropped."""
+    rng = random.Random(seed)
+    alg = ALG2 if kind == "Q" else ALG1
+    k = rng.randint(1, 3)
+    X = _with_coefficients(kind, rng, rnd_lambda_poly(rng, alg, k, max_deg=2,
+                                                      max_order=1))
+    P = rnd_lambda_poly(rng, alg, 1, max_deg=3, max_order=1)
+    assume(not X.is_zero() and not P.is_zero())
+    lin, dsign = data.draw(lin_maps(k)), data.draw(st.sampled_from([-1, 0, 1]))
+    assert symbol_act(P, lin, dsign, X) == \
+        symbol_act_reference(P, lin, dsign, X)
+    slot = rng.randrange(k)
+    into = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+    assert subst_slot_neg(X, slot, into, drop=False) == \
+        subst_slot_neg_reference(X, slot, into, drop=False)
+    into = tuple(s for s in range(k) if s != slot)
+    assert subst_slot_neg(X, slot, into, drop=True) == \
+        subst_slot_neg_reference(X, slot, into, drop=True)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, KDiffOp, LambdaPoly,
@@ -467,6 +467,68 @@ def test_x_free_systems_never_reach_the_ansatz(monkeypatch):
     test_solve_skew_equation_against_the_full_sum()
 
 
+@st.composite
+def rational_operators(draw):
+    """(K, k): K = A o (diag(d^N) + B) with N <= 3, B of order < N and A
+    constant invertible, all entries rational numbers with denominators up
+    to 3, A with no zero entry when l = 2 (so not triangular); k <= 3,
+    and k <= 2 when l N > 4, where the module action takes seconds."""
+    l = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(1, 3))
+    alg = ALG if l == 1 else ALG2
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    A = [[draw(q.filter(bool)) for _ in range(l)] for _ in range(l)]
+    assume(l == 1 or A[0][0] * A[1][1] != A[0][1] * A[1][0])
+    B = MatDiffOp(alg, [[ScalarDiffOp(alg, {
+        n: alg.from_scalar(alg.field.rational(draw(q)))
+        for n in range(N)}) + (ScalarDiffOp.d(alg, N) if i == j else
+                               ScalarDiffOp.zero(alg))
+        for j in range(l)] for i in range(l)])
+    K = MatDiffOp.from_constant(alg, A).compose(B)
+    return K, draw(st.integers(0, 3 if l * N <= 4 else 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_operators(), st.integers(0, 1))
+@example((_diag_d(ALG2, 3, [[1, 2], [Fraction(1, 2), 1]]), 3), 0)
+def test_integer_tables_equal_the_module_action(case, extra):
+    """For K with rational coefficients the rows built on integer tables
+    are, term by term and in order, the equations of the module action
+    route: <K* o P>^- for sigma_space, and (k+1) <K o P>^- for
+    solve_skew_equation with P of one degree more when extra = 1.  The
+    example is the largest shape, l = 2 and N = k = 3 (1,452 rows)."""
+    K, k = case
+    alg, N = K.alg, K.order()
+    unknown = polydiff._unknown_entries(alg.nvars, k, N)
+    assume(unknown)
+    P = polydiff._unknown_kdiffop(alg, k, unknown)
+    assert polydiff._rational_equations(
+        K.adjoint(), k, unknown, Fraction(1, k + 1)) == \
+        total_skewsymmetrize(module_action(K.adjoint(), P))._equations()
+    unknown = polydiff._unknown_entries(alg.nvars, k, N + extra)
+    P = polydiff._unknown_kdiffop(alg, k, unknown)
+    assert polydiff._rational_equations(K, k, unknown, Fraction(1)) == \
+        skew_product(K, P)._equations()
+
+
+def test_rational_sigma_space_runs_no_substitution(monkeypatch):
+    """sigma_space on a K with rational coefficients builds its rows on
+    the integer tables: neither total_skewsymmetrize nor subst_slot_neg
+    runs.  A K with x takes the module action route, where both run, which
+    shows that the counters see the calls."""
+    calls = []
+    for name in ("total_skewsymmetrize", "subst_slot_neg"):
+        real = getattr(polydiff, name)
+        monkeypatch.setattr(polydiff, name, lambda *args, real=real,
+                            name=name, **kw: calls.append(name) or
+                            real(*args, **kw))
+    K = _diag_d(ALG2, 2, [[1, 2], [Fraction(1, 3), 1]])
+    basis, expected, flagged = sigma_space(K, 2)
+    assert (len(basis), expected, flagged, calls) == (4, 4, False, [])
+    sigma_space(_x_dependent_grid()["diag(x d, d)"], 1)
+    assert set(calls) == {"total_skewsymmetrize", "subst_slot_neg"}
+
+
 def _x_dependent_grid():
     """name -> K for the x-dependent grid: ten scalar K in one variable and
     five 2 x 2 K in two."""
@@ -535,6 +597,17 @@ def test_x_dependent_counts_and_flags():
             assert flagged == (n_sigma < expected), (name, k)
             assert res.flagged_lower_bound == (n_cohom < expected), (name, k)
         assert len(selfadjoint_product_space(K)) == sadj, name
+
+
+def test_x_dependent_k_take_the_module_action_route():
+    """No K of the x-dependent grid, nor its adjoint, has the rational
+    coefficients of the integer tables; test_x_dependent_counts_and_flags
+    pins their counts on the module action route."""
+    for name, K in _x_dependent_grid().items():
+        unknown = polydiff._unknown_entries(K.alg.nvars, 1, K.order())
+        for op in (K, K.adjoint()):
+            assert polydiff._rational_equations(
+                op, 1, unknown, Fraction(1)) is None, name
 
 
 def test_sigma_space_flagged_nonrational():
