@@ -23,8 +23,8 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
 from .diffop import (MatDiffOp, NotQuasiconstant, _is_identity,
                      invertible_leading, solve_linform_system)
 from .field import InvariantViolation, accumulate
-from .lambdapoly import (LambdaPoly, _LambdaArray, affine_apply_once,
-                         affine_pow_apply, affine_pow_on, subst_slot_neg)
+from .lambdapoly import (LambdaPoly, _collect, _LambdaArray,
+                         affine_apply_once, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
 from .pva import LambdaBracketStruct, NotPoisson, _LeftFactor, check_jacobi
 
@@ -398,7 +398,12 @@ def leading_is_identity(K: MatDiffOp) -> bool:
 
 def phi_s(P: SkewArray, S: list) -> SkewArray:
     """(Phi_S P)_{i1..ik}(lam) = sum_j P_{j1..jk}(lam_1+d_1,...,lam_k+d_k)
-    S_{j1 i1} ... S_{jk ik}, each d_alpha differentiating only its S factor."""
+    S_{j1 i1} ... S_{jk ik}, each d_alpha differentiating only its S factor.
+
+    A term c lam^e of P_j expands as c prod_a sum_(r_a <= e_a) C(e_a, r_a)
+    lam_a^(e_a - r_a) S_(j_a i_a)^(r_a), since the factors of S are in F;
+    each entry adds these terms to one accumulator, and a constant S has
+    only r = 0."""
     alg = P.alg
     k = P.k
     field = alg.field
@@ -406,23 +411,33 @@ def phi_s(P: SkewArray, S: list) -> SkewArray:
     if k == 0:
         out.entries.update(P.entries)
         return out
-    svals = [[alg.from_scalar(field.coerce(c)) for c in row] for row in S]
+    top = max((max(e) for L in P.entries.values() for e in L.terms), default=0)
+    chains = []  # chains[j][i][r] = S_(j+1, i+1)^(r)
+    for row in S:
+        chains.append([])
+        for c in row:
+            chain = [field.coerce(c)]
+            for _ in range(top):
+                chain.append(chain[-1].derive())
+            chains[-1].append(chain)
     for idx in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), k):
-        total = LambdaPoly.zero(alg, k)
+        acc: dict = {}
         for jtup in itertools.product(range(1, alg.nvars + 1), repeat=k):
             L = P.entry(jtup)
-            if L.is_zero():
-                continue
+            cols = [chains[jtup[a] - 1][idx[a] - 1] for a in range(k)]
             for e, c in L.terms.items():
-                prod = LambdaPoly.const(alg, k, c)
-                for a in range(k):
-                    factor = affine_pow_apply(
-                        alg, {a: 1}, 1, e[a],
-                        svals[jtup[a] - 1][idx[a] - 1], k=k)
-                    prod = prod * factor
-                total = total + prod
-        out.set_entry(idx, total, project=False)
+                for choice in itertools.product(*(
+                        [(r, math.comb(x, r) * col[r]) for r in range(x + 1)
+                         if not col[r].is_zero()] for x, col in zip(e, cols))):
+                    w = field.one
+                    for _, v in choice:
+                        w = w * v
+                    inner = acc.setdefault(
+                        tuple(x - r for x, (r, _) in zip(e, choice)), {})
+                    for mono, v in c.terms.items():
+                        accumulate(inner, mono, v * w)
+        out.set_entry(idx, _collect(alg, k, acc), project=False)
     return out
 
 

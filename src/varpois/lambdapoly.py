@@ -321,13 +321,11 @@ def affine_pow_on(lin: dict, dsign: int, m: int, X: LambdaPoly) -> LambdaPoly:
 
 
 def affine_pow_apply(alg: DiffAlgebra, lin: dict, dsign: int, m: int,
-                     f, k: Optional[int] = None) -> LambdaPoly:
+                     f) -> LambdaPoly:
     """(sum_s lin[s] lam_s + dsign*d)^m applied to a DiffPoly f, producing a
-    LambdaPoly of arity k (default: 1 + max slot used)."""
-    if k is None:
-        k = (max(lin) + 1) if lin else 1
-    X = LambdaPoly.const(alg, k, f)
-    return affine_pow_on(lin, dsign, m, X)
+    LambdaPoly of arity 1 + max slot used."""
+    k = (max(lin) + 1) if lin else 1
+    return affine_pow_on(lin, dsign, m, LambdaPoly.const(alg, k, f))
 
 
 def symbol_act(P: LambdaPoly, lin: dict, dsign: int, X: LambdaPoly) -> LambdaPoly:

@@ -246,7 +246,7 @@ def _expand_slot_to_sum(L: LambdaPoly, slots: tuple, k: int) -> LambdaPoly:
     out = LambdaPoly.zero(alg, k)
     lin = {s: 1 for s in slots}
     for (s,), coeff in L.terms.items():
-        out = out + affine_pow_apply(alg, lin, 0, s, coeff, k=k)
+        out = out + affine_pow_on(lin, 0, s, LambdaPoly.const(alg, k, coeff))
     return out
 
 
@@ -435,6 +435,30 @@ def delta_terms_reference(P: SkewArray, K: MatDiffOp, idx: tuple):
                     affine_pow_on_reference({a: 1}, 1, n, ksym)
                 total = total + (piece if a % 2 == 0 else -piece)
     return total
+
+
+def phi_s_reference(P: SkewArray, S: list) -> SkewArray:
+    """Phi_S P with one LambdaPoly product per term of P: each factor
+    (lam_a + d_a)^(e_a) S_(j_a i_a) expanded by m single steps."""
+    alg, k = P.alg, P.k
+    out = SkewArray(alg, k)
+    if k == 0:
+        out.entries.update(P.entries)
+        return out
+    svals = [[alg.from_scalar(alg.field.coerce(c)) for c in row] for row in S]
+    for idx in itertools.combinations_with_replacement(
+            range(1, alg.nvars + 1), k):
+        total = LambdaPoly.zero(alg, k)
+        for jtup in itertools.product(range(1, alg.nvars + 1), repeat=k):
+            for e, c in P.entry(jtup).terms.items():
+                prod = LambdaPoly.const(alg, k, c)
+                for a in range(k):
+                    prod = prod * affine_pow_on_reference(
+                        {a: 1}, 1, e[a], LambdaPoly.const(
+                            alg, k, svals[jtup[a] - 1][idx[a] - 1]))
+                total = total + prod
+        out.set_entry(idx, total, project=False)
+    return out
 
 
 def delta_k_reference(P: SkewArray, K: MatDiffOp) -> SkewArray:

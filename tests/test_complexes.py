@@ -23,8 +23,8 @@ from helpers import (EvVectorField, ad_field_on_operator, array_pairing,
                      as_one_form, as_skewadjoint_op, d_k_reference,
                      de_rham_delta, de_rham_delta_reference,
                      delta_k_reference, diffpolys, field_elems,
-                     gfz_structure, hamiltonian_vf, phi_k1, rnd_diffpoly,
-                     rnd_skew_array)
+                     gfz_structure, hamiltonian_vf, phi_k1, phi_s_reference,
+                     rnd_diffpoly, rnd_field_elem, rnd_skew_array)
 
 ALG = DiffAlgebra(1, ["c"])
 ALG2 = DiffAlgebra(2)
@@ -355,6 +355,23 @@ def test_phi_s_functoriality():
         # homomorphism of complexes
         KS = KD.compose(MatDiffOp.from_constant(ALG, S))
         assert phi_s(delta_k(P, KD), S) == delta_k(phi_s(P, S), KS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), l=st.sampled_from([1, 2]),
+       k=st.integers(0, 2), with_x=st.booleans())
+def test_phi_s_equals_the_product_per_term(seed, l, k, with_x):
+    """phi_s, which adds every term to one accumulator per entry, equals
+    the product of one expanded factor per slot, for S constant or with
+    entries of x-degree up to 2 (so the derivatives of S enter)."""
+    rng = random.Random(seed)
+    alg = ALG if l == 1 else ALG2
+    F = alg.field
+    P = rnd_skew_array(rng, alg, k, max_deg=2, max_order=1)
+    S = [[rnd_field_elem(rng, F, with_x) +
+          (F.x ** 2 * rng.randint(-1, 1) if with_x else 0)
+          for _ in range(l)] for _ in range(l)]
+    assert phi_s(P, S) == phi_s_reference(P, S)
 
 
 def test_alpha_k():
