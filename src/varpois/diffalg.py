@@ -560,9 +560,10 @@ class DiffRat:
     """Fraction num/den of differential polynomials in lowest terms: the
     F-denominators of num and den are cleared together, and their common
     factor, a gcd over Z[x, params, jets] times a rational content, is
-    divided out by field._primitive_parts, the content kernel of row
-    reduction.  A denominator in F is folded into num, so den is one or
-    has a jet.  Supports the field protocol needed by row reduction."""
+    divided out by field._primitive_parts, which runs the content kernel
+    of row reduction (field._divide_content).  A denominator in F is
+    folded into num, so den is one or has a jet.  Supports the field
+    protocol needed by row reduction."""
 
     __slots__ = ("num", "den")
 

@@ -11,10 +11,12 @@ _Elimination.
 Operators are sums a_n d^n with coefficients in V (differential polynomials),
 F (quasiconstants), the fraction field of V, or linear forms in unknown
 functions; composition follows d o a = a d + a'.  A composition, an entry
-of a matrix product, an adjoint and a step of the row reduction over F[d]
-are each one sum of operator products (_compose_sum): the products that
-land on one coefficient are summed by field.dot, so each coefficient
-cancels once, not once per product and per partial sum.
+of a matrix product and an adjoint are each one sum of operator products
+(_compose_sum): the products that land on one coefficient are summed by
+field.dot, so each coefficient cancels once, not once per product and per
+partial sum.  A step of the row reduction over F[d] sums its products on
+integer numerators instead, and divides each sum once by the row's content
+(_Elimination.sub).
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Optional, Sequence
 
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
                       format_diff_poly)
-from .field import (FieldElem, InvariantViolation, _match_x_coefficients,
-                    _primitive_parts, accumulate, clear_denominators, dot,
-                    format_field_elem, rational_antiderivative,
-                    x_coefficients)
+from .field import (FieldElem, InvariantViolation, _divide_content, _flat,
+                    _flatten, _match_x_coefficients, _numerators, _unflat,
+                    accumulate, clear_denominators, dot, format_field_elem,
+                    rational_antiderivative, x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -692,8 +694,8 @@ def _monomial(like, c, k: int):
 
 
 def _coefficient_terms(c) -> dict:
-    """A coefficient as a polynomial for field._primitive_parts: the terms
-    of a DiffPoly, {(): c} for an element of F."""
+    """A coefficient as a polynomial over F in the jets: the terms of a
+    DiffPoly, {(): c} for an element of F."""
     return c.terms if isinstance(c, DiffPoly) else {(): c}
 
 
@@ -704,6 +706,43 @@ def _split(row) -> tuple:
     return keys, [_coefficient_terms(row[t].coeffs[n]) for t, n in keys]
 
 
+class _JetNumerator(dict):
+    """A numerator of V, {jet monomial: P} for sum mono P with each P != 0
+    in Z[x, params], with the operations of a zpoly polynomial that
+    _Elimination.sub takes: the P multiply in the field's own ring (dense
+    lists over Q(x)), so a product pairs jet monomials, not the terms of
+    Z[x, params, jets]."""
+
+    __slots__ = ()
+
+    def _add_into(self, w, T):
+        if w in self:
+            T = self[w] + T
+            if not T:
+                del self[w]
+                return
+        self[w] = T
+
+    def __mul__(self, other):
+        out = _JetNumerator()
+        for u, P in self.items():
+            for v, Q in other.items():
+                out._add_into(_mono_mul(u, v), P * Q)
+        return out
+
+    def __add__(self, other):
+        out = _JetNumerator(self)
+        for w, T in other.items():
+            out._add_into(w, T)
+        return out
+
+    def __neg__(self):
+        return _JetNumerator({w: -T for w, T in self.items()})
+
+    def mul_ground(self, k: int):
+        return _JetNumerator({w: T.mul_ground(k) for w, T in self.items()})
+
+
 class _Elimination:
     """Row reduction of an operator matrix: fraction-free over the Ore ring
     F[d] for a MatDiffOp (entries with jets stay in V[d]), over the skew
@@ -712,9 +751,20 @@ class _Elimination:
     A MatDiffOp's rows are kept free of denominators: a row holding a
     fraction of F is first multiplied by the lcm of its denominators, and
     every step multiplies the target row by the pivot's leading coefficient
-    instead of dividing by it, then divides the row by its content.  The
-    step a row_j - P o row_i is one sum of operator products per entry
-    (_compose_sum), so each coefficient of the new row is one field.dot.
+    a instead of dividing by it, then divides the row by g, its content
+    taken together with a (Beckermann-Cheng-Labahn, Fraction-free row
+    reduction of matrices of Ore polynomials, J. Symb. Comput. 41, 2006).
+
+    The step runs on integer rows (sub): every coefficient is read as a
+    numerator over Z[x, params] (the jets as further variables) with an int
+    denominator, each coefficient of a row_j - c d^k o row_i is one sum of
+    products over Z, and the pivot's derivatives are taken once per pivot.
+    g divides a, so a polynomial factor of g divides a: a's primitive part
+    is the one polynomial divisor worth trying before any gcd.  Where it
+    divides every sum it is all of g's polynomial part (the rows of one
+    matrix often share a factor, such as a cleared denominator, that a's
+    primitive part is), and a gcd runs only at a sum that it does not
+    divide (field._divide_content).
 
     ``ops`` records each row operation as ("swap", i, j); ("scale", j, a),
     meaning row_j <- a row_j; or ("sub", i, j, P, a, g), meaning
@@ -726,6 +776,7 @@ class _Elimination:
         self.ops: list = []
         self.sign = 1
         self.jets = False
+        self._pivot = (None, None)   # row entries and their _derivatives
         if isinstance(M, MatPseudoOp):
             self.rows = [list(r) for r in M.rows]
             return
@@ -774,25 +825,98 @@ class _Elimination:
         self.ops.append(("swap", i, j))
         self.sign = -self.sign
 
+    def _numerator(self, c) -> tuple:
+        """(N, m) with c = N/m, m >= 1 an int: N in Z[x, params] for an
+        element of F, a _JetNumerator for an element of V."""
+        field = self.alg.field
+        if self.jets:
+            terms, m = _numerators(field, c.terms)
+            return _JetNumerator(terms), m
+        return _flat(field, {(): c}, {})
+
+    def _derivatives(self, i: int, depth: int) -> dict:
+        """{(t, n): [c, c', ..., c^(depth)]} for the coefficients c of d^n
+        in the entries t of row i, a list cut by None at the first zero
+        derivative.  The lists are kept while row i holds the same entries,
+        so each derivative of a pivot's coefficient is taken once, however
+        many steps use that pivot."""
+        pivot = self.rows[i]
+        row, chains = self._pivot
+        if row is None or any(e is not f for e, f in zip(row, pivot)):
+            chains = {(t, n): [c] for t, e in enumerate(pivot)
+                      for n, c in e.coeffs.items()}
+            self._pivot = (tuple(pivot), chains)
+        for ys in chains.values():
+            while len(ys) <= depth and ys[-1] is not None:
+                d = ys[-1].derive()
+                ys.append(None if d.is_zero() else d)
+        return chains
+
     def sub(self, i: int, j: int, P, a=None):
-        """row_j <- a row_j - P o row_i over F[d], then divided by its
-        content g, found from a onwards (field._primitive_parts); row_j -=
-        P o row_i when a is None, in the skew field."""
+        """row_j <- (a row_j - P o row_i) / g over F[d], g the content of
+        the result taken together with a; row_j -= P o row_i when a is None,
+        in the skew field.
+
+        Over F[d], by d^k o y = sum_s C(k, s) y^(s) d^(k-s), each
+        coefficient of the result is one sum of products of numerators
+        (_numerator) over one int denominator, from the coefficients of
+        a, P and row_j and the pivot's derivatives (_derivatives).  With
+        jets the sums become polynomials of Z[x, params, jets] (field.
+        _flatten).  field._divide_content finds g from a's primitive part
+        and divides each sum once, and each coefficient of F (or of V) of
+        the new row is built once, from its quotient."""
         rows = self.rows
         if a is None:
             rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
             self.ops.append(("sub", i, j, P, 1, 1))
             return
-        scaled, neg = ScalarDiffOp(self.alg, {0: a}), -P
-        row = [_compose_sum(self.alg, [(scaled, x), (neg, y)], {})
-               for x, y in zip(rows[j], rows[i])]
-        keys, polys = _split(row)
-        g, polys = _primitive_parts(_coefficient_terms(a), polys)
-        if g is None:
+        field = self.alg.field
+        chains = self._derivatives(i, max(P.coeffs))
+        A, ma = self._numerator(a)
+        sums: dict = {}   # (entry, order) -> [(numerator, denominator)]
+        for t, e in enumerate(rows[j]):
+            for n, c in e.coeffs.items():
+                X, m = self._numerator(c)
+                sums[t, n] = [(A * X, ma * m)]
+        for k, c in P.coeffs.items():
+            C, mc = self._numerator(c)
+            C = -C
+            for (t, n), ys in chains.items():
+                for s in range(k + 1):
+                    if ys[s] is None:
+                        break
+                    Y, m = self._numerator(ys[s])
+                    T, b = C * Y, math.comb(k, s)
+                    sums.setdefault((t, n + k - s), []).append(
+                        (T if b == 1 else T.mul_ground(b), mc * m))
+        L = math.lcm(*(m for terms in sums.values() for _, m in terms))
+        keys, numerators = [], []
+        for key, terms in sums.items():
+            N = None
+            for T, m in terms:
+                if m != L:
+                    T = T.mul_ground(L // m)
+                N = T if N is None else N + T
+            if N:
+                keys.append(key)
+                numerators.append(N)
+        names = []
+        if self.jets:
+            names = sorted({v for N in (A, *numerators) for mono in N
+                            for v, _ in mono})
+            slots = {v: k for k, v in enumerate(names)}
+            A = _flatten(field, A, slots)
+            numerators = [_flatten(field, N, slots) for N in numerators]
+        numerators = [(N, L) for N in numerators]
+        divided = _divide_content(A, numerators) if numerators else None
+        if divided is None:
             g = 1
         else:
-            row, g = self._join(keys, polys, len(row)), self._coefficient(g)
-        rows[j] = row
+            G, den, parts = divided
+            numerators = [(Q, 1) for Q in parts]
+            g = self._coefficient(_unflat(field, G, den, names))
+        rows[j] = self._join(keys, [_unflat(field, Q, m, names)
+                                    for Q, m in numerators], len(rows[j]))
         self.ops.append(("sub", i, j, P, a, g))
 
     def echelon(self):
@@ -853,6 +977,13 @@ def row_echelon(M: MatDiffOp):
     row_j <- a row_j, for the initial clearing of a row's denominators; or
     ("sub", i, j, P, a, g), meaning row_j <- (a row_j - P o row_i) / g, the
     division by the row's content exact.  Zero rows sink to the bottom.
+
+    A step runs on integers (_Elimination.sub): the new row's coefficients
+    are sums of products of numerators over Z[x, params] (jets as further
+    variables), each over one int denominator.  g is their content taken
+    together with a, so g divides a and a's primitive part is the only
+    polynomial divisor to try first: each sum is divided by it once, and a
+    gcd runs only at a sum that it leaves a remainder in.
     """
     elim = _Elimination(M)
     elim.echelon()

@@ -26,10 +26,12 @@ polynomial, or a fraction scaled by a rational, only needs its integer
 content normalized.  A sum of products, such as a coefficient of an
 operator product, is one call of ``dot``, which cancels once on the total
 instead of once per product and per partial sum.  Printing takes the
-numerator and the denominator over Z.  ``_primitive_parts`` divides
-polynomials over F's polynomial ring, possibly in further variables such
-as the jets of V, by their common factor: the content that fraction-free
-elimination removes.
+numerator and the denominator over Z.  ``_divide_content`` divides
+numerators over Z (of F's polynomial ring, possibly in further variables
+such as the jets of V) by their common factor with a known divisor: the
+content that fraction-free elimination removes.  The elimination step calls
+it on its integer sums, and ``_primitive_parts`` on polynomials with
+coefficients in F.
 
 The arithmetic under the tiers is the package's own (``zpoly``), so no
 computation imports sympy; ``FieldElem.f`` converts a value to sympy's
@@ -45,7 +47,7 @@ on the coefficient lists or on the terms by the type of their operands,
 and through ``dot``, whose one ``_cancel`` serves a whole sum.
 Only the readers that need terms (``FieldElem.f``, printing,
 ``x_coefficients``) and the passage of a value into and out of the ring
-with jets of ``_primitive_parts``, which is sparse, convert a dense
+with jets (``_flatten``, ``_unflat``), which is sparse, convert a dense
 polynomial.
 
 The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
@@ -716,105 +718,127 @@ def _primitive_parts(start: dict, polys: list) -> tuple:
     A polynomial is a dict {mono: c}: mono is a tuple of (variable,
     exponent) pairs, sorted by variable, over variables of the caller's own
     (() for the constant term), and every c is a nonzero polynomial element
-    (no FRAC).  The factor is g*q: g is the gcd in Z[x, params, variables]
-    of `start` and of all of `polys`, with a positive leading coefficient,
-    taken from `start` onwards and abandoned as soon as it is a constant; q
-    is the positive rational content of the quotients.  Returns
-    (g*q, [p / (g*q) for p in polys]), or (None, polys) when the factor is
-    one or there is no polynomial.
+    (no FRAC).  The polynomials are read over Z[x, params, variables]
+    (_flat) and divided by _divide_content, with `start` the known divisor;
+    the factor is the gcd over Q[x, params, variables] of `start` and of
+    all of `polys`, scaled so that the quotients have integer coefficients
+    of joint content one.  Returns (factor, [p / factor for p in polys]),
+    or (None, polys) when the factor is one or there is no polynomial.
     """
     if not polys:
         return None, polys
     field = next(iter(start.values())).field
-    if len(start) == 1 and () in start and start[()]._k == RAT:
-        return _rational_parts(field, polys)
     names = sorted({v for p in chain((start,), polys) for mono in p
                     for v, _ in mono})
     slots = {v: k for k, v in enumerate(names)}
-    g = _flat(field, start, slots)[0]
+    divided = _divide_content(_flat(field, start, slots)[0],
+                              [_flat(field, p, slots) for p in polys])
+    if divided is None:
+        return None, polys
+    G, den, parts = divided
+    return _unflat(field, G, den, names), [_unflat(field, Q, 1, names)
+                                           for Q in parts]
+
+
+def _divide_content(start, numerators: list):
+    """The content kernel of fraction-free elimination.  For numerators
+    (P_i, m_i), standing for P_i/m_i with P_i != 0 in a ring Z[...], and
+    a known divisor `start` != 0 in that ring: the common factor G/den of
+    start and of the P_i/m_i, and the integer quotients P_i/(m_i G/den).
+    G is g times an int, g the gcd of start and the P_i over Z[...],
+    primitive with a positive leading coefficient, so G/den is the gcd
+    over Q[...] scaled to leave quotients of joint content one.
+
+    Only the primitive part of start can hold g's polynomial factors, and
+    in a fraction-free step it is often all of g, so each P_i is first
+    divided by the current candidate; where a remainder stays, cofactors
+    shrinks the candidate to its gcd with P_i, and the quotients already
+    taken are multiplied by the cofactor of the candidate, so no P_i is
+    divided twice.  Returns (G, den, parts), or None when G/den = 1."""
+    g = start
+    c = g.content()
+    if c != 1:
+        g = g.quo_ground(c)
     if g.LC < 0:
         g = -g
-    flat = []
-    for p in polys:
-        P, m = _flat(field, p, slots)
-        # g | P is common (g is often all of start), and a trial division
-        # is cheaper than a gcd
-        quo, rem = divrem(P, g)
-        if not rem:
-            flat.append((P, m, quo, g))
-            continue
-        g = _gcd(g, P)
-        if g.is_ground:
-            return _rational_parts(field, polys)
-        flat.append((P, m, None, None))
-    # p = P/m, so p/g = Q/m; q = N/D is the gcd of the contents Q/m
-    quotients = [(quo if divisor is g else _exquo(P, g), m)
-                 for P, m, quo, divisor in flat]
+    if g.is_ground:
+        quotients = [P for P, _ in numerators]
+    else:
+        quotients = []
+        for P, _ in numerators:
+            Q, rem = divrem(P, g)
+            if rem:
+                h, cg, Q = cofactors(g, P)
+                if h.LC < 0:
+                    h, cg, Q = -h, -cg, -Q
+                if h.is_ground:
+                    # h = 1: no polynomial factor is common
+                    g, quotients = h, [P for P, _ in numerators]
+                    break
+                g, quotients = h, [R * cg for R in quotients]
+            quotients.append(Q)
+    # P/m = g Q/m; num/den is the gcd of the contents of the Q/m
     num, den = 0, 1
-    for Q, m in quotients:
+    for Q, (_, m) in zip(quotients, numerators):
         c = Q.content()
         d = gcd(c, m)
         num, den = gcd(num, c // d), lcm(den, m // d)
+    if g.is_ground and num == den == 1:
+        return None
     parts = []
-    for Q, m in quotients:
+    for Q, (_, m) in zip(quotients, numerators):
         a, b = den, m * num
         d = gcd(a, b)
         a, b = a // d, b // d
         if a != 1:
             Q = Q.mul_ground(a)
-        parts.append(_unflat(field, Q.quo_ground(b), 1, names))
-    return _unflat(field, g.mul_ground(num), den, names), parts
+        parts.append(Q.quo_ground(b) if b != 1 else Q)
+    return g.mul_ground(num), den, parts
 
 
-def _rational_parts(field: CoefficientField, polys: list) -> tuple:
-    """_primitive_parts when g = 1: the factor is the rational content q of
-    the polys, gcd of the numerators over lcm of the denominators of their
-    coefficients (each in lowest terms)."""
-    num, den = 0, 1
-    for p in polys:
-        for c in p.values():
-            if c._k == RAT:
-                num, b = gcd(num, c._v.numerator), c._v.denominator
-            else:
-                num, b = c._v.P.content(num), c._v.m
-            if b != 1:
-                den = lcm(den, b)
-    if num == den == 1:
-        return None, polys
-    q = _Q(num, den)
-    inv = 1 / q
-    return {(): FieldElem(field, RAT, q)}, [
-        {mono: _mul(field, RAT, inv, c._k, c._v) for mono, c in p.items()}
-        for p in polys]
+def _numerators(field: CoefficientField, p: dict) -> tuple:
+    """({mono: P}, m) with p = sum mono P/m: each P in Z[x, params], the
+    field's own ring, and m the lcm of the denominators of the
+    coefficients of p."""
+    m = 1
+    for c in p.values():
+        m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
+    n = len(field._zm)
+    return {mono: ground(n, c._v.numerator * (m // c._v.denominator))
+            if c._k == RAT else _times(c._v.P, m // c._v.m)
+            for mono, c in p.items()}, m
+
+
+def _flatten(field: CoefficientField, p: dict, slots: dict):
+    """sum mono P for p = {mono: P}, each P in Z[x, params], as one
+    polynomial of Z[x, params] with the extra generators of `slots`
+    (variable -> index) after x, params.  With no extra generator p is
+    {(): P}, and the sum is P."""
+    if not slots:
+        return p[()]
+    out = {}
+    nextra = len(slots)
+    for mono, P in p.items():
+        tail = [0] * nextra
+        for v, e in mono:
+            tail[slots[v]] = e
+        tail = tuple(tail)
+        for fm, a in _terms(field, P).items():
+            out[fm + tail] = a
+    return Poly(out)
 
 
 def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
     """(P, m) with p = P/m: P in Z[x, params] with the extra generators of
-    `slots` (variable -> index) after x, params, and m the lcm of the
-    denominators of the coefficients of p.  With no extra generator p is
-    {(): c}, and P/m is c in the field's own ring."""
+    `slots` after x, params (_flatten), and m the lcm of the denominators
+    of the coefficients of p (_numerators)."""
     if not slots:
         c = p[()]
         if c._k == RAT:
             return ground(len(field._zm), c._v.numerator), c._v.denominator
         return c._v.P, c._v.m
-    m = 1
-    for c in p.values():
-        m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
-    out = {}
-    nextra = len(slots)
-    for mono, c in p.items():
-        tail = [0] * nextra
-        for v, e in mono:
-            tail[slots[v]] = e
-        tail = tuple(tail)
-        if c._k == RAT:
-            out[field._zm + tail] = c._v.numerator * (m // c._v.denominator)
-            continue
-        k = m // c._v.m
-        for fm, a in _terms(field, c._v.P).items():
-            out[fm + tail] = a * k
-    return Poly(out), m
+    p, m = _numerators(field, p)
+    return _flatten(field, p, slots), m
 
 
 def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:

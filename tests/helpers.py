@@ -503,37 +503,6 @@ def d_k_reference(P, K) -> SkewArray:
     return out
 
 
-def skewadjoint_decompose_reference(S: MatDiffOp, selfadjoint=False):
-    """skewadjoint_decompose of a square S as a matrix loop: take the
-    leading coefficient matrix of the remainder, order o, subtract the
-    block d^m o (d o a + a d) o d^m with a = lead / 2 (o = 2m + 1) or
-    d^m o lead o d^m (o = 2m), until nothing is left."""
-    alg = S.alg
-    size = S.m
-    rem = S
-    a_out, b_out = {}, {}
-    dd = ScalarDiffOp.d(alg)
-    while not rem.is_zero():
-        o = rem.order()
-        m = o // 2
-        dm = ScalarDiffOp.d(alg, m)
-        lead = [[rem.rows[i][j].coeff(o) for j in range(size)]
-                for i in range(size)]
-        if o % 2:
-            lead = [[c * Fraction(1, 2) for c in r] for r in lead]
-            a_out[m] = lead
-        else:
-            b_out[m] = lead
-
-        def block(c):
-            c = ScalarDiffOp(alg, {0: c})
-            inner = dd.compose(c) + c.compose(dd) if o % 2 else c
-            return dm.compose(inner).compose(dm)
-
-        rem = rem - MatDiffOp(alg, [[block(c) for c in r] for r in lead])
-    return a_out, b_out
-
-
 def x_degree(v: FieldElem) -> int:
     """Degree in x of the numerator of v minus that of its denominator,
     read from the stored tier."""

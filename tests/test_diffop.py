@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,19 +19,21 @@ from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
                             _echelon_det, _field_value, _solve_by_ansatz,
                             format_scalar_op, solve_linform_system)
+from varpois import field as field_module
 from varpois import zpoly
-from varpois.field import x_coefficients
+from varpois.field import FieldElem, x_coefficients
 from varpois.zpoly import Poly
 
 from helpers import (adjoint_reference, ansatz_reference, apply_row_ops,
                      canonical_forms, compose_reference, constant_rank,
                      det_by_division, diffpolys, echelon_by_division,
+                     elimination_sub_reference,
                      field_elems, from_right_form, from_split_form,
                      linform_matrix_reference, mat_compose_reference,
                      reference_elimination, right_coefficient_form,
                      rnd_mat_op, rnd_scalar_op, same_row_flags,
-                     skewadjoint_decompose, skewadjoint_decompose_reference,
-                     skewadjoint_op, split_form, triangular_form_has_x)
+                     skewadjoint_decompose, skewadjoint_op, split_form,
+                     triangular_form_has_x)
 
 ALG = DiffAlgebra(1, ["c"])
 D = ScalarDiffOp.d(ALG)
@@ -237,7 +240,7 @@ def _rebuild(alg, a, b, size):
     the blocks of skewadjoint_decompose on a size x size operator."""
     def block(m, v, odd):
         def entry(i, j):
-            c = ScalarDiffOp(alg, {0: v[i][j] if size > 1 else v})
+            c = ScalarDiffOp(alg, {0: v[i][j] if isinstance(v, list) else v})
             inner = D.compose(c) + c.compose(D) if odd else c
             dm = ScalarDiffOp.d(alg, m)
             return dm.compose(inner).compose(dm)
@@ -287,16 +290,24 @@ def adjoint_symmetric_ops(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(adjoint_symmetric_ops())
-def test_skewadjoint_decompose_equals_the_matrix_loop(case):
-    """Peeling every entry on its own gives the blocks that the matrix
-    loop (skewadjoint_decompose_reference) takes off the whole operator,
+def test_skewadjoint_decompose_rebuilds_its_operator(case):
+    """The blocks of skewadjoint_decompose give S back, with a_m* = a_m and
+    b_m* = -b_m (a_m* = -a_m and b_m* = b_m in the selfadjoint variant),
     for matrix input and, at size 1, for the scalar operator."""
     S, selfadjoint = case
-    want = skewadjoint_decompose_reference(S, selfadjoint)
-    assert skewadjoint_decompose(S, selfadjoint) == want
-    if S.m == 1:
-        assert skewadjoint_decompose(S.rows[0][0], selfadjoint) == tuple(
-            {m: v[0][0] for m, v in part.items()} for part in want)
+    sign_a, sign_b = (-1, 1) if selfadjoint else (1, -1)
+    inputs = [(S, S)] + ([(S.rows[0][0], S)] if S.m == 1 else [])
+    for given_op, want in inputs:
+        a, b = skewadjoint_decompose(given_op, selfadjoint)
+        assert _rebuild(ALG, a, b, S.m) == want
+        for blocks, sign in ((a, sign_a), (b, sign_b)):
+            for v in blocks.values():
+                # the block as an operator of order 0: its adjoint is the
+                # transpose
+                V = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {0: c}) for c in r]
+                                    for r in (v if isinstance(v, list)
+                                              else [[v]])])
+                assert V.adjoint() == (V if sign == 1 else -V)
 
 
 def test_majorant_preserving_reduce_diag():
@@ -1276,6 +1287,26 @@ def test_row_echelon_jet_matrix_that_swelled():
     assert _echelon_det(M) == dieudonne_det(M)
 
 
+def test_rows_with_jets_that_cancel_leave_a_zero_row():
+    """Three rows in two columns with jets: the last step cancels every
+    coefficient of its row, which is left zero with g = 1, as the
+    scale-then-subtract step leaves it."""
+    x = ALG.x()
+
+    def op(coeffs):
+        return ScalarDiffOp(ALG, coeffs)
+    M = MatDiffOp(ALG, [
+        [op({1: U, 0: ALG.one}), op({0: U * x})],
+        [op({1: U * U + ALG.one, 0: U}), op({2: x})],
+        [op({1: U * U * U + U + U * x * 2, 0: U * U + x * 2}),
+         op({0: U * U * x + x * x * 2, 2: x * U})]])
+    E, ops = row_echelon(M)
+    assert all(e.is_zero() for e in E.rows[2])
+    assert ops[-1][0] == "sub" and ops[-1][2] == 2 and ops[-1][5] == 1
+    with reference_elimination():
+        assert repr(row_echelon(M)) == repr((E, ops))
+
+
 def test_elimination_with_jets_builds_no_fraction_of_v(monkeypatch):
     """Entries with jets stay in V[d] during elimination: row_echelon builds
     no DiffRat, and _echelon_det builds one, for the determinant."""
@@ -1371,6 +1402,68 @@ def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
     assert not calls
     assert run(ALG) == over_q_of_x
     assert "heugcd" in calls and "div" in calls
+
+
+def test_jet_free_step_composes_nothing_and_derives_once_per_pivot(
+        monkeypatch):
+    """A jet-free row_echelon steps on integer numerators: inside
+    _Elimination.sub no _compose_sum and no field.dot runs, and each
+    coefficient of a pivot row, and each of its derivatives, is derived at
+    most once while that row is the pivot, here with a pivot of order 0
+    that clears the entries of orders 1 and 2 below it by steps
+    d^k o row, k = 1, 2.  The scale-then-subtract reference step derives
+    the pivot's coefficients again in each step, and a composition inside
+    the step reaches both counted functions, which shows that the
+    counters see the calls."""
+    calls, derived, steps = [], [], []
+    pivot = [None]   # the ids of the pivot row's entries, inside sub
+
+    def counted(step):
+        def wrapped(self, i, j, P, a=None):
+            pivot[0] = tuple(map(id, self.rows[i]))
+            steps.append((pivot[0], max(P.coeffs)))
+            try:
+                step(self, i, j, P, a)
+            finally:
+                pivot[0] = None
+        return wrapped
+
+    def in_step(name, real):
+        def wrapped(*args):
+            if pivot[0] is not None:
+                calls.append(name)
+            return real(*args)
+        return wrapped
+    monkeypatch.setattr(diffop, "_compose_sum",
+                        in_step("_compose_sum", diffop._compose_sum))
+    monkeypatch.setattr(diffop, "dot", in_step("dot", diffop.dot))
+    monkeypatch.setattr(field_module, "dot", in_step("dot", field_module.dot))
+    derive = FieldElem.derive
+
+    def counted_derive(self):
+        if pivot[0] is not None:
+            derived.append((pivot[0], id(self)))
+        return derive(self)
+    monkeypatch.setattr(FieldElem, "derive", counted_derive)
+    M = _benchmark_shaped(DiffAlgebra(1), random.Random(3),
+                          ((0, 1, 2), (1, 2, 1), (2, 1, 0)))
+    monkeypatch.setattr(diffop._Elimination, "sub",
+                        counted(diffop._Elimination.sub))
+    row_echelon(M)
+    assert calls == []
+    assert derived and len(set(derived)) == len(derived)
+    reused = Counter(p for p, k in steps if k > 0)
+    assert max(reused.values()) >= 2
+
+    calls.clear()
+    derived.clear()
+    monkeypatch.setattr(diffop._Elimination, "sub",
+                        counted(elimination_sub_reference))
+    row_echelon(M)
+    assert len(set(derived)) < len(derived)
+    pivot[0] = ()
+    D.compose(ScalarDiffOp(ALG, {0: ALG.x()}))
+    assert set(calls) == {"_compose_sum", "dot"}
 
 
 def test_no_value_of_q_of_x_is_built_on_a_poly(monkeypatch):

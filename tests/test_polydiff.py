@@ -10,18 +10,20 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, KDiffOp, LambdaPoly,
+from varpois import (DiffAlgebra, Incomplete, KDiffOp, LambdaPoly,
                      LeadingCoeffSingular, MatDiffOp, NoRationalSolution,
                      NotInSigma, NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
                      chi_representative, cohomology_dim, frechet,
                      functional_eq, is_skewsymmetric, is_totally_skewsymmetric,
                      module_action, selfadjoint_product_space,
                      sigma_action, sigma_space, skew_product,
-                     solve_skew_equation, total_skewsymmetrize)
+                     solve_rational, solve_skew_equation,
+                     total_skewsymmetrize)
 from varpois.complexes import QuotientArray, delta_k
 from varpois import diffop, polydiff
 from helpers import (_B_TABLE, _C_TABLE, BadSupport, as_one_form, coeff_b,
-                     coeff_c, expand_monomial, pairing, rnd_diffpoly,
+                     coeff_c, expand_monomial, pairing,
+                     reference_elimination, rnd_diffpoly,
                      skewadjoint_decompose, to_mat_diff_op,
                      total_skewsymmetrize_reference,
                      total_skewsymmetrize_shortcut)
@@ -576,6 +578,39 @@ X_DEPENDENT_COUNTS = {
     "diag(x d^2, d^2)": ([(3, 2, 4), (3, 1, 6), (1, 0, 4)], 6),
     "[[x d, 1], [-1, d]]": ([(0, 0, 2), (0, 0, 1), (0, 0, 0)], 1),
 }
+
+
+def test_solvers_equal_the_scale_then_subtract_step():
+    """_replay and _back_substitute read the (P, a, g) that row_echelon
+    records, so the solvers give the same reprs with the elimination step
+    that scales, composes term by term and subtracts
+    (helpers.reference_elimination): solve_rational on every K of
+    X_DEPENDENT_COUNTS, homogeneous and with a right-hand side, and
+    sigma_space and cohomology_dim on rational A o diag(d^N) for l <= 2,
+    N <= 2 and k <= 2."""
+    def results():
+        out = []
+        for K in _x_dependent_grid().values():
+            F = K.alg.field
+            for b in (None, [F.x ** 2 + F.one] * K.m):
+                try:
+                    S = solve_rational(K, b)
+                    out.append(repr((S.particular, S.homogeneous, S.free)))
+                except (NoRationalSolution, Incomplete) as exc:
+                    out.append(type(exc).__name__)
+        for alg, A in ((ALG, None), (ALG, [[Fraction(2, 3)]]),
+                       (ALG2, [[1, 2], [Fraction(1, 3), 1]]),
+                       (ALG2, [[0, 1], [1, -1]])):
+            for N in (1, 2):
+                K = _diag_d(alg, N, A)
+                for k in range(3):
+                    res = cohomology_dim(K, k)
+                    out += [repr(sigma_space(K, k)),
+                            repr([getattr(res, s) for s in res.__slots__])]
+        return out
+    got = results()
+    with reference_elimination():
+        assert results() == got
 
 
 def test_x_dependent_counts_and_flags():
