@@ -22,7 +22,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional,
                       partial_antiderivative)
 from .diffop import (MatDiffOp, NotQuasiconstant, _is_identity,
                      invertible_leading, solve_linform_system)
-from .field import InvariantViolation, accumulate
+from .field import InvariantViolation, accumulate, extend_chain
 from .lambdapoly import (LambdaPoly, _collect, _LambdaArray,
                          affine_apply_once, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
@@ -412,14 +412,8 @@ def phi_s(P: SkewArray, S: list) -> SkewArray:
         out.entries.update(P.entries)
         return out
     top = max((max(e) for L in P.entries.values() for e in L.terms), default=0)
-    chains = []  # chains[j][i][r] = S_(j+1, i+1)^(r)
-    for row in S:
-        chains.append([])
-        for c in row:
-            chain = [field.coerce(c)]
-            for _ in range(top):
-                chain.append(chain[-1].derive())
-            chains[-1].append(chain)
+    chains = [[extend_chain([field.coerce(c)], top) for c in row]
+              for row in S]  # chains[j][i][r] = S_(j+1, i+1)^(r)
     for idx in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), k):
         acc: dict = {}
@@ -428,8 +422,9 @@ def phi_s(P: SkewArray, S: list) -> SkewArray:
             cols = [chains[jtup[a] - 1][idx[a] - 1] for a in range(k)]
             for e, c in L.terms.items():
                 for choice in itertools.product(*(
-                        [(r, math.comb(x, r) * col[r]) for r in range(x + 1)
-                         if not col[r].is_zero()] for x, col in zip(e, cols))):
+                        [(r, math.comb(x, r) * v) for r, v in enumerate(
+                            col[:x + 1]) if v is not None and not v.is_zero()]
+                        for x, col in zip(e, cols))):
                     w = field.one
                     for _, v in choice:
                         w = w * v

@@ -9,6 +9,9 @@ structural.  The total derivative acts by
 
 Coefficients only need +, -, *, derive() and is_zero(); besides FieldElem
 this admits the linear forms used by the differential-system solvers.
+
+The variational derivative is taken in Horner form, f_0 - d(f_1 - d(f_2 -
+...)) with f_n = df/du_i^(n): one derive per order, not n per order n.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .field import (CoefficientField, FieldElem, _primitive_parts,
-                    accumulate, clear_denominators, format_field_elem,
-                    rational_antiderivative)
+                    accumulate, clear_denominators, extend_chain,
+                    format_field_elem, rational_antiderivative)
 
 Mono = tuple  # tuple of ((n, i), exp), sorted ascending by (n, i)
 
@@ -335,17 +338,14 @@ def format_diff_poly(p: DiffPoly) -> str:
 
 
 def variational_derivative(f: DiffPoly) -> tuple:
-    """delta f / delta u_i = sum_n (-d)^n (df/du_i^(n)), for i = 1..nvars."""
-    alg = f.alg
+    """delta f / delta u_i = sum_n (-d)^n f_n, f_n = df/du_i^(n), for i =
+    1..nvars, in Horner form f_0 - d(f_1 - d(f_2 - ... - d f_N))."""
     out = []
-    for i in range(1, alg.nvars + 1):
-        acc = alg.zero
-        orders = sorted({n for (n, j) in f.jet_support() if j == i})
-        for n in orders:
-            g = f.jet_partial(i, n)
-            for _ in range(n):
-                g = g.derive()
-            acc = acc + (g if n % 2 == 0 else -g)
+    for i in range(1, f.alg.nvars + 1):
+        top = max((n for (n, j) in f.jet_support() if j == i), default=-1)
+        acc = f.jet_partial(i, top) if top >= 0 else f.alg.zero
+        for n in range(top - 1, -1, -1):
+            acc = f.jet_partial(i, n) - acc.derive()
         out.append(acc)
     return tuple(out)
 
@@ -540,17 +540,17 @@ def reconstruct_density(fvec: Sequence[DiffPoly]) -> DiffPoly:
 def higher_euler(f: DiffPoly, i: int):
     """Generating series of the higher Euler operators,
     E_lam(f) = sum_n (-lam-d)^n df/du_i^(n); at lam=0 this is the variational
-    derivative."""
-    from .lambdapoly import LambdaPoly, affine_pow_apply
+    derivative.  All orders go to one accumulator, as in symbol_act."""
+    from .lambdapoly import (LambdaPoly, _binomial_into, _collect,
+                             _linear_powers)
     alg = f.alg
-    out = LambdaPoly.zero(alg, 1)
-    for n in sorted({n for (n, j) in f.jet_support() if j == i} | {0}):
-        g = f.jet_partial(i, n)
-        if g.is_zero() and n > 0:
-            continue
-        out = out + (affine_pow_apply(alg, {0: -1}, -1, n, g) if n
-                     else LambdaPoly.const(alg, 1, g))
-    return out
+    orders = sorted({n for (n, j) in f.jet_support() if j == i} | {0})
+    powers = _linear_powers({0: -1}, 1, orders[-1])
+    out: dict = {}
+    for n in orders:
+        g = LambdaPoly.const(alg, 1, f.jet_partial(i, n))
+        _binomial_into(out, -1, n, extend_chain([g], n), powers)
+    return _collect(alg, 1, out)
 
 
 # -- fraction field over V (for elimination with V-entries) ----------------------

@@ -17,6 +17,11 @@ field.dot, so each coefficient cancels once, not once per product and per
 partial sum.  A step of the row reduction over F[d] sums its products on
 integer numerators instead, and divides each sum once by the row's content
 (_Elimination.sub).
+
+The derivatives b, b', ... of a coefficient or an argument are one chain
+(field.extend_chain), built once and shared by every order and entry that
+reads it: one per component in MatDiffOp.apply, one per pivot row in the
+elimination.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
                       format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _divide_content, _flat,
                     _flatten, _match_x_coefficients, _numerators, _unflat,
-                    accumulate, clear_denominators, dot, format_field_elem,
-                    rational_antiderivative, x_coefficients)
+                    accumulate, clear_denominators, dot, extend_chain,
+                    format_field_elem, rational_antiderivative,
+                    x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -178,13 +184,15 @@ class ScalarDiffOp:
     def apply(self, f):
         """The operator applied to f in V, or to f in F when the operator
         is quasiconstant."""
-        scalar = isinstance(f, FieldElem)
-        out = f.field.zero if scalar else self.alg.zero
+        return self._apply_chain(extend_chain([f], self.order() or 0))
+
+    def _apply_chain(self, chain: list):
+        """sum c_n f^(n) off f's chain (extend_chain) to this order."""
+        scalar = isinstance(chain[0], FieldElem)
+        out = chain[0].field.zero if scalar else self.alg.zero
         for n, c in (self.field_coeffs() if scalar else self.coeffs).items():
-            g = f
-            for _ in range(n):
-                g = g.derive()
-            out = out + c * g
+            if n < len(chain) and chain[n] is not None:
+                out = out + c * chain[n]
         return out
 
     def symbol(self, k: int = 1, slot: int = 0):
@@ -223,11 +231,9 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
     jets = set()
     for A, B in pairs:
         for n, b in B.coeffs.items():
-            chain = derivatives.setdefault(id(b), [b])
+            chain = extend_chain(derivatives.setdefault(id(b), [b]),
+                                 max(A.coeffs, default=0))
             for m, a in A.coeffs.items():
-                while len(chain) <= m and chain[-1] is not None:
-                    d = chain[-1].derive()
-                    chain.append(None if d.is_zero() else d)
                 for j, bj in enumerate(chain[:m + 1]):
                     if bj is None:
                         break
@@ -362,10 +368,13 @@ class MatDiffOp:
                                     for i in range(self.n)])
 
     def apply(self, vec: Sequence[DiffPoly]) -> list:
+        """The rows applied to vec, over one chain per component."""
         if len(vec) != self.n:
             raise ShapeMismatch("vector length mismatch")
-        return [sum((self.rows[i][j].apply(vec[j]) for j in range(self.n)),
-                    self.alg.zero) for i in range(self.m)]
+        chains = [extend_chain([f], max(row[j].order() or 0 for row in
+                                        self.rows)) for j, f in enumerate(vec)]
+        return [sum((e._apply_chain(chain) for e, chain in zip(row, chains)),
+                    self.alg.zero) for row in self.rows]
 
     def scale(self, c) -> "MatDiffOp":
         return MatDiffOp(self.alg, [[e.scale(c) for e in r] for r in self.rows])
@@ -847,9 +856,7 @@ class _Elimination:
                       for n, c in e.coeffs.items()}
             self._pivot = (tuple(pivot), chains)
         for ys in chains.values():
-            while len(ys) <= depth and ys[-1] is not None:
-                d = ys[-1].derive()
-                ys.append(None if d.is_zero() else d)
+            extend_chain(ys, depth)
         return chains
 
     def sub(self, i: int, j: int, P, a=None):

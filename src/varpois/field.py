@@ -91,6 +91,16 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = value
 
 
+def extend_chain(chain: list, depth: int) -> list:
+    """Extend the chain [c, c', c'', ...] in place to c^(depth), one derive
+    per entry, and return it; the first zero derivative is stored as None
+    and ends the chain, so an index at None or past the end reads zero."""
+    while len(chain) <= depth and chain[-1] is not None:
+        d = chain[-1].derive()
+        chain.append(None if d.is_zero() else d)
+    return chain
+
+
 @lru_cache(maxsize=None)
 def _sympy_field(names: tuple):
     """sympy's fraction field over Q on the generators names (imports

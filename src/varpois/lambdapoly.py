@@ -13,7 +13,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .diffalg import DiffAlgebra, DiffPoly, format_diff_poly
-from .field import FieldElem, accumulate
+from .field import FieldElem, accumulate, extend_chain
 
 
 class LambdaPoly:
@@ -110,7 +110,7 @@ class LambdaPoly:
                 out[e] = q
         return LambdaPoly(self.alg, self.k, out)
 
-    def dcoeff(self) -> "LambdaPoly":
+    def derive(self) -> "LambdaPoly":
         """Total derivative applied to every coefficient."""
         return self.map_coeff(lambda p: p.derive())
 
@@ -256,14 +256,6 @@ def affine_apply_once(lin: dict, dsign: int, X: LambdaPoly) -> LambdaPoly:
     return affine_pow_on(lin, dsign, 1, X)
 
 
-def _derivative_chain(X: LambdaPoly, n: int) -> list:
-    """[X, dX, ..., d^n X] with d acting on the coefficients."""
-    chain = [X]
-    for _ in range(n):
-        chain.append(chain[-1].dcoeff())
-    return chain
-
-
 def _linear_powers(lin: dict, k: int, n: int) -> list:
     """[L^0, ..., L^n] for L = sum_s lin[s] lam_s, each a dict from
     exponent tuples (length k) to rational coefficients."""
@@ -290,12 +282,14 @@ def _binomial_into(out: dict, dsign: int, m: int, chain: list,
     """Add (L + dsign*d)^m X = sum_j C(m,j) dsign^j L^(m-j) d^j X, times
     the DiffPoly scale when given, to the accumulator out (lam-exponent ->
     jet monomial -> coefficient), given the chain d^j X (j <= m when
-    dsign != 0) and the powers L^i (i <= m).  The expansion is valid
-    because the lambda variables commute with d acting on the
-    coefficients."""
-    for j in range(m + 1 if dsign else 1):
+    dsign != 0; extend_chain's, so it may stop at None) and the powers L^i
+    (i <= m).  The expansion is valid because the lambda variables commute
+    with d acting on the coefficients."""
+    for j, X in enumerate(chain[:m + 1 if dsign else 1]):
+        if X is None:
+            break
         w = comb(m, j) * dsign ** j
-        for f, p in chain[j].terms.items():
+        for f, p in X.terms.items():
             terms = (p if scale is None else scale * p).terms
             for e, a in powers[m - j].items():
                 c = w * a
@@ -315,17 +309,9 @@ def affine_pow_on(lin: dict, dsign: int, m: int, X: LambdaPoly) -> LambdaPoly:
     """(sum_s lin[s] lam_s + dsign*d)^m X, expanded binomially over one
     chain of derivatives of X."""
     out: dict = {}
-    _binomial_into(out, dsign, m, _derivative_chain(X, m if dsign else 0),
+    _binomial_into(out, dsign, m, extend_chain([X], m if dsign else 0),
                    _linear_powers(lin, X.k, m))
     return _collect(X.alg, X.k, out)
-
-
-def affine_pow_apply(alg: DiffAlgebra, lin: dict, dsign: int, m: int,
-                     f) -> LambdaPoly:
-    """(sum_s lin[s] lam_s + dsign*d)^m applied to a DiffPoly f, producing a
-    LambdaPoly of arity 1 + max slot used."""
-    k = (max(lin) + 1) if lin else 1
-    return affine_pow_on(lin, dsign, m, LambdaPoly.const(alg, k, f))
 
 
 def symbol_act(P: LambdaPoly, lin: dict, dsign: int, X: LambdaPoly) -> LambdaPoly:
@@ -336,7 +322,7 @@ def symbol_act(P: LambdaPoly, lin: dict, dsign: int, X: LambdaPoly) -> LambdaPol
     if P.k != 1:
         raise ValueError("symbol_act expects an arity-1 symbol")
     top = P.degree_in(0)
-    chain = _derivative_chain(X, top if dsign else 0)
+    chain = extend_chain([X], top if dsign else 0)
     powers = _linear_powers(lin, X.k, top)
     out: dict = {}
     for (m,), c in P.terms.items():
@@ -359,6 +345,6 @@ def subst_slot_neg(X: LambdaPoly, slot: int, into: tuple,
     out: dict = {}
     for m, terms in by_power.items():
         _binomial_into(out, -1, m,
-                       _derivative_chain(LambdaPoly(alg, k, terms), m), powers)
+                       extend_chain([LambdaPoly(alg, k, terms)], m), powers)
     out = _collect(alg, k, out)
     return out.drop_slot(slot) if drop else out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import CoefficientField, FieldElem, accumulate
+from .field import CoefficientField, FieldElem, accumulate, extend_chain
 
 
 class LinForm:
@@ -80,13 +80,13 @@ class LinForm:
 
     def evaluate(self, values) -> FieldElem:
         """sum c * D^r(values[a]): the form with each unknown p_a set to the
-        element values[a] of the coefficient field."""
+        element values[a] of the coefficient field; one chain per atom."""
         out = self.field.zero
+        chains: dict = {}
         for (a, r), c in self.terms.items():
-            v = values[a]
-            for _ in range(r):
-                v = v.derive()
-            out = out + c * v
+            chain = extend_chain(chains.setdefault(a, [values[a]]), r)
+            if r < len(chain) and chain[r] is not None:
+                out = out + c * chain[r]
         return out
 
     def __eq__(self, other):

@@ -37,7 +37,7 @@ from varpois import (DiffAlgebra, LambdaBracketStruct, LambdaPoly,  # noqa: E402
 SEEDS = range(12)
 
 
-# -- seeded inputs -------------------------------------------------------------
+# -- seeded inputs ----------------------------------------------------------
 
 
 def _scalar(rng, field):
@@ -81,7 +81,7 @@ def _algebras():
     return {"v1": DiffAlgebra(1, ["c"]), "v2": DiffAlgebra(2, ["c"])}
 
 
-# -- cases -----------------------------------------------------------------------
+# -- cases -----------------------------------------------------------------
 
 
 def _hierarchy_kdv():

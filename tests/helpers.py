@@ -24,9 +24,8 @@ from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
                             _split, dieudonne_det, row_echelon)
 from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
                            clear_denominators, x_coefficients)
-from varpois.lambdapoly import (_derivative_chain, _linear_powers,
-                                affine_pow_apply, affine_pow_on,
-                                subst_slot_neg, symbol_act)
+from varpois.lambdapoly import (_linear_powers, affine_pow_on, subst_slot_neg,
+                                symbol_act)
 from varpois.linsolve import _eliminate, matrix_inverse
 from varpois.polydiff import _tau_action
 
@@ -127,7 +126,7 @@ def affine_apply_once_reference(lin: dict, dsign: int,
         if c:
             out = out + X.shift_exp(s).scale(Fraction(c))
     if dsign:
-        out = out + (X.dcoeff() if dsign > 0 else -X.dcoeff())
+        out = out + (X.derive() if dsign > 0 else -X.derive())
     return out
 
 
@@ -160,7 +159,9 @@ def symbol_act_reference(P: LambdaPoly, lin: dict, dsign: int,
     """P(sum lin[s] lam_s + dsign*d)_-> X with one LambdaPoly sum per
     symbol term c*mu^m."""
     top = P.degree_in(0)
-    chain = _derivative_chain(X, top if dsign else 0)
+    chain = [X]
+    for _ in range(top if dsign else 0):
+        chain.append(chain[-1].derive())
     powers = _linear_powers(lin, X.k, top)
     out = LambdaPoly.zero(X.alg, X.k)
     for (m,), c in P.terms.items():
@@ -211,8 +212,8 @@ def lambda_bracket_reference(f, g, H) -> LambdaPoly:
         a_i = LambdaPoly.zero(alg, 1)
         for (n, jj) in sorted(f.jet_support()):
             if jj == i:
-                a_i = a_i + affine_pow_apply(alg, {0: -1}, -1, n,
-                                             f.jet_partial(i, n))
+                a_i = a_i + affine_pow_on({0: -1}, -1, n, LambdaPoly.const(
+                    alg, 1, f.jet_partial(i, n)))
         if a_i.is_zero():
             continue
         for j in range(1, H.nvars + 1):
@@ -610,6 +611,65 @@ def adjoint_reference(op: ScalarDiffOp) -> ScalarDiffOp:
             if j < n:
                 cd = cd.derive()
     return ScalarDiffOp(op.alg, out)
+
+
+def variational_derivative_reference(f: DiffPoly) -> tuple:
+    """sum_n (-d)^n df/du_i^(n) with n derives for each order n: the slow
+    reference of variational_derivative."""
+    alg = f.alg
+    out = []
+    for i in range(1, alg.nvars + 1):
+        acc = alg.zero
+        for n in sorted({n for (n, j) in f.jet_support() if j == i}):
+            g = f.jet_partial(i, n)
+            for _ in range(n):
+                g = g.derive()
+            acc = acc + (g if n % 2 == 0 else -g)
+        out.append(acc)
+    return tuple(out)
+
+
+def higher_euler_reference(f: DiffPoly, i: int) -> LambdaPoly:
+    """sum_n (-lam-d)^n df/du_i^(n) with one LambdaPoly sum per order: the
+    slow reference of higher_euler."""
+    alg = f.alg
+    out = LambdaPoly.zero(alg, 1)
+    for n in sorted({n for (n, j) in f.jet_support() if j == i} | {0}):
+        g = LambdaPoly.const(alg, 1, f.jet_partial(i, n))
+        out = out + (affine_pow_on({0: -1}, -1, n, g) if n else g)
+    return out
+
+
+def apply_reference(op: ScalarDiffOp, f):
+    """sum c_n f^(n) with n derives for each order n: the slow reference of
+    ScalarDiffOp.apply."""
+    scalar = isinstance(f, FieldElem)
+    out = f.field.zero if scalar else op.alg.zero
+    for n, c in (op.field_coeffs() if scalar else op.coeffs).items():
+        g = f
+        for _ in range(n):
+            g = g.derive()
+        out = out + c * g
+    return out
+
+
+def mat_apply_reference(M: MatDiffOp, vec) -> list:
+    """apply_reference entry by entry: the slow reference of
+    MatDiffOp.apply."""
+    return [sum((apply_reference(M.rows[i][j], vec[j]) for j in range(M.n)),
+                M.alg.zero) for i in range(M.m)]
+
+
+def linform_evaluate_reference(lf, values):
+    """sum c D^r(values[a]) with r derives for each term: the slow
+    reference of LinForm.evaluate."""
+    out = lf.field.zero
+    for (a, r), c in lf.terms.items():
+        v = values[a]
+        for _ in range(r):
+            v = v.derive()
+        out = out + c * v
+    return out
 
 
 def elimination_sub_reference(self, i: int, j: int, P, a=None):

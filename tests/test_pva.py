@@ -98,7 +98,7 @@ def test_sesquilinearity():
             assert left == LambdaPoly.monomial(ALG, 1, (1,), -ALG.one) * base
             right = lambda_bracket(f, g.derive(), H)
             shifted = LambdaPoly.monomial(ALG, 1, (1,), ALG.one) * base + \
-                base.dcoeff()
+                base.derive()
             assert right == shifted
 
 
