@@ -28,11 +28,15 @@ DATA = os.path.join(HERE, "data", "corpus.json")
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from varpois import (DiffAlgebra, LambdaBracketStruct, LambdaPoly,  # noqa: E402
-                     LocalFunctional, MatDiffOp, ScalarDiffOp, SkewArray,
-                     delta_k, higher_euler, magri_structure, reduce_closed,
-                     row_echelon, run_hierarchy, selfadjoint_product_space,
+from varpois import (DiffAlgebra, Incomplete,  # noqa: E402
+                     LambdaBracketStruct, LambdaPoly, LocalFunctional,
+                     MatDiffOp, NoRationalSolution, ScalarDiffOp, SkewArray,
+                     UndecidableResidue, check_jacobi, delta_k,
+                     dieudonne_det, higher_euler, magri_structure,
+                     rational_antiderivative, reduce_closed, row_echelon,
+                     run_hierarchy, selfadjoint_product_space, solve_rational,
                      variational_derivative)
+from helpers import x_dependent_grid  # noqa: E402
 
 SEEDS = range(12)
 
@@ -194,38 +198,126 @@ def _reduce_closed(name, k):
     return [reduce_closed(P, K) for P in _closed_arrays(alg, K, k)]
 
 
-def _row_echelon(kind):
-    """The shapes of the difflinalg benchmark: a 2x2 matrix with u in its
-    order-0 coefficients and a 3x3 matrix over Q(x)."""
-    orders, with_u = {
-        "echelon2u": (((1, 0), (2, 1)), True),
-        "echelon3": (((2, 1, 0), (1, 2, 1), (0, 1, 2)), False),
-    }[kind]
-    alg = DiffAlgebra(1)
+def _shaped(alg, rng, orders, with_u=False):
+    """A matrix of the difflinalg benchmark's shape: entry (i, j) is a
+    rational times d^orders[i][j] plus lower terms (a x + b)/(x + pole),
+    over Q(c)(x) (a x + b + k c)/(x + pole + c); with_u adds a multiple of
+    u to each order-0 coefficient."""
     f = alg.field
+    pole = f.x + rng.randint(1, 4)
+    if f.params:
+        pole = pole + f.param(f.params[0])
+
+    def coefficient():
+        num = f.x * rng.randint(1, 3) + rng.randint(-3, 3)
+        if f.params:
+            num = num + f.param(f.params[0]) * rng.randint(-2, 2)
+        return alg.from_scalar(num / pole)
+
+    rows = []
+    for row in orders:
+        entries = []
+        for order in row:
+            coeffs = {order: alg.from_scalar(f.rational(
+                Fraction(rng.randint(1, 5), rng.randint(1, 3))))}
+            for n in range(order):
+                coeffs[n] = coefficient()
+            if with_u:
+                c = coefficient() * alg.jet(1)
+                coeffs[0] = coeffs[0] + c if 0 in coeffs else c
+            entries.append(ScalarDiffOp(alg, coeffs))
+        rows.append(entries)
+    return MatDiffOp(alg, rows)
+
+
+ECHELON = {
+    "echelon2u": (((1, 0), (2, 1)), True),
+    "echelon3": (((2, 1, 0), (1, 2, 1), (0, 1, 2)), False),
+}
+DET_PRODUCT = {"det_product_a": ((2, 1), (1, 1)),
+               "det_product_b": ((1, 0), (1, 1))}
+OVER = {"q_x": [], "q_c_x": ["c"]}
+
+
+def _row_echelon(kind):
+    """The echelon shapes of the difflinalg benchmark: a 2x2 matrix with u
+    in its order-0 coefficients and a 3x3 matrix over Q(x)."""
+    orders, with_u = ECHELON[kind]
+    alg = DiffAlgebra(1)
+    return [row_echelon(_shaped(alg, random.Random(s), orders, with_u))
+            for s in range(6)]
+
+
+def _dieudonne_det(kind, over):
+    """det A, det B and det AB for A and B of a det_product shape, and the
+    det of [[r a, r b], [d a + c, d b + e]] for A = [[a, b], [c, e]] and r
+    = (x + s)/(2x - 1), whose leading matrix is singular, so that the
+    echelon form gives it."""
+    alg = DiffAlgebra(1, OVER[over])
+    f, d = alg.field, ScalarDiffOp.d(alg)
     out = []
     for s in range(6):
         rng = random.Random(s)
-        pole = f.rational(rng.randint(1, 4))
+        A, B = (_shaped(alg, rng, DET_PRODUCT[kind]) for _ in range(2))
+        (a, b), (c, e) = A.rows
+        r = (f.x + s) / (f.x * 2 - 1)
+        out.append([dieudonne_det(A), dieudonne_det(B),
+                    dieudonne_det(A.compose(B)),
+                    dieudonne_det(MatDiffOp(alg, [
+                        [a.scale(r), b.scale(r)],
+                        [d.compose(a) + c, d.compose(b) + e]]))])
+    return out
 
-        def coefficient():
-            num = f.x * rng.randint(1, 3) + rng.randint(-3, 3)
-            return alg.from_scalar(num / (f.x + pole))
 
-        rows = []
-        for row in orders:
-            entries = []
-            for order in row:
-                coeffs = {order: alg.from_scalar(f.rational(
-                    Fraction(rng.randint(1, 5), rng.randint(1, 3))))}
-                for n in range(order):
-                    coeffs[n] = coefficient()
-                if with_u:
-                    c = coefficient() * alg.jet(1)
-                    coeffs[0] = coeffs[0] + c if 0 in coeffs else c
-                entries.append(ScalarDiffOp(alg, coeffs))
-            rows.append(entries)
-        out.append(row_echelon(MatDiffOp(alg, rows)))
+def _solve_rational():
+    """The solution sets of every K of the x-dependent grid, homogeneous
+    and for b = (x^2 + 1, ...), or the exception that ends the solve."""
+    out = []
+    for K in x_dependent_grid(DiffAlgebra(1), DiffAlgebra(2)).values():
+        F = K.alg.field
+        for b in (None, [F.x ** 2 + F.one] * K.m):
+            try:
+                S = solve_rational(K, b)
+                out.append((S.particular, S.homogeneous, S.free))
+            except (NoRationalSolution, Incomplete) as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def _rational_antiderivative():
+    """Over Q(c): the derivative of a seeded p/q, which integrates; the
+    same plus k/(x + c), a logarithm at every c; and plus c/(x - 1), which
+    integrates only at c = 0."""
+    F = DiffAlgebra(1, ["c"]).field
+    c = F.param("c")
+    out = []
+    for s in range(6):
+        rng = random.Random(s)
+        p = _scalar(rng, F) * F.x + _scalar(rng, F)
+        q = F.x ** 2 + _scalar(rng, F) * F.x + rng.randint(1, 4) + c
+        v = (p / q).derive()
+        for w in (v, v + rng.randint(1, 3) / (F.x + c), v + c / (F.x - 1)):
+            try:
+                out.append(rational_antiderivative(w))
+            except UndecidableResidue as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def _not_poisson():
+    """check_jacobi of {u_lam u} = s (u' lam + u''/2), skewadjoint and not
+    Poisson, for rationals s and for s in Q(c)."""
+    alg = DiffAlgebra(1, ["c"])
+    F, u = alg.field, alg.jet(1)
+    c = F.param("c")
+    scales = [F.rational(Fraction(n, d))
+              for n, d in ((1, 1), (-3, 2), (5, 4), (2, 3))]
+    scales += [c, (c + 1) / (c * 2 - 3), c * c / (c + 2)]
+    out = []
+    for s in scales:
+        H = LambdaBracketStruct.from_scalar_op(ScalarDiffOp(
+            alg, {1: u.derive().scale(s), 0: alg.jet(1, 2).scale(s / 2)}))
+        out.append(check_jacobi(H))
     return out
 
 
@@ -243,8 +335,12 @@ CASES = {
     **{f"reduce_closed/{n}/k{k}": (lambda n=n, k=k: _reduce_closed(n, k))
        for n, k in (("2d", 1), ("2d", 2), ("(1+x2)d", 1), ("(1+x2)d", 2),
                     ("[[2d,d],[0,d]]", 1), ("[[2d,d],[0,d]]", 2))},
-    **{f"row_echelon/{n}": (lambda n=n: _row_echelon(n))
-       for n in ("echelon2u", "echelon3")},
+    **{f"row_echelon/{n}": (lambda n=n: _row_echelon(n)) for n in ECHELON},
+    **{f"dieudonne_det/{n}/{o}": (lambda n=n, o=o: _dieudonne_det(n, o))
+       for n in DET_PRODUCT for o in OVER},
+    "solve_rational/x_dependent": _solve_rational,
+    "rational_antiderivative/q_c": _rational_antiderivative,
+    "check_jacobi/not_poisson": _not_poisson,
 }
 
 

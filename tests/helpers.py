@@ -104,6 +104,35 @@ def skewadjoint_op(rng: random.Random, alg: DiffAlgebra, max_order=3,
     return S - S.adjoint()
 
 
+def x_dependent_grid(alg, alg2):
+    """name -> K for the x-dependent grid: ten scalar K over the
+    one-variable algebra `alg` and five 2 x 2 K over the two-variable
+    `alg2`, both over Q(x)."""
+    F, G = alg.field, alg2.field
+    x, one, X, I = F.x, F.one, G.x, G.one
+
+    def op(alg, coeffs):
+        return ScalarDiffOp(alg, {k: alg.from_scalar(v)
+                                  for k, v in coeffs.items()})
+
+    grid = {name: MatDiffOp(alg, [[op(alg, c)]]) for name, c in (
+        ("x d", {1: x}), ("x d^2", {2: x}), ("(x+1) d^3", {3: x + 1}),
+        ("x^2 d", {1: x * x}), ("x d + 1", {1: x, 0: one}),
+        ("d + x", {1: one, 0: x}), ("(x^2+1) d^2", {2: x * x + 1}),
+        ("x^2 d^2 + x d", {2: x * x, 1: x}),
+        ("d^2 + 1/x^2", {2: one, 0: one / (x * x)}), ("x^3 d^3", {3: x ** 3}))}
+    z = ScalarDiffOp.zero(alg2)
+    for name, rows in (
+            ("diag(x d, d)", [[{1: X}, {}], [{}, {1: I}]]),
+            ("diag(x d, x d)", [[{1: X}, {}], [{}, {1: X}]]),
+            ("[[d, x], [0, d]]", [[{1: I}, {0: X}], [{}, {1: I}]]),
+            ("diag(x d^2, d^2)", [[{2: X}, {}], [{}, {2: I}]]),
+            ("[[x d, 1], [-1, d]]", [[{1: X}, {0: I}], [{0: -I}, {1: I}]])):
+        grid[name] = MatDiffOp(alg2, [[op(alg2, c) if c else z for c in row]
+                                      for row in rows])
+    return grid
+
+
 def functional_eq_reference(a: LocalFunctional, b: LocalFunctional) -> bool:
     """Equality in V/dV the slow way: w = a - b must have zero variational
     derivative, and then its quasiconstant residue eps(w) must have a

@@ -26,7 +26,7 @@ from helpers import (_B_TABLE, _C_TABLE, BadSupport, as_one_form, coeff_b,
                      reference_elimination, rnd_diffpoly,
                      skewadjoint_decompose, to_mat_diff_op,
                      total_skewsymmetrize_reference,
-                     total_skewsymmetrize_shortcut)
+                     total_skewsymmetrize_shortcut, x_dependent_grid)
 
 ALG = DiffAlgebra(1, [])
 ALG2 = DiffAlgebra(2)
@@ -527,36 +527,8 @@ def test_rational_sigma_space_runs_no_substitution(monkeypatch):
     K = _diag_d(ALG2, 2, [[1, 2], [Fraction(1, 3), 1]])
     basis, expected, flagged = sigma_space(K, 2)
     assert (len(basis), expected, flagged, calls) == (4, 4, False, [])
-    sigma_space(_x_dependent_grid()["diag(x d, d)"], 1)
+    sigma_space(x_dependent_grid(ALG, ALG2)["diag(x d, d)"], 1)
     assert set(calls) == {"total_skewsymmetrize", "subst_slot_neg"}
-
-
-def _x_dependent_grid():
-    """name -> K for the x-dependent grid: ten scalar K in one variable and
-    five 2 x 2 K in two."""
-    F, G = ALG.field, ALG2.field
-    x, one, X, I = F.x, F.one, G.x, G.one
-
-    def op(alg, coeffs):
-        return ScalarDiffOp(alg, {k: alg.from_scalar(v)
-                                  for k, v in coeffs.items()})
-
-    grid = {name: MatDiffOp(ALG, [[op(ALG, c)]]) for name, c in (
-        ("x d", {1: x}), ("x d^2", {2: x}), ("(x+1) d^3", {3: x + 1}),
-        ("x^2 d", {1: x * x}), ("x d + 1", {1: x, 0: one}),
-        ("d + x", {1: one, 0: x}), ("(x^2+1) d^2", {2: x * x + 1}),
-        ("x^2 d^2 + x d", {2: x * x, 1: x}),
-        ("d^2 + 1/x^2", {2: one, 0: one / (x * x)}), ("x^3 d^3", {3: x ** 3}))}
-    z = ScalarDiffOp.zero(ALG2)
-    for name, rows in (
-            ("diag(x d, d)", [[{1: X}, {}], [{}, {1: I}]]),
-            ("diag(x d, x d)", [[{1: X}, {}], [{}, {1: X}]]),
-            ("[[d, x], [0, d]]", [[{1: I}, {0: X}], [{}, {1: I}]]),
-            ("diag(x d^2, d^2)", [[{2: X}, {}], [{}, {2: I}]]),
-            ("[[x d, 1], [-1, d]]", [[{1: X}, {0: I}], [{0: -I}, {1: I}]])):
-        grid[name] = MatDiffOp(ALG2, [[op(ALG2, c) if c else z for c in row]
-                                      for row in rows])
-    return grid
 
 
 # name: ((|Sigma basis|, cohomology dim, expected) at k = 0, 1, 2;
@@ -590,7 +562,7 @@ def test_solvers_equal_the_scale_then_subtract_step():
     N <= 2 and k <= 2."""
     def results():
         out = []
-        for K in _x_dependent_grid().values():
+        for K in x_dependent_grid(ALG, ALG2).values():
             F = K.alg.field
             for b in (None, [F.x ** 2 + F.one] * K.m):
                 try:
@@ -620,7 +592,7 @@ def test_x_dependent_counts_and_flags():
     the same cohomology do not agree here: for x d^2 at k = 0 sigma_space
     finds 1 of 2 and cohomology_dim 0 of 2, both flagged, since the
     ansatz that finishes x-dependent systems may stop short."""
-    grid = _x_dependent_grid()
+    grid = x_dependent_grid(ALG, ALG2)
     assert set(grid) == set(X_DEPENDENT_COUNTS)
     for name, K in grid.items():
         per_k, sadj = X_DEPENDENT_COUNTS[name]
@@ -638,7 +610,7 @@ def test_x_dependent_k_take_the_module_action_route():
     """No K of the x-dependent grid, nor its adjoint, has the rational
     coefficients of the integer tables; test_x_dependent_counts_and_flags
     pins their counts on the module action route."""
-    for name, K in _x_dependent_grid().items():
+    for name, K in x_dependent_grid(ALG, ALG2).items():
         unknown = polydiff._unknown_entries(K.alg.nvars, 1, K.order())
         for op in (K, K.adjoint()):
             assert polydiff._rational_equations(
