@@ -172,11 +172,10 @@ def _from_terms(field: CoefficientField, terms: dict):
 # -- gcd kernels over Z ---------------------------------------------------------
 #
 # Every polynomial gcd, cancellation and exact division of this module runs
-# through these, on ``zpoly``: GCDHEU on the primitive parts, on the
-# coefficient lists of a ``_Dense`` operand (one generator) and on the sparse
-# terms of a ``Poly``, and a primitive PRS where the heuristic fails.  A gcd
-# over Z is unique up to sign, so the canonical forms below do not depend on
-# the path.
+# through these, on ``zpoly``: one GCDHEU for the coefficient lists of a
+# ``_Dense`` operand (one generator) and the sparse terms of a ``Poly``, and
+# the subresultant PRS where the heuristic fails.  A gcd over Z is unique up
+# to sign, so the canonical forms below do not depend on the path.
 
 def _cancel(num, den) -> tuple:
     """num/den over Z in canonical form: coprime, of joint content 1, with

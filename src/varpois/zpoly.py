@@ -15,16 +15,18 @@ polynomials over Z in any number of generators with their gcds.
   readers under the same names, so a caller treats both alike; ``ground(1,
   c)`` is dense.  ``_dense`` and ``_sparse`` convert between the two forms
   for readers that need terms.
-- ``cofactors(f, g)``: (h, f/h, g/h) with h = gcd(f, g) over Z, by GCDHEU
-  (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the primitive
-  parts.  On ``_Dense`` operands it runs on the coefficients.  On ``Poly``
-  operands a one-term operand is settled by the monomial gcd; otherwise
-  GCDHEU sets x_0 to an integer and recurses through ``cofactors`` on the
-  images, so images in one generator are ``_Dense``.  h has a positive
-  leading coefficient, except where GCDHEU finds h as a quotient by an
-  interpolated cofactor.  Where the heuristic fails ``HEU_GCD_MAX`` times
-  on a polynomial, a primitive PRS over Z[x_1, ...][x_0] gives its h with
-  a positive leading coefficient.
+- ``cofactors(f, g)``: (h, f/h, g/h) with h = gcd(f, g) over Z.  A
+  one-term operand (for a ``_Dense``, a constant) is settled by the
+  monomial gcd.  Otherwise one GCDHEU (Char, Geddes and Gonnet, J. Symb.
+  Comput. 7, 1989) serves both forms: it sets x_0 to an integer, takes
+  the gcd of the images (ints for a ``_Dense``; for a ``Poly``, through
+  ``cofactors``, so images in one generator are ``_Dense``) and reads it
+  back.  h has a positive leading coefficient, except where GCDHEU finds
+  h as a quotient by an interpolated cofactor.  Where the heuristic fails
+  ``HEU_GCD_MAX`` times, the subresultant PRS over Z[x_1, ...][x_0]
+  (Brown and Traub, J. ACM 18, 1971) gives h with a positive leading
+  coefficient; the gcds of coefficients it needs go back through
+  ``cofactors``.
 - ``divrem(P, g)``: division over Z that stops at the first leading term g
   does not divide; the remainder is zero exactly when g divides P.
 """
@@ -175,8 +177,8 @@ def ground(n: int, c: int):
 
 class Poly(dict):
     """A polynomial of Z[x_0, ..., x_(n-1)]: {exponent tuple: nonzero int}.
-    Polynomials in one generator are ``_Dense``; a ``Poly`` in fewer than
-    two generators is only built inside the PRS fallback."""
+    Polynomials in one generator are ``_Dense``; a ``Poly`` in one
+    generator is only built by ``_sparse``, for readers that need terms."""
 
     __slots__ = ()
 
@@ -328,193 +330,15 @@ def _sparse_divrem(P, g) -> tuple:
 
 def divrem(P, g) -> tuple:
     """(q, r) with P = q g + r over Z for g != 0; r = 0 exactly when g
-    divides P.  ``_Dense``: division as sympy's ``dup_rr_div``."""
+    divides P.  ``_Dense``: division as sympy's ``dup_rr_div``; ints:
+    ``divmod``."""
     if not P:
         return type(P)(), type(P)()
     if type(g) is _Dense:
         return _dup_div(P, g)
+    if type(g) is int:
+        return divmod(P, g)
     return _sparse_divrem(P, g)
-
-
-# -- sparse GCDHEU ---------------------------------------------------------------
-
-def _evaluate(p, x: int):
-    """p with generator 0 set to x: a polynomial in the others, a
-    ``_Dense`` when one is left."""
-    if nvars(p) == 2:
-        coeffs = [0] * (p.degree(1) + 1)
-        for (e, k), c in p.items():
-            coeffs[-1 - k] += c * x ** e
-        return _strip(coeffs)
-    out = Poly()
-    for m, c in p.items():
-        rest = m[1:]
-        c = c * x ** m[0] + out.get(rest, 0)
-        if c:
-            out[rest] = c
-        else:
-            del out[rest]
-    return out
-
-
-def _interpolate(h, x: int):
-    """The polynomial whose coefficients of x_0^i, read in the symmetric
-    residues base x, are the digits of h (a polynomial in the generators
-    after x_0), with a positive leading coefficient."""
-    f, i = Poly(), 0
-    if type(h) is _Dense:  # the digits of each coefficient of x_1^k
-        top = len(h) - 1
-        for j, c in enumerate(h):
-            for i, a in enumerate(reversed(_dup_interpolate(c, x))):
-                if a:
-                    f[(i, top - j)] = a
-        return -f if f.LC < 0 else f
-    half = x // 2
-    while h:
-        g = Poly()
-        for m, c in h.items():
-            c %= x
-            if c > half:
-                c -= x
-            if c:
-                g[m] = c
-        h = (h - g).quo_ground(x)
-        for m, c in g.items():
-            f[(i,) + m] = c
-        i += 1
-    return -f if f.LC < 0 else f
-
-
-def _heugcd(f, g) -> tuple:
-    """GCDHEU in Z[x_0, x_1, ...], two or more generators, for nonzero f,
-    g: evaluate x_0 at a large integer, take the cofactors of the images
-    (through ``cofactors``, so images in one generator run on dense lists),
-    interpolate, and keep the first candidate that divides both."""
-    cont = g.content(f.content())
-    if cont != 1:
-        f, g = f.quo_ground(cont), g.quo_ground(cont)
-    f_norm = max(map(abs, f.values()))
-    g_norm = max(map(abs, g.values()))
-    B = 2 * min(f_norm, g_norm) + 29
-    x = max(min(B, 99 * isqrt(B)),
-            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
-    for _ in range(HEU_GCD_MAX):
-        ff, gg = _evaluate(f, x), _evaluate(g, x)
-        if ff and gg:
-            h, cff, cfg = cofactors(ff, gg)
-            h = _primitive(_interpolate(h, x))
-            cff_, r = _sparse_divrem(f, h)
-            if not r:
-                cfg_, r = _sparse_divrem(g, h)
-                if not r:
-                    return h.mul_ground(cont), cff_, cfg_
-            cff = _interpolate(cff, x)
-            h, r = _sparse_divrem(f, cff)
-            if not r:
-                cfg_, r = _sparse_divrem(g, h)
-                if not r:
-                    return h.mul_ground(cont), cff, cfg_
-            cfg = _interpolate(cfg, x)
-            h, r = _sparse_divrem(g, cfg)
-            if not r:
-                cff_, r = _sparse_divrem(f, h)
-                if not r:
-                    return h.mul_ground(cont), cff_, cfg
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
-    raise _HeuristicGCDFailed
-
-
-def _gcd_monom(f, g) -> tuple:
-    """cofactors when f is one term."""
-    (mf, cf), = f.items()
-    mh, ch = mf, cf
-    for m, c in g.items():
-        mh = tuple(map(min, mh, m))
-        ch = gcd(ch, c)
-    h = Poly({mh: ch})
-    cff = Poly({tuple(a - b for a, b in zip(mf, mh)): cf // ch})
-    cfg = Poly({tuple(a - b for a, b in zip(m, mh)): c // ch
-                for m, c in g.items()})
-    return h, cff, cfg
-
-
-# -- the PRS fallback over Z[x_1, ...][x_0] ------------------------------------
-
-def _in_x0(p) -> list:
-    """The coefficients of x_0^k in a nonzero p, highest k first, each a
-    polynomial in the remaining generators (exponent tuple () for none)."""
-    out = [Poly() for _ in range(p.degree(0) + 1)]
-    for m, c in p.items():
-        out[-1 - m[0]][m[1:]] = c
-    return out
-
-
-def _from_x0(coeffs: list):
-    """The inverse of ``_in_x0``."""
-    out = Poly()
-    top = len(coeffs) - 1
-    for k, c in enumerate(coeffs):
-        for m, a in c.items():
-            out[(top - k,) + m] = a
-    return out
-
-
-def _gcd_list(polys):
-    """The gcd of nonzero polynomials in the same generators, positive
-    leading coefficient."""
-    h = polys[0]
-    for p in polys[1:]:
-        if h.is_ground and h.content() == 1:
-            break
-        h = _prs_gcd(h, p)
-    return -h if h.LC < 0 else h
-
-
-def _split_content(coeffs: list) -> tuple:
-    """(content, primitive part) of a polynomial in x_0 given by its
-    coefficient list; the content is a polynomial in the other generators."""
-    c = _gcd_list([a for a in coeffs if a])
-    return c, [_sparse_divrem(a, c)[0] if a else a for a in coeffs]
-
-
-def _prem(F: list, G: list) -> list:
-    """F times a power of lc(G), reduced modulo G: a pseudo-remainder with
-    the power left out, which changes only the content.  Coefficient lists
-    in x_0, highest first; the coefficients are polynomials, or ints for
-    ``_dup_prs_gcd``."""
-    lc = G[0]
-    r = F
-    while len(r) >= len(G):
-        lr = r[0]
-        shifted = [a * lr for a in G] + [type(lr)()] * (len(r) - len(G))
-        r = [a * lc - b for a, b in zip(r, shifted)]
-        while r and not r[0]:
-            r.pop(0)
-    return r
-
-
-def _prs_gcd(f, g):
-    """gcd(f, g) for nonzero f, g over Z, with a positive leading
-    coefficient: the primitive PRS in x_0 over Z[x_1, ...] (Geddes, Czapor
-    and Labahn, 1992, section 7.3) with recursive contents.  This is the
-    fallback where GCDHEU fails."""
-    n = nvars(f)
-    if n == 0:
-        return Poly({(): gcd(f[()], g[()])})
-    cf, F = _split_content(_in_x0(f))
-    cg, G = _split_content(_in_x0(g))
-    c = _gcd_list([cf, cg])
-    if len(F) < len(G):
-        F, G = G, F
-    while len(G) > 1:
-        R = _prem(F, G)
-        if not R:
-            break  # G divides F: the primitive parts have the gcd G
-        F, G = G, _split_content(R)[1]
-    else:
-        G = [Poly({(0,) * (n - 1): 1})]  # a remainder free of x_0: coprime
-    h = _from_x0([a * c for a in G])
-    return -h if h.LC < 0 else h
 
 
 # -- dense one-generator polynomials ---------------------------------------------
@@ -590,6 +414,10 @@ class _Dense(tuple):
     def content(self, g: int = 0) -> int:
         return content(self, g)
 
+    def values(self):
+        """The coefficients, zeros included."""
+        return self
+
 
 def _dense(p) -> _Dense:
     """The ``_Dense`` of the terms {(k,): c} of a one-generator polynomial."""
@@ -639,85 +467,215 @@ def _dup_div(f, g) -> tuple:
     return _strip(q + [0] * (steps - len(q))), _strip(r[i:])
 
 
-def _dup_primitive(f: _Dense) -> _Dense:
-    c = content(f)
-    return f if c in (0, 1) else f.quo_ground(c)
+# -- gcds: GCDHEU, and the subresultant PRS where it fails ---------------------
+#
+# Both run on either form.  GCDHEU meets the form only in _evaluate (an int
+# image of a _Dense, a polynomial in the other generators of a Poly),
+# _interpolate (which reads either back into x_0) and _image_cofactors
+# (math.gcd on ints, cofactors on polynomials); the PRS only in _in_x0 and
+# _from_x0, whose coefficient lists hold ints, _Dense or Poly.
 
-
-def _dup_eval(f, x: int) -> int:
-    out = 0
-    for c in f:
-        out = out * x + c
+def _evaluate(p, x: int):
+    """p with generator 0 set to x: an int for a ``_Dense``, otherwise a
+    polynomial in the other generators, a ``_Dense`` when one is left."""
+    if type(p) is _Dense:
+        out = 0
+        for c in p:
+            out = out * x + c
+        return out
+    if nvars(p) == 2:
+        coeffs = [0] * (p.degree(1) + 1)
+        for (e, k), c in p.items():
+            coeffs[-1 - k] += c * x ** e
+        return _strip(coeffs)
+    out = Poly()
+    for m, c in p.items():
+        rest = m[1:]
+        c = c * x ** m[0] + out.get(rest, 0)
+        if c:
+            out[rest] = c
+        else:
+            del out[rest]
     return out
 
 
-def _dup_interpolate(h: int, x: int) -> _Dense:
-    f = []
+def _interpolate(h, x: int):
+    """The polynomial whose coefficients of x_0^i are the digits of h in
+    the symmetric residues base x: a ``_Dense`` for an int h; for h a
+    polynomial in the generators after x_0, a ``Poly`` with a positive
+    leading coefficient."""
+    if type(h) is int:
+        f = []
+        half = x // 2
+        while h:
+            g = h % x
+            if g > half:
+                g -= x
+            f.append(g)
+            h = (h - g) // x
+        f.reverse()
+        return _Dense(f)
+    f, i = Poly(), 0
+    if type(h) is _Dense:  # the digits of each coefficient of x_1^k
+        top = len(h) - 1
+        for j, c in enumerate(h):
+            for i, a in enumerate(reversed(_interpolate(c, x))):
+                if a:
+                    f[(i, top - j)] = a
+        return -f if f.LC < 0 else f
     half = x // 2
     while h:
-        g = h % x
-        if g > half:
-            g -= x
-        f.append(g)
-        h = (h - g) // x
-    f.reverse()
-    return _Dense(f)
+        g = Poly()
+        for m, c in h.items():
+            c %= x
+            if c > half:
+                c -= x
+            if c:
+                g[m] = c
+        h = (h - g).quo_ground(x)
+        for m, c in g.items():
+            f[(i,) + m] = c
+        i += 1
+    return -f if f.LC < 0 else f
 
 
-def _dup_heu_gcd(f: _Dense, g: _Dense) -> tuple:
-    """GCDHEU on the coefficients of nonzero f, g: (h, f/h, g/h)."""
-    df, dg = len(f) - 1, len(g) - 1
-    cont = content(g, content(f))
+def _image_cofactors(a, b) -> tuple:
+    """(h, a/h, b/h) with h = gcd(a, b) for nonzero ints or polynomials."""
+    if type(a) is int:
+        h = gcd(a, b)
+        return h, a // h, b // h
+    return cofactors(a, b)
+
+
+def _heugcd(f, g) -> tuple:
+    """GCDHEU for nonzero f, g of two or more terms: evaluate x_0 at a
+    large integer, take the cofactors of the images (through ``cofactors``,
+    so images in one generator run on dense lists), interpolate, and keep
+    the first candidate h that divides both: the interpolated gcd made
+    primitive, else f over the interpolated f/h, else g over the
+    interpolated g/h."""
+    cont = g.content(f.content())
     if cont != 1:
         f, g = f.quo_ground(cont), g.quo_ground(cont)
-    if df == 0 or dg == 0:
-        return _Dense((cont,)), f, g
-    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
     B = 2 * min(f_norm, g_norm) + 29
     x = max(min(B, 99 * isqrt(B)),
-            2 * min(f_norm // abs(f[0]), g_norm // abs(g[0])) + 4)
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
     for _ in range(HEU_GCD_MAX):
-        ff, gg = _dup_eval(f, x), _dup_eval(g, x)
+        ff, gg = _evaluate(f, x), _evaluate(g, x)
         if ff and gg:
-            h = gcd(ff, gg)
-            cff, cfg = ff // h, gg // h
-            h = _dup_primitive(_dup_interpolate(h, x))
-            cff_, r = _dup_div(f, h)
-            if not r:
-                cfg_, r = _dup_div(g, h)
+            h, cff, cfg = _image_cofactors(ff, gg)
+            for p, image in ((None, h), (f, cff), (g, cfg)):
+                h = _interpolate(image, x)
+                if p is None:
+                    h = _primitive(h)
+                else:
+                    h, r = divrem(p, h)
+                    if r:
+                        continue
+                cff, r = divrem(f, h)
                 if not r:
-                    return h.mul_ground(cont), cff_, cfg_
-            cff = _dup_interpolate(cff, x)
-            h, r = _dup_div(f, cff)
-            if not r:
-                cfg_, r = _dup_div(g, h)
-                if not r:
-                    return h.mul_ground(cont), cff, cfg_
-            cfg = _dup_interpolate(cfg, x)
-            h, r = _dup_div(g, cfg)
-            if not r:
-                cff_, r = _dup_div(f, h)
-                if not r:
-                    return h.mul_ground(cont), cff_, cfg
+                    cfg, r = divrem(g, h)
+                    if not r:
+                        return h.mul_ground(cont), cff, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     raise _HeuristicGCDFailed
 
 
-def _dup_prs_gcd(f: _Dense, g: _Dense) -> _Dense:
-    """gcd(f, g) for nonzero f, g, with a positive leading coefficient: the
-    primitive PRS of ``_prs_gcd``, whose contents here are ints."""
-    c = gcd(content(f), content(g))
-    F, G = _dup_primitive(f), _dup_primitive(g)
+def _gcd_monom(f, g) -> tuple:
+    """cofactors when f is one term: for a ``_Dense``, a constant."""
+    if type(f) is _Dense:
+        h = g.content(f[0])
+        return _Dense((h,)), f.quo_ground(h), g.quo_ground(h)
+    (mf, cf), = f.items()
+    mh, ch = mf, cf
+    for m, c in g.items():
+        mh = tuple(map(min, mh, m))
+        ch = gcd(ch, c)
+    h = Poly({mh: ch})
+    cff = Poly({tuple(a - b for a, b in zip(mf, mh)): cf // ch})
+    cfg = Poly({tuple(a - b for a, b in zip(m, mh)): c // ch
+                for m, c in g.items()})
+    return h, cff, cfg
+
+
+def _in_x0(p) -> list:
+    """The coefficients of x_0^k in a nonzero p, highest k first: ints for a
+    ``_Dense``, otherwise polynomials in the remaining generators."""
+    if type(p) is _Dense:
+        return list(p)
+    out = [{} for _ in range(p.degree(0) + 1)]
+    for m, c in p.items():
+        out[-1 - m[0]][m[1:]] = c
+    return [_dense(a) for a in out] if nvars(p) == 2 else list(map(Poly, out))
+
+
+def _from_x0(coeffs: list):
+    """The inverse of ``_in_x0``."""
+    if type(coeffs[0]) is int:
+        return _Dense(coeffs)
+    out, top = Poly(), len(coeffs) - 1
+    for k, c in enumerate(coeffs):
+        for m, a in (_sparse(c) if type(c) is _Dense else c).items():
+            out[(top - k,) + m] = a
+    return out
+
+
+def _primitive_in_x0(coeffs: list) -> tuple:
+    """(content, primitive part) of a polynomial in x_0 given by its
+    coefficient list: the gcd of the coefficients, and the list over it."""
+    c = None
+    for a in coeffs:
+        if a:
+            c = a if c is None else _image_cofactors(c, a)[0]
+    return c, [divrem(a, c)[0] for a in coeffs]
+
+
+def _prem(F: list, G: list) -> list:
+    """The pseudo-remainder lc(G)^(deg F - deg G + 1) F mod G of
+    coefficient lists in x_0, highest first, deg F >= deg G."""
+    lc, n = G[0], len(G)
+    r, N = F, len(F) - n + 1
+    while len(r) >= n:
+        lr = r[0]
+        r = ([a * lc - b * lr for a, b in zip(r[1:], G[1:])]
+             + [a * lc for a in r[n:]])
+        N -= 1
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        r = r[k:]
+    return [a * lc ** N for a in r] if N else r
+
+
+def _prs_gcd(f, g):
+    """gcd(f, g) for nonzero f, g over Z, with a positive leading
+    coefficient: the subresultant PRS in x_0 over Z[x_1, ...] (Brown and
+    Traub, J. ACM 18, 1971) of the primitive parts.  Each pseudo-remainder
+    is divided exactly by the known beta = -lc psi^delta, so only the
+    inputs and the last remainder are made primitive, by gcds of their
+    coefficients through ``cofactors``, GCDHEU first.  This is the
+    fallback where GCDHEU fails."""
+    cf, F = _primitive_in_x0(_in_x0(f))
+    cg, G = _primitive_in_x0(_in_x0(g))
+    c = _image_cofactors(cf, cg)[0]
     if len(F) < len(G):
         F, G = G, F
-    while len(G) > 1:
-        R = _prem(list(F), list(G))
-        if not R:
-            break  # G divides F: the primitive parts have the gcd G
-        F, G = G, _dup_primitive(_Dense(R))
-    else:
-        G = _Dense((1,))  # a constant remainder: coprime parts
-    return G.mul_ground(c if G[0] > 0 else -c)
+    lc, d = G[0], len(F) - len(G)
+    psi = -lc ** d
+    R = _prem(F, G)
+    while len(R) > 1:  # signs left out: they change no exact division
+        F, G, d = G, R, len(G) - len(R)
+        beta = -lc * psi ** d
+        R = [divrem(a, beta)[0] for a in _prem(F, G)]
+        lc = G[0]
+        psi = divrem((-lc) ** d, psi ** (d - 1))[0] if d > 1 else -lc
+    # a zero remainder leaves G, the gcd up to content; a constant one,
+    # coprime primitive parts
+    G = [G[0] ** 0] if R else _primitive_in_x0(G)[1]
+    h = _from_x0([a * c for a in G])
+    return -h if h.LC < 0 else h
 
 
 # -- the entry point ---------------------------------------------------------------
@@ -733,21 +691,14 @@ def cofactors(f, g) -> tuple:
         s = -1 if p.LC < 0 else 1
         h, unit = p.mul_ground(s), (p ** 0).mul_ground(s)
         return (h, type(p)(), unit) if not f else (h, unit, type(p)())
-    if type(f) is _Dense:
-        try:
-            return _dup_heu_gcd(f, g)
-        except _HeuristicGCDFailed:
-            pass
-        h = _dup_prs_gcd(f, g)
-    elif len(f) == 1:
+    if len(f) == 1:
         return _gcd_monom(f, g)
-    elif len(g) == 1:
+    if len(g) == 1:
         h, cfg, cff = _gcd_monom(g, f)
         return h, cff, cfg
-    else:
-        try:
-            return _heugcd(f, g)
-        except _HeuristicGCDFailed:
-            pass
-        h = _prs_gcd(f, g)
+    try:
+        return _heugcd(f, g)
+    except _HeuristicGCDFailed:
+        pass
+    h = _prs_gcd(f, g)
     return h, divrem(f, h)[0], divrem(g, h)[0]

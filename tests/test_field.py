@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -868,7 +869,7 @@ def test_kernels_match_sympy_four_generators(pair):
 @given(n=st.sampled_from([1, 2, 4]), data=st.data())
 def test_prs_fallback_gives_the_heuristic_gcd(n, data):
     """With GCDHEU allowed no evaluation point, every gcd comes from the
-    primitive PRS, and the kernels still give sympy's results."""
+    subresultant PRS, and the kernels still give sympy's results."""
     a, b = data.draw(z_pairs(n, max_terms=3 if n < 4 else 2))
     old = zpoly.HEU_GCD_MAX
     zpoly.HEU_GCD_MAX = 0
@@ -878,16 +879,68 @@ def test_prs_fallback_gives_the_heuristic_gcd(n, data):
         zpoly.HEU_GCD_MAX = old
 
 
+def _four_generator_coprime_pair():
+    """A coprime pair in Z[x, c, y1, y2] of x-degree 5, on which a
+    primitive PRS with recursive contents runs for minutes."""
+    def term(c, *m):
+        return Poly({m: c})
+    f = (term(1, 5, 0, 0, 0) + term(131, 4, 1, 2, 1) - term(13, 3, 2, 0, 2)
+         - term(14, 1, 0, 1, 1) - term(114, 0, 1, 0, 2))
+    g = term(-47, 5, 0, 1, 1) + term(87, 3, 0, 0, 0) - term(33, 1, 0, 0, 0)
+    return 4, f, g
+
+
+def _seeded_shared_linear_factor():
+    """(p s, q s) in Z[x, c]: p and q of 8 terms, x-degree 12 and c-degree
+    up to 4 with coefficients in [-140, 140], and s a 2-term factor of
+    degree up to 1 in each generator; the shape of a fraction over
+    Q(c)(x)."""
+    rng = random.Random(7)
+
+    def poly():
+        p = Poly({(12, rng.randint(0, 4)): rng.choice([-1, 1]) * rng.randint(
+            1, 140)})
+        while len(p) < 8:
+            m, c = (rng.randint(0, 11), rng.randint(0, 4)), rng.randint(
+                -140, 140)
+            if c and m not in p:
+                p[m] = c
+        return p
+    s = Poly({(1, rng.randint(0, 1)): rng.randint(1, 3),
+              (0, rng.randint(0, 1)): rng.choice([-3, -2, -1, 1, 2, 3])})
+    return 2, poly() * s, poly() * s
+
+
+@pytest.mark.parametrize("build", [_four_generator_coprime_pair,
+                                   _seeded_shared_linear_factor])
+def test_prs_fallback_finishes_on_swelling_inputs(build, monkeypatch):
+    """With GCDHEU allowed no evaluation point, the PRS fallback gives
+    sympy's gcd on inputs where a primitive PRS swells: each must finish
+    inside 5 s."""
+    n, a, b = build()
+    monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{build.__name__} took more than 5 s")
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        check_kernels(n, a, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @settings(max_examples=40, deadline=None)
 @given(pair=z_pairs(3, max_terms=3))
 def test_prs_fallback_on_the_images(pair):
-    """With GCDHEU failing below three generators, a gcd over Z[x, c, y]
-    takes the gcds of its images by the primitive PRS and still gives
-    sympy's results."""
+    """With GCDHEU failing on every operand in fewer than three
+    generators, dense or sparse, a gcd over Z[x, c, y] takes the gcds of
+    its images by the PRS and still gives sympy's results."""
     heugcd = zpoly._heugcd
 
     def failing_below_three(f, g):
-        if zpoly.nvars(f) < 3:
+        if type(f) is zpoly._Dense or zpoly.nvars(f) < 3:
             raise zpoly._HeuristicGCDFailed
         return heugcd(f, g)
     zpoly._heugcd = failing_below_three
@@ -899,37 +952,35 @@ def test_prs_fallback_on_the_images(pair):
 
 def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
     """The retry limit is what the PRS fallback hangs on: at 0 the
-    heuristic raises at once, dense and sparse."""
+    heuristic raises at once on both forms, a dense pair and a sparse
+    one."""
     a = (X + ONE) * (X - ONE)
     b = (X + ONE) ** 2
-    monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
-    with pytest.raises(zpoly._HeuristicGCDFailed):
-        zpoly._dup_heu_gcd(a, b)
     a2, b2 = (Poly({(k, 1): c for (k,), c in zpoly._sparse(p).items()})
               for p in (a, b))
-    with pytest.raises(zpoly._HeuristicGCDFailed):
-        zpoly._heugcd(a2, b2)
+    monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
+    for f, g in ((a, b), (a2, b2)):
+        with pytest.raises(zpoly._HeuristicGCDFailed):
+            zpoly._heugcd(f, g)
     assert _gcd(a, b) == X + ONE
     assert _gcd(a2, b2) == Poly({(1, 1): 1, (0, 1): 1})
 
 
 def test_sparse_gcd_recurses_through_the_dense_kernel(monkeypatch):
     """A gcd over Z[x, c] evaluates x and takes the gcd of the images in c
-    through cofactors: GCDHEU on sparse terms never runs on one generator,
-    and the dense heuristic does."""
-    seen, dense = [], []
-    heugcd, dup_heu_gcd = zpoly._heugcd, zpoly._dup_heu_gcd
+    through cofactors: GCDHEU never runs on a Poly in one generator, and
+    it runs on the dense images."""
+    seen = []
+    heugcd = zpoly._heugcd
     monkeypatch.setattr(zpoly, "_heugcd", lambda f, g: seen.append(
-        zpoly.nvars(f)) or heugcd(f, g))
-    monkeypatch.setattr(zpoly, "_dup_heu_gcd", lambda f, g: dense.append(
-        len(f)) or dup_heu_gcd(f, g))
+        "dense" if type(f) is zpoly._Dense else zpoly.nvars(f))
+        or heugcd(f, g))
     x, c, one = Poly({(1, 0): 1}), Poly({(0, 1): 1}), ground(2, 1)
     common = x + c.mul_ground(2) - one
     a = common * (x * c + one)
     b = common * (x - c).mul_ground(-3)
     assert _gcd(a, b) == common
-    assert seen and set(seen) == {2}
-    assert dense
+    assert set(seen) == {2, "dense"}
 
 
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
