@@ -28,13 +28,15 @@ DATA = os.path.join(HERE, "data", "corpus.json")
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from varpois import (DiffAlgebra, Incomplete,  # noqa: E402
-                     LambdaBracketStruct, LambdaPoly, LocalFunctional,
-                     MatDiffOp, NoRationalSolution, ScalarDiffOp, SkewArray,
-                     UndecidableResidue, check_jacobi, delta_k,
-                     dieudonne_det, higher_euler, magri_structure,
-                     rational_antiderivative, reduce_closed, row_echelon,
-                     run_hierarchy, selfadjoint_product_space, solve_rational,
+from varpois import (DegenerateLeadingMatrix, DiffAlgebra,  # noqa: E402
+                     Incomplete, LambdaBracketStruct, LambdaPoly,
+                     LocalFunctional, MatDiffOp, NoRationalSolution,
+                     ScalarDiffOp, SkewArray, UndecidableResidue,
+                     check_jacobi, cohomology_dim, delta_k, dieudonne_det,
+                     higher_euler, magri_structure, majorant,
+                     majorant_preserving_reduce, rational_antiderivative,
+                     reduce_closed, row_echelon, run_hierarchy,
+                     selfadjoint_product_space, sigma_space, solve_rational,
                      variational_derivative)
 from helpers import x_dependent_grid  # noqa: E402
 
@@ -269,6 +271,66 @@ def _dieudonne_det(kind, over):
     return out
 
 
+MAJORANT_SHAPES = {"reduce3": 2, "majorant": 3}
+
+
+def _majorant_preserving_reduce(kind):
+    """majorant_preserving_reduce on 3x3 matrices with u in their order-0
+    coefficients and entry orders up to 2 (the reduce3 shape of the
+    difflinalg benchmark) or 3 (its majorant shape); orders whose leading
+    matrix is degenerate are kept as the exception's name."""
+    alg = DiffAlgebra(1)
+    out = []
+    for s in range(6):
+        rng = random.Random(s)
+        orders = [[rng.randint(0, MAJORANT_SHAPES[kind]) for _ in range(3)]
+                  for _ in range(3)]
+        M = _shaped(alg, rng, orders, with_u=True)
+        try:
+            out.append(majorant_preserving_reduce(M, majorant(M)))
+        except DegenerateLeadingMatrix as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _dieudonne_det_with_u(kind):
+    """The appendix matrix [[1, s u], [d, s u d]] for rationals s, whose
+    det is (-s u', 0); and [[u a, u b], [d a + c, d b + e]] for A = [[a, b],
+    [c, e]] of the det_product_a shape with u, whose leading matrix is
+    singular and whose pivot a carries u, so that the echelon form gives a
+    DiffRat with a jet below."""
+    alg = DiffAlgebra(1)
+    f, d, u = alg.field, ScalarDiffOp.d(alg), alg.jet(1)
+    out = []
+    for s in range(6):
+        rng = random.Random(s)
+        if kind == "appendix":
+            su = ScalarDiffOp.mul_by(u.scale(f.rational(
+                Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))))
+            M = MatDiffOp(alg, [[ScalarDiffOp.identity(alg), su],
+                                [d, su.compose(d)]])
+        else:
+            A = _shaped(alg, rng, DET_PRODUCT["det_product_a"], with_u=True)
+            (a, b), (c, e) = A.rows
+            U = ScalarDiffOp.mul_by(u)
+            M = MatDiffOp(alg, [[U.compose(a), U.compose(b)],
+                                [d.compose(a) + c, d.compose(b) + e]])
+        out.append(dieudonne_det(M))
+    return out
+
+
+def _x_dependent(kind):
+    """sigma_space bases, or cohomology_dim kernels, at k = 0, 1, 2 for
+    every K of the x-dependent grid: their ansatz systems multiply and
+    divide rationals and fractions of Q(x)."""
+    out = []
+    for K in x_dependent_grid(DiffAlgebra(1), DiffAlgebra(2)).values():
+        for k in range(3):
+            out.append(sigma_space(K, k) if kind == "sigma_space"
+                       else cohomology_dim(K, k).kernel)
+    return out
+
+
 def _solve_rational():
     """The solution sets of every K of the x-dependent grid, homogeneous
     and for b = (x^2 + 1, ...), or the exception that ends the solve."""
@@ -338,6 +400,12 @@ CASES = {
     **{f"row_echelon/{n}": (lambda n=n: _row_echelon(n)) for n in ECHELON},
     **{f"dieudonne_det/{n}/{o}": (lambda n=n, o=o: _dieudonne_det(n, o))
        for n in DET_PRODUCT for o in OVER},
+    **{f"majorant_preserving_reduce/{n}_u":
+       (lambda n=n: _majorant_preserving_reduce(n)) for n in MAJORANT_SHAPES},
+    **{f"dieudonne_det/{n}_u": (lambda n=n: _dieudonne_det_with_u(n))
+       for n in ("appendix", "singular_lead")},
+    **{f"{n}/x_dependent": (lambda n=n: _x_dependent(n))
+       for n in ("sigma_space", "cohomology_dim")},
     "solve_rational/x_dependent": _solve_rational,
     "rational_antiderivative/q_c": _rational_antiderivative,
     "check_jacobi/not_poisson": _not_poisson,
