@@ -34,10 +34,9 @@ from typing import Optional, Sequence
 from .diffalg import (DiffAlgebra, DiffPoly, DiffRat, _mono_mul,
                       format_diff_poly)
 from .field import (FieldElem, InvariantViolation, _divide_content, _flat,
-                    _flatten, _match_x_coefficients, _numerators, _unflat,
-                    accumulate, clear_denominators, dot, extend_chain,
-                    format_field_elem, rational_antiderivative,
-                    x_coefficients)
+                    _match_x_coefficients, _unflat, accumulate,
+                    clear_denominators, dot, extend_chain, format_field_elem,
+                    rational_antiderivative, x_coefficients)
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -238,9 +237,6 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
                     if bj is None:
                         break
                     o, k = m + n - j, math.comb(m, j)
-                    if type(a) is FieldElem and type(bj) is FieldElem:
-                        sums.setdefault((o, ()), []).append((a, bj, k))
-                        continue
                     if isinstance(a, DiffPoly) or isinstance(bj, DiffPoly):
                         jets.add(o)
                     for ma, ca in _coefficient_terms(a).items():
@@ -715,43 +711,6 @@ def _split(row) -> tuple:
     return keys, [_coefficient_terms(row[t].coeffs[n]) for t, n in keys]
 
 
-class _JetNumerator(dict):
-    """A numerator of V, {jet monomial: P} for sum mono P with each P != 0
-    in Z[x, params], with the operations of a zpoly polynomial that
-    _Elimination.sub takes: the P multiply in the field's own ring (dense
-    lists over Q(x)), so a product pairs jet monomials, not the terms of
-    Z[x, params, jets]."""
-
-    __slots__ = ()
-
-    def _add_into(self, w, T):
-        if w in self:
-            T = self[w] + T
-            if not T:
-                del self[w]
-                return
-        self[w] = T
-
-    def __mul__(self, other):
-        out = _JetNumerator()
-        for u, P in self.items():
-            for v, Q in other.items():
-                out._add_into(_mono_mul(u, v), P * Q)
-        return out
-
-    def __add__(self, other):
-        out = _JetNumerator(self)
-        for w, T in other.items():
-            out._add_into(w, T)
-        return out
-
-    def __neg__(self):
-        return _JetNumerator({w: -T for w, T in self.items()})
-
-    def mul_ground(self, k: int):
-        return _JetNumerator({w: T.mul_ground(k) for w, T in self.items()})
-
-
 class _Elimination:
     """Row reduction of an operator matrix: fraction-free over the Ore ring
     F[d] for a MatDiffOp (entries with jets stay in V[d]), over the skew
@@ -765,9 +724,11 @@ class _Elimination:
     reduction of matrices of Ore polynomials, J. Symb. Comput. 41, 2006).
 
     The step runs on integer rows (sub): every coefficient is read as a
-    numerator over Z[x, params] (the jets as further variables) with an int
-    denominator, each coefficient of a row_j - c d^k o row_i is one sum of
-    products over Z, and the pivot's derivatives are taken once per pivot.
+    numerator over Z[x, params] with an int denominator, with the jets of
+    the step as further generators when the rows carry jets, so F and V
+    take one path.  Each coefficient of a row_j - c d^k o row_i is one sum
+    of products over Z, and the pivot's derivatives are taken once per
+    pivot.
     g divides a, so a polynomial factor of g divides a: a's primitive part
     is the one polynomial divisor worth trying before any gcd.  Where it
     divides every sum it is all of g's polynomial part (the rows of one
@@ -834,14 +795,10 @@ class _Elimination:
         self.ops.append(("swap", i, j))
         self.sign = -self.sign
 
-    def _numerator(self, c) -> tuple:
-        """(N, m) with c = N/m, m >= 1 an int: N in Z[x, params] for an
-        element of F, a _JetNumerator for an element of V."""
-        field = self.alg.field
-        if self.jets:
-            terms, m = _numerators(field, c.terms)
-            return _JetNumerator(terms), m
-        return _flat(field, {(): c}, {})
+    def _numerator(self, c, slots: dict) -> tuple:
+        """(N, m) with c = N/m, m >= 1 an int and N in Z[x, params] with
+        the jets of `slots` as further generators (none for F)."""
+        return _flat(self.alg.field, _coefficient_terms(c), slots)
 
     def _derivatives(self, i: int, depth: int) -> dict:
         """{(t, n): [c, c', ..., c^(depth)]} for the coefficients c of d^n
@@ -867,32 +824,44 @@ class _Elimination:
         Over F[d], by d^k o y = sum_s C(k, s) y^(s) d^(k-s), each
         coefficient of the result is one sum of products of numerators
         (_numerator) over one int denominator, from the coefficients of
-        a, P and row_j and the pivot's derivatives (_derivatives).  With
-        jets the sums become polynomials of Z[x, params, jets] (field.
-        _flatten).  field._divide_content finds g from a's primitive part
-        and divides each sum once, and each coefficient of F (or of V) of
-        the new row is built once, from its quotient."""
+        a, P and row_j and the pivot's derivatives (_derivatives).  The
+        step's jet variables are named first, so every numerator is read
+        in Z[x, params, jets] (field._flat; for F there are none) and the
+        products are taken there.  field._divide_content finds g from a's
+        primitive part and divides each sum once, and each coefficient of
+        F (or of V) of the new row is built once, from its quotient
+        (field._unflat)."""
         rows = self.rows
         if a is None:
             rows[j] = [x - P.compose(y) for x, y in zip(rows[j], rows[i])]
             self.ops.append(("sub", i, j, P, 1, 1))
             return
         field = self.alg.field
-        chains = self._derivatives(i, max(P.coeffs))
-        A, ma = self._numerator(a)
+        depth = max(P.coeffs)
+        chains = self._derivatives(i, depth)
+        names = []
+        if self.jets:
+            coefficients = [a, *P.coeffs.values(),
+                            *(c for e in rows[j] for c in e.coeffs.values()),
+                            *(y for ys in chains.values()
+                              for y in ys[:depth + 1] if y is not None)]
+            names = sorted({v for c in coefficients for mono in c.terms
+                            for v, _ in mono})
+        slots = {v: k for k, v in enumerate(names)}
+        A, ma = self._numerator(a, slots)
         sums: dict = {}   # (entry, order) -> [(numerator, denominator)]
         for t, e in enumerate(rows[j]):
             for n, c in e.coeffs.items():
-                X, m = self._numerator(c)
+                X, m = self._numerator(c, slots)
                 sums[t, n] = [(A * X, ma * m)]
         for k, c in P.coeffs.items():
-            C, mc = self._numerator(c)
+            C, mc = self._numerator(c, slots)
             C = -C
             for (t, n), ys in chains.items():
                 for s in range(k + 1):
                     if ys[s] is None:
                         break
-                    Y, m = self._numerator(ys[s])
+                    Y, m = self._numerator(ys[s], slots)
                     T, b = C * Y, math.comb(k, s)
                     sums.setdefault((t, n + k - s), []).append(
                         (T if b == 1 else T.mul_ground(b), mc * m))
@@ -906,15 +875,7 @@ class _Elimination:
                 N = T if N is None else N + T
             if N:
                 keys.append(key)
-                numerators.append(N)
-        names = []
-        if self.jets:
-            names = sorted({v for N in (A, *numerators) for mono in N
-                            for v, _ in mono})
-            slots = {v: k for k, v in enumerate(names)}
-            A = _flatten(field, A, slots)
-            numerators = [_flatten(field, N, slots) for N in numerators]
-        numerators = [(N, L) for N in numerators]
+                numerators.append((N, L))
         divided = _divide_content(A, numerators) if numerators else None
         if divided is None:
             g = 1
@@ -986,8 +947,8 @@ def row_echelon(M: MatDiffOp):
     division by the row's content exact.  Zero rows sink to the bottom.
 
     A step runs on integers (_Elimination.sub): the new row's coefficients
-    are sums of products of numerators over Z[x, params] (jets as further
-    variables), each over one int denominator.  g is their content taken
+    are sums of products of numerators over Z[x, params], with the step's
+    jets as further generators, each over one int denominator.  g is their content taken
     together with a, so g divides a and a's primitive part is the only
     polynomial divisor to try first: each sum is divided by it once, and a
     gcd runs only at a sum that it leaves a remainder in.

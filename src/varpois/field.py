@@ -21,9 +21,10 @@ with a fraction, a sum of fractions, the derivative of a fraction).  All
 polynomial arithmetic is over Z (the integer-preserving elimination of
 Bareiss, in the content form of Geddes-Czapor-Labahn): a POLY result only
 needs the integer gcd of m and its coefficients, which stops at the first 1
-and does not run at all when m = 1, and a sum of a fraction and a
-polynomial, or a fraction scaled by a rational, only needs its integer
-content normalized.  A sum of products, such as a coefficient of an
+and does not run at all when m = 1.  Every result with a fraction among its
+operands, or a quotient by a polynomial, is read as a numerator and a
+denominator over Z (``_zz_parts``) and cancelled (``_cancel``), whatever
+the other operand's tier.  A sum of products, such as a coefficient of an
 operator product, is one call of ``dot``, which cancels once on the total
 instead of once per product and per partial sum.  Printing takes the
 numerator and the denominator over Z.  ``_divide_content`` divides
@@ -47,7 +48,7 @@ on the coefficient lists or on the terms by the type of their operands,
 and through ``dot``, whose one ``_cancel`` serves a whole sum.
 Only the readers that need terms (``FieldElem.f``, printing,
 ``x_coefficients``) and the passage of a value into and out of the ring
-with jets (``_flatten``, ``_unflat``), which is sparse, convert a dense
+with jets (``_flat``, ``_unflat``), which is sparse, convert a dense
 polynomial.
 
 The rational-antiderivative test (Horowitz-Ostrogradsky) has no polynomial
@@ -294,21 +295,6 @@ def _from_cancelled(field: CoefficientField, num, den) -> "FieldElem":
     return FieldElem(field, FRAC, _Frac(num, den))
 
 
-def _from_coprime(field: CoefficientField, num, den) -> "FieldElem":
-    """num/den for num, den in Z[x, params] with no common polynomial
-    factor: only the integer content and the sign need normalizing, no gcd
-    of polynomials."""
-    if den.is_ground:
-        c = den.LC
-        return _reduced(field, -num, -c) if c < 0 else _reduced(field, num, c)
-    g = den.content(num.content())
-    if g != 1:
-        num, den = num.quo_ground(g), den.quo_ground(g)
-    if den.LC < 0:
-        num, den = -num, -den
-    return FieldElem(field, FRAC, _Frac(num, den))
-
-
 def _poly_plus_rat(field, a: _ZPoly, q) -> "FieldElem":
     """P/m + r/s over l = lcm(m, s); never a plain rational."""
     if not q:
@@ -326,21 +312,6 @@ def _poly_plus_poly(field, a: _ZPoly, b: _ZPoly) -> "FieldElem":
                     (b.P if l == b.m else b.P.mul_ground(l // b.m)), l)
 
 
-def _frac_plus(field, f, kb, b) -> "FieldElem":
-    """f + b for a fraction f and a rational or polynomial b = B/m: the sum
-    (m*numer + B*denom)/(m*denom) has no new common polynomial factor."""
-    if kb == RAT:
-        if not b:
-            return FieldElem(field, FRAC, f)
-        m, added = b.denominator, f.denom.mul_ground(b.numerator)
-    else:
-        m, added = b.m, f.denom * b.P
-    num, den = f.numer, f.denom
-    if m != 1:
-        num, den = num.mul_ground(m), den.mul_ground(m)
-    return _from_coprime(field, num + added, den)
-
-
 def _add(field, ka, a, kb, b) -> "FieldElem":
     if ka > kb:
         ka, a, kb, b = kb, b, ka, a
@@ -350,13 +321,12 @@ def _add(field, ka, a, kb, b) -> "FieldElem":
         if ka == RAT:
             return _poly_plus_rat(field, b, a)
         return _poly_plus_poly(field, a, b)
-    if ka == FRAC:
-        if a.denom == b.denom:
-            num, den = a.numer + b.numer, a.denom
-        else:
-            num, den = a.numer * b.denom + a.denom * b.numer, a.denom * b.denom
-        return _from_cancelled(field, *_cancel(num, den))
-    return _frac_plus(field, b, ka, a)
+    na, da = _zz_parts(field, ka, a)
+    if da == b.denom:
+        num, den = na + b.numer, da
+    else:
+        num, den = na * b.denom + da * b.numer, da * b.denom
+    return _from_cancelled(field, *_cancel(num, den))
 
 
 def _mul(field, ka, a, kb, b) -> "FieldElem":
@@ -372,9 +342,7 @@ def _mul(field, ka, a, kb, b) -> "FieldElem":
         if kb == POLY:
             return _reduced(field, b.P.mul_ground(a.numerator),
                             a.denominator * b.m)
-        return _from_coprime(field, b.numer.mul_ground(a.numerator),
-                             b.denom.mul_ground(a.denominator))
-    if kb == POLY:
+    elif kb == POLY:
         return _reduced(field, a.P * b.P, a.m * b.m)
     na, da = _zz_parts(field, ka, a)
     return _from_cancelled(field, *_cancel(na * b.numer, da * b.denom))
@@ -443,12 +411,6 @@ def _div(field, ka, a, kb, b) -> "FieldElem":
         if ka == RAT:
             return FieldElem(field, RAT, a / b)
         return _mul(field, RAT, 1 / b, ka, a)
-    if ka == RAT:
-        if not a:
-            return field.zero
-        nb, db = _zz_parts(field, kb, b)
-        return _from_coprime(field, db.mul_ground(a.numerator),
-                             nb.mul_ground(a.denominator))
     na, da = _zz_parts(field, ka, a)
     nb, db = _zz_parts(field, kb, b)
     return _from_cancelled(field, *_cancel(na * db, da * nb))
@@ -805,49 +767,33 @@ def _divide_content(start, numerators: list):
     return g.mul_ground(num), den, parts
 
 
-def _numerators(field: CoefficientField, p: dict) -> tuple:
-    """({mono: P}, m) with p = sum mono P/m: each P in Z[x, params], the
-    field's own ring, and m the lcm of the denominators of the
-    coefficients of p."""
-    m = 1
-    for c in p.values():
-        m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
-    n = len(field._zm)
-    return {mono: ground(n, c._v.numerator * (m // c._v.denominator))
-            if c._k == RAT else _times(c._v.P, m // c._v.m)
-            for mono, c in p.items()}, m
-
-
-def _flatten(field: CoefficientField, p: dict, slots: dict):
-    """sum mono P for p = {mono: P}, each P in Z[x, params], as one
-    polynomial of Z[x, params] with the extra generators of `slots`
-    (variable -> index) after x, params.  With no extra generator p is
-    {(): P}, and the sum is P."""
-    if not slots:
-        return p[()]
-    out = {}
-    nextra = len(slots)
-    for mono, P in p.items():
-        tail = [0] * nextra
-        for v, e in mono:
-            tail[slots[v]] = e
-        tail = tuple(tail)
-        for fm, a in _terms(field, P).items():
-            out[fm + tail] = a
-    return Poly(out)
-
-
 def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
-    """(P, m) with p = P/m: P in Z[x, params] with the extra generators of
-    `slots` after x, params (_flatten), and m the lcm of the denominators
-    of the coefficients of p (_numerators)."""
+    """(P, m) with p = P/m for p = {mono: c}, each c a RAT or POLY element:
+    P in Z[x, params] with the extra generators of `slots` (variable ->
+    index) after x, params, and m the lcm of the denominators of the c.
+    With no extra generator p is {(): c}, and P is c's numerator in the
+    field's own ring."""
     if not slots:
         c = p[()]
         if c._k == RAT:
             return ground(len(field._zm), c._v.numerator), c._v.denominator
         return c._v.P, c._v.m
-    p, m = _numerators(field, p)
-    return _flatten(field, p, slots), m
+    m = 1
+    for c in p.values():
+        m = lcm(m, c._v.denominator if c._k == RAT else c._v.m)
+    out = {}
+    for mono, c in p.items():
+        tail = [0] * len(slots)
+        for v, e in mono:
+            tail[slots[v]] = e
+        tail = tuple(tail)
+        if c._k == RAT:
+            out[field._zm + tail] = c._v.numerator * (m // c._v.denominator)
+            continue
+        k = m // c._v.m
+        for fm, a in _terms(field, c._v.P).items():
+            out[fm + tail] = a * k
+    return Poly(out), m
 
 
 def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:

@@ -234,15 +234,7 @@ class Poly(dict):
         if len(self) == 1:
             (m, c), = self.items()
             return Poly({tuple(e * n for e in m): c ** n})
-        out = None
-        base = self
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return _power(self, n)
 
     def mul_ground(self, k: int) -> "Poly":
         out = Poly()
@@ -284,6 +276,18 @@ class Poly(dict):
     def content(self, g: int = 0) -> int:
         """The gcd of g and the coefficients."""
         return content(self.values(), g)
+
+
+def _power(base, n: int):
+    """base**n for n >= 1 by square-and-multiply, for either form."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def content(values, g: int = 0) -> int:
@@ -380,14 +384,7 @@ class _Dense(tuple):
     __rmul__ = __mul__  # not tuple repetition: an int operand raises
 
     def __pow__(self, n: int):
-        out, base = _Dense((1,)), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n) if n else _Dense((1,))
 
     def mul_ground(self, k: int) -> "_Dense":
         return _Dense([a * k for a in self]) if k else _Dense()

@@ -1364,18 +1364,24 @@ def test_fraction_free_echelon_multiplies_no_polynomials_over_q(monkeypatch):
     assert apply_row_ops(M, ops) == E
 
 
-def _benchmark_shaped(alg, rng, orders):
+def _benchmark_shaped(alg, rng, orders, with_u=False):
     """A matrix with the given entry orders, a rational leading coefficient
     and lower coefficients (a x + b)/(x + p), one pole p per matrix, as in
-    the benchmark's echelon3 and det_product jobs."""
+    the benchmark's echelon3 and det_product jobs; with_u multiplies each
+    order-0 coefficient by 1 + u, so that the matrix carries jets."""
     F = alg.field
 
     def q():
         return F.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    def coefficient(n, k):
+        c = alg.from_scalar(q() if n == k else
+                            (q() * F.x + q()) / (F.x + pole))
+        return c + c * alg.jet(1) if with_u and n == 0 else c
     pole = q()
     return MatDiffOp(alg, [[ScalarDiffOp(alg, {
-        n: alg.from_scalar(q() if n == k else (q() * F.x + q()) / (F.x + pole))
-        for n in range(k + 1)}) for k in row] for row in orders])
+        n: coefficient(n, k) for n in range(k + 1)}) for k in row]
+        for row in orders])
 
 
 def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
@@ -1405,14 +1411,18 @@ def test_one_generator_eliminations_make_no_sparse_gcds(monkeypatch):
     assert "heugcd" in calls and "div" in calls
 
 
-def test_jet_free_step_composes_nothing_and_derives_once_per_pivot(
-        monkeypatch):
-    """A jet-free row_echelon steps on integer numerators: inside
-    _Elimination.sub no _compose_sum and no field.dot runs, and each
-    coefficient of a pivot row, and each of its derivatives, is derived at
-    most once while that row is the pivot, here with a pivot of order 0
-    that clears the entries of orders 1 and 2 below it by steps
-    d^k o row, k = 1, 2.  The scale-then-subtract reference step derives
+@pytest.mark.parametrize("with_u", [False, True], ids=["F", "V"])
+def test_step_composes_nothing_and_derives_once_per_pivot(monkeypatch,
+                                                          with_u):
+    """row_echelon steps on integer numerators, over F and, with u in the
+    order-0 coefficients, over V: inside _Elimination.sub no _compose_sum
+    and no field.dot runs, and each coefficient of a pivot row, and each
+    of its derivatives, is derived (FieldElem.derive, or DiffPoly.derive
+    with jets) at most once while that row is the pivot, here with a pivot
+    of order 0 that clears the entries of orders 1 and 2 below it by steps
+    d^k o row, k = 1, 2.  With u the matrix is 2x2, its pivot of order 0
+    clearing an entry of order 2 by steps k = 2, 1, since the 3x3 one
+    swells for a minute.  The scale-then-subtract reference step derives
     the pivot's coefficients again in each step, and a composition inside
     the step reaches both counted functions, which shows that the
     counters see the calls."""
@@ -1439,15 +1449,18 @@ def test_jet_free_step_composes_nothing_and_derives_once_per_pivot(
                         in_step("_compose_sum", diffop._compose_sum))
     monkeypatch.setattr(diffop, "dot", in_step("dot", diffop.dot))
     monkeypatch.setattr(field_module, "dot", in_step("dot", field_module.dot))
-    derive = FieldElem.derive
+    cls = DiffPoly if with_u else FieldElem
+    derive = cls.derive
 
     def counted_derive(self):
         if pivot[0] is not None:
             derived.append((pivot[0], id(self)))
         return derive(self)
-    monkeypatch.setattr(FieldElem, "derive", counted_derive)
-    M = _benchmark_shaped(DiffAlgebra(1), random.Random(3),
-                          ((0, 1, 2), (1, 2, 1), (2, 1, 0)))
+    monkeypatch.setattr(cls, "derive", counted_derive)
+    orders = ((0, 2), (2, 1)) if with_u else \
+        ((0, 1, 2), (1, 2, 1), (2, 1, 0))
+    M = _benchmark_shaped(DiffAlgebra(1), random.Random(3), orders, with_u)
+    assert M.is_quasiconstant() != with_u
     monkeypatch.setattr(diffop._Elimination, "sub",
                         counted(diffop._Elimination.sub))
     row_echelon(M)
