@@ -948,10 +948,10 @@ def row_echelon(M: MatDiffOp):
 
     A step runs on integers (_Elimination.sub): the new row's coefficients
     are sums of products of numerators over Z[x, params], with the step's
-    jets as further generators, each over one int denominator.  g is their content taken
-    together with a, so g divides a and a's primitive part is the only
-    polynomial divisor to try first: each sum is divided by it once, and a
-    gcd runs only at a sum that it leaves a remainder in.
+    jets as further generators, each over one int denominator.  g is their
+    content taken together with a, so g divides a and a's primitive part
+    is the only polynomial divisor to try first: each sum is divided by it
+    once, and a gcd runs only at a sum that it leaves a remainder in.
     """
     elim = _Elimination(M)
     elim.echelon()

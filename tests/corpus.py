@@ -293,29 +293,36 @@ def _majorant_preserving_reduce(kind):
     return out
 
 
-def _dieudonne_det_with_u(kind):
-    """The appendix matrix [[1, s u], [d, s u d]] for rationals s, whose
-    det is (-s u', 0); and [[u a, u b], [d a + c, d b + e]] for A = [[a, b],
-    [c, e]] of the det_product_a shape with u, whose leading matrix is
-    singular and whose pivot a carries u, so that the echelon form gives a
-    DiffRat with a jet below."""
+def _appendix_det():
+    """The appendix matrix [[1, s u], [d, s u d]] for seeded rationals s,
+    whose det is (-s u', 0)."""
     alg = DiffAlgebra(1)
     f, d, u = alg.field, ScalarDiffOp.d(alg), alg.jet(1)
     out = []
     for s in range(6):
         rng = random.Random(s)
-        if kind == "appendix":
-            su = ScalarDiffOp.mul_by(u.scale(f.rational(
-                Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))))
-            M = MatDiffOp(alg, [[ScalarDiffOp.identity(alg), su],
-                                [d, su.compose(d)]])
-        else:
-            A = _shaped(alg, rng, DET_PRODUCT["det_product_a"], with_u=True)
-            (a, b), (c, e) = A.rows
-            U = ScalarDiffOp.mul_by(u)
-            M = MatDiffOp(alg, [[U.compose(a), U.compose(b)],
-                                [d.compose(a) + c, d.compose(b) + e]])
-        out.append(dieudonne_det(M))
+        su = ScalarDiffOp.mul_by(u.scale(f.rational(
+            Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))))
+        out.append(dieudonne_det(MatDiffOp(
+            alg, [[ScalarDiffOp.identity(alg), su], [d, su.compose(d)]])))
+    return out
+
+
+def _singular_lead_det():
+    """The det of [[u a, u b], [d a + c, d b + e]] for A = [[a, b], [c, e]]
+    of the det_product_a shape with u: its leading matrix is singular and
+    its pivot u a carries u, so that the echelon form gives a DiffRat with
+    a jet below."""
+    alg = DiffAlgebra(1)
+    d, U = ScalarDiffOp.d(alg), ScalarDiffOp.mul_by(alg.jet(1))
+    out = []
+    for s in range(6):
+        A = _shaped(alg, random.Random(s), DET_PRODUCT["det_product_a"],
+                    with_u=True)
+        (a, b), (c, e) = A.rows
+        out.append(dieudonne_det(MatDiffOp(alg, [
+            [U.compose(a), U.compose(b)],
+            [d.compose(a) + c, d.compose(b) + e]])))
     return out
 
 
@@ -402,8 +409,8 @@ CASES = {
        for n in DET_PRODUCT for o in OVER},
     **{f"majorant_preserving_reduce/{n}_u":
        (lambda n=n: _majorant_preserving_reduce(n)) for n in MAJORANT_SHAPES},
-    **{f"dieudonne_det/{n}_u": (lambda n=n: _dieudonne_det_with_u(n))
-       for n in ("appendix", "singular_lead")},
+    "dieudonne_det/appendix_u": _appendix_det,
+    "dieudonne_det/singular_lead_u": _singular_lead_det,
     **{f"{n}/x_dependent": (lambda n=n: _x_dependent(n))
        for n in ("sigma_space", "cohomology_dim")},
     "solve_rational/x_dependent": _solve_rational,

@@ -1373,12 +1373,12 @@ def _benchmark_shaped(alg, rng, orders, with_u=False):
 
     def q():
         return F.rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    pole = q()
 
     def coefficient(n, k):
         c = alg.from_scalar(q() if n == k else
                             (q() * F.x + q()) / (F.x + pole))
         return c + c * alg.jet(1) if with_u and n == 0 else c
-    pole = q()
     return MatDiffOp(alg, [[ScalarDiffOp(alg, {
         n: coefficient(n, k) for n in range(k + 1)}) for k in row]
         for row in orders])
