@@ -8,11 +8,15 @@ name of the case that changed.
 
     python tests/corpus.py --list          the case names
     python tests/corpus.py --show CASE     print a case's repr
+    python tests/corpus.py --changed       the cases whose fingerprint differs
+                                           from tests/data/corpus.json (exit 1
+                                           if there is any)
     python tests/corpus.py --write         regenerate tests/data/corpus.json
 
-A change that alters a result on purpose regenerates the file with
---write and names each changed case, and why, in CHANGES.md; --show at the
-old and the new commit gives the two reprs to diff.
+A change that alters a result on purpose names the changed cases with
+--changed, regenerates the file with --write and names each changed case,
+and why, in CHANGES.md; --show at the old and the new commit gives the two
+reprs to diff.
 """
 
 import hashlib
@@ -31,8 +35,9 @@ if __name__ == "__main__":
 from varpois import (DegenerateLeadingMatrix, DiffAlgebra,  # noqa: E402
                      Incomplete, LambdaBracketStruct, LambdaPoly,
                      LocalFunctional, MatDiffOp, NoRationalSolution,
-                     ScalarDiffOp, SkewArray, UndecidableResidue,
-                     check_jacobi, cohomology_dim, delta_k, dieudonne_det,
+                     QuotientArray, ScalarDiffOp, SkewArray,
+                     UndecidableResidue, check_jacobi, cohomology_dim, d_k,
+                     delta_k, dieudonne_det,
                      higher_euler, magri_structure, majorant,
                      majorant_preserving_reduce, rational_antiderivative,
                      reduce_closed, row_echelon, run_hierarchy,
@@ -181,6 +186,79 @@ def _closed_arrays(alg, K, k):
         out.append(delta_k(Q0, K))
     if k == 1:
         out.append(out[-1] + SkewArray.from_one_form([alg.x()] * alg.nvars))
+    return out
+
+
+def _seeded_array(rng, alg, k):
+    """A skewsymmetric k-array whose entries have lam-degree <= 1 per
+    variable and coefficients from _poly with jets of order <= 1."""
+    P = SkewArray(alg, k)
+    for idx in itertools.combinations_with_replacement(
+            range(1, alg.nvars + 1), k):
+        L = LambdaPoly.zero(alg, k)
+        for e in itertools.product(range(2), repeat=k):
+            if rng.random() < 0.8:
+                L = L + LambdaPoly.monomial(alg, k, e, _poly(rng, alg, 1, 2))
+        P.set_entry(idx, L)
+    return P
+
+
+def _k_with_x_and_c(nvars):
+    """A quasiconstant K over Q(c)(x), so Poisson: (x + c) d^2 + c d + x,
+    or [[d, x], [c, (c x + 1) d]]."""
+    alg = DiffAlgebra(nvars, ["c"])
+    F = alg.field
+    x, c = F.x, F.param("c")
+
+    def op(coeffs):
+        return ScalarDiffOp(alg, {n: alg.from_scalar(v)
+                                  for n, v in coeffs.items()})
+    if nvars == 1:
+        return MatDiffOp(alg, [[op({2: x + c, 1: c, 0: x})]])
+    return MatDiffOp(alg, [[op({1: F.one}), op({0: x})],
+                           [op({0: c}), op({1: c * x + 1})]])
+
+
+def _differential(kind, nvars, k):
+    """delta_K, or d_K on the class, of seeded k-arrays for the K of
+    _k_with_x_and_c: both read K's symbols and generator brackets."""
+    K = _k_with_x_and_c(nvars)
+    out = []
+    for s in range(6):
+        P = _seeded_array(random.Random(s), K.alg, k)
+        out.append(delta_k(P, K) if kind == "delta_k" else
+                   d_k(QuotientArray(P), LambdaBracketStruct(K)))
+    return out
+
+
+def _diag_k(rng, alg, N):
+    """K = A o diag(d^N), A a nonzero rational (l = 1) or unipotent
+    triangular (l = 2): the jacobi-cohomology benchmark's K."""
+    z = ScalarDiffOp.zero(alg)
+    n = alg.nvars
+    diag = MatDiffOp(alg, [[ScalarDiffOp.d(alg, N) if i == j else z
+                            for j in range(n)] for i in range(n)])
+    if n == 1:
+        A = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))]]
+    else:
+        t = rng.choice((-2, -1, 1, 2))
+        A = [[1, t], [0, 1]] if rng.random() < 0.5 else [[1, 0], [t, 1]]
+    return MatDiffOp.from_constant(alg, A).compose(diag)
+
+
+def _diag_spaces(kind, nvars, N):
+    """sigma_space bases, or cohomology_dim results and kernels, at
+    k = 0, 1, 2 for two seeded K of the _diag_k shape."""
+    alg = DiffAlgebra(nvars)
+    out = []
+    for s in range(2):
+        K = _diag_k(random.Random(s), alg, N)
+        for k in range(3):
+            if kind == "sigma_space":
+                out.append(sigma_space(K, k))
+            else:
+                res = cohomology_dim(K, k)
+                out.append((res, res.kernel))
     return out
 
 
@@ -416,6 +494,13 @@ CASES = {
     "solve_rational/x_dependent": _solve_rational,
     "rational_antiderivative/q_c": _rational_antiderivative,
     "check_jacobi/not_poisson": _not_poisson,
+    **{f"{kind}/x_c/l{n}/k{k}": (lambda kind=kind, n=n, k=k:
+                                 _differential(kind, n, k))
+       for kind in ("delta_k", "d_k") for n in (1, 2) for k in (0, 1)},
+    **{f"{kind}/diag/l{n}N{N}": (lambda kind=kind, n=n, N=N:
+                                 _diag_spaces(kind, n, N))
+       for kind in ("sigma_space", "cohomology_dim")
+       for n in (1, 2) for N in (1, 2)},
 }
 
 
@@ -434,12 +519,20 @@ def main(argv=None) -> int:
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--show", metavar="CASE", choices=sorted(CASES))
+    group.add_argument("--changed", action="store_true")
     group.add_argument("--write", action="store_true")
     args = ap.parse_args(argv)
     if args.list:
         print("\n".join(CASES))
     elif args.show:
         print(repr(CASES[args.show]()))
+    elif args.changed:
+        old = recorded()
+        changed = [(name, old.get(name), fingerprint(name)) for name in CASES]
+        changed = [c for c in changed if c[1] != c[2]]
+        for name, was, now in changed:
+            print(f"{name}: {(was or 'absent')[:12]} -> {now[:12]}")
+        return 1 if changed else 0
     else:
         os.makedirs(os.path.dirname(DATA), exist_ok=True)
         with open(DATA, "w") as fh:

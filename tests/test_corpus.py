@@ -17,3 +17,23 @@ def test_corpus_case(name):
     assert corpus.fingerprint(name) == RECORDED.get(name), (
         f"{name} changed; compare `python tests/corpus.py --show {name}` "
         f"with the parent commit's")
+
+
+def test_changed_names_each_differing_case(monkeypatch, capsys):
+    """--changed prints each case whose fingerprint differs from the file,
+    with both hash prefixes, and exits 1; with none it prints nothing and
+    exits 0."""
+    monkeypatch.setattr(corpus, "CASES", {"same": lambda: 1,
+                                          "moved": lambda: 2,
+                                          "new": lambda: 3})
+    same = corpus.fingerprint("same")
+    monkeypatch.setattr(corpus, "recorded", lambda: {
+        "same": same, "moved": "0" * 64})
+    assert corpus.main(["--changed"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"moved: {'0' * 12} -> {corpus.fingerprint('moved')[:12]}",
+                     f"new: absent -> {corpus.fingerprint('new')[:12]}"]
+    monkeypatch.setattr(corpus, "recorded", lambda: {
+        name: corpus.fingerprint(name) for name in corpus.CASES})
+    assert corpus.main(["--changed"]) == 0
+    assert capsys.readouterr().out == ""
