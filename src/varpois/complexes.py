@@ -447,8 +447,6 @@ def reduce_closed(P: SkewArray, K: MatDiffOp):
     quasiconstant bottom slice (unique).  K must be quasiconstant with
     invertible leading coefficient; internally the reduction runs for
     K o K_N^{-1} (leading coefficient identity) and transports back."""
-    if not K.is_quasiconstant():
-        raise NotQuasiconstant("reduction needs a quasiconstant operator")
     lead, inv = invertible_leading(K)
     if not _is_identity(lead):
         Q1, R1 = reduce_closed(phi_s(P, inv), _compose_constant(K, inv))
@@ -566,8 +564,6 @@ def cohomology_dim(K: MatDiffOp, k: int) -> CohomologyResult:
         raise ValueError(f"k must be nonnegative, got {k}")
     alg = K.alg
     field = alg.field
-    if not K.is_quasiconstant():
-        raise NotQuasiconstant("cohomology_dim needs quasiconstant K")
     lead, inv = invertible_leading(K)
     Kn = K if _is_identity(lead) else _compose_constant(K, inv)
     N = K.order()

@@ -8,9 +8,12 @@ reduction over F[d] (fraction-free, on rows without denominators) and
 over the skew field of pseudodifferential operators is one kernel,
 _Elimination.
 
-Operators are sums a_n d^n with coefficients in V (differential polynomials),
-F (quasiconstants), the fraction field of V, or linear forms in unknown
-functions; composition follows d o a = a d + a'.  A composition, an entry
+Operators are sums a_n d^n, composed by d o a = a d + a'.  A coefficient
+has one stored form, decided by ScalarDiffOp: a DiffPoly (an element of V)
+only when it carries a jet, and otherwise its constant term, a FieldElem
+(an element of F) or a LinForm in unknown functions of the linear-form
+solvers.  So `type(c) is DiffPoly` alone tells a coefficient with jets
+from one in F, and equal operators print alike.  A composition, an entry
 of a matrix product and an adjoint are each one sum of operator products
 (_compose_sum): the products that land on one coefficient are summed by
 field.dot, so each coefficient cancels once, not once per product and per
@@ -86,13 +89,20 @@ INFINITE = math.inf
 
 
 class ScalarDiffOp:
-    """Sum of c_n d^n; coefficients c_n support +, -, *, derive, is_zero."""
+    """Sum of c_n d^n; coefficients c_n support +, -, *, derive, is_zero.
+
+    The constructor stores each nonzero coefficient in one form: a DiffPoly
+    only when it carries a jet, and a DiffPoly without jets as its constant
+    term (a FieldElem, or a LinForm), so a quasiconstant operator holds no
+    DiffPoly at all."""
 
     __slots__ = ("alg", "coeffs")
 
     def __init__(self, alg: DiffAlgebra, coeffs: dict):
         self.alg = alg
-        self.coeffs = {n: c for n, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {n: c.terms.get((), c) if type(c) is DiffPoly
+                       and len(c.terms) == 1 else c
+                       for n, c in coeffs.items() if not c.is_zero()}
 
     # -- constructors --------------------------------------------------------
 
@@ -102,11 +112,11 @@ class ScalarDiffOp:
 
     @classmethod
     def identity(cls, alg: DiffAlgebra) -> "ScalarDiffOp":
-        return cls(alg, {0: alg.one})
+        return cls(alg, {0: alg.field.one})
 
     @classmethod
     def d(cls, alg: DiffAlgebra, n: int = 1) -> "ScalarDiffOp":
-        return cls(alg, {n: alg.one})
+        return cls(alg, {n: alg.field.one})
 
     @classmethod
     def mul_by(cls, f) -> "ScalarDiffOp":
@@ -121,30 +131,24 @@ class ScalarDiffOp:
 
     def leading_coefficient(self):
         n = self.order()
-        return self.alg.zero if n is None else self.coeffs[n]
+        return self.alg.field.zero if n is None else self.coeffs[n]
 
     def coeff(self, n: int):
-        return self.coeffs.get(n, self.alg.zero)
+        return self.coeffs.get(n, self.alg.field.zero)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_quasiconstant(self) -> bool:
-        return all(isinstance(c, FieldElem)
-                   or (isinstance(c, DiffPoly) and c.is_quasiconstant())
-                   for c in self.coeffs.values())
+        return all(type(c) is not DiffPoly for c in self.coeffs.values())
 
     def field_coeffs(self) -> dict:
-        """Coefficients as FieldElem; requires quasiconstantness."""
-        out = {}
-        for n, c in self.coeffs.items():
-            if isinstance(c, FieldElem):
-                out[n] = c
-            elif isinstance(c, DiffPoly) and c.is_quasiconstant():
-                out[n] = c.quasiconstant_part()
-            else:
-                raise NotQuasiconstant("operator is not quasiconstant")
-        return out
+        """The coefficients, all in F, as stored: the dict itself, not to
+        be mutated (like DiffPoly.terms).  Raises NotQuasiconstant when a
+        coefficient carries a jet."""
+        if not self.is_quasiconstant():
+            raise NotQuasiconstant("operator is not quasiconstant")
+        return self.coeffs
 
     # -- ring structure ---------------------------------------------------------
 
@@ -175,10 +179,10 @@ class ScalarDiffOp:
     def adjoint(self) -> "ScalarDiffOp":
         """(sum c_n d^n)* = sum (-d)^n o c_n (coefficientwise; matrix
         transposition happens at the matrix level)."""
-        alg = self.alg
-        return _compose_sum(alg, [(ScalarDiffOp(alg, {n: (-1) ** n * (
-            alg.one if isinstance(c, DiffPoly) else alg.field.one)}),
-            ScalarDiffOp(alg, {0: c})) for n, c in self.coeffs.items()], {})
+        alg, one = self.alg, self.alg.field.one
+        return _compose_sum(alg, [(ScalarDiffOp(alg, {n: (-1) ** n * one}),
+                                   ScalarDiffOp(alg, {0: c}))
+                                  for n, c in self.coeffs.items()], {})
 
     def apply(self, f):
         """The operator applied to f in V, or to f in F when the operator
@@ -201,7 +205,7 @@ class ScalarDiffOp:
         for n, c in self.coeffs.items():
             e = [0] * k
             e[slot] = n
-            p = c if isinstance(c, DiffPoly) else self.alg.from_scalar(c)
+            p = c if type(c) is DiffPoly else self.alg.from_scalar(c)
             terms[tuple(e)] = p
         return LambdaPoly(self.alg, k, terms)
 
@@ -222,12 +226,12 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
     sum_j C(m, j) b^(j) d^(m-j).  The products that land on one order and
     one jet monomial are summed by field.dot, so each coefficient cancels
     once; values that are not FieldElem (linear forms) are added with +.
-    An order is a DiffPoly when a DiffPoly coefficient reaches it.
-    derivatives maps id(b) to the chain b, b', ... (None from the first
-    zero on) of each right coefficient b, while the right operands live."""
+    Each coefficient is built in its stored form: a DiffPoly when a jet
+    monomial survives in it, else its constant term.  derivatives maps
+    id(b) to the chain b, b', ... (None from the first zero on) of each
+    right coefficient b, while the right operands live."""
     sums: dict = {}     # (order, monomial) -> list of triples
     others: dict = {}   # (order, monomial) -> sum of the other products
-    jets = set()
     for A, B in pairs:
         for n, b in B.coeffs.items():
             chain = extend_chain(derivatives.setdefault(id(b), [b]),
@@ -237,8 +241,6 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
                     if bj is None:
                         break
                     o, k = m + n - j, math.comb(m, j)
-                    if isinstance(a, DiffPoly) or isinstance(bj, DiffPoly):
-                        jets.add(o)
                     for ma, ca in _coefficient_terms(a).items():
                         for mb, cb in _coefficient_terms(bj).items():
                             key = (o, _mono_mul(ma, mb))
@@ -248,9 +250,6 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
                                 term = ca * cb * k
                                 others[key] = others[key] + term \
                                     if key in others else term
-    if not jets and not others:
-        return ScalarDiffOp(alg, {o: dot(alg.field, triples)
-                                  for (o, _), triples in sums.items()})
     coeffs: dict = {}
     for key in [*sums, *others.keys() - sums.keys()]:
         v = dot(alg.field, sums[key]) if key in sums else None
@@ -258,7 +257,7 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
             v = others[key] if v is None else v + others[key]
         if not v.is_zero():
             coeffs.setdefault(key[0], {})[key[1]] = v
-    return ScalarDiffOp(alg, {o: DiffPoly(alg, c) if o in jets else c[()]
+    return ScalarDiffOp(alg, {o: DiffPoly(alg, c) if any(c) else c[()]
                               for o, c in coeffs.items()})
 
 
@@ -268,7 +267,7 @@ def format_scalar_op(op: ScalarDiffOp) -> str:
     bits = []
     for n in sorted(op.coeffs, reverse=True):
         c = op.coeffs[n]
-        cs = format_diff_poly(c) if isinstance(c, DiffPoly) else (
+        cs = format_diff_poly(c) if type(c) is DiffPoly else (
             format_field_elem(c) if isinstance(c, FieldElem) else str(c))
         if n == 0:
             bits.append(cs if " " not in cs else f"({cs})")
@@ -315,8 +314,8 @@ class MatDiffOp:
 
     @classmethod
     def from_constant(cls, alg: DiffAlgebra, mat: Sequence[Sequence]) -> "MatDiffOp":
-        return cls(alg, [[ScalarDiffOp(alg, {0: alg.from_scalar(
-            alg.field.coerce(v))}) for v in row] for row in mat])
+        return cls(alg, [[ScalarDiffOp(alg, {0: alg.field.coerce(v)})
+                          for v in row] for row in mat])
 
     def entry(self, i: int, j: int) -> ScalarDiffOp:
         return self.rows[i][j]
@@ -662,11 +661,6 @@ def leading_matrix(M, maj: Majorant) -> LeadingMatrix:
     return LeadingMatrix(rows, maj)
 
 
-def _field_value(c) -> FieldElem:
-    """A quasiconstant coefficient as an element of F."""
-    return c if isinstance(c, FieldElem) else c.quasiconstant_part()
-
-
 def _leading_det(lm: LeadingMatrix, alg_or_field):
     """Determinant of the coefficient matrix of a square leading matrix:
     over F when every entry is quasiconstant, over the fraction field of V
@@ -675,13 +669,10 @@ def _leading_det(lm: LeadingMatrix, alg_or_field):
     mat = lm.coefficient_matrix()
     if len(mat) != len(mat[0]):
         raise ShapeMismatch("nondegeneracy is for square matrices")
-    if all(isinstance(c, FieldElem)
-           or (isinstance(c, DiffPoly) and c.is_quasiconstant())
-           for row in mat for c in row):
+    if all(type(c) is not DiffPoly for row in mat for c in row):
         field = alg_or_field.field if isinstance(alg_or_field, DiffAlgebra) \
             else alg_or_field
-        return _dense_det([[_field_value(c) for c in row] for row in mat],
-                          field)
+        return _dense_det(mat, field)
     alg = alg_or_field
     fractions = SimpleNamespace(one=DiffRat(alg.one), zero=DiffRat(alg.zero))
     return _dense_det([[DiffRat.of(c, alg) for c in row] for row in mat],
@@ -701,7 +692,7 @@ def _monomial(like, c, k: int):
 def _coefficient_terms(c) -> dict:
     """A coefficient as a polynomial over F in the jets: the terms of a
     DiffPoly, {(): c} for an element of F."""
-    return c.terms if isinstance(c, DiffPoly) else {(): c}
+    return c.terms if type(c) is DiffPoly else {(): c}
 
 
 def _split(row) -> tuple:
@@ -750,20 +741,16 @@ class _Elimination:
         if isinstance(M, MatPseudoOp):
             self.rows = [list(r) for r in M.rows]
             return
-        alg = self.alg = M.alg
+        self.alg = M.alg
         self.jets = not M.is_quasiconstant()
-        if self.jets:
-            def convert(c):
-                return c if isinstance(c, DiffPoly) else alg.from_scalar(c)
-        else:
-            convert = _field_value
-        self.rows = [[e.map_coeffs(convert) for e in r] for r in M.rows]
+        self.rows = [list(r) for r in M.rows]
         for j in range(len(self.rows)):
             self._clear_denominators(j)
 
     def _coefficient(self, terms: dict):
-        """The coefficient whose _coefficient_terms are `terms`."""
-        return DiffPoly(self.alg, terms) if self.jets else terms[()]
+        """The coefficient, in its stored form, whose _coefficient_terms
+        are `terms`."""
+        return DiffPoly(self.alg, terms) if any(terms) else terms[()]
 
     def _join(self, keys: list, polys: list, width: int) -> list:
         """The row of `width` entries whose coefficient of d^n in entry t
@@ -845,7 +832,8 @@ class _Elimination:
                             *(c for e in rows[j] for c in e.coeffs.values()),
                             *(y for ys in chains.values()
                               for y in ys[:depth + 1] if y is not None)]
-            names = sorted({v for c in coefficients for mono in c.terms
+            names = sorted({v for c in coefficients
+                            for mono in _coefficient_terms(c)
                             for v, _ in mono})
         slots = {v: k for k, v in enumerate(names)}
         A, ma = self._numerator(a, slots)
@@ -1112,7 +1100,7 @@ def _echelon_det(M) -> DetValue:
         elif op[0] == "sub":
             den, num = den * op[4], num * op[5]
     if elim.jets:
-        num = DiffRat(num, den)
+        num = DiffRat(M.alg.one * num, den)
     elif den != 1:
         num = num / den
     return DetValue(_simplify_coeff(num), sum(e.order() for e in diag))
@@ -1387,26 +1375,20 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int,
 
 def invertible_leading(K: MatDiffOp) -> tuple:
     """(K_N, K_N^-1): the leading coefficient of a square operator K of
-    order N as a matrix over F, and its inverse.  Raises ShapeMismatch when K
-    is not square, NotQuasiconstant when K_N is not in F, and
-    LeadingCoeffSingular when K is zero or K_N is singular."""
+    order N as a matrix over F, and its inverse.  This is the one check of
+    the paper's class, K in F[d] with K_N invertible, for every caller.
+    Raises ShapeMismatch when K is not square, NotQuasiconstant when any
+    coefficient of K carries a jet, and LeadingCoeffSingular when K is zero
+    or K_N is singular."""
     if not K.is_square():
         raise ShapeMismatch(f"leading coefficient of a {K.m}x{K.n} operator")
+    if not K.is_quasiconstant():
+        raise NotQuasiconstant("K must be quasiconstant")
     N = K.order()
     if N is None:
         raise LeadingCoeffSingular("zero operator")
     field = K.alg.field
-    lead = []
-    for row in K.rows:
-        r = []
-        for e in row:
-            c = e.coeff(N)
-            if isinstance(c, DiffPoly):
-                if not c.is_quasiconstant():
-                    raise NotQuasiconstant("leading coefficient not in F")
-                c = c.quasiconstant_part()
-            r.append(field.coerce(c))
-        lead.append(r)
+    lead = [[e.coeff(N) for e in row] for row in K.rows]
     inv = lead if _is_identity(lead) else matrix_inverse(lead, field)
     if inv is None:
         raise LeadingCoeffSingular("leading coefficient is singular")
@@ -1421,33 +1403,32 @@ def _is_identity(mat: list) -> bool:
 def selfadjoint_product_space(K: MatDiffOp) -> list:
     """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint},
     found by solve_linform_system.  K must be quasiconstant with invertible
-    leading coefficient (invertible_leading: LeadingCoeffSingular
-    otherwise); an infinite space raises InvariantViolation."""
+    leading coefficient (invertible_leading: NotQuasiconstant or
+    LeadingCoeffSingular otherwise); an infinite space raises
+    InvariantViolation.  The unknown P has LinForm coefficients, so K o P
+    and its adjoint hold LinForms, which are its equations."""
     alg = K.alg
     field = alg.field
-    if not K.is_quasiconstant():
-        raise NotQuasiconstant("K must be quasiconstant")
     invertible_leading(K)
     N = K.order()
     size = K.m
     atoms = [(q, i, j) for q in range(N) for i in range(size)
              for j in range(size)]
     P = MatDiffOp(alg, [[
-        ScalarDiffOp(alg, {q: alg.from_scalar(LinForm.atom(field, (q, i, j)))
+        ScalarDiffOp(alg, {q: LinForm.atom(field, (q, i, j))
                            for q in range(N)})
         for j in range(size)] for i in range(size)])
-    # LinForm coefficients live inside DiffPoly constant terms
     T = K.compose(P)
     R = T - T.adjoint()
     sols = solve_linform_system(
-        alg, (((i, j, n), e.coeffs[n].quasiconstant_part())
+        alg, (((i, j, n), e.coeffs[n])
               for i, row in enumerate(R.rows) for j, e in enumerate(row)
               for n in sorted(e.coeffs)), atoms)
     out = []
     for vec in sols.homogeneous:
         values = dict(zip(atoms, vec))
         out.append(P.map_entries(lambda e: e.map_coeffs(
-            lambda c: alg.from_scalar(c.quasiconstant_part().evaluate(values)))))
+            lambda c: c.evaluate(values))))
     return out
 
 

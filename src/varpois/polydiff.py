@@ -261,11 +261,7 @@ def _integer_symbols(K: MatDiffOp) -> Optional[tuple]:
     for i, row in enumerate(K.rows, 1):
         for j, op in enumerate(row, 1):
             for n, c in op.coeffs.items():
-                if isinstance(c, DiffPoly):
-                    if not c.is_quasiconstant():
-                        return None
-                    c = c.quasiconstant_part()
-                if not c.is_rational_number():
+                if type(c) is DiffPoly or not c.is_rational_number():
                     return None
                 fracs.setdefault((i, j), {})[n] = c.as_fraction()
     L = math.lcm(*(v.denominator for d in fracs.values() for v in d.values()))

@@ -19,9 +19,9 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem,
                      variational_derivative)
 from varpois.complexes import _perm_sign
 from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
-                            _coefficient_terms, _Elimination, _field_value,
-                            _replay, _simplify_coeff, _solve_by_ansatz,
-                            _split, dieudonne_det, row_echelon)
+                            _coefficient_terms, _Elimination, _replay,
+                            _simplify_coeff, _solve_by_ansatz, _split,
+                            dieudonne_det, row_echelon)
 from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
                            clear_denominators, x_coefficients)
 from varpois.lambdapoly import (_linear_powers, affine_pow_on, subst_slot_neg,
@@ -563,10 +563,11 @@ def total_skewsymmetrize_shortcut(P):
 
 
 def _field_entries(M: MatDiffOp, convert_jets):
-    """The rows of M with coefficients in F when M is quasiconstant, else
-    each coefficient mapped by convert_jets."""
-    convert = _field_value if M.is_quasiconstant() else convert_jets
-    return [[e.map_coeffs(convert) for e in r] for r in M.rows]
+    """The rows of M as stored when M is quasiconstant (its coefficients
+    are then in F), else each coefficient mapped by convert_jets."""
+    if M.is_quasiconstant():
+        return [list(r) for r in M.rows]
+    return [[e.map_coeffs(convert_jets) for e in r] for r in M.rows]
 
 
 def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
@@ -576,8 +577,8 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
     where g must divide exactly."""
     def divide(c, g):
         if isinstance(g, DiffPoly):
-            q = DiffRat(c, g)
-            assert q.den == c.alg.one, "the content does not divide the row"
+            q = DiffRat.of(c, M.alg) / g
+            assert q.den == M.alg.one, "the content does not divide the row"
             return q.num
         return c / g
 

@@ -139,6 +139,21 @@ def test_singular_leading_coefficient_error(tmp_path, command):
         "LeadingCoeffSingular: leading coefficient is singular"
 
 
+@pytest.mark.parametrize("command, k", [("sigma", 1), ("cohomology", 0)])
+def test_k_with_a_lower_jet_is_not_in_the_class(tmp_path, command, k):
+    """sigma and cohomology refuse K = d^2 + u, whose jet sits below the
+    leading coefficient, with the error the other solvers name (a dim 1
+    and a flagged count came back before)."""
+    session = tmp_path / "one.vp"
+    session.write_text("vars 1\n")
+    body, code = _run(["--session", str(session), command,
+                       "--K", "d^2 + u", "--k", str(k)])
+    assert code == 2
+    assert body["results"][0] == {
+        "name": command, "status": "error",
+        "value": "NotQuasiconstant: K must be quasiconstant"}
+
+
 def test_solve_skew(session_file, tmp_path):
     doc = {"arity": 1, "entries": {"1,1": [[[1], "2"]]}}
     sfile = tmp_path / "S.json"
@@ -249,7 +264,7 @@ PINNED_REPORTS = [
     ("echelon", "[[x*d^2 + 1, u],[d, d^2 + c]]",
      "[[x*d^2 + 1, u],[d, d^2 + c]]",
      'echelon: ok  {"matrix": "[[1, -x*d^3 + -x*c*d + u],[0, x*d^4 + d^3 + '
-     '((x*c + 1))*d^2 + (-u + c)*d + (-u\' + c)]]", "operations": 4}'),
+     '(x*c + 1)*d^2 + (-u + c)*d + (-u\' + c)]]", "operations": 4}'),
     ("det", "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
      "[[d^2, x*d, 1],[1, d, c],[x, 1, d^3]]",
      'det: ok  {"c": "1", "degree": 6}'),

@@ -31,8 +31,9 @@ def test_changed_names_each_differing_case(monkeypatch, capsys):
         "same": same, "moved": "0" * 64})
     assert corpus.main(["--changed"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"moved: {'0' * 12} -> {corpus.fingerprint('moved')[:12]}",
-                     f"new: absent -> {corpus.fingerprint('new')[:12]}"]
+    now = {name: corpus.fingerprint(name)[:12] for name in ("moved", "new")}
+    assert lines == [f"moved: {'0' * 12} -> {now['moved']}",
+                     f"new: absent -> {now['new']}"]
     monkeypatch.setattr(corpus, "recorded", lambda: {
         name: corpus.fingerprint(name) for name in corpus.CASES})
     assert corpus.main(["--changed"]) == 0

@@ -17,7 +17,7 @@ from varpois import (DegenerateLeadingMatrix, DegenerateShape, DiffAlgebra,
                      row_echelon, selfadjoint_product_space, solve_rational)
 from varpois import diffop
 from varpois.diffop import (DET_ZERO, INFINITE, DetValue,
-                            _echelon_det, _field_value, _solve_by_ansatz,
+                            _echelon_det, _solve_by_ansatz,
                             format_scalar_op, solve_linform_system)
 from varpois import field as field_module
 from varpois import zpoly
@@ -566,7 +566,7 @@ def test_solve_rational_selfadjoint_system():
     basis = selfadjoint_product_space(K)
     assert len(basis) == 1
     P = basis[0].rows[0][0]
-    assert P.order() == 0 and P.coeff(0).is_quasiconstant()
+    assert P.order() == 0 and P.is_quasiconstant()
 
 
 def test_linform_system_rows():
@@ -1538,13 +1538,11 @@ def product_coefficients(draw, alg, jets):
 
 @st.composite
 def product_ops(draw, alg, jets=False, in_field=False):
-    """A scalar operator of order at most 2 with product_coefficients, or,
-    with in_field, the same operator free of jets with its coefficients in
-    F itself, as the row reduction holds them."""
-    op = ScalarDiffOp(alg, {n: draw(product_coefficients(alg, jets and
-                                                         not in_field))
-                            for n in range(3) if draw(st.booleans())})
-    return op.map_coeffs(_field_value) if in_field else op
+    """A scalar operator of order at most 2 with product_coefficients, free
+    of jets with in_field (its coefficients are then stored in F)."""
+    return ScalarDiffOp(alg, {n: draw(product_coefficients(alg, jets and
+                                                           not in_field))
+                              for n in range(3) if draw(st.booleans())})
 
 
 def _same_op(a, b) -> bool:
@@ -1605,11 +1603,55 @@ def test_operator_products_equal_the_term_by_term_reference(data, alg, kind):
         assert repr(A.compose(B)) == "ScalarDiffOp(d + 1)"
 
 
+def _stored_form(op) -> bool:
+    """Every DiffPoly coefficient of op carries a jet."""
+    return all(any(c.terms) for c in op.coeffs.values()
+               if type(c) is DiffPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG_X, ALG]))
+def test_an_element_of_f_is_stored_as_a_field_elem(data, alg):
+    """An operator built from constant DiffPolys (alg.from_scalar(c)) and
+    the one built from the FieldElems c are equal, print alike and hold
+    only FieldElems.  The sum, scalings, compositions and adjoints of
+    quasiconstant operators hold no DiffPoly; a coefficient with a jet
+    stays a DiffPoly, and becomes a FieldElem again when its jets cancel."""
+    F = alg.field
+    cs = {n: data.draw(field_elems(F)) + data.draw(field_elems(F)) /
+          (F.x + data.draw(st.integers(1, 2)))
+          for n in range(3) if data.draw(st.booleans())}
+    A = ScalarDiffOp(alg, {n: alg.from_scalar(c) for n, c in cs.items()})
+    B = ScalarDiffOp(alg, cs)
+    assert A == B and repr(A) == repr(B)
+    assert all(type(c) is FieldElem for c in A.coeffs.values())
+    C = data.draw(product_ops(alg))
+    s = data.draw(field_elems(F))
+    for op in (A + C, A - C, A.scale(s), A.scale(alg.from_scalar(s)),
+               A.compose(C), C.compose(A), A.adjoint(), C.adjoint(),
+               MatDiffOp(alg, [[A, C]]).compose(MatDiffOp(alg, [[C], [A]]))
+               .rows[0][0]):
+        assert all(type(c) is FieldElem for c in op.coeffs.values())
+    n, k = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    jet = ScalarDiffOp.mul_by(alg.jet(1, data.draw(st.integers(0, 1))) * k)
+    jet = jet.compose(ScalarDiffOp.d(alg, n))
+    J = A + jet
+    assert type(J.coeffs[n]) is DiffPoly
+    assert J.coeffs[n] == jet.coeffs[n] + A.coeff(n)
+    assert all(type(c) is FieldElem for m, c in J.coeffs.items() if m != n)
+    for op in (J.compose(C), C.compose(J), J.adjoint(), J.scale(s)):
+        assert _stored_form(op)
+    back = J - jet
+    assert back == B and repr(back) == repr(B)
+    assert all(type(c) is FieldElem for c in back.coeffs.values())
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), alg=st.sampled_from([ALG_X, ALG]))
 def test_linform_products_equal_the_term_by_term_reference(data, alg):
-    """With LinForm coefficients inside DiffPoly constant terms, as in
-    selfadjoint_product_space, the LinForm products are added with +:
+    """With LinForm coefficients, stored as such (a DiffPoly without jets
+    is stored as its constant term), as in selfadjoint_product_space, the
+    LinForm products are added with +:
     K o P, P o K, P* and [[K, K]] o [[P], [-P]] = 0 equal the reference."""
     F = alg.field
     K = data.draw(product_ops(alg))

@@ -631,6 +631,8 @@ def _leading_error_cases():
         "singular": ([[d, d], [d, d]], LeadingCoeffSingular),
         "jet_leading": ([[ScalarDiffOp(ALG2, {1: u}), zero], [zero, d]],
                         NotQuasiconstant),
+        "jet_lower": ([[d + ScalarDiffOp.mul_by(u), zero], [zero, d]],
+                      NotQuasiconstant),
     }
 
 
@@ -645,9 +647,10 @@ SOLVERS = {
 @pytest.mark.parametrize("case", sorted(_leading_error_cases()))
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_leading_coefficient_errors_are_named(solver, case):
-    """Every solver reads K's leading coefficient through one reader: a
-    non-square K is a ShapeMismatch, a singular leading coefficient a
-    LeadingCoeffSingular and one outside F a NotQuasiconstant."""
+    """Every solver checks K through one reader: a non-square K is a
+    ShapeMismatch, a singular leading coefficient a LeadingCoeffSingular,
+    and a K with a jet in any coefficient, leading or lower, a
+    NotQuasiconstant."""
     rows, error = _leading_error_cases()[case]
     with pytest.raises(error):
         SOLVERS[solver](MatDiffOp(ALG2, rows))
@@ -706,8 +709,7 @@ def test_solve_skew_antiderivative_closed_form():
     closed_form = ScalarDiffOp.zero(ALG)
     from varpois import rational_antiderivative
     for m, am in a.items():
-        anti = ALG.from_scalar(
-            rational_antiderivative(am.quasiconstant_part()))
+        anti = ALG.from_scalar(rational_antiderivative(am))
         inner = d1.compose(ScalarDiffOp(ALG, {0: anti})) + \
             ScalarDiffOp(ALG, {0: anti}).compose(d1)
         closed_form = closed_form + ScalarDiffOp.d(ALG, m).compose(
