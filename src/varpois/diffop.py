@@ -11,14 +11,15 @@ _Elimination.
 Operators are sums a_n d^n, composed by d o a = a d + a'.  A coefficient
 has one stored form, decided by ScalarDiffOp: a DiffPoly (an element of V)
 only when it carries a jet, and otherwise its constant term, a FieldElem
-(an element of F) or a LinForm in unknown functions of the linear-form
-solvers.  So `type(c) is DiffPoly` alone tells a coefficient with jets
-from one in F, and equal operators print alike.  A composition, an entry
-of a matrix product and an adjoint are each one sum of operator products
-(_compose_sum): the products that land on one coefficient are summed by
-field.dot, so each coefficient cancels once, not once per product and per
-partial sum.  A step of the row reduction over F[d] sums its products on
-integer numerators instead, and divides each sum once by the row's content
+(an element of F).  So `type(c) is DiffPoly` alone tells a coefficient
+with jets from one in F, and equal operators print alike.  No operator
+coefficient is a LinForm: linear forms live only in the lambda-arrays of
+polydiff and complexes.  A composition, an entry of a matrix product and
+an adjoint are each one sum of operator products (_compose_sum): the
+products that land on one coefficient are summed by field.dot, so each
+coefficient cancels once, not once per product and per partial sum.  A
+step of the row reduction over F[d] sums its products on integer
+numerators instead, and divides each sum once by the row's content
 (_Elimination.sub).
 
 The derivatives b, b', ... of a coefficient or an argument are one chain
@@ -89,12 +90,12 @@ INFINITE = math.inf
 
 
 class ScalarDiffOp:
-    """Sum of c_n d^n; coefficients c_n support +, -, *, derive, is_zero.
+    """Sum of c_n d^n.  A coefficient is a FieldElem (an element of F), or
+    a DiffPoly when it carries a jet; never a LinForm.
 
-    The constructor stores each nonzero coefficient in one form: a DiffPoly
-    only when it carries a jet, and a DiffPoly without jets as its constant
-    term (a FieldElem, or a LinForm), so a quasiconstant operator holds no
-    DiffPoly at all."""
+    The constructor stores each nonzero coefficient in that form: a
+    DiffPoly without jets becomes its constant term, so a quasiconstant
+    operator holds no DiffPoly at all."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -209,9 +210,6 @@ class ScalarDiffOp:
             terms[tuple(e)] = p
         return LambdaPoly(self.alg, k, terms)
 
-    def map_coeffs(self, fn) -> "ScalarDiffOp":
-        return ScalarDiffOp(self.alg, {n: fn(c) for n, c in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, ScalarDiffOp):
             return NotImplemented
@@ -225,13 +223,11 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
     """sum A o B over the (A, B) pairs of scalar operators, by d^m o b =
     sum_j C(m, j) b^(j) d^(m-j).  The products that land on one order and
     one jet monomial are summed by field.dot, so each coefficient cancels
-    once; values that are not FieldElem (linear forms) are added with +.
-    Each coefficient is built in its stored form: a DiffPoly when a jet
-    monomial survives in it, else its constant term.  derivatives maps
+    once.  Each coefficient is built in its stored form: a DiffPoly when a
+    jet monomial survives in it, else its constant term.  derivatives maps
     id(b) to the chain b, b', ... (None from the first zero on) of each
     right coefficient b, while the right operands live."""
     sums: dict = {}     # (order, monomial) -> list of triples
-    others: dict = {}   # (order, monomial) -> sum of the other products
     for A, B in pairs:
         for n, b in B.coeffs.items():
             chain = extend_chain(derivatives.setdefault(id(b), [b]),
@@ -243,18 +239,11 @@ def _compose_sum(alg: DiffAlgebra, pairs, derivatives: dict) -> ScalarDiffOp:
                     o, k = m + n - j, math.comb(m, j)
                     for ma, ca in _coefficient_terms(a).items():
                         for mb, cb in _coefficient_terms(bj).items():
-                            key = (o, _mono_mul(ma, mb))
-                            if type(ca) is FieldElem and type(cb) is FieldElem:
-                                sums.setdefault(key, []).append((ca, cb, k))
-                            else:
-                                term = ca * cb * k
-                                others[key] = others[key] + term \
-                                    if key in others else term
+                            sums.setdefault((o, _mono_mul(ma, mb)), []).append(
+                                (ca, cb, k))
     coeffs: dict = {}
-    for key in [*sums, *others.keys() - sums.keys()]:
-        v = dot(alg.field, sums[key]) if key in sums else None
-        if key in others:
-            v = others[key] if v is None else v + others[key]
+    for key, triples in sums.items():
+        v = dot(alg.field, triples)
         if not v.is_zero():
             coeffs.setdefault(key[0], {})[key[1]] = v
     return ScalarDiffOp(alg, {o: DiffPoly(alg, c) if any(c) else c[()]
@@ -377,9 +366,6 @@ class MatDiffOp:
     def order(self) -> Optional[int]:
         orders = [e.order() for r in self.rows for e in r if not e.is_zero()]
         return max(orders) if orders else None
-
-    def map_entries(self, fn) -> "MatDiffOp":
-        return MatDiffOp(self.alg, [[fn(e) for e in r] for r in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, MatDiffOp):
@@ -1374,14 +1360,15 @@ def _solve_by_ansatz(M: MatDiffOp, b, degree_bound: int,
 
 
 def invertible_leading(K: MatDiffOp) -> tuple:
-    """(K_N, K_N^-1): the leading coefficient of a square operator K of
+    """(K_N, K_N^-1): the leading coefficient of an l x l operator K of
     order N as a matrix over F, and its inverse.  This is the one check of
-    the paper's class, K in F[d] with K_N invertible, for every caller.
-    Raises ShapeMismatch when K is not square, NotQuasiconstant when any
-    coefficient of K carries a jet, and LeadingCoeffSingular when K is zero
-    or K_N is singular."""
-    if not K.is_square():
-        raise ShapeMismatch(f"leading coefficient of a {K.m}x{K.n} operator")
+    the paper's class, K in F[d] on F^l with K_N invertible, for every
+    caller.  Raises ShapeMismatch unless K is l x l for the l variables of
+    its algebra, NotQuasiconstant when any coefficient of K carries a jet,
+    and LeadingCoeffSingular when K is zero or K_N is singular."""
+    if (K.m, K.n) != (K.alg.nvars,) * 2:
+        raise ShapeMismatch(f"K on {K.alg.nvars} variables must be "
+                            f"{K.alg.nvars}x{K.alg.nvars}, got {K.m}x{K.n}")
     if not K.is_quasiconstant():
         raise NotQuasiconstant("K must be quasiconstant")
     N = K.order()
@@ -1401,35 +1388,26 @@ def _is_identity(mat: list) -> bool:
 
 
 def selfadjoint_product_space(K: MatDiffOp) -> list:
-    """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint},
-    found by solve_linform_system.  K must be quasiconstant with invertible
-    leading coefficient (invertible_leading: NotQuasiconstant or
-    LeadingCoeffSingular otherwise); an infinite space raises
-    InvariantViolation.  The unknown P has LinForm coefficients, so K o P
-    and its adjoint hold LinForms, which are its equations."""
-    alg = K.alg
-    field = alg.field
+    """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint}, read
+    off polydiff.sigma_space(K*, 1): entry (i, j) of each P is sum c_n d^n
+    for its arity-1 entry P_ij(lam) = sum c_n lam^n.  K must be
+    quasiconstant with invertible leading coefficient (invertible_leading:
+    NotQuasiconstant or LeadingCoeffSingular otherwise); an infinite space
+    raises InvariantViolation.
+
+    The two spaces are one.  sigma_space(K*, 1) solves <K o P>^- = 0
+    (K** = K) over the arity-1 P of lam-degree at most ord(K) - 1.  With
+    lam = d, module_action at k = 1 is the product K o P; S_1 is trivial,
+    and the transposition tau in S_2 swaps the two indices and sends lam
+    to -lam - d, so A^tau = A*.  Hence <A>^- = (A - A*)/2, and
+    <K o P>^- = 0 says that K o P is selfadjoint."""
+    from .polydiff import sigma_space
     invertible_leading(K)
-    N = K.order()
-    size = K.m
-    atoms = [(q, i, j) for q in range(N) for i in range(size)
-             for j in range(size)]
-    P = MatDiffOp(alg, [[
-        ScalarDiffOp(alg, {q: LinForm.atom(field, (q, i, j))
-                           for q in range(N)})
-        for j in range(size)] for i in range(size)])
-    T = K.compose(P)
-    R = T - T.adjoint()
-    sols = solve_linform_system(
-        alg, (((i, j, n), e.coeffs[n])
-              for i, row in enumerate(R.rows) for j, e in enumerate(row)
-              for n in sorted(e.coeffs)), atoms)
-    out = []
-    for vec in sols.homogeneous:
-        values = dict(zip(atoms, vec))
-        out.append(P.map_entries(lambda e: e.map_coeffs(
-            lambda c: c.evaluate(values))))
-    return out
+    alg, size = K.alg, K.m
+    return [MatDiffOp(alg, [[ScalarDiffOp(alg, {
+        n: c for (n,), c in P.entry((i, j)).terms.items()})
+        for j in range(1, size + 1)] for i in range(1, size + 1)])
+        for P in sigma_space(K.adjoint(), 1)[0]]
 
 
 def solve_linform_system(alg: DiffAlgebra, pairs, atoms: list,

@@ -1,18 +1,20 @@
 """Linear forms in unknown functions of x, with FieldElem coefficients.
 
 A LinForm is sum c_{a,r} * D^r(p_a) over atoms a and derivative orders r,
-where the p_a are unknown elements of the coefficient field.  They flow
-through all F-linear machinery (differential polynomials, lambda-polynomials,
-operator composition) in place of FieldElem coefficients, so a symbolic
-computation applied to unknowns yields the linear differential system the
-unknowns must satisfy.
+where the p_a are unknown elements of the coefficient field.  They stand
+for FieldElem values in the coefficients of differential polynomials and
+lambda-polynomials (the generic unknowns of polydiff and complexes), so a
+lambda-array computation applied to unknowns yields the linear
+differential system the unknowns must satisfy; solve_linform_system reads
+each LinForm as one row.  An operator's coefficients are never LinForms
+(see ScalarDiffOp).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import CoefficientField, FieldElem, accumulate, extend_chain
+from .field import CoefficientField, FieldElem, accumulate
 
 
 class LinForm:
@@ -77,17 +79,6 @@ class LinForm:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, values) -> FieldElem:
-        """sum c * D^r(values[a]): the form with each unknown p_a set to the
-        element values[a] of the coefficient field; one chain per atom."""
-        out = self.field.zero
-        chains: dict = {}
-        for (a, r), c in self.terms.items():
-            chain = extend_chain(chains.setdefault(a, [values[a]]), r)
-            if r < len(chain) and chain[r] is not None:
-                out = out + c * chain[r]
-        return out
 
     def __eq__(self, other):
         if isinstance(other, LinForm):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem,
                      InvariantViolation, KDiffOp, LambdaBracketStruct,
-                     LambdaPoly, LocalFunctional, MatDiffOp, NoPreimage,
-                     NotExact, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
-                     SkewArray, UnsupportedK, antiderivative_in_v, delta_k,
+                     LambdaPoly, LinForm, LocalFunctional, MatDiffOp,
+                     NoPreimage, NotExact, NotSkewadjoint, ScalarDiffOp,
+                     ShapeMismatch, SkewArray, UnsupportedK,
+                     antiderivative_in_v, delta_k,
                      frechet, lambda_bracket, poisson_bracket,
                      rational_antiderivative, sigma_action,
                      variational_derivative)
@@ -21,7 +22,7 @@ from varpois.complexes import _perm_sign
 from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
                             _coefficient_terms, _Elimination, _replay,
                             _simplify_coeff, _solve_by_ansatz, _split,
-                            dieudonne_det, row_echelon)
+                            dieudonne_det, row_echelon, solve_linform_system)
 from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
                            clear_denominators, x_coefficients)
 from varpois.lambdapoly import (_linear_powers, affine_pow_on, subst_slot_neg,
@@ -567,7 +568,9 @@ def _field_entries(M: MatDiffOp, convert_jets):
     are then in F), else each coefficient mapped by convert_jets."""
     if M.is_quasiconstant():
         return [list(r) for r in M.rows]
-    return [[e.map_coeffs(convert_jets) for e in r] for r in M.rows]
+    return [[ScalarDiffOp(M.alg, {n: convert_jets(c)
+                                  for n, c in e.coeffs.items()})
+             for e in r] for r in M.rows]
 
 
 def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
@@ -592,8 +595,10 @@ def apply_row_ops(M: MatDiffOp, ops) -> MatDiffOp:
             rows[j] = [e.scale(a) for e in rows[j]]
         else:
             _, i, j, P, a, g = op
-            rows[j] = [(x.scale(a) - P.compose(y)).map_coeffs(
-                lambda c: divide(c, g)) for x, y in zip(rows[j], rows[i])]
+            rows[j] = [ScalarDiffOp(M.alg, {
+                n: divide(c, g) for n, c in
+                (x.scale(a) - P.compose(y)).coeffs.items()})
+                for x, y in zip(rows[j], rows[i])]
     return MatDiffOp(M.alg, rows)
 
 
@@ -691,14 +696,45 @@ def mat_apply_reference(M: MatDiffOp, vec) -> list:
 
 
 def linform_evaluate_reference(lf, values):
-    """sum c D^r(values[a]) with r derives for each term: the slow
-    reference of LinForm.evaluate."""
+    """sum c D^r(values[a]) with r derives for each term: the linear form
+    lf with each unknown a set to the element values[a] of F."""
     out = lf.field.zero
     for (a, r), c in lf.terms.items():
         v = values[a]
         for _ in range(r):
             v = v.derive()
         out = out + c * v
+    return out
+
+
+def selfadjoint_product_space_reference(K: MatDiffOp) -> list:
+    """Basis over C of {P : ord(P) <= ord(K) - 1, K o P selfadjoint} with
+    a generic unknown: P has the LinForm coefficients p_qij at d^q, so the
+    coefficients of K o P - (K o P)* (mat_compose_reference and an
+    entrywise adjoint_reference with transposition) are the equations, and
+    each kernel vector is read back by linform_evaluate_reference.  The
+    slow reference of selfadjoint_product_space, which reads the space off
+    sigma_space(K*, 1)."""
+    alg, field = K.alg, K.alg.field
+    N, size = K.order(), K.m
+    atoms = [(q, i, j) for q in range(N) for i in range(size)
+             for j in range(size)]
+    P = MatDiffOp(alg, [[ScalarDiffOp(alg, {q: LinForm.atom(field, (q, i, j))
+                                             for q in range(N)})
+                         for j in range(size)] for i in range(size)])
+    T = mat_compose_reference(K, P)
+    R = T - MatDiffOp(alg, [[adjoint_reference(T.rows[j][i])
+                             for j in range(size)] for i in range(size)])
+    sols = solve_linform_system(
+        alg, (((i, j, n), e.coeffs[n])
+              for i, row in enumerate(R.rows) for j, e in enumerate(row)
+              for n in sorted(e.coeffs)), atoms)
+    out = []
+    for vec in sols.homogeneous:
+        values = dict(zip(atoms, vec))
+        out.append(MatDiffOp(alg, [[ScalarDiffOp(alg, {
+            n: linform_evaluate_reference(c, values)
+            for n, c in e.coeffs.items()}) for e in r] for r in P.rows]))
     return out
 
 
@@ -748,11 +784,14 @@ def linform_matrix_reference(alg: DiffAlgebra, eqs: list,
 
 def _division_step(row, pivot_row, col):
     """row - (lc_e / lc_p) d^(ord e - ord p) o pivot_row, e and p the
-    entries of row and pivot_row in column col, ord e >= ord p."""
+    entries of row and pivot_row in column col, ord e >= ord p.  Entries
+    with jets hold DiffRat coefficients, which are no operator
+    coefficients of the library, so the products go term by term
+    (compose_reference)."""
     e, p = row[col], pivot_row[col]
     P = ScalarDiffOp(p.alg, {e.order() - p.order():
                              e.leading_coefficient() / p.leading_coefficient()})
-    return [a - P.compose(b) for a, b in zip(row, pivot_row)]
+    return [a - compose_reference(P, b) for a, b in zip(row, pivot_row)]
 
 
 def echelon_by_division(M: MatDiffOp):
@@ -1289,9 +1328,9 @@ def ad_field_on_operator(X: EvVectorField,
                          H: LambdaBracketStruct) -> MatDiffOp:
     """Action of an evolutionary field on a bracket operator:
     X_P(H) - H o D_P* - D_P o H."""
-    xh = H.op.map_entries(lambda e: e.map_coeffs(
-        lambda c: ev_apply(X, c) if isinstance(c, DiffPoly) else
-        X.alg.zero))
+    xh = MatDiffOp(X.alg, [[ScalarDiffOp(X.alg, {
+        n: ev_apply(X, c) if isinstance(c, DiffPoly) else X.alg.zero
+        for n, c in e.coeffs.items()}) for e in r] for r in H.op.rows])
     dp = frechet(X.P)
     return xh - H.op.compose(dp.adjoint()) - dp.compose(H.op)
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varpois import (DiffAlgebra, DiffPoly, FieldElem, LinForm, MatDiffOp,
+from varpois import (DiffAlgebra, DiffPoly, FieldElem, MatDiffOp,
                      ScalarDiffOp, higher_euler, variational_derivative)
 
 from helpers import (apply_reference, diffpolys, field_elems,
-                     higher_euler_reference, linform_evaluate_reference,
-                     mat_apply_reference, variational_derivative_reference)
+                     higher_euler_reference, mat_apply_reference,
+                     variational_derivative_reference)
 
 ALGEBRAS = (DiffAlgebra(1, ["c"]), DiffAlgebra(2, ["c"]))
 
@@ -87,19 +87,6 @@ def test_mat_apply_equals_the_per_entry_loop(data, alg, quasiconstant):
         assert same(M.apply(vec), mat_apply_reference(M, vec))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), alg=st.sampled_from(ALGEBRAS))
-def test_linform_evaluate_equals_the_per_term_loop(data, alg):
-    field = alg.field
-    lf = LinForm.zero(field)
-    for _ in range(data.draw(st.integers(0, 5))):
-        lf = lf + LinForm.atom(field, data.draw(st.sampled_from("pq")),
-                               data.draw(st.integers(0, 4))) * data.draw(
-            scalars(field))
-    values = {a: data.draw(scalars(field)) for a in "pq"}
-    assert same(lf.evaluate(values), linform_evaluate_reference(lf, values))
-
-
 def _count_derives(monkeypatch, cls) -> list:
     calls = []
     real = cls.derive
@@ -142,17 +129,3 @@ def test_mat_apply_derives_each_component_once_per_order(monkeypatch):
         assert [sum(c is f for c in calls) for f in vec] == [1, 1]
         monkeypatch.undo()
         assert same(out, mat_apply_reference(M, vec))
-
-
-def test_linform_evaluate_derives_once_per_order(monkeypatch):
-    """D^r p for r = 0..4 over one atom: one chain of 4 derives."""
-    field = DiffAlgebra(1).field
-    lf = LinForm.zero(field)
-    for r in range(5):
-        lf = lf + LinForm.atom(field, "p", r) * (field.x + r)
-    values = {"p": field.one / field.x}
-    calls = _count_derives(monkeypatch, FieldElem)
-    value = lf.evaluate(values)
-    assert len(calls) == 4
-    monkeypatch.undo()
-    assert same(value, linform_evaluate_reference(lf, values))

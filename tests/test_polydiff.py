@@ -628,6 +628,7 @@ def _leading_error_cases():
     zero = ScalarDiffOp.zero(ALG2)
     return {
         "wide": ([[d, d]], ShapeMismatch),
+        "too_small": ([[d]], ShapeMismatch),
         "singular": ([[d, d], [d, d]], LeadingCoeffSingular),
         "jet_leading": ([[ScalarDiffOp(ALG2, {1: u}), zero], [zero, d]],
                         NotQuasiconstant),
@@ -647,10 +648,10 @@ SOLVERS = {
 @pytest.mark.parametrize("case", sorted(_leading_error_cases()))
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_leading_coefficient_errors_are_named(solver, case):
-    """Every solver checks K through one reader: a non-square K is a
-    ShapeMismatch, a singular leading coefficient a LeadingCoeffSingular,
-    and a K with a jet in any coefficient, leading or lower, a
-    NotQuasiconstant."""
+    """Every solver checks K through one reader: a K that is not 2 x 2
+    over the two variables (non-square, or 1 x 1) is a ShapeMismatch, a
+    singular leading coefficient a LeadingCoeffSingular, and a K with a
+    jet in any coefficient, leading or lower, a NotQuasiconstant."""
     rows, error = _leading_error_cases()[case]
     with pytest.raises(error):
         SOLVERS[solver](MatDiffOp(ALG2, rows))
