@@ -9,17 +9,39 @@ the master formula
                 (-lam-d)^m df/du_i^(m),
 
 and Jacobi / compatibility checks reduce to generator triples.
+
+On a triple (u_a, u_b, u_c), with B_ij(lam) = {u_i _lam u_j}, nu = lam + mu
+and one structure inside (in) and one outside (out), the mixed terms are
+t1 - t2 - t3 = -C(in, out):
+    t1 = sum_k mu^k sum_(j,n) dg_k/du_j^(n) (lam+d)^n B^out_aj(lam),
+         B^in_bc(mu) = sum_k g_k mu^k;
+    t2 = sum_k lam^k sum_(j,n) df_k/du_j^(n) (mu+d)^n B^out_bj(mu),
+         B^in_ac(lam) = sum_k f_k lam^k;
+    t3 = sum_t lam^t sum_(i,m) (-1)^m sum_k h_k (nu+d)^(k+m) dq_t/du_i^(m),
+         B^in_ab(lam) = sum_t q_t lam^t, B^out_ic(nu) = sum_k h_k nu^k.
+When every coefficient of the structures is polynomial in x (a RAT or POLY
+element of F), check_jacobi and check_compatible compute them as one
+integer polynomial in Z[lam, mu, x, params, jets] with packed monomial
+keys (_PackedResidual).  Each structure is scaled by the lcm of its
+coefficients' denominators, and the terms are linear in each structure, so
+the scaled residual vanishes exactly when the true one does, and the
+witness is the scaled residual over the product of the scales, read back
+into the LambdaPoly that the lambda-polynomial formula gives.  A
+coefficient with x in a denominator takes that formula
+(_compatibility_terms), which also computes jacobi_residual and
+compatibility_residual on arbitrary elements.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, higher_euler,
                       variational_derivative)
-from .diffop import MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch
-from .field import accumulate
+from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
+                     _coefficient_terms)
+from .field import FRAC, _flat, _unflat, accumulate
 from .lambdapoly import LambdaPoly, affine_pow_on, symbol_act
 
 
@@ -225,9 +247,12 @@ def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,
 
 
 def check_skewadjoint(H: LambdaBracketStruct) -> bool:
-    """H* = -H; the adjoint is taken once per structure."""
+    """H* = -H, tested entrywise as H_ij + (H_ji)* = 0 for i <= j, up to
+    the first nonzero entry; the verdict is taken once per structure."""
     if H._skew is None:
-        H._skew = (H.op.adjoint() + H.op).is_zero()
+        rows, size = H.op.rows, H.nvars
+        H._skew = all((rows[i][j] + rows[j][i].adjoint()).is_zero()
+                      for i in range(size) for j in range(i, size))
     return H._skew
 
 
@@ -254,9 +279,9 @@ def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
         if H.op.is_quasiconstant():
             H._jacobi = (True, None)
         else:
-            H._jacobi = _check_triples(
-                H.alg, lambda f, g, h: -_compatibility_terms(H, H, f, g, h),
-                a_le_b=check_skewadjoint(H))
+            H._jacobi = _check_triples(H.nvars,
+                                       _triple_residual([(H, H)], -1),
+                                       a_le_b=check_skewadjoint(H))
     return H._jacobi
 
 
@@ -284,27 +309,295 @@ def check_compatible(H: LambdaBracketStruct, K: LambdaBracketStruct):
     triples; returns (ok, witness).  Only the terms whose inner operator is
     not quasiconstant are computed: two quasiconstant operators are
     compatible outright.  When H and K are both skewadjoint, only the
-    triples with a <= b are visited (see above)."""
+    triples with a <= b are visited (see above).  H and K must be over
+    one differential algebra (else ValueError)."""
+    if H.alg != K.alg:
+        raise ValueError("mixed differential algebras")
     orders = [(first, second) for first, second in ((H, K), (K, H))
               if not first.op.is_quasiconstant()]
-    zero = LambdaPoly.zero(H.alg, 2)
-    return _check_triples(H.alg, lambda f, g, h: sum(
-        (_compatibility_terms(first, second, f, g, h)
-         for first, second in orders), zero),
-        a_le_b=check_skewadjoint(H) and check_skewadjoint(K))
+    if not orders:
+        return True, None
+    return _check_triples(H.nvars, _triple_residual(orders, 1),
+                          a_le_b=check_skewadjoint(H) and check_skewadjoint(K))
 
 
-def _check_triples(alg: DiffAlgebra, residual, a_le_b: bool = False):
-    """(ok, witness) for residual(u_a, u_b, u_c) over the generator triples
-    in lexicographic order, b from a on when a_le_b; the witness is the
-    first triple with a nonzero residual, and that residual."""
-    for a in range(1, alg.nvars + 1):
-        for b in range(a if a_le_b else 1, alg.nvars + 1):
-            for c in range(1, alg.nvars + 1):
-                res = residual(alg.jet(a), alg.jet(b), alg.jet(c))
+def _check_triples(nvars: int, residual, a_le_b: bool):
+    """(ok, witness) for residual(a, b, c) over the generator triples
+    (a, b, c) in lexicographic order, b from a on when a_le_b; the witness
+    is the first triple with a nonzero residual, and that residual."""
+    for a in range(1, nvars + 1):
+        for b in range(a if a_le_b else 1, nvars + 1):
+            for c in range(1, nvars + 1):
+                res = residual(a, b, c)
                 if not res.is_zero():
                     return False, ((a, b, c), res)
     return True, None
+
+
+def _triple_residual(orders: list, sign: int):
+    """residual(a, b, c) = sign * sum of C(first, second)(u_a, u_b, u_c)
+    over the (first, second) orders, an arity-2 LambdaPoly: on packed
+    integer polynomials when every coefficient of the structures is
+    polynomial in x, else by the lambda-polynomial formula."""
+    if all(_polynomial_in_x(S) for order in orders for S in order):
+        return _PackedResidual(orders, sign)
+    alg = orders[0][0].alg
+    zero = LambdaPoly.zero(alg, 2)
+
+    def residual(a, b, c):
+        f, g, h = alg.jet(a), alg.jet(b), alg.jet(c)
+        total = sum((_compatibility_terms(first, second, f, g, h)
+                     for first, second in orders), zero)
+        return total if sign > 0 else -total
+    return residual
+
+
+def _polynomial_in_x(S: LambdaBracketStruct) -> bool:
+    """Every coefficient of S is a RAT or POLY element of F: no x (or
+    parameter) in a denominator."""
+    return all(v._k != FRAC for row in S.op.rows for e in row
+               for c in e.coeffs.values()
+               for v in _coefficient_terms(c).values())
+
+
+# -- the generator-triple residual on packed integer polynomials ---------------
+
+
+def _addmul(out: dict, A: dict, B: dict, k: int) -> None:
+    """out += k * A * B for packed polynomials {monomial key: int}."""
+    for ka, ca in A.items():
+        ca *= k
+        for kb, cb in B.items():
+            key = ka + kb
+            out[key] = out.get(key, 0) + ca * cb
+
+
+class _PackedResidual:
+    """The generator-triple residual of check_jacobi and check_compatible
+    as one integer polynomial in Z[lam, mu, x, params, jets].
+
+    Each monomial is one int: the exponents of lam, mu, x, the parameters
+    and the jets u_i^(n) (ordered by n, then i) sit in fields of w bits,
+    lam in the lowest and the jets in the highest, so a product of
+    monomials is a sum of keys (Monagan and Pearce, *Polynomial division
+    using dynamic arrays, heaps, and packed exponent vectors*, CASC 2007).
+    w is sized from bounds read off the structures, so no sum carries
+    between fields.  Let ord be the top order and J the top jet order of
+    the operators, and d the top degree of a coefficient in x, in each
+    parameter and in the jets: every monomial of the residual has lam and
+    mu degrees at most 2 ord + J, and degrees at most 2 d in x, in each
+    parameter and in each jet.  Its jet orders reach ord + 2 J; the jets
+    are the top fields, so a derivative that raises an order meets no
+    field above.
+
+    Each structure S is scaled by L_S, the lcm of the denominators of its
+    coefficients, so that B_ij(lam) = L_S {u_i _lam u_j} has integer
+    coefficients.  The three terms below are linear in the inner and in
+    the outer structure, so the scaled residual is L_first L_second times
+    the true one: zero exactly when it is, and the witness is the scaled
+    residual over L_first L_second, read back by field._unflat into the
+    arity-2 LambdaPoly of the lambda-polynomial formula (lam in slot 0,
+    mu in slot 1).  Both orders of a pair carry the same scale L_H L_K.
+
+    With nu = lam + mu, d = d/dx + sum u^(n+1) d/du^(n) (parameters are
+    constants) and (v + d)^p X = sum_r C(p, r) v^(p-r) d^r X, the kernel
+    adds t1 - t2 - t3 = -C(inner, outer)(u_a, u_b, u_c) per order:
+    - with B^in_bc(mu) = sum_k g_k mu^k:
+      t1 = sum_k mu^k sum_(j,n) dg_k/du_j^(n) (lam + d)^n B^out_aj(lam);
+    - with B^in_ac(lam) = sum_k f_k lam^k:
+      t2 = sum_k lam^k sum_(j,n) df_k/du_j^(n) (mu + d)^n B^out_bj(mu);
+    - with B^in_ab(lam) = sum_t q_t lam^t and B^out_ic(nu) = sum_k h_k nu^k:
+      t3 = sum_t lam^t sum_(i,m) (-1)^m sum_k h_k (nu + d)^(k+m)
+      dq_t/du_i^(m).
+    Calling the object on generator indices (a, b, c) gives sign times
+    the sum of C(first, second) over the orders.  The derivative chains of
+    each B_ij, its shifts (v + d)^n B_ij(v) and the weights of t3 are kept
+    across the triples of one check."""
+
+    def __init__(self, orders: list, sign: int):
+        alg = orders[0][0].alg
+        field, size = alg.field, alg.nvars
+        structs = list(dict.fromkeys(S for order in orders for S in order))
+        names = sorted({v for S in structs for row in S.op.rows for e in row
+                        for c in e.coeffs.values()
+                        for mono in _coefficient_terms(c) for v, _ in mono})
+        slots = {v: k for k, v in enumerate(names)}
+        flat = {S: {(i, j, n): _flat(field, _coefficient_terms(c), slots)
+                    for j, row in enumerate(S.op.rows, 1)
+                    for i, e in enumerate(row, 1)
+                    for n, c in e.coeffs.items()} for S in structs}
+        params = len(field.params)
+        # one width for every field: the top degree of a coefficient in x
+        # or a parameter, or in the jets together, bounds each exponent
+        degree = max(max(*exps[:1 + params], sum(exps[1 + params:]))
+                     for S in structs for P, _ in flat[S].values()
+                     for exps in P)
+        order = max(n for S in structs for (_, _, n) in flat[S])
+        top = max(n for n, _ in names)
+        w = max(2 * order + top, 2 * degree).bit_length()
+        self.w, self.mask = w, (1 << w) - 1
+        self.base = (3 + params) * w    # the first jet field
+        self.step = (1 << size * w) - 1  # u_i^(n) -> u_i^(n+1), times 1 << s
+        self.alg, self.sign, self.orders = alg, sign, orders
+        shifts = [(2 + k) * w for k in range(1 + params)] + [
+            self.base + (n * size + i - 1) * w for n, i in names]
+        self.B, scale = {}, {}
+        for S in structs:
+            L = lcm(1, *(m for _, m in flat[S].values()))
+            B = {(i, j): {} for i in range(1, size + 1)
+                 for j in range(1, size + 1)}
+            for (i, j, n), (P, m) in flat[S].items():
+                poly, k = B[i, j], L // m
+                for exps, a in P.items():
+                    poly[sum(e << s for e, s in zip(exps, shifts)) + n] = a * k
+            self.B[S], scale[S] = B, L
+        first, second = orders[0]
+        self.den = scale[first] * scale[second]
+        self._chains, self._shifts, self._weights = {}, {}, {}
+        self._nu = [{0: 1}]
+
+    def _derive(self, P: dict) -> dict:
+        """d P: d/dx on the x field, u^(n) -> u^(n+1) on each jet field."""
+        w, mask, base, step = self.w, self.mask, self.base, self.step
+        xs = 2 * w
+        out = {}
+        for key, c in P.items():
+            e = (key >> xs) & mask
+            if e:
+                k = key - (1 << xs)
+                out[k] = out.get(k, 0) + c * e
+            rest, s = key >> base, base
+            while rest:
+                e = rest & mask
+                if e:
+                    k = key + (step << s)
+                    out[k] = out.get(k, 0) + c * e
+                rest >>= w
+                s += w
+        return {k: c for k, c in out.items() if c}
+
+    def _partial(self, P: dict, s: int) -> dict:
+        """dP/du for the jet u in the field at bit s."""
+        mask, one = self.mask, 1 << s
+        out = {}
+        for key, c in P.items():
+            e = (key >> s) & mask
+            if e:
+                out[key - one] = c * e
+        return out
+
+    def _jets(self, P: dict) -> list:
+        """[(s, i, n)] for the jets u_i^(n) of P, s the bit of each field."""
+        mask, w, size = self.mask, self.w, self.alg.nvars
+        union = 0
+        for key in P:
+            union |= key
+        out, rest, idx = [], union >> self.base, 0
+        while rest:
+            if rest & mask:
+                out.append((self.base + idx * w, idx % size + 1, idx // size))
+            rest >>= w
+            idx += 1
+        return out
+
+    def _shifted(self, S, i: int, j: int, n: int, slot: int) -> dict:
+        """(v + d)^n B_ij(v) of S, v = lam (slot 0) or mu (slot 1)."""
+        key = (S, i, j, n, slot)
+        out = self._shifts.get(key)
+        if out is None:
+            if slot:
+                # B_ij(lam) has no mu: move each lam exponent e to mu,
+                # k - e + (e << w)
+                mask = self.mask
+                out = {k + (k & mask) * mask: c for k, c in
+                       self._shifted(S, i, j, n, 0).items()}
+            else:
+                chain = self._chains.setdefault((S, i, j), [self.B[S][i, j]])
+                while len(chain) <= n and chain[-1]:
+                    chain.append(self._derive(chain[-1]))
+                out = {}
+                for r, X in enumerate(chain[:n + 1]):
+                    c = comb(n, r)
+                    for k, a in X.items():
+                        k += n - r
+                        out[k] = out.get(k, 0) + c * a
+                out = {k: c for k, c in out.items() if c}
+            self._shifts[key] = out
+        return out
+
+    def _weight(self, S, i: int, c: int, m: int, r: int) -> dict:
+        """sum_k C(k+m, r) h_k nu^(k+m-r) over the terms h_k lam^k of
+        B_ic of S with k + m >= r."""
+        key = (S, i, c, m, r)
+        out = self._weights.get(key)
+        if out is None:
+            out, mask = {}, self.mask
+            for k, a in self.B[S][i, c].items():
+                e = k & mask    # this term of h_e lam^e
+                if e + m >= r:
+                    a *= comb(e + m, r)
+                    for kn, cn in self._nu_power(e + m - r).items():
+                        kn += k - e
+                        out[kn] = out.get(kn, 0) + a * cn
+            self._weights[key] = out
+        return out
+
+    def _nu_power(self, s: int) -> dict:
+        """(lam + mu)^s, packed."""
+        nu, w = self._nu, self.w
+        while len(nu) <= s:
+            t = len(nu)
+            nu.append({a + ((t - a) << w): comb(t, a) for a in range(t + 1)})
+        return nu[s]
+
+    def __call__(self, a: int, b: int, c: int) -> LambdaPoly:
+        out = {}
+        for inner, outer in self.orders:
+            B = self.B[inner]
+            mu_bc = self._shifted(inner, b, c, 0, 1)
+            for s, j, n in self._jets(mu_bc):
+                _addmul(out, self._partial(mu_bc, s),
+                        self._shifted(outer, a, j, n, 0), 1)
+            for s, j, n in self._jets(B[a, c]):
+                _addmul(out, self._partial(B[a, c], s),
+                        self._shifted(outer, b, j, n, 1), -1)
+            for s, i, m in self._jets(B[a, b]):
+                h = self.B[outer][i, c]
+                if not h:
+                    continue
+                X = self._partial(B[a, b], s)
+                for r in range(m + max(k & self.mask for k in h) + 1):
+                    if r:
+                        X = self._derive(X)
+                    if not X:
+                        break
+                    _addmul(out, X, self._weight(outer, i, c, m, r),
+                            1 if m % 2 else -1)
+        out = {k: v for k, v in out.items() if v}
+        if not out:
+            return LambdaPoly.zero(self.alg, 2)
+        return self._read_back(out)
+
+    def _read_back(self, out: dict) -> LambdaPoly:
+        """sign * out / den as an arity-2 LambdaPoly."""
+        alg, w, mask, sign = self.alg, self.w, self.mask, -self.sign
+        size, k = alg.nvars, len(alg.field._zm)   # k: x and the parameters
+        union = 0
+        for key in out:
+            union |= key >> 2 * w
+        # the fields above lam and mu: x, the parameters, then the jets up
+        # to the highest present (at least one, which _unflat needs)
+        fields = max(k + 1, -(-union.bit_length() // w))
+        names = [(idx // size, idx % size + 1) for idx in range(fields - k)]
+        groups = {}
+        for key, v in out.items():
+            rest = key >> 2 * w
+            groups.setdefault(key & ((1 << 2 * w) - 1), {})[tuple(
+                (rest >> f * w) & mask for f in range(fields))] = sign * v
+        return LambdaPoly(alg, 2, {
+            (k & mask, k >> w): DiffPoly(alg, _unflat(alg.field, P, self.den,
+                                                      names))
+            for k, P in groups.items()})
 
 
 def poisson_bracket(f, g, H: LambdaBracketStruct) -> LocalFunctional:

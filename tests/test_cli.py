@@ -329,16 +329,17 @@ def test_lenard_names_the_operator_that_is_not_skewadjoint(session_file, H,
 def test_lenard_takes_each_bracket_adjoint_once(session_file, monkeypatch):
     """run_hierarchy certifies H* = -H and K* = -K, and verify_involution
     reads the verdicts kept on the structures instead of taking the two
-    adjoints again.  With no recursion step (each step's exactness test
-    takes adjoints of its own) the job takes exactly two."""
-    from varpois.diffop import MatDiffOp
+    adjoints again.  H and K are 1x1, so each skewness test takes the
+    adjoint of one entry; with no recursion step (each step's exactness
+    test takes adjoints of its own) the job takes exactly two."""
+    from varpois.diffop import ScalarDiffOp
     calls = []
-    adjoint = MatDiffOp.adjoint
+    adjoint = ScalarDiffOp.adjoint
 
     def counted(self):
         calls.append(self)
         return adjoint(self)
-    monkeypatch.setattr(MatDiffOp, "adjoint", counted)
+    monkeypatch.setattr(ScalarDiffOp, "adjoint", counted)
     body, code = _run(["--session", session_file, "lenard", "--H", "H",
                        "--K", "K", "--seed", "u^2/2", "--steps", "0"])
     assert code == 0
