@@ -36,7 +36,8 @@ from varpois import (DegenerateLeadingMatrix, DiffAlgebra,  # noqa: E402
                      Incomplete, LambdaBracketStruct, LambdaPoly,
                      LocalFunctional, MatDiffOp, NoRationalSolution,
                      QuotientArray, ScalarDiffOp, SkewArray,
-                     UndecidableResidue, check_jacobi, cohomology_dim, d_k,
+                     UndecidableResidue, check_compatible, check_jacobi,
+                     check_skewadjoint, cohomology_dim, d_k,
                      delta_k, dieudonne_det,
                      higher_euler, magri_structure, majorant,
                      majorant_preserving_reduce, rational_antiderivative,
@@ -468,6 +469,78 @@ def _not_poisson():
     return out
 
 
+def _jet_coefficient(rng, alg):
+    """A rational, plus a rational times u_i^(m) or u_i^(m) u_j^(n),
+    m, n <= 1."""
+    out = alg.zero
+    for _ in range(2):
+        t = alg.from_scalar(alg.field.rational(
+            Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))))
+        for _ in range(rng.randint(0, 2)):
+            t = t * alg.jet(rng.randint(1, alg.nvars), rng.randint(0, 1))
+        out = out + t
+    return out
+
+
+def _bracket(rng, alg, kind, skew=True):
+    """M - M* for an l x l M of order <= 2 with jet coefficients: rational
+    ("rational"), each entry times a + b x + e c ("x_c"), or the same with
+    one entry over x - q ("pole").  Not skew: a jet term added to one
+    entry."""
+    size, F = alg.nvars, alg.field
+    pole = (rng.randrange(size), rng.randrange(size))
+
+    def factor(i, j):
+        v = F.rational(rng.randint(1, 3)) + F.x * rng.randint(-2, 2)
+        v = v + F.param("c") * rng.randint(-2, 2)
+        return v / (F.x - rng.randint(-2, 2)) if (i, j) == pole else v
+    M = MatDiffOp(alg, [[ScalarDiffOp(alg, {
+        n: _jet_coefficient(rng, alg) for n in range(rng.randint(1, 2) + 1)})
+        for _ in range(size)] for _ in range(size)])
+    if kind != "rational":
+        pole = pole if kind == "pole" else None
+        M = MatDiffOp(alg, [[e.scale(factor(i, j)) for j, e in enumerate(row)]
+                            for i, row in enumerate(M.rows)])
+    H = M - M.adjoint()
+    if not skew:
+        rows = [[ScalarDiffOp.zero(alg)] * size for _ in range(size)]
+        rows[rng.randrange(size)][rng.randrange(size)] = ScalarDiffOp(
+            alg, {rng.randint(0, 2): alg.jet(rng.randint(1, size),
+                                             rng.randint(0, 1))})
+        H = H + MatDiffOp(alg, rows)
+    return LambdaBracketStruct(H)
+
+
+def _skew_grid():
+    """check_skewadjoint on skew and non-skew structures of each kind, in
+    one and two variables over Q(c)(x)."""
+    return [check_skewadjoint(_bracket(random.Random(s), DiffAlgebra(n, ["c"]),
+                                       kind, skew))
+            for n in (1, 2) for kind in ("rational", "x_c", "pole")
+            for skew in (True, False) for s in range(4)]
+
+
+def _two_component_poly():
+    """check_jacobi of skewadjoint, not Poisson structures on two variables
+    whose coefficients carry x and c, so the witness does too."""
+    alg = DiffAlgebra(2, ["c"])
+    return [check_jacobi(_bracket(random.Random(s), alg, "x_c"))
+            for s in range(6)]
+
+
+def _not_compatible():
+    """check_compatible of skewadjoint pairs, one member with x and c in
+    its coefficients, in one and two variables."""
+    out = []
+    for n in (1, 2):
+        alg = DiffAlgebra(n, ["c"])
+        for s in range(3):
+            rng = random.Random(s)
+            out.append(check_compatible(_bracket(rng, alg, "x_c"),
+                                        _bracket(rng, alg, "rational")))
+    return out
+
+
 CASES = {
     "hierarchy/kdv_c/5": _hierarchy_kdv,
     "hierarchy/pair2/5": _hierarchy_pair2,
@@ -494,6 +567,9 @@ CASES = {
     "solve_rational/x_dependent": _solve_rational,
     "rational_antiderivative/q_c": _rational_antiderivative,
     "check_jacobi/not_poisson": _not_poisson,
+    "check_skewadjoint/grid": _skew_grid,
+    "check_jacobi/two_component_poly": _two_component_poly,
+    "check_compatible/not_compatible": _not_compatible,
     **{f"{kind}/x_c/l{n}/k{k}": (lambda kind=kind, n=n, k=k:
                                  _differential(kind, n, k))
        for kind in ("delta_k", "d_k") for n in (1, 2) for k in (0, 1)},
