@@ -26,7 +26,8 @@ from .field import InvariantViolation, accumulate, extend_chain
 from .lambdapoly import (LambdaPoly, _collect, _LambdaArray,
                          affine_apply_once, affine_pow_on, subst_slot_neg)
 from .linform import LinForm
-from .pva import LambdaBracketStruct, NotPoisson, _LeftFactor, check_jacobi
+from .pva import (LambdaBracketStruct, NotPoisson, _LeftFactor, check_jacobi,
+                  check_skewadjoint)
 
 
 class NotClosed(Exception):
@@ -269,12 +270,13 @@ def d_k(P: QuotientArray, K: LambdaBracketStruct) -> QuotientArray:
     """The variational Poisson differential induced by ad K.
 
     Only offered when K is a sum of a skewadjoint and a quasiconstant
-    operator, and K is Poisson; check_jacobi keeps its verdict on K, so
-    each structure is checked once.
+    operator, and K is Poisson; check_skewadjoint and check_jacobi keep
+    their verdicts on K, so each structure is checked once, and only a K
+    that is not skewadjoint takes its adjoint for the symmetric part.
     """
     Kop = K.op
-    sym_part = Kop + Kop.adjoint()
-    if not sym_part.is_quasiconstant():
+    if not (check_skewadjoint(K)
+            or (Kop + Kop.adjoint()).is_quasiconstant()):
         raise NotQuasiconstant(
             "d_K needs K = skewadjoint + quasiconstant")
     ok, _ = check_jacobi(K, require_skew=False)

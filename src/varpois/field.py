@@ -798,7 +798,8 @@ def _flat(field: CoefficientField, p: dict, slots: dict) -> tuple:
 
 def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
     """The dict {mono: c} of P/m, for P in Z[x, params] with the extra
-    generators `names` after x, params."""
+    generators `names` after x, params (_from_terms_over per
+    coefficient)."""
     if not names:
         return {(): _reduced(field, P, m)}
     k = len(field._zm)
@@ -806,8 +807,18 @@ def _unflat(field: CoefficientField, P, m: int, names: list) -> dict:
     for exps, c in P.items():
         grouped.setdefault(exps[k:], {})[exps[:k]] = c
     return {tuple((v, e) for v, e in zip(names, tail) if e):
-            _reduced(field, _from_terms(field, terms), m)
+            _from_terms_over(field, terms, m)
             for tail, terms in grouped.items()}
+
+
+def _from_terms_over(field: CoefficientField, terms: dict, m: int):
+    """The element P/m for P = {exponents over x, params: int}, nonzero,
+    and an int m >= 1: _reduced of P's polynomial, except that a lone term
+    free of x and the parameters is the plain rational c/m, with no
+    polynomial of the field's ring built for it."""
+    if len(terms) == 1 and field._zm in terms:
+        return FieldElem(field, RAT, _Q(terms[field._zm], m))
+    return _reduced(field, _from_terms(field, terms), m)
 
 
 def rational_antiderivative(v: FieldElem) -> Optional[FieldElem]:

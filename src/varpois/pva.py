@@ -41,7 +41,7 @@ from .diffalg import (DiffAlgebra, DiffPoly, LocalFunctional, higher_euler,
                       variational_derivative)
 from .diffop import (MatDiffOp, NotSkewadjoint, ScalarDiffOp, ShapeMismatch,
                      _coefficient_terms)
-from .field import FRAC, _flat, _unflat, accumulate
+from .field import FRAC, _flat, _from_terms_over, accumulate
 from .lambdapoly import LambdaPoly, affine_pow_on, symbol_act
 
 
@@ -59,11 +59,13 @@ class LambdaBracketStruct:
     Immutable; ``_skew`` holds the verdict of check_skewadjoint and
     ``_jacobi`` the (ok, witness) of check_jacobi once taken (None before),
     so d_K, the Lenard-Magri driver, the CLI and jacobi_residual check a
-    structure they meet again only once.  A skewadjoint H that passes
-    check_jacobi is Poisson, and its jacobi_residual is zero on every
-    triple without a bracket being expanded."""
+    structure they meet again only once.  ``_packed`` holds the
+    _PackedResidual that check_skewadjoint builds for an H polynomial in x,
+    until check_jacobi has taken its verdict on it.  A skewadjoint H that
+    passes check_jacobi is Poisson, and its jacobi_residual is zero on
+    every triple without a bracket being expanded."""
 
-    __slots__ = ("op", "_skew", "_jacobi")
+    __slots__ = ("op", "_skew", "_jacobi", "_packed")
 
     def __init__(self, op: MatDiffOp):
         size = op.alg.nvars
@@ -73,6 +75,7 @@ class LambdaBracketStruct:
         self.op = op
         self._skew = None
         self._jacobi = None
+        self._packed = None
 
     @property
     def alg(self) -> DiffAlgebra:
@@ -247,12 +250,19 @@ def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,
 
 
 def check_skewadjoint(H: LambdaBracketStruct) -> bool:
-    """H* = -H, tested entrywise as H_ij + (H_ji)* = 0 for i <= j, up to
-    the first nonzero entry; the verdict is taken once per structure."""
+    """H* = -H, tested as H_ij + (H_ji)* = 0 for i <= j, up to the first
+    nonzero entry; the verdict is taken once per structure.  An H that is
+    polynomial in x and not quasiconstant is tested on the packed form of
+    its Jacobi check (_PackedResidual.skewadjoint), which is kept on H for
+    check_jacobi; any other H takes each adjoint."""
     if H._skew is None:
-        rows, size = H.op.rows, H.nvars
-        H._skew = all((rows[i][j] + rows[j][i].adjoint()).is_zero()
-                      for i in range(size) for j in range(i, size))
+        if H.op.is_quasiconstant() or not _polynomial_in_x(H):
+            rows, size = H.op.rows, H.nvars
+            H._skew = all((rows[i][j] + rows[j][i].adjoint()).is_zero()
+                          for i in range(size) for j in range(i, size))
+        else:
+            H._packed = _PackedResidual([(H, H)], -1)
+            H._skew = H._packed.skewadjoint()
     return H._skew
 
 
@@ -279,9 +289,11 @@ def check_jacobi(H: LambdaBracketStruct, require_skew: bool = True):
         if H.op.is_quasiconstant():
             H._jacobi = (True, None)
         else:
-            H._jacobi = _check_triples(H.nvars,
-                                       _triple_residual([(H, H)], -1),
-                                       a_le_b=check_skewadjoint(H))
+            skew = check_skewadjoint(H)
+            H._jacobi = _check_triples(
+                H.nvars, H._packed or _triple_residual([(H, H)], -1),
+                a_le_b=skew)
+            H._packed = None
     return H._jacobi
 
 
@@ -500,6 +512,36 @@ class _PackedResidual:
             idx += 1
         return out
 
+    def _chain(self, S, i: int, j: int, n: int) -> list:
+        """[B_ij, d B_ij, ...] of S, up to d^n B_ij or the first zero."""
+        chain = self._chains.setdefault((S, i, j), [self.B[S][i, j]])
+        while len(chain) <= n and chain[-1]:
+            chain.append(self._derive(chain[-1]))
+        return chain
+
+    def skewadjoint(self) -> bool:
+        """H* = -H for the one structure H of the orders: with B_ij(lam) =
+        sum_n lam^n C_n, B_ji(lam) + sum_n (-1)^n (lam + d)^n C_n = 0 for
+        i <= j.  d does not touch lam, so the term of d^r B_ij with lam
+        exponent n >= r gives (-1)^n C(n, r) lam^(n-r) times the rest of
+        its key; the chains d^r B_ij are the ones the residual shifts."""
+        (H, _), = self.orders
+        B, mask, size = self.B[H], self.mask, self.alg.nvars
+        for i in range(1, size + 1):
+            for j in range(i, size + 1):
+                out = dict(B[j, i])
+                top = max((k & mask for k in B[i, j]), default=0)
+                for r, X in enumerate(self._chain(H, i, j, top)[:top + 1]):
+                    for k, a in X.items():
+                        n = k & mask
+                        if n >= r:
+                            a *= comb(n, r)
+                            out[k - r] = out.get(k - r, 0) + (-a if n % 2
+                                                              else a)
+                if any(out.values()):
+                    return False
+        return True
+
     def _shifted(self, S, i: int, j: int, n: int, slot: int) -> dict:
         """(v + d)^n B_ij(v) of S, v = lam (slot 0) or mu (slot 1)."""
         key = (S, i, j, n, slot)
@@ -512,11 +554,8 @@ class _PackedResidual:
                 out = {k + (k & mask) * mask: c for k, c in
                        self._shifted(S, i, j, n, 0).items()}
             else:
-                chain = self._chains.setdefault((S, i, j), [self.B[S][i, j]])
-                while len(chain) <= n and chain[-1]:
-                    chain.append(self._derive(chain[-1]))
                 out = {}
-                for r, X in enumerate(chain[:n + 1]):
+                for r, X in enumerate(self._chain(S, i, j, n)[:n + 1]):
                     c = comb(n, r)
                     for k, a in X.items():
                         k += n - r
@@ -579,25 +618,36 @@ class _PackedResidual:
         return self._read_back(out)
 
     def _read_back(self, out: dict) -> LambdaPoly:
-        """sign * out / den as an arity-2 LambdaPoly."""
+        """sign * out / den as an arity-2 LambdaPoly: the terms of out are
+        grouped by their lam, mu and jet fields, and each group is one
+        coefficient over x and the parameters (field._from_terms_over)."""
         alg, w, mask, sign = self.alg, self.w, self.mask, -self.sign
-        size, k = alg.nvars, len(alg.field._zm)   # k: x and the parameters
-        union = 0
-        for key in out:
-            union |= key >> 2 * w
-        # the fields above lam and mu: x, the parameters, then the jets up
-        # to the highest present (at least one, which _unflat needs)
-        fields = max(k + 1, -(-union.bit_length() // w))
-        names = [(idx // size, idx % size + 1) for idx in range(fields - k)]
+        field, size = alg.field, alg.nvars
+        k = len(field._zm)      # x and the parameters
+        lm, xs, base = (1 << 2 * w) - 1, 2 * w, self.base
+        xmask = (1 << k * w) - 1
         groups = {}
         for key, v in out.items():
-            rest = key >> 2 * w
-            groups.setdefault(key & ((1 << 2 * w) - 1), {})[tuple(
-                (rest >> f * w) & mask for f in range(fields))] = sign * v
-        return LambdaPoly(alg, 2, {
-            (k & mask, k >> w): DiffPoly(alg, _unflat(alg.field, P, self.den,
-                                                      names))
-            for k, P in groups.items()})
+            groups.setdefault((key & lm, key >> base), {})[
+                (key >> xs) & xmask] = sign * v
+        terms, monos = {}, {}
+        for (e, jets), P in groups.items():
+            mono = monos.get(jets)
+            if mono is None:
+                mono, rest, idx = [], jets, 0
+                while rest:
+                    if rest & mask:
+                        mono.append(((idx // size, idx % size + 1),
+                                     rest & mask))
+                    rest >>= w
+                    idx += 1
+                mono = monos[jets] = tuple(mono)
+            terms.setdefault((e & mask, e >> w), {})[mono] = \
+                _from_terms_over(field, {
+                    tuple((x >> f * w) & mask for f in range(k)): c
+                    for x, c in P.items()}, self.den)
+        return LambdaPoly(alg, 2, {e: DiffPoly(alg, t)
+                                   for e, t in terms.items()})
 
 
 def poisson_bracket(f, g, H: LambdaBracketStruct) -> LocalFunctional:

@@ -105,6 +105,14 @@ def skewadjoint_op(rng: random.Random, alg: DiffAlgebra, max_order=3,
     return S - S.adjoint()
 
 
+def skewadjoint_reference(S: LambdaBracketStruct) -> bool:
+    """H* = -H the slow way: H_ij + (H_ji)* = 0 for i <= j, each adjoint
+    taken through the operator algebra."""
+    rows, size = S.op.rows, S.nvars
+    return all((rows[i][j] + rows[j][i].adjoint()).is_zero()
+               for i in range(size) for j in range(i, size))
+
+
 def x_dependent_grid(alg, alg2):
     """name -> K for the x-dependent grid: ten scalar K over the
     one-variable algebra `alg` and five 2 x 2 K over the two-variable

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -328,20 +329,22 @@ def test_lenard_names_the_operator_that_is_not_skewadjoint(session_file, H,
 
 def test_lenard_takes_each_bracket_adjoint_once(session_file, monkeypatch):
     """run_hierarchy certifies H* = -H and K* = -K, and verify_involution
-    reads the verdicts kept on the structures instead of taking the two
-    adjoints again.  H and K are 1x1, so each skewness test takes the
-    adjoint of one entry; with no recursion step (each step's exactness
-    test takes adjoints of its own) the job takes exactly two."""
-    from varpois.diffop import ScalarDiffOp
-    calls = []
-    adjoint = ScalarDiffOp.adjoint
+    reads the verdicts kept on the structures instead of testing them
+    again: the job computes a skewness verdict for exactly two structures,
+    once each, whichever way the test runs (entrywise adjoints, or the
+    packed form of a structure polynomial in x)."""
+    from varpois.pva import LambdaBracketStruct
+    kept = LambdaBracketStruct.__dict__["_skew"]
+    computed = Counter()
 
-    def counted(self):
-        calls.append(self)
-        return adjoint(self)
-    monkeypatch.setattr(ScalarDiffOp, "adjoint", counted)
+    def keep(self, verdict):
+        if verdict is not None:
+            computed[self] += 1
+        kept.__set__(self, verdict)
+    monkeypatch.setattr(LambdaBracketStruct, "_skew",
+                        property(kept.__get__, keep))
     body, code = _run(["--session", session_file, "lenard", "--H", "H",
                        "--K", "K", "--seed", "u^2/2", "--steps", "0"])
     assert code == 0
     assert body["results"][-1]["name"] == "involution"
-    assert len(calls) == 2
+    assert sorted(computed.values()) == [1, 1]

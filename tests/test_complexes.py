@@ -488,6 +488,35 @@ def test_d_k_not_poisson_is_the_exported_class():
         d_k(QuotientArray(SkewArray.from_function(ALG, U)), K)
 
 
+def test_d_k_reads_the_kept_skewness_verdict(monkeypatch):
+    """A skewadjoint K has a zero symmetric part, so d_K takes no adjoint
+    once check_skewadjoint has kept its verdict on K: a second call on one
+    K takes none, for a quasiconstant K (whose skewness test takes the
+    entrywise adjoints), the Magri structure and a two-component structure
+    with jets.  A K that is not skewadjoint still takes its adjoint, and
+    one whose symmetric part is quasiconstant is still accepted."""
+    calls = []
+    adjoint = ScalarDiffOp.adjoint
+
+    def counted(self):
+        calls.append(self)
+        return adjoint(self)
+    monkeypatch.setattr(ScalarDiffOp, "adjoint", counted)
+    P = QuotientArray(SkewArray.from_function(ALG, U * U / 2))
+    P2 = QuotientArray(SkewArray.from_function(ALG2, ALG2.jet(1) *
+                                               ALG2.jet(2)))
+    for Q, K in ((P, gfz_structure(ALG)), (P, magri_structure(ALG)),
+                 (P2, _current_algebra())):
+        first = d_k(Q, K)
+        calls.clear()
+        assert d_k(Q, K) == first
+        assert calls == []
+    K = LambdaBracketStruct(gfz_structure(ALG).op +
+                            MatDiffOp.identity(ALG, 1))
+    assert d_k(P, K).representative == d_k_reference(P, K)
+    assert calls
+
+
 def test_d_k_matches_adjoint_action_on_one_forms():
     """Under the arity-2 operator identification, d_K of a 1-form class is
     the bracket action on the corresponding evolutionary field:

@@ -19,8 +19,9 @@ from varpois import (CoefficientField, DiffAlgebra, DiffPoly,
 from varpois import field as field_module
 from varpois import zpoly
 from varpois.field import (FRAC, POLY, RAT, _cancel, _exquo, _format_poly,
-                           _gcd, _lcm, _primitive_parts, clear_denominators,
-                           dot, format_field_elem, x_coefficients)
+                           _from_terms, _gcd, _lcm, _primitive_parts,
+                           _reduced, _unflat, clear_denominators, dot,
+                           format_field_elem, x_coefficients)
 from varpois.zpoly import Poly, Rational, divrem, ground
 
 from helpers import diffpolys, field_elems, rnd_field_elem, x_degree
@@ -1021,3 +1022,48 @@ def test_rational_matches_fraction(a, b, k, n):
     assert (A == B) == (a == b) and (A == k) == (a == k)
     with pytest.raises(ZeroDivisionError):
         Rational(k, 0)
+
+
+@st.composite
+def flat_numerators(draw):
+    """(field, P, m, names) for _unflat: P over x, the field's parameters
+    (none, c, or c and e) and one or two extra generators, with groups
+    that are a lone constant term, a constant with more terms, or free of
+    the constant; its coefficients share a factor with m half the time."""
+    field = CoefficientField(draw(st.sampled_from([[], ["c"], ["c", "e"]])))
+    k = len(field._zm)
+    names = [("v", i) for i in range(draw(st.integers(1, 2)))]
+    m = draw(st.integers(1, 12))
+    shared = draw(st.sampled_from([1, m]))
+    terms = {}
+    for tail in draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(names)),
+                              min_size=1, max_size=4, unique=True)):
+        heads = draw(st.lists(st.tuples(*[st.integers(0, 2)] * k),
+                              min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            heads = [field._zm] + [h for h in heads if h != field._zm][:
+                draw(st.integers(0, 2))]
+        for head in heads:
+            c = draw(st.integers(-6, 6).filter(bool)) * shared
+            terms[head + tail] = c
+    return field, Poly(terms), m, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_numerators())
+def test_unflat_equals_one_reduced_polynomial_per_coefficient(case):
+    """_unflat reads a lone term free of x and the parameters as a plain
+    rational, with no polynomial built; every coefficient, in value and
+    in tier, equals _reduced of its polynomial over m."""
+    field, P, m, names = case
+    k = len(field._zm)
+    grouped = {}
+    for exps, c in P.items():
+        grouped.setdefault(exps[k:], {})[exps[:k]] = c
+    expected = {tuple((v, e) for v, e in zip(names, tail) if e):
+                _reduced(field, _from_terms(field, group), m)
+                for tail, group in grouped.items()}
+    out = _unflat(field, P, m, names)
+    assert out.keys() == expected.keys()
+    for mono, c in expected.items():
+        assert out[mono] == c and out[mono]._k == c._k

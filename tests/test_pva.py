@@ -20,7 +20,7 @@ from helpers import (EvVectorField, ad_field_on_operator,
                      gfz_structure, hamiltonian_vf, jacobi_all_triples,
                      jacobi_residual_reference, lambda_bracket_reference,
                      rnd_diffpoly, rnd_mat_op, rnd_scalar_op,
-                     skewsymmetry_residual)
+                     skewadjoint_reference, skewsymmetry_residual)
 
 ALG = DiffAlgebra(1, ["c"])
 U = ALG.jet(1)
@@ -138,6 +138,27 @@ def test_check_skewadjoint():
     assert check_skewadjoint(MAGRI)
     ident = LambdaBracketStruct.from_scalar_op(ScalarDiffOp.identity(ALG))
     assert not check_skewadjoint(ident)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alg=st.sampled_from([ALG, ALG2, ALG2C]))
+def test_check_skewadjoint_equals_reference(data, alg):
+    """The skewness test, on the packed form for a structure polynomial in
+    x and by entrywise adjoints for one with x in a denominator or a
+    quasiconstant one, gives the verdict of the entrywise reference: on
+    fresh skew structures, and on ones with a random jet term added to
+    one entry, which are mostly not skew."""
+    H = data.draw(skew_brackets(alg))
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        size = alg.nvars
+        rows = [[ScalarDiffOp.zero(alg)] * size for _ in range(size)]
+        rows[rng.randrange(size)][rng.randrange(size)] = ScalarDiffOp(
+            alg, {rng.randint(0, 2): alg.jet(rng.randint(1, size),
+                                             rng.randint(0, 1)).scale(
+                _entry_factor(rng, alg.field, False))})
+        H = LambdaBracketStruct(H.op + MatDiffOp(alg, rows))
+    assert check_skewadjoint(H) == skewadjoint_reference(H)
 
 
 def test_check_jacobi():
