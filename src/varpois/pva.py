@@ -30,6 +30,13 @@ into the LambdaPoly that the lambda-polynomial formula gives.  A
 coefficient with x in a denominator takes that formula
 (_compatibility_terms), which also computes jacobi_residual and
 compatibility_residual on arbitrary elements.
+
+The same split serves check_skewadjoint.  With B_ij(lam) = sum_n lam^n C_n,
+the symbol of H_ji, H* = -H iff B_ji(lam) + sum_n (-1)^n (lam+d)^n C_n = 0
+for i <= j, since (H_ji)* = sum_n (-d)^n o C_n has the symbol
+sum_n (-lam-d)^n C_n.  A structure polynomial in x and not quasiconstant
+is tested so on its packed form, which is kept on it for check_jacobi;
+any other structure takes each adjoint.
 """
 
 from __future__ import annotations
@@ -251,10 +258,14 @@ def compatibility_residual(H: LambdaBracketStruct, K: LambdaBracketStruct,
 
 def check_skewadjoint(H: LambdaBracketStruct) -> bool:
     """H* = -H, tested as H_ij + (H_ji)* = 0 for i <= j, up to the first
-    nonzero entry; the verdict is taken once per structure.  An H that is
-    polynomial in x and not quasiconstant is tested on the packed form of
-    its Jacobi check (_PackedResidual.skewadjoint), which is kept on H for
-    check_jacobi; any other H takes each adjoint."""
+    nonzero entry; the verdict is taken once per structure.
+
+    An H that is polynomial in x and not quasiconstant is tested on the
+    packed form of its Jacobi check (_PackedResidual.skewadjoint), kept on
+    H for check_jacobi: with B_ij(lam) = sum_n lam^n C_n the symbol of
+    H_ji, the identity is B_ji(lam) + sum_n (-1)^n (lam+d)^n C_n = 0, as
+    (H_ji)* = sum_n (-d)^n o C_n has the symbol sum_n (-lam-d)^n C_n.  Any
+    other H takes each adjoint."""
     if H._skew is None:
         if H.op.is_quasiconstant() or not _polynomial_in_x(H):
             rows, size = H.op.rows, H.nvars
@@ -407,7 +418,7 @@ class _PackedResidual:
     coefficients.  The three terms below are linear in the inner and in
     the outer structure, so the scaled residual is L_first L_second times
     the true one: zero exactly when it is, and the witness is the scaled
-    residual over L_first L_second, read back by field._unflat into the
+    residual over L_first L_second, read back (_read_back) into the
     arity-2 LambdaPoly of the lambda-polynomial formula (lam in slot 0,
     mu in slot 1).  Both orders of a pair carry the same scale L_H L_K.
 
@@ -424,7 +435,14 @@ class _PackedResidual:
     Calling the object on generator indices (a, b, c) gives sign times
     the sum of C(first, second) over the orders.  The derivative chains of
     each B_ij, its shifts (v + d)^n B_ij(v) and the weights of t3 are kept
-    across the triples of one check."""
+    across the triples of one check.
+
+    For one structure H, skewadjoint() tests H* = -H on the same form:
+    with B_ij(lam) = sum_n lam^n C_n, H_ij + (H_ji)* = 0 iff
+    B_ji(lam) + sum_n (-1)^n (lam + d)^n C_n = 0, because (H_ji)* =
+    sum_n (-d)^n o C_n has the symbol sum_n (-lam - d)^n C_n.  The
+    equation is linear, so the scale L_H leaves the verdict unchanged, and
+    the chains d^r B_ij it reads are the ones the residual shifts."""
 
     def __init__(self, orders: list, sign: int):
         alg = orders[0][0].alg
