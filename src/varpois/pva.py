@@ -538,11 +538,10 @@ class _PackedResidual:
         return chain
 
     def skewadjoint(self) -> bool:
-        """H* = -H for the one structure H of the orders: with B_ij(lam) =
-        sum_n lam^n C_n, B_ji(lam) + sum_n (-1)^n (lam + d)^n C_n = 0 for
-        i <= j.  d does not touch lam, so the term of d^r B_ij with lam
-        exponent n >= r gives (-1)^n C(n, r) lam^(n-r) times the rest of
-        its key; the chains d^r B_ij are the ones the residual shifts."""
+        """H* = -H for the one structure H of the orders, by the identity
+        in the class docstring.  d does not touch lam, so the term of
+        d^r B_ij with lam exponent n >= r gives (-1)^n C(n, r) lam^(n-r)
+        times the rest of its key."""
         (H, _), = self.orders
         B, mask, size = self.B[H], self.mask, self.alg.nvars
         for i in range(1, size + 1):
