@@ -32,11 +32,10 @@ from .lenard import (HierarchyState, NoPreimage, UnsupportedK, lenard_step,
                      run_hierarchy, verify_involution)
 from .linform import LinForm
 from .parser import ArityError, ParseError, Session, parse_session
-from .polydiff import (KDiffOp, NotInSigma, chi_representative,
-                       is_skewsymmetric, is_totally_skewsymmetric,
-                       module_action, sigma_action, sigma_space,
-                       skew_product, solve_skew_equation,
-                       total_skewsymmetrize)
+from .polydiff import (KDiffOp, chi_representative, is_skewsymmetric,
+                       is_totally_skewsymmetric, module_action,
+                       sigma_action, sigma_space, skew_product,
+                       solve_skew_equation, total_skewsymmetrize)
 from .pva import (LambdaBracketStruct, NotPoisson, check_compatible,
                   check_jacobi, check_skewadjoint, jacobi_residual,
                   lambda_bracket, magri_structure, poisson_bracket)

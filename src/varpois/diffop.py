@@ -41,6 +41,7 @@ from .field import (FieldElem, InvariantViolation, _divide_content, _flat,
                     _match_x_coefficients, _unflat, accumulate,
                     clear_denominators, dot, extend_chain, format_field_elem,
                     rational_antiderivative, x_coefficients)
+from .lambdapoly import LambdaPoly
 from .linform import LinForm
 from .linsolve import det as _dense_det
 from .linsolve import _eliminate, gauss_solve, matrix_inverse
@@ -201,7 +202,6 @@ class ScalarDiffOp:
 
     def symbol(self, k: int = 1, slot: int = 0):
         """The operator symbol sum c_n lam_slot^n as a LambdaPoly."""
-        from .lambdapoly import LambdaPoly
         terms = {}
         for n, c in self.coeffs.items():
             e = [0] * k

@@ -13,20 +13,17 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .complexes import SkewArray, _inverse_perm, _perm_sign
-from .diffalg import DiffAlgebra, DiffPoly
+from .diffalg import DiffAlgebra
 from .diffop import (Incomplete, MatDiffOp, NoRationalSolution,
                      invertible_leading, solve_linform_system)
-from .field import accumulate
+from .field import accumulate, extend_chain
 from .lambdapoly import (LambdaPoly, _LambdaArray, _linear_powers,
                          subst_slot_neg, symbol_act)
 from .linform import LinForm
-
-
-class NotInSigma(Exception):
-    pass
 
 
 class KDiffOp(_LambdaArray):
@@ -194,26 +191,13 @@ def module_action(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
 # -- solvability spaces --------------------------------------------------------------
 
 
-def _skew_atoms(alg: DiffAlgebra, k: int, ndeg: int) -> list:
-    """Orbit representatives for skewsymmetric unknowns with lambda-exponents
-    below ndeg: i0 free, the pairs ((n_t, i_t)) strictly decreasing
-    (repeated pairs vanish)."""
-    pair_choices = list(itertools.combinations(
-        sorted(((n, i) for n in range(ndeg) for i in range(1, alg.nvars + 1)),
-               reverse=True), k))
-    atoms = []
-    for i0 in range(1, alg.nvars + 1):
-        for pairs in pair_choices:
-            atoms.append((i0, pairs))
-    return atoms
-
-
-def _unknown_entries(nvars: int, k: int, ndeg: int) -> dict:
-    """The generic skewsymmetric k-differential operator over the atoms of
-    _skew_atoms, as (i0,) + rest -> {exps: (sign, atom)}: every canonical
-    descending tuple of k distinct pairs (n, i) with n < ndeg is one atom,
-    and the entry at lam^exps is sign * atom."""
-    out = {}
+def _unknown_entries(nvars: int, k: int, ndeg: int) -> tuple:
+    """The generic skewsymmetric k-differential operator of
+    lambda-exponents below ndeg, (i0,) + rest -> {exps: (sign, atom)}
+    with entry sign * atom at lam^exps, and its atoms: one (i0, pairs)
+    per i0 and descending tuple of k distinct pairs (n, i), n < ndeg (a
+    repeated pair vanishes), listed by i0 and then pairs descending."""
+    out, atoms = {}, set()
     for i0 in range(1, nvars + 1):
         for rest in itertools.product(range(1, nvars + 1), repeat=k):
             terms = {}
@@ -222,22 +206,12 @@ def _unknown_entries(nvars: int, k: int, ndeg: int) -> dict:
                 if len(set(pairs)) < k:
                     continue
                 perm = sorted(range(k), key=lambda t: pairs[t], reverse=True)
-                terms[exps] = (_perm_sign(perm),
-                               (i0, tuple(pairs[t] for t in perm)))
+                atom = (i0, tuple(pairs[t] for t in perm))
+                terms[exps] = (_perm_sign(perm), atom)
+                atoms.add(atom)
             if terms:
                 out[(i0,) + rest] = terms
-    return out
-
-
-def _unknown_kdiffop(alg: DiffAlgebra, k: int, unknown: dict) -> KDiffOp:
-    """The generic unknown of _unknown_entries with LinForm coefficients."""
-    field = alg.field
-    P = KDiffOp(alg, k)
-    for idx, terms in unknown.items():
-        P.entries[idx] = LambdaPoly(alg, k, {e: alg.from_scalar(
-            LinForm.atom(field, a) if s > 0 else -LinForm.atom(field, a))
-            for e, (s, a) in terms.items()})
-    return P
+    return out, sorted(atoms, key=lambda a: (-a[0], a[1]), reverse=True)
 
 
 def _at(alg: DiffAlgebra, k: int, unknown: dict, atoms: list,
@@ -253,46 +227,75 @@ def _at(alg: DiffAlgebra, k: int, unknown: dict, atoms: list,
     return P
 
 
-def _integer_symbols(K: MatDiffOp) -> Optional[tuple]:
-    """(L, {(i, j): {n: c}}) with L K_ij = sum_n c d^n, every c an int and
-    L the least common denominator, or None when a coefficient of K is not
-    a rational number."""
-    fracs: dict = {}
-    for i, row in enumerate(K.rows, 1):
-        for j, op in enumerate(row, 1):
-            for n, c in op.coeffs.items():
-                if type(c) is DiffPoly or not c.is_rational_number():
-                    return None
-                fracs.setdefault((i, j), {})[n] = c.as_fraction()
-    L = math.lcm(*(v.denominator for d in fracs.values() for v in d.values()))
-    return L, {ij: {n: int(v * L) for n, v in d.items()}
-               for ij, d in fracs.items()}
+def _symbols(K: MatDiffOp, depth: int) -> tuple:
+    """(L, {(i, j): (c, taus)}): L is the least common denominator of the
+    rational coefficients of K, L K_ij = sum_n c_n d^n with c = {n: c_n},
+    and taus = [K_0, K_1, ...], to K_depth at most, holds the dicts
+    {power: coefficient} of K_q(lam) = sum_n (-1)^n sum_u C(n, u)
+    c_n^(q+u) lam^(n-u), so K_0(lam) = L K_ij(-lam).  A rational c_n is
+    an int whose chain [c_n] ends there; any other is a FieldElem with
+    its chain of derivatives (extend_chain) to the order K_depth reads."""
+    entries = {(i, j): {n: c.as_fraction() if c.is_rational_number() else c
+                        for n, c in op.coeffs.items()}
+               for i, row in enumerate(K.rows, 1)
+               for j, op in enumerate(row, 1) if op.coeffs}
+    L = math.lcm(*(v.denominator for coeffs in entries.values()
+                   for v in coeffs.values() if type(v) is Fraction))
+    out = {}
+    for ij, coeffs in entries.items():
+        chains = {}
+        for n, v in coeffs.items():
+            if type(v) is Fraction:
+                chains[n] = [v.numerator * (L // v.denominator)]
+            else:
+                chain = extend_chain([v * L], n + depth)
+                chains[n] = chain[:-1] if chain[-1] is None else chain
+        taus = []
+        for q in range(min(depth + 1, max(map(len, chains.values())))):
+            Kq: dict = {}
+            for n, chain in chains.items():
+                for u in range(min(n, len(chain) - 1 - q) + 1):
+                    v = math.comb(n, u) * chain[q + u]
+                    Kq[n - u] = Kq.get(n - u, 0) + (-v if n % 2 else v)
+            taus.append({p: v for p, v in Kq.items() if v != 0})
+        out[ij] = ({n: chain[0] for n, chain in chains.items()}, taus)
+    return L, out
 
 
-def _rational_equations(K: MatDiffOp, k: int, unknown: dict,
-                        factor: Fraction) -> Optional[list]:
-    """The _equations() of factor (k+1) <K o P>^- for the generic unknown
-    P of _unknown_entries when every coefficient of K is a rational
-    number, and None otherwise; sigma_space proves the construction.  The
-    rows are keyed (index tuple, lam-exponent) and hold the integer
-    coefficient of each D^r p_a, for K scaled to integers by L once; each
-    is divided by L and by 1/factor at the end."""
-    sym = _integer_symbols(K)
-    if sym is None:
-        return None
-    L, ints = sym
-    field, nvars = K.alg.field, K.alg.nvars
-    top = max([K.order()] + [max(e, default=0) for t in unknown.values()
-                             for e in t])
+@lru_cache(maxsize=None)
+def _tables(k: int, top: int, fmax: int, depth: int) -> tuple:
+    """The integer tables of _table_equations, S = lam_1 + ... + lam_k:
+    shift[n], n <= top, lists the (g, r, b) with (S + d)^n = sum b lam^g
+    d^r, b = C(n, r) multinomial(g); tau[f][q], f <= fmax and q <
+    min(f + 1, depth), those of (S + d)^(f-q) with b times (-1)^f C(f, q)."""
     powers = _linear_powers({s: 1 for s in range(k)}, k, top)
     shift = [[(g, r, math.comb(n, r) * a) for r in range(n + 1)
               for g, a in powers[n - r].items()] for n in range(top + 1)]
-    rows: dict = {}  # (index tuple, lam-exponent) -> {(atom, r): int}
+    return shift, [[[(g, r, (-b if f % 2 else b) * math.comb(f, q))
+                     for g, r, b in shift[f - q]]
+                    for q in range(min(f + 1, depth))]
+                   for f in range(fmax + 1)]
+
+
+def _table_equations(K: MatDiffOp, k: int, unknown: dict,
+                     factor: Fraction) -> list:
+    """The _equations() of factor (k+1) <K o P>^- for the generic unknown
+    P of _unknown_entries (proof in sigma_space).  Rows are keyed (index
+    tuple, lam-exponent) and hold the coefficient of each D^r p_a for
+    L K (_symbols): an int while only rational coefficients meet it, else
+    a FieldElem; each is divided by L and by 1/factor at the end."""
+    field, nvars = K.alg.field, K.alg.nvars
+    fmax = max([max(e, default=0) for t in unknown.values() for e in t],
+               default=0)
+    L, syms = _symbols(K, fmax)
+    shift, tshift = _tables(k, max(K.order(), fmax), fmax,
+                            max(len(taus) for _, taus in syms.values()))
+    rows: dict = {}  # (index tuple, lam-exponent) -> {(atom, r): value}
 
     def add(idx, e, a, r, v):
         row = rows.setdefault((idx, e), {})
         v += row.get((a, r), 0)
-        if v:
+        if v != 0:
             row[(a, r)] = v
         else:
             del row[(a, r)]
@@ -300,9 +303,10 @@ def _rational_equations(K: MatDiffOp, k: int, unknown: dict,
     for (j, *rest), terms in unknown.items():
         rest = tuple(rest)
         for i0 in range(1, nvars + 1):
-            coeffs = ints.get((i0, j))
-            if not coeffs:
+            sym = syms.get((i0, j))
+            if sym is None:
                 continue
+            coeffs, taus = sym
             for f, (s, a) in terms.items():
                 for n, c in coeffs.items():
                     for g, r, b in shift[n]:
@@ -311,20 +315,21 @@ def _rational_equations(K: MatDiffOp, k: int, unknown: dict,
                 if not k:
                     continue
                 idx = (rest[0], i0) + rest[1:]
-                for g, r, b in shift[f[0]]:
-                    tail = tuple(x + y for x, y in zip(f[1:], g[1:]))
-                    v0 = -s * b if f[0] % 2 else s * b
-                    for n, c in coeffs.items():
-                        v = -v0 * c if n % 2 else v0 * c
-                        e = (g[0] + n,) + tail
-                        add(idx, e, a, r, -v)
-                        for t in range(1, k):
-                            add(idx[:1] + (idx[t + 1],) + idx[2:t + 1] +
-                                (idx[1],) + idx[t + 2:],
-                                (e[t],) + e[1:t] + (e[0],) + e[t + 1:],
-                                a, r, v)
-    den = L * factor.denominator
-    value = {v: field.rational(v * factor.numerator, den)
+                for Kq, table in zip(taus, tshift[f[0]]):
+                    for g, r, b in table:
+                        tail = tuple(x + y for x, y in zip(f[1:], g[1:]))
+                        v0 = s * b
+                        for p, c in Kq.items():
+                            v = v0 * c
+                            e = (g[0] + p,) + tail
+                            add(idx, e, a, r, -v)
+                            for t in range(1, k):
+                                add(idx[:1] + (idx[t + 1],) + idx[2:t + 1] +
+                                    (idx[1],) + idx[t + 2:],
+                                    (e[t],) + e[1:t] + (e[0],) + e[t + 1:],
+                                    a, r, v)
+    scale = field.rational(factor.numerator, L * factor.denominator)
+    value = {v: scale * v
              for v in {v for row in rows.values() for v in row.values()}}
     return [((idx, e, ()), LinForm(field, {
         key: value[v] for key, v in rows[idx, e].items()}))
@@ -337,28 +342,33 @@ def sigma_space(K: MatDiffOp, k: int):
     K* o P vanishing.  Returns (basis, expected_dim, flagged).
 
     The equations are the coefficients of <K* o P>^- for the generic
-    unknown P, one atom p_a per orbit of _skew_atoms.  For K whose
-    coefficients are all rational numbers, _rational_equations builds
-    them on integer tables; otherwise module_action and
-    total_skewsymmetrize do, term by term.  The tables are exact: every
-    coefficient of K o P and of its substitutions is then c D^r p_a summed,
-    c rational, and d acts by d(c D^r p_a) = c' D^r p_a + c D^(r+1) p_a =
-    c D^(r+1) p_a, since c' = 0.  So d only raises derivative orders, and
-    the coefficients form the free module on the atoms over the commutative
-    ring Q[lam_1..lam_k, d], with D^r p_a = d^r p_a.  tau_1's substitution
-    lam_1 -> -lam_1 - ... - lam_k - d is a ring homomorphism of it, and
-    with S = lam_1 + ... + lam_k it sends S + d to -lam_1.  Since
-    (K o P)_(i0 i1 ..) = sum_j K_(i0 j)(S + d) P_(j i1 ..), the
-    transposition of positions 0 and 1 gives
+    unknown P of _unknown_entries, one atom p_a per orbit, which
+    _table_equations reads off integer tables for every K of the class.
+    With S = lam_1 + ... + lam_k, (K o P)_(i0 i1 ..) = sum_j K_(i0 j)(S +
+    d) P_(j i1 ..): each c_n of K_(i0 j) stays left of d, and P has
+    coefficients +-1, so K o P needs only the table (S + d)^n = sum
+    C(n, r) multinomial(g) lam^g d^r over r + |g| = n, with d^r p_a =
+    D^r p_a.  The transposition tau_1 of positions 0 and 1 swaps the
+    indices and substitutes lam_1 -> -S - d, where d(c D^r p_a) =
+    c' D^r p_a + c D^(r+1) p_a.  A term c_n (S + d)^n of K met with
+    lam^f p_a of P is sum_s C(n, s) lam_1^(n-s+f_1) c_n Z_s, with Z_s =
+    (S' + d)^s lam'^f' p_a and S' = S - lam_1.  By Leibniz, (a + d)^m
+    (c Z) = sum_t C(m, t) c^(t) (a + d)^(m-t) Z, and past c^(t) every
+    factor acts on p_a alone, so they commute.  Put z = -S - d and
+    w = S' + d, so z + w = -lam_1; as sum_m C(m, t) z^(m-t) X_m =
+    (d_z^t / t!) sum_m z^m X_m, applied to z^f_1 (z + w)^n, the term goes
+    to sum_t (-1)^t c_n^(t) sum_u C(n, u) C(f_1, t-u) (-lam_1)^(n-u)
+    z^(f_1-t+u) lam'^f' p_a.  With q = t - u,
 
-        T_(i1 i0 i2 ..) = sum_j K_(i0 j)(-lam_1) P_(j i1 i2 ..)(-S - d,
-                          lam_2, ..),
+        T_(i1 i0 i2 ..) = sum_j sum_q (-1)^q K_q(lam_1)
+                          P^[q]_(j i1 i2 ..)(-S - d, lam_2, ..),
 
-    and as in total_skewsymmetrize (k+1) <K o P>^- = K o P - T +
-    sum_(a >= 2) T^(1 a), T^(1 a) swapping the indices at 1 and a and the
-    variables lam_1 and lam_a.  Both products need only the integer table
-    of (S + d)^n = sum C(n, r) multinomial(g) lam^g d^r over r + |g| = n,
-    with sign (-1)^n for the powers of lam_1 under tau_1.
+    K_q as in _symbols and P^[q] = (d/dlam_1)^q P / q!; for rational K
+    only K_0(lam) = K_(i0 j)(-lam) is left.  As z^m = (-1)^m (S + d)^m,
+    T reads the same table, and as in total_skewsymmetrize (k+1)
+    <K o P>^- = K o P - T + sum_(a >= 2) T^(1 a), T^(1 a) swapping the
+    indices at 1 and a and lam_1 with lam_a.  The tests keep module_action
+    and total_skewsymmetrize as the reference for these rows.
 
     The system is solved on its triangular form (solve_linform_system).
     For K free of x the basis is certified, and a flag means solutions
@@ -371,15 +381,10 @@ def sigma_space(K: MatDiffOp, k: int):
     invertible_leading(K)
     N = K.order()
     expected = math.comb(N * alg.nvars, k + 1)
-    atoms = _skew_atoms(alg, k, N)
+    unknown, atoms = _unknown_entries(alg.nvars, k, N)
     if not atoms:
         return [], expected, expected > 0
-    unknown = _unknown_entries(alg.nvars, k, N)
-    Ka = K.adjoint()
-    eqs = _rational_equations(Ka, k, unknown, Fraction(1, k + 1))
-    if eqs is None:
-        eqs = total_skewsymmetrize(module_action(
-            Ka, _unknown_kdiffop(alg, k, unknown)))._equations()
+    eqs = _table_equations(K.adjoint(), k, unknown, Fraction(1, k + 1))
     sols = solve_linform_system(alg, eqs, atoms)
     basis = [_at(alg, k, unknown, atoms, vec) for vec in sols.homogeneous]
     return basis, expected, len(basis) < expected
@@ -389,9 +394,9 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     """Skewsymmetric P with sum_{sigma in S_{k+1}} sign(sigma) (K o P)^sigma
     / k! = S (the unnormalized total skewsymmetrization, matching the closed
     forms K=1 -> P = S/2 and K=d -> dP = S at arity one), for totally
-    skewsymmetric S.  The equations come from _rational_equations when the
-    coefficients of K are rational numbers (see sigma_space), and from
-    skew_product otherwise.
+    skewsymmetric S.  The equations are those of skew_product on the
+    generic unknown, built by _table_equations for every K of the class
+    (the Leibniz proof is in sigma_space's docstring).
 
     P's lambda-degree starts at max(ord K - 1, deg S) per variable and is
     raised by one, twice, while NoRationalSolution or Incomplete says no
@@ -409,11 +414,8 @@ def solve_skew_equation(K: MatDiffOp, S: KDiffOp) -> KDiffOp:
     lam_deg = max(N - 1, d_s)
     rhs = S._equations()
     for ndeg in range(lam_deg + 1, lam_deg + 4):
-        atoms = _skew_atoms(alg, k, ndeg)
-        unknown = _unknown_entries(alg.nvars, k, ndeg)
-        eqs = _rational_equations(K, k, unknown, Fraction(1))
-        if eqs is None:
-            eqs = skew_product(K, _unknown_kdiffop(alg, k, unknown))._equations()
+        unknown, atoms = _unknown_entries(alg.nvars, k, ndeg)
+        eqs = _table_equations(K, k, unknown, Fraction(1))
         try:
             return _at(alg, k, unknown, atoms, solve_linform_system(
                 alg, eqs, atoms, rhs).particular)
@@ -429,14 +431,10 @@ def skew_product(K: MatDiffOp, P: KDiffOp) -> KDiffOp:
     return total_skewsymmetrize(module_action(K, P)).scale(P.k + 1)
 
 
-def chi_representative(P: KDiffOp, K: Optional[MatDiffOp] = None):
+def chi_representative(P: KDiffOp):
     """The array (sum_j P_{j,i1..ik}(lam) u_j): a closed representative of
-    the cohomology class attached to P in Sigma_k(K*).  Given K, P is first
-    checked to lie in Sigma_k(K*) (NotInSigma otherwise)."""
+    the cohomology class attached to P in Sigma_k(K*)."""
     alg = P.alg
-    if K is not None:
-        if not total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero():
-            raise NotInSigma("operator does not solve the Sigma equation")
     out = SkewArray(alg, P.k)
     for rest in itertools.combinations_with_replacement(
             range(1, alg.nvars + 1), P.k):

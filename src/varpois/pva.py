@@ -41,6 +41,7 @@ any other structure takes each adjoint.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, lcm
 from typing import Optional
 
@@ -395,6 +396,14 @@ def _addmul(out: dict, A: dict, B: dict, k: int) -> None:
             out[key] = out.get(key, 0) + ca * cb
 
 
+@lru_cache(maxsize=None)
+def _nu_power(w: int, s: int) -> dict:
+    """(lam + mu)^s packed in fields of w bits, lam in the lowest and mu in
+    the next (_PackedResidual); one table per width, shared by every
+    kernel, which only reads it."""
+    return {a + ((s - a) << w): comb(s, a) for a in range(s + 1)}
+
+
 class _PackedResidual:
     """The generator-triple residual of check_jacobi and check_compatible
     as one integer polynomial in Z[lam, mu, x, params, jets].
@@ -484,7 +493,6 @@ class _PackedResidual:
         first, second = orders[0]
         self.den = scale[first] * scale[second]
         self._chains, self._shifts, self._weights = {}, {}, {}
-        self._nu = [{0: 1}]
 
     def _derive(self, P: dict) -> dict:
         """d P: d/dx on the x field, u^(n) -> u^(n+1) on each jet field."""
@@ -592,19 +600,11 @@ class _PackedResidual:
                 e = k & mask    # this term of h_e lam^e
                 if e + m >= r:
                     a *= comb(e + m, r)
-                    for kn, cn in self._nu_power(e + m - r).items():
+                    for kn, cn in _nu_power(self.w, e + m - r).items():
                         kn += k - e
                         out[kn] = out.get(kn, 0) + a * cn
             self._weights[key] = out
         return out
-
-    def _nu_power(self, s: int) -> dict:
-        """(lam + mu)^s, packed."""
-        nu, w = self._nu, self.w
-        while len(nu) <= s:
-            t = len(nu)
-            nu.append({a + ((t - a) << w): comb(t, a) for a in range(t + 1)})
-        return nu[s]
 
     def __call__(self, a: int, b: int, c: int) -> LambdaPoly:
         out = {}

@@ -15,8 +15,9 @@ from varpois import (DiffAlgebra, DiffPoly, DiffRat, FieldElem,
                      NoPreimage, NotExact, NotSkewadjoint, ScalarDiffOp,
                      ShapeMismatch, SkewArray, UnsupportedK,
                      antiderivative_in_v, delta_k,
-                     frechet, lambda_bracket, poisson_bracket,
-                     rational_antiderivative, sigma_action,
+                     frechet, lambda_bracket, module_action,
+                     poisson_bracket, rational_antiderivative, sigma_action,
+                     skew_product, total_skewsymmetrize,
                      variational_derivative)
 from varpois.complexes import _perm_sign
 from varpois.diffop import (DET_ZERO, DetValue, _as_matrix,
@@ -28,7 +29,7 @@ from varpois.field import (POLY, RAT, _primitive_parts, accumulate,
 from varpois.lambdapoly import (_linear_powers, affine_pow_on, subst_slot_neg,
                                 symbol_act)
 from varpois.linsolve import _eliminate, matrix_inverse
-from varpois.polydiff import _tau_action
+from varpois.polydiff import _tau_action, _unknown_entries
 
 
 def rnd_rational(rng: random.Random) -> Fraction:
@@ -569,6 +570,31 @@ def total_skewsymmetrize_shortcut(P):
     for alpha in range(1, P.k + 1):
         out = out - _tau_action(P, alpha)
     return out.scale(Fraction(1, P.k + 1))
+
+
+def unknown_kdiffop(alg: DiffAlgebra, k: int, unknown: dict) -> KDiffOp:
+    """The generic unknown of polydiff._unknown_entries as a KDiffOp with
+    LinForm coefficients, the entry at lam^exps being sign * p_atom."""
+    field = alg.field
+    P = KDiffOp(alg, k)
+    for idx, terms in unknown.items():
+        P.entries[idx] = LambdaPoly(alg, k, {e: alg.from_scalar(
+            LinForm.atom(field, a) if s > 0 else -LinForm.atom(field, a))
+            for e, (s, a) in terms.items()})
+    return P
+
+
+def sigma_equations_reference(K: MatDiffOp, k: int, ndeg: int,
+                              skew: bool) -> list:
+    """The module action route to the equations of polydiff's table
+    builder on the generic unknown P of lambda-degree below ndeg: those of
+    <K* o P>^- (sigma_space), or with skew those of (k+1) <K o P>^-
+    (skew_product, for solve_skew_equation)."""
+    unknown, _ = _unknown_entries(K.alg.nvars, k, ndeg)
+    P = unknown_kdiffop(K.alg, k, unknown)
+    if skew:
+        return skew_product(K, P)._equations()
+    return total_skewsymmetrize(module_action(K.adjoint(), P))._equations()
 
 
 def _field_entries(M: MatDiffOp, convert_jets):

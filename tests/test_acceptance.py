@@ -20,11 +20,12 @@ from varpois import (DiffAlgebra, DiffRat, KDiffOp, LambdaPoly,
                      dieudonne_det, dim_omega00, filtration_level, homotopy,
                      is_exact_1form,
                      kernel_dim_bound, magri_structure, majorant,
-                     partial_action, reconstruct_density, reduce_closed,
-                     run_hierarchy,
+                     module_action, partial_action, reconstruct_density,
+                     reduce_closed, run_hierarchy,
                      selfadjoint_product_space, sigma_space, skew_product,
                      solve_rational, solve_skew_equation,
-                     variational_derivative, verify_involution)
+                     total_skewsymmetrize, variational_derivative,
+                     verify_involution)
 from varpois.complexes import level_key
 from varpois.polydiff import is_totally_skewsymmetric
 
@@ -158,7 +159,9 @@ def test_criterion_06_cohomology_dimensions():
                 basis, exp2, flagged = sigma_space(K, k)
                 assert len(basis) == expected and not flagged
                 for P in basis:
-                    rep = chi_representative(P, K)
+                    assert total_skewsymmetrize(
+                        module_action(K.adjoint(), P)).is_zero()
+                    rep = chi_representative(P)
                     assert QuotientArray(delta_k(rep, K)).is_zero()
     shifted = MatDiffOp(ALG, [[ScalarDiffOp(ALG, {1: ALG.one, 0: ALG.one})]])
     res = cohomology_dim(shifted, 0)

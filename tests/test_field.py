@@ -6,7 +6,7 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ, Mul, Symbol, cancel, gcd_list, lcm_list
 from sympy.polys.fields import field as sympy_field
@@ -965,6 +965,59 @@ def test_heuristic_limit_zero_reaches_the_fallback(monkeypatch):
             zpoly._heugcd(f, g)
     assert _gcd(a, b) == X + ONE
     assert _gcd(a2, b2) == Poly({(1, 1): 1, (0, 1): 1})
+
+
+def _prem_reference_pair(n, f, g):
+    """zpoly._prem on the coefficient lists in x of f and g, and sympy's
+    prem, both as sympy polynomials in n generators."""
+    r = zpoly._prem(zpoly._in_x0(f), zpoly._in_x0(g))
+    got = zpoly._from_x0(r) if r else ground(n, 0)
+    return to_sympy(got, n), to_sympy(f, n).prem(to_sympy(g, n))
+
+
+C = Poly({(0, 1): 1})
+X2 = Poly({(1, 0): 1})
+
+
+@st.composite
+def prem_inputs(draw):
+    """(n, f, g): f and g in Z[x] (n = 1) or Z[x, c] (n = 2), sparse, with
+    deg_x f >= deg_x g."""
+    n = draw(st.sampled_from([1, 2]))
+    f, g = draw(z_polys(n, 6, 5)), draw(z_polys(n, 4, 3))
+    assume(f and g and f.degree(0) >= g.degree(0))
+    return n, f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(prem_inputs())
+@example((1, X ** 4 + X + ground(1, 3), (X ** 2).mul_ground(2) + ONE))
+@example((2, X2 ** 4 + X2 + C, C * X2 ** 2 + ground(2, 1)))
+def test_prem_matches_sympy(case):
+    """The pseudo-remainder lc(G)^(deg F - deg G + 1) F mod G of
+    coefficient lists over Z (one generator) and Z[c] (two) is sympy's
+    prem.  Sparse inputs often give remainders that skip a degree, so the
+    division takes fewer steps than deg F - deg G + 1 and the lc factor
+    of the steps left is applied at the end: x^4 + x + 3 by 2x^2 + 1
+    skips x^3, giving 8x + 26 where the remainder without that factor is
+    4x + 13 (the examples, over Z and, with lc = c, over Z[c])."""
+    got, want = _prem_reference_pair(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("n, f, g, s", [
+    (1, X ** 5 - (X ** 2).mul_ground(2) * X + X.mul_ground(3) - ONE,
+     (X ** 3).mul_ground(2) + X, X - ground(1, 2)),
+    (2, C * X2 ** 5 + C * X2 ** 2 - X2 + ground(2, 2),
+     X2 ** 3 - X2.mul_ground(2) + ground(2, 1), X2 - ground(2, 2))])
+def test_prs_gcd_across_a_degree_gap(n, f, g, s):
+    """A subresultant PRS whose remainders drop two degrees at once
+    (degrees 6, 4, 2, 1: the d > 1 branch of _prs_gcd's psi update) gives
+    sympy's gcd, here the shared factor s."""
+    a, b = f * s, g * s
+    h = to_sympy(zpoly._prs_gcd(a, b), n)
+    assert h == reference_gcd(to_sympy(a, n), to_sympy(b, n))
+    assert h == to_sympy(s, n)
 
 
 def test_sparse_gcd_recurses_through_the_dense_kernel(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from varpois import (DiffAlgebra, Incomplete, KDiffOp, LambdaPoly,
                      LeadingCoeffSingular, MatDiffOp, NoRationalSolution,
-                     NotInSigma, NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
+                     NotQuasiconstant, ScalarDiffOp, ShapeMismatch,
                      chi_representative, cohomology_dim, frechet,
                      functional_eq, is_skewsymmetric, is_totally_skewsymmetric,
                      module_action, selfadjoint_product_space,
@@ -24,7 +24,8 @@ from varpois import diffop, polydiff
 from helpers import (_B_TABLE, _C_TABLE, BadSupport, as_one_form, coeff_b,
                      coeff_c, expand_monomial, pairing,
                      reference_elimination, rnd_diffpoly,
-                     skewadjoint_decompose, to_mat_diff_op,
+                     sigma_equations_reference, skewadjoint_decompose,
+                     to_mat_diff_op,
                      total_skewsymmetrize_reference,
                      total_skewsymmetrize_shortcut, x_dependent_grid)
 
@@ -469,55 +470,90 @@ def test_x_free_systems_never_reach_the_ansatz(monkeypatch):
     test_solve_skew_equation_against_the_full_sum()
 
 
+ALGC, ALG2C = DiffAlgebra(1, ["c"]), DiffAlgebra(2, ["c"])
+# the field of K's coefficients -> its algebras over one and two variables
+FIELDS = {"Q": (ALG, ALG2), "Q(c)": (ALGC, ALG2C), "Q(x)": (ALG, ALG2),
+          "Q(c)(x)": (ALGC, ALG2C)}
+
+
 @st.composite
-def rational_operators(draw):
+def operators_of_the_class(draw):
     """(K, k): K = A o (diag(d^N) + B) with N <= 3, B of order < N and A
-    constant invertible, all entries rational numbers with denominators up
-    to 3, A with no zero entry when l = 2 (so not triangular); k <= 3,
-    and k <= 2 when l N > 4, where the module action takes seconds."""
+    invertible, over F = Q, Q(c), Q(x) or Q(c)(x).  Every entry is a
+    rational with denominator up to 3, plus a multiple of c when F has c,
+    and plus multiples of x and of 1/(x + 1) when F has x, so that a
+    derivative chain may end or not; A has no zero entry when l = 2 (so
+    not triangular).  k <= 3 over Q, one less when l N > 4, and k <= 2
+    otherwise, one less when l N > 3: there the module action takes
+    seconds (over Q(c)(x), 1-2 s at l = 2, N = 2 and k = 2, and 12 s at
+    N = 3)."""
+    kind = draw(st.sampled_from(sorted(FIELDS)))
     l = draw(st.sampled_from([1, 2]))
     N = draw(st.integers(1, 3))
-    alg = ALG if l == 1 else ALG2
+    alg = FIELDS[kind][l - 1]
+    F = alg.field
     q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    A = [[draw(q.filter(bool)) for _ in range(l)] for _ in range(l)]
-    assume(l == 1 or A[0][0] * A[1][1] != A[0][1] * A[1][0])
-    B = MatDiffOp(alg, [[ScalarDiffOp(alg, {
-        n: alg.from_scalar(alg.field.rational(draw(q)))
-        for n in range(N)}) + (ScalarDiffOp.d(alg, N) if i == j else
-                               ScalarDiffOp.zero(alg))
-        for j in range(l)] for i in range(l)])
-    K = MatDiffOp.from_constant(alg, A).compose(B)
-    return K, draw(st.integers(0, 3 if l * N <= 4 else 2))
+
+    def elem():
+        v = F.rational(draw(q))
+        if "c" in kind:
+            v = v + F.param("c") * draw(q)
+        if "x" in kind:
+            v = v + F.x * draw(q) + draw(q) / (F.x + 1)
+        return v
+
+    def op(coeffs):
+        return ScalarDiffOp(alg, {n: alg.from_scalar(v)
+                                  for n, v in coeffs.items()})
+
+    A = [[elem() for _ in range(l)] for _ in range(l)]
+    assume(all(not a.is_zero() for row in A for a in row))
+    assume(l == 1 or not (A[0][0] * A[1][1] - A[0][1] * A[1][0]).is_zero())
+    B = MatDiffOp(alg, [[op({n: elem() for n in range(N)}) +
+                         (ScalarDiffOp.d(alg, N) if i == j else
+                          ScalarDiffOp.zero(alg))
+                         for j in range(l)] for i in range(l)])
+    K = MatDiffOp(alg, [[op({0: a}) for a in row] for row in A]).compose(B)
+    top = 3 - (l * N > 4) if kind == "Q" else 2 - (l * N > 3)
+    return K, draw(st.integers(0, top))
+
+
+def _with_grid_examples(test):
+    """The x-dependent grid as explicit examples at k = 2, P of one more
+    degree in the skew equation."""
+    for K in x_dependent_grid(ALG, ALG2).values():
+        test = example((K, 2), 1)(test)
+    return test
 
 
 @settings(max_examples=40, deadline=None)
-@given(rational_operators(), st.integers(0, 1))
+@given(operators_of_the_class(), st.integers(0, 1))
 @example((_diag_d(ALG2, 3, [[1, 2], [Fraction(1, 2), 1]]), 3), 0)
+@_with_grid_examples
 def test_integer_tables_equal_the_module_action(case, extra):
-    """For K with rational coefficients the rows built on integer tables
-    are, term by term and in order, the equations of the module action
-    route: <K* o P>^- for sigma_space, and (k+1) <K o P>^- for
-    solve_skew_equation with P of one degree more when extra = 1.  The
-    example is the largest shape, l = 2 and N = k = 3 (1,452 rows)."""
+    """For every K of the class the rows built on the tables are, term by
+    term and in order, the equations of the module action route
+    (helpers.sigma_equations_reference): <K* o P>^- for sigma_space, with
+    factor 1/(k+1), and (k+1) <K o P>^- for solve_skew_equation, with
+    factor 1 and P of one degree more when extra = 1.  The first example
+    is the largest shape, l = 2 and N = k = 3 (1,452 rows)."""
     K, k = case
     alg, N = K.alg, K.order()
-    unknown = polydiff._unknown_entries(alg.nvars, k, N)
-    assume(unknown)
-    P = polydiff._unknown_kdiffop(alg, k, unknown)
-    assert polydiff._rational_equations(
+    unknown, atoms = polydiff._unknown_entries(alg.nvars, k, N)
+    assume(atoms)
+    assert polydiff._table_equations(
         K.adjoint(), k, unknown, Fraction(1, k + 1)) == \
-        total_skewsymmetrize(module_action(K.adjoint(), P))._equations()
-    unknown = polydiff._unknown_entries(alg.nvars, k, N + extra)
-    P = polydiff._unknown_kdiffop(alg, k, unknown)
-    assert polydiff._rational_equations(K, k, unknown, Fraction(1)) == \
-        skew_product(K, P)._equations()
+        sigma_equations_reference(K, k, N, skew=False)
+    unknown, _ = polydiff._unknown_entries(alg.nvars, k, N + extra)
+    assert polydiff._table_equations(K, k, unknown, Fraction(1)) == \
+        sigma_equations_reference(K, k, N + extra, skew=True)
 
 
-def test_rational_sigma_space_runs_no_substitution(monkeypatch):
-    """sigma_space on a K with rational coefficients builds its rows on
-    the integer tables: neither total_skewsymmetrize nor subst_slot_neg
-    runs.  A K with x takes the module action route, where both run, which
-    shows that the counters see the calls."""
+def test_sigma_space_runs_no_substitution(monkeypatch):
+    """sigma_space builds its rows on the tables for every K of the class:
+    neither total_skewsymmetrize nor subst_slot_neg runs, whether K has
+    rational coefficients or x in one.  total_skewsymmetrize called
+    directly runs both, which shows that the counters see the calls."""
     calls = []
     for name in ("total_skewsymmetrize", "subst_slot_neg"):
         real = getattr(polydiff, name)
@@ -526,8 +562,12 @@ def test_rational_sigma_space_runs_no_substitution(monkeypatch):
                             real(*args, **kw))
     K = _diag_d(ALG2, 2, [[1, 2], [Fraction(1, 3), 1]])
     basis, expected, flagged = sigma_space(K, 2)
-    assert (len(basis), expected, flagged, calls) == (4, 4, False, [])
-    sigma_space(x_dependent_grid(ALG, ALG2)["diag(x d, d)"], 1)
+    assert (len(basis), expected, flagged) == (4, 4, False)
+    Kx = x_dependent_grid(ALG, ALG2)["diag(x d^2, d^2)"]
+    basis_x, expected, flagged = sigma_space(Kx, 1)
+    assert (len(basis_x), expected, flagged, calls) == (3, 6, True, [])
+    assert polydiff.total_skewsymmetrize(
+        module_action(K.adjoint(), basis[0])).is_zero()
     assert set(calls) == {"total_skewsymmetrize", "subst_slot_neg"}
 
 
@@ -606,15 +646,23 @@ def test_x_dependent_counts_and_flags():
         assert len(selfadjoint_product_space(K)) == sadj, name
 
 
-def test_x_dependent_k_take_the_module_action_route():
-    """No K of the x-dependent grid, nor its adjoint, has the rational
-    coefficients of the integer tables; test_x_dependent_counts_and_flags
-    pins their counts on the module action route."""
+def _reaches_leibniz(K: MatDiffOp, depth: int) -> bool:
+    """Whether the tables of K read a derivative of a coefficient: some
+    K_q with q >= 1 of polydiff._symbols is not zero."""
+    return any(any(taus[1:]) for _, taus in
+               polydiff._symbols(K, depth)[1].values())
+
+
+def test_x_dependent_k_reach_the_leibniz_terms():
+    """The x-dependent grid runs the Leibniz terms of the tables, so
+    test_x_dependent_counts_and_flags pins counts that depend on them.
+    sigma_space's unknown has lambda-degree below N = ord K, so it reads
+    them for K* exactly when N >= 2; with one degree more, as in the
+    retries of solve_skew_equation, it reads them for every K."""
     for name, K in x_dependent_grid(ALG, ALG2).items():
-        unknown = polydiff._unknown_entries(K.alg.nvars, 1, K.order())
-        for op in (K, K.adjoint()):
-            assert polydiff._rational_equations(
-                op, 1, unknown, Fraction(1)) is None, name
+        N = K.order()
+        assert _reaches_leibniz(K.adjoint(), N - 1) == (N >= 2), name
+        assert _reaches_leibniz(K, N), name
 
 
 def test_sigma_space_flagged_nonrational():
@@ -657,27 +705,33 @@ def test_leading_coefficient_errors_are_named(solver, case):
         SOLVERS[solver](MatDiffOp(ALG2, rows))
 
 
+def _in_sigma(P: KDiffOp, K: MatDiffOp) -> bool:
+    """P lies in Sigma_k(K*): <K* o P>^- = 0."""
+    return total_skewsymmetrize(module_action(K.adjoint(), P)).is_zero()
+
+
 def test_chi_representatives():
     Kd = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG)]])
     P0 = KDiffOp(ALG, 0, {(1,): LambdaPoly.const(ALG, 0, ALG.one)})
-    rep = chi_representative(P0, Kd)
+    assert _in_sigma(P0, Kd)
+    rep = chi_representative(P0)
     u = ALG.jet(1)
     assert rep.entries[()].as_diffpoly() == u
     # delta h / delta u = 1 and K*(d) 1 = 0
     from varpois import variational_derivative
     assert variational_derivative(u)[0] == ALG.one
-    assert chi_representative(KDiffOp(ALG, 1), Kd).is_zero()
-    with pytest.raises(NotInSigma):
-        bad = KDiffOp(ALG, 0, {(1,): LambdaPoly.const(
-            ALG, 0, ALG.from_scalar(ALG.field.x))})
-        chi_representative(bad, Kd)
+    assert chi_representative(KDiffOp(ALG, 1)).is_zero()
+    bad = KDiffOp(ALG, 0, {(1,): LambdaPoly.const(
+        ALG, 0, ALG.from_scalar(ALG.field.x))})
+    assert not _in_sigma(bad, Kd)
 
 
 def test_chi_frechet_is_adjoint():
     Kd2 = MatDiffOp(ALG, [[ScalarDiffOp.d(ALG, 2)]])
     basis, _, _ = sigma_space(Kd2, 1)
     P = basis[0]
-    rep = chi_representative(P, Kd2)
+    assert _in_sigma(P, Kd2)
+    rep = chi_representative(P)
     F = as_one_form(QuotientArray(rep))
     assert frechet(F) == to_mat_diff_op(P).adjoint()
     assert QuotientArray(delta_k(rep, Kd2)).is_zero()
